@@ -140,12 +140,17 @@ pub fn supported_workloads(graph: &Graph) -> Vec<Workload> {
 /// A sharded deployment partitions vertex *ownership*; the structural graph
 /// is replicated to every shard (the single-process stand-in for the
 /// partitioned-plus-replicated storage real vertex-centric systems use).
-/// For a scattered analytics request every shard runs the same
-/// deterministic algorithm and extracts the contribution of its owned
-/// slice; the gather side folds those partials back into the global answer.
-/// The modes are exact — not approximations — because the engine is
-/// deterministic for a fixed `(config, seed)`, so every shard observes the
-/// identical per-vertex output vector.
+/// For a scattered analytics request the deterministic algorithm runs
+/// **once** ([`run_workload_sliced`]), its per-vertex output is attributed
+/// element by element to the slice that owns the vertex, and every shard's
+/// leg answers with its own slice's contribution; the gather side folds
+/// those partials back into the global answer. The modes are exact — not
+/// approximations — because the slices partition one output vector: a sum
+/// over the vertex set is the sum of the per-slice sums, a maximum the
+/// maximum of the per-slice maxima. (Running the algorithm once per leg
+/// instead, as [`run_workload_partial`] does for a single predicate, gives
+/// the same partials — the engine is deterministic for a fixed
+/// `(config, seed)` — at `S` times the engine work.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GatherMode {
     /// Owned-slice partials add up to the global answer (counts: reached
@@ -204,7 +209,7 @@ pub fn capabilities(graph: &Graph) -> Vec<Capability> {
 ///
 /// Variants mirror [`GatherMode`]; merging is only defined between
 /// partials of the same variant (a scattered request always produces
-/// same-variant legs, since every shard computes the same workload).
+/// same-variant legs, since they are slices of one run of one workload).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Partial {
     /// A summable count.
@@ -259,31 +264,93 @@ impl Partial {
 /// Result of one shard-partial workload execution.
 #[derive(Debug, Clone)]
 pub struct PartialRun {
-    /// Engine instrumentation of this shard's (full, replicated) run.
+    /// Engine instrumentation of the (full, replicated) run.
     pub stats: RunStats,
     /// The owned slice's contribution to the answer.
     pub partial: Partial,
 }
 
-/// Runs `workload`'s scattered leg on one shard: executes the same
-/// deterministic algorithm [`run_workload`] would (same seed derivation,
-/// same superstep clamp) and reduces the per-vertex output over the vertices
-/// `owns` claims, producing this shard's [`Partial`].
+/// Result of one *sliced* workload execution: a single engine run reduced
+/// to one [`Partial`] per ownership slice.
+#[derive(Debug, Clone)]
+pub struct SlicedRun {
+    /// Engine instrumentation of the one run every slice shares.
+    pub stats: RunStats,
+    /// `partials[s]` is slice `s`'s contribution to the answer.
+    pub partials: Vec<Partial>,
+}
+
+/// Folds per-vertex outputs into per-slice accumulators in one pass. A
+/// vertex whose `owner` is not a slice index contributes to no slice.
+struct Slicer<'a> {
+    slices: usize,
+    owner: &'a dyn Fn(VertexId) -> usize,
+}
+
+impl Slicer<'_> {
+    /// How many of `vertices` each slice owns.
+    fn counts(&self, vertices: impl Iterator<Item = VertexId>) -> Vec<Partial> {
+        let mut acc = vec![0u64; self.slices];
+        for v in vertices {
+            if let Some(a) = acc.get_mut((self.owner)(v)) {
+                *a += 1;
+            }
+        }
+        acc.into_iter().map(Partial::Sum).collect()
+    }
+
+    /// Each slice's maximum over its owned `(vertex, value)` items (0 for
+    /// an empty slice).
+    fn maxes(&self, items: impl Iterator<Item = (VertexId, u64)>) -> Vec<Partial> {
+        let mut acc = vec![0u64; self.slices];
+        for (v, x) in items {
+            if let Some(a) = acc.get_mut((self.owner)(v)) {
+                *a = (*a).max(x);
+            }
+        }
+        acc.into_iter().map(Partial::Max).collect()
+    }
+
+    /// Each slice's owned argmax of `scores` (indexed by vertex).
+    fn argmaxes(&self, scores: &[f64]) -> Vec<Partial> {
+        let mut acc = vec![Partial::ArgMax { score: f64::NEG_INFINITY, vertex: 0 }; self.slices];
+        for (v, &score) in ids(scores) {
+            if let Some(a) = acc.get_mut((self.owner)(v)) {
+                *a = a.merge(Partial::ArgMax { score, vertex: u64::from(v) });
+            }
+        }
+        acc
+    }
+}
+
+/// A per-vertex output vector as `(vertex, value)` pairs.
+fn ids<T>(values: &[T]) -> impl Iterator<Item = (VertexId, &T)> {
+    values.iter().enumerate().map(|(v, x)| (v as VertexId, x))
+}
+
+/// Runs `workload` **once** and reduces its per-vertex output to one
+/// [`Partial`] per ownership slice: executes the same deterministic
+/// algorithm [`run_workload`] would (same seed derivation, same superstep
+/// clamp), then attributes every output element to the slice
+/// `owner(vertex)` names.
 ///
-/// The caller (the shard router) guarantees the ownership predicates of the
-/// fanned-out legs partition the vertex set; under that contract, merging
-/// every leg's partial reproduces [`run_workload`]'s answer exactly.
+/// `owner` maps every vertex to a slice index in `0..slices`, so the slices
+/// partition the vertex set; under that contract, merging all `slices`
+/// partials reproduces [`run_workload`]'s answer exactly. This is what a
+/// sharded service's shared run calls: one engine execution answers every
+/// shard's scattered leg.
 ///
 /// Returns the failed precondition for unsupported workloads, and a
 /// not-gather-mergeable error for [`GatherMode::Whole`] workloads — those
 /// must be routed whole to a single shard instead.
-pub fn run_workload_partial(
+pub fn run_workload_sliced(
     workload: Workload,
     graph: &Graph,
     config: &PregelConfig,
     seed: u64,
-    owns: &dyn Fn(VertexId) -> bool,
-) -> Result<PartialRun, Unsupported> {
+    slices: usize,
+    owner: &dyn Fn(VertexId) -> usize,
+) -> Result<SlicedRun, Unsupported> {
     supported(workload, graph)?;
     if gather_mode(workload) == GatherMode::Whole {
         return Err(Unsupported {
@@ -296,159 +363,108 @@ pub fn run_workload_partial(
         .with_max_supersteps(config.max_supersteps.min(SERVICE_MAX_SUPERSTEPS));
     let mut rng = SplitMix64::new(seed);
     let source = rng.next_index(graph.num_vertices()) as u32;
-    // Count owned component representatives: labels are normalized to the
+    let by = Slicer { slices, owner };
+    // Count component representatives: labels are normalized to the
     // smallest member id, so each component is counted exactly once, by
-    // whichever shard owns its representative.
-    let owned_reps = |components: &[VertexId]| -> Partial {
-        Partial::Sum(
-            components
-                .iter()
-                .enumerate()
-                .filter(|&(v, &c)| c == v as VertexId && owns(v as VertexId))
-                .count() as u64,
-        )
+    // whichever slice owns its representative.
+    let reps = |components: &[VertexId]| {
+        by.counts(ids(components).filter(|&(v, &c)| c == v).map(|(v, _)| v))
     };
     // Count matched edges at their lower endpoint so each edge is owned by
-    // exactly one shard.
-    let owned_mates = |mate: &[VertexId]| -> Partial {
-        Partial::Sum(
-            mate.iter()
-                .enumerate()
-                .filter(|&(v, &m)| m != INVALID_VERTEX && (v as VertexId) < m && owns(v as VertexId))
-                .count() as u64,
-        )
+    // exactly one slice.
+    let mates = |mate: &[VertexId]| {
+        by.counts(ids(mate).filter(|&(v, &m)| m != INVALID_VERTEX && v < m).map(|(v, _)| v))
     };
-    let owned_argmax = |scores: &[f64]| -> Partial {
-        let mut best = Partial::ArgMax { score: f64::NEG_INFINITY, vertex: 0 };
-        for (v, &s) in scores.iter().enumerate() {
-            if owns(v as VertexId) {
-                best = best.merge(Partial::ArgMax { score: s, vertex: v as u64 });
-            }
-        }
-        best
-    };
-    let run = match workload {
+    // Match pairs `(q, v)` are attributed to the data vertex `v`'s owner.
+    let matched = |matches: &[Vec<u32>]| by.counts(matches.iter().flatten().copied());
+    let (partials, stats) = match workload {
         Workload::Diameter | Workload::Apsp => {
             let r = vcgp_algorithms::diameter::run(graph, &cfg);
-            let ecc = r
-                .eccentricities
-                .iter()
-                .enumerate()
-                .filter(|&(v, _)| owns(v as VertexId))
-                .map(|(_, &e)| u64::from(e))
-                .max()
-                .unwrap_or(0);
-            PartialRun { partial: Partial::Max(ecc), stats: r.stats }
+            (by.maxes(ids(&r.eccentricities).map(|(v, &e)| (v, u64::from(e)))), r.stats)
         }
         Workload::PageRank => {
             let r = vcgp_algorithms::pagerank::run(graph, 0.85, SERVICE_PAGERANK_ITERS, &cfg);
-            PartialRun { partial: owned_argmax(&r.scores), stats: r.stats }
+            (by.argmaxes(&r.scores), r.stats)
         }
         Workload::CcHashMin => {
             let r = vcgp_algorithms::cc_hashmin::run(graph, &cfg);
-            PartialRun { partial: owned_reps(&r.components), stats: r.stats }
+            (reps(&r.components), r.stats)
         }
         Workload::CcSv => {
             let r = vcgp_algorithms::cc_sv::run(graph, &cfg);
-            PartialRun { partial: owned_reps(&r.components), stats: r.stats }
+            (reps(&r.components), r.stats)
         }
         Workload::Wcc => {
             let r = vcgp_algorithms::wcc::run(graph, &cfg);
-            PartialRun { partial: owned_reps(&r.components), stats: r.stats }
+            (reps(&r.components), r.stats)
         }
         Workload::Scc => {
             let r = vcgp_algorithms::scc::run(graph, &cfg);
-            PartialRun { partial: owned_reps(&r.components), stats: r.stats }
+            (reps(&r.components), r.stats)
         }
         Workload::EulerTour => {
             // The tour length: each arc is attributed to its source vertex.
             let r = vcgp_algorithms::euler_tour::run(graph, 0, &cfg);
-            let arcs = r.tour.iter().filter(|&&(u, _)| owns(u)).count() as u64;
-            PartialRun { partial: Partial::Sum(arcs), stats: r.stats }
+            (by.counts(r.tour.iter().map(|&(u, _)| u)), r.stats)
         }
         Workload::TreeOrder => {
-            // The answer is the numbered-vertex count; each shard reports
+            // The answer is the numbered-vertex count; each slice reports
             // its owned vertices.
             let r = vcgp_algorithms::tree_order::run(graph, 0, &cfg);
-            let owned = (0..r.pre.len()).filter(|&v| owns(v as VertexId)).count() as u64;
-            PartialRun { partial: Partial::Sum(owned), stats: r.stats }
+            (by.counts(ids(&r.pre).map(|(v, _)| v)), r.stats)
         }
         Workload::SpanningTree => {
             // Canonical (min, max) edges are attributed to their min
             // endpoint's owner.
             let r = vcgp_algorithms::spanning_tree::run(graph, &cfg);
-            let edges = r.tree_edges.iter().filter(|&&(a, _)| owns(a)).count() as u64;
-            PartialRun { partial: Partial::Sum(edges), stats: r.stats }
+            (by.counts(r.tree_edges.iter().map(|&(a, _)| a)), r.stats)
         }
         Workload::Mst => {
             let r = vcgp_algorithms::mst_boruvka::run(graph, &cfg);
-            let edges = r.edges.iter().filter(|&&(u, _, _)| owns(u)).count() as u64;
-            PartialRun { partial: Partial::Sum(edges), stats: r.stats }
+            (by.counts(r.edges.iter().map(|&(u, _, _)| u)), r.stats)
         }
         Workload::Coloring => {
             // `num_colors` = max color + 1 and MIS rounds never skip a
             // color, so slice maxima of `color + 1` merge exactly.
             let r = vcgp_algorithms::coloring_mis::run(graph, &cfg);
-            let k = r
-                .colors
-                .iter()
-                .enumerate()
-                .filter(|&(v, _)| owns(v as VertexId))
-                .map(|(_, &c)| u64::from(c) + 1)
-                .max()
-                .unwrap_or(0);
-            PartialRun { partial: Partial::Max(k), stats: r.stats }
+            (by.maxes(ids(&r.colors).map(|(v, &c)| (v, u64::from(c) + 1))), r.stats)
         }
         Workload::Matching => {
             let r = vcgp_algorithms::matching_preis::run(graph, &cfg);
-            PartialRun { partial: owned_mates(&r.mate), stats: r.stats }
+            (mates(&r.mate), r.stats)
         }
         Workload::BipartiteMatching => {
             let nl = bipartite_split(graph).expect("checked by supported()");
             let r = vcgp_algorithms::bipartite_matching::run(graph, nl, &cfg);
-            PartialRun { partial: owned_mates(&r.mate), stats: r.stats }
+            (mates(&r.mate), r.stats)
         }
         Workload::Betweenness => {
             let r = vcgp_algorithms::betweenness::run(graph, Some(&[source]), &cfg);
-            PartialRun { partial: owned_argmax(&r.scores), stats: r.stats }
+            (by.argmaxes(&r.scores), r.stats)
         }
         Workload::Sssp => {
             let r = vcgp_algorithms::sssp::run(graph, source, &cfg);
-            let reached = r
-                .dist
-                .iter()
-                .enumerate()
-                .filter(|&(v, &d)| d.is_finite() && owns(v as VertexId))
-                .count() as u64;
-            PartialRun { partial: Partial::Sum(reached), stats: r.stats }
+            (by.counts(ids(&r.dist).filter(|(_, d)| d.is_finite()).map(|(v, _)| v)), r.stats)
         }
         Workload::GraphSim => {
             let q = seeded_query(graph, seed);
             let r = vcgp_algorithms::graph_simulation::run(&q, graph, &cfg);
-            PartialRun { partial: owned_match_count(&r.matches, owns), stats: r.stats }
+            (matched(&r.matches), r.stats)
         }
         Workload::DualSim => {
             let q = seeded_query(graph, seed);
             let r = vcgp_algorithms::dual_simulation::run(&q, graph, &cfg);
-            PartialRun { partial: owned_match_count(&r.matches, owns), stats: r.stats }
+            (matched(&r.matches), r.stats)
         }
         Workload::StrongSim => {
             let q = seeded_query(graph, seed);
             let r = vcgp_algorithms::strong_simulation::run(&q, graph, &cfg);
-            let centers = r
-                .centers
-                .iter()
-                .enumerate()
-                .filter(|&(w, c)| !c.is_empty() && owns(w as VertexId))
-                .count() as u64;
-            PartialRun { partial: Partial::Sum(centers), stats: r.stats }
+            (by.counts(ids(&r.centers).filter(|(_, c)| !c.is_empty()).map(|(w, _)| w)), r.stats)
         }
         Workload::Bcc => {
             // Blocks carry no per-vertex representative, but they do have a
             // canonical per-*edge* one: every block is counted exactly once,
-            // by the owner of the minimum vertex id across its edges. All
-            // shards compute the identical deterministic `block_of_edge`
-            // labelling, so the owned counts partition the block count.
+            // by the owner of the minimum vertex id across its edges.
             let r = vcgp_algorithms::bcc::run(graph, &cfg);
             let mut rep: Vec<VertexId> = vec![INVALID_VERTEX; r.count];
             for ((u, v, _), &b) in graph.edges().zip(&r.block_of_edge) {
@@ -458,24 +474,30 @@ pub fn run_workload_partial(
                     *slot = lo;
                 }
             }
-            let owned = rep
-                .iter()
-                .filter(|&&v| v != INVALID_VERTEX && owns(v))
-                .count() as u64;
-            PartialRun { partial: Partial::Sum(owned), stats: r.stats }
+            (by.counts(rep.into_iter().filter(|&v| v != INVALID_VERTEX)), r.stats)
         }
     };
-    Ok(run)
+    Ok(SlicedRun { stats, partials })
 }
 
-/// Match pairs `(q, v)` attributed to the data vertex `v`'s owner.
-fn owned_match_count(matches: &[Vec<u32>], owns: &dyn Fn(VertexId) -> bool) -> Partial {
-    Partial::Sum(
-        matches
-            .iter()
-            .map(|m| m.iter().filter(|&&v| owns(v)).count() as u64)
-            .sum(),
-    )
+/// Runs `workload`'s scattered leg for one ownership predicate: the
+/// two-slice case of [`run_workload_sliced`] (owned / not owned), keeping
+/// the owned slice's [`Partial`].
+///
+/// The caller guarantees the ownership predicates of the legs it merges
+/// partition the vertex set; under that contract, merging every leg's
+/// partial reproduces [`run_workload`]'s answer exactly. Each call is a
+/// full engine run — a service answering several legs of one request
+/// should call [`run_workload_sliced`] once instead.
+pub fn run_workload_partial(
+    workload: Workload,
+    graph: &Graph,
+    config: &PregelConfig,
+    seed: u64,
+    owns: &dyn Fn(VertexId) -> bool,
+) -> Result<PartialRun, Unsupported> {
+    let run = run_workload_sliced(workload, graph, config, seed, 2, &|v| usize::from(!owns(v)))?;
+    Ok(PartialRun { stats: run.stats, partial: run.partials[0] })
 }
 
 /// A deterministic 2-cycle query pattern over the label of a seeded data
@@ -709,6 +731,75 @@ mod tests {
         assert_eq!(a.answer, b.answer);
         assert_eq!(a.stats.supersteps(), b.stats.supersteps());
         assert_eq!(a.stats.total_messages(), b.stats.total_messages());
+    }
+
+    /// One input per structural family, so that between them every Table 1
+    /// workload is supported somewhere.
+    fn one_graph_per_family() -> Vec<Graph> {
+        vec![
+            generators::with_random_weights(&generators::gnm_connected(24, 48, 3), 0.0, 1.0, 3, true),
+            generators::random_tree(20, 9),
+            generators::complete_bipartite(6, 4),
+            generators::labeled_digraph(24, 72, 3, 11),
+        ]
+    }
+
+    #[test]
+    fn sliced_partials_merge_to_the_whole_answer_for_all_twenty_workloads() {
+        let cfg = PregelConfig::single_worker();
+        let mut covered = Vec::new();
+        for g in one_graph_per_family() {
+            let n = g.num_vertices();
+            for w in supported_workloads(&g) {
+                covered.push(w);
+                let whole = run_workload(w, &g, &cfg, 5).unwrap();
+                for slices in 1..=4usize {
+                    // Interleaved and blocked ownership.
+                    let owners: [&dyn Fn(VertexId) -> usize; 2] = [
+                        &|v| v as usize % slices,
+                        &|v| (v as usize * slices / n).min(slices - 1),
+                    ];
+                    for owner in owners {
+                        let run = run_workload_sliced(w, &g, &cfg, 5, slices, owner).unwrap();
+                        assert_eq!(run.partials.len(), slices);
+                        let merged = run.partials.iter().copied().reduce(Partial::merge).unwrap();
+                        assert_eq!(merged.finish(), whole.answer, "{w:?} in {slices} slices");
+                        assert_eq!(run.stats.supersteps(), whole.stats.supersteps(), "{w:?}");
+                        assert_eq!(run.stats.total_messages(), whole.stats.total_messages(), "{w:?}");
+                    }
+                }
+            }
+        }
+        for w in Workload::ALL {
+            assert!(covered.contains(&w), "{w:?} is supported by none of the inputs");
+        }
+    }
+
+    #[test]
+    fn a_leg_is_one_slice_of_the_sliced_run() {
+        // `run_workload_partial` filters by an ownership predicate, as every
+        // scattered leg once did for itself; slice `s` of the sliced run is
+        // that leg's partial, bit for bit, for every shard of a partition.
+        let cfg = PregelConfig::single_worker();
+        for g in one_graph_per_family() {
+            for w in supported_workloads(&g) {
+                let sliced = run_workload_sliced(w, &g, &cfg, 5, 3, &|v| v as usize % 3).unwrap();
+                for s in 0..3 {
+                    let leg = run_workload_partial(w, &g, &cfg, 5, &|v| v as usize % 3 == s).unwrap();
+                    assert_eq!(leg.partial, sliced.partials[s], "{w:?} shard {s}");
+                    assert_eq!(leg.stats.supersteps(), sliced.stats.supersteps(), "{w:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vertices_owned_by_no_slice_contribute_to_none() {
+        let g = generators::gnm_connected(24, 48, 3);
+        let cfg = PregelConfig::single_worker();
+        // Odd vertices map past the last slice: only the even ones count.
+        let run = run_workload_sliced(Workload::Sssp, &g, &cfg, 1, 1, &|v| (v % 2) as usize).unwrap();
+        assert_eq!(run.partials, vec![Partial::Sum(12)]);
     }
 
     #[test]

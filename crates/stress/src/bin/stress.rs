@@ -551,6 +551,8 @@ fn validate_report(path: &str) -> Result<String, String> {
             "failed",
             "rejects",
             "early_drops",
+            "engine_runs",
+            "coalesced_legs",
             "cache_hits",
             "queue_hwm",
             "busy_ns",
@@ -644,6 +646,8 @@ fn validate_report(path: &str) -> Result<String, String> {
     for (total, total_key, shard_key) in [
         (num("rejects")?, "rejects", "rejects"),
         (num("early_drops")?, "early_drops", "early_drops"),
+        (num("engine_runs")?, "engine_runs", "engine_runs"),
+        (num("coalesced_legs")?, "coalesced_legs", "coalesced_legs"),
         (cache_num("hits")?, "cache.hits", "cache_hits"),
     ] {
         let summed: f64 = per_shard
@@ -821,6 +825,27 @@ fn validate_report(path: &str) -> Result<String, String> {
     }
     if errors != 0.0 {
         return Err(format!("{path}: {errors} errored requests (expected 0)"));
+    }
+    // Shared runs: on a sharded service every scattered operation puts one
+    // leg on every shard, and a leg is answered by exactly one of a cache
+    // hit, an engine run it led, or a run another leg led. (Checked on
+    // clean runs only: a failed leg is none of the three, a retried one
+    // leads more than once; and unsharded, whole answers share the
+    // counters.)
+    if shards > 1.0 && num("retries")? == 0.0 {
+        let scattered = num("scattered")?;
+        for (i, entry) in per_shard.iter().enumerate() {
+            let answered: f64 = ["engine_runs", "coalesced_legs", "cache_hits"]
+                .iter()
+                .filter_map(|key| entry.get(key).and_then(json::Value::as_f64))
+                .sum();
+            if answered != scattered {
+                return Err(format!(
+                    "{path}: per_shard[{i}] engine_runs + coalesced_legs + cache_hits is \
+                     {answered} but {scattered} operations scattered a leg to it"
+                ));
+            }
+        }
     }
     Ok(format!(
         "{path}: ok ({} ops, 0 errors, {:.1} ops/s)",

@@ -294,6 +294,14 @@ pub struct StressReport {
     /// Requests dropped at dequeue with an already-expired deadline (from
     /// the service's counters; disjoint from `timeouts`).
     pub early_drops: u64,
+    /// Engine executions completed for workload requests, summed across
+    /// shards (this run only): whole runs plus led shared runs — one per
+    /// scattered request, not one per leg.
+    pub engine_runs: u64,
+    /// Scattered legs answered from a run another leg led, summed across
+    /// shards (this run only). Every leg is a cache hit, a led engine run,
+    /// or one of these — the identity `--validate-report` enforces.
+    pub coalesced_legs: u64,
     /// Result-cache lookups answered without running the engine, summed
     /// across shards (this run only).
     pub cache_hits: u64,
@@ -438,7 +446,8 @@ impl StressReport {
                 }
                 format!(
                     "{{\"shard\": {}, \"owned\": {}, \"completed\": {}, \"failed\": {}, \
-                     \"rejects\": {}, \"early_drops\": {}, \"cache_hits\": {}, \
+                     \"rejects\": {}, \"early_drops\": {}, \"engine_runs\": {}, \
+                     \"coalesced_legs\": {}, \"cache_hits\": {}, \
                      \"queue_hwm\": {}, \"busy_ns\": {}, \"service_ns\": {}, \
                      \"replicas\": [{}]}}",
                     s.shard,
@@ -447,6 +456,8 @@ impl StressReport {
                     s.stats.failed,
                     s.stats.rejected,
                     s.stats.early_drops,
+                    s.stats.engine_runs,
+                    s.stats.coalesced_legs,
                     s.stats.cache_hits,
                     s.stats.queue_hwm,
                     s.stats.busy_ns,
@@ -549,7 +560,8 @@ impl StressReport {
              \"routing\": \"{}\",\n  \"interval_ms\": {},\n  \"elapsed_s\": {:.3},\n  \
              \"ops\": {},\n  \"ok\": {},\n  \"errors\": {},\n  \"unsupported\": {},\n  \
              \"timeouts\": {},\n  \"retries\": {},\n  \"routed\": {},\n  \"scattered\": {},\n  \
-             \"rejects\": {},\n  \"early_drops\": {},\n  \"writes\": {},\n  \
+             \"rejects\": {},\n  \"early_drops\": {},\n  \"engine_runs\": {},\n  \
+             \"coalesced_legs\": {},\n  \"writes\": {},\n  \
              \"write_errors\": {},\n  \"throughput_ops_s\": {:.1},\n  \
              \"answer_hash\": \"{:016x}\",\n  \"cache\": {},\n  \"epochs\": {},\n  \
              \"latency_ns\": {},\n  \"service_ns\": {},\n  \"gather_ns\": {},\n  \
@@ -576,6 +588,8 @@ impl StressReport {
             self.scattered,
             self.rejects,
             self.early_drops,
+            self.engine_runs,
+            self.coalesced_legs,
             self.writes,
             self.write_errors,
             self.throughput(),
@@ -628,6 +642,10 @@ impl StressReport {
         out.push_str(&format!(
             "| rejects / early drops | {} / {} |\n",
             self.rejects, self.early_drops
+        ));
+        out.push_str(&format!(
+            "| engine runs / coalesced legs | {} / {} |\n",
+            self.engine_runs, self.coalesced_legs
         ));
         out.push_str(&format!(
             "| writes / write errors | {} / {} |\n",
@@ -721,18 +739,21 @@ impl StressReport {
         }
         if !self.per_shard.is_empty() {
             out.push_str(
-                "\n| shard | owned | completed | failed | rejects | early drops | cache hits | \
-                 queue hwm | busy ms |\n|---|---|---|---|---|---|---|---|---|\n",
+                "\n| shard | owned | completed | failed | rejects | early drops | engine runs | \
+                 coalesced legs | cache hits | queue hwm | busy ms |\n\
+                 |---|---|---|---|---|---|---|---|---|---|---|\n",
             );
             for s in &self.per_shard {
                 out.push_str(&format!(
-                    "| {} | {} | {} | {} | {} | {} | {} | {} | {:.3} |\n",
+                    "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.3} |\n",
                     s.shard,
                     s.owned,
                     s.stats.completed,
                     s.stats.failed,
                     s.stats.rejected,
                     s.stats.early_drops,
+                    s.stats.engine_runs,
+                    s.stats.coalesced_legs,
                     s.stats.cache_hits,
                     s.stats.queue_hwm,
                     ms(s.stats.busy_ns)
@@ -1183,6 +1204,8 @@ pub fn run_scenario<T: StressTarget>(target: &T, scenario: &Scenario) -> StressR
         write_errors: total.write_errors,
         epochs,
         write_accept: total.write_accept,
+        engine_runs: per_shard.iter().map(|s| s.stats.engine_runs).sum(),
+        coalesced_legs: per_shard.iter().map(|s| s.stats.coalesced_legs).sum(),
         cache_hits: per_shard.iter().map(|s| s.stats.cache_hits).sum(),
         cache_misses: per_shard.iter().map(|s| s.stats.cache_misses).sum(),
         cache_insertions: per_shard.iter().map(|s| s.stats.cache_insertions).sum(),

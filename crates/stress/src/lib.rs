@@ -20,9 +20,10 @@
 //!   shards, each running `R ≥ 1` replica cores over the same slice
 //!   (placement via the engine's partitioner, so `VCGP_PARTITIONING`
 //!   applies) and the router owner-routes point lookups, scatters
-//!   gather-mergeable analytics with typed partial merges, falls back to a
-//!   primary shard for the rest, and picks replicas by a pluggable policy
-//!   (seeded round-robin or least-loaded queue depth);
+//!   gather-mergeable analytics with typed partial merges — the legs of a
+//!   request sharing one engine run through the service-wide run table —
+//!   falls back to a primary shard for the rest, and picks replicas by a
+//!   pluggable policy (seeded round-robin or least-loaded queue depth);
 //! * [`cache`] — the per-core result cache: a capacity-bounded, segmented
 //!   LRU memoizing `(workload, graph fingerprint, seed) → answer` for whole
 //!   analytics answers *and* scattered per-shard partials, with
@@ -72,6 +73,7 @@ pub mod qos;
 pub mod rate;
 pub mod request;
 pub mod router;
+mod runs;
 pub mod scenario;
 pub mod service;
 pub mod shard;

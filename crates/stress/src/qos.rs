@@ -268,6 +268,30 @@ impl<J> TenantQueue<J> {
         Ok(())
     }
 
+    /// Removes and returns every queued job `wanted` picks, leaving the
+    /// rest in place and in order. The taken jobs were never dequeued for
+    /// service, so neither their lane's token bucket nor the fair-share
+    /// round is charged for them.
+    pub fn take_where(&mut self, wanted: impl Fn(&J) -> bool) -> Vec<J> {
+        let mut taken = Vec::new();
+        for lane in &mut self.lanes {
+            for queue in [&mut lane.prio, &mut lane.norm] {
+                if !queue.iter().any(&wanted) {
+                    continue;
+                }
+                for job in std::mem::take(queue) {
+                    if wanted(&job) {
+                        taken.push(job);
+                    } else {
+                        queue.push_back(job);
+                    }
+                }
+            }
+        }
+        self.len -= taken.len();
+        taken
+    }
+
     /// Records a shed request against `tenant` (the caller's
     /// [`QueueFullPolicy::Reject`] path).
     pub fn note_reject(&mut self, tenant: usize) {
@@ -400,6 +424,26 @@ mod tests {
             got.push(j);
         }
         assert_eq!(got, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn take_where_removes_the_picked_jobs_and_keeps_the_order_of_the_rest() {
+        let mut q = TenantQueue::new(&specs(&[1, 1]), 8);
+        for i in 0..6u64 {
+            q.push((i % 2) as usize, i == 4, i).unwrap();
+        }
+        assert_eq!(q.take_where(|&j| j == 9), Vec::<u64>::new());
+        let mut taken = q.take_where(|&j| j == 1 || j == 4);
+        taken.sort_unstable();
+        assert_eq!(taken, vec![1, 4]);
+        assert_eq!((q.len(), q.lane_len(0), q.lane_len(1)), (4, 2, 2));
+        let mut rest = Vec::new();
+        while let Pop::Job(_, j) = q.pop(0, false) {
+            rest.push(j);
+        }
+        // Round-robin over the two equal-weight lanes, each still FIFO.
+        assert_eq!(rest, vec![0, 3, 2, 5]);
+        assert!(q.is_empty());
     }
 
     #[test]

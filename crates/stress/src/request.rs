@@ -236,10 +236,18 @@ pub struct QueryResponse {
     pub backoff: Duration,
     /// How the request was dispatched.
     pub route: Route,
-    /// Straggler penalty of a scattered request: how long the gatherer
-    /// waited for the remaining shards after the first leg it collected
-    /// had answered. Zero for non-scattered requests.
+    /// Straggler penalty of a scattered request: the time between its
+    /// first and its last leg completing (`completed_at` of the legs), in
+    /// whatever order the gatherer collected them. Zero for non-scattered
+    /// requests. Legs that share one engine run complete together, so this
+    /// collapses toward the time it takes to answer the parked legs; it
+    /// grows again when a leg misses the run and leads one of its own.
     pub gather_wait: Duration,
+    /// When the response was produced, stamped by the thread that sent it
+    /// (the executor, the submitter on a cache hit or reject, or a shared
+    /// run's leader answering a parked leg). For a scattered request, the
+    /// last leg's completion.
+    pub completed_at: Instant,
 }
 
 impl QueryResponse {

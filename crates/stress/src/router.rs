@@ -8,10 +8,15 @@
 //! * **Gather-mergeable analytics** (every Table 1 workload whose
 //!   [`GatherMode`] is not [`GatherMode::Whole`]) are *scattered*: the
 //!   router fans one [`QueryKind::WorkloadPartial`] leg per shard, each
-//!   shard reduces the deterministic run over its owned slice, and the
-//!   gather step merges the typed [`Partial`]s
-//!   (sum / max / arg-max per workload) back into the exact unsharded
-//!   answer.
+//!   leg answers with the deterministic run's output reduced over its
+//!   shard's owned slice, and the gather step merges the typed
+//!   [`Partial`]s (sum / max / arg-max per workload) back into the exact
+//!   unsharded answer. The legs of one request — and of concurrent
+//!   requests for the same `(epoch, workload, seed)` — share **one**
+//!   engine run through the service-wide run table ([`crate::runs`]): the
+//!   first leg dequeued leads it, the others park on it (freeing their
+//!   executors) or pick their slice up after it finished. The router does
+//!   not know which leg led: it sees `S` ordinary leg responses.
 //! * Every Table 1 workload now has a mergeable gather (BCC gained a
 //!   minimum-edge-endpoint block reduction), so the *whole-run* fall-back
 //!   to the designated primary shard remains only for externally
@@ -21,9 +26,10 @@
 //! * **Debug hooks** are spread round-robin by request id.
 //!
 //! The response carries the decision ([`Route`]) plus, for scattered
-//! requests, the straggler penalty ([`QueryResponse::gather_wait`]), so
-//! load drivers can report routed-vs-scattered traffic and gather latency
-//! without asking the service.
+//! requests, the straggler penalty ([`QueryResponse::gather_wait`]: last
+//! leg completion − first leg completion), so load drivers can report
+//! routed-vs-scattered traffic and gather latency without asking the
+//! service.
 //!
 //! **Replica routing.** When a shard runs more than one replica core
 //! ([`crate::service::ServiceConfig::replicas`]), every dispatch that
@@ -130,25 +136,24 @@ impl GatherTicket {
     ///
     /// Cost metrics aggregate across legs: `attempts` and `queue_wait` take
     /// the maximum (the binding constraint), `service_time` and `backoff`
-    /// sum (aggregate fleet compute burned), and `gather_wait` is the time
-    /// spent waiting for the remaining legs after the first collected leg
-    /// had answered — the straggler penalty of the fan-out.
+    /// sum (aggregate fleet compute burned — with shared runs, one leg's
+    /// engine run plus the other legs' answer time), and `gather_wait` is
+    /// the time between the first and the last leg *completing* — the
+    /// straggler penalty of the fan-out, whichever leg the straggler is.
     ///
     /// On success every leg is a [`QueryOutput::WorkloadPartial`]; the
     /// merged answer is [`Partial::finish`] of the folded partials,
-    /// `supersteps` is the maximum (every leg runs the same deterministic
-    /// schedule, so this equals the single-instance count) and `messages`
-    /// the sum (aggregate traffic). If any leg failed, the merged response
-    /// carries the first failure in shard order.
+    /// `supersteps` is the maximum (every leg reports the same
+    /// deterministic run, so this equals the single-instance count) and
+    /// `messages` the sum over legs. If any leg failed, the merged
+    /// response carries the first failure in shard order.
     pub fn wait(self) -> QueryResponse {
         let shards = self.legs.len() as u32;
-        let mut responses = Vec::with_capacity(self.legs.len());
-        let mut first_collected: Option<Instant> = None;
-        for leg in self.legs {
-            responses.push(leg.wait());
-            first_collected.get_or_insert_with(Instant::now);
-        }
-        let gather_wait = first_collected.map_or(Duration::ZERO, |t| t.elapsed());
+        let responses: Vec<QueryResponse> = self.legs.into_iter().map(Ticket::wait).collect();
+        let completions = || responses.iter().map(|r| r.completed_at);
+        let completed_at = completions().max().unwrap_or_else(Instant::now);
+        let gather_wait =
+            completed_at.saturating_duration_since(completions().min().unwrap_or(completed_at));
 
         let mut attempts = 0u32;
         let mut queue_wait = Duration::ZERO;
@@ -171,6 +176,7 @@ impl GatherTicket {
             backoff,
             route: Route::Scattered { shards },
             gather_wait,
+            completed_at,
         }
     }
 }

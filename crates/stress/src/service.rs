@@ -26,7 +26,10 @@
 //!   Pregel engine cannot be interrupted mid-superstep, so the timeout is
 //!   enforced post-hoc;
 //! * panics inside a workload are caught per request: the executor survives
-//!   and the caller gets [`QueryError::Panicked`];
+//!   and the caller gets [`QueryError::Panicked`] — as does every scattered
+//!   leg parked on the run that panicked (see [`crate::runs`]; the same
+//!   holds for a shared run that is unsupported or outlives its leader's
+//!   timeout);
 //! * requests whose absolute deadline has already passed when an executor
 //!   dequeues them are answered [`QueryError::DeadlineExceeded`] without
 //!   running the workload (an *early drop*, counted separately from
@@ -40,8 +43,8 @@
 //! [`Core::submit`] consults it *before* enqueueing — a hit is answered
 //! immediately from the memoized `(workload, graph fingerprint, seed)`
 //! entry without consuming a queue slot or an executor — and executors
-//! insert every freshly computed workload answer (whole or scattered leg)
-//! on completion. Keys carry no replica identity, so an answer computed on
+//! insert every freshly computed workload answer (whole or scattered leg,
+//! whichever leg's run computed it) on completion. Keys carry no replica identity, so an answer computed on
 //! any replica serves every replica of the shard.
 
 use crate::cache::{CacheKey, CacheScope, CachedAnswer, ResultCache};
@@ -214,6 +217,17 @@ pub struct ServiceStats {
     /// `completed` this is the per-replica mean-service-latency column of
     /// the stress report.
     pub busy_ns: u64,
+    /// Engine executions this core's executors completed for workload
+    /// requests: whole runs plus the shared runs they *led* (every attempt
+    /// counts, so a retried request adds one per attempt). With the
+    /// sharded service's run table a scattered request costs one of these,
+    /// not one per shard.
+    pub engine_runs: u64,
+    /// Scattered legs answered from a run another leg led: parked on a
+    /// running entry, or taken from a finished one (see [`crate::runs`]).
+    /// Every successfully answered leg is exactly one of a cache hit, an
+    /// engine run it led, or a coalesced leg.
+    pub coalesced_legs: u64,
     /// Result-cache lookups answered without running the engine.
     pub cache_hits: u64,
     /// Result-cache lookups that found nothing (cacheable requests only).
@@ -242,6 +256,8 @@ impl ServiceStats {
         self.early_drops += other.early_drops;
         self.queue_hwm = self.queue_hwm.max(other.queue_hwm);
         self.busy_ns += other.busy_ns;
+        self.engine_runs += other.engine_runs;
+        self.coalesced_legs += other.coalesced_legs;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_insertions += other.cache_insertions;
@@ -264,6 +280,8 @@ impl ServiceStats {
             early_drops: self.early_drops - earlier.early_drops,
             queue_hwm: self.queue_hwm,
             busy_ns: self.busy_ns - earlier.busy_ns,
+            engine_runs: self.engine_runs - earlier.engine_runs,
+            coalesced_legs: self.coalesced_legs - earlier.coalesced_legs,
             cache_hits: self.cache_hits - earlier.cache_hits,
             cache_misses: self.cache_misses - earlier.cache_misses,
             cache_insertions: self.cache_insertions - earlier.cache_insertions,
@@ -305,8 +323,8 @@ impl ServiceLog {
         }
     }
 
-    fn record(&mut self, service_time: Duration, ok: bool) {
-        let at = Instant::now()
+    fn record(&mut self, completed_at: Instant, service_time: Duration, ok: bool) {
+        let at = completed_at
             .saturating_duration_since(self.origin)
             .as_nanos() as u64;
         let v = service_time.as_nanos() as u64;
@@ -378,6 +396,8 @@ struct CounterSlot {
     rejected: AtomicU64,
     early_drops: AtomicU64,
     busy_ns: AtomicU64,
+    engine_runs: AtomicU64,
+    coalesced_legs: AtomicU64,
 }
 
 /// The hot counters, striped so executor threads never share a cache line:
@@ -448,17 +468,192 @@ struct Shared {
     logs: Box<[Mutex<ServiceLog>]>,
 }
 
+impl Shared {
+    /// Inserts a freshly computed workload answer into the result cache
+    /// (a no-op for uncacheable outputs, or with caching disabled).
+    fn memoize(&self, key: Option<CacheKey>, output: &QueryOutput) {
+        if let (Some(cache), Some(key), Some(value)) = (&self.cache, key, cacheable_output(output)) {
+            cache.insert(key, value);
+        }
+    }
+
+    /// Books a finished request on executor `executor`'s service log and
+    /// counter stripe, then answers the caller (who may have dropped its
+    /// ticket; that is fine).
+    fn answer(&self, executor: usize, tx: &mpsc::Sender<QueryResponse>, response: QueryResponse) {
+        let ok = response.result.is_ok();
+        self.logs[executor]
+            .lock()
+            .unwrap()
+            .record(response.completed_at, response.service_time, ok);
+        let slot = self.counters.executor_slot(executor);
+        let counter = if ok { &slot.completed } else { &slot.failed };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let _ = tx.send(response);
+    }
+}
+
+/// What one execution attempt made of a request.
+pub(crate) enum Attempt {
+    /// The backend computed the result itself.
+    Done(Result<QueryOutput, QueryError>),
+    /// A scattered leg answered from a shared run that had already
+    /// finished (see [`crate::runs`]).
+    Shared(QueryOutput),
+    /// A scattered leg parked on a running shared run: its [`ParkedLeg`]
+    /// now sits in the run table and the run's leader will answer it. The
+    /// executor drops the job and goes back to its queue.
+    Parked,
+}
+
+/// One dequeued job as its executor lends it to the backend for an attempt:
+/// the request, plus what [`Seat::park`] needs to let another thread answer
+/// it.
+pub(crate) struct Seat<'a> {
+    pub(crate) req: &'a QueryRequest,
+    tx: &'a mpsc::Sender<QueryResponse>,
+    core: &'a Arc<Shared>,
+    executor: usize,
+    queue_wait: Duration,
+    attempts: u32,
+    service_time: Duration,
+    backoff: Duration,
+}
+
+impl Seat<'_> {
+    /// Detaches the job from its executor: the record a shared run's
+    /// leader answers the leg from. `cache_key` is the leg's identity in
+    /// its own shard's result cache.
+    pub(crate) fn park(&self, cache_key: Option<CacheKey>) -> ParkedLeg {
+        ParkedLeg {
+            id: self.req.id,
+            tx: self.tx.clone(),
+            core: Arc::clone(self.core),
+            executor: self.executor,
+            cache_key,
+            queue_wait: self.queue_wait,
+            attempts: self.attempts,
+            service_time: self.service_time,
+            backoff: self.backoff,
+        }
+    }
+}
+
+/// Another core's view of one core's queue, for the leaders of shared runs:
+/// a leg of the run that is still *queued* when the run ends needs no
+/// executor either (see [`CoreHandle::take_queued_legs`]).
+pub(crate) struct CoreHandle(Arc<Shared>);
+
+impl CoreHandle {
+    /// Takes the queued jobs `wanted` picks out of the core's queue and
+    /// hands each back as a [`ParkedLeg`] for the caller to answer;
+    /// `cache_key` is each leg's identity in this core's result cache.
+    /// The queue lock decides between this and the core's own executors:
+    /// a job is popped by one of them or taken here, never both.
+    pub(crate) fn take_queued_legs(
+        &self,
+        wanted: impl Fn(&QueryRequest) -> bool,
+        cache_key: impl Fn(&QueryRequest) -> Option<CacheKey>,
+    ) -> Vec<ParkedLeg> {
+        let taken = {
+            let mut state = self.0.state.lock().unwrap();
+            state.queue.take_where(|job| wanted(&job.req))
+        };
+        if taken.is_empty() {
+            return Vec::new();
+        }
+        self.0.not_full.notify_all();
+        let now = Instant::now();
+        taken
+            .into_iter()
+            .map(|job| ParkedLeg {
+                id: job.req.id,
+                cache_key: cache_key(&job.req),
+                tx: job.tx,
+                core: Arc::clone(&self.0),
+                // No executor of the core ever held the job; it is booked
+                // on the first one's stripe and log.
+                executor: 0,
+                queue_wait: now.duration_since(job.enqueued_at),
+                attempts: 0,
+                service_time: Duration::ZERO,
+                backoff: Duration::ZERO,
+            })
+            .collect()
+    }
+}
+
+/// A scattered leg waiting on another leg's engine run: its reply channel,
+/// its core (counters, service log, result cache) and what it had consumed
+/// when it parked — everything its executor would have needed to answer it,
+/// so the leader can do so from its own thread.
+pub(crate) struct ParkedLeg {
+    id: u64,
+    tx: mpsc::Sender<QueryResponse>,
+    core: Arc<Shared>,
+    /// The executor that parked the leg; its counter stripe and service
+    /// log book the answer.
+    executor: usize,
+    cache_key: Option<CacheKey>,
+    queue_wait: Duration,
+    attempts: u32,
+    service_time: Duration,
+    backoff: Duration,
+}
+
+impl ParkedLeg {
+    /// Answers the leg from the leader's thread, exactly as its own
+    /// executor would have: memoizes a result under the leg's key, counts
+    /// a failure under its class, books the response on the leg's core and
+    /// sends it. The leg's service time is the time spent here — it ran no
+    /// engine.
+    pub(crate) fn complete(self, mut result: Result<QueryOutput, QueryError>) {
+        let t0 = Instant::now();
+        let slot = self.core.counters.executor_slot(self.executor);
+        match &mut result {
+            Ok(output) => {
+                slot.coalesced_legs.fetch_add(1, Ordering::Relaxed);
+                self.core.memoize(self.cache_key, output);
+            }
+            Err(QueryError::Panicked(_)) => {
+                slot.panics.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(QueryError::Timeout { attempts }) => {
+                // The run timed out for every leg on it; how many attempts
+                // that exhausted is the leg's own count.
+                *attempts = self.attempts;
+                slot.timeouts.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => {}
+        }
+        let service_time = self.service_time + t0.elapsed();
+        slot.busy_ns
+            .fetch_add(service_time.as_nanos() as u64, Ordering::Relaxed);
+        self.core.answer(
+            self.executor,
+            &self.tx,
+            QueryResponse {
+                id: self.id,
+                result,
+                attempts: self.attempts,
+                queue_wait: self.queue_wait,
+                service_time,
+                backoff: self.backoff,
+                route: Route::Direct,
+                gather_wait: Duration::ZERO,
+                completed_at: Instant::now(),
+            },
+        );
+    }
+}
+
 /// How an executor turns a dequeued request into an output. Implemented by
 /// the full-graph backend below and by shard slices. Backends read the
 /// request's pinned [`EpochSnapshot`] (stamped at submission), so a
 /// request keeps serving its epoch even after the writer swaps in a newer
 /// one.
 pub(crate) trait ExecBackend: Send + Sync + 'static {
-    fn execute(
-        &self,
-        req: &QueryRequest,
-        engine: &PregelConfig,
-    ) -> Result<QueryOutput, QueryError>;
+    fn execute(&self, seat: &Seat<'_>, engine: &PregelConfig) -> Attempt;
 
     /// The result-cache identity of the request on this backend, or `None`
     /// for kinds that must not be memoized (point lookups, debug hooks).
@@ -533,6 +728,7 @@ fn failure_response(id: u64, error: QueryError) -> QueryResponse {
         backoff: Duration::ZERO,
         route: Route::Direct,
         gather_wait: Duration::ZERO,
+        completed_at: Instant::now(),
     }
 }
 
@@ -632,6 +828,7 @@ impl Core {
             backoff: Duration::ZERO,
             route: Route::Direct,
             gather_wait: Duration::ZERO,
+            completed_at: Instant::now(),
         });
         Some(Ticket { id: req.id, rx })
     }
@@ -760,8 +957,15 @@ impl Core {
             early_drops: c.sum(|s| &s.early_drops),
             queue_hwm: hwm as u64,
             busy_ns: c.sum(|s| &s.busy_ns),
+            engine_runs: c.sum(|s| &s.engine_runs),
+            coalesced_legs: c.sum(|s| &s.coalesced_legs),
             ..ServiceStats::default()
         }
+    }
+
+    /// A handle on this core's queue for the other cores' run leaders.
+    pub(crate) fn handle(&self) -> CoreHandle {
+        CoreHandle(Arc::clone(&self.shared))
     }
 
     pub(crate) fn queue_depth(&self) -> usize {
@@ -856,13 +1060,10 @@ struct FullGraphBackend {
 }
 
 impl ExecBackend for FullGraphBackend {
-    fn execute(
-        &self,
-        req: &QueryRequest,
-        engine: &PregelConfig,
-    ) -> Result<QueryOutput, QueryError> {
+    fn execute(&self, seat: &Seat<'_>, engine: &PregelConfig) -> Attempt {
+        let req = seat.req;
         let snap = req.epoch.as_ref().unwrap_or(&self.base);
-        execute_on_full_graph(&snap.graph, &req.kind, req.seed, engine)
+        Attempt::Done(execute_on_full_graph(&snap.graph, &req.kind, req.seed, engine))
     }
 
     fn cache_key(&self, req: &QueryRequest) -> Option<CacheKey> {
@@ -1131,8 +1332,12 @@ impl Drop for GraphService {
     }
 }
 
-fn executor_loop(backend: &dyn ExecBackend, shared: &Shared, config: &ServiceConfig, index: usize) {
-    let slot = shared.counters.executor_slot(index);
+fn executor_loop(
+    backend: &dyn ExecBackend,
+    shared: &Arc<Shared>,
+    config: &ServiceConfig,
+    index: usize,
+) {
     loop {
         let job = {
             let mut state = shared.state.lock().unwrap();
@@ -1163,33 +1368,26 @@ fn executor_loop(backend: &dyn ExecBackend, shared: &Shared, config: &ServiceCon
             }
         };
         shared.not_full.notify_all();
-        let response = serve(backend, shared, config, &job.req, job.enqueued_at, slot);
-        shared.logs[index]
-            .lock()
-            .unwrap()
-            .record(response.service_time, response.result.is_ok());
-        if response.result.is_ok() {
-            slot.completed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            slot.failed.fetch_add(1, Ordering::Relaxed);
+        if let Some(response) = serve(backend, shared, config, &job, index) {
+            shared.answer(index, &job.tx, response);
         }
-        // The caller may have dropped its ticket; that is fine.
-        let _ = job.tx.send(response);
     }
 }
 
 /// Runs one request to completion: attempt, post-hoc timeout check, backoff,
-/// retry, deadline enforcement.
+/// retry, deadline enforcement. `None` when an attempt parked the request
+/// on a shared run — its leader answers it, this executor is done with it.
 fn serve(
     backend: &dyn ExecBackend,
-    shared: &Shared,
+    shared: &Arc<Shared>,
     config: &ServiceConfig,
-    req: &QueryRequest,
-    enqueued_at: Instant,
-    slot: &CounterSlot,
-) -> QueryResponse {
+    job: &Job,
+    executor: usize,
+) -> Option<QueryResponse> {
+    let req = &job.req;
+    let slot = shared.counters.executor_slot(executor);
     let started = Instant::now();
-    let queue_wait = started.duration_since(enqueued_at);
+    let queue_wait = started.duration_since(job.enqueued_at);
     let mut service_time = Duration::ZERO;
     let mut backoff_total = Duration::ZERO;
     let mut attempts = 0u32;
@@ -1206,50 +1404,58 @@ fn serve(
         if attempts > 1 {
             slot.retries.fetch_add(1, Ordering::Relaxed);
         }
+        let seat = Seat {
+            req,
+            tx: &job.tx,
+            core: shared,
+            executor,
+            queue_wait,
+            attempts,
+            service_time,
+            backoff: backoff_total,
+        };
         let t0 = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            backend.execute(req, &config.engine)
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| backend.execute(&seat, &config.engine)));
         let elapsed = t0.elapsed();
         service_time += elapsed;
-        match outcome {
+        let (output, ran) = match outcome {
             Err(payload) => {
                 slot.panics.fetch_add(1, Ordering::Relaxed);
                 break Err(QueryError::Panicked(panic_message(&*payload)));
             }
-            Ok(Err(e)) => break Err(e), // permanent: retrying cannot help
-            Ok(Ok(output)) => {
-                // Memoize the computed answer even when this attempt blew
-                // its timeout — the value is correct and deterministic, so
-                // a later identical request (or this one's retry path, via
-                // a fresh submit) gets it for free.
-                if let Some(cache) = &shared.cache {
-                    if let Some(key) = backend.cache_key(req) {
-                        if let Some(value) = cacheable_output(&output) {
-                            cache.insert(key, value);
-                        }
-                    }
-                }
-                if elapsed <= req.timeout {
-                    break Ok(output);
-                }
-                slot.timeouts.fetch_add(1, Ordering::Relaxed);
-                if attempts >= config.max_attempts {
-                    break Err(QueryError::Timeout { attempts });
-                }
-                let pause = backoff_with_jitter(config, req.id, attempts);
-                let pause = match req.deadline {
-                    Some(d) => pause.min(d.saturating_duration_since(Instant::now())),
-                    None => pause,
-                };
-                backoff_total += pause;
-                std::thread::sleep(pause);
-            }
+            Ok(Attempt::Parked) => return None,
+            Ok(Attempt::Done(Err(e))) => break Err(e), // permanent: retrying cannot help
+            Ok(Attempt::Done(Ok(output))) => (output, true),
+            Ok(Attempt::Shared(output)) => (output, false),
+        };
+        if cacheable_output(&output).is_some() {
+            // A workload answer: this executor ran the engine for it, or
+            // took it from a run another leg led. Memoize it even when the
+            // attempt blew its timeout — the value is correct and
+            // deterministic, so a later identical request (or this one's
+            // retry path, via a fresh submit) gets it for free.
+            let counter = if ran { &slot.engine_runs } else { &slot.coalesced_legs };
+            counter.fetch_add(1, Ordering::Relaxed);
+            shared.memoize(backend.cache_key(req), &output);
         }
+        if elapsed <= req.timeout {
+            break Ok(output);
+        }
+        slot.timeouts.fetch_add(1, Ordering::Relaxed);
+        if attempts >= config.max_attempts {
+            break Err(QueryError::Timeout { attempts });
+        }
+        let pause = backoff_with_jitter(config, req.id, attempts);
+        let pause = match req.deadline {
+            Some(d) => pause.min(d.saturating_duration_since(Instant::now())),
+            None => pause,
+        };
+        backoff_total += pause;
+        std::thread::sleep(pause);
     };
     slot.busy_ns
         .fetch_add(service_time.as_nanos() as u64, Ordering::Relaxed);
-    QueryResponse {
+    Some(QueryResponse {
         id: req.id,
         result,
         attempts,
@@ -1258,7 +1464,8 @@ fn serve(
         backoff: backoff_total,
         route: Route::Direct,
         gather_wait: Duration::ZERO,
-    }
+        completed_at: Instant::now(),
+    })
 }
 
 /// Backoff before retry `attempt + 1`: exponential in the attempt number,
@@ -1326,7 +1533,7 @@ pub(crate) fn execute_on_full_graph(
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -12,14 +12,38 @@
 //! owned vertices over the full vertex-id space (a directed CSR slice).
 //! Owner-routed point lookups (degree / neighbors) are answered from this
 //! slice alone, never touching the full graph's CSR. The *structural* full
-//! graph is additionally retained per shard behind the shared [`Arc`] —
-//! the single-process stand-in for the partitioned-plus-replicated storage
-//! a distributed deployment would use — because scattered analytics legs
-//! run the full deterministic algorithm and then reduce its per-vertex
-//! outputs over the shard's owned slice (see
-//! [`vcgp_core::service::run_workload_partial`] for why that is the only
-//! way a scatter/gather merge can be *exactly* equal to the unsharded
-//! answer).
+//! graph is additionally retained behind the shared [`Arc`] — the
+//! single-process stand-in for the partitioned-plus-replicated storage a
+//! distributed deployment would use — because a scattered analytics answer
+//! is a reduction of the full deterministic algorithm's per-vertex output
+//! over each shard's owned slice (see [`vcgp_core::service::GatherMode`]
+//! for why that is what makes a scatter/gather merge *exactly* equal to
+//! the unsharded answer).
+//!
+//! That algorithm runs **once per scattered request**, not once per leg.
+//! Every shard's backend shares one service-wide run table
+//! ([`crate::runs`]), keyed by `(epoch fingerprint, workload, seed)`. The
+//! first leg of a key an executor dequeues becomes the run's *leader*: it
+//! executes the engine on its pinned epoch's graph and slices the output
+//! into all `S` partials in one pass
+//! ([`vcgp_core::service::run_workload_sliced`]). A leg dequeued while its
+//! key is running is *parked*: its reply channel, timings and core move
+//! into the table entry and its executor returns to its queue at once —
+//! it never blocks on another shard. When the run ends the leader answers
+//! every parked leg on that leg's own core (its `completed` counter, its
+//! service log, its shard's result cache under its own leg key) — and,
+//! the same way, every leg of the run that is still *queued* on some core
+//! behind other work, which it takes out of that queue: a finished request
+//! never waits for a busy executor just to be handed a finished slice. A
+//! leg that arrives later still takes its partial from the *finished*
+//! entry, which is dropped once all `S` shards were served. A run that
+//! fails —
+//! panic, unsupported workload, or one that outlives its leader's timeout
+//! — fails every parked leg with the same class of error, each counted
+//! once on its own core, and leaves no entry behind. Answers, routes,
+//! epoch pinning and cache identities are what they were when every leg
+//! ran for itself; [`ServiceStats::engine_runs`] and
+//! [`ServiceStats::coalesced_legs`] count the difference.
 //!
 //! Under live mutations the slices are **per-epoch**: every
 //! [`EpochSnapshot`] carries one [`ShardSlice`] per shard, and the epoch
@@ -50,14 +74,16 @@ use crate::epoch::{
 };
 use crate::request::{QueryError, QueryKind, QueryOutput, QueryRequest};
 use crate::router::RoutingPolicy;
+use crate::runs::{Join, RunKey, RunTable, SlicedAnswer};
 use crate::service::{
-    execute_on_full_graph, overlay_cache, service_cache, workload_cache_key, CacheInvalidator,
-    Core, ExecBackend, ReplicaSeries, ReplicaSnapshot, ServiceConfig, ServiceStats, ShardSnapshot,
-    SubmitError, Ticket,
+    execute_on_full_graph, overlay_cache, panic_message, service_cache, workload_cache_key,
+    Attempt, CacheInvalidator, Core, CoreHandle, ExecBackend, ParkedLeg, ReplicaSeries,
+    ReplicaSnapshot, Seat, ServiceConfig, ServiceStats, ShardSnapshot, SubmitError, Ticket,
 };
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use vcgp_core::fingerprint::{graph_fingerprint, leg_fingerprint};
 use vcgp_graph::rng::mix3;
@@ -209,80 +235,186 @@ impl EpochRebuild for ShardedRebuild {
     }
 }
 
+/// Finished shared runs the run table keeps per executor thread of the
+/// fleet while their sibling legs are still queued. Only legs of abandoned
+/// scatters ever stay that long, and evicting an entry early costs its
+/// straggler one engine run, never an answer.
+const FINISHED_RUNS_PER_EXECUTOR: usize = 4;
+
 /// One shard's execution backend: the pinned epoch's local slice for point
-/// lookups, its full structural graph (owned-slice filtered) for
-/// analytics.
+/// lookups, and the service-wide run table for scattered analytics legs.
 struct ShardBackend {
     shard: usize,
+    num_shards: usize,
     partitioner: Partitioner,
     /// Epoch-0 fallback for requests without a pinned snapshot (none in
     /// practice: the router stamps every submission).
     base: Arc<EpochSnapshot>,
+    /// Where this shard's legs meet the other shards' legs of the same
+    /// request (one table per service).
+    runs: Arc<RunTable<ParkedLeg>>,
+    /// Every core of the service (outer index = shard, inner = replica),
+    /// set once they all run: a leader answers the legs of its run that
+    /// are still queued anywhere.
+    fleet: Arc<OnceLock<Vec<Vec<CoreHandle>>>>,
+    /// Test hook (see [`ShardedGraphService::debug_panic_next_run`]).
+    panic_next_run: Arc<AtomicBool>,
+}
+
+/// The shared run `req` is a leg of on its pinned epoch `snap`, if it is a
+/// scattered leg at all.
+fn run_key(req: &QueryRequest, snap: &EpochSnapshot) -> Option<RunKey> {
+    match req.kind {
+        QueryKind::WorkloadPartial(workload) => {
+            Some(RunKey { fingerprint: snap.fingerprint, workload, seed: req.seed })
+        }
+        _ => None,
+    }
+}
+
+/// A leg's identity in shard `shard`'s result cache: whole answers by the
+/// pinned epoch's graph fingerprint, scattered legs by the shard's leg
+/// fingerprint in that epoch.
+fn cache_key_on(shard: usize, snap: &EpochSnapshot, req: &QueryRequest) -> Option<CacheKey> {
+    workload_cache_key(&req.kind, req.seed, snap.fingerprint, snap.locals[shard].leg_fp)
 }
 
 impl ShardBackend {
     fn owns(&self, v: VertexId) -> bool {
         self.partitioner.owner(v) == self.shard
     }
-}
 
-impl ExecBackend for ShardBackend {
-    fn execute(
+    /// Takes every leg of run `key` that is still waiting in a queue
+    /// somewhere in the fleet (its deadline, if any, not yet passed — a
+    /// dead leg is its own executor's to drop). Such a leg would only pick
+    /// its slice up from the finished entry once dequeued, and until then
+    /// it holds its whole request back behind whatever that executor is
+    /// running; the leader answering it costs no one anything.
+    fn take_queued(&self, key: RunKey) -> Vec<(usize, ParkedLeg)> {
+        let now = Instant::now();
+        let wanted = |req: &QueryRequest| {
+            req.epoch.as_ref().is_some_and(|snap| run_key(req, snap) == Some(key))
+                && req.deadline.is_none_or(|d| now < d)
+        };
+        let mut legs = Vec::new();
+        for (shard, cores) in self.fleet.get().into_iter().flatten().enumerate() {
+            for core in cores {
+                let taken = core.take_queued_legs(wanted, |req| {
+                    req.epoch.as_ref().and_then(|snap| cache_key_on(shard, snap, req))
+                });
+                legs.extend(taken.into_iter().map(|leg| (shard, leg)));
+            }
+        }
+        legs
+    }
+
+    /// Leads the shared run of `key`: one engine execution on the pinned
+    /// epoch's full graph, sliced by shard ownership, answers this leg,
+    /// every leg parked on the entry meanwhile, and every leg of the run
+    /// still queued when it ends. A failed run — panic,
+    /// unsupported workload, or one that outlived this leg's timeout — is
+    /// delivered to the parked legs as the same class of failure and leaves
+    /// no entry behind, so a retry starts afresh.
+    fn lead(
         &self,
+        key: RunKey,
+        snap: &EpochSnapshot,
         req: &QueryRequest,
         engine: &PregelConfig,
     ) -> Result<QueryOutput, QueryError> {
+        let fail = |error: &QueryError| {
+            for (_, leg) in self.runs.abandon(key) {
+                leg.complete(Err(error.clone()));
+            }
+        };
+        let t0 = Instant::now();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let run = vcgp_core::service::run_workload_sliced(
+                key.workload,
+                &snap.graph,
+                engine,
+                key.seed,
+                self.num_shards,
+                &|v| self.partitioner.owner(v),
+            );
+            if self.panic_next_run.swap(false, Ordering::Relaxed) {
+                panic!("debug panic requested in a shared run");
+            }
+            run
+        }));
+        let run = match run {
+            Ok(Ok(run)) => run,
+            Ok(Err(unsupported)) => {
+                let error = QueryError::Unsupported(unsupported.to_string());
+                fail(&error);
+                return Err(error);
+            }
+            Err(payload) => {
+                fail(&QueryError::Panicked(panic_message(&*payload)));
+                // The leader's own failure is its executor's to contain.
+                resume_unwind(payload);
+            }
+        };
+        let answer = Arc::new(SlicedAnswer {
+            partials: run.partials,
+            supersteps: run.stats.supersteps(),
+            messages: run.stats.total_messages(),
+        });
+        if t0.elapsed() > req.timeout {
+            // The executor is about to judge this attempt timed out (its
+            // clock started before ours); the legs that waited on it waited
+            // as long (each reports its own attempt count). The leader
+            // keeps its value — memoized, then retried.
+            fail(&QueryError::Timeout { attempts: 0 });
+        } else {
+            let queued = self.take_queued(key);
+            let served = queued.iter().map(|&(shard, _)| shard).chain([self.shard]);
+            let parked = self.runs.finish(key, served, &answer);
+            for (shard, leg) in parked.into_iter().chain(queued) {
+                leg.complete(Ok(answer.leg(shard)));
+            }
+        }
+        Ok(answer.leg(self.shard))
+    }
+}
+
+impl ExecBackend for ShardBackend {
+    fn execute(&self, seat: &Seat<'_>, engine: &PregelConfig) -> Attempt {
+        let req = seat.req;
         let snap = req.epoch.as_ref().unwrap_or(&self.base);
+        if let Some(key) = run_key(req, snap) {
+            return match self.runs.join(key, self.shard, || seat.park(self.cache_key(req))) {
+                Join::Parked => Attempt::Parked,
+                Join::Finished(answer) => Attempt::Shared(answer.leg(self.shard)),
+                Join::Lead => Attempt::Done(self.lead(key, snap, req, engine)),
+            };
+        }
+        // The router owner-routes lookups, so these normally hit the local
+        // slice. A misrouted (e.g. directly submitted) lookup of a
+        // non-owned vertex falls back to the full graph so the answer stays
+        // correct either way.
+        let lookup = |v: VertexId| {
+            let local = &snap.locals[self.shard].local;
+            if (v as usize) >= local.num_vertices() {
+                return Err(QueryError::NoSuchVertex(v));
+            }
+            Ok(if self.owns(v) { local } else { &*snap.graph })
+        };
         match req.kind {
-            // The router owner-routes lookups, so these normally hit the
-            // local slice. A misrouted (e.g. directly submitted) lookup of
-            // a non-owned vertex falls back to the full graph so the answer
-            // stays correct either way.
             QueryKind::Degree(v) => {
-                let local = &snap.locals[self.shard].local;
-                if (v as usize) >= local.num_vertices() {
-                    return Err(QueryError::NoSuchVertex(v));
-                }
-                let g = if self.owns(v) { local } else { &*snap.graph };
-                Ok(QueryOutput::Degree(g.out_degree(v)))
+                Attempt::Done(lookup(v).map(|g| QueryOutput::Degree(g.out_degree(v))))
             }
-            QueryKind::Neighbors(v) => {
-                let local = &snap.locals[self.shard].local;
-                if (v as usize) >= local.num_vertices() {
-                    return Err(QueryError::NoSuchVertex(v));
-                }
-                let g = if self.owns(v) { local } else { &*snap.graph };
-                Ok(QueryOutput::Neighbors(g.out_neighbors(v).to_vec()))
-            }
-            QueryKind::WorkloadPartial(w) => {
-                let run = vcgp_core::service::run_workload_partial(
-                    w,
-                    &snap.graph,
-                    engine,
-                    req.seed,
-                    &|v| self.owns(v),
-                )
-                .map_err(|e| QueryError::Unsupported(e.to_string()))?;
-                Ok(QueryOutput::WorkloadPartial {
-                    partial: run.partial,
-                    supersteps: run.stats.supersteps(),
-                    messages: run.stats.total_messages(),
-                })
-            }
+            QueryKind::Neighbors(v) => Attempt::Done(
+                lookup(v).map(|g| QueryOutput::Neighbors(g.out_neighbors(v).to_vec())),
+            ),
             // Whole workloads (the primary-shard fall-back path) and the
             // debug hooks behave exactly like the single-instance service.
-            _ => execute_on_full_graph(&snap.graph, &req.kind, req.seed, engine),
+            _ => Attempt::Done(execute_on_full_graph(&snap.graph, &req.kind, req.seed, engine)),
         }
     }
 
     fn cache_key(&self, req: &QueryRequest) -> Option<CacheKey> {
-        let snap = req.epoch.as_ref().unwrap_or(&self.base);
-        workload_cache_key(
-            &req.kind,
-            req.seed,
-            snap.fingerprint,
-            snap.locals[self.shard].leg_fp,
-        )
+        cache_key_on(self.shard, req.epoch.as_ref().unwrap_or(&self.base), req)
     }
 }
 
@@ -381,6 +513,7 @@ pub struct ShardedGraphService {
     pub(crate) epochs: Arc<EpochManager>,
     /// The epoch writer thread; `None` when the service is read-only.
     writer: Option<JoinHandle<()>>,
+    panic_next_run: Arc<AtomicBool>,
 }
 
 impl ShardedGraphService {
@@ -408,12 +541,24 @@ impl ShardedGraphService {
             config.mutations.as_ref(),
         ));
         let base = epochs.current();
+        // ONE run table per service, shared by every shard's backend: it
+        // is where the legs of one scattered request find each other.
+        let runs = Arc::new(RunTable::new(
+            num_shards,
+            FINISHED_RUNS_PER_EXECUTOR * num_shards * config.replicas * config.executors,
+        ));
+        let fleet = Arc::new(OnceLock::new());
+        let panic_next_run = Arc::new(AtomicBool::new(false));
         let shards: Vec<Shard> = (0..num_shards)
             .map(|s| {
                 let backend: Arc<dyn ExecBackend> = Arc::new(ShardBackend {
                     shard: s,
+                    num_shards,
                     partitioner,
                     base: Arc::clone(&base),
+                    runs: Arc::clone(&runs),
+                    fleet: Arc::clone(&fleet),
+                    panic_next_run: Arc::clone(&panic_next_run),
                 });
                 // ONE cache per shard, shared by every replica core: keys
                 // carry no replica identity, so an answer computed on any
@@ -436,6 +581,11 @@ impl ShardedGraphService {
                 }
             })
             .collect();
+        let handles = shards
+            .iter()
+            .map(|sh| sh.replicas.iter().map(Core::handle).collect())
+            .collect();
+        assert!(fleet.set(handles).is_ok(), "the fleet is published once");
         let writer = config.mutations.is_some().then(|| {
             // One invalidator per shard (not per replica): the cache is
             // shard-scoped, so each swap clears it exactly once.
@@ -459,6 +609,7 @@ impl ShardedGraphService {
             routing: config.routing,
             epochs,
             writer,
+            panic_next_run,
         }
     }
 
@@ -505,6 +656,14 @@ impl ShardedGraphService {
     /// the run-scoping baseline.
     pub fn writer_baseline(&self) -> WriterStats {
         self.epochs.writer_baseline()
+    }
+
+    /// Test hook, the shared-run counterpart of
+    /// [`QueryKind::DebugPanic`]: the next shared engine run panics inside
+    /// its leader as it ends, so tests can check that every leg attached to
+    /// the run fails with it and that nothing of it outlives the failure.
+    pub fn debug_panic_next_run(&self) {
+        self.panic_next_run.store(true, Ordering::Relaxed);
     }
 
     /// Number of shards.
@@ -582,17 +741,15 @@ impl ShardedGraphService {
                 core.close();
             }
         }
-        let mut total = ServiceStats::default();
+        // Join every core before reading any counter: a leg parked on
+        // another shard's run is booked on its own core by that run's
+        // leader, possibly after its own core's executors have exited.
         for sh in &mut self.shards {
-            let mut stats = ServiceStats::default();
             for core in &mut sh.replicas {
                 core.join();
-                stats.absorb(&core.stats());
             }
-            overlay_cache(&mut stats, sh.cache.as_deref());
-            total.absorb(&stats);
         }
-        total
+        self.stats()
     }
 
     /// Pending requests per shard (summed across the shard's replica

@@ -38,6 +38,15 @@ cargo build --workspace --release --offline
 echo "== cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
+echo "== benchmark package tests (its own workspace: a change to the frozen"
+echo "   surface in benchmark/src/surface.rs must break here, not at the"
+echo "   next benchmark run)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "== benchmark selftest (every workload for one second, untraced and"
+echo "   traced, through every correctness gate of the harness)"
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- selftest
+
 echo "== cargo clippy --offline -- -D warnings (when clippy is installed)"
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets --offline -- -D warnings
