@@ -6,7 +6,7 @@
 //! only the adjacency rows a batch touches (a sorted edit map over the old
 //! CSR) and then splices edited rows with straight copies of the untouched
 //! ones — no per-edge re-sorting, dedup passes, or hash probes over the
-//! whole edge list the way a from-scratch [`GraphBuilder`] rebuild would
+//! whole edge list the way a from-scratch [`crate::GraphBuilder`] rebuild would
 //! need. [`splice_slice`] does the same for a shard's local out-adjacency
 //! slice, so a sharded swap rebuilds `S` slices in time proportional to the
 //! delta (plus the unavoidable array copies), not `S` full builds.

@@ -22,7 +22,7 @@
 //!   combining table folds across hosted senders).
 //! * **Threaded driver** (`T > 1`): `T` threads are spawned once per run
 //!   (not per superstep phase) and synchronize on a sense-reversing
-//!   spin-then-park [`crate::barrier::PhaseBarrier`] — two crossings per
+//!   spin-then-park `PhaseBarrier` (the private `barrier` module) — two crossings per
 //!   superstep (compute and delivery; the serial master phase runs inside
 //!   the delivery barrier's leader closure), down from three
 //!   `std::sync::Barrier` waits. Cross-worker message handoff goes through
@@ -137,8 +137,8 @@ fn machine_parallelism() -> usize {
 
 impl PregelConfig {
     /// Resolves the default worker count from an optional `VCGP_WORKERS`
-    /// value: a valid positive integer (at most [`MAX_ENV_WORKERS`]) wins;
-    /// anything else — unset, unparsable, zero, absurd — falls back to
+    /// value: a valid positive integer (at most `MAX_ENV_WORKERS` = 1024)
+    /// wins; anything else — unset, unparsable, zero, absurd — falls back to
     /// `fallback`. Split out (and public) so the validation is testable
     /// without mutating process-global environment state.
     pub fn workers_from_env(value: Option<&str>, fallback: usize) -> usize {
@@ -150,8 +150,8 @@ impl PregelConfig {
 
     /// Resolves the default thread count from an optional `VCGP_THREADS`
     /// value. `0` is *valid* here and means "auto" (`min(workers, cores)`);
-    /// positive integers up to [`MAX_ENV_WORKERS`] pin the count; anything
-    /// else falls back to `fallback`.
+    /// positive integers up to `MAX_ENV_WORKERS` = 1024 pin the count;
+    /// anything else falls back to `fallback`.
     pub fn threads_from_env(value: Option<&str>, fallback: usize) -> usize {
         value
             .and_then(|v| v.trim().parse::<usize>().ok())
@@ -161,7 +161,7 @@ impl PregelConfig {
 
     /// Resolves the default steal-chunk size from an optional
     /// `VCGP_STEAL_CHUNK` value. `0` is valid and disables stealing;
-    /// positive sizes up to [`MAX_STEAL_CHUNK`] win; anything else falls
+    /// positive sizes up to `MAX_STEAL_CHUNK` = 2^30 win; anything else falls
     /// back to `fallback`.
     pub fn steal_chunk_from_env(value: Option<&str>, fallback: usize) -> usize {
         value

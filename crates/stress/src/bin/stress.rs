@@ -1,4 +1,4 @@
-//! `stress` — drive a resident [`GraphService`] with a concurrent,
+//! `stress` — drive a resident [`ShardedGraphService`] with a concurrent,
 //! rate-limited, seeded operation mix and report latency histograms.
 //!
 //! ```text
@@ -36,7 +36,7 @@ use vcgp_stress::mix::Mix;
 use vcgp_stress::qos::QosConfig;
 use vcgp_stress::router::RoutingPolicy;
 use vcgp_stress::scenario::{RateSpec, Scenario, ScenarioSpec};
-use vcgp_stress::service::{GraphService, QueueFullPolicy, ServiceConfig};
+use vcgp_stress::service::{QueueFullPolicy, ServiceConfig};
 use vcgp_stress::shard::ShardedGraphService;
 
 fn main() {
@@ -94,7 +94,8 @@ fn usage() {
          rate R burst B pace P clients C ops N policy P' lines\n  \
          --executors N     service executor threads (default: cores, max 4)\n  \
          --queue N         service queue capacity, per shard (default 128)\n  \
-         --shards N        shard the service N ways (default 1 = unsharded)\n  \
+         --shards N        shards the service splits vertex ownership\n                    \
+         across (default 1: one shard owns every vertex)\n  \
          --replicas N      replica cores per shard (default 1). Each replica\n                    \
          is a full queue + executor pool over the SAME\n                    \
          epoch-pinned shard slice, so answers are identical\n                    \
@@ -169,6 +170,19 @@ fn parse_flag<T: std::str::FromStr>(
     }
 }
 
+/// A count flag: zero is a one-line error here, not a panic in the
+/// service or the driver later.
+fn parse_count<T>(args: &[String], key: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    let n = parse_flag(args, key, default)?;
+    if n < T::from(1) {
+        return Err(format!("{key} must be at least 1"));
+    }
+    Ok(n)
+}
+
 fn build_graph(args: &[String]) -> Result<Graph, String> {
     if let Some(path) = flag_value(args, "--graph") {
         let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
@@ -208,18 +222,9 @@ fn run(args: &[String]) -> Result<(), String> {
         mix = mix.with_zipf(parse(s, "--zipf-s")?)?;
     }
 
-    let shards: usize = parse_flag(args, "--shards", 1usize)?;
-    if shards < 1 {
-        return Err("--shards must be at least 1".to_string());
-    }
-    let replicas: usize = parse_flag(args, "--replicas", 1usize)?;
-    if replicas < 1 {
-        return Err("--replicas must be at least 1".to_string());
-    }
-    let repeat: usize = parse_flag(args, "--repeat", 1usize)?;
-    if repeat < 1 {
-        return Err("--repeat must be at least 1".to_string());
-    }
+    let shards = parse_count(args, "--shards", 1usize)?;
+    let replicas = parse_count(args, "--replicas", 1usize)?;
+    let repeat = parse_count(args, "--repeat", 1usize)?;
     let cache_capacity = if args.iter().any(|a| a == "--cache-off") {
         0
     } else {
@@ -237,7 +242,7 @@ fn run(args: &[String]) -> Result<(), String> {
         ));
     }
     let driver_cfg = DriverConfig {
-        clients: parse_flag(args, "--clients", 4usize)?,
+        clients: parse_count(args, "--clients", 4usize)?,
         duration: Duration::from_secs_f64(parse_flag(args, "--duration", 2.0f64)?),
         ops_limit: flag_value(args, "--ops").map(|s| parse(s, "--ops")).transpose()?,
         rate: flag_value(args, "--rate").map(|s| parse(s, "--rate")).transpose()?,
@@ -295,13 +300,13 @@ fn run(args: &[String]) -> Result<(), String> {
         None => QosConfig::uniform(tenants),
     };
     let service_cfg = ServiceConfig {
-        executors: parse_flag(args, "--executors", ServiceConfig::default().executors)?,
-        queue_capacity: parse_flag(args, "--queue", 128usize)?,
+        executors: parse_count(args, "--executors", ServiceConfig::default().executors)?,
+        queue_capacity: parse_count(args, "--queue", 128usize)?,
         queue_policy: flag_value(args, "--queue-policy")
             .map(QueueFullPolicy::parse)
             .transpose()?
             .unwrap_or_default(),
-        max_attempts: parse_flag(args, "--retries", 3u32)?,
+        max_attempts: parse_count(args, "--retries", 3u32)?,
         seed: parse_flag(args, "--seed", 7u64)?,
         cache_capacity,
         mutations,
@@ -339,27 +344,14 @@ fn run(args: &[String]) -> Result<(), String> {
     // pass 1 warms the result cache, later passes hit it, and the per-pass
     // reports (scoped by the driver's counter baseline) make both the hit
     // counts and the answer hashes comparable.
-    let reports = if shards > 1 || replicas > 1 {
-        let service = ShardedGraphService::start(Arc::clone(&graph), service_cfg, shards);
-        let reports: Vec<_> = (0..repeat)
-            .map(|_| match &scenario {
-                Some(s) => driver::run_scenario(&service, s),
-                None => driver::run(&service, &mix, &driver_cfg),
-            })
-            .collect();
-        service.shutdown();
-        reports
-    } else {
-        let service = GraphService::start(Arc::clone(&graph), service_cfg);
-        let reports: Vec<_> = (0..repeat)
-            .map(|_| match &scenario {
-                Some(s) => driver::run_scenario(&service, s),
-                None => driver::run(&service, &mix, &driver_cfg),
-            })
-            .collect();
-        service.shutdown();
-        reports
-    };
+    let service = ShardedGraphService::start(Arc::clone(&graph), service_cfg, shards);
+    let reports: Vec<_> = (0..repeat)
+        .map(|_| match &scenario {
+            Some(s) => driver::run_scenario(&service, s),
+            None => driver::run(&service, &mix, &driver_cfg),
+        })
+        .collect();
+    service.shutdown();
 
     for (pass, report) in reports.iter().enumerate() {
         let report_name = if repeat == 1 {
@@ -454,9 +446,20 @@ fn validate_report(path: &str) -> Result<String, String> {
         Some(_) => return Err(format!("{path}: routing is not a string")),
         None => return Err(format!("{path}: missing \"routing\"")),
     }
-    for key in ["routed", "scattered", "rejects", "early_drops"] {
+    for key in ["rejects", "early_drops"] {
         num(key)?;
     }
+    // Every operation is dispatched to one shard or scattered to all of
+    // them; one answered on neither path would go uncounted.
+    let dispatched = |what: &str, routed: f64, scattered: f64, ops: f64| {
+        if routed + scattered == ops {
+            return Ok(());
+        }
+        Err(format!(
+            "{path}: {what} routed {routed} + scattered {scattered} is not its ops {ops}"
+        ))
+    };
+    dispatched("the run's", num("routed")?, num("scattered")?, num("ops")?)?;
     // The answer hash is emitted as a 16-digit hex string (u64 does not fit
     // an f64 exactly).
     match doc.get("answer_hash") {
@@ -702,14 +705,13 @@ fn validate_report(path: &str) -> Result<String, String> {
             "unsupported",
             "timeouts",
             "retries",
-            "routed",
-            "scattered",
             "write_errors",
         ] {
             pnum(key)?;
         }
         let (p_ops, p_ok, p_errors, p_writes) =
             (pnum("ops")?, pnum("ok")?, pnum("errors")?, pnum("writes")?);
+        dispatched(&format!("phases[{pi}]"), pnum("routed")?, pnum("scattered")?, p_ops)?;
         fold[0] += p_ops;
         fold[1] += p_ok;
         fold[2] += p_errors;
@@ -830,8 +832,8 @@ fn validate_report(path: &str) -> Result<String, String> {
     // leg on every shard, and a leg is answered by exactly one of a cache
     // hit, an engine run it led, or a run another leg led. (Checked on
     // clean runs only: a failed leg is none of the three, a retried one
-    // leads more than once; and unsharded, whole answers share the
-    // counters.)
+    // leads more than once; and at one shard nothing scatters, whole
+    // answers share the counters.)
     if shards > 1.0 && num("retries")? == 0.0 {
         let scattered = num("scattered")?;
         for (i, entry) in per_shard.iter().enumerate() {

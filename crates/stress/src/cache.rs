@@ -14,7 +14,7 @@
 //! captured by a [`CacheKey`] built on the stable
 //! [`vcgp_core::fingerprint::graph_fingerprint`]. Repeated analytics
 //! queries in a stress mix therefore never need to re-run the Pregel
-//! engine: [`crate::service::Core`] consults its [`ResultCache`] at submit
+//! engine: every replica core consults its shard's [`ResultCache`] at submit
 //! time and answers hits without enqueueing, and executors insert every
 //! freshly computed answer on the way out.
 //!
@@ -24,7 +24,7 @@
 //!
 //! * a first-time key enters *probation*;
 //! * a hit promotes the key to the *protected* segment (capped at
-//!   [`PROTECTED_NUM`]/[`PROTECTED_DEN`] of capacity; overflow demotes the
+//!   `PROTECTED_NUM`/`PROTECTED_DEN` = 4/5 of capacity; overflow demotes the
 //!   protected LRU back to probation rather than evicting it);
 //! * at capacity, the probation LRU is evicted first, so a one-shot scan of
 //!   fresh keys cannot flush the re-referenced working set.
@@ -36,7 +36,6 @@
 //!
 //! Invalidation: [`ResultCache::invalidate_all`] drops every entry while
 //! keeping the monotone counters. The serving layer calls it through
-//! [`crate::service::GraphService::invalidate_cache`] /
 //! [`crate::shard::ShardedGraphService::invalidate_cache`], and the epoch
 //! writer (see [`crate::epoch`]) now fires it after every snapshot swap.
 //! Correctness never depended on it: cache keys derive from the request's
@@ -59,9 +58,9 @@ const PROTECTED_DEN: usize = 5;
 
 /// Whether a cached value is a whole answer or one shard's scattered leg.
 ///
-/// The discriminant is part of the key because a single-instance service
-/// can serve both kinds for the same `(workload, fingerprint, seed)` triple
-/// and their payload types differ ([`CachedAnswer::Whole`] vs
+/// The discriminant is part of the key because one shard can serve both
+/// kinds for the same `(workload, seed)` on one epoch and their payload
+/// types differ ([`CachedAnswer::Whole`] vs
 /// [`CachedAnswer::Leg`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheScope {

@@ -1,8 +1,7 @@
 //! The load driver: client threads issuing a deterministic, seeded
-//! operation stream against a [`StressTarget`] (the single-instance
-//! [`GraphService`](crate::service::GraphService) or the sharded service),
-//! paced by a token bucket (or unthrottled), recording latencies into
-//! mergeable log-bucketed histograms.
+//! operation stream against a [`ShardedGraphService`], paced by a token
+//! bucket (or unthrottled), recording latencies into mergeable
+//! log-bucketed histograms.
 //!
 //! **Scenarios.** Every run is a [`Scenario`]: an ordered list of phases
 //! (warmup / measure / cooldown), each with its own stop criterion
@@ -55,9 +54,9 @@ use crate::mix::Mix;
 use crate::qos::TenantSpec;
 use crate::rate::TokenBucket;
 use crate::request::{QueryError, QueryOutput, QueryRequest, Route};
-use crate::router::StressTarget;
 use crate::scenario::{Phase, RateSpec, Scenario, SloStop};
 use crate::service::{ReplicaSeries, ReplicaSnapshot, ShardSnapshot, SubmitError};
+use crate::shard::ShardedGraphService;
 use vcgp_core::service::Partial;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -261,7 +260,7 @@ pub struct StressReport {
     pub rate: Option<f64>,
     /// Burst allowance of the first phase.
     pub burst: u32,
-    /// Shards of the target service (1 = unsharded).
+    /// Shards of the target service.
     pub shards: usize,
     /// Replica cores per shard (1 = unreplicated).
     pub replicas: usize,
@@ -283,8 +282,10 @@ pub struct StressReport {
     pub timeouts: u64,
     /// Retry attempts beyond each operation's first.
     pub retries: u64,
-    /// Operations owner-routed to a single shard (or run whole on the
-    /// primary shard).
+    /// Operations dispatched to a single shard: owner-routed lookups,
+    /// whole runs on the primary shard (every analytics op at one shard),
+    /// and debug hooks. `routed + scattered == ops` — the identity
+    /// `--validate-report` enforces for the run and for every phase.
     pub routed: u64,
     /// Operations scattered to every shard and gather-merged.
     pub scattered: u64,
@@ -940,14 +941,14 @@ impl ClientStats {
 /// [`Scenario::from_legacy`]) and running that. The desugared op stream is
 /// bit-identical to the historical driver's, so reports keep their exact
 /// counts and answer hashes.
-pub fn run<T: StressTarget>(target: &T, mix: &Mix, cfg: &DriverConfig) -> StressReport {
+pub fn run(target: &ShardedGraphService, mix: &Mix, cfg: &DriverConfig) -> StressReport {
     run_scenario(target, &Scenario::from_legacy(mix, cfg))
 }
 
 /// Runs a resolved scenario against `target`: each phase spawns its client
 /// threads, drives its compiled mix under its own pacing and stop
 /// criteria, and the run report folds the phase reports exactly.
-pub fn run_scenario<T: StressTarget>(target: &T, scenario: &Scenario) -> StressReport {
+pub fn run_scenario(target: &ShardedGraphService, scenario: &Scenario) -> StressReport {
     assert!(!scenario.phases.is_empty(), "scenario has no phases");
     let interval_ns = (scenario.interval.as_nanos() as u64).max(1);
     // Counter baseline: the same service process may host several runs, so
@@ -1187,7 +1188,7 @@ pub fn run_scenario<T: StressTarget>(target: &T, scenario: &Scenario) -> StressR
         burst: scenario.phases[0].burst,
         shards: target.num_shards(),
         replicas: target.replicas_per_shard(),
-        routing: target.routing_label().to_string(),
+        routing: target.routing.label().to_string(),
         interval_ns,
         elapsed,
         ops: total.ops,
@@ -1249,8 +1250,8 @@ struct TenantCtx<'a> {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn client_loop<T: StressTarget>(
-    target: &T,
+fn client_loop(
+    target: &ShardedGraphService,
     phase: &Phase,
     ctx: TenantCtx<'_>,
     timeout: Duration,
@@ -1362,7 +1363,7 @@ fn client_loop<T: StressTarget>(
             .with_seed(mix3(ctx.seed, i, REQ_STREAM))
             .with_timeout(timeout)
             .with_tenant(ctx.tenant as u32);
-        let ticket = match target.submit_op(req) {
+        let ticket = match target.submit(req) {
             Ok(t) => t,
             Err(_) => break,
         };

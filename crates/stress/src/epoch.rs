@@ -16,7 +16,7 @@
 //!   [`crate::service::QueueFullPolicy::Block`]);
 //! * a dedicated writer thread drains the buffer in batches (at most
 //!   [`MutationConfig::max_batch`] per epoch), builds epoch *N+1* off the
-//!   serving path via an [`EpochRebuild`] backend (incremental CSR splice —
+//!   serving path via the service's `EpochRebuild` backend (incremental CSR splice —
 //!   see [`vcgp_graph::apply_batch`] / [`vcgp_graph::splice_slice`] — not a
 //!   from-scratch rebuild when the delta is small), then **swaps
 //!   atomically** and fires the result-cache invalidation hook;
@@ -93,8 +93,7 @@ pub struct EpochSnapshot {
     /// Order-independent structural fingerprint of `graph` (the whole-
     /// answer cache identity of this epoch).
     pub fingerprint: u64,
-    /// Per-shard slices (empty for the single-instance service, which
-    /// serves everything from `graph`).
+    /// Per-shard slices, one per shard of the service (index = shard).
     pub locals: Vec<Arc<ShardSlice>>,
 }
 
@@ -425,9 +424,9 @@ impl EpochManager {
 }
 
 /// How the writer thread turns (base epoch, mutation batch) into the next
-/// epoch. Implemented over the full graph by [`crate::service::GraphService`]
-/// and with incremental per-shard slice rebuilds by
-/// [`crate::shard::ShardedGraphService`].
+/// epoch. Implemented with incremental per-shard slice rebuilds by
+/// [`crate::shard::ShardedGraphService`]; a trait so the unit tests below
+/// can substitute fakes.
 pub(crate) trait EpochRebuild: Send + 'static {
     /// Builds epoch `base.id + 1` (graph, fingerprints, shard slices) from
     /// `base` with `batch` applied. Runs off the serving path.

@@ -10,16 +10,18 @@
 //!   plus point lookups) with per-attempt timeouts and absolute deadlines,
 //!   answered by [`request::QueryResponse`]s carrying per-request cost
 //!   metrics;
-//! * [`service`] — [`service::GraphService`]: the graph loaded once behind
-//!   an [`std::sync::Arc`], a bounded MPMC job queue, OS-thread executors,
-//!   post-hoc timeouts with bounded seeded-jitter retries, contained
-//!   panics, queue-full admission policies (block / reject), deadline
-//!   early drops, and graceful draining shutdown;
-//! * [`shard`] + [`router`] — the sharded service:
-//!   [`shard::ShardedGraphService`] splits vertex ownership across S
-//!   shards, each running `R ≥ 1` replica cores over the same slice
-//!   (placement via the engine's partitioner, so `VCGP_PARTITIONING`
-//!   applies) and the router owner-routes point lookups, scatters
+//! * [`service`] — the replica core every shard runs: a bounded MPMC job
+//!   queue, OS-thread executors, post-hoc timeouts with bounded
+//!   seeded-jitter retries, contained panics, queue-full admission
+//!   policies (block / reject), deadline early drops, and graceful
+//!   draining shutdown — plus its config and counters;
+//! * [`shard`] + [`router`] — the one service type:
+//!   [`shard::ShardedGraphService`] loads the graph once behind an
+//!   [`std::sync::Arc`] and splits vertex ownership across `S ≥ 1`
+//!   shards (one shard is just `S = 1`), each running `R ≥ 1` replica
+//!   cores over the same slice (placement via the engine's partitioner,
+//!   so `VCGP_PARTITIONING` applies) and the router owner-routes point
+//!   lookups, scatters
 //!   gather-mergeable analytics with typed partial merges — the legs of a
 //!   request sharing one engine run through the service-wide run table —
 //!   falls back to a primary shard for the rest, and picks replicas by a
@@ -93,9 +95,9 @@ pub use scenario::{
     SpanSpec,
 };
 pub use request::{QueryError, QueryKind, QueryOutput, QueryRequest, QueryResponse, Route};
-pub use router::{AnyTicket, GatherTicket, RoutingPolicy, StressTarget};
+pub use router::{AnyTicket, GatherTicket, RoutingPolicy};
 pub use service::{
-    GraphService, QueueFullPolicy, ReplicaSeries, ReplicaSnapshot, ServiceConfig, ServiceStats,
-    ShardSnapshot, SubmitError, Ticket,
+    QueueFullPolicy, ReplicaSeries, ReplicaSnapshot, ServiceConfig, ServiceStats, ShardSnapshot,
+    SubmitError, Ticket,
 };
 pub use shard::ShardedGraphService;

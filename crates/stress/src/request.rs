@@ -14,8 +14,9 @@ pub enum QueryKind {
     Workload(Workload),
     /// One scattered leg of a workload: compute the executing shard's
     /// owned-slice partial. Produced by the shard router when it fans an
-    /// analytics request out; a single-instance service treats it as a
-    /// whole-graph partial (it owns every vertex).
+    /// analytics request out; submitted directly it runs on the primary
+    /// shard and answers that shard's partial (the whole-graph partial at
+    /// one shard, which owns every vertex).
     WorkloadPartial(Workload),
     /// Out-degree of a vertex (point lookup).
     Degree(VertexId),
@@ -27,7 +28,7 @@ pub enum QueryKind {
     DebugSleep(Duration),
     /// Test hook: panic inside the executor. Lets tests verify panic
     /// containment (the executor must survive and answer
-    /// [`QueryError::Panicked`](crate::request::QueryError::Panicked)).
+    /// [`QueryError::Panicked`]).
     DebugPanic,
 }
 
@@ -195,7 +196,12 @@ impl std::error::Error for QueryError {}
 /// service).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Route {
-    /// Answered by a single-instance service (or a non-sharded path).
+    /// Not dispatched by the router: the unstamped default of core-level
+    /// responses. No public submit returns it —
+    /// [`ShardedGraphService::submit`](crate::shard::ShardedGraphService::submit)
+    /// stamps every response [`Route::Routed`] or [`Route::Scattered`] —
+    /// so a load driver that sees it has an op it cannot account for
+    /// (`--validate-report` then fails `routed + scattered == ops`).
     #[default]
     Direct,
     /// Owner-routed to exactly one shard (and one replica core within it).

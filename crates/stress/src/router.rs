@@ -1,7 +1,6 @@
-//! The sharded service's routing front-end.
+//! The service's routing front-end.
 //!
-//! Classifies each [`QueryKind`] submitted to a
-//! [`ShardedGraphService`](crate::shard::ShardedGraphService):
+//! Classifies each [`QueryKind`] submitted to a [`ShardedGraphService`]:
 //!
 //! * **Point lookups** (degree / neighbors) are *owner-routed*: exactly one
 //!   shard — the one whose slice owns the vertex — sees the request.
@@ -11,12 +10,12 @@
 //!   leg answers with the deterministic run's output reduced over its
 //!   shard's owned slice, and the gather step merges the typed
 //!   [`Partial`]s (sum / max / arg-max per workload) back into the exact
-//!   unsharded answer. The legs of one request — and of concurrent
+//!   whole-graph answer. The legs of one request — and of concurrent
 //!   requests for the same `(epoch, workload, seed)` — share **one**
-//!   engine run through the service-wide run table ([`crate::runs`]): the
-//!   first leg dequeued leads it, the others park on it (freeing their
-//!   executors) or pick their slice up after it finished. The router does
-//!   not know which leg led: it sees `S` ordinary leg responses.
+//!   engine run through the service-wide run table (see [`crate::shard`]):
+//!   the first leg dequeued leads it, the others park on it (freeing
+//!   their executors) or pick their slice up after it finished. The router
+//!   does not know which leg led: it sees `S` ordinary leg responses.
 //! * Every Table 1 workload now has a mergeable gather (BCC gained a
 //!   minimum-edge-endpoint block reduction), so the *whole-run* fall-back
 //!   to the designated primary shard remains only for externally
@@ -41,16 +40,13 @@
 //! id). Replicas serve the same epoch-pinned snapshot and share the
 //! shard's result cache, so the pick affects latency only, never answers.
 
-use crate::epoch::{WriterReport, WriterStats};
-use crate::qos::TenantLaneStats;
 use crate::request::{
     QueryError, QueryKind, QueryOutput, QueryRequest, QueryResponse, Route,
 };
-use crate::service::{GraphService, ReplicaSeries, ShardSnapshot, SubmitError, Ticket};
+use crate::service::{SubmitError, Ticket};
 use crate::shard::ShardedGraphService;
 use std::time::{Duration, Instant};
 use vcgp_core::service::{gather_mode, GatherMode, Partial};
-use vcgp_graph::Mutation;
 
 /// How the router picks a replica core within a shard. Irrelevant (and
 /// unobservable beyond [`Route::Routed`]'s replica field) when every shard
@@ -92,7 +88,8 @@ impl RoutingPolicy {
 
 /// A pending response from either a single queue or a scattered fan-out.
 pub enum AnyTicket {
-    /// One underlying ticket; the route is patched into the response.
+    /// One underlying ticket — every owner-routed lookup, primary-shard
+    /// whole run and debug hook; the route is patched into the response.
     Single {
         /// The queue ticket.
         ticket: Ticket,
@@ -144,7 +141,7 @@ impl GatherTicket {
     /// On success every leg is a [`QueryOutput::WorkloadPartial`]; the
     /// merged answer is [`Partial::finish`] of the folded partials,
     /// `supersteps` is the maximum (every leg reports the same
-    /// deterministic run, so this equals the single-instance count) and
+    /// deterministic run, so this equals the whole run's count) and
     /// `messages` the sum over legs. If any leg failed, the merged
     /// response carries the first failure in shard order.
     pub fn wait(self) -> QueryResponse {
@@ -237,15 +234,8 @@ impl ShardedGraphService {
     /// merge would silently mix epochs otherwise).
     pub fn submit(&self, mut req: QueryRequest) -> Result<AnyTicket, SubmitError> {
         req.epoch = Some(self.epochs.current());
-        match req.kind {
-            QueryKind::Degree(v) | QueryKind::Neighbors(v) => {
-                let shard = self.owner(v);
-                let (ticket, replica) = self.shards[shard].submit(self.routing, req)?;
-                Ok(AnyTicket::Single {
-                    ticket,
-                    route: Route::Routed { shard: shard as u32, replica },
-                })
-            }
+        let shard = match req.kind {
+            QueryKind::Degree(v) | QueryKind::Neighbors(v) => self.owner(v),
             QueryKind::Workload(w)
                 if self.shards.len() > 1 && gather_mode(w) != GatherMode::Whole =>
             {
@@ -259,161 +249,17 @@ impl ShardedGraphService {
                         sh.submit(self.routing, leg).map(|(ticket, _)| ticket)
                     })
                     .collect::<Result<Vec<_>, _>>()?;
-                Ok(AnyTicket::Scattered(GatherTicket { id, legs }))
+                return Ok(AnyTicket::Scattered(GatherTicket { id, legs }));
             }
-            QueryKind::Workload(_) | QueryKind::WorkloadPartial(_) => {
-                let shard = self.primary;
-                let (ticket, replica) = self.shards[shard].submit(self.routing, req)?;
-                Ok(AnyTicket::Single {
-                    ticket,
-                    route: Route::Routed { shard: shard as u32, replica },
-                })
-            }
+            QueryKind::Workload(_) | QueryKind::WorkloadPartial(_) => self.primary,
             QueryKind::DebugSleep(_) | QueryKind::DebugPanic => {
-                let shard = (req.id % self.shards.len() as u64) as usize;
-                let (ticket, replica) = self.shards[shard].submit(self.routing, req)?;
-                Ok(AnyTicket::Single {
-                    ticket,
-                    route: Route::Routed { shard: shard as u32, replica },
-                })
+                (req.id % self.shards.len() as u64) as usize
             }
-        }
-    }
-}
-
-/// What the load driver needs from a service: submit an operation, and
-/// report per-shard counters at the end of the run. Implemented by the
-/// single-instance [`GraphService`] (one implicit shard) and by
-/// [`ShardedGraphService`], so `driver::run` is generic over both.
-pub trait StressTarget: Sync {
-    /// Submits one operation.
-    fn submit_op(&self, req: QueryRequest) -> Result<AnyTicket, SubmitError>;
-    /// Number of shards (1 for a single-instance service).
-    fn num_shards(&self) -> usize;
-    /// Replica cores per shard (1 for a single-instance service).
-    fn replicas_per_shard(&self) -> usize {
-        1
-    }
-    /// The replica-routing policy's report label.
-    fn routing_label(&self) -> &'static str {
-        RoutingPolicy::RoundRobin.label()
-    }
-    /// Per-shard identity + counters.
-    fn shard_snapshots(&self) -> Vec<ShardSnapshot>;
-    /// Resets every replica core's service-time recorder to measure from
-    /// `origin` with the given interval width — the driver calls this at
-    /// each phase start so the per-replica series are phase-scoped.
-    fn reset_service_log(&self, origin: Instant, interval_ns: u64);
-    /// Per-shard, per-replica service-time series since the last reset
-    /// (outer index = shard, inner = replica).
-    fn replica_series(&self) -> Vec<Vec<ReplicaSeries>>;
-    /// Submits one mutation to the write buffer. The default target is
-    /// read-only.
-    fn submit_mutation(&self, mutation: Mutation) -> Result<u64, SubmitError> {
-        let _ = mutation;
-        Err(SubmitError::ReadOnly)
-    }
-    /// Snapshots the writer counters and resets the freshness histograms
-    /// (run scoping). A no-op returning zeros on a read-only target.
-    fn writer_baseline(&self) -> WriterStats {
-        WriterStats::default()
-    }
-    /// Writer counters plus freshness histograms (empty on a read-only
-    /// target).
-    fn writer_report(&self) -> WriterReport {
-        WriterReport::default()
-    }
-    /// Per-tenant admission counters folded across every replica core
-    /// (counts sum; queue high-water marks take the max). One entry per
-    /// configured tenant, in tenant-id order.
-    fn qos_stats(&self) -> Vec<TenantLaneStats> {
-        Vec::new()
-    }
-}
-
-impl StressTarget for GraphService {
-    fn submit_op(&self, req: QueryRequest) -> Result<AnyTicket, SubmitError> {
+        };
+        let (ticket, replica) = self.shards[shard].submit(self.routing, req)?;
         Ok(AnyTicket::Single {
-            ticket: self.submit(req)?,
-            route: Route::Direct,
+            ticket,
+            route: Route::Routed { shard: shard as u32, replica },
         })
-    }
-
-    fn num_shards(&self) -> usize {
-        1
-    }
-
-    fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        vec![self.shard_snapshot()]
-    }
-
-    fn reset_service_log(&self, origin: Instant, interval_ns: u64) {
-        self.reset_service_log(origin, interval_ns);
-    }
-
-    fn replica_series(&self) -> Vec<Vec<ReplicaSeries>> {
-        self.replica_series()
-    }
-
-    fn submit_mutation(&self, mutation: Mutation) -> Result<u64, SubmitError> {
-        self.submit_mutation(mutation)
-    }
-
-    fn writer_baseline(&self) -> WriterStats {
-        self.writer_baseline()
-    }
-
-    fn writer_report(&self) -> WriterReport {
-        self.writer_report()
-    }
-
-    fn qos_stats(&self) -> Vec<TenantLaneStats> {
-        self.qos_stats()
-    }
-}
-
-impl StressTarget for ShardedGraphService {
-    fn submit_op(&self, req: QueryRequest) -> Result<AnyTicket, SubmitError> {
-        self.submit(req)
-    }
-
-    fn num_shards(&self) -> usize {
-        self.num_shards()
-    }
-
-    fn replicas_per_shard(&self) -> usize {
-        self.replicas_per_shard()
-    }
-
-    fn routing_label(&self) -> &'static str {
-        self.routing.label()
-    }
-
-    fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        self.shard_snapshots()
-    }
-
-    fn reset_service_log(&self, origin: Instant, interval_ns: u64) {
-        self.reset_service_log(origin, interval_ns);
-    }
-
-    fn replica_series(&self) -> Vec<Vec<ReplicaSeries>> {
-        self.replica_series()
-    }
-
-    fn submit_mutation(&self, mutation: Mutation) -> Result<u64, SubmitError> {
-        self.submit_mutation(mutation)
-    }
-
-    fn writer_baseline(&self) -> WriterStats {
-        self.writer_baseline()
-    }
-
-    fn writer_report(&self) -> WriterReport {
-        self.writer_report()
-    }
-
-    fn qos_stats(&self) -> Vec<TenantLaneStats> {
-        self.qos_stats()
     }
 }

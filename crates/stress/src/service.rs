@@ -1,23 +1,22 @@
-//! The graph-query service: a resident graph behind a bounded job queue
-//! drained by a pool of OS-thread executors.
+//! The replica core of the graph-query service: a bounded job queue
+//! drained by a pool of OS-thread executors, plus the service's config,
+//! counters and tickets.
 //!
-//! The graph is loaded once and shared via [`Arc`]; callers submit
-//! [`QueryRequest`]s and receive a [`Ticket`] whose [`Ticket::wait`]
-//! blocks for the [`QueryResponse`]. The queue is bounded — what happens at
-//! capacity is the [`QueueFullPolicy`]: [`QueueFullPolicy::Block`] applies
-//! backpressure to submitters, [`QueueFullPolicy::Reject`] sheds the
-//! request immediately with [`QueryError::Rejected`]. The queue itself is
-//! the multi-tenant admission stage of [`crate::qos`] — per-tenant lanes
-//! with token buckets, weighted-fair dequeue, a priority lane for point
-//! lookups, and per-tenant full policies — which degenerates to a plain
-//! FIFO under the default single-tenant [`ServiceConfig::qos`].
-//!
-//! The queue + executor machinery lives in the crate-internal [`Core`],
-//! parameterized by an execution backend. [`GraphService`] is one core over
-//! the full resident graph; the sharded service
-//! ([`crate::shard::ShardedGraphService`]) runs `R ≥ 1` replica cores per
-//! shard, each over the same vertex slice (see
-//! [`ServiceConfig::replicas`]).
+//! The service itself is [`crate::shard::ShardedGraphService`] — the one
+//! service type, for any shard count `S ≥ 1`. It loads the graph once
+//! behind an [`Arc`] and runs `R ≥ 1` replica cores per shard, each over
+//! the same vertex slice (see [`ServiceConfig::replicas`]); the queue +
+//! executor machinery of one such core is the crate-internal `Core` here.
+//! Callers submit [`QueryRequest`]s and wait on a ticket for the
+//! [`QueryResponse`] ([`Ticket::wait`] for one queue's answer). The queue
+//! is bounded — what happens at capacity is the [`QueueFullPolicy`]:
+//! [`QueueFullPolicy::Block`] applies backpressure to submitters,
+//! [`QueueFullPolicy::Reject`] sheds the request immediately with
+//! [`QueryError::Rejected`]. The queue itself is the multi-tenant
+//! admission stage of [`crate::qos`] — per-tenant lanes with token
+//! buckets, weighted-fair dequeue, a priority lane for point lookups, and
+//! per-tenant full policies — which degenerates to a plain FIFO under the
+//! default single-tenant [`ServiceConfig::qos`].
 //!
 //! Failure handling:
 //! * attempts whose execution exceeds the request's per-attempt timeout are
@@ -27,47 +26,45 @@
 //!   enforced post-hoc;
 //! * panics inside a workload are caught per request: the executor survives
 //!   and the caller gets [`QueryError::Panicked`] — as does every scattered
-//!   leg parked on the run that panicked (see [`crate::runs`]; the same
+//!   leg parked on the run that panicked (see [`crate::shard`]; the same
 //!   holds for a shared run that is unsupported or outlives its leader's
 //!   timeout);
 //! * requests whose absolute deadline has already passed when an executor
 //!   dequeues them are answered [`QueryError::DeadlineExceeded`] without
 //!   running the workload (an *early drop*, counted separately from
 //!   timeouts);
-//! * shutdown is graceful: [`GraphService::close`] stops admissions, then
-//!   executors drain everything already accepted, so no accepted request
-//!   loses its response.
+//! * shutdown is graceful: [`crate::shard::ShardedGraphService::close`]
+//!   stops admissions, then executors drain everything already accepted,
+//!   so no accepted request loses its response.
 //!
 //! Result caching: each shard shares one [`ResultCache`] across its
 //! replica cores (unless [`ServiceConfig::cache_capacity`] is zero).
-//! [`Core::submit`] consults it *before* enqueueing — a hit is answered
+//! Submission consults it *before* enqueueing — a hit is answered
 //! immediately from the memoized `(workload, graph fingerprint, seed)`
 //! entry without consuming a queue slot or an executor — and executors
 //! insert every freshly computed workload answer (whole or scattered leg,
-//! whichever leg's run computed it) on completion. Keys carry no replica identity, so an answer computed on
-//! any replica serves every replica of the shard.
+//! whichever leg's run computed it) on completion. Keys carry no replica
+//! identity, so an answer computed on any replica serves every replica of
+//! the shard.
 
-use crate::cache::{CacheKey, CacheScope, CachedAnswer, ResultCache};
-use crate::epoch::{
-    spawn_writer, EpochManager, EpochRebuild, EpochSnapshot, MutationConfig, WriterReport,
-    WriterStats,
-};
+use crate::cache::{CacheKey, CachedAnswer, ResultCache};
+use crate::epoch::MutationConfig;
 use crate::interval::IntervalSeries;
 use crate::qos::{Pop, QosConfig, TenantLaneStats, TenantQueue};
 use crate::request::{QueryError, QueryKind, QueryOutput, QueryRequest, QueryResponse, Route};
 use crate::router::RoutingPolicy;
+use crate::shard::ShardBackend;
 use vcgp_testkit::LogHistogram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vcgp_core::fingerprint::graph_fingerprint;
 use vcgp_graph::rng::mix3;
-use vcgp_graph::{apply_batch, ApplyStats, Graph, Mutation, SplitMix64};
+use vcgp_graph::{Graph, SplitMix64};
 use vcgp_pregel::PregelConfig;
 
-/// What [`Core::submit`] does when the queue is at capacity.
+/// What a submission does when the replica core's queue is at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueFullPolicy {
     /// Block the submitter until a slot frees up (backpressure).
@@ -93,10 +90,10 @@ impl QueueFullPolicy {
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Executor threads draining the queue (per shard, when sharded).
+    /// Executor threads draining each replica core's queue.
     pub executors: usize,
-    /// Queue capacity; at this many pending requests the
-    /// [`QueueFullPolicy`] decides between backpressure and shedding.
+    /// Queue capacity of each replica core; at this many pending requests
+    /// the [`QueueFullPolicy`] decides between backpressure and shedding.
     pub queue_capacity: usize,
     /// What to do when the queue is full.
     pub queue_policy: QueueFullPolicy,
@@ -110,7 +107,7 @@ pub struct ServiceConfig {
     pub backoff_cap: Duration,
     /// Seed of the retry-jitter stream (mixed with request id and attempt).
     pub seed: u64,
-    /// Result-cache capacity in entries, per core (per shard when sharded).
+    /// Result-cache capacity in entries, per shard.
     /// Zero disables caching entirely. Entries are scalar-sized, so the
     /// resident bound is a few hundred bytes per entry (see
     /// [`crate::cache::CacheStats::resident_bytes`]).
@@ -118,22 +115,22 @@ pub struct ServiceConfig {
     /// Engine configuration for workload execution. Defaults to a single
     /// worker per executor — concurrency comes from running many requests
     /// at once, not from parallelizing each one. Its `partitioning` field
-    /// doubles as the shard-placement strategy of the sharded service, so
+    /// doubles as the shard-placement strategy of the service, so
     /// the `VCGP_PARTITIONING` override applies to both.
     pub engine: PregelConfig,
     /// Live-mutation settings. `None` (the default) keeps the service
-    /// read-only: [`GraphService::submit_mutation`] fails with
-    /// [`SubmitError::ReadOnly`], no writer thread is spawned, and queries
-    /// always serve epoch 0.
+    /// read-only:
+    /// [`submit_mutation`](crate::shard::ShardedGraphService::submit_mutation)
+    /// fails with [`SubmitError::ReadOnly`], no writer thread is spawned,
+    /// and queries always serve epoch 0.
     pub mutations: Option<MutationConfig>,
-    /// Replica cores per shard (sharded service only; the single-instance
-    /// service always runs one core). Each replica is a full
-    /// queue-plus-executor-pool [`Core`] over the *same* epoch-pinned
+    /// Replica cores per shard. Each replica is a full
+    /// queue-plus-executor-pool core over the *same* epoch-pinned
     /// snapshot and shard slice, so replicating a hot shard costs queue
     /// state, not graph copies.
     pub replicas: usize,
-    /// How the router picks a replica within a shard (sharded service
-    /// only). See [`RoutingPolicy`].
+    /// How the router picks a replica within a shard. See
+    /// [`RoutingPolicy`].
     pub routing: RoutingPolicy,
     /// Multi-tenant QoS shape: one spec per tenant (weight, optional
     /// service-side token bucket, per-tenant queue-full policy). The
@@ -169,8 +166,6 @@ impl Default for ServiceConfig {
 pub enum SubmitError {
     /// The service has been closed; no new work is admitted.
     Closed,
-    /// The queue is at capacity (only from [`GraphService::try_submit`]).
-    Full,
     /// A mutation was submitted to a service started without a
     /// [`MutationConfig`] — the graph is frozen.
     ReadOnly,
@@ -180,7 +175,6 @@ impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SubmitError::Closed => write!(f, "service closed"),
-            SubmitError::Full => write!(f, "queue full"),
             SubmitError::ReadOnly => {
                 write!(f, "service is read-only (no mutation stream configured)")
             }
@@ -190,7 +184,8 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Cumulative service counters (monotone; read with [`GraphService::stats`]).
+/// Cumulative service counters (monotone; read with
+/// [`ShardedGraphService::stats`](crate::shard::ShardedGraphService::stats)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests answered successfully.
@@ -220,11 +215,11 @@ pub struct ServiceStats {
     /// Engine executions this core's executors completed for workload
     /// requests: whole runs plus the shared runs they *led* (every attempt
     /// counts, so a retried request adds one per attempt). With the
-    /// sharded service's run table a scattered request costs one of these,
-    /// not one per shard.
+    /// service-wide run table a scattered request costs one of these, not
+    /// one per shard.
     pub engine_runs: u64,
     /// Scattered legs answered from a run another leg led: parked on a
-    /// running entry, or taken from a finished one (see [`crate::runs`]).
+    /// running entry, or taken from a finished one (see [`crate::shard`]).
     /// Every successfully answered leg is exactly one of a cache hit, an
     /// engine run it led, or a coalesced leg.
     pub coalesced_legs: u64,
@@ -360,7 +355,7 @@ pub struct ReplicaSnapshot {
 /// maximum) plus the shard-shared result cache's counters.
 #[derive(Debug, Clone)]
 pub struct ShardSnapshot {
-    /// Shard index (0 for a single-instance service).
+    /// Shard index.
     pub shard: usize,
     /// Vertices this shard owns.
     pub owned: usize,
@@ -647,25 +642,6 @@ impl ParkedLeg {
     }
 }
 
-/// How an executor turns a dequeued request into an output. Implemented by
-/// the full-graph backend below and by shard slices. Backends read the
-/// request's pinned [`EpochSnapshot`] (stamped at submission), so a
-/// request keeps serving its epoch even after the writer swaps in a newer
-/// one.
-pub(crate) trait ExecBackend: Send + Sync + 'static {
-    fn execute(&self, seat: &Seat<'_>, engine: &PregelConfig) -> Attempt;
-
-    /// The result-cache identity of the request on this backend, or `None`
-    /// for kinds that must not be memoized (point lookups, debug hooks).
-    /// Derived from the request's pinned epoch, so lookup and insert agree
-    /// on the fingerprint even when a swap lands mid-request. The default
-    /// backend is uncacheable.
-    fn cache_key(&self, req: &QueryRequest) -> Option<CacheKey> {
-        let _ = req;
-        None
-    }
-}
-
 /// The memoizable payload of an output, if any (point-lookup and debug
 /// payloads are never cached).
 fn cacheable_output(output: &QueryOutput) -> Option<CachedAnswer> {
@@ -732,12 +708,11 @@ fn failure_response(id: u64, error: QueryError) -> QueryResponse {
     }
 }
 
-/// One bounded queue + executor pool over an execution backend: the
-/// reusable single-shard core shared by [`GraphService`] and every shard of
-/// the sharded service.
+/// One bounded queue + executor pool over a shard's execution backend:
+/// one replica of one shard of the service.
 pub(crate) struct Core {
     shared: Arc<Shared>,
-    backend: Arc<dyn ExecBackend>,
+    backend: Arc<ShardBackend>,
     workers: Vec<JoinHandle<()>>,
     /// Per-tenant queue-full policy (index = tenant id), each resolved
     /// from its [`crate::qos::TenantSpec`] with the service-wide policy as
@@ -751,7 +726,7 @@ impl Core {
     /// every replica core of a shard so the cache is shard-scoped (build
     /// it with [`service_cache`]).
     pub(crate) fn start(
-        backend: Arc<dyn ExecBackend>,
+        backend: Arc<ShardBackend>,
         config: &ServiceConfig,
         thread_label: &str,
         cache: Option<Arc<ResultCache>>,
@@ -780,7 +755,7 @@ impl Core {
                 let config = config.clone();
                 std::thread::Builder::new()
                     .name(format!("vcgp-stress-{thread_label}-{i}"))
-                    .spawn(move || executor_loop(&*backend, &shared, &config, i))
+                    .spawn(move || executor_loop(&backend, &shared, &config, i))
                     .expect("spawn executor")
             })
             .collect();
@@ -875,29 +850,6 @@ impl Core {
         }
     }
 
-    /// Non-blocking submit: fails immediately when the tenant's lane is
-    /// full or the service is closed, regardless of policy (cache hits
-    /// still answer — they need no queue slot).
-    pub(crate) fn try_submit(&self, req: QueryRequest) -> Result<Ticket, SubmitError> {
-        let state = self.shared.state.lock().unwrap();
-        if state.closed {
-            return Err(SubmitError::Closed);
-        }
-        drop(state);
-        if let Some(ticket) = self.cached_response(&req) {
-            return Ok(ticket);
-        }
-        let (tenant, prio) = self.classify(&req);
-        let state = self.shared.state.lock().unwrap();
-        if state.closed {
-            return Err(SubmitError::Closed);
-        }
-        if state.queue.lane_len(tenant) >= self.shared.capacity {
-            return Err(SubmitError::Full);
-        }
-        Ok(self.enqueue(state, req, tenant, prio))
-    }
-
     fn enqueue(
         &self,
         mut state: std::sync::MutexGuard<'_, QueueState>,
@@ -941,9 +893,9 @@ impl Core {
 
     /// The core's counters, summed across stripes. The cache fields are
     /// always zero here: the result cache is shared across a shard's
-    /// replicas, so its counters are overlaid once per shard (or per
-    /// single-instance service) with [`overlay_cache`] — never per core,
-    /// which would multiply them by the replica count.
+    /// replicas, so its counters are overlaid once per shard with
+    /// [`overlay_cache`] — never per core, which would multiply them by
+    /// the replica count.
     pub(crate) fn stats(&self) -> ServiceStats {
         let c = &self.shared.counters;
         let hwm = self.shared.state.lock().unwrap().depth_hwm;
@@ -1051,289 +1003,8 @@ impl Drop for Core {
     }
 }
 
-/// The full-resident-graph execution backend behind [`GraphService`]:
-/// serves each request from its pinned epoch's graph.
-struct FullGraphBackend {
-    /// Epoch-0 fallback for requests without a pinned snapshot (none in
-    /// practice: the service stamps every submission).
-    base: Arc<EpochSnapshot>,
-}
-
-impl ExecBackend for FullGraphBackend {
-    fn execute(&self, seat: &Seat<'_>, engine: &PregelConfig) -> Attempt {
-        let req = seat.req;
-        let snap = req.epoch.as_ref().unwrap_or(&self.base);
-        Attempt::Done(execute_on_full_graph(&snap.graph, &req.kind, req.seed, engine))
-    }
-
-    fn cache_key(&self, req: &QueryRequest) -> Option<CacheKey> {
-        let snap = req.epoch.as_ref().unwrap_or(&self.base);
-        workload_cache_key(&req.kind, req.seed, snap.fingerprint, snap.fingerprint)
-    }
-}
-
-/// The epoch-rebuild backend of the single-instance service: apply the
-/// batch to the full graph with the incremental CSR splice and refresh the
-/// whole-answer fingerprint. No shard slices to maintain.
-struct FullGraphRebuild {
-    invalidator: CacheInvalidator,
-}
-
-impl EpochRebuild for FullGraphRebuild {
-    fn rebuild(&self, base: &EpochSnapshot, batch: &[Mutation]) -> (EpochSnapshot, ApplyStats) {
-        let (graph, delta) = apply_batch(&base.graph, batch);
-        let graph = Arc::new(graph);
-        let fingerprint = graph_fingerprint(&graph);
-        (
-            EpochSnapshot {
-                id: base.id + 1,
-                graph,
-                fingerprint,
-                locals: Vec::new(),
-            },
-            delta.stats,
-        )
-    }
-
-    fn invalidate(&self) {
-        self.invalidator.invalidate();
-    }
-}
-
-/// The cache key of a workload request on a backend whose whole answers
-/// are identified by `whole_fp` and whose scattered legs by `leg_fp`.
-/// `None` for everything that must not be memoized (point lookups, debug
-/// hooks). Shared with the shard backend.
-pub(crate) fn workload_cache_key(
-    kind: &QueryKind,
-    seed: u64,
-    whole_fp: u64,
-    leg_fp: u64,
-) -> Option<CacheKey> {
-    match *kind {
-        QueryKind::Workload(w) => Some(CacheKey {
-            workload: w,
-            scope: CacheScope::Whole,
-            fingerprint: whole_fp,
-            seed,
-        }),
-        QueryKind::WorkloadPartial(w) => Some(CacheKey {
-            workload: w,
-            scope: CacheScope::Leg,
-            fingerprint: leg_fp,
-            seed,
-        }),
-        _ => None,
-    }
-}
-
-/// A resident graph serving typed queries from a bounded queue, with an
-/// optional live-mutation stream installing epoch-versioned snapshots.
-pub struct GraphService {
-    graph: Arc<Graph>,
-    core: Core,
-    /// The core's result cache (held here too for stats overlay and
-    /// invalidation; see [`Core::stats`]).
-    cache: Option<Arc<ResultCache>>,
-    epochs: Arc<EpochManager>,
-    /// The epoch writer thread; `None` when the service is read-only.
-    writer: Option<JoinHandle<()>>,
-}
-
-impl GraphService {
-    /// Loads `graph` as epoch 0 (fingerprinting it once for the result
-    /// cache) and spawns the executor pool — plus, when
-    /// [`ServiceConfig::mutations`] is set, the epoch writer thread.
-    pub fn start(graph: Arc<Graph>, config: ServiceConfig) -> GraphService {
-        let epochs = Arc::new(EpochManager::new(
-            EpochSnapshot {
-                id: 0,
-                graph: Arc::clone(&graph),
-                fingerprint: graph_fingerprint(&graph),
-                locals: Vec::new(),
-            },
-            config.mutations.as_ref(),
-        ));
-        let backend = Arc::new(FullGraphBackend {
-            base: epochs.current(),
-        });
-        let cache = service_cache(&config);
-        let core = Core::start(backend, &config, "exec", cache.clone());
-        let writer = config.mutations.is_some().then(|| {
-            spawn_writer(
-                Arc::clone(&epochs),
-                Box::new(FullGraphRebuild {
-                    invalidator: CacheInvalidator::new(cache.clone()),
-                }),
-            )
-        });
-        GraphService {
-            graph,
-            core,
-            cache,
-            epochs,
-            writer,
-        }
-    }
-
-    /// The initially loaded (epoch 0) graph. Use [`GraphService::epoch`]
-    /// for the currently serving version.
-    pub fn graph(&self) -> &Arc<Graph> {
-        &self.graph
-    }
-
-    /// The currently serving epoch snapshot.
-    pub fn epoch(&self) -> Arc<EpochSnapshot> {
-        self.epochs.current()
-    }
-
-    /// Every epoch installed so far (including the initial one), when the
-    /// service was started with [`MutationConfig::keep_history`]; `None`
-    /// otherwise. Test instrumentation for checking answers against the
-    /// full version history.
-    pub fn epoch_history(&self) -> Option<Vec<Arc<EpochSnapshot>>> {
-        self.epochs.history()
-    }
-
-    /// Submits a request, pinning it to the currently serving epoch.
-    /// Under [`QueueFullPolicy::Block`] this blocks while the queue is
-    /// full; under [`QueueFullPolicy::Reject`] a full queue yields a
-    /// ticket that resolves immediately to [`QueryError::Rejected`]. Fails
-    /// only when the service is closed.
-    pub fn submit(&self, mut req: QueryRequest) -> Result<Ticket, SubmitError> {
-        req.epoch = Some(self.epochs.current());
-        self.core.submit(req)
-    }
-
-    /// Non-blocking submit: fails immediately when the queue is full or the
-    /// service is closed.
-    pub fn try_submit(&self, mut req: QueryRequest) -> Result<Ticket, SubmitError> {
-        req.epoch = Some(self.epochs.current());
-        self.core.try_submit(req)
-    }
-
-    /// Appends one mutation to the bounded write buffer (blocking while it
-    /// is full), returning its accept sequence number. The writer thread
-    /// applies buffered mutations in batches and installs each batch as
-    /// the next epoch; queries submitted before the swap keep answering
-    /// from their pinned epoch. Fails with [`SubmitError::ReadOnly`] when
-    /// the service was started without [`ServiceConfig::mutations`].
-    pub fn submit_mutation(&self, mutation: Mutation) -> Result<u64, SubmitError> {
-        self.epochs.accept(mutation)
-    }
-
-    /// Writer-side counters (epoch id, swaps, accepted/applied/no-op
-    /// mutations, backlog).
-    pub fn writer_stats(&self) -> WriterStats {
-        self.epochs.writer_stats()
-    }
-
-    /// Writer counters plus the freshness histograms (swap pause,
-    /// write-apply latency, freshness lag).
-    pub fn writer_report(&self) -> WriterReport {
-        self.epochs.writer_report()
-    }
-
-    /// Snapshots the writer counters and resets the freshness histograms —
-    /// the run-scoping baseline (see
-    /// [`crate::epoch::EpochManager::writer_baseline`]).
-    pub fn writer_baseline(&self) -> WriterStats {
-        self.epochs.writer_baseline()
-    }
-
-    /// Stops admitting new requests and new mutations. Already-accepted
-    /// requests keep their place and will be answered; buffered mutations
-    /// are still applied; pending and future [`submit`] calls return
-    /// [`SubmitError::Closed`].
-    ///
-    /// [`submit`]: GraphService::submit
-    pub fn close(&self) {
-        self.core.close();
-        self.epochs.close();
-    }
-
-    /// Closes the service and blocks until the writer has applied every
-    /// accepted mutation and the executors have drained every accepted
-    /// request. Returns the final counters.
-    pub fn shutdown(mut self) -> ServiceStats {
-        self.epochs.close();
-        if let Some(writer) = self.writer.take() {
-            let _ = writer.join();
-        }
-        self.core.close();
-        self.core.join();
-        self.stats()
-    }
-
-    /// A snapshot of the cumulative counters (cache counters included).
-    pub fn stats(&self) -> ServiceStats {
-        let mut stats = self.core.stats();
-        overlay_cache(&mut stats, self.cache.as_deref());
-        stats
-    }
-
-    /// The single-shard view of this service for the stress driver: one
-    /// shard row (cache counters overlaid) carrying one replica row (raw
-    /// core counters).
-    pub(crate) fn shard_snapshot(&self) -> ShardSnapshot {
-        let raw = self.core.stats();
-        let mut stats = raw;
-        overlay_cache(&mut stats, self.cache.as_deref());
-        ShardSnapshot {
-            shard: 0,
-            owned: self.epoch().graph.num_vertices(),
-            stats,
-            replicas: vec![ReplicaSnapshot { replica: 0, stats: raw }],
-        }
-    }
-
-    /// Resets the service-time recorders to measure from `origin` with the
-    /// given interval width (see [`Core::reset_service_log`]).
-    pub fn reset_service_log(&self, origin: Instant, interval_ns: u64) {
-        self.core.reset_service_log(origin, interval_ns);
-    }
-
-    /// Per-shard, per-replica service-time series since the last reset —
-    /// the single-instance service is one shard with one replica.
-    pub fn replica_series(&self) -> Vec<Vec<ReplicaSeries>> {
-        vec![vec![self.core.service_series()]]
-    }
-
-    /// Drops every result-cache entry. The invalidation hook that any
-    /// future graph swap must fire before serving against the new graph
-    /// (a no-op when caching is disabled).
-    pub fn invalidate_cache(&self) {
-        if let Some(cache) = &self.cache {
-            cache.invalidate_all();
-        }
-    }
-
-    /// Requests currently waiting in the queue.
-    pub fn queue_depth(&self) -> usize {
-        self.core.queue_depth()
-    }
-
-    /// Per-tenant admission counters of the single core (see
-    /// [`crate::qos::TenantLaneStats`]).
-    pub fn qos_stats(&self) -> Vec<TenantLaneStats> {
-        self.core.qos_stats()
-    }
-}
-
-impl Drop for GraphService {
-    fn drop(&mut self) {
-        // Stop and join the writer before the core's own Drop closes the
-        // queues — a detached writer blocked on the write buffer would
-        // leak its thread.
-        self.epochs.close();
-        if let Some(writer) = self.writer.take() {
-            let _ = writer.join();
-        }
-    }
-}
-
 fn executor_loop(
-    backend: &dyn ExecBackend,
+    backend: &ShardBackend,
     shared: &Arc<Shared>,
     config: &ServiceConfig,
     index: usize,
@@ -1378,7 +1049,7 @@ fn executor_loop(
 /// retry, deadline enforcement. `None` when an attempt parked the request
 /// on a shared run — its leader answers it, this executor is done with it.
 fn serve(
-    backend: &dyn ExecBackend,
+    backend: &ShardBackend,
     shared: &Arc<Shared>,
     config: &ServiceConfig,
     job: &Job,
@@ -1484,8 +1155,8 @@ fn backoff_with_jitter(config: &ServiceConfig, req_id: u64, attempt: u32) -> Dur
     Duration::from_nanos(ns / 2 + rng.next_below(ns / 2))
 }
 
-/// Executes one request kind against the full resident graph. Shared with
-/// the sharded service's primary-shard fall-back path.
+/// Executes one request kind against the full resident graph: the
+/// primary-shard whole-run path and the debug hooks.
 pub(crate) fn execute_on_full_graph(
     graph: &Graph,
     kind: &QueryKind,
@@ -1503,8 +1174,8 @@ pub(crate) fn execute_on_full_graph(
             })
         }
         QueryKind::WorkloadPartial(w) => {
-            // A single-instance service owns the whole vertex set, so its
-            // "partial" is the global reduction.
+            // Over the whole vertex set the "partial" is the global
+            // reduction.
             let run = vcgp_core::service::run_workload_partial(w, graph, engine, seed, &|_| true)
                 .map_err(|e| QueryError::Unsupported(e.to_string()))?;
             Ok(QueryOutput::WorkloadPartial {

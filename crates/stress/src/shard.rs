@@ -1,7 +1,8 @@
-//! Shard-local slices of the resident graph and the sharded service built
-//! from them.
+//! Shard-local slices of the resident graph and the service built from
+//! them — the crate's one service type.
 //!
-//! A [`ShardedGraphService`] splits serving across `S` shards at load time.
+//! A [`ShardedGraphService`] splits serving across `S ≥ 1` shards at load
+//! time; one shard is just `S = 1`, the same code path as any other count.
 //! Vertex *ownership* is assigned by the same
 //! [`vcgp_pregel::partition::Partitioner`] the engine uses for workers, so
 //! the hash/range strategies — and the `VCGP_PARTITIONING` override, which
@@ -18,14 +19,14 @@
 //! is a reduction of the full deterministic algorithm's per-vertex output
 //! over each shard's owned slice (see [`vcgp_core::service::GatherMode`]
 //! for why that is what makes a scatter/gather merge *exactly* equal to
-//! the unsharded answer).
+//! the whole-graph answer).
 //!
 //! That algorithm runs **once per scattered request**, not once per leg.
-//! Every shard's backend shares one service-wide run table
-//! ([`crate::runs`]), keyed by `(epoch fingerprint, workload, seed)`. The
-//! first leg of a key an executor dequeues becomes the run's *leader*: it
-//! executes the engine on its pinned epoch's graph and slices the output
-//! into all `S` partials in one pass
+//! Every shard's backend shares one service-wide run table (the
+//! crate-private `runs` module), keyed by `(epoch fingerprint, workload,
+//! seed)`. The first leg of a key an executor dequeues becomes the run's
+//! *leader*: it executes the engine on its pinned epoch's graph and slices
+//! the output into all `S` partials in one pass
 //! ([`vcgp_core::service::run_workload_sliced`]). A leg dequeued while its
 //! key is running is *parked*: its reply channel, timings and core move
 //! into the table entry and its executor returns to its queue at once —
@@ -57,18 +58,18 @@
 //! never invalidated (vertex removal detaches but never shrinks the id
 //! space for the same reason).
 //!
-//! Each shard runs `R ≥ 1` **replica cores** ([`Core`]: bounded queue,
+//! Each shard runs `R ≥ 1` **replica cores** (`Core`: bounded queue,
 //! executor pool, striped counters, queue-depth high-water mark) over the
 //! *same* epoch-pinned snapshot and shard slice — replicating a hot shard
 //! costs queue/executor state, not graph copies. The router picks a
-//! replica per dispatch via the configured
-//! [`RoutingPolicy`](crate::router::RoutingPolicy); all replicas of a
-//! shard share one result cache (keys are replica-agnostic), epoch swaps
-//! fan the invalidation out once per shard, and teardown drains then joins
-//! every replica core. Per-shard *and* per-replica occupancy is observable
+//! replica per dispatch via the configured [`RoutingPolicy`]; all
+//! replicas of a shard share one result cache (keys are
+//! replica-agnostic), epoch swaps fan the invalidation out once per shard,
+//! and teardown drains then joins every replica core. Per-shard *and*
+//! per-replica occupancy is observable
 //! ([`ShardedGraphService::shard_snapshots`]).
 
-use crate::cache::{CacheKey, ResultCache};
+use crate::cache::{CacheKey, CacheScope, ResultCache};
 use crate::epoch::{
     spawn_writer, EpochManager, EpochRebuild, EpochSnapshot, ShardSlice, WriterReport, WriterStats,
 };
@@ -76,9 +77,9 @@ use crate::request::{QueryError, QueryKind, QueryOutput, QueryRequest};
 use crate::router::RoutingPolicy;
 use crate::runs::{Join, RunKey, RunTable, SlicedAnswer};
 use crate::service::{
-    execute_on_full_graph, overlay_cache, panic_message, service_cache, workload_cache_key,
-    Attempt, CacheInvalidator, Core, CoreHandle, ExecBackend, ParkedLeg, ReplicaSeries,
-    ReplicaSnapshot, Seat, ServiceConfig, ServiceStats, ShardSnapshot, SubmitError, Ticket,
+    execute_on_full_graph, overlay_cache, panic_message, service_cache, Attempt,
+    CacheInvalidator, Core, CoreHandle, ParkedLeg, ReplicaSeries, ReplicaSnapshot, Seat,
+    ServiceConfig, ServiceStats, ShardSnapshot, SubmitError, Ticket,
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -241,9 +242,13 @@ impl EpochRebuild for ShardedRebuild {
 /// straggler one engine run, never an answer.
 const FINISHED_RUNS_PER_EXECUTOR: usize = 4;
 
-/// One shard's execution backend: the pinned epoch's local slice for point
+/// One shard's execution backend — how its executors turn a dequeued
+/// request into an output: the pinned epoch's local slice for point
 /// lookups, and the service-wide run table for scattered analytics legs.
-struct ShardBackend {
+/// Requests are served from their pinned [`EpochSnapshot`] (stamped at
+/// submission), so a request keeps serving its epoch even after the writer
+/// swaps in a newer one.
+pub(crate) struct ShardBackend {
     shard: usize,
     num_shards: usize,
     partitioner: Partitioner,
@@ -272,11 +277,17 @@ fn run_key(req: &QueryRequest, snap: &EpochSnapshot) -> Option<RunKey> {
     }
 }
 
-/// A leg's identity in shard `shard`'s result cache: whole answers by the
-/// pinned epoch's graph fingerprint, scattered legs by the shard's leg
-/// fingerprint in that epoch.
+/// A request's identity in shard `shard`'s result cache: whole answers by
+/// the pinned epoch's graph fingerprint, scattered legs by the shard's leg
+/// fingerprint in that epoch. `None` for everything that must not be
+/// memoized (point lookups, debug hooks).
 fn cache_key_on(shard: usize, snap: &EpochSnapshot, req: &QueryRequest) -> Option<CacheKey> {
-    workload_cache_key(&req.kind, req.seed, snap.fingerprint, snap.locals[shard].leg_fp)
+    let (workload, scope, fingerprint) = match req.kind {
+        QueryKind::Workload(w) => (w, CacheScope::Whole, snap.fingerprint),
+        QueryKind::WorkloadPartial(w) => (w, CacheScope::Leg, snap.locals[shard].leg_fp),
+        _ => return None,
+    };
+    Some(CacheKey { workload, scope, fingerprint, seed: req.seed })
 }
 
 impl ShardBackend {
@@ -376,10 +387,9 @@ impl ShardBackend {
         }
         Ok(answer.leg(self.shard))
     }
-}
 
-impl ExecBackend for ShardBackend {
-    fn execute(&self, seat: &Seat<'_>, engine: &PregelConfig) -> Attempt {
+    /// One execution attempt of the request in `seat`.
+    pub(crate) fn execute(&self, seat: &Seat<'_>, engine: &PregelConfig) -> Attempt {
         let req = seat.req;
         let snap = req.epoch.as_ref().unwrap_or(&self.base);
         if let Some(key) = run_key(req, snap) {
@@ -408,12 +418,15 @@ impl ExecBackend for ShardBackend {
                 lookup(v).map(|g| QueryOutput::Neighbors(g.out_neighbors(v).to_vec())),
             ),
             // Whole workloads (the primary-shard fall-back path) and the
-            // debug hooks behave exactly like the single-instance service.
+            // debug hooks run against the full graph.
             _ => Attempt::Done(execute_on_full_graph(&snap.graph, &req.kind, req.seed, engine)),
         }
     }
 
-    fn cache_key(&self, req: &QueryRequest) -> Option<CacheKey> {
+    /// The result-cache identity of the request on this shard, derived
+    /// from the request's pinned epoch, so lookup and insert agree on the
+    /// fingerprint even when a swap lands mid-request.
+    pub(crate) fn cache_key(&self, req: &QueryRequest) -> Option<CacheKey> {
         cache_key_on(self.shard, req.epoch.as_ref().unwrap_or(&self.base), req)
     }
 }
@@ -519,7 +532,7 @@ pub struct ShardedGraphService {
 impl ShardedGraphService {
     /// Splits `graph` into `num_shards` slices — placement strategy is
     /// `config.engine.partitioning` — and spawns
-    /// [`ServiceConfig::replicas`] replica [`Core`]s (queue + executor
+    /// [`ServiceConfig::replicas`] replica cores (queue + executor
     /// pool, sized per `config`) per shard, plus the epoch writer thread
     /// when [`ServiceConfig::mutations`] is set.
     pub fn start(graph: Arc<Graph>, config: ServiceConfig, num_shards: usize) -> ShardedGraphService {
@@ -551,7 +564,7 @@ impl ShardedGraphService {
         let panic_next_run = Arc::new(AtomicBool::new(false));
         let shards: Vec<Shard> = (0..num_shards)
             .map(|s| {
-                let backend: Arc<dyn ExecBackend> = Arc::new(ShardBackend {
+                let backend = Arc::new(ShardBackend {
                     shard: s,
                     num_shards,
                     partitioner,
@@ -679,7 +692,7 @@ impl ShardedGraphService {
     /// The shard that owns vertex `v` (total: out-of-range ids still map to
     /// a shard, which answers [`QueryError::NoSuchVertex`]).
     pub fn owner(&self, v: VertexId) -> usize {
-        self.partitioner.owner(v).min(self.shards.len() - 1)
+        self.partitioner.owner(v)
     }
 
     /// Per-shard identity + counters (each with one row per replica), for

@@ -3,6 +3,9 @@
 //! replays actually hit, eviction respects the configured capacity, and
 //! invalidation restores miss behavior.
 
+mod common;
+
+use common::one_shard;
 use std::sync::Arc;
 use std::time::Duration;
 use vcgp_core::service::{gather_mode, run_workload, GatherMode};
@@ -11,7 +14,7 @@ use vcgp_graph::{generators, Graph};
 use vcgp_pregel::partition::Partitioning;
 use vcgp_pregel::PregelConfig;
 use vcgp_stress::request::{QueryKind, QueryOutput, QueryRequest};
-use vcgp_stress::service::{GraphService, ServiceConfig};
+use vcgp_stress::service::ServiceConfig;
 use vcgp_stress::shard::ShardedGraphService;
 use vcgp_testkit::prop::Source;
 use vcgp_testkit::{prop_assert, vcgp_props};
@@ -120,7 +123,7 @@ vcgp_props! {
 fn single_instance_replay_hits_without_executing() {
     let graph = Arc::new(generators::gnm_connected(32, 80, 3));
     let config = config_for(Partitioning::Hash, 64);
-    let service = GraphService::start(Arc::clone(&graph), config);
+    let service = one_shard(Arc::clone(&graph), config);
     let req = |id: u64| {
         QueryRequest::new(id, QueryKind::Workload(Workload::CcHashMin)).with_seed(42)
     };
@@ -143,7 +146,7 @@ fn distinct_seeds_are_distinct_entries() {
     // not alias (and seed-independent ones simply occupy more entries —
     // correctness over cleverness).
     let graph = Arc::new(generators::gnm_connected(24, 60, 5));
-    let service = GraphService::start(Arc::clone(&graph), config_for(Partitioning::Hash, 64));
+    let service = one_shard(Arc::clone(&graph), config_for(Partitioning::Hash, 64));
     for (id, seed) in [(1u64, 7u64), (2, 8), (3, 7)] {
         let resp = service
             .submit(QueryRequest::new(id, QueryKind::Workload(Workload::Sssp)).with_seed(seed))
@@ -161,7 +164,7 @@ fn eviction_respects_the_configured_capacity() {
     let graph = Arc::new(generators::gnm_connected(24, 60, 5));
     let capacity = 2usize;
     let service =
-        GraphService::start(Arc::clone(&graph), config_for(Partitioning::Hash, capacity));
+        one_shard(Arc::clone(&graph), config_for(Partitioning::Hash, capacity));
     // Five distinct keys (same workload, distinct seeds) through a
     // two-entry cache: every one misses, every one is inserted, and the
     // overflow is evicted deterministically.
@@ -185,7 +188,7 @@ fn eviction_respects_the_configured_capacity() {
 #[test]
 fn invalidate_empties_the_cache_and_restores_misses() {
     let graph = Arc::new(generators::gnm_connected(32, 80, 3));
-    let service = GraphService::start(Arc::clone(&graph), config_for(Partitioning::Hash, 64));
+    let service = one_shard(Arc::clone(&graph), config_for(Partitioning::Hash, 64));
     let req = |id: u64| {
         QueryRequest::new(id, QueryKind::Workload(Workload::PageRank)).with_seed(9)
     };
@@ -224,7 +227,7 @@ fn sharded_invalidate_clears_every_shard() {
 #[test]
 fn cache_off_never_hits() {
     let graph = Arc::new(generators::gnm_connected(32, 80, 3));
-    let service = GraphService::start(Arc::clone(&graph), config_for(Partitioning::Hash, 0));
+    let service = one_shard(Arc::clone(&graph), config_for(Partitioning::Hash, 0));
     let req = |id: u64| {
         QueryRequest::new(id, QueryKind::Workload(Workload::CcHashMin)).with_seed(42)
     };

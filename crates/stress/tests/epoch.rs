@@ -4,6 +4,9 @@
 //! history-checked concurrent reads, and run-scoped writer deltas under
 //! `--repeat`-style multi-run processes.
 
+mod common;
+
+use common::one_shard;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vcgp_core::service::run_workload;
@@ -15,7 +18,7 @@ use vcgp_stress::driver::{self, DriverConfig};
 use vcgp_stress::epoch::MutationConfig;
 use vcgp_stress::mix::Mix;
 use vcgp_stress::request::{QueryKind, QueryOutput, QueryRequest};
-use vcgp_stress::service::{GraphService, ServiceConfig, SubmitError};
+use vcgp_stress::service::{ServiceConfig, SubmitError};
 use vcgp_stress::shard::ShardedGraphService;
 
 fn config_for(strategy: Partitioning, mutations: Option<MutationConfig>) -> ServiceConfig {
@@ -148,7 +151,7 @@ fn query_pinned_at_submission_ignores_concurrent_swaps() {
 #[test]
 fn swap_invalidates_the_result_cache() {
     let graph = Arc::new(generators::gnm_connected(32, 80, 3));
-    let service = GraphService::start(
+    let service = one_shard(
         Arc::clone(&graph),
         config_for(Partitioning::Hash, Some(MutationConfig::default())),
     );
@@ -266,7 +269,7 @@ fn concurrent_answers_match_exactly_one_epoch() {
 fn repeat_runs_scope_writer_deltas() {
     let graph = Arc::new(generators::gnm_connected(32, 80, 5));
     let mix = Mix::preset("points", &graph).unwrap();
-    let service = GraphService::start(
+    let service = one_shard(
         Arc::clone(&graph),
         config_for(Partitioning::Hash, Some(MutationConfig::default())),
     );
@@ -307,12 +310,12 @@ fn write_ratio_zero_is_bit_identical_to_read_only() {
         write_ratio: 0.0,
         ..DriverConfig::default()
     };
-    let with_writer = GraphService::start(
+    let with_writer = one_shard(
         Arc::clone(&graph),
         config_for(Partitioning::Hash, Some(MutationConfig::default())),
     );
     let read_only =
-        GraphService::start(Arc::clone(&graph), config_for(Partitioning::Hash, None));
+        one_shard(Arc::clone(&graph), config_for(Partitioning::Hash, None));
     let a = driver::run(&with_writer, &mix, &cfg);
     let b = driver::run(&read_only, &mix, &cfg);
     assert_eq!(a.ops, b.ops);
@@ -328,7 +331,7 @@ fn write_ratio_zero_is_bit_identical_to_read_only() {
 fn read_only_service_refuses_mutations() {
     let graph = Arc::new(generators::gnm_connected(16, 32, 1));
     let service =
-        GraphService::start(Arc::clone(&graph), config_for(Partitioning::Hash, None));
+        one_shard(Arc::clone(&graph), config_for(Partitioning::Hash, None));
     match service.submit_mutation(Mutation::AddVertex { label: 0 }) {
         Err(SubmitError::ReadOnly) => {}
         other => panic!("expected ReadOnly, got {other:?}"),

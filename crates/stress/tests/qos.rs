@@ -4,6 +4,9 @@
 //! matter the topology, tenant report rows fold exactly into the run
 //! totals, and one tenant's queue backlog rejects only that tenant.
 
+mod common;
+
+use common::one_shard;
 use std::sync::Arc;
 use std::time::Duration;
 use vcgp_graph::generators;
@@ -11,7 +14,7 @@ use vcgp_stress::driver::run_scenario;
 use vcgp_stress::qos::QosConfig;
 use vcgp_stress::request::{QueryError, QueryKind, QueryRequest};
 use vcgp_stress::scenario::ScenarioSpec;
-use vcgp_stress::service::{GraphService, QueueFullPolicy, ServiceConfig};
+use vcgp_stress::service::{QueueFullPolicy, ServiceConfig};
 use vcgp_stress::shard::ShardedGraphService;
 use vcgp_testkit::{prop_assert, vcgp_props};
 
@@ -107,7 +110,7 @@ fn tenant_backlog_rejects_only_that_tenant() {
     // capacity 1, tenant 0's second queued job is shed while tenant 1's
     // lane still accepts — the reject policy is lane-scoped, not global.
     let graph = Arc::new(generators::gnm_connected(8, 10, 1));
-    let service = GraphService::start(
+    let service = one_shard(
         Arc::clone(&graph),
         ServiceConfig {
             executors: 1,
@@ -141,7 +144,7 @@ fn tenant_backlog_rejects_only_that_tenant() {
 #[test]
 fn out_of_range_tenant_is_clamped_to_the_last_lane() {
     let graph = Arc::new(generators::gnm_connected(8, 10, 1));
-    let service = GraphService::start(
+    let service = one_shard(
         Arc::clone(&graph),
         ServiceConfig {
             executors: 1,

@@ -4,6 +4,9 @@
 //! desugaring equivalence, and the checked-in example specs staying
 //! parseable.
 
+mod common;
+
+use common::one_shard;
 use std::sync::Arc;
 use std::time::Duration;
 use vcgp_graph::generators;
@@ -11,7 +14,7 @@ use vcgp_stress::driver::{self, DriverConfig, StressReport};
 use vcgp_stress::epoch::MutationConfig;
 use vcgp_stress::mix::Mix;
 use vcgp_stress::scenario::{Scenario, ScenarioSpec};
-use vcgp_stress::service::{GraphService, ServiceConfig};
+use vcgp_stress::service::ServiceConfig;
 use vcgp_stress::shard::ShardedGraphService;
 
 /// An ops-bound two-phase spec exercising every op family: zipfian and
@@ -51,7 +54,7 @@ fn scenario_with_clients(clients: usize) -> Scenario {
 
 fn run_spec(spec: &str, clients: usize) -> StressReport {
     let graph = Arc::new(generators::gnm_connected(64, 160, 5));
-    let service = GraphService::start(
+    let service = one_shard(
         Arc::clone(&graph),
         ServiceConfig {
             executors: 2,
@@ -205,7 +208,7 @@ fn preset_flags_desugar_to_the_example_scenario() {
         .resolve(&graph)
         .expect("checked-in example resolves");
 
-    let service = GraphService::start(Arc::clone(&graph), ServiceConfig::default());
+    let service = one_shard(Arc::clone(&graph), ServiceConfig::default());
     let legacy = driver::run(&service, &mix, &cfg);
     let scn = driver::run_scenario(&service, &scenario);
     service.shutdown();

@@ -3,6 +3,9 @@
 //! reproducibility, the timeout/retry/backoff path, panic containment,
 //! deadlines, and graceful draining shutdown.
 
+mod common;
+
+use common::one_shard;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vcgp_core::Workload;
@@ -11,10 +14,11 @@ use vcgp_stress::driver::{self, DriverConfig};
 use vcgp_stress::json;
 use vcgp_stress::mix::Mix;
 use vcgp_stress::request::{QueryError, QueryKind, QueryOutput, QueryRequest};
-use vcgp_stress::service::{GraphService, ServiceConfig, SubmitError};
+use vcgp_stress::service::{ServiceConfig, SubmitError};
+use vcgp_stress::shard::ShardedGraphService;
 
-fn service_on(graph: vcgp_graph::Graph, executors: usize) -> GraphService {
-    GraphService::start(
+fn service_on(graph: vcgp_graph::Graph, executors: usize) -> ShardedGraphService {
+    one_shard(
         Arc::new(graph),
         ServiceConfig {
             executors,
@@ -102,7 +106,7 @@ fn same_seed_reproduces_the_exact_operation_sequence() {
 
 #[test]
 fn slow_requests_retry_with_backoff_then_time_out() {
-    let service = GraphService::start(
+    let service = one_shard(
         Arc::new(generators::path(4)),
         ServiceConfig {
             executors: 1,
@@ -142,7 +146,7 @@ fn retry_jitter_is_deterministic_per_request() {
     // Two services with the same seed give the identical backoff schedule
     // for the same request id; a different service seed changes it.
     let run_with = |seed: u64| -> Duration {
-        let service = GraphService::start(
+        let service = one_shard(
             Arc::new(generators::path(4)),
             ServiceConfig {
                 executors: 1,
@@ -199,7 +203,7 @@ fn expired_deadlines_fail_fast() {
 
 #[test]
 fn graceful_shutdown_loses_no_accepted_request() {
-    let service = GraphService::start(
+    let service = one_shard(
         Arc::new(generators::path(8)),
         ServiceConfig {
             executors: 2,
@@ -287,4 +291,40 @@ fn driver_paced_run_respects_the_token_bucket() {
         "pacing must actually throttle, finished in {:?}",
         t0.elapsed()
     );
+}
+
+/// One shard × one replica is an ordinary shape of the one service: every
+/// point lookup is owner-routed (none goes uncounted), and the report
+/// carries the single shard row with its single replica row, both folding
+/// to the run total.
+#[test]
+fn one_shard_one_replica_reports_one_routed_row() {
+    let service = service_on(generators::gnm_connected(64, 160, 9), 2);
+    let mix = Mix::preset("points", service.graph()).unwrap();
+    let cfg = DriverConfig {
+        clients: 3,
+        duration: Duration::from_secs(60), // ops_limit ends the run
+        ops_limit: Some(120),
+        seed: 5,
+        ..DriverConfig::default()
+    };
+    let report = driver::run(&service, &mix, &cfg);
+    service.shutdown();
+    assert_eq!((report.shards, report.replicas), (1, 1));
+    assert_eq!((report.ops, report.errors), (120, 0));
+    assert_eq!(report.routed, report.ops, "every lookup was owner-routed");
+    assert_eq!(report.scattered, 0);
+    for p in &report.phases {
+        assert_eq!(p.routed + p.scattered, p.ops, "phase {}", p.name);
+    }
+    assert_eq!(report.per_shard.len(), 1, "one shard row");
+    let shard = &report.per_shard[0];
+    assert_eq!((shard.shard, shard.owned), (0, 64));
+    assert_eq!(shard.replicas.len(), 1, "one replica row");
+    assert_eq!(shard.replicas[0].replica, 0);
+    assert_eq!(shard.replicas[0].stats.completed, shard.stats.completed);
+    assert_eq!(shard.stats.completed, report.ops, "the row folds to the run total");
+    assert_eq!(report.replica_series.len(), 1);
+    assert_eq!(report.replica_series[0].len(), 1);
+    assert_eq!(report.replica_series[0][0].service.count(), report.ops);
 }

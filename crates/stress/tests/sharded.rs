@@ -1,9 +1,12 @@
 //! Integration + property tests for the sharded service: scatter/gather
-//! equivalence with the unsharded service, shared engine runs (one per
+//! equivalence with the whole-graph oracle, shared engine runs (one per
 //! scattered request, failures delivered to every attached leg), owner
 //! routing, the primary-shard fall-back, admission control, and deadline
 //! early drops.
 
+mod common;
+
+use common::one_shard;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vcgp_core::service::{gather_mode, run_workload, GatherMode};
@@ -13,7 +16,7 @@ use vcgp_pregel::partition::Partitioning;
 use vcgp_pregel::PregelConfig;
 use vcgp_stress::request::{QueryError, QueryKind, QueryOutput, QueryRequest, Route};
 use vcgp_stress::epoch::MutationConfig;
-use vcgp_stress::service::{GraphService, QueueFullPolicy, ServiceConfig, ServiceStats};
+use vcgp_stress::service::{QueueFullPolicy, ServiceConfig, ServiceStats};
 use vcgp_stress::shard::ShardedGraphService;
 use vcgp_testkit::prop::Source;
 use vcgp_testkit::{prop_assert, vcgp_props};
@@ -477,7 +480,7 @@ fn bcc_scatters_and_merges_exactly() {
 #[test]
 fn reject_policy_sheds_when_queue_is_full() {
     let graph = Arc::new(generators::gnm_connected(8, 10, 1));
-    let service = GraphService::start(
+    let service = one_shard(
         Arc::clone(&graph),
         ServiceConfig {
             executors: 1,
@@ -512,7 +515,7 @@ fn reject_policy_sheds_when_queue_is_full() {
 #[test]
 fn expired_deadline_is_dropped_at_dequeue_without_running() {
     let graph = Arc::new(generators::gnm_connected(8, 10, 1));
-    let service = GraphService::start(
+    let service = one_shard(
         Arc::clone(&graph),
         ServiceConfig {
             executors: 1,
@@ -538,7 +541,7 @@ fn expired_deadline_is_dropped_at_dequeue_without_running() {
 #[test]
 fn queue_high_water_mark_tracks_depth() {
     let graph = Arc::new(generators::gnm_connected(8, 10, 1));
-    let service = GraphService::start(
+    let service = one_shard(
         Arc::clone(&graph),
         ServiceConfig {
             executors: 1,

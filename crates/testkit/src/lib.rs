@@ -11,7 +11,7 @@
 //!   tuples, integer ranges, [`prop::any_u64`]), a configurable case count,
 //!   greedy input shrinking on failure, and the [`vcgp_props!`] macro whose
 //!   failure reports include a seed that replays the counterexample.
-//! * [`bench`] — a criterion-style timing harness: warmup, fixed-iteration
+//! * [`mod@bench`] — a criterion-style timing harness: warmup, fixed-iteration
 //!   sampling, mean/median/stddev, throughput labels, and JSON + markdown
 //!   emitters (`BENCH_<name>.json` / `BENCH_<name>.md`) that other report
 //!   producers reuse via [`bench::write_report`].

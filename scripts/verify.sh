@@ -54,6 +54,10 @@ else
     echo "   skipped: clippy not installed in this toolchain"
 fi
 
+echo "== cargo doc --workspace --no-deps --offline with -D warnings (no dead,"
+echo "   private or ambiguous intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo bench -p vcgp-bench --no-run --offline (benches must compile)"
 cargo bench -p vcgp-bench --no-run --offline
 
@@ -94,8 +98,8 @@ echo "== stress smoke (2 s paced load, gated on valid JSON and zero errors)"
     --seed 7 --mix points --name smoke --quiet
 ./target/release/stress --validate-report target/vcgp-bench/BENCH_stress_smoke.json
 
-echo "== shard smoke (same seeded mix at --shards 1 and --shards 4; both must"
-echo "   validate and agree on success/error counts)"
+echo "== shard smoke (same seeded mix, S=1 vs S=4 on the one service type;"
+echo "   both must validate and agree on counts and answer hash)"
 for s in 1 4; do
     ./target/release/stress --gen gnm-connected:256:1024:7 --ops 400 --duration 30 \
         --seed 7 --mix mixed --shards "$s" --name "shard$s" --quiet
@@ -110,7 +114,7 @@ counts() {
 c1=$(counts target/vcgp-bench/BENCH_stress_shard1.json)
 c4=$(counts target/vcgp-bench/BENCH_stress_shard4.json)
 if [ "$c1" != "$c4" ]; then
-    echo "error: sharded run diverged from unsharded on the same seeded mix:" >&2
+    echo "error: S=4 diverged from S=1 on the same seeded mix:" >&2
     echo "--shards 1: $c1" >&2
     echo "--shards 4: $c4" >&2
     exit 1
