@@ -112,7 +112,11 @@ impl VertexProgram for Brandes {
                 let (sigma, delta) = (ctx.value().sigma, ctx.value().delta);
                 ctx.send_to_all_out_neighbors(Msg::Dep(my_dist, sigma, delta));
             }
-            ctx.vote_to_halt();
+            // A vertex above the sweep still has its own level's broadcast
+            // ahead, owed whether or not a deeper neighbor writes to it.
+            if my_dist >= level {
+                ctx.vote_to_halt();
+            }
         }
     }
 
@@ -161,7 +165,6 @@ impl VertexProgram for Brandes {
                 return;
             }
             master.set_global(1, AggValue::I64(level - 1));
-            master.reactivate_all();
         }
     }
 }

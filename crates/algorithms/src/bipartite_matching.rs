@@ -68,6 +68,10 @@ impl VertexProgram for BipartiteMatching {
     type Message = Msg;
 
     fn compute(&self, ctx: &mut Context<'_, Self>, messages: &[Msg]) {
+        // GRANT, ACCEPT and FINALIZE answer mail; REQUEST, the one phase a
+        // (free left) vertex acts in unasked, starts with the master's
+        // wake-up. So every vertex halts after every phase.
+        ctx.vote_to_halt();
         let me = ctx.id();
         let matched = ctx.value().mate != INVALID_VERTEX;
         match ctx.global(0).as_i64() {
@@ -141,7 +145,11 @@ impl VertexProgram for BipartiteMatching {
             return;
         }
         master.set_global(0, AggValue::I64((current + 1) % 4));
-        master.reactivate_all();
+        // A cycle in which no free left vertex has a neighbor sends no
+        // request; GRANT still runs, which is where the master sees that.
+        if current == phase::FINALIZE || master.num_active() == 0 {
+            master.reactivate_all();
+        }
     }
 }
 

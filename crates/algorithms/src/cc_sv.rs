@@ -120,7 +120,24 @@ impl VertexProgram for ShiloachVishkin {
 
     fn compute(&self, ctx: &mut Context<'_, Self>, messages: &[Msg]) {
         let me = ctx.id();
-        match ctx.global(0).as_i64() {
+        let phase = ctx.global(0).as_i64();
+        // Most phases are entered by mail (a reply, an edge exchange, a
+        // hook) or by the master's wake-up (the three requests, which every
+        // vertex sends unasked), so a vertex halts on the way out.
+        let stays_awake = match phase {
+            // Reach every vertex by mail and are followed by a phase every
+            // vertex acts in.
+            phase::STAR_COMPUTE | phase::SHORT_APPLY => true,
+            // HOOK_APPLY belongs to the roots, and in most rounds nobody
+            // proposes a hook: the roots carry the run through it, which is
+            // far cheaper than the master waking every vertex to do so.
+            phase::TREE_HOOK_SEND | phase::STAR_HOOK_SEND => ctx.value().d == me,
+            _ => false,
+        };
+        if !stays_awake {
+            ctx.vote_to_halt();
+        }
+        match phase {
             phase::TREE_REQ | phase::STAR_REQ | phase::SHORT_REQ => {
                 let d = ctx.value().d;
                 ctx.send(d, Msg::Req(me));
@@ -261,7 +278,13 @@ impl VertexProgram for ShiloachVishkin {
         } else {
             master.set_global(0, AggValue::I64((phase + 1) % phase::COUNT));
         }
-        master.reactivate_all();
+        // The hook-apply phases run on the roots alone, and the request
+        // after them is every vertex's. Otherwise only a phase nobody has
+        // mail for (an edgeless graph exchanges nothing) needs the master.
+        let next_is_request = matches!(phase, phase::TREE_HOOK_APPLY | phase::STAR_HOOK_APPLY);
+        if next_is_request || master.num_active() == 0 {
+            master.reactivate_all();
+        }
     }
 }
 

@@ -61,15 +61,9 @@ enum Msg {
 
 struct LubyColoring;
 
-impl VertexProgram for LubyColoring {
-    type Value = ColorState;
-    type Message = Msg;
-
-    fn compute(&self, ctx: &mut Context<'_, Self>, messages: &[Msg]) {
-        if ctx.value().color != u32::MAX {
-            ctx.vote_to_halt();
-            return;
-        }
+impl LubyColoring {
+    /// One Luby phase for an uncolored vertex.
+    fn step(ctx: &mut Context<'_, Self>, messages: &[Msg]) {
         let current_color = ctx.global(1).as_i64() as u32;
         match ctx.global(0).as_i64() {
             phase::TENTATIVE => {
@@ -93,6 +87,7 @@ impl VertexProgram for LubyColoring {
                 if d == 0 {
                     // Isolated in the residual graph: a trivial MIS member.
                     ctx.value_mut().color = current_color;
+                    ctx.aggregate(1, AggValue::I64(1));
                     return;
                 }
                 let tentative = ctx.rng().next_bool(1.0 / (2.0 * d as f64));
@@ -121,6 +116,7 @@ impl VertexProgram for LubyColoring {
                 if min_neighbor.is_none_or(|u| u > me) {
                     // Smallest tentative id in the neighborhood: join.
                     ctx.value_mut().color = current_color;
+                    ctx.aggregate(1, AggValue::I64(1));
                     let alive: Vec<u32> = ctx.value().alive.iter().copied().collect();
                     for u in alive {
                         ctx.send(u, Msg::InMis(me));
@@ -140,38 +136,70 @@ impl VertexProgram for LubyColoring {
                     ctx.value_mut().eligible = false;
                 }
                 ctx.aggregate(0, AggValue::Bool(ctx.value().eligible));
-                ctx.aggregate(1, AggValue::I64(1)); // still uncolored
             }
             other => unreachable!("invalid Luby phase {other}"),
+        }
+    }
+}
+
+impl VertexProgram for LubyColoring {
+    type Value = ColorState;
+    type Message = Msg;
+
+    fn compute(&self, ctx: &mut Context<'_, Self>, messages: &[Msg]) {
+        if ctx.value().color == u32::MAX {
+            Self::step(ctx, messages);
+        }
+        // Only a still-eligible vertex has work that no message brings: its
+        // next TENTATIVE draw (and the RESOLVE / REMOVE steps on the way to
+        // it). A colored vertex is done; an ineligible one waits for InMis
+        // mail, or for the master's wake-up at the next color.
+        let state = ctx.value();
+        if state.color != u32::MAX || !state.eligible {
+            ctx.vote_to_halt();
         }
     }
 
     fn aggregators(&self) -> Vec<AggregatorDef> {
         vec![
             AggregatorDef::new("any_eligible", AggOp::Or),
-            AggregatorDef::new("uncolored", AggOp::SumI64),
+            AggregatorDef::new("newly_colored", AggOp::SumI64),
         ]
     }
 
     fn globals(&self) -> Vec<AggValue> {
-        vec![AggValue::I64(phase::TENTATIVE), AggValue::I64(0)]
+        vec![
+            AggValue::I64(phase::TENTATIVE), // Luby phase
+            AggValue::I64(0),                // current color
+            AggValue::I64(0),                // vertices colored so far
+        ]
     }
 
     fn master_compute(&self, master: &mut MasterContext<'_>) {
+        // Halted vertices report nothing, so "how many are still uncolored"
+        // is a running total of the per-superstep deltas.
+        let colored = master.global(2).as_i64() + master.read_aggregate(1).as_i64();
+        master.set_global(2, AggValue::I64(colored));
         let current = master.global(0).as_i64();
         if current == phase::REMOVE {
-            if master.read_aggregate(1).as_i64() == 0 {
+            if colored == master.num_vertices() as i64 {
                 master.halt();
                 return;
             }
             if !master.read_aggregate(0).as_bool() {
-                // This color's MIS is maximal: next color phase.
+                // This color's MIS is maximal: next color phase, which every
+                // uncolored vertex (halted since it lost eligibility) enters.
                 let color = master.global(1).as_i64();
                 master.set_global(1, AggValue::I64(color + 1));
+                master.reactivate_all();
             }
         }
         master.set_global(0, AggValue::I64((current + 1) % 3));
-        master.reactivate_all();
+        if master.num_active() == 0 {
+            // The last eligible vertices colored themselves before REMOVE;
+            // the round still runs to its end.
+            master.reactivate_all();
+        }
     }
 }
 

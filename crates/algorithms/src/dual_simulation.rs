@@ -125,6 +125,9 @@ impl VertexProgram for DualSim<'_> {
             ctx.value_mut().match_set = initial.clone();
             if !initial.is_empty() {
                 Self::broadcast(ctx, initial);
+                // A candidate runs one refinement round even if no neighbor
+                // reports (unreported neighbors are empty).
+                return;
             }
         } else {
             for update in messages {
@@ -145,7 +148,8 @@ impl VertexProgram for DualSim<'_> {
     }
 
     fn master_compute(&self, master: &mut MasterContext<'_>) {
-        if master.superstep() == 0 {
+        // No candidate at all: the (empty) refinement round still runs.
+        if master.superstep() == 0 && master.num_active() == 0 {
             master.reactivate_all();
         }
     }

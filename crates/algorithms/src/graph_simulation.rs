@@ -84,6 +84,10 @@ impl VertexProgram for GraphSim<'_> {
                 // Parents assume unreported children are empty.
                 let me = ctx.id();
                 ctx.send_to_all_in_neighbors((me, initial));
+                // A candidate runs one refinement round even if none of its
+                // children reports (unreported children are empty — exactly
+                // the case that forces a drop).
+                return;
             }
         } else {
             for (child, set) in messages {
@@ -100,10 +104,8 @@ impl VertexProgram for GraphSim<'_> {
     }
 
     fn master_compute(&self, master: &mut vcgp_pregel::MasterContext<'_>) {
-        // Every vertex must run one refinement round even if none of its
-        // children reported (unreported children are empty — exactly the
-        // case that forces a drop).
-        if master.superstep() == 0 {
+        // No candidate at all: the (empty) refinement round still runs.
+        if master.superstep() == 0 && master.num_active() == 0 {
             master.reactivate_all();
         }
     }

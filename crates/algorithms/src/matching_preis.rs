@@ -90,6 +90,7 @@ impl VertexProgram for LocallyDominant {
                     None => {
                         // No live neighbors: this vertex can never match.
                         ctx.value_mut().candidate = INVALID_VERTEX;
+                        ctx.vote_to_halt();
                     }
                 }
             }
@@ -109,6 +110,7 @@ impl VertexProgram for LocallyDominant {
                     for u in alive {
                         ctx.send(u, Msg::Matched(me));
                     }
+                    ctx.vote_to_halt();
                 }
             }
             phase::REMOVE => {
@@ -139,7 +141,12 @@ impl VertexProgram for LocallyDominant {
             return;
         }
         master.set_global(0, AggValue::I64((current + 1) % 3));
-        master.reactivate_all();
+        if master.num_active() == 0 {
+            // Everyone left was just matched (or tied weights left a round
+            // without a mutual proposal, and so without mail): PROPOSE still
+            // runs, which is where the master learns no live edge remains.
+            master.reactivate_all();
+        }
     }
 }
 

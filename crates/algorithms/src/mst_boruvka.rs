@@ -106,21 +106,36 @@ enum Msg {
 
 struct Boruvka;
 
+/// Idle invocations a vertex with edges makes if it sits the pointer-jumping
+/// loop out awake (two supersteps per round, `O(log)` rounds — trees picked
+/// on real inputs are shallow).
+const AWAKE_COST_PER_VERTEX: usize = 16;
+
 impl VertexProgram for Boruvka {
     type Value = BoruvkaState;
     type Message = Msg;
 
     fn compute(&self, ctx: &mut Context<'_, Self>, messages: &[Msg]) {
-        if !ctx.value().alive {
+        // A vertex stays active only into a phase where it acts without
+        // being written to: PICK → CYCLE → the first JUMP_A for a vertex
+        // with edges, REWRITE → MERGE → PICK for a supervertex. Everything
+        // else is woken by mail (Ask, Answer, Label) — except LABEL, where
+        // every vertex with edges acts unasked: either the master wakes
+        // everyone for it, or (global 1 unset) they sit the jump loop out
+        // awake; `master_compute` picks the cheaper per iteration.
+        let phase = ctx.global(0).as_i64();
+        let sleep_in_jump_loop = ctx.global(1).as_bool();
+        let state = ctx.value();
+        // Retired into a supervertex, or a finished component (no edges
+        // left, and only MERGE can still bring some): nothing addresses
+        // either again.
+        if !state.alive || (state.edges.is_empty() && phase != phase::MERGE) {
+            ctx.vote_to_halt();
             return;
         }
         let me = ctx.id();
-        match ctx.global(0).as_i64() {
+        match phase {
             phase::PICK => {
-                if ctx.value().edges.is_empty() {
-                    // Finished component: stays alive but inert.
-                    return;
-                }
                 ctx.charge(ctx.value().edges.len() as u64);
                 let best = *ctx
                     .value()
@@ -139,26 +154,24 @@ impl VertexProgram for Boruvka {
                 ctx.send(best.to, Msg::Ping(me));
             }
             phase::CYCLE => {
-                if ctx.value().edges.is_empty() {
-                    return;
-                }
                 let pointer = ctx.value().pointer;
                 let mutual = messages
                     .iter()
                     .any(|m| matches!(m, Msg::Ping(u) if *u == pointer));
                 if mutual {
-                    // This vertex sits on the conjoined tree's 2-cycle.
+                    // This vertex sits on the conjoined tree's 2-cycle; it
+                    // only answers questions until LABEL.
                     let sv = me.min(pointer);
                     let state = ctx.value_mut();
                     state.supervertex = sv;
                     state.pointer = sv;
                     state.resolved = true;
+                    if sleep_in_jump_loop {
+                        ctx.vote_to_halt();
+                    }
                 }
             }
             phase::JUMP_A => {
-                if ctx.value().edges.is_empty() {
-                    return;
-                }
                 if !ctx.value().resolved {
                     for m in messages {
                         if let Msg::Answer { ptr, is_super } = *m {
@@ -177,6 +190,9 @@ impl VertexProgram for Boruvka {
                     let target = ctx.value().pointer;
                     ctx.send(target, Msg::Ask(me));
                 }
+                if sleep_in_jump_loop {
+                    ctx.vote_to_halt();
+                }
             }
             phase::JUMP_B => {
                 let ptr = ctx.value().pointer;
@@ -186,11 +202,13 @@ impl VertexProgram for Boruvka {
                         ctx.send(u, Msg::Answer { ptr, is_super });
                     }
                 }
+                if sleep_in_jump_loop {
+                    ctx.vote_to_halt();
+                }
             }
             phase::LABEL => {
-                if ctx.value().edges.is_empty() {
-                    return;
-                }
+                // Every neighbor labels back, so REWRITE arrives by mail.
+                ctx.vote_to_halt();
                 let sv = ctx.value().supervertex;
                 debug_assert!(ctx.value().resolved);
                 let mut targets: Vec<VertexId> =
@@ -203,9 +221,6 @@ impl VertexProgram for Boruvka {
                 }
             }
             phase::REWRITE => {
-                if ctx.value().edges.is_empty() {
-                    return;
-                }
                 let mut label_of = std::collections::HashMap::new();
                 for m in messages {
                     if let Msg::Label { from, sv } = *m {
@@ -231,10 +246,12 @@ impl VertexProgram for Boruvka {
                         ctx.send(my_sv, Msg::Ship(rewritten));
                     }
                     ctx.value_mut().alive = false;
+                    ctx.vote_to_halt();
                 }
             }
             phase::MERGE => {
-                // Only supervertices have work here.
+                // Only supervertices are awake here, and they stay awake:
+                // PICK either finds an edge or retires the component.
                 let mut merged = std::mem::take(&mut ctx.value_mut().edges);
                 for m in messages {
                     if let Msg::Ship(edges) = m {
@@ -264,7 +281,10 @@ impl VertexProgram for Boruvka {
     }
 
     fn globals(&self) -> Vec<AggValue> {
-        vec![AggValue::I64(phase::PICK)]
+        vec![
+            AggValue::I64(phase::PICK),
+            AggValue::Bool(true), // sleep through the jump loop
+        ]
     }
 
     fn master_compute(&self, master: &mut MasterContext<'_>) {
@@ -288,11 +308,27 @@ impl VertexProgram for Boruvka {
             phase::JUMP_B => phase::JUMP_A,
             phase::LABEL => phase::REWRITE,
             phase::REWRITE => phase::MERGE,
-            phase::MERGE => phase::PICK,
+            phase::MERGE => {
+                // Waking everyone for LABEL invokes the retired vertices for
+                // nothing; staying awake invokes each vertex with edges about
+                // twice per pointer-jumping round for nothing. The first is
+                // free while nothing has retired, the second wins once the
+                // supervertices (all that is awake now) are few.
+                let awake_is_cheaper =
+                    master.num_active() * AWAKE_COST_PER_VERTEX < master.num_vertices();
+                master.set_global(1, AggValue::Bool(!awake_is_cheaper));
+                phase::PICK
+            }
             other => unreachable!("invalid Borůvka phase {other}"),
         };
         master.set_global(0, AggValue::I64(next));
-        master.reactivate_all();
+        // Besides LABEL: every tree was a bare 2-cycle, so CYCLE resolved
+        // (and halted) everyone, and the first JUMP_A, which finds that
+        // out, has nobody to run.
+        let wake_for_label = next == phase::LABEL && master.global(1).as_bool();
+        if wake_for_label || master.num_active() == 0 {
+            master.reactivate_all();
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! the Pregel paper) is independent of — and typically above — `log n`.
 
 use vcgp_graph::Graph;
-use vcgp_pregel::{Context, MasterContext, PregelConfig, RunStats, VertexProgram};
+use vcgp_pregel::{Context, PregelConfig, RunStats, VertexProgram};
 
 /// Result of vertex-centric PageRank.
 #[derive(Debug, Clone)]
@@ -41,19 +41,15 @@ impl VertexProgram for PageRank {
                 let share = *ctx.value() / deg as f64;
                 ctx.send_to_all_out_neighbors(share);
             }
+        } else {
+            // Every vertex updates its score every round, mail or no mail,
+            // through the final update round.
+            ctx.vote_to_halt();
         }
-        ctx.vote_to_halt();
     }
 
     fn combiner(&self) -> Option<fn(&mut f64, f64)> {
         Some(|acc, m| *acc += m)
-    }
-
-    fn master_compute(&self, master: &mut MasterContext<'_>) {
-        // Keep all vertices running through the final update round.
-        if master.superstep() < self.iterations as u64 {
-            master.reactivate_all();
-        }
     }
 }
 

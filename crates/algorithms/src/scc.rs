@@ -78,6 +78,11 @@ impl VertexProgram for SccColoring {
                         ctx.send_to_all_out_neighbors(c);
                     }
                 }
+                // Still its own color: a possible pivot, which starts the
+                // backward wave unasked. Anyone else only relays mail.
+                if ctx.value().color != ctx.id() {
+                    ctx.vote_to_halt();
+                }
             }
             phase::BACKWARD_INIT => {
                 let me = ctx.id();
@@ -86,6 +91,7 @@ impl VertexProgram for SccColoring {
                     ctx.value_mut().scc = me;
                     ctx.send_to_all_in_neighbors(me);
                 }
+                ctx.vote_to_halt();
             }
             phase::BACKWARD_PROP => {
                 let color = ctx.value().color;
@@ -94,6 +100,7 @@ impl VertexProgram for SccColoring {
                     ctx.aggregate(0, AggValue::Bool(true));
                     ctx.send_to_all_in_neighbors(color);
                 }
+                ctx.vote_to_halt();
             }
             other => unreachable!("invalid SCC phase {other}"),
         }
@@ -139,7 +146,12 @@ impl VertexProgram for SccColoring {
             other => unreachable!("invalid SCC phase {other}"),
         };
         master.set_global(0, AggValue::I64(next));
-        master.reactivate_all();
+        // A new round restarts every unassigned vertex; within a round the
+        // waves travel by mail, and a wave that dies out early (pivots
+        // without in-edges) must not end the run.
+        if next == phase::COLOR_INIT || master.num_active() == 0 {
+            master.reactivate_all();
+        }
     }
 }
 

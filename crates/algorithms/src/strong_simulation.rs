@@ -65,6 +65,14 @@ struct BallSim<'q> {
 }
 
 impl BallSim<'_> {
+    /// Flooding is mail-driven, but a candidate evaluates its ball in the
+    /// final superstep whether or not any card reached it.
+    fn halt_unless_candidate(ctx: &mut Context<'_, Self>) {
+        if !ctx.value().candidate {
+            ctx.vote_to_halt();
+        }
+    }
+
     /// Local dual-simulation fixpoint over the collected ball.
     fn local_dual_sim(&self, ctx: &mut Context<'_, Self>) -> Vec<VertexId> {
         let me = ctx.id();
@@ -165,7 +173,7 @@ impl VertexProgram for BallSim<'_> {
                 }
                 ctx.value_mut().fresh.clear();
             }
-            ctx.vote_to_halt();
+            Self::halt_unless_candidate(ctx);
             return;
         }
         // Absorb incoming cards.
@@ -198,7 +206,7 @@ impl VertexProgram for BallSim<'_> {
                     ctx.send(v, batch.clone());
                 }
             }
-            ctx.vote_to_halt();
+            Self::halt_unless_candidate(ctx);
         } else {
             // Final superstep: candidates evaluate their balls.
             if ctx.value().candidate {
@@ -210,8 +218,9 @@ impl VertexProgram for BallSim<'_> {
     }
 
     fn master_compute(&self, master: &mut MasterContext<'_>) {
-        // Drive exactly `radius + 1` supersteps of flooding + evaluation.
-        if master.superstep() < self.radius as u64 {
+        // Exactly `radius + 1` supersteps of flooding + evaluation, also
+        // when there is no candidate to carry the run through them.
+        if master.superstep() < self.radius as u64 && master.num_active() == 0 {
             master.reactivate_all();
         }
     }

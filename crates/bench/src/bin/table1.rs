@@ -32,11 +32,16 @@ fn main() {
         }
         let watch = Stopwatch::start();
         let row = benchmark::run_row(w, scale, &config);
+        // Largest sweep point: where a program that runs vertices it need
+        // not shows.
+        let last = row.measurements.last().expect("a sweep has points");
         eprintln!(
-            "row {:>2} {:<44} {:>6.1}s  more-work {} (paper {})  bppa {} (paper {}){}",
+            "row {:>2} {:<44} {:>6.1}s  invocations {:>9}  quiet {:>5.1}%  more-work {} (paper {})  bppa {} (paper {}){}",
             w.row(),
             w.name(),
             watch.secs(),
+            last.invocations,
+            last.quiet_percent(),
             if row.more_work.yes { "Yes" } else { "No " },
             if w.expected_more_work() { "Yes" } else { "No " },
             if row.bppa.is_bppa() { "Yes" } else { "No " },

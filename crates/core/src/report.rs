@@ -54,18 +54,22 @@ pub fn render_row_detail(r: &RowResult) -> String {
         r.workload.name()
     )
     .unwrap();
-    out.push_str("| n | m | δ | K | supersteps | messages | TPP | seq work | TPP/seq |\n");
-    out.push_str("|---|---|---|---|---|---|---|---|---|\n");
+    out.push_str(
+        "| n | m | δ | K | supersteps | messages | invocations | quiet % | TPP | seq work | TPP/seq |\n",
+    );
+    out.push_str("|---|---|---|---|---|---|---|---|---|---|---|\n");
     for m in &r.measurements {
         writeln!(
             out,
-            "| {} | {} | {} | {} | {} | {} | {:.3e} | {:.3e} | {:.2} |",
+            "| {} | {} | {} | {} | {} | {} | {} | {:.1} | {:.3e} | {:.3e} | {:.2} |",
             m.params.n,
             m.params.m,
             m.params.delta,
             m.params.k,
             m.supersteps,
             m.messages,
+            m.invocations,
+            m.quiet_percent(),
             m.tpp,
             m.seq_work,
             m.tpp / m.seq_work.max(1.0),
@@ -155,6 +159,7 @@ mod tests {
         let r = run_row(Workload::EulerTour, Scale::Quick, &cfg);
         let detail = render_row_detail(&r);
         assert!(detail.contains("supersteps"));
+        assert!(detail.contains("| invocations | quiet % |"));
         assert!(detail.contains("Verdicts"));
     }
 

@@ -37,6 +37,11 @@ pub struct Measurement {
     pub supersteps: u64,
     /// Total algorithm-level messages.
     pub messages: u64,
+    /// `compute` invocations over the run.
+    pub invocations: u64,
+    /// How many of them found nothing to do (no mail, no send, no charged
+    /// work): the share a program wastes by running vertices it need not.
+    pub quiet_invocations: u64,
     /// Normalized BPPA observables.
     pub bppa: BppaSample,
     /// Per-superstep `(w, h)` maxima (worker-local work and traffic), kept
@@ -48,6 +53,11 @@ pub struct Measurement {
 }
 
 impl Measurement {
+    /// Quiet invocations as a percentage of all invocations.
+    pub fn quiet_percent(&self) -> f64 {
+        100.0 * self.quiet_invocations as f64 / self.invocations.max(1) as f64
+    }
+
     /// Recomputes the time-processor product under a different cost model.
     pub fn tpp_under(&self, model: &BspCostModel) -> f64 {
         let t: f64 = self
@@ -723,6 +733,8 @@ fn assemble(
         seq_work: seq_work as f64,
         supersteps: stats.supersteps(),
         messages: stats.total_messages(),
+        invocations: stats.invocations(),
+        quiet_invocations: stats.quiet_invocations(),
         bppa,
         superstep_profile: stats
             .superstep_stats

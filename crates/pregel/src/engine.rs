@@ -45,16 +45,27 @@
 //! Superstep phases (all drivers):
 //!
 //! 1. **compute** — every worker runs `compute` on its runnable vertices
-//!    (tracked in a sorted per-worker worklist, so sparse supersteps cost
-//!    `O(active)`, not `O(n)`) and buckets outgoing messages by destination
-//!    worker, folding them per destination vertex when the program has a
-//!    combiner;
+//!    and buckets outgoing messages by destination worker, folding them per
+//!    destination vertex when the program has a combiner;
 //! 2. **delivery** — every worker drains the buffers addressed to it *in
 //!    fixed sender order*, so message delivery order is deterministic
-//!    regardless of thread scheduling;
+//!    regardless of thread scheduling, and puts the next worklist in order;
 //! 3. **master** — aggregators and statistics are merged in worker order,
 //!    the program's master-compute hook runs, and the run stops or
 //!    continues.
+//!
+//! **What a superstep costs.** The runnable vertices are a sorted
+//! per-worker worklist: the vertices that did not vote to halt plus the
+//! halted ones that received mail. Compute, delivery and the ordering of
+//! the next worklist are `O(active + messages)`, not `O(n)` — a halted
+//! vertex without mail costs nothing. That holds only as far as the
+//! *program* lets vertices halt: [`MasterContext::reactivate_all`] puts all
+//! `n` vertices back on the worklist, so a program that calls it every
+//! superstep pays `O(n)` invocations per superstep whatever its frontier
+//! (and, threaded, a third barrier). [`SuperstepStats::quiet`] counts the
+//! invocations that found nothing to do. The per-superstep fixed cost is
+//! `O(W)`: one log entry (per-worker stats and the aggregator values) is
+//! the only allocation of a steady-state serial superstep.
 //!
 //! The engine never holds a lock across a barrier, and every shared mutex
 //! is either per-worker (uncontended) or touched only in the serial master
@@ -340,6 +351,7 @@ struct Scratch {
     inbox_capacity: u64,
     next_active: usize,
     ran: usize,
+    quiet: usize,
     chunks: u64,
     chunks_stolen: u64,
 }
@@ -486,7 +498,7 @@ fn stop_decision(
 
 /// Runs the compute phase for every vertex on `st.run_list`: invokes the
 /// program, pushes messages into `out`, pushes still-active local indices
-/// into `st.next_run`. Returns `(work, sent, inbox_capacity)`.
+/// into `st.next_run`. Returns `(work, sent, inbox_capacity, quiet)`.
 #[allow(clippy::too_many_arguments)]
 fn compute_worker<P: VertexProgram>(
     program: &P,
@@ -500,11 +512,12 @@ fn compute_worker<P: VertexProgram>(
     globals: &[AggValue],
     agg_defs: &[AggregatorDef],
     agg_partial: &mut [AggValue],
-) -> (u64, u64, u64) {
+) -> (u64, u64, u64, usize) {
     let run_list = std::mem::take(&mut st.run_list);
     let mut work_total = 0u64;
     let mut sent_total = 0u64;
     let mut inbox_capacity = 0u64;
+    let mut quiet = 0usize;
     for &li32 in &run_list {
         let li = li32 as usize;
         // One unit for the invocation plus one per message processed.
@@ -543,6 +556,7 @@ fn compute_worker<P: VertexProgram>(
         }
         work_total += vwork;
         sent_total += vsent;
+        quiet += usize::from(vwork == 1);
         if let Some(pv) = st.pv.as_mut() {
             pv.max_sent[li] = pv.max_sent[li].max(vsent);
             pv.max_work[li] = pv.max_work[li].max(vwork);
@@ -551,7 +565,7 @@ fn compute_worker<P: VertexProgram>(
         }
     }
     st.run_list = run_list;
-    (work_total, sent_total, inbox_capacity)
+    (work_total, sent_total, inbox_capacity, quiet)
 }
 
 /// Drains one sender-ordered lane of `(dest, msg)` pairs addressed to `st`
@@ -604,6 +618,26 @@ fn deliver_lane<V, M>(
     delivered
 }
 
+/// Puts `st.next_run` in ascending order at the end of delivery. The list
+/// is exactly the set a full scan would find: the compute phase pushed the
+/// still-active vertices (in order), delivery the halted ones that just
+/// received mail (in arrival order) — disjoint by the `active` check, so no
+/// vertex appears twice. A sparse list is sorted; once an eighth of the
+/// worker's vertices are on it, that scan is the cheaper way to order it.
+fn sort_next_run<V, M>(st: &mut WorkerState<V, M>) {
+    if st.next_run.len() < st.ids.len() / 8 {
+        st.next_run.sort_unstable();
+    } else if !st.next_run.is_sorted() {
+        st.next_run.clear();
+        let runnable = st.active.iter().zip(&st.inbox).enumerate();
+        st.next_run.extend(
+            runnable
+                .filter(|(_, (&active, inbox))| active || !inbox.is_empty())
+                .map(|(li, _)| li as u32),
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Serial driver (T == 1)
 // ---------------------------------------------------------------------------
@@ -613,9 +647,9 @@ fn deliver_lane<V, M>(
 /// in ascending order into one shared outgoing buffer set, whose per-
 /// receiver lanes then already hold the sender-ordered stream that the
 /// threaded delivery phase reconstructs from outbox slots. Delivery drains
-/// each lane in place, so the only recurring buffers are the `W` lanes and
-/// the per-vertex inboxes — both recycled, so steady-state supersteps stay
-/// allocation-free.
+/// each lane in place, so the only recurring buffers are the `W` lanes, the
+/// per-vertex inboxes and the aggregator vectors — all recycled, so a
+/// steady-state superstep allocates nothing but its own log entry.
 fn run_serial<P: VertexProgram>(
     program: &P,
     graph: &Graph,
@@ -636,23 +670,29 @@ fn run_serial<P: VertexProgram>(
     // First use of a lane is the allocation event; afterwards the in-place
     // drain recycles its capacity every superstep.
     let mut lane_seen = vec![false; w];
+    // Aggregator buffers live for the whole run: `agg_merged` is what the
+    // vertices read this superstep, `merged` what they fold into (worker by
+    // worker, through `agg_partial`); the two swap after the master phase.
     let mut agg_merged = identities.to_vec();
+    let mut merged = identities.to_vec();
+    let mut agg_partial = identities.to_vec();
     let mut globals = program.globals();
     let mut log: Vec<SuperstepStats> = Vec::new();
     let mut superstep: u64 = 0;
     loop {
         // ---- Phase A: compute (workers in ascending order) --------------
-        let agg_prev = agg_merged.clone();
+        // The log takes ownership of this one: its per-superstep copy.
         let mut worker_stats = vec![WorkerStats::default(); w];
-        let mut agg_partials: Vec<Vec<AggValue>> = Vec::with_capacity(w);
+        merged.copy_from_slice(identities);
         let mut ran_total = 0usize;
+        let mut quiet_total = 0usize;
         let mut sent_total = 0u64;
         let mut inbox_capacity = 0u64;
         for (me, st) in states.iter_mut().enumerate() {
             let t0 = Instant::now();
-            let mut agg_partial = identities.to_vec();
+            agg_partial.copy_from_slice(identities);
             ran_total += st.run_list.len();
-            let (work, sent, caps) = compute_worker(
+            let (work, sent, caps, quiet) = compute_worker(
                 program,
                 graph,
                 cfg.seed,
@@ -660,20 +700,24 @@ fn run_serial<P: VertexProgram>(
                 superstep,
                 st,
                 &mut out,
-                &agg_prev,
+                &agg_merged,
                 &globals,
                 agg_defs,
                 &mut agg_partial,
             );
             sent_total += sent;
             inbox_capacity += caps;
+            quiet_total += quiet;
             worker_stats[me] = WorkerStats {
                 work,
                 sent,
                 wall: t0.elapsed(),
                 ..Default::default()
             };
-            agg_partials.push(agg_partial);
+            // Worker-ordered fold, the grouping the threaded master uses.
+            for (idx, v) in agg_partial.iter().enumerate() {
+                agg_defs[idx].op.fold(&mut merged[idx], *v);
+            }
         }
         let combined_sender = out.combined;
 
@@ -699,26 +743,17 @@ fn run_serial<P: VertexProgram>(
                     pv.max_received[li] = pv.max_received[li].max(pv.recv_cur[li]);
                 }
             }
-            // The run list is exactly the set that a full scan would count:
-            // phase A pushed the still-active vertices, delivery pushed the
-            // halted ones that just received mail — disjoint by the
-            // `active` check, so no vertex appears twice.
-            st.next_run.sort_unstable();
+            sort_next_run(st);
             active_next_total += st.next_run.len();
         }
         out.begin_superstep();
 
         // ---- Phase C: master --------------------------------------------
-        let mut merged = identities.to_vec();
-        for partial in agg_partials {
-            for (idx, v) in partial.into_iter().enumerate() {
-                agg_defs[idx].op.fold(&mut merged[idx], v);
-            }
-        }
         let taken = counters.take();
         log.push(SuperstepStats {
             workers: worker_stats,
             active: ran_total,
+            quiet: quiet_total,
             messages_sent: sent_total,
             messages_delivered: delivered_total,
             messages_combined_sender: combined_sender,
@@ -741,7 +776,7 @@ fn run_serial<P: VertexProgram>(
         };
         program.master_compute(&mut mc);
         let (halt, reactivate) = (mc.halt, mc.reactivate_all);
-        agg_merged = merged;
+        std::mem::swap(&mut agg_merged, &mut merged);
         let (stop, reason) = stop_decision(
             halt,
             reactivate,
@@ -820,6 +855,7 @@ unsafe impl<V: Send, M: Send> Send for StateView<V, M> {}
 struct ChunkBuf<M> {
     chunk: usize,
     ran: usize,
+    quiet: usize,
     out: Outgoing<M>,
     next: Vec<u32>,
     agg: Vec<AggValue>,
@@ -999,6 +1035,7 @@ fn run_threaded<P: VertexProgram>(
             pool.push(ChunkBuf {
                 chunk: 0,
                 ran: 0,
+                quiet: 0,
                 out: Outgoing::new_hashed(w, sender_combiner),
                 next: Vec::new(),
                 agg: identities.to_vec(),
@@ -1154,7 +1191,7 @@ fn compute_direct<P: VertexProgram>(
     let t0 = Instant::now();
     let ran = st.run_list.len();
     let mut agg_partial = sh.identities.to_vec();
-    let (work, sent, inbox_capacity) = compute_worker(
+    let (work, sent, inbox_capacity, quiet) = compute_worker(
         sh.program,
         sh.graph,
         sh.cfg.seed,
@@ -1185,6 +1222,7 @@ fn compute_direct<P: VertexProgram>(
         sc.inbox_capacity = inbox_capacity;
         sc.next_active = 0;
         sc.ran = ran;
+        sc.quiet = quiet;
         sc.chunks = 0;
         sc.chunks_stolen = 0;
     }
@@ -1281,6 +1319,7 @@ fn exec_chunk<P: VertexProgram>(
     let mut work_total = 0u64;
     let mut sent_total = 0u64;
     let mut inbox_capacity = 0u64;
+    let mut quiet = 0usize;
     for i in lo..hi {
         // SAFETY: `run` holds unique sorted local indices and the chunk
         // ranges partition it, so each `li` below is visited by exactly one
@@ -1324,7 +1363,9 @@ fn exec_chunk<P: VertexProgram>(
         }
         work_total += vwork;
         sent_total += vsent;
+        quiet += usize::from(vwork == 1);
     }
+    buf.quiet = quiet;
     buf.work = work_total;
     buf.sent = sent_total;
     buf.inbox_capacity = inbox_capacity;
@@ -1346,6 +1387,7 @@ fn acquire_chunk_buf<P: VertexProgram>(
         ChunkBuf {
             chunk: 0,
             ran: 0,
+            quiet: 0,
             // No direct-mapped combining index here: one slot per graph
             // vertex *per chunk buffer* would dwarf the messages. The
             // per-lane open-addressing tables size with actual traffic.
@@ -1386,6 +1428,7 @@ fn merge_worker<P: VertexProgram>(wi: usize, sh: &ParShared<'_, P>) {
     let mut sent = 0u64;
     let mut inbox_capacity = 0u64;
     let mut ran = 0usize;
+    let mut quiet = 0usize;
     let mut wall = Duration::ZERO;
     let mut stolen = 0u64;
     let mut combined = 0u64;
@@ -1414,6 +1457,7 @@ fn merge_worker<P: VertexProgram>(wi: usize, sh: &ParShared<'_, P>) {
         sent += b.sent;
         inbox_capacity += b.inbox_capacity;
         ran += b.ran;
+        quiet += b.quiet;
         wall += b.wall;
         if b.stolen {
             stolen += 1;
@@ -1445,6 +1489,7 @@ fn merge_worker<P: VertexProgram>(wi: usize, sh: &ParShared<'_, P>) {
         sc.inbox_capacity = inbox_capacity;
         sc.next_active = 0;
         sc.ran = ran;
+        sc.quiet = quiet;
         sc.chunks = chunks_total;
         sc.chunks_stolen = stolen;
     }
@@ -1492,10 +1537,7 @@ fn deliver_worker<P: VertexProgram>(
             pv.max_received[li] = pv.max_received[li].max(pv.recv_cur[li]);
         }
     }
-    // The next worklist is exactly the set a full scan would count: the
-    // compute phase contributed the still-active vertices, delivery the
-    // halted ones that just received mail — disjoint by the `active` check.
-    st.next_run.sort_unstable();
+    sort_next_run(st);
     let next_active = st.next_run.len();
     std::mem::swap(&mut st.run_list, &mut st.next_run);
     st.next_run.clear();
@@ -1507,6 +1549,7 @@ fn deliver_worker<P: VertexProgram>(
             sc.buffers = BufferCounters::default();
             sc.inbox_capacity = 0;
             sc.ran = 0;
+            sc.quiet = 0;
             sc.chunks = 0;
             sc.chunks_stolen = 0;
         }
@@ -1526,6 +1569,7 @@ fn master_phase<P: VertexProgram>(sh: &ParShared<'_, P>, superstep: u64) {
     let mut workers = Vec::with_capacity(sh.w);
     let mut active_next_total = 0usize;
     let mut ran_total = 0usize;
+    let mut quiet_total = 0usize;
     let mut sent = 0u64;
     let mut delivered_total = 0u64;
     let mut combined_total = 0u64;
@@ -1544,6 +1588,7 @@ fn master_phase<P: VertexProgram>(sh: &ParShared<'_, P>, superstep: u64) {
         workers.push(sc.stats);
         active_next_total += sc.next_active;
         ran_total += sc.ran;
+        quiet_total += sc.quiet;
         sent += sc.stats.sent;
         delivered_total += sc.delivered;
         combined_total += sc.combined_sender;
@@ -1563,6 +1608,7 @@ fn master_phase<P: VertexProgram>(sh: &ParShared<'_, P>, superstep: u64) {
     sh.superstep_log.lock().unwrap().push(SuperstepStats {
         workers,
         active: ran_total,
+        quiet: quiet_total,
         messages_sent: sent,
         messages_delivered: delivered_total,
         messages_combined_sender: combined_total,

@@ -71,6 +71,12 @@ pub struct SuperstepStats {
     pub workers: Vec<WorkerStats>,
     /// Vertices that executed `compute` this superstep.
     pub active: usize,
+    /// How many of those invocations were *quiet*: `compute` returned having
+    /// seen an empty inbox, sent nothing and charged nothing beyond the
+    /// invocation's own work unit — a vertex that ran although it had no
+    /// work. A program that honours vote-to-halt keeps this near zero; a
+    /// blanket [`crate::MasterContext::reactivate_all`] shows up here.
+    pub quiet: usize,
     /// Total messages sent at the algorithm level (pre-combine).
     pub messages_sent: u64,
     /// Total messages delivered to inboxes (post-combine, both stages).
@@ -199,6 +205,16 @@ impl RunStats {
     /// Total work units over the run.
     pub fn total_work(&self) -> u64 {
         self.superstep_stats.iter().map(|s| s.total_work()).sum()
+    }
+
+    /// `compute` invocations over the run (Σ [`SuperstepStats::active`]).
+    pub fn invocations(&self) -> u64 {
+        self.superstep_stats.iter().map(|s| s.active as u64).sum()
+    }
+
+    /// Quiet invocations over the run (Σ [`SuperstepStats::quiet`]).
+    pub fn quiet_invocations(&self) -> u64 {
+        self.superstep_stats.iter().map(|s| s.quiet as u64).sum()
     }
 
     /// Concatenates another run's supersteps onto this one, merging

@@ -248,7 +248,9 @@ impl<'a, P: VertexProgram + ?Sized> Context<'a, P> {
     }
 
     /// Votes to halt. The vertex will not run next superstep unless a
-    /// message arrives for it.
+    /// message arrives for it (or the master reactivates everyone): a halted
+    /// vertex costs nothing. Vote on every invocation whose follow-up work,
+    /// if any, a message will bring.
     #[inline]
     pub fn vote_to_halt(&mut self) {
         *self.halted = true;
@@ -315,7 +317,15 @@ impl<'a> MasterContext<'a> {
     }
 
     /// Number of vertices that will be active next superstep (post message
-    /// delivery).
+    /// delivery): those that did not vote to halt plus the halted ones that
+    /// just received mail.
+    ///
+    /// When this is `0` and the master neither [`halt`](Self::halt)s nor
+    /// calls [`reactivate_all`](Self::reactivate_all), the run ends here as
+    /// [`crate::HaltReason::Converged`] — also in the middle of a
+    /// master-phased program whose next phase is message-driven and happens
+    /// to have no mail. Such a program keeps itself alive:
+    /// `if master.num_active() == 0 { master.reactivate_all() }`.
     #[inline]
     pub fn num_active(&self) -> usize {
         self.active
@@ -347,7 +357,15 @@ impl<'a> MasterContext<'a> {
         self.halt = true;
     }
 
-    /// Forces every vertex active next superstep (phase transitions).
+    /// Forces every vertex active next superstep.
+    ///
+    /// This costs `O(n)` invocations — every vertex runs, finished or not —
+    /// and, on the threaded driver, one more barrier. Call it only at a
+    /// phase boundary whose next phase needs *halted* vertices to act
+    /// without having been written to (or to carry the run through an empty
+    /// phase, see [`num_active`](Self::num_active)); a vertex that knows it
+    /// has such work simply does not vote to halt, and everything else is
+    /// woken by its mail.
     #[inline]
     pub fn reactivate_all(&mut self) {
         self.reactivate_all = true;

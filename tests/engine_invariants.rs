@@ -114,3 +114,73 @@ fn tpp_upper_bounds_average_work() {
         );
     }
 }
+
+/// A master-phased toy: ANNOUNCE (every vertex acts), COLLECT (mail-driven)
+/// and FINISH (every vertex acts; the master halts after it), one superstep
+/// each. Nobody writes to anybody, so COLLECT has no mail and every vertex
+/// has voted to halt: the engine sees `active_next == 0`.
+struct EmptyMiddlePhase {
+    /// Whether the master keeps the run alive through the empty phase.
+    keep_alive: bool,
+}
+
+impl vcgp::pregel::VertexProgram for EmptyMiddlePhase {
+    /// How often the vertex ran.
+    type Value = u32;
+    type Message = ();
+
+    fn compute(&self, ctx: &mut vcgp::pregel::Context<'_, Self>, _messages: &[()]) {
+        *ctx.value_mut() += 1;
+        ctx.vote_to_halt();
+    }
+
+    fn master_compute(&self, master: &mut vcgp::pregel::MasterContext<'_>) {
+        match master.superstep() {
+            // ANNOUNCE is over; COLLECT is mail-driven, so no wake-up — but
+            // a run with nobody awake and nobody woken ends here.
+            0 => {
+                if self.keep_alive && master.num_active() == 0 {
+                    master.reactivate_all();
+                }
+            }
+            // FINISH is a phase every (halted) vertex acts in.
+            1 => master.reactivate_all(),
+            _ => master.halt(),
+        }
+    }
+}
+
+#[test]
+fn an_empty_message_driven_phase_needs_the_master_to_keep_the_run_alive() {
+    use vcgp::pregel::HaltReason;
+    let g = generators::gnm(40, 90, 3);
+    for workers in [1usize, 4] {
+        for threads in [1usize, 2] {
+            let cfg = PregelConfig::default()
+                .with_workers(workers)
+                .with_threads(threads);
+            let (ran, stats) = vcgp::pregel::run(&EmptyMiddlePhase { keep_alive: true }, &g, &cfg);
+            assert_eq!(
+                stats.halt_reason,
+                HaltReason::MasterHalted,
+                "W={workers} T={threads}"
+            );
+            assert_eq!(stats.supersteps(), 3, "W={workers} T={threads}");
+            assert!(ran.iter().all(|&r| r == 3), "W={workers} T={threads}");
+            // Every invocation of the empty phase was a quiet one.
+            assert_eq!(stats.superstep_stats[1].quiet, 40);
+            assert_eq!(stats.invocations(), 120);
+
+            // Without it, `active_next == 0 && !reactivate` is convergence:
+            // the run stops two phases short, with no error to show for it.
+            let (ran, stats) = vcgp::pregel::run(&EmptyMiddlePhase { keep_alive: false }, &g, &cfg);
+            assert_eq!(
+                stats.halt_reason,
+                HaltReason::Converged,
+                "W={workers} T={threads}"
+            );
+            assert_eq!(stats.supersteps(), 1, "W={workers} T={threads}");
+            assert!(ran.iter().all(|&r| r == 1), "W={workers} T={threads}");
+        }
+    }
+}
