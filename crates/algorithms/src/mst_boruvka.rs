@@ -106,11 +106,6 @@ enum Msg {
 
 struct Boruvka;
 
-/// Idle invocations a vertex with edges makes if it sits the pointer-jumping
-/// loop out awake (two supersteps per round, `O(log)` rounds — trees picked
-/// on real inputs are shallow).
-const AWAKE_COST_PER_VERTEX: usize = 16;
-
 impl VertexProgram for Boruvka {
     type Value = BoruvkaState;
     type Message = Msg;
@@ -120,11 +115,9 @@ impl VertexProgram for Boruvka {
         // being written to: PICK → CYCLE → the first JUMP_A for a vertex
         // with edges, REWRITE → MERGE → PICK for a supervertex. Everything
         // else is woken by mail (Ask, Answer, Label) — except LABEL, where
-        // every vertex with edges acts unasked: either the master wakes
-        // everyone for it, or (global 1 unset) they sit the jump loop out
-        // awake; `master_compute` picks the cheaper per iteration.
+        // every vertex with edges acts unasked: the master wakes everyone
+        // for it.
         let phase = ctx.global(0).as_i64();
-        let sleep_in_jump_loop = ctx.global(1).as_bool();
         let state = ctx.value();
         // Retired into a supervertex, or a finished component (no edges
         // left, and only MERGE can still bring some): nothing addresses
@@ -166,9 +159,7 @@ impl VertexProgram for Boruvka {
                     state.supervertex = sv;
                     state.pointer = sv;
                     state.resolved = true;
-                    if sleep_in_jump_loop {
-                        ctx.vote_to_halt();
-                    }
+                    ctx.vote_to_halt();
                 }
             }
             phase::JUMP_A => {
@@ -190,9 +181,7 @@ impl VertexProgram for Boruvka {
                     let target = ctx.value().pointer;
                     ctx.send(target, Msg::Ask(me));
                 }
-                if sleep_in_jump_loop {
-                    ctx.vote_to_halt();
-                }
+                ctx.vote_to_halt();
             }
             phase::JUMP_B => {
                 let ptr = ctx.value().pointer;
@@ -202,9 +191,7 @@ impl VertexProgram for Boruvka {
                         ctx.send(u, Msg::Answer { ptr, is_super });
                     }
                 }
-                if sleep_in_jump_loop {
-                    ctx.vote_to_halt();
-                }
+                ctx.vote_to_halt();
             }
             phase::LABEL => {
                 // Every neighbor labels back, so REWRITE arrives by mail.
@@ -281,10 +268,7 @@ impl VertexProgram for Boruvka {
     }
 
     fn globals(&self) -> Vec<AggValue> {
-        vec![
-            AggValue::I64(phase::PICK),
-            AggValue::Bool(true), // sleep through the jump loop
-        ]
+        vec![AggValue::I64(phase::PICK)]
     }
 
     fn master_compute(&self, master: &mut MasterContext<'_>) {
@@ -308,25 +292,14 @@ impl VertexProgram for Boruvka {
             phase::JUMP_B => phase::JUMP_A,
             phase::LABEL => phase::REWRITE,
             phase::REWRITE => phase::MERGE,
-            phase::MERGE => {
-                // Waking everyone for LABEL invokes the retired vertices for
-                // nothing; staying awake invokes each vertex with edges about
-                // twice per pointer-jumping round for nothing. The first is
-                // free while nothing has retired, the second wins once the
-                // supervertices (all that is awake now) are few.
-                let awake_is_cheaper =
-                    master.num_active() * AWAKE_COST_PER_VERTEX < master.num_vertices();
-                master.set_global(1, AggValue::Bool(!awake_is_cheaper));
-                phase::PICK
-            }
+            phase::MERGE => phase::PICK,
             other => unreachable!("invalid Borůvka phase {other}"),
         };
         master.set_global(0, AggValue::I64(next));
         // Besides LABEL: every tree was a bare 2-cycle, so CYCLE resolved
         // (and halted) everyone, and the first JUMP_A, which finds that
         // out, has nobody to run.
-        let wake_for_label = next == phase::LABEL && master.global(1).as_bool();
-        if wake_for_label || master.num_active() == 0 {
+        if next == phase::LABEL || master.num_active() == 0 {
             master.reactivate_all();
         }
     }

@@ -67,12 +67,15 @@ fn answers_supersteps_and_messages_match_the_frozen_parent() {
             .find(|g| supported(w, g).is_ok())
             .unwrap_or_else(|| panic!("{w:?} is supported by none of the inputs"));
         for (seed, want) in SEEDS.into_iter().zip(golden) {
-            for workers in [1usize, 4] {
+            // The serial driver at W ∈ {1, 4}, the threaded one at W=4.
+            for (workers, threads) in [(1usize, 1usize), (4, 1), (4, 2)] {
                 for partitioning in [Partitioning::Hash, Partitioning::Range] {
                     let cfg = PregelConfig::default()
                         .with_workers(workers)
+                        .with_threads(threads)
                         .with_partitioning(partitioning);
-                    let at = format!("{w:?} seed {seed} W={workers} {partitioning:?}");
+                    let at =
+                        format!("{w:?} seed {seed} W={workers} T={threads} {partitioning:?}");
                     let (answer, stats) = run(w, g, &cfg, seed);
                     let (want_answer, supersteps, messages, parent_invocations) = want;
                     assert_eq!(answer, want_answer, "answer of {at}");
