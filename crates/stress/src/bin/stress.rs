@@ -559,6 +559,7 @@ fn validate_report(path: &str) -> Result<String, String> {
             "cache_hits",
             "queue_hwm",
             "busy_ns",
+            "lookups_at_submit",
         ] {
             entry
                 .get(key)
@@ -581,10 +582,13 @@ fn validate_report(path: &str) -> Result<String, String> {
             ));
         }
         let mut sum_completed = 0.0;
+        let mut sum_lookups = 0.0;
         let mut max_hwm = 0.0f64;
         let mut sum_service = 0.0;
         for (r, row) in rows.iter().enumerate() {
-            for key in ["replica", "completed", "failed", "queue_hwm", "busy_ns"] {
+            for key in
+                ["replica", "completed", "failed", "queue_hwm", "busy_ns", "lookups_at_submit"]
+            {
                 row.get(key)
                     .and_then(json::Value::as_f64)
                     .ok_or_else(|| {
@@ -592,6 +596,7 @@ fn validate_report(path: &str) -> Result<String, String> {
                     })?;
             }
             sum_completed += row.get("completed").and_then(json::Value::as_f64).unwrap();
+            sum_lookups += row.get("lookups_at_submit").and_then(json::Value::as_f64).unwrap();
             max_hwm = max_hwm.max(row.get("queue_hwm").and_then(json::Value::as_f64).unwrap());
             // The replica's measured service-time histogram and its interval
             // series: the series must fold exactly back to the histogram
@@ -635,7 +640,29 @@ fn validate_report(path: &str) -> Result<String, String> {
                  sum to {sum_completed}"
             ));
         }
-        let shard_hwm = entry.get("queue_hwm").and_then(json::Value::as_f64).unwrap();
+        let field = |key: &str| entry.get(key).and_then(json::Value::as_f64).unwrap();
+        let shard_lookups = field("lookups_at_submit");
+        if shard_lookups != sum_lookups {
+            return Err(format!(
+                "{path}: per_shard[{i}].lookups_at_submit is {shard_lookups} but replica \
+                 rows sum to {sum_lookups}"
+            ));
+        }
+        // Every answer has exactly one source: an executor (or the leader of
+        // a shared run) books it on a service log, the submitting thread
+        // books a cache hit, a reject or a point lookup. (A request submitted
+        // past its deadline is dropped by the submitter too, on no log — the
+        // driver sets no deadlines.)
+        let answers = shard_completed + field("failed");
+        let sources =
+            shard_service + field("cache_hits") + field("rejects") + shard_lookups;
+        if answers != sources {
+            return Err(format!(
+                "{path}: per_shard[{i}] completed + failed is {answers} but service_ns.count \
+                 + cache_hits + rejects + lookups_at_submit is {sources}"
+            ));
+        }
+        let shard_hwm = field("queue_hwm");
         if shard_hwm != max_hwm {
             return Err(format!(
                 "{path}: per_shard[{i}].queue_hwm is {shard_hwm} but replica rows max \
@@ -651,6 +678,7 @@ fn validate_report(path: &str) -> Result<String, String> {
         (num("early_drops")?, "early_drops", "early_drops"),
         (num("engine_runs")?, "engine_runs", "engine_runs"),
         (num("coalesced_legs")?, "coalesced_legs", "coalesced_legs"),
+        (num("lookups_at_submit")?, "lookups_at_submit", "lookups_at_submit"),
         (cache_num("hits")?, "cache.hits", "cache_hits"),
     ] {
         let summed: f64 = per_shard

@@ -292,8 +292,9 @@ pub struct StressReport {
     /// Requests shed at submission under the reject queue policy (from the
     /// service's counters).
     pub rejects: u64,
-    /// Requests dropped at dequeue with an already-expired deadline (from
-    /// the service's counters; disjoint from `timeouts`).
+    /// Requests dropped, at submission or at dequeue, with an
+    /// already-expired deadline (from the service's counters; disjoint
+    /// from `timeouts`).
     pub early_drops: u64,
     /// Engine executions completed for workload requests, summed across
     /// shards (this run only): whole runs plus led shared runs — one per
@@ -303,6 +304,10 @@ pub struct StressReport {
     /// shards (this run only). Every leg is a cache hit, a led engine run,
     /// or one of these — the identity `--validate-report` enforces.
     pub coalesced_legs: u64,
+    /// Point lookups answered on the submitting thread, summed across
+    /// shards (this run only): they count in `completed` but never queue
+    /// and appear in no replica's `service_ns`.
+    pub lookups_at_submit: u64,
     /// Result-cache lookups answered without running the engine, summed
     /// across shards (this run only).
     pub cache_hits: u64,
@@ -427,14 +432,15 @@ impl StressReport {
                         format!(
                             "{{\"replica\": {}, \"completed\": {}, \"failed\": {}, \
                              \"queue_hwm\": {}, \"busy_ns\": {}, \"service_ns\": {}, \
-                             \"intervals\": [{}]}}",
+                             \"intervals\": [{}], \"lookups_at_submit\": {}}}",
                             r.replica,
                             r.stats.completed,
                             r.stats.failed,
                             r.stats.queue_hwm,
                             r.stats.busy_ns,
                             service_ns,
-                            intervals
+                            intervals,
+                            r.stats.lookups_at_submit
                         )
                     })
                     .collect::<Vec<_>>()
@@ -450,7 +456,7 @@ impl StressReport {
                      \"rejects\": {}, \"early_drops\": {}, \"engine_runs\": {}, \
                      \"coalesced_legs\": {}, \"cache_hits\": {}, \
                      \"queue_hwm\": {}, \"busy_ns\": {}, \"service_ns\": {}, \
-                     \"replicas\": [{}]}}",
+                     \"replicas\": [{}], \"lookups_at_submit\": {}}}",
                     s.shard,
                     s.owned,
                     s.stats.completed,
@@ -463,7 +469,8 @@ impl StressReport {
                     s.stats.queue_hwm,
                     s.stats.busy_ns,
                     hist(&shard_service),
-                    replicas
+                    replicas,
+                    s.stats.lookups_at_submit
                 )
             })
             .collect::<Vec<_>>()
@@ -562,7 +569,7 @@ impl StressReport {
              \"ops\": {},\n  \"ok\": {},\n  \"errors\": {},\n  \"unsupported\": {},\n  \
              \"timeouts\": {},\n  \"retries\": {},\n  \"routed\": {},\n  \"scattered\": {},\n  \
              \"rejects\": {},\n  \"early_drops\": {},\n  \"engine_runs\": {},\n  \
-             \"coalesced_legs\": {},\n  \"writes\": {},\n  \
+             \"coalesced_legs\": {},\n  \"lookups_at_submit\": {},\n  \"writes\": {},\n  \
              \"write_errors\": {},\n  \"throughput_ops_s\": {:.1},\n  \
              \"answer_hash\": \"{:016x}\",\n  \"cache\": {},\n  \"epochs\": {},\n  \
              \"latency_ns\": {},\n  \"service_ns\": {},\n  \"gather_ns\": {},\n  \
@@ -591,6 +598,7 @@ impl StressReport {
             self.early_drops,
             self.engine_runs,
             self.coalesced_legs,
+            self.lookups_at_submit,
             self.writes,
             self.write_errors,
             self.throughput(),
@@ -648,6 +656,7 @@ impl StressReport {
             "| engine runs / coalesced legs | {} / {} |\n",
             self.engine_runs, self.coalesced_legs
         ));
+        out.push_str(&format!("| lookups at submit | {} |\n", self.lookups_at_submit));
         out.push_str(&format!(
             "| writes / write errors | {} / {} |\n",
             self.writes, self.write_errors
@@ -741,12 +750,12 @@ impl StressReport {
         if !self.per_shard.is_empty() {
             out.push_str(
                 "\n| shard | owned | completed | failed | rejects | early drops | engine runs | \
-                 coalesced legs | cache hits | queue hwm | busy ms |\n\
-                 |---|---|---|---|---|---|---|---|---|---|---|\n",
+                 coalesced legs | cache hits | queue hwm | busy ms | lookups at submit |\n\
+                 |---|---|---|---|---|---|---|---|---|---|---|---|\n",
             );
             for s in &self.per_shard {
                 out.push_str(&format!(
-                    "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.3} |\n",
+                    "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.3} | {} |\n",
                     s.shard,
                     s.owned,
                     s.stats.completed,
@@ -757,12 +766,14 @@ impl StressReport {
                     s.stats.coalesced_legs,
                     s.stats.cache_hits,
                     s.stats.queue_hwm,
-                    ms(s.stats.busy_ns)
+                    ms(s.stats.busy_ns),
+                    s.stats.lookups_at_submit
                 ));
             }
             out.push_str(
                 "\n| shard | replica | completed | failed | queue hwm | busy ms | \
-                 service p50 ms | service p99 ms |\n|---|---|---|---|---|---|---|---|\n",
+                 service p50 ms | service p99 ms | lookups at submit |\n\
+                 |---|---|---|---|---|---|---|---|---|\n",
             );
             for (si, s) in self.per_shard.iter().enumerate() {
                 for (ri, r) in s.replicas.iter().enumerate() {
@@ -774,7 +785,7 @@ impl StressReport {
                         (rs.service.quantile(0.50), rs.service.quantile(0.99))
                     });
                     out.push_str(&format!(
-                        "| {} | {} | {} | {} | {} | {:.3} | {:.4} | {:.4} |\n",
+                        "| {} | {} | {} | {} | {} | {:.3} | {:.4} | {:.4} | {} |\n",
                         s.shard,
                         r.replica,
                         r.stats.completed,
@@ -782,7 +793,8 @@ impl StressReport {
                         r.stats.queue_hwm,
                         ms(r.stats.busy_ns),
                         ms(p50),
-                        ms(p99)
+                        ms(p99),
+                        r.stats.lookups_at_submit
                     ));
                 }
             }
@@ -1207,6 +1219,7 @@ pub fn run_scenario(target: &ShardedGraphService, scenario: &Scenario) -> Stress
         write_accept: total.write_accept,
         engine_runs: per_shard.iter().map(|s| s.stats.engine_runs).sum(),
         coalesced_legs: per_shard.iter().map(|s| s.stats.coalesced_legs).sum(),
+        lookups_at_submit: per_shard.iter().map(|s| s.stats.lookups_at_submit).sum(),
         cache_hits: per_shard.iter().map(|s| s.stats.cache_hits).sum(),
         cache_misses: per_shard.iter().map(|s| s.stats.cache_misses).sum(),
         cache_insertions: per_shard.iter().map(|s| s.stats.cache_insertions).sum(),

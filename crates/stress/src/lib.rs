@@ -10,11 +10,13 @@
 //!   plus point lookups) with per-attempt timeouts and absolute deadlines,
 //!   answered by [`request::QueryResponse`]s carrying per-request cost
 //!   metrics;
-//! * [`service`] — the replica core every shard runs: a bounded MPMC job
-//!   queue, OS-thread executors, post-hoc timeouts with bounded
-//!   seeded-jitter retries, contained panics, queue-full admission
-//!   policies (block / reject), deadline early drops, and graceful
-//!   draining shutdown — plus its config and counters;
+//! * [`service`] — the replica core every shard runs: requests that need
+//!   no executor (cache hits, a read-only service's point lookups)
+//!   answered at submit, and for the rest a bounded MPMC job queue,
+//!   OS-thread executors, post-hoc timeouts with bounded seeded-jitter
+//!   retries, contained panics, queue-full admission policies (block /
+//!   reject), deadline early drops, and graceful draining shutdown — plus
+//!   its config and counters;
 //! * [`shard`] + [`router`] — the one service type:
 //!   [`shard::ShardedGraphService`] loads the graph once behind an
 //!   [`std::sync::Arc`] and splits vertex ownership across `S ≥ 1`
@@ -40,9 +42,9 @@
 //!   testable because it never reads a clock;
 //! * [`qos`] — multi-tenant QoS: per-tenant lanes in front of every
 //!   replica core's queue with per-tenant token buckets, weighted-fair
-//!   (deficit-round-robin) dequeue, a priority lane for point lookups,
-//!   per-tenant queue-full policies, and per-tenant counters that fold
-//!   exactly into the run totals;
+//!   (deficit-round-robin) dequeue, a priority lane for the point
+//!   lookups that queue, per-tenant queue-full policies, and per-tenant
+//!   counters that fold exactly into the run totals;
 //! * [`mix`] — deterministic operation mixes: `(seed, index) → operation`
 //!   as a pure function, so a fixed seed reproduces the exact sequence
 //!   regardless of client interleaving;

@@ -9,7 +9,15 @@
 //! per-tenant *lanes*, and the executor dequeues by policy instead of
 //! arrival order.
 //!
-//! Three mechanisms compose:
+//! The queue holds **executor-bound work only** — analytics (whole runs and
+//! scattered legs), the debug hooks, and the point lookups of a service
+//! with a live writer. Result-cache hits, requests already past their
+//! deadline and the point lookups of a read-only service are answered at
+//! submit (see [`crate::service`]) and never enter a lane: no bucket is
+//! charged for them, no lane capacity is spent on them, and no backlog of
+//! any tenant can delay them.
+//!
+//! Three mechanisms shape what is queued:
 //!
 //! * **Per-tenant token buckets** — an optional service-side GCRA bucket
 //!   ([`crate::rate::TokenBucket`]) per lane. A lane whose bucket is
@@ -22,10 +30,10 @@
 //!   dequeues per round before the cursor advances, ties broken
 //!   deterministically by tenant id. Work-conserving: while any eligible
 //!   lane holds a job, *some* job is dequeued.
-//! * **A priority lane per tenant** — point lookups (degree/neighbors)
-//!   enqueue as priority and are served before any tenant's normal
-//!   (analytics) backlog, round-robin across tenants, so lookups are
-//!   never stuck behind scattered analytics legs.
+//! * **A priority lane per tenant** — a point lookup that queues (the
+//!   service has a live writer) enqueues as priority and is served before
+//!   any tenant's normal (analytics) backlog, round-robin across tenants,
+//!   so it is never stuck behind scattered analytics legs.
 //!
 //! Queue-full policy is per-tenant: each lane has its own capacity (the
 //! configured per-core queue capacity), so one tenant's backlog rejects

@@ -62,7 +62,8 @@ pub struct QueryRequest {
     /// mid-superstep, so the check is post-hoc).
     pub timeout: Duration,
     /// Optional absolute deadline for the whole request, retries included.
-    /// Expired requests fail fast without consuming an execution slot.
+    /// Expired requests fail fast — at submission if already expired there
+    /// — without consuming an execution slot.
     pub deadline: Option<Instant>,
     /// The epoch snapshot this request is pinned to, stamped by the
     /// service at submission (snapshot isolation: the request serves this
@@ -227,15 +228,18 @@ pub struct QueryResponse {
     /// The payload or the failure.
     pub result: Result<QueryOutput, QueryError>,
     /// Execution attempts consumed (0 when the request never ran, e.g.
-    /// expired deadline or shutdown). For scattered requests, the maximum
-    /// across legs.
+    /// cache hit, expired deadline or shutdown; 1 for a point lookup
+    /// answered at submit). For scattered requests, the maximum across
+    /// legs.
     pub attempts: u32,
     /// Time spent waiting in the service queue before the first attempt
-    /// (maximum across legs when scattered).
+    /// (maximum across legs when scattered; zero for a request answered at
+    /// submit, which never queues).
     pub queue_wait: Duration,
     /// Total execution time across all attempts (excludes queueing and
-    /// backoff). For scattered requests, the *sum* across legs — the
-    /// aggregate compute the request burned on the fleet.
+    /// backoff) — for a point lookup answered at submit, the read itself
+    /// as timed on the submitting thread. For scattered requests, the *sum*
+    /// across legs — the aggregate compute the request burned on the fleet.
     pub service_time: Duration,
     /// Total time spent backing off between attempts (summed across legs
     /// when scattered).
@@ -250,9 +254,9 @@ pub struct QueryResponse {
     /// grows again when a leg misses the run and leads one of its own.
     pub gather_wait: Duration,
     /// When the response was produced, stamped by the thread that sent it
-    /// (the executor, the submitter on a cache hit or reject, or a shared
-    /// run's leader answering a parked leg). For a scattered request, the
-    /// last leg's completion.
+    /// (the executor, the submitter on a cache hit, point lookup, early
+    /// drop or reject, or a shared run's leader answering a parked leg).
+    /// For a scattered request, the last leg's completion.
     pub completed_at: Instant,
 }
 

@@ -3,7 +3,11 @@
 //! Classifies each [`QueryKind`] submitted to a [`ShardedGraphService`]:
 //!
 //! * **Point lookups** (degree / neighbors) are *owner-routed*: exactly one
-//!   shard — the one whose slice owns the vertex — sees the request.
+//!   shard — the one whose slice owns the vertex — sees the request. On a
+//!   read-only service the replica core the routing policy picks there
+//!   answers it inside `submit`, on the caller's thread, from the pinned
+//!   epoch's slice (see [`crate::service`]): the returned ticket is already
+//!   resolved. Under a live writer the lookup queues on that core instead.
 //! * **Gather-mergeable analytics** (every Table 1 workload whose
 //!   [`GatherMode`] is not [`GatherMode::Whole`]) are *scattered*: the
 //!   router fans one [`QueryKind::WorkloadPartial`] leg per shard, each
@@ -32,7 +36,8 @@
 //!
 //! **Replica routing.** When a shard runs more than one replica core
 //! ([`crate::service::ServiceConfig::replicas`]), every dispatch that
-//! lands on a shard — owner-routed lookups, each scattered leg, the
+//! lands on a shard — owner-routed lookups (answered at submit, the pick
+//! decides whose counters book the answer), each scattered leg, the
 //! primary-shard whole run, and the debug spread — additionally picks a
 //! replica by the service's [`RoutingPolicy`]: `round-robin` walks the
 //! shard's replicas from a seeded offset, `least-loaded` picks the replica

@@ -8,15 +8,32 @@
 //! the same vertex slice (see [`ServiceConfig::replicas`]); the queue +
 //! executor machinery of one such core is the crate-internal `Core` here.
 //! Callers submit [`QueryRequest`]s and wait on a ticket for the
-//! [`QueryResponse`] ([`Ticket::wait`] for one queue's answer). The queue
-//! is bounded — what happens at capacity is the [`QueueFullPolicy`]:
-//! [`QueueFullPolicy::Block`] applies backpressure to submitters,
-//! [`QueueFullPolicy::Reject`] sheds the request immediately with
-//! [`QueryError::Rejected`]. The queue itself is the multi-tenant
+//! [`QueryResponse`] ([`Ticket::wait`] for one core's answer).
+//!
+//! **Answered at submit.** A request whose answer needs no executor is
+//! answered on the submitting thread and comes back as a ready ticket — no
+//! queue lock, no channel, no thread hand-off: a request already past its
+//! deadline (an early drop), a result-cache hit, and — on a read-only
+//! service — a point lookup (degree / neighbors), which is a pure read of
+//! the request's pinned, immutable epoch snapshot. Such a request takes no
+//! queue slot and is never shed, throttled or retried; the queue and
+//! everything below governs *executor-bound* work only — analytics, the
+//! debug hooks, and the lookups of a service with a live writer.
+//!
+//! That last exception is staging, not design: a lookup under a writer
+//! ([`ServiceConfig::mutations`]) is the same pure read of its pinned epoch
+//! and still queues for an executor, on its tenant's priority lane, as
+//! every lookup used to. The read-only path moved first; ROADMAP.md has the
+//! follow-up that deletes the distinction.
+//!
+//! The queue is bounded — what happens at capacity is the
+//! [`QueueFullPolicy`]: [`QueueFullPolicy::Block`] applies backpressure to
+//! submitters, [`QueueFullPolicy::Reject`] sheds the request immediately
+//! with [`QueryError::Rejected`]. The queue itself is the multi-tenant
 //! admission stage of [`crate::qos`] — per-tenant lanes with token
-//! buckets, weighted-fair dequeue, a priority lane for point lookups, and
-//! per-tenant full policies — which degenerates to a plain FIFO under the
-//! default single-tenant [`ServiceConfig::qos`].
+//! buckets, weighted-fair dequeue, a priority lane for the lookups that
+//! queue, and per-tenant full policies — which degenerates to a plain FIFO
+//! under the default single-tenant [`ServiceConfig::qos`].
 //!
 //! Failure handling:
 //! * attempts whose execution exceeds the request's per-attempt timeout are
@@ -29,10 +46,10 @@
 //!   leg parked on the run that panicked (see [`crate::shard`]; the same
 //!   holds for a shared run that is unsupported or outlives its leader's
 //!   timeout);
-//! * requests whose absolute deadline has already passed when an executor
-//!   dequeues them are answered [`QueryError::DeadlineExceeded`] without
-//!   running the workload (an *early drop*, counted separately from
-//!   timeouts);
+//! * requests whose absolute deadline has already passed — at submission,
+//!   or by the time an executor dequeues them — are answered
+//!   [`QueryError::DeadlineExceeded`] without running (an *early drop*,
+//!   counted separately from timeouts);
 //! * shutdown is graceful: [`crate::shard::ShardedGraphService::close`]
 //!   stops admissions, then executors drain everything already accepted,
 //!   so no accepted request loses its response.
@@ -56,7 +73,7 @@ use crate::router::RoutingPolicy;
 use crate::shard::ShardBackend;
 use vcgp_testkit::LogHistogram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -200,17 +217,16 @@ pub struct ServiceStats {
     pub panics: u64,
     /// Requests shed at submission under [`QueueFullPolicy::Reject`].
     pub rejected: u64,
-    /// Requests dequeued with an already-expired deadline and answered
-    /// without running (distinct from `timeouts`, which count attempts
-    /// that ran too long).
+    /// Requests whose deadline had already expired at submission or at
+    /// dequeue, answered without running (distinct from `timeouts`, which
+    /// count attempts that ran too long).
     pub early_drops: u64,
     /// High-water mark of the queue depth (pending requests) since start —
     /// the occupancy gauge behind the stress report's per-shard column.
     pub queue_hwm: u64,
     /// Nanoseconds executors spent inside attempts (queueing and backoff
-    /// excluded), summed across the core's executor threads — divided by
-    /// `completed` this is the per-replica mean-service-latency column of
-    /// the stress report.
+    /// excluded), summed across the core's executor threads. Answers given
+    /// at submit add nothing here.
     pub busy_ns: u64,
     /// Engine executions this core's executors completed for workload
     /// requests: whole runs plus the shared runs they *led* (every attempt
@@ -223,6 +239,10 @@ pub struct ServiceStats {
     /// Every successfully answered leg is exactly one of a cache hit, an
     /// engine run it led, or a coalesced leg.
     pub coalesced_legs: u64,
+    /// Point lookups (degree / neighbors) answered on the submitting thread
+    /// from the request's pinned epoch: counted in `completed` / `failed`
+    /// like any answer, but never queued and in no executor's service log.
+    pub lookups_at_submit: u64,
     /// Result-cache lookups answered without running the engine.
     pub cache_hits: u64,
     /// Result-cache lookups that found nothing (cacheable requests only).
@@ -253,6 +273,7 @@ impl ServiceStats {
         self.busy_ns += other.busy_ns;
         self.engine_runs += other.engine_runs;
         self.coalesced_legs += other.coalesced_legs;
+        self.lookups_at_submit += other.lookups_at_submit;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_insertions += other.cache_insertions;
@@ -277,6 +298,7 @@ impl ServiceStats {
             busy_ns: self.busy_ns - earlier.busy_ns,
             engine_runs: self.engine_runs - earlier.engine_runs,
             coalesced_legs: self.coalesced_legs - earlier.coalesced_legs,
+            lookups_at_submit: self.lookups_at_submit - earlier.lookups_at_submit,
             cache_hits: self.cache_hits - earlier.cache_hits,
             cache_misses: self.cache_misses - earlier.cache_misses,
             cache_insertions: self.cache_insertions - earlier.cache_insertions,
@@ -393,6 +415,7 @@ struct CounterSlot {
     busy_ns: AtomicU64,
     engine_runs: AtomicU64,
     coalesced_legs: AtomicU64,
+    lookups_at_submit: AtomicU64,
 }
 
 /// The hot counters, striped so executor threads never share a cache line:
@@ -439,7 +462,6 @@ struct Job {
 struct QueueState {
     /// The per-tenant admission stage (a plain FIFO when single-tenant).
     queue: TenantQueue<Job>,
-    closed: bool,
     /// Deepest the queue (all lanes) has been (updated under the lock at
     /// enqueue).
     depth_hwm: usize,
@@ -447,6 +469,10 @@ struct QueueState {
 
 struct Shared {
     state: Mutex<QueueState>,
+    /// Set once by [`Core::close`], while it holds `state`: the paths that
+    /// answer at submit read it without the lock, and a submitter blocked on
+    /// `not_full` re-reads it under the lock it is woken with.
+    closed: AtomicBool,
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
@@ -669,35 +695,51 @@ fn cached_output(value: CachedAnswer) -> QueryOutput {
     }
 }
 
-/// A pending response. Dropping the ticket abandons the response (the
-/// executor's send is simply discarded); the request still runs.
+/// A response, pending or already there. Dropping a pending ticket abandons
+/// the response (the executor's send is simply discarded); the request
+/// still runs.
 pub struct Ticket {
     id: u64,
-    rx: mpsc::Receiver<QueryResponse>,
+    reply: Reply,
+}
+
+enum Reply {
+    /// Answered on the submitting thread (cache hit, point lookup, reject,
+    /// expired deadline): the response travels in the ticket, no channel.
+    Ready(QueryResponse),
+    /// Queued for an executor, which sends the response here.
+    Pending(mpsc::Receiver<QueryResponse>),
 }
 
 impl Ticket {
+    fn ready(response: QueryResponse) -> Ticket {
+        Ticket { id: response.id, reply: Reply::Ready(response) }
+    }
+
     /// The submitted request's id.
     pub fn id(&self) -> u64 {
         self.id
     }
 
-    /// Blocks until the response arrives. If the service is torn down
+    /// Returns the response, blocking until an executor sends it unless the
+    /// request was answered at submission. If the service is torn down
     /// non-gracefully (executor channel dropped), returns a
     /// [`QueryError::ShuttingDown`] response rather than panicking.
     pub fn wait(self) -> QueryResponse {
-        let id = self.id;
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| failure_response(id, QueryError::ShuttingDown))
+        match self.reply {
+            Reply::Ready(response) => response,
+            Reply::Pending(rx) => rx
+                .recv()
+                .unwrap_or_else(|_| unexecuted_response(self.id, Err(QueryError::ShuttingDown))),
+        }
     }
 }
 
-/// A zero-cost response for requests that never reached an executor.
-fn failure_response(id: u64, error: QueryError) -> QueryResponse {
+/// A zero-cost response, completed now, for a request no executor ran.
+fn unexecuted_response(id: u64, result: Result<QueryOutput, QueryError>) -> QueryResponse {
     QueryResponse {
         id,
-        result: Err(error),
+        result,
         attempts: 0,
         queue_wait: Duration::ZERO,
         service_time: Duration::ZERO,
@@ -718,6 +760,10 @@ pub(crate) struct Core {
     /// from its [`crate::qos::TenantSpec`] with the service-wide policy as
     /// the default — one tenant's backlog sheds only that tenant.
     policies: Box<[QueueFullPolicy]>,
+    /// No writer is configured ([`ServiceConfig::mutations`]): point lookups
+    /// are answered at submit. Under a live writer they stay executor-bound
+    /// for now — see the module docs.
+    read_only: bool,
 }
 
 impl Core {
@@ -737,9 +783,9 @@ impl Core {
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 queue: TenantQueue::new(&config.qos.tenants, config.queue_capacity),
-                closed: false,
                 depth_hwm: 0,
             }),
+            closed: AtomicBool::new(false),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity: config.queue_capacity,
@@ -769,12 +815,14 @@ impl Core {
                 .iter()
                 .map(|t| t.policy.unwrap_or(config.queue_policy))
                 .collect(),
+            read_only: config.mutations.is_none(),
         }
     }
 
     /// The tenant lane (clamped to the configured count) and priority
-    /// class of a request: with multiple tenants, point lookups ride the
-    /// priority lane so they are never stuck behind analytics backlogs.
+    /// class of a request that queues: a point lookup — queued only under a
+    /// live writer — rides the priority lane, so with multiple tenants it is
+    /// never stuck behind an analytics backlog.
     fn classify(&self, req: &QueryRequest) -> (usize, bool) {
         let tenant = (req.tenant as usize).min(self.policies.len() - 1);
         let prio = matches!(req.kind, QueryKind::Degree(_) | QueryKind::Neighbors(_));
@@ -793,40 +841,55 @@ impl Core {
             .submit_slot()
             .completed
             .fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        let _ = tx.send(QueryResponse {
-            id: req.id,
-            result: Ok(cached_output(value)),
-            attempts: 0,
-            queue_wait: Duration::ZERO,
-            service_time: Duration::ZERO,
-            backoff: Duration::ZERO,
-            route: Route::Direct,
-            gather_wait: Duration::ZERO,
-            completed_at: Instant::now(),
-        });
-        Some(Ticket { id: req.id, rx })
+        Some(Ticket::ready(unexecuted_response(req.id, Ok(cached_output(value)))))
     }
 
-    /// Submits a request under its tenant's [`QueueFullPolicy`]: blocks
-    /// while the tenant's lane is full (`Block`), or sheds with an
-    /// immediate [`QueryError::Rejected`] response (`Reject`) — only that
-    /// tenant's backlog counts against it. A result-cache hit is answered
-    /// without enqueueing (and is never shed — it costs no queue slot).
-    /// Errs only when closed.
+    /// Answers a point lookup on the submitting thread: a read of the
+    /// request's pinned, immutable epoch needs no executor. `None` for
+    /// every other kind, and for every kind under a live writer.
+    fn lookup_response(&self, req: &QueryRequest) -> Option<Ticket> {
+        if !self.read_only {
+            return None;
+        }
+        let t0 = Instant::now();
+        let mut response = unexecuted_response(req.id, self.backend.lookup(req)?);
+        response.attempts = 1;
+        response.service_time = response.completed_at.duration_since(t0);
+        let slot = self.shared.counters.submit_slot();
+        slot.lookups_at_submit.fetch_add(1, Ordering::Relaxed);
+        let counter = if response.is_ok() { &slot.completed } else { &slot.failed };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Some(Ticket::ready(response))
+    }
+
+    /// Submits a request. One that needs no executor is answered here, on
+    /// the submitting thread, and comes back as a ready ticket: a request
+    /// whose deadline has already passed (an early drop), a result-cache
+    /// hit, a point lookup on a read-only service. None of these takes the
+    /// queue lock, costs a queue slot or is shed. Everything else is
+    /// enqueued under its tenant's [`QueueFullPolicy`]: the submitter
+    /// blocks while the tenant's lane is full (`Block`), or the request is
+    /// shed with an immediate [`QueryError::Rejected`] response (`Reject`)
+    /// — only that tenant's backlog counts against it. Errs only when
+    /// closed.
     pub(crate) fn submit(&self, req: QueryRequest) -> Result<Ticket, SubmitError> {
-        let mut state = self.shared.state.lock().unwrap();
-        if state.closed {
+        if self.shared.closed.load(Ordering::SeqCst) {
             return Err(SubmitError::Closed);
         }
-        drop(state);
-        if let Some(ticket) = self.cached_response(&req) {
+        if req.deadline.is_some_and(|d| Instant::now() >= d) {
+            let slot = self.shared.counters.submit_slot();
+            slot.early_drops.fetch_add(1, Ordering::Relaxed);
+            slot.failed.fetch_add(1, Ordering::Relaxed);
+            let dropped = unexecuted_response(req.id, Err(QueryError::DeadlineExceeded));
+            return Ok(Ticket::ready(dropped));
+        }
+        if let Some(ticket) = self.cached_response(&req).or_else(|| self.lookup_response(&req)) {
             return Ok(ticket);
         }
         let (tenant, prio) = self.classify(&req);
-        state = self.shared.state.lock().unwrap();
+        let mut state = self.shared.state.lock().unwrap();
         loop {
-            if state.closed {
+            if self.shared.closed.load(Ordering::SeqCst) {
                 return Err(SubmitError::Closed);
             }
             if state.queue.lane_len(tenant) < self.shared.capacity {
@@ -842,9 +905,8 @@ impl Core {
                     let slot = self.shared.counters.submit_slot();
                     slot.rejected.fetch_add(1, Ordering::Relaxed);
                     slot.failed.fetch_add(1, Ordering::Relaxed);
-                    let (tx, rx) = mpsc::channel();
-                    let _ = tx.send(failure_response(req.id, QueryError::Rejected));
-                    return Ok(Ticket { id: req.id, rx });
+                    let shed = unexecuted_response(req.id, Err(QueryError::Rejected));
+                    return Ok(Ticket::ready(shed));
                 }
             }
         }
@@ -872,12 +934,12 @@ impl Core {
         state.depth_hwm = state.depth_hwm.max(state.queue.len());
         drop(state);
         self.shared.not_empty.notify_one();
-        Ticket { id, rx }
+        Ticket { id, reply: Reply::Pending(rx) }
     }
 
     pub(crate) fn close(&self) {
-        let mut state = self.shared.state.lock().unwrap();
-        state.closed = true;
+        let state = self.shared.state.lock().unwrap();
+        self.shared.closed.store(true, Ordering::SeqCst);
         drop(state);
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
@@ -911,6 +973,7 @@ impl Core {
             busy_ns: c.sum(|s| &s.busy_ns),
             engine_runs: c.sum(|s| &s.engine_runs),
             coalesced_legs: c.sum(|s| &s.coalesced_legs),
+            lookups_at_submit: c.sum(|s| &s.lookups_at_submit),
             ..ServiceStats::default()
         }
     }
@@ -1015,7 +1078,7 @@ fn executor_loop(
             loop {
                 // A closing service drains every lane regardless of its
                 // token bucket — accepted work is never stranded.
-                let drain = state.closed;
+                let drain = shared.closed.load(Ordering::SeqCst);
                 let now_ns = shared.origin.elapsed().as_nanos() as u64;
                 match state.queue.pop(now_ns, drain) {
                     Pop::Job(_, job) => break job,
@@ -1030,7 +1093,7 @@ fn executor_loop(
                         state = s;
                     }
                     Pop::Empty => {
-                        if state.closed {
+                        if drain {
                             return;
                         }
                         state = shared.not_empty.wait(state).unwrap();

@@ -12,10 +12,12 @@
 //! Each shard materializes a **local subgraph**: the out-adjacency of its
 //! owned vertices over the full vertex-id space (a directed CSR slice).
 //! Owner-routed point lookups (degree / neighbors) are answered from this
-//! slice alone, never touching the full graph's CSR. The *structural* full
-//! graph is additionally retained behind the shared [`Arc`] — the
-//! single-process stand-in for the partitioned-plus-replicated storage a
-//! distributed deployment would use — because a scattered analytics answer
+//! slice alone, never touching the full graph's CSR — and, on a read-only
+//! service, on the submitting thread, never touching a queue or an executor
+//! either. The *structural* full graph is additionally retained behind the
+//! shared [`Arc`] — the single-process stand-in for the
+//! partitioned-plus-replicated storage a distributed deployment would use
+//! — because a scattered analytics answer
 //! is a reduction of the full deterministic algorithm's per-vertex output
 //! over each shard's owned slice (see [`vcgp_core::service::GatherMode`]
 //! for why that is what makes a scatter/gather merge *exactly* equal to
@@ -242,9 +244,10 @@ impl EpochRebuild for ShardedRebuild {
 /// straggler one engine run, never an answer.
 const FINISHED_RUNS_PER_EXECUTOR: usize = 4;
 
-/// One shard's execution backend — how its executors turn a dequeued
-/// request into an output: the pinned epoch's local slice for point
-/// lookups, and the service-wide run table for scattered analytics legs.
+/// One shard's execution backend — how a request becomes an output: the
+/// pinned epoch's local slice for point lookups (read by the submitting
+/// thread, or by an executor under a live writer), and the service-wide run
+/// table for the scattered analytics legs its executors dequeue.
 /// Requests are served from their pinned [`EpochSnapshot`] (stamped at
 /// submission), so a request keeps serving its epoch even after the writer
 /// swaps in a newer one.
@@ -399,28 +402,37 @@ impl ShardBackend {
                 Join::Lead => Attempt::Done(self.lead(key, snap, req, engine)),
             };
         }
+        // A lookup that queued (the service has a live writer) reads the
+        // same slice the submitter would have; whole workloads (the
+        // primary-shard fall-back path) and the debug hooks run against the
+        // full graph.
+        Attempt::Done(self.lookup(req).unwrap_or_else(|| {
+            execute_on_full_graph(&snap.graph, &req.kind, req.seed, engine)
+        }))
+    }
+
+    /// Answers a point lookup (degree / neighbors) from the request's pinned
+    /// epoch; `None` for every kind that needs an executor. A pure read of
+    /// an immutable snapshot, so any thread may call it: the submitter on a
+    /// read-only service, an executor under a live writer.
+    pub(crate) fn lookup(&self, req: &QueryRequest) -> Option<Result<QueryOutput, QueryError>> {
+        let (QueryKind::Degree(v) | QueryKind::Neighbors(v)) = req.kind else {
+            return None;
+        };
+        let snap = req.epoch.as_ref().unwrap_or(&self.base);
+        let local = &snap.locals[self.shard].local;
+        if (v as usize) >= local.num_vertices() {
+            return Some(Err(QueryError::NoSuchVertex(v)));
+        }
         // The router owner-routes lookups, so these normally hit the local
         // slice. A misrouted (e.g. directly submitted) lookup of a
         // non-owned vertex falls back to the full graph so the answer stays
         // correct either way.
-        let lookup = |v: VertexId| {
-            let local = &snap.locals[self.shard].local;
-            if (v as usize) >= local.num_vertices() {
-                return Err(QueryError::NoSuchVertex(v));
-            }
-            Ok(if self.owns(v) { local } else { &*snap.graph })
-        };
-        match req.kind {
-            QueryKind::Degree(v) => {
-                Attempt::Done(lookup(v).map(|g| QueryOutput::Degree(g.out_degree(v))))
-            }
-            QueryKind::Neighbors(v) => Attempt::Done(
-                lookup(v).map(|g| QueryOutput::Neighbors(g.out_neighbors(v).to_vec())),
-            ),
-            // Whole workloads (the primary-shard fall-back path) and the
-            // debug hooks run against the full graph.
-            _ => Attempt::Done(execute_on_full_graph(&snap.graph, &req.kind, req.seed, engine)),
-        }
+        let graph = if self.owns(v) { local } else { &*snap.graph };
+        Some(Ok(match req.kind {
+            QueryKind::Degree(_) => QueryOutput::Degree(graph.out_degree(v)),
+            _ => QueryOutput::Neighbors(graph.out_neighbors(v).to_vec()),
+        }))
     }
 
     /// The result-cache identity of the request on this shard, derived

@@ -153,7 +153,7 @@ fn out_of_range_tenant_is_clamped_to_the_last_lane() {
         },
     );
     let resp = service
-        .submit(QueryRequest::new(1, QueryKind::Degree(0)).with_tenant(99))
+        .submit(QueryRequest::new(1, QueryKind::DebugSleep(Duration::ZERO)).with_tenant(99))
         .unwrap()
         .wait();
     assert!(resp.is_ok());

@@ -326,5 +326,9 @@ fn one_shard_one_replica_reports_one_routed_row() {
     assert_eq!(shard.stats.completed, report.ops, "the row folds to the run total");
     assert_eq!(report.replica_series.len(), 1);
     assert_eq!(report.replica_series[0].len(), 1);
-    assert_eq!(report.replica_series[0][0].service.count(), report.ops);
+    // The replica's service log holds executor runs only; a point lookup is
+    // answered at submit and counted there.
+    assert_eq!(report.replica_series[0][0].service.count(), 0);
+    assert_eq!(shard.replicas[0].stats.lookups_at_submit, report.ops);
+    assert_eq!(report.lookups_at_submit, report.ops);
 }

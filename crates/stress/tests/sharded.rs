@@ -499,7 +499,7 @@ fn reject_policy_sheds_when_queue_is_full() {
         .unwrap();
     // Queue is now at capacity: the reject policy sheds instead of blocking.
     let shed = service
-        .submit(QueryRequest::new(3, QueryKind::Degree(0)))
+        .submit(QueryRequest::new(3, QueryKind::DebugSleep(Duration::from_millis(1))))
         .unwrap();
     let resp = shed.wait();
     assert_eq!(resp.result, Err(QueryError::Rejected));

@@ -187,15 +187,16 @@ fi
 echo "   ok: write-ratio 0 bit-identical ($hm); mixed run: $swaps swaps," \
     "$applied mutations applied"
 
-echo "== replica smoke (one seeded hot-shard stream at --replicas 1 and 2;"
-echo "   answers must be bit-identical, and the replicated run's hot queue"
-echo "   high-water mark must be strictly lower at equal offered load)"
-# Range placement + the hotspot mix + a zipfian key draw concentrate the
-# stream on shard 0; 8 synchronous clients against 1 executor per core
-# make its queue the bottleneck. Two replicas split that backlog.
+echo "== replica smoke (one seeded scattered-analytics stream at --replicas 1"
+echo "   and 2; answers must be bit-identical, and the replicated run's queue"
+echo "   high-water mark must be strictly lower at equal offered load. A hot"
+echo "   *lookup* shard no longer queues at all: lookups are answered at submit)"
+# Every scattered request puts one leg on each shard; 8 synchronous clients
+# against 1 executor per core make the queues the bottleneck. Two replicas
+# split that backlog.
 for r in 1 2; do
-    VCGP_PARTITIONING=range ./target/release/stress --gen gnm-connected:512:2048:7 \
-        --ops 600 --duration 30 --seed 7 --mix hotspot --zipf-s 1.2 \
+    ./target/release/stress --gen gnm-connected:512:2048:7 \
+        --ops 600 --duration 30 --seed 7 --mix scatter \
         --shards 2 --replicas "$r" --routing least-loaded \
         --executors 1 --clients 8 --name "repl$r" --quiet
     ./target/release/stress --validate-report "target/vcgp-bench/BENCH_stress_repl$r.json"
@@ -209,7 +210,7 @@ if [ "$r1" != "$r2" ]; then
     exit 1
 fi
 # Shard-level rows are the only place "queue_hwm" follows "cache_hits", so
-# this extracts the hottest shard's high-water mark (not a replica row's).
+# this extracts the deepest shard's high-water mark (not a replica row's).
 hot_hwm() {
     grep -o '"cache_hits": [0-9]*, "queue_hwm": [0-9]*' "$1" |
         awk '{ if ($NF > max) max = $NF } END { print max + 0 }'
@@ -217,11 +218,11 @@ hot_hwm() {
 q1=$(hot_hwm target/vcgp-bench/BENCH_stress_repl1.json)
 q2=$(hot_hwm target/vcgp-bench/BENCH_stress_repl2.json)
 if [ "$q2" -ge "$q1" ]; then
-    echo "error: --replicas 2 did not relieve the hot shard:" >&2
-    echo "       hot queue hwm $q2 (R=2) vs $q1 (R=1) at equal offered load" >&2
+    echo "error: --replicas 2 did not relieve the queues:" >&2
+    echo "       queue hwm $q2 (R=2) vs $q1 (R=1) at equal offered load" >&2
     exit 1
 fi
-echo "   ok: answers identical, hot queue hwm $q1 (R=1) -> $q2 (R=2)"
+echo "   ok: answers identical, queue hwm $q1 (R=1) -> $q2 (R=2)"
 
 echo "== scenario smoke (checked-in 2-phase spec — zipfian warmup, measured"
 echo "   phase with analytics + writes — on a replicated sharded service;"
