@@ -7,7 +7,7 @@
 //! draw — so any number of client threads can sample concurrently and two
 //! runs with the same seed draw the *identical* key sequence regardless of
 //! interleaving (the cql-stress seeded row-generation construction,
-//! generalized from the PR 8 [`Zipf`] sampler).
+//! generalized from the [`Zipf`] sampler).
 //!
 //! Spec syntax (one token, used by the scenario parser and `to_text`):
 //!
@@ -19,7 +19,6 @@
 //! zipfian:S            zipf with exponent S; rank 0 = id 0 = hottest
 //! ```
 
-use crate::mix::Zipf;
 use vcgp_graph::SplitMix64;
 
 /// A parsed, span-independent distribution kind.
@@ -108,6 +107,96 @@ impl DistSpec {
     }
 }
 
+/// A zipfian sampler over ranks `[0, n)` (rank 0 most probable, mass of
+/// rank `k` proportional to `1 / (k+1)^s`), sampled by rejection
+/// inversion of the zipf distribution's integral approximation — O(1)
+/// memory and time per draw for any `n`, no precomputed tables, so it
+/// stays a *pure* function of the per-operation RNG the mix derives from
+/// `(seed, index)` (the same construction cql-stress uses for seeded row
+/// generation). Rank 0 is vertex id 0, so zipfian skew composes with range
+/// shard placement to concentrate load on shard 0 — the hot-shard
+/// reproduction the replica experiments drive.
+#[derive(Debug, Clone, Copy)]
+pub struct Zipf {
+    n: usize,
+    s: f64,
+    /// `H(1.5) - 1`: upper end of the inversion domain.
+    h_x1: f64,
+    /// `H(n + 0.5)`: lower end of the inversion domain.
+    h_n: f64,
+    /// Acceptance shortcut: `2 - H⁻¹(H(2.5) - h(2))`.
+    threshold: f64,
+}
+
+impl Zipf {
+    /// A sampler over `[0, n)` with exponent `s` (`s > 0`; `s = 1` is the
+    /// classic zipf law, larger is more skewed).
+    pub fn new(n: usize, s: f64) -> Zipf {
+        assert!(n >= 1, "zipf needs a non-empty rank space");
+        assert!(s > 0.0 && s.is_finite(), "zipf exponent must be positive");
+        Zipf {
+            n,
+            s,
+            h_x1: h_integral(1.5, s) - 1.0,
+            h_n: h_integral(n as f64 + 0.5, s),
+            threshold: 2.0 - h_integral_inverse(h_integral(2.5, s) - h(2.0, s), s),
+        }
+    }
+
+    /// Draws one rank in `[0, n)`.
+    pub fn sample(&self, rng: &mut SplitMix64) -> usize {
+        loop {
+            let u = self.h_n + rng.next_f64() * (self.h_x1 - self.h_n);
+            let x = h_integral_inverse(u, self.s);
+            let k = x.round().clamp(1.0, self.n as f64);
+            // Accept k when it is close enough to x (the common case) or
+            // when u falls under the true mass of k.
+            if k - x <= self.threshold || u >= h_integral(k + 0.5, self.s) - h(k, self.s) {
+                return k as usize - 1;
+            }
+        }
+    }
+}
+
+/// `H(x) = ((x^(1-s)) - 1) / (1 - s)`, the integral of `h`, computed via
+/// `expm1`/`log1p` helpers so the `s = 1` limit (`ln x`) falls out without
+/// a special case.
+fn h_integral(x: f64, s: f64) -> f64 {
+    let log_x = x.ln();
+    helper2((1.0 - s) * log_x) * log_x
+}
+
+/// `h(x) = x^(-s)`, the mass density.
+fn h(x: f64, s: f64) -> f64 {
+    (-s * x.ln()).exp()
+}
+
+/// `H⁻¹(x)`.
+fn h_integral_inverse(x: f64, s: f64) -> f64 {
+    // Numerical round-off can push t slightly below the domain edge for
+    // large exponents; clamp like the reference implementation.
+    let t = (x * (1.0 - s)).max(-1.0);
+    (helper1(t) * x).exp()
+}
+
+/// `ln(1 + x) / x`, stable near zero.
+fn helper1(x: f64) -> f64 {
+    if x.abs() > 1e-8 {
+        x.ln_1p() / x
+    } else {
+        1.0 - x * (0.5 - x * (1.0 / 3.0 - 0.25 * x))
+    }
+}
+
+/// `(e^x - 1) / x`, stable near zero.
+fn helper2(x: f64) -> f64 {
+    if x.abs() > 1e-8 {
+        x.exp_m1() / x
+    } else {
+        1.0 + x * 0.5 * (1.0 + x * (1.0 / 3.0) * (1.0 + 0.25 * x))
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum SamplerKind {
     Uniform,
@@ -132,9 +221,9 @@ impl KeySampler {
     }
 
     /// Draws the key for operation `index` from `rng` (the per-operation
-    /// RNG seeded by `(seed, index)` — see [`crate::mix`]). Pure: the same
-    /// `(index, rng state)` always yields the same key, and every key is
-    /// within `[0, span)`.
+    /// RNG seeded by `(seed, index)` — see [`crate::scenario::PhaseMix::op`]).
+    /// Pure: the same `(index, rng state)` always yields the same key, and
+    /// every key is within `[0, span)`.
     pub fn sample(&self, index: u64, rng: &mut SplitMix64) -> u32 {
         match self.kind {
             SamplerKind::Uniform => rng.next_index(self.span) as u32,
@@ -235,14 +324,17 @@ mod tests {
     }
 
     #[test]
-    fn zipfian_skews_toward_rank_zero() {
+    fn zipfian_skews_toward_rank_zero_and_sharpens_with_s() {
         let span = 1000usize;
-        let spec = DistSpec::Zipfian(1.0);
-        let low = (0..2000u64)
-            .map(|i| draw(&spec, span, 5, i))
-            .filter(|&v| v < 100)
-            .count();
+        let low = |s: f64| {
+            (0..2000u64)
+                .map(|i| draw(&DistSpec::Zipfian(s), span, 5, i))
+                .filter(|&v| v < 100)
+                .count()
+        };
         // Uniform would land ~200 draws in the lowest decile.
-        assert!(low > 600, "zipfian low-id mass {low}/2000 not skewed");
+        let (mild, sharp) = (low(1.0), low(2.0));
+        assert!(mild > 600, "zipfian low-id mass {mild}/2000 not skewed");
+        assert!(sharp > mild, "zipf(2) low-id mass {sharp} not above zipf(1) {mild}");
     }
 }

@@ -6,18 +6,16 @@
 //! **Scenarios.** Every run is a [`Scenario`]: an ordered list of phases
 //! (warmup / measure / cooldown), each with its own stop criterion
 //! (duration and/or op count), client count, target rate, and compiled op
-//! mix ([`crate::scenario::PhaseMix`]). The legacy entry point [`run`]
-//! desugars a preset [`Mix`] + [`DriverConfig`] into a one-phase scenario
-//! via [`Scenario::from_legacy`] — the desugaring reproduces the historical
-//! op stream bit for bit, so the preset CLI surface is unchanged behavior
-//! expressed through the scenario engine.
+//! mix ([`crate::scenario::PhaseMix`]); [`run_scenario`] is the only entry
+//! point, and what it measures is a [`StressReport`] ([`crate::report`]
+//! owns the report tree, its JSON form and its identities).
 //!
 //! **Interval logs.** Each phase's latency samples are additionally
 //! bucketed by completion time into an [`IntervalSeries`] (striped per
 //! client thread, merged exactly at the end), and the service side keeps
 //! per-replica service-time series scoped to the run. Interval sums fold
-//! *exactly* to the end-of-run histograms — `--validate-report` checks the
-//! identity.
+//! *exactly* to the end-of-run histograms — [`crate::report::validate`]
+//! checks the identity.
 //!
 //! **Coordinated omission.** When a rate is configured, each operation has
 //! an *intended* start time on the fixed schedule `i · interval` and its
@@ -48,21 +46,19 @@
 //! answers* — not just matching counts — from the reports alone. Phase
 //! hashes XOR to the run hash.
 
-use crate::epoch::{mutation_op, WriterReport};
+use crate::epoch::mutation_op;
 use crate::interval::IntervalSeries;
-use crate::mix::Mix;
-use crate::qos::TenantSpec;
 use crate::rate::TokenBucket;
+use crate::report::{PhaseReport, StressReport, TenantReport};
 use crate::request::{QueryError, QueryOutput, QueryRequest, Route};
 use crate::scenario::{Phase, RateSpec, Scenario, SloStop};
-use crate::service::{ReplicaSeries, ReplicaSnapshot, ShardSnapshot, SubmitError};
+use crate::service::{ReplicaSnapshot, ShardSnapshot, SubmitError};
 use crate::shard::ShardedGraphService;
 use vcgp_core::service::Partial;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use vcgp_graph::rng::mix3;
-use vcgp_testkit::bench::json_escape;
 use vcgp_testkit::LogHistogram;
 
 /// Domain separator for per-request workload seeds.
@@ -101,706 +97,6 @@ fn output_hash(id: u64, out: &QueryOutput) -> u64 {
         QueryOutput::Slept => mix3(7, 0, 0),
     };
     mix3(id, payload, ANS_STREAM)
-}
-
-/// Driver settings for the legacy preset entry point ([`run`]). A scenario
-/// file supersedes all of this; [`Scenario::from_legacy`] maps these fields
-/// onto a one-phase scenario.
-#[derive(Debug, Clone)]
-pub struct DriverConfig {
-    /// Concurrent client threads (each submits and waits synchronously).
-    pub clients: usize,
-    /// Wall-clock run length.
-    pub duration: Duration,
-    /// Optional hard cap on issued operations (useful for exact-count
-    /// deterministic runs in tests).
-    pub ops_limit: Option<u64>,
-    /// Target operation rate in ops/s; `None` = unthrottled max throughput.
-    pub rate: Option<f64>,
-    /// Token-bucket burst allowance when paced.
-    pub burst: u32,
-    /// Seed of the operation stream.
-    pub seed: u64,
-    /// Per-attempt timeout stamped on every request.
-    pub timeout: Duration,
-    /// Fraction of stream indices that issue a mutation instead of a query
-    /// (0.0 = pure reads — bit-identical to a run without any write path).
-    /// The decision is a pure function of `(mutation_seed, index)`, so a
-    /// fixed seed pair reproduces the exact read/write interleaving.
-    pub write_ratio: f64,
-    /// Seed of the mutation stream (both the write decision and the
-    /// mutation drawn; independent of the query-mix seed so read and write
-    /// streams can be varied separately).
-    pub mutation_seed: u64,
-    /// Width of the interval-log slots.
-    pub interval: Duration,
-    /// Tenant count for the QoS admission stage. Clients split round-robin
-    /// across tenants; 1 (the default) is a single default tenant —
-    /// bit-identical to the pre-QoS driver and service.
-    pub tenants: usize,
-}
-
-impl Default for DriverConfig {
-    fn default() -> Self {
-        DriverConfig {
-            clients: 4,
-            duration: Duration::from_secs(2),
-            ops_limit: None,
-            rate: None,
-            burst: 1,
-            seed: 7,
-            timeout: Duration::from_secs(5),
-            write_ratio: 0.0,
-            mutation_seed: 11,
-            interval: Duration::from_secs(1),
-            tenants: 1,
-        }
-    }
-}
-
-/// One phase's aggregated measurements within a [`StressReport`]. The
-/// run-level counters are the exact fold of the phase counters (sums /
-/// histogram merges / XOR for the answer hash) — an identity
-/// `--validate-report` checks.
-#[derive(Debug, Clone)]
-pub struct PhaseReport {
-    /// Phase name from the scenario.
-    pub name: String,
-    /// Client threads the phase ran.
-    pub clients: usize,
-    /// Configured rate (`None` = unthrottled).
-    pub rate: Option<f64>,
-    /// Phase start, seconds after the run origin.
-    pub start_s: f64,
-    /// Wall-clock time the phase took.
-    pub elapsed: Duration,
-    /// Operations completed (ok + errored; writes counted apart).
-    pub ops: u64,
-    /// Operations that returned a payload.
-    pub ok: u64,
-    /// Operations that returned an error.
-    pub errors: u64,
-    /// Errors that were precondition rejections (subset of `errors`).
-    pub unsupported: u64,
-    /// Operations that exhausted their attempts (subset of `errors`).
-    pub timeouts: u64,
-    /// Retry attempts beyond each operation's first.
-    pub retries: u64,
-    /// Operations owner-routed to a single shard.
-    pub routed: u64,
-    /// Operations scattered to every shard and gather-merged.
-    pub scattered: u64,
-    /// Mutations accepted into the write buffer.
-    pub writes: u64,
-    /// Mutations refused at submission.
-    pub write_errors: u64,
-    /// XOR fold of this phase's successful payloads.
-    pub answer_hash: u64,
-    /// End-to-end latency (coordinated-omission-corrected when paced).
-    pub latency: LogHistogram,
-    /// Pure execution time reported per response.
-    pub service_time: LogHistogram,
-    /// Gather straggler penalty of scattered operations.
-    pub gather: LogHistogram,
-    /// Client-observed accept latency of successful mutation submissions.
-    pub write_accept: LogHistogram,
-    /// The phase's latency samples bucketed by completion time (relative
-    /// to the phase start); folds exactly to `latency`, and its ok/error
-    /// sums equal the phase counters.
-    pub intervals: IntervalSeries,
-}
-
-/// Per-tenant accounting of one run. Always present — a single-tenant run
-/// reports one row whose counters equal the run totals. The per-tenant
-/// counters fold exactly into the run counters (`--validate-report`
-/// identities): Σ ops == run ops, Σ ok == run ok, Σ rejects == run
-/// rejects, XOR of the answer hashes == run answer hash, and each row's
-/// latency count == its ops.
-#[derive(Debug, Clone)]
-pub struct TenantReport {
-    /// Tenant id (the row's lane index on every core).
-    pub tenant: usize,
-    /// Configured weighted-fair share.
-    pub weight: u64,
-    /// Configured admission-bucket rate (`None` = unlimited).
-    pub rate: Option<f64>,
-    /// Client threads that drove this tenant (maximum across phases).
-    pub clients: usize,
-    /// Read operations completed by this tenant's clients.
-    pub ops: u64,
-    /// Operations that returned a payload.
-    pub ok: u64,
-    /// Operations that returned an error (rejects included).
-    pub errors: u64,
-    /// Operations shed at submission under the tenant's reject policy
-    /// (client-observed; equals the service-side per-lane count).
-    pub rejects: u64,
-    /// Dequeue passes the service deferred because this tenant's admission
-    /// bucket was empty (service-side, scoped to this run).
-    pub throttled: u64,
-    /// Deepest this tenant's lanes got on any core (gauge, end-of-run).
-    pub queue_hwm: u64,
-    /// XOR fold of this tenant's successful payloads; tenant hashes XOR
-    /// to the run hash.
-    pub answer_hash: u64,
-    /// End-to-end latency of this tenant's operations.
-    pub latency: LogHistogram,
-}
-
-/// Aggregated results of one driver run.
-#[derive(Debug, Clone)]
-pub struct StressReport {
-    /// Scenario name (the mix preset name for legacy runs).
-    pub mix: String,
-    /// Operation-stream base seed.
-    pub seed: u64,
-    /// Client thread count (the maximum across phases).
-    pub clients: usize,
-    /// Configured rate of the first phase (`None` = unthrottled).
-    pub rate: Option<f64>,
-    /// Burst allowance of the first phase.
-    pub burst: u32,
-    /// Shards of the target service.
-    pub shards: usize,
-    /// Replica cores per shard (1 = unreplicated).
-    pub replicas: usize,
-    /// Replica-routing policy label (`round-robin` / `least-loaded`).
-    pub routing: String,
-    /// Interval-log slot width in nanoseconds.
-    pub interval_ns: u64,
-    /// Wall-clock time actually spent (all phases).
-    pub elapsed: Duration,
-    /// Operations completed (ok + errored).
-    pub ops: u64,
-    /// Operations that returned a payload.
-    pub ok: u64,
-    /// Operations that returned an error.
-    pub errors: u64,
-    /// Errors that were precondition rejections (subset of `errors`).
-    pub unsupported: u64,
-    /// Operations that exhausted their attempts (subset of `errors`).
-    pub timeouts: u64,
-    /// Retry attempts beyond each operation's first.
-    pub retries: u64,
-    /// Operations dispatched to a single shard: owner-routed lookups,
-    /// whole runs on the primary shard (every analytics op at one shard),
-    /// and debug hooks. `routed + scattered == ops` — the identity
-    /// `--validate-report` enforces for the run and for every phase.
-    pub routed: u64,
-    /// Operations scattered to every shard and gather-merged.
-    pub scattered: u64,
-    /// Requests shed at submission under the reject queue policy (from the
-    /// service's counters).
-    pub rejects: u64,
-    /// Requests dropped, at submission or at dequeue, with an
-    /// already-expired deadline (from the service's counters; disjoint
-    /// from `timeouts`).
-    pub early_drops: u64,
-    /// Engine executions completed for workload requests, summed across
-    /// shards (this run only): whole runs plus led shared runs — one per
-    /// scattered request, not one per leg.
-    pub engine_runs: u64,
-    /// Scattered legs answered from a run another leg led, summed across
-    /// shards (this run only). Every leg is a cache hit, a led engine run,
-    /// or one of these — the identity `--validate-report` enforces.
-    pub coalesced_legs: u64,
-    /// Point lookups answered on the submitting thread, summed across
-    /// shards (this run only): they count in `completed` but never queue
-    /// and appear in no replica's `service_ns`.
-    pub lookups_at_submit: u64,
-    /// Result-cache lookups answered without running the engine, summed
-    /// across shards (this run only).
-    pub cache_hits: u64,
-    /// Result-cache misses on cacheable requests, summed across shards
-    /// (this run only).
-    pub cache_misses: u64,
-    /// Result-cache insertions, summed across shards (this run only).
-    pub cache_insertions: u64,
-    /// Result-cache evictions at capacity, summed across shards (this run
-    /// only).
-    pub cache_evictions: u64,
-    /// Bytes resident across every shard's result cache at the end of the
-    /// run (a gauge — not scoped to the run).
-    pub cache_bytes: u64,
-    /// Mutations accepted into the write buffer by this run's clients
-    /// (write operations are counted here, never in `ops`, so the read
-    /// stream's accounting — and `answer_hash` — is write-ratio-0
-    /// identical to a frozen run).
-    pub writes: u64,
-    /// Mutations refused at submission (read-only service, or closed).
-    pub write_errors: u64,
-    /// Writer-side counters and freshness histograms, scoped to this run
-    /// (the driver takes a writer baseline next to the query-counter
-    /// baseline, so `--repeat` passes don't double-count mutations). All
-    /// zeros/empty for a read-only target.
-    pub epochs: WriterReport,
-    /// Client-observed accept latency of each successful mutation
-    /// submission in nanoseconds (the write-side backpressure signal:
-    /// rises when the write buffer fills faster than epochs install).
-    pub write_accept: LogHistogram,
-    /// Order-independent XOR fold of every successful payload (see the
-    /// module docs). Two runs of the same seeded scenario over the same
-    /// graph must report the same hash, cached or not.
-    pub answer_hash: u64,
-    /// End-to-end latency in nanoseconds; coordinated-omission-corrected
-    /// (measured from the intended schedule) when a rate is set.
-    pub latency: LogHistogram,
-    /// Pure execution time in nanoseconds (excludes queueing and backoff).
-    pub service_time: LogHistogram,
-    /// Gather straggler penalty in nanoseconds, recorded per scattered
-    /// operation (empty when nothing scattered).
-    pub gather: LogHistogram,
-    /// One report per tenant (always at least one row); the rows fold
-    /// exactly into the run counters — see [`TenantReport`].
-    pub tenants: Vec<TenantReport>,
-    /// One report per phase, in run order; the run counters above are
-    /// their exact fold.
-    pub phases: Vec<PhaseReport>,
-    /// Per-shard identity + counters snapshot at the end of the run.
-    pub per_shard: Vec<ShardSnapshot>,
-    /// Per-shard, per-replica measured service times (histogram + interval
-    /// series, origin = run start), positionally parallel to `per_shard`.
-    pub replica_series: Vec<Vec<ReplicaSeries>>,
-}
-
-/// The sparse JSON rows of an interval series.
-fn intervals_json(series: &IntervalSeries) -> String {
-    series
-        .nonempty()
-        .map(|(i, slot)| {
-            format!(
-                "{{\"i\": {}, \"count\": {}, \"ok\": {}, \"errors\": {}, \"p50\": {}, \
-                 \"p99\": {}, \"max\": {}}}",
-                i,
-                slot.hist.count(),
-                slot.ok,
-                slot.errors,
-                slot.hist.quantile(0.50),
-                slot.hist.quantile(0.99),
-                slot.hist.max()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn hist_json(h: &LogHistogram) -> String {
-    format!(
-        "{{\"count\": {}, \"min\": {}, \"mean\": {:.1}, \"p50\": {}, \"p90\": {}, \
-         \"p99\": {}, \"p999\": {}, \"max\": {}}}",
-        h.count(),
-        h.min(),
-        h.mean(),
-        h.quantile(0.50),
-        h.quantile(0.90),
-        h.quantile(0.99),
-        h.quantile(0.999),
-        h.max()
-    )
-}
-
-impl StressReport {
-    /// Completed operations per second.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.ops as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// The report as a JSON document (parsable by [`crate::json::parse`]).
-    pub fn to_json(&self, name: &str) -> String {
-        let hist = hist_json;
-        let empty_series: Vec<ReplicaSeries> = Vec::new();
-        let per_shard = self
-            .per_shard
-            .iter()
-            .enumerate()
-            .map(|(si, s)| {
-                let series = self.replica_series.get(si).unwrap_or(&empty_series);
-                let replicas = s
-                    .replicas
-                    .iter()
-                    .enumerate()
-                    .map(|(ri, r)| {
-                        let (service_ns, intervals) = match series.get(ri) {
-                            Some(rs) => (hist(&rs.service), intervals_json(&rs.intervals)),
-                            None => (hist(&LogHistogram::new()), String::new()),
-                        };
-                        format!(
-                            "{{\"replica\": {}, \"completed\": {}, \"failed\": {}, \
-                             \"queue_hwm\": {}, \"busy_ns\": {}, \"service_ns\": {}, \
-                             \"intervals\": [{}], \"lookups_at_submit\": {}}}",
-                            r.replica,
-                            r.stats.completed,
-                            r.stats.failed,
-                            r.stats.queue_hwm,
-                            r.stats.busy_ns,
-                            service_ns,
-                            intervals,
-                            r.stats.lookups_at_submit
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                // The shard's measured service times: the exact merge of its
-                // replicas' histograms.
-                let mut shard_service = LogHistogram::new();
-                for rs in series {
-                    shard_service.merge(&rs.service);
-                }
-                format!(
-                    "{{\"shard\": {}, \"owned\": {}, \"completed\": {}, \"failed\": {}, \
-                     \"rejects\": {}, \"early_drops\": {}, \"engine_runs\": {}, \
-                     \"coalesced_legs\": {}, \"cache_hits\": {}, \
-                     \"queue_hwm\": {}, \"busy_ns\": {}, \"service_ns\": {}, \
-                     \"replicas\": [{}], \"lookups_at_submit\": {}}}",
-                    s.shard,
-                    s.owned,
-                    s.stats.completed,
-                    s.stats.failed,
-                    s.stats.rejected,
-                    s.stats.early_drops,
-                    s.stats.engine_runs,
-                    s.stats.coalesced_legs,
-                    s.stats.cache_hits,
-                    s.stats.queue_hwm,
-                    s.stats.busy_ns,
-                    hist(&shard_service),
-                    replicas,
-                    s.stats.lookups_at_submit
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        let phases = self
-            .phases
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"phase\": \"{}\", \"clients\": {}, \"rate\": {}, \"start_s\": {:.3}, \
-                     \"elapsed_s\": {:.3}, \"ops\": {}, \"ok\": {}, \"errors\": {}, \
-                     \"unsupported\": {}, \"timeouts\": {}, \"retries\": {}, \"routed\": {}, \
-                     \"scattered\": {}, \"writes\": {}, \"write_errors\": {}, \
-                     \"answer_hash\": \"{:016x}\", \"latency_ns\": {}, \"service_ns\": {}, \
-                     \"gather_ns\": {}, \"intervals\": [{}]}}",
-                    json_escape(&p.name),
-                    p.clients,
-                    p.rate.map_or("null".to_string(), |r| format!("{r:.1}")),
-                    p.start_s,
-                    p.elapsed.as_secs_f64(),
-                    p.ops,
-                    p.ok,
-                    p.errors,
-                    p.unsupported,
-                    p.timeouts,
-                    p.retries,
-                    p.routed,
-                    p.scattered,
-                    p.writes,
-                    p.write_errors,
-                    p.answer_hash,
-                    hist(&p.latency),
-                    hist(&p.service_time),
-                    hist(&p.gather),
-                    intervals_json(&p.intervals)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        let tenants = self
-            .tenants
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"tenant\": {}, \"weight\": {}, \"rate_ops_s\": {}, \"clients\": {}, \
-                     \"ops\": {}, \"ok\": {}, \"errors\": {}, \"rejects\": {}, \
-                     \"throttled\": {}, \"queue_hwm\": {}, \"answer_hash\": \"{:016x}\", \
-                     \"latency_ns\": {}}}",
-                    t.tenant,
-                    t.weight,
-                    t.rate.map_or("0".to_string(), |r| format!("{r:.1}")),
-                    t.clients,
-                    t.ops,
-                    t.ok,
-                    t.errors,
-                    t.rejects,
-                    t.throttled,
-                    t.queue_hwm,
-                    t.answer_hash,
-                    hist(&t.latency)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        // The answer hash is a string: the reader parses numbers as f64,
-        // which cannot hold a full 64-bit hash exactly.
-        let cache = format!(
-            "{{\"hits\": {}, \"misses\": {}, \"insertions\": {}, \"evictions\": {}, \
-             \"resident_bytes\": {}}}",
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_insertions,
-            self.cache_evictions,
-            self.cache_bytes
-        );
-        let epochs = format!(
-            "{{\"epoch\": {}, \"swaps\": {}, \"accepted\": {}, \"applied\": {}, \
-             \"noops\": {}, \"pending\": {}, \"swap_pause_ns\": {}, \"write_apply_ns\": {}, \
-             \"freshness_lag_ns\": {}, \"write_accept_ns\": {}}}",
-            self.epochs.stats.epoch,
-            self.epochs.stats.swaps,
-            self.epochs.stats.accepted,
-            self.epochs.stats.applied,
-            self.epochs.stats.noops,
-            self.epochs.stats.pending,
-            hist(&self.epochs.swap_pause),
-            hist(&self.epochs.write_apply),
-            hist(&self.epochs.freshness_lag),
-            hist(&self.write_accept)
-        );
-        format!(
-            "{{\n  \"name\": \"{}\",\n  \"mix\": \"{}\",\n  \"scenario\": \"{}\",\n  \
-             \"seed\": {},\n  \"clients\": {},\n  \
-             \"rate\": {},\n  \"burst\": {},\n  \"shards\": {},\n  \"replicas\": {},\n  \
-             \"routing\": \"{}\",\n  \"interval_ms\": {},\n  \"elapsed_s\": {:.3},\n  \
-             \"ops\": {},\n  \"ok\": {},\n  \"errors\": {},\n  \"unsupported\": {},\n  \
-             \"timeouts\": {},\n  \"retries\": {},\n  \"routed\": {},\n  \"scattered\": {},\n  \
-             \"rejects\": {},\n  \"early_drops\": {},\n  \"engine_runs\": {},\n  \
-             \"coalesced_legs\": {},\n  \"lookups_at_submit\": {},\n  \"writes\": {},\n  \
-             \"write_errors\": {},\n  \"throughput_ops_s\": {:.1},\n  \
-             \"answer_hash\": \"{:016x}\",\n  \"cache\": {},\n  \"epochs\": {},\n  \
-             \"latency_ns\": {},\n  \"service_ns\": {},\n  \"gather_ns\": {},\n  \
-             \"tenants\": [{}],\n  \"phases\": [{}],\n  \"per_shard\": [{}]\n}}\n",
-            json_escape(name),
-            json_escape(&self.mix),
-            json_escape(&self.mix),
-            self.seed,
-            self.clients,
-            self.rate.map_or("null".to_string(), |r| format!("{r:.1}")),
-            self.burst,
-            self.shards,
-            self.replicas,
-            json_escape(&self.routing),
-            self.interval_ns / 1_000_000,
-            self.elapsed.as_secs_f64(),
-            self.ops,
-            self.ok,
-            self.errors,
-            self.unsupported,
-            self.timeouts,
-            self.retries,
-            self.routed,
-            self.scattered,
-            self.rejects,
-            self.early_drops,
-            self.engine_runs,
-            self.coalesced_legs,
-            self.lookups_at_submit,
-            self.writes,
-            self.write_errors,
-            self.throughput(),
-            self.answer_hash,
-            cache,
-            epochs,
-            hist(&self.latency),
-            hist(&self.service_time),
-            hist(&self.gather),
-            tenants,
-            phases,
-            per_shard
-        )
-    }
-
-    /// The report as a human-readable markdown table pair.
-    pub fn to_markdown(&self, name: &str) -> String {
-        let ms = |ns: u64| ns as f64 / 1e6;
-        let mut out = String::new();
-        out.push_str(&format!("# Stress run: {name}\n\n"));
-        out.push_str(&format!(
-            "scenario `{}`, seed {}, {} clients, rate {}, burst {}, {} shard{} × {} replica{} \
-             ({} routing), {} ms intervals\n\n",
-            self.mix,
-            self.seed,
-            self.clients,
-            self.rate
-                .map_or("unthrottled".to_string(), |r| format!("{r:.0}/s")),
-            self.burst,
-            self.shards,
-            if self.shards == 1 { "" } else { "s" },
-            self.replicas,
-            if self.replicas == 1 { "" } else { "s" },
-            self.routing,
-            self.interval_ns / 1_000_000
-        ));
-        out.push_str("| metric | value |\n|---|---|\n");
-        out.push_str(&format!("| elapsed | {:.2} s |\n", self.elapsed.as_secs_f64()));
-        out.push_str(&format!("| operations | {} |\n", self.ops));
-        out.push_str(&format!("| ok / errors | {} / {} |\n", self.ok, self.errors));
-        out.push_str(&format!(
-            "| unsupported / timeouts | {} / {} |\n",
-            self.unsupported, self.timeouts
-        ));
-        out.push_str(&format!("| retries | {} |\n", self.retries));
-        out.push_str(&format!(
-            "| routed / scattered | {} / {} |\n",
-            self.routed, self.scattered
-        ));
-        out.push_str(&format!(
-            "| rejects / early drops | {} / {} |\n",
-            self.rejects, self.early_drops
-        ));
-        out.push_str(&format!(
-            "| engine runs / coalesced legs | {} / {} |\n",
-            self.engine_runs, self.coalesced_legs
-        ));
-        out.push_str(&format!("| lookups at submit | {} |\n", self.lookups_at_submit));
-        out.push_str(&format!(
-            "| writes / write errors | {} / {} |\n",
-            self.writes, self.write_errors
-        ));
-        out.push_str(&format!(
-            "| epoch / swaps | {} / {} |\n",
-            self.epochs.stats.epoch, self.epochs.stats.swaps
-        ));
-        out.push_str(&format!(
-            "| mutations applied / no-ops | {} / {} |\n",
-            self.epochs.stats.applied, self.epochs.stats.noops
-        ));
-        out.push_str(&format!(
-            "| cache hits / misses | {} / {} |\n",
-            self.cache_hits, self.cache_misses
-        ));
-        out.push_str(&format!(
-            "| cache insertions / evictions | {} / {} |\n",
-            self.cache_insertions, self.cache_evictions
-        ));
-        out.push_str(&format!("| cache resident | {} B |\n", self.cache_bytes));
-        out.push_str(&format!("| answer hash | `{:016x}` |\n", self.answer_hash));
-        out.push_str(&format!("| throughput | {:.1} ops/s |\n\n", self.throughput()));
-        out.push_str("| histogram (ms) | p50 | p90 | p99 | p99.9 | max |\n|---|---|---|---|---|---|\n");
-        for (label, h) in [
-            ("latency", &self.latency),
-            ("service", &self.service_time),
-            ("gather", &self.gather),
-            ("swap pause", &self.epochs.swap_pause),
-            ("write apply", &self.epochs.write_apply),
-            ("freshness lag", &self.epochs.freshness_lag),
-            ("write accept", &self.write_accept),
-        ] {
-            out.push_str(&format!(
-                "| {} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} |\n",
-                label,
-                ms(h.quantile(0.50)),
-                ms(h.quantile(0.90)),
-                ms(h.quantile(0.99)),
-                ms(h.quantile(0.999)),
-                ms(h.max())
-            ));
-        }
-        out.push_str(
-            "\n| phase | clients | rate | start s | elapsed s | ops | ok | errors | writes | \
-             intervals | p50 ms | p99 ms |\n|---|---|---|---|---|---|---|---|---|---|---|---|\n",
-        );
-        for p in &self.phases {
-            out.push_str(&format!(
-                "| {} | {} | {} | {:.2} | {:.2} | {} | {} | {} | {} | {} | {:.3} | {:.3} |\n",
-                p.name,
-                p.clients,
-                p.rate.map_or("—".to_string(), |r| format!("{r:.0}/s")),
-                p.start_s,
-                p.elapsed.as_secs_f64(),
-                p.ops,
-                p.ok,
-                p.errors,
-                p.writes,
-                p.intervals.completed_intervals(),
-                ms(p.latency.quantile(0.50)),
-                ms(p.latency.quantile(0.99))
-            ));
-        }
-        if self.tenants.len() > 1 {
-            out.push_str(
-                "\n| tenant | weight | rate | clients | ops | ok | errors | rejects | \
-                 throttled | queue hwm | p50 ms | p99 ms | answer hash |\n\
-                 |---|---|---|---|---|---|---|---|---|---|---|---|---|\n",
-            );
-            for t in &self.tenants {
-                out.push_str(&format!(
-                    "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.3} | {:.3} | \
-                     `{:016x}` |\n",
-                    t.tenant,
-                    t.weight,
-                    t.rate.map_or("—".to_string(), |r| format!("{r:.0}/s")),
-                    t.clients,
-                    t.ops,
-                    t.ok,
-                    t.errors,
-                    t.rejects,
-                    t.throttled,
-                    t.queue_hwm,
-                    ms(t.latency.quantile(0.50)),
-                    ms(t.latency.quantile(0.99)),
-                    t.answer_hash
-                ));
-            }
-        }
-        if !self.per_shard.is_empty() {
-            out.push_str(
-                "\n| shard | owned | completed | failed | rejects | early drops | engine runs | \
-                 coalesced legs | cache hits | queue hwm | busy ms | lookups at submit |\n\
-                 |---|---|---|---|---|---|---|---|---|---|---|---|\n",
-            );
-            for s in &self.per_shard {
-                out.push_str(&format!(
-                    "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.3} | {} |\n",
-                    s.shard,
-                    s.owned,
-                    s.stats.completed,
-                    s.stats.failed,
-                    s.stats.rejected,
-                    s.stats.early_drops,
-                    s.stats.engine_runs,
-                    s.stats.coalesced_legs,
-                    s.stats.cache_hits,
-                    s.stats.queue_hwm,
-                    ms(s.stats.busy_ns),
-                    s.stats.lookups_at_submit
-                ));
-            }
-            out.push_str(
-                "\n| shard | replica | completed | failed | queue hwm | busy ms | \
-                 service p50 ms | service p99 ms | lookups at submit |\n\
-                 |---|---|---|---|---|---|---|---|---|\n",
-            );
-            for (si, s) in self.per_shard.iter().enumerate() {
-                for (ri, r) in s.replicas.iter().enumerate() {
-                    let series = self
-                        .replica_series
-                        .get(si)
-                        .and_then(|shard| shard.get(ri));
-                    let (p50, p99) = series.map_or((0, 0), |rs| {
-                        (rs.service.quantile(0.50), rs.service.quantile(0.99))
-                    });
-                    out.push_str(&format!(
-                        "| {} | {} | {} | {} | {} | {:.3} | {:.4} | {:.4} | {} |\n",
-                        s.shard,
-                        r.replica,
-                        r.stats.completed,
-                        r.stats.failed,
-                        r.stats.queue_hwm,
-                        ms(r.stats.busy_ns),
-                        ms(p50),
-                        ms(p99),
-                        r.stats.lookups_at_submit
-                    ));
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Phase-scoped latency-SLO watchdog: clients feed every completed sample
@@ -948,15 +244,6 @@ impl ClientStats {
     }
 }
 
-/// Runs the legacy preset workload described by `cfg` against `target` —
-/// by desugaring it into a one-phase [`Scenario`] (see
-/// [`Scenario::from_legacy`]) and running that. The desugared op stream is
-/// bit-identical to the historical driver's, so reports keep their exact
-/// counts and answer hashes.
-pub fn run(target: &ShardedGraphService, mix: &Mix, cfg: &DriverConfig) -> StressReport {
-    run_scenario(target, &Scenario::from_legacy(mix, cfg))
-}
-
 /// Runs a resolved scenario against `target`: each phase spawns its client
 /// threads, drives its compiled mix under its own pacing and stop
 /// criteria, and the run report folds the phase reports exactly.
@@ -977,12 +264,8 @@ pub fn run_scenario(target: &ShardedGraphService, scenario: &Scenario) -> Stress
     let run_start = Instant::now();
     target.reset_service_log(run_start, interval_ns);
 
-    let default_tenant = [TenantSpec::default()];
-    let tenants: &[TenantSpec] = if scenario.tenants.is_empty() {
-        &default_tenant
-    } else {
-        &scenario.tenants
-    };
+    let tenants = &scenario.tenants;
+    assert!(!tenants.is_empty(), "scenario has no tenants");
     let tcount = tenants.len();
     // Per-tenant fold across all phases (the tenant table of the report).
     let mut tenant_total: Vec<ClientStats> =

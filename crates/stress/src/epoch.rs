@@ -462,9 +462,9 @@ pub(crate) fn spawn_writer(
 
 /// The seeded mutation stream: the operation at `index` in the write run
 /// seeded by `seed`, as a pure function (the write-side analogue of
-/// [`crate::mix::Mix::op`]). Vertex ids are drawn from `[0, base_n)` — the
-/// *initial* vertex-id space, so the stream is independent of how many
-/// vertices earlier mutations added.
+/// [`crate::scenario::PhaseMix::op`]). Vertex ids are drawn from
+/// `[0, base_n)` — the *initial* vertex-id space, so the stream is
+/// independent of how many vertices earlier mutations added.
 ///
 /// The mix: 45 % edge inserts (unit weight, never a self-loop), 25 %
 /// rank-addressed edge deletes ([`Mutation::DeleteEdgeAt`] resolves the

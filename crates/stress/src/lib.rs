@@ -45,24 +45,25 @@
 //!   (deficit-round-robin) dequeue, a priority lane for the point
 //!   lookups that queue, per-tenant queue-full policies, and per-tenant
 //!   counters that fold exactly into the run totals;
-//! * [`mix`] — deterministic operation mixes: `(seed, index) → operation`
-//!   as a pure function, so a fixed seed reproduces the exact sequence
-//!   regardless of client interleaving;
-//! * [`scenario`] + [`dist`] + [`interval`] — the scenario engine:
-//!   declarative load specs (ordered warmup/measure/cooldown phases, each
-//!   with its own stop criterion, rate, client count, and weighted op mix
-//!   over per-op seeded key distributions) parsed from a dependency-free
-//!   line format, resolved against the resident graph, and logged as
-//!   per-interval latency histograms whose sums fold *exactly* to the
-//!   end-of-run totals; legacy preset flags desugar to one-phase scenarios
-//!   bit-identical to their historical op streams;
+//! * [`scenario`] + [`dist`] + [`interval`] — the scenario engine, the one
+//!   load model: declarative load specs (ordered warmup/measure/cooldown
+//!   phases, each with its own stop criterion, rate, client count, and
+//!   weighted op mix over per-op seeded key distributions) parsed from a
+//!   dependency-free line format, resolved against the resident graph into
+//!   op mixes that are pure functions `(seed, index) → operation` — a fixed
+//!   seed reproduces the exact sequence regardless of client interleaving
+//!   — and logged as per-interval latency histograms whose sums fold
+//!   *exactly* to the end-of-run totals; the `--mix` presets are a
+//!   built-in table of scenario `op` lines;
 //! * [`driver`] — the load generator: client threads, token-bucket pacing
 //!   (or unthrottled), coordinated-omission-corrected latency plus pure
-//!   service time in mergeable log-bucketed histograms, and JSON/markdown
-//!   reports via `vcgp-testkit`'s emitters;
-//! * [`json`] — a minimal JSON reader (hosted in `vcgp-testkit` so bench
-//!   binaries can gate on their own reports too) used to validate the
-//!   driver's reports.
+//!   service time in mergeable log-bucketed histograms;
+//! * [`report`] — what a run measured, as one typed tree: its JSON form
+//!   (a [`json::Value`] the `vcgp-testkit` writer renders), its markdown
+//!   form, and [`report::validate`], the one list of the fold identities a
+//!   report must satisfy;
+//! * [`json`] — a minimal JSON reader and writer (hosted in `vcgp-testkit`
+//!   so bench binaries can gate on their own reports too).
 //!
 //! Run the driver with `cargo run --release -p vcgp-stress --bin stress`.
 
@@ -72,9 +73,9 @@ pub mod driver;
 pub mod epoch;
 pub mod interval;
 pub use vcgp_testkit::json;
-pub mod mix;
 pub mod qos;
 pub mod rate;
+pub mod report;
 pub mod request;
 pub mod router;
 mod runs;
@@ -83,15 +84,15 @@ pub mod service;
 pub mod shard;
 
 pub use cache::{CacheKey, CacheScope, CacheStats, CachedAnswer, ResultCache};
-pub use driver::{run, run_scenario, DriverConfig, PhaseReport, StressReport, TenantReport};
+pub use driver::run_scenario;
 pub use epoch::{
     mutation_op, EpochSnapshot, MutationConfig, ShardSlice, WriterReport, WriterStats,
 };
-pub use dist::{DistSpec, KeySampler};
+pub use dist::{DistSpec, KeySampler, Zipf};
 pub use interval::{IntervalSeries, IntervalSlot};
-pub use mix::{Mix, Zipf};
 pub use qos::{Pop, QosConfig, TenantLaneStats, TenantQueue, TenantSpec};
 pub use rate::TokenBucket;
+pub use report::{PhaseReport, StressReport, TenantReport};
 pub use scenario::{
     OpClass, OpSpec, Phase, PhaseMix, PhaseSpec, RateSpec, Scenario, ScenarioSpec, SloStop,
     SpanSpec,

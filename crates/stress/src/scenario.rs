@@ -1,6 +1,6 @@
 //! Declarative load scenarios: phased, fully seeded workload specs.
 //!
-//! A scenario replaces the driver's hard-coded presets with a small
+//! Every load the driver runs is a scenario, written as a small
 //! line-oriented spec: an ordered list of **phases** (warmup / measure /
 //! cooldown — each with its own stopping criterion, target rate, client
 //! count, and op mix) over an **op mix** of weighted operations whose
@@ -66,17 +66,16 @@
 //! and `SPAN` is `full`, a fraction like `1/8`, or an absolute id count
 //! (default `full`).
 //!
-//! # Bit-identical preset desugaring
+//! # Presets
 //!
-//! [`PhaseMix::from_mix`] re-expresses a legacy [`Mix`] preset (plus
-//! `--write-ratio`) as a one-phase scenario whose per-operation RNG
-//! consumption replays [`Mix::op`] *exactly*: same stream constant, same
-//! draw order, same write decision. The verify.sh desugar gate holds the
-//! two paths to byte-identical reports.
+//! `stress --mix NAME` is shorthand for a one-phase scenario whose `op`
+//! lines come from a built-in table ([`ScenarioSpec::preset`]); there is
+//! no second load model behind the flag. The table's weights sum to 100,
+//! and the first 64 operations of every preset are frozen by a test, so a
+//! preset run keeps the op stream — and the answer hash — it has always
+//! had.
 
 use crate::dist::{DistSpec, KeySampler};
-use crate::driver::DriverConfig;
-use crate::mix::{serving_pool, Mix, MIX_STREAM};
 use crate::qos::{TenantSpec, MAX_TENANTS};
 use crate::request::QueryKind;
 use crate::service::QueueFullPolicy;
@@ -85,8 +84,96 @@ use vcgp_core::{service, Workload};
 use vcgp_graph::rng::mix3;
 use vcgp_graph::{Graph, SplitMix64};
 
+/// Domain separator for the operation stream.
+const MIX_STREAM: u64 = 0x4D49_5853; // "MIXS"
+
 /// Domain separator for the read-vs-write decision per stream index.
-pub(crate) const WRITE_STREAM: u64 = 0x5752_4454; // "WRDT"
+const WRITE_STREAM: u64 = 0x5752_4454; // "WRDT"
+
+/// Workloads light enough for the serving path, in preference order.
+/// (Diameter/APSP, betweenness, and the tree rows are batch-shaped: full
+/// APSP floods `O(n·m)` messages and the tree rows need a tree input.)
+const SERVING_WORKLOADS: [Workload; 10] = [
+    Workload::CcHashMin,
+    Workload::CcSv,
+    Workload::SpanningTree,
+    Workload::Sssp,
+    Workload::PageRank,
+    Workload::Coloring,
+    Workload::Wcc,
+    Workload::Scc,
+    Workload::GraphSim,
+    Workload::DualSim,
+];
+
+/// The serving-suitable workload pool on `graph`: the subset of
+/// [`SERVING_WORKLOADS`] the graph supports, optionally restricted to
+/// gather-mergeable workloads (those a sharded service can scatter).
+fn serving_pool(graph: &Graph, scatter_only: bool) -> Vec<Workload> {
+    SERVING_WORKLOADS
+        .into_iter()
+        .filter(|&w| service::supported(w, graph).is_ok())
+        .filter(|&w| !scatter_only || service::gather_mode(w) != service::GatherMode::Whole)
+        .collect()
+}
+
+/// What `--mix NAME` stands for: the `op` lines a scenario file would
+/// spell out (`examples/scenarios/mixed.scn` is the `mixed` row written
+/// down). Every row's weights sum to 100.
+///
+/// * `points` — point lookups (degree / neighbor reads) only;
+/// * `mixed` — 80 % point lookups, 20 % analytics workloads;
+/// * `analytics` — analytics workloads only;
+/// * `hotspot` — point lookups over the lowest `max(1, n/8)` vertex ids: a
+///   contiguous hot set, so under range shard placement every request
+///   lands on one shard while hash placement spreads it;
+/// * `scatter` — analytics restricted to gather-mergeable workloads: every
+///   operation fans out to all shards.
+pub const PRESETS: [(&str, &str); 5] = [
+    ("points", "op point 100 uniform span=full"),
+    ("mixed", "op point 80 uniform span=full\nop analytics 20"),
+    ("analytics", "op analytics 100"),
+    ("hotspot", "op point 100 uniform span=1/8"),
+    ("scatter", "op scatter 100"),
+];
+
+/// Parses a value — of a directive in a spec file, or of the matching
+/// `stress` flag — that has no range to hold it to (a seed, a capacity).
+pub fn parse_value<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("invalid {what} value {s:?}"))
+}
+
+/// [`parse_value`] for counts, held to the one range files and flags both
+/// accept: an integer of at least 1.
+pub fn parse_count<T>(s: &str, what: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    let v: T = parse_value(s, what)?;
+    if v < T::from(1) {
+        return Err(format!("{what} must be at least 1"));
+    }
+    Ok(v)
+}
+
+/// [`parse_value`] for magnitudes (`duration`, `rate`, …): positive and
+/// finite.
+pub fn parse_positive(s: &str, what: &str) -> Result<f64, String> {
+    let v: f64 = parse_value(s, what)?;
+    if !(v > 0.0 && v.is_finite()) {
+        return Err(format!("{what} must be positive and finite, got {v}"));
+    }
+    Ok(v)
+}
+
+/// [`parse_count`] for a tenant count: `1..=`[`MAX_TENANTS`].
+pub fn parse_tenants(s: &str, what: &str) -> Result<usize, String> {
+    let v: usize = parse_count(s, what)?;
+    if v > MAX_TENANTS {
+        return Err(format!("{what} must be 1..={MAX_TENANTS}, got {v}"));
+    }
+    Ok(v)
+}
 
 /// Every Table 1 workload, for spec-name resolution.
 const ALL_WORKLOADS: [Workload; 20] = [
@@ -217,20 +304,12 @@ pub enum RateSpec {
 impl RateSpec {
     /// Parses `R` or `A..B` (all values positive and finite).
     pub fn parse(s: &str) -> Result<RateSpec, String> {
-        let check = |v: f64| -> Result<f64, String> {
-            if v > 0.0 && v.is_finite() {
-                Ok(v)
-            } else {
-                Err(format!("rate must be positive and finite, got {v}"))
+        match s.split_once("..") {
+            Some((a, b)) => {
+                Ok(RateSpec::Ramp(parse_positive(a, "rate")?, parse_positive(b, "rate")?))
             }
-        };
-        if let Some((a, b)) = s.split_once("..") {
-            let a: f64 = a.parse().map_err(|_| format!("invalid rate ramp {s:?}"))?;
-            let b: f64 = b.parse().map_err(|_| format!("invalid rate ramp {s:?}"))?;
-            return Ok(RateSpec::Ramp(check(a)?, check(b)?));
+            None => Ok(RateSpec::Fixed(parse_positive(s, "rate")?)),
         }
-        let v: f64 = s.parse().map_err(|_| format!("invalid rate value {s:?}"))?;
-        Ok(RateSpec::Fixed(check(v)?))
     }
 
     /// The canonical token, as accepted by [`RateSpec::parse`].
@@ -293,18 +372,8 @@ impl SloStop {
             ">" => true,
             other => return Err(format!("expected < or >, got {other:?}")),
         };
-        let bound_ms: f64 = tokens[2]
-            .parse()
-            .map_err(|_| format!("invalid stop bound {:?}", tokens[2]))?;
-        if !(bound_ms > 0.0 && bound_ms.is_finite()) {
-            return Err(format!("stop bound must be positive and finite, got {bound_ms}"));
-        }
-        let window_ms: u64 = tokens[4]
-            .parse()
-            .map_err(|_| format!("invalid stop window {:?}", tokens[4]))?;
-        if window_ms == 0 {
-            return Err("stop window must be at least 1 ms".to_string());
-        }
+        let bound_ms = parse_positive(tokens[2], "stop bound")?;
+        let window_ms = parse_count(tokens[4], "stop window")?;
         Ok(SloStop { pm, above, bound_ms, window_ms })
     }
 
@@ -421,6 +490,57 @@ fn num(v: f64) -> String {
 }
 
 impl ScenarioSpec {
+    /// The one-phase scenario `--mix NAME` stands for: a phase `main` whose
+    /// op mix is preset `name`'s (see [`PRESETS`]), its point lookups
+    /// drawing keys from `keys` (`--zipf-s S` is `zipfian:S`) and a
+    /// `write_ratio` share of stream indices issuing a mutation
+    /// (`--write-ratio R`). The caller sets the phase's stop criterion.
+    ///
+    /// With `write_ratio` 0 the op lines are the table's. Otherwise the read
+    /// weights are scaled by `10⁶ − ppm` and an `op mutate` of weight
+    /// `100 · ppm` is added, `ppm` being the ratio in whole parts per
+    /// million: the compiled write probability is then exactly `ppm`, and a
+    /// read lands in the same entry, with the same draws after it, as it
+    /// does at ratio 0 (the roll is a multiply-shift of one RNG word, so
+    /// scaling every bound scales the roll; only its rejection step, which
+    /// fires for fewer than one word in 10¹¹, sees the scale).
+    pub fn preset(name: &str, keys: DistSpec, write_ratio: f64) -> Result<ScenarioSpec, String> {
+        let (_, lines) = PRESETS.iter().find(|(n, _)| *n == name).ok_or_else(|| {
+            format!("unknown mix '{name}' (expected points, mixed, analytics, hotspot, or scatter)")
+        })?;
+        if !(0.0..=1.0).contains(&write_ratio) {
+            return Err(format!("write ratio must be within 0.0..=1.0, got {write_ratio}"));
+        }
+        let write_ppm = (write_ratio * 1e6) as u64;
+        let mut ops_mix = Vec::new();
+        for line in lines.lines() {
+            let tokens: Vec<&str> = line.split_whitespace().collect();
+            let mut op = parse_op(&tokens[1..])?;
+            if op.kind == OpClass::Point {
+                op.dist = keys;
+            }
+            if write_ppm > 0 {
+                op.weight *= 1_000_000 - write_ppm;
+            }
+            if op.weight > 0 {
+                ops_mix.push(op);
+            }
+        }
+        if write_ppm > 0 {
+            ops_mix.push(OpSpec {
+                kind: OpClass::Mutate,
+                weight: 100 * write_ppm,
+                dist: DistSpec::Uniform,
+                span: SpanSpec::Full,
+            });
+        }
+        Ok(ScenarioSpec {
+            name: name.to_string(),
+            phases: vec![PhaseSpec { name: "main".to_string(), ops_mix, ..PhaseSpec::default() }],
+            ..ScenarioSpec::default()
+        })
+    }
+
     /// Parses a spec document, reporting malformed lines as
     /// `line N: <problem>`.
     pub fn parse(text: &str) -> Result<ScenarioSpec, String> {
@@ -458,14 +578,11 @@ impl ScenarioSpec {
                     });
                 }
                 "interval" => {
-                    let ms: u64 = parse_num(arg("value")?, "interval", &err)?;
-                    if ms == 0 {
-                        return Err(err("interval must be at least 1 ms".to_string()));
-                    }
+                    let ms = parse_count(arg("value")?, "interval").map_err(&err)?;
                     set_once(&mut spec.interval_ms, ms, "interval", &err)?;
                 }
                 "seed" => {
-                    let v = parse_num(arg("value")?, "seed", &err)?;
+                    let v = parse_value(arg("value")?, "seed").map_err(&err)?;
                     match spec.phases.last_mut() {
                         Some(p) => set_once(&mut p.seed, v, "seed", &err)?,
                         None => set_once(&mut spec.seed, v, "seed", &err)?,
@@ -478,7 +595,7 @@ impl ScenarioSpec {
                                 .to_string(),
                         ));
                     }
-                    let v = parse_num(arg("value")?, "mutation-seed", &err)?;
+                    let v = parse_value(arg("value")?, "mutation-seed").map_err(&err)?;
                     set_once(&mut spec.mutation_seed, v, "mutation-seed", &err)?;
                 }
                 "timeout-ms" => {
@@ -487,10 +604,7 @@ impl ScenarioSpec {
                             "'timeout-ms' is scenario-global (set it before any phase)".to_string(),
                         ));
                     }
-                    let v: u64 = parse_num(arg("value")?, "timeout-ms", &err)?;
-                    if v == 0 {
-                        return Err(err("timeout must be at least 1 ms".to_string()));
-                    }
+                    let v = parse_count(arg("value")?, "timeout-ms").map_err(&err)?;
                     set_once(&mut spec.timeout_ms, v, "timeout-ms", &err)?;
                 }
                 "rate" => {
@@ -506,10 +620,7 @@ impl ScenarioSpec {
                             "'tenants' is scenario-global (set it before any phase)".to_string(),
                         ));
                     }
-                    let v: usize = parse_num(arg("value")?, "tenants", &err)?;
-                    if !(1..=MAX_TENANTS).contains(&v) {
-                        return Err(err(format!("tenants must be 1..={MAX_TENANTS}, got {v}")));
-                    }
+                    let v = parse_tenants(arg("value")?, "tenants").map_err(&err)?;
                     set_once(&mut spec.tenants, v, "tenants", &err)?;
                 }
                 "tenant" => {
@@ -532,42 +643,28 @@ impl ScenarioSpec {
                     }
                 }
                 "burst" => {
-                    let v: u32 = parse_num(arg("value")?, "burst", &err)?;
-                    if v == 0 {
-                        return Err(err("burst must be at least 1".to_string()));
-                    }
+                    let v = parse_count(arg("value")?, "burst").map_err(&err)?;
                     match spec.phases.last_mut() {
                         Some(p) => set_once(&mut p.burst, v, "burst", &err)?,
                         None => set_once(&mut spec.burst, v, "burst", &err)?,
                     }
                 }
                 "clients" => {
-                    let v: usize = parse_num(arg("value")?, "clients", &err)?;
-                    if v == 0 {
-                        return Err(err("clients must be at least 1".to_string()));
-                    }
+                    let v = parse_count(arg("value")?, "clients").map_err(&err)?;
                     match spec.phases.last_mut() {
                         Some(p) => set_once(&mut p.clients, v, "clients", &err)?,
                         None => set_once(&mut spec.clients, v, "clients", &err)?,
                     }
                 }
                 "duration" => {
-                    let v: f64 = parse_num(arg("value")?, "duration", &err)?;
-                    if !(v > 0.0 && v.is_finite()) {
-                        return Err(err(format!(
-                            "duration must be positive and finite, got {v}"
-                        )));
-                    }
+                    let v = parse_positive(arg("value")?, "duration").map_err(&err)?;
                     match spec.phases.last_mut() {
                         Some(p) => set_once(&mut p.duration, v, "duration", &err)?,
                         None => return Err(err("'duration' belongs inside a phase".to_string())),
                     }
                 }
                 "ops" => {
-                    let v: u64 = parse_num(arg("value")?, "ops", &err)?;
-                    if v == 0 {
-                        return Err(err("ops must be at least 1".to_string()));
-                    }
+                    let v = parse_count(arg("value")?, "ops").map_err(&err)?;
                     match spec.phases.last_mut() {
                         Some(p) => set_once(&mut p.ops, v, "ops", &err)?,
                         None => return Err(err("'ops' belongs inside a phase".to_string())),
@@ -592,10 +689,18 @@ impl ScenarioSpec {
         if !saw_header {
             return Err("missing 'scenario NAME' header".to_string());
         }
-        if spec.phases.is_empty() {
+        spec.check_phases()?;
+        Ok(spec)
+    }
+
+    /// What a spec needs before it can run, whether it was parsed or
+    /// filled in by a caller: at least one phase, and for every phase a
+    /// stop criterion — a phase without one never ends — and an op mix.
+    fn check_phases(&self) -> Result<(), String> {
+        if self.phases.is_empty() {
             return Err("scenario declares no phases".to_string());
         }
-        for (i, p) in spec.phases.iter().enumerate() {
+        for (i, p) in self.phases.iter().enumerate() {
             if p.duration.is_none() && p.ops.is_none() {
                 return Err(format!(
                     "phase {:?} (#{}) has no stop criterion (set duration and/or ops)",
@@ -603,7 +708,7 @@ impl ScenarioSpec {
                     i + 1
                 ));
             }
-            if p.ops_mix.is_empty() && spec.default_ops.is_empty() {
+            if p.ops_mix.is_empty() && self.default_ops.is_empty() {
                 return Err(format!(
                     "phase {:?} (#{}) has no op mix and the scenario declares no default ops",
                     p.name,
@@ -611,7 +716,7 @@ impl ScenarioSpec {
                 ));
             }
         }
-        Ok(spec)
+        Ok(())
     }
 
     /// The canonical spec text; `parse(to_text())` reproduces the spec
@@ -671,6 +776,7 @@ impl ScenarioSpec {
     /// Resolves the spec against a graph into a runnable [`Scenario`]:
     /// defaults filled, phase mixes compiled, workload pools validated.
     pub fn resolve(&self, graph: &Graph) -> Result<Scenario, String> {
+        self.check_phases()?;
         let base_seed = self.seed.unwrap_or(7);
         let base_mutation_seed = self.mutation_seed.unwrap_or(11);
         let tenants = self.resolve_tenants()?;
@@ -700,8 +806,7 @@ impl ScenarioSpec {
                     clients: p.clients.or(self.clients).unwrap_or(4),
                     // Phase i defaults to base seed + i so phases draw
                     // distinct streams; phase 0 keeps the base seed itself,
-                    // which is what makes one-phase desugarings of the
-                    // legacy presets bit-identical.
+                    // so a one-phase preset run draws the `--seed` stream.
                     seed: p.seed.unwrap_or(base_seed.wrapping_add(i as u64)),
                     mutation_seed: base_mutation_seed.wrapping_add(i as u64),
                     mix,
@@ -750,14 +855,6 @@ impl ScenarioSpec {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(
-    s: &str,
-    what: &str,
-    err: &impl Fn(String) -> String,
-) -> Result<T, String> {
-    s.parse().map_err(|_| err(format!("invalid {what} value {s:?}")))
-}
-
 fn set_once<T>(
     slot: &mut Option<T>,
     value: T,
@@ -786,41 +883,17 @@ fn parse_tenant(tokens: &[&str]) -> Result<(usize, TenantSpec), String> {
         return Err("'tenant' takes KEY VALUE pairs after the index".to_string());
     }
     let mut t = TenantSpec::default();
-    let positive = |v: f64, what: &str| -> Result<f64, String> {
-        if v > 0.0 && v.is_finite() {
-            Ok(v)
-        } else {
-            Err(format!("tenant {what} must be positive and finite, got {v}"))
-        }
-    };
     for pair in tokens[1..].chunks(2) {
         let (key, value) = (pair[0], pair[1]);
-        let bad = format!("invalid tenant {key} value {value:?}");
         match key {
-            "weight" => {
-                t.weight = value.parse().map_err(|_| bad)?;
-                if t.weight == 0 {
-                    return Err("tenant weight must be at least 1".to_string());
-                }
-            }
-            "rate" => t.rate = Some(positive(value.parse().map_err(|_| bad)?, "rate")?),
-            "burst" => {
-                t.burst = value.parse().map_err(|_| bad)?;
-                if t.burst == 0 {
-                    return Err("tenant burst must be at least 1".to_string());
-                }
-            }
-            "pace" => t.pace = Some(positive(value.parse().map_err(|_| bad)?, "pace")?),
+            "weight" => t.weight = parse_count(value, "tenant weight")?,
+            "rate" => t.rate = Some(parse_positive(value, "tenant rate")?),
+            "burst" => t.burst = parse_count(value, "tenant burst")?,
+            "pace" => t.pace = Some(parse_positive(value, "tenant pace")?),
             // clients 0 is allowed: it benches a declared tenant without
             // driving it (the isolation gate's solo run uses this).
-            "clients" => t.clients = Some(value.parse().map_err(|_| bad)?),
-            "ops" => {
-                let v: u64 = value.parse().map_err(|_| bad)?;
-                if v == 0 {
-                    return Err("tenant ops must be at least 1".to_string());
-                }
-                t.ops = Some(v);
-            }
+            "clients" => t.clients = Some(parse_value(value, "tenant clients")?),
+            "ops" => t.ops = Some(parse_count(value, "tenant ops")?),
             "policy" => t.policy = Some(QueueFullPolicy::parse(value)?),
             other => {
                 return Err(format!(
@@ -850,12 +923,7 @@ fn parse_op(tokens: &[&str]) -> Result<OpSpec, String> {
             )
         })?),
     };
-    let weight: u64 = tokens[1]
-        .parse()
-        .map_err(|_| format!("invalid op weight {:?}", tokens[1]))?;
-    if weight == 0 {
-        return Err("op weight must be at least 1".to_string());
-    }
+    let weight = parse_count(tokens[1], "op weight")?;
     let mut dist = None;
     let mut span = None;
     for &t in &tokens[2..] {
@@ -952,32 +1020,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The one-phase scenario a legacy preset run desugars to: same mix,
-    /// same seeds, same pacing — [`crate::driver::run`] routes through this,
-    /// so the legacy CLI surface *is* a scenario and stays bit-identical to
-    /// its pre-scenario behavior.
-    pub fn from_legacy(mix: &Mix, cfg: &DriverConfig) -> Scenario {
-        Scenario {
-            name: mix.name().to_string(),
-            interval: cfg.interval,
-            seed: cfg.seed,
-            timeout: cfg.timeout,
-            tenants: vec![TenantSpec::default(); cfg.tenants.max(1)],
-            phases: vec![Phase {
-                name: "main".to_string(),
-                duration: Some(cfg.duration),
-                ops_limit: cfg.ops_limit,
-                slo: None,
-                rate: cfg.rate.map(RateSpec::Fixed),
-                burst: cfg.burst,
-                clients: cfg.clients,
-                seed: cfg.seed,
-                mutation_seed: cfg.mutation_seed,
-                mix: PhaseMix::from_mix(mix, cfg.write_ratio),
-            }],
-        }
-    }
-
     /// True when any phase can issue mutations (the service needs a
     /// [`crate::epoch::MutationConfig`] then).
     pub fn has_writes(&self) -> bool {
@@ -1010,6 +1052,7 @@ pub struct Phase {
     pub mix: PhaseMix,
 }
 
+#[derive(Debug, Clone)]
 enum MixAction {
     /// A point lookup; the key comes from the sampler, then one bool draw
     /// picks degree vs neighbors.
@@ -1020,6 +1063,7 @@ enum MixAction {
     Fixed(Workload),
 }
 
+#[derive(Debug, Clone)]
 struct MixEntry {
     /// Exclusive cumulative-weight upper bound: the entry serves rolls in
     /// `[previous cum, cum)`.
@@ -1029,45 +1073,18 @@ struct MixEntry {
 
 /// A compiled op mix: weighted entries over a cumulative-weight roll, plus
 /// the write probability in parts per million. [`PhaseMix::op`] is a pure
-/// function of `(seed, index)` exactly like [`Mix::op`] — one fresh
-/// [`SplitMix64`] per operation, consumed in a fixed draw order.
+/// function of `(seed, index)` — one fresh [`SplitMix64`] per operation,
+/// consumed in a fixed draw order, no shared RNG stream — so any number of
+/// client threads can draw operations concurrently and two runs with the
+/// same seed issue the *identical* operation sequence regardless of
+/// interleaving.
+#[derive(Debug, Clone)]
 pub struct PhaseMix {
     /// Sum of non-mutate weights (the roll modulus).
     total: u64,
     /// Probability a stream index is a write, in parts per million.
     write_ppm: u64,
     entries: Vec<MixEntry>,
-}
-
-impl std::fmt::Debug for PhaseMix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PhaseMix")
-            .field("total", &self.total)
-            .field("write_ppm", &self.write_ppm)
-            .field("entries", &self.entries.len())
-            .finish()
-    }
-}
-
-impl Clone for PhaseMix {
-    fn clone(&self) -> PhaseMix {
-        PhaseMix {
-            total: self.total,
-            write_ppm: self.write_ppm,
-            entries: self
-                .entries
-                .iter()
-                .map(|e| MixEntry {
-                    cum: e.cum,
-                    action: match &e.action {
-                        MixAction::Point(s) => MixAction::Point(*s),
-                        MixAction::Pool(p) => MixAction::Pool(p.clone()),
-                        MixAction::Fixed(w) => MixAction::Fixed(*w),
-                    },
-                })
-                .collect(),
-        }
-    }
 }
 
 impl PhaseMix {
@@ -1128,37 +1145,6 @@ impl PhaseMix {
         Ok(PhaseMix { total, write_ppm, entries })
     }
 
-    /// The desugaring of a legacy [`Mix`] preset plus `--write-ratio`:
-    /// reproduces [`Mix::op`]'s RNG consumption draw for draw (total 100,
-    /// point entry first, pool second), so the resulting op stream is
-    /// byte-identical to the preset's.
-    pub fn from_mix(mix: &Mix, write_ratio: f64) -> PhaseMix {
-        let mut entries = Vec::new();
-        let point_pct = mix.point_pct();
-        if point_pct > 0 {
-            let dist = match mix.zipf() {
-                Some(z) => DistSpec::Zipfian(z.exponent()),
-                None => DistSpec::Uniform,
-            };
-            entries.push(MixEntry {
-                cum: point_pct,
-                action: MixAction::Point(dist.sampler(mix.vertex_span())),
-            });
-        }
-        if point_pct < 100 {
-            entries.push(MixEntry {
-                cum: 100,
-                action: MixAction::Pool(mix.workloads().to_vec()),
-            });
-        }
-        PhaseMix {
-            total: 100,
-            // The exact expression of the legacy driver's write gate.
-            write_ppm: (write_ratio * 1e6) as u64,
-            entries,
-        }
-    }
-
     /// Probability a stream index is a write, in parts per million.
     pub fn write_ppm(&self) -> u64 {
         self.write_ppm
@@ -1174,8 +1160,8 @@ impl PhaseMix {
     }
 
     /// The read operation at `index` in the stream seeded by `seed` — a
-    /// pure function of its arguments (same construction as [`Mix::op`]).
-    /// Only meaningful for indices where [`PhaseMix::is_write`] is false.
+    /// pure function of its arguments. Only meaningful for indices where
+    /// [`PhaseMix::is_write`] is false.
     pub fn op(&self, seed: u64, index: u64) -> QueryKind {
         assert!(self.total > 0, "an all-mutate mix has no read operations");
         let mut rng = SplitMix64::new(mix3(seed, index, MIX_STREAM));
@@ -1417,40 +1403,118 @@ phase ramped
         assert!((400..=530).contains(&points), "{points} points of 600");
     }
 
+    /// The first 64 operations of seed 7 on [`graph`], one token each
+    /// (`d`/`n` + vertex for a degree / neighbors lookup, else the workload),
+    /// taken from the preset implementation this table replaced.
+    const POINTS: &str = "\
+        n0 n50 d14 n49 n6 d44 n39 d49 d46 d27 d11 n50 d8 n58 d24 d52 \
+        d56 n39 n24 d54 d11 d44 d50 n12 d54 n34 n49 d31 n33 d11 n23 n13 \
+        d46 d37 d2 n57 n21 d46 d15 d5 d4 d41 d45 d55 n47 d23 d41 d59 \
+        d27 n51 d40 n36 n45 d19 d33 n39 n54 n39 n39 d52 d1 n12 d12 d47";
+    const MIXED: &str = "\
+        n0 n50 d14 n49 n6 d44 Sssp d49 \
+        d46 d27 d11 n50 d8 n58 SpanningTree PageRank \
+        d56 n39 SpanningTree Coloring d11 d44 d50 n12 \
+        Coloring n34 PageRank d31 n33 d11 n23 n13 \
+        d46 Sssp d2 n57 n21 d46 d15 d5 \
+        d4 d41 d45 d55 n47 d23 d41 d59 \
+        SpanningTree n51 d40 Sssp n45 CcSv d33 n39 \
+        Coloring n39 n39 d52 d1 CcSv CcSv d47";
+    /// Also `scatter`'s: no serving workload is `GatherMode::Whole`, so the
+    /// two pools coincide.
+    const ANALYTICS: &str = "\
+        CcHashMin PageRank CcSv PageRank CcHashMin PageRank Sssp PageRank \
+        PageRank SpanningTree CcSv PageRank CcHashMin Coloring SpanningTree PageRank \
+        Coloring Sssp SpanningTree Coloring CcSv PageRank PageRank CcSv \
+        Coloring Sssp PageRank SpanningTree Sssp CcSv SpanningTree CcSv \
+        PageRank Sssp CcHashMin Coloring SpanningTree PageRank CcSv CcHashMin \
+        CcHashMin Sssp PageRank Coloring PageRank SpanningTree Sssp Coloring \
+        SpanningTree PageRank Sssp Sssp PageRank CcSv Sssp Sssp \
+        Coloring Sssp Sssp PageRank CcHashMin CcSv CcSv PageRank";
+    const HOTSPOT: &str = "\
+        n0 n6 d1 n6 n0 d5 n4 d6 d5 d3 d1 n6 d1 n7 d3 d6 \
+        d7 n4 n3 d6 d1 d5 d6 n1 d6 n4 n6 d3 n4 d1 n2 n1 \
+        d5 d4 d0 n7 n2 d5 d1 d0 d0 d5 d5 d6 n5 d2 d5 d7 \
+        d3 n6 d5 n4 n5 d2 d4 n4 n6 n4 n4 d6 d0 n1 d1 d5";
+    const HOTSPOT_ZIPF_1_2: &str = "\
+        n7 n0 d3 n0 n5 d0 n0 d0 d0 d1 d4 n0 d4 n0 d1 d0 \
+        d0 n0 n2 d0 d4 d0 d0 n3 d0 n1 n0 d1 n1 d4 n2 n3 \
+        d0 d0 d6 n0 n2 d0 d3 d5 d6 d0 d0 d0 n0 d2 d0 d0 \
+        d1 n0 d0 n1 n0 d2 d1 n0 n0 n0 n0 d0 d7 n0 d3 d0";
+
+    fn preset_ops(name: &str, keys: DistSpec, write_ratio: f64) -> Vec<OpSpec> {
+        let spec = ScenarioSpec::preset(name, keys, write_ratio).unwrap();
+        spec.phases.into_iter().next().unwrap().ops_mix
+    }
+
+    fn stream(ops: &[OpSpec], indices: impl Iterator<Item = u64>) -> String {
+        let mix = PhaseMix::from_specs(ops, &graph()).unwrap();
+        indices
+            .map(|i| match mix.op(7, i) {
+                QueryKind::Degree(v) => format!("d{v}"),
+                QueryKind::Neighbors(v) => format!("n{v}"),
+                QueryKind::Workload(w) => format!("{w:?}"),
+                other => panic!("unexpected op {other:?}"),
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
     #[test]
-    fn from_mix_replays_the_legacy_preset_exactly() {
-        let g = graph();
-        for preset in ["points", "mixed", "analytics", "hotspot"] {
-            let legacy = Mix::preset(preset, &g).unwrap();
-            let desugared = PhaseMix::from_mix(&legacy, 0.0);
-            for i in 0..400u64 {
-                assert_eq!(legacy.op(7, i), desugared.op(7, i), "{preset} index {i}");
-            }
-        }
-        // And with a zipfian key draw layered on.
-        let legacy = Mix::preset("hotspot", &g).unwrap().with_zipf(1.2).unwrap();
-        let desugared = PhaseMix::from_mix(&legacy, 0.0);
-        for i in 0..400u64 {
-            assert_eq!(legacy.op(7, i), desugared.op(7, i), "zipf index {i}");
+    fn presets_keep_their_frozen_op_streams() {
+        for (name, keys, frozen) in [
+            ("points", DistSpec::Uniform, POINTS),
+            ("mixed", DistSpec::Uniform, MIXED),
+            ("analytics", DistSpec::Uniform, ANALYTICS),
+            ("hotspot", DistSpec::Uniform, HOTSPOT),
+            ("scatter", DistSpec::Uniform, ANALYTICS),
+            ("hotspot", DistSpec::Zipfian(1.2), HOTSPOT_ZIPF_1_2),
+        ] {
+            assert_eq!(stream(&preset_ops(name, keys, 0.0), 0..64), frozen, "{name} {keys:?}");
         }
     }
 
     #[test]
-    fn write_decision_matches_the_legacy_gate() {
+    fn preset_write_ratio_is_exact_and_leaves_the_reads_alone() {
         let g = graph();
-        let legacy = Mix::preset("mixed", &g).unwrap();
-        let ratio = 0.1f64;
-        let desugared = PhaseMix::from_mix(&legacy, ratio);
-        let mut writes = 0;
-        for i in 0..2000u64 {
-            let expect = mix3(11, i, WRITE_STREAM) % 1_000_000 < (ratio * 1e6) as u64;
-            assert_eq!(desugared.is_write(11, i), expect, "index {i}");
-            writes += u64::from(expect);
+        for name in ["mixed", "hotspot", "analytics"] {
+            let frozen = preset_ops(name, DistSpec::Uniform, 0.0);
+            assert_eq!(PhaseMix::from_specs(&frozen, &g).unwrap().write_ppm(), 0);
+            for ratio in [0.1f64, 0.25, 1.0 / 3.0, 1e-6, 0.999_999] {
+                let ops = preset_ops(name, DistSpec::Uniform, ratio);
+                let mix = PhaseMix::from_specs(&ops, &g).unwrap();
+                // The write gate: the ratio in whole ppm, on WRITE_STREAM.
+                let ppm = (ratio * 1e6) as u64;
+                assert_eq!(mix.write_ppm(), ppm, "{name} ratio {ratio}");
+                let reads: Vec<u64> = (0..2000u64)
+                    .filter(|&i| {
+                        let write = mix3(11, i, WRITE_STREAM) % 1_000_000 < ppm;
+                        assert_eq!(mix.is_write(11, i), write, "{name} ratio {ratio} index {i}");
+                        !write
+                    })
+                    .collect();
+                // Every index that stays a read draws the ratio-0 operation.
+                assert_eq!(
+                    stream(&ops, reads.iter().copied()),
+                    stream(&frozen, reads.iter().copied()),
+                    "{name} ratio {ratio}"
+                );
+            }
         }
-        assert!(writes > 100, "write gate never fired");
-        // Ratio 0 never writes.
-        let frozen = PhaseMix::from_mix(&legacy, 0.0);
-        assert!((0..2000u64).all(|i| !frozen.is_write(11, i)));
+        // Ratio 1 leaves no read weight: every index is a write.
+        let all = preset_ops("mixed", DistSpec::Uniform, 1.0);
+        assert_eq!(all.len(), 1);
+        assert_eq!(PhaseMix::from_specs(&all, &g).unwrap().write_ppm(), 1_000_000);
+    }
+
+    #[test]
+    fn preset_rejects_unknown_names_and_ratios_outside_the_unit_interval() {
+        let e = ScenarioSpec::preset("nope", DistSpec::Uniform, 0.0).unwrap_err();
+        assert!(e.contains("unknown mix"), "{e}");
+        for ratio in [-0.1, 1.5, f64::NAN] {
+            let e = ScenarioSpec::preset("points", DistSpec::Uniform, ratio).unwrap_err();
+            assert!(e.contains("write ratio"), "{ratio} -> {e}");
+        }
     }
 
     #[test]

@@ -14,10 +14,11 @@ use vcgp_core::Workload;
 use vcgp_graph::{apply_batch, generators, Mutation};
 use vcgp_pregel::partition::Partitioning;
 use vcgp_pregel::PregelConfig;
-use vcgp_stress::driver::{self, DriverConfig};
+use vcgp_stress::dist::DistSpec;
+use vcgp_stress::driver;
 use vcgp_stress::epoch::MutationConfig;
-use vcgp_stress::mix::Mix;
 use vcgp_stress::request::{QueryKind, QueryOutput, QueryRequest};
+use vcgp_stress::scenario::ScenarioSpec;
 use vcgp_stress::service::{ServiceConfig, SubmitError};
 use vcgp_stress::shard::ShardedGraphService;
 
@@ -268,21 +269,17 @@ fn concurrent_answers_match_exactly_one_epoch() {
 #[test]
 fn repeat_runs_scope_writer_deltas() {
     let graph = Arc::new(generators::gnm_connected(32, 80, 5));
-    let mix = Mix::preset("points", &graph).unwrap();
     let service = one_shard(
         Arc::clone(&graph),
         config_for(Partitioning::Hash, Some(MutationConfig::default())),
     );
-    let cfg = DriverConfig {
-        clients: 2,
-        duration: Duration::from_secs(30),
-        ops_limit: Some(200),
-        write_ratio: 0.3,
-        mutation_seed: 13,
-        ..DriverConfig::default()
-    };
-    let pass1 = driver::run(&service, &mix, &cfg);
-    let pass2 = driver::run(&service, &mix, &cfg);
+    let mut spec = ScenarioSpec::preset("points", DistSpec::Uniform, 0.3).unwrap();
+    spec.phases[0].ops = Some(200);
+    spec.clients = Some(2);
+    spec.mutation_seed = Some(13);
+    let scenario = spec.resolve(&graph).unwrap();
+    let pass1 = driver::run_scenario(&service, &scenario);
+    let pass2 = driver::run_scenario(&service, &scenario);
     for (pass, report) in [(1, &pass1), (2, &pass2)] {
         assert!(report.writes > 0, "pass {pass}: the seeded mix wrote nothing");
         assert_eq!(report.write_errors, 0, "pass {pass}: writes were refused");
@@ -302,22 +299,18 @@ fn repeat_runs_scope_writer_deltas() {
 #[test]
 fn write_ratio_zero_is_bit_identical_to_read_only() {
     let graph = Arc::new(generators::gnm_connected(32, 80, 5));
-    let mix = Mix::preset("points", &graph).unwrap();
-    let cfg = DriverConfig {
-        clients: 2,
-        duration: Duration::from_secs(30),
-        ops_limit: Some(150),
-        write_ratio: 0.0,
-        ..DriverConfig::default()
-    };
+    let mut spec = ScenarioSpec::preset("points", DistSpec::Uniform, 0.0).unwrap();
+    spec.phases[0].ops = Some(150);
+    spec.clients = Some(2);
+    let scenario = spec.resolve(&graph).unwrap();
     let with_writer = one_shard(
         Arc::clone(&graph),
         config_for(Partitioning::Hash, Some(MutationConfig::default())),
     );
     let read_only =
         one_shard(Arc::clone(&graph), config_for(Partitioning::Hash, None));
-    let a = driver::run(&with_writer, &mix, &cfg);
-    let b = driver::run(&read_only, &mix, &cfg);
+    let a = driver::run_scenario(&with_writer, &scenario);
+    let b = driver::run_scenario(&read_only, &scenario);
     assert_eq!(a.ops, b.ops);
     assert_eq!(a.answer_hash, b.answer_hash, "write path perturbed the reads");
     assert_eq!(a.writes, 0);

@@ -5,8 +5,9 @@
 //! real clock, no flakiness.
 
 use vcgp_graph::generators;
-use vcgp_stress::mix::Mix;
+use vcgp_stress::dist::DistSpec;
 use vcgp_stress::rate::TokenBucket;
+use vcgp_stress::scenario::ScenarioSpec;
 use vcgp_testkit::prop::Source;
 use vcgp_testkit::{prop_assert, prop_assert_eq, vcgp_props};
 
@@ -102,11 +103,13 @@ vcgp_props! {
         graph_seed in 0u64..1_000,
     ) {
         let g = generators::gnm_connected(32, 64, graph_seed);
-        let mix = Mix::preset("mixed", &g).unwrap();
+        let mut spec = ScenarioSpec::preset("mixed", DistSpec::Uniform, 0.0).unwrap();
+        spec.phases[0].ops = Some(100);
+        let mix = spec.resolve(&g).unwrap().phases.remove(0).mix;
         for i in 0..100u64 {
             prop_assert_eq!(mix.op(seed, i), mix.op(seed, i));
         }
-        let replay = Mix::preset("mixed", &g).unwrap();
+        let replay = spec.resolve(&g).unwrap().phases.remove(0).mix;
         for i in 0..100u64 {
             prop_assert_eq!(mix.op(seed, i), replay.op(seed, i));
         }

@@ -12,11 +12,12 @@ use vcgp_core::Workload;
 use vcgp_graph::{generators, Mutation};
 use vcgp_pregel::partition::Partitioning;
 use vcgp_pregel::PregelConfig;
-use vcgp_stress::driver::{self, DriverConfig};
+use vcgp_stress::dist::DistSpec;
+use vcgp_stress::driver;
 use vcgp_stress::epoch::MutationConfig;
-use vcgp_stress::mix::Mix;
 use vcgp_stress::request::{QueryKind, QueryOutput, QueryRequest, Route};
 use vcgp_stress::router::RoutingPolicy;
+use vcgp_stress::scenario::ScenarioSpec;
 use vcgp_stress::service::ServiceConfig;
 use vcgp_stress::shard::ShardedGraphService;
 use vcgp_testkit::prop::Source;
@@ -59,25 +60,21 @@ vcgp_props! {
         let n = 24 + src.next_below(25) as usize;
         let m = n + src.next_below(3 * n as u64) as usize;
         let graph = Arc::new(generators::gnm_connected(n, m, graph_seed));
-        let mix = Mix::preset("mixed", &graph)
-            .unwrap()
-            .with_zipf(1.1)
-            .unwrap();
-        let driver_cfg = DriverConfig {
-            clients: 2,
-            duration: Duration::from_secs(30),
-            ops_limit: Some(96),
-            seed: stream_seed,
-            ..DriverConfig::default()
-        };
+        let mut spec = ScenarioSpec::preset("mixed", DistSpec::Zipfian(1.1), 0.0).unwrap();
+        spec.phases[0].ops = Some(96);
+        spec.clients = Some(2);
+        spec.seed = Some(stream_seed);
+        let scenario = spec.resolve(&graph).unwrap();
         let two_passes = |replicas: usize, routing, strategy, shards| {
             let service = ShardedGraphService::start(
                 Arc::clone(&graph),
                 config_for(strategy, replicas, routing),
                 shards,
             );
-            let passes =
-                [driver::run(&service, &mix, &driver_cfg), driver::run(&service, &mix, &driver_cfg)];
+            let passes = [
+                driver::run_scenario(&service, &scenario),
+                driver::run_scenario(&service, &scenario),
+            ];
             service.shutdown();
             passes
         };

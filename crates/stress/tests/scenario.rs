@@ -1,8 +1,9 @@
 //! End-to-end tests for the scenario engine: determinism of the seeded
-//! op/key streams regardless of client-thread count, the interval-log
-//! fold identities the reports are gated on, the preset → scenario
-//! desugaring equivalence, and the checked-in example specs staying
-//! parseable.
+//! op/key streams regardless of client-thread count, the fold identities
+//! the reports are gated on — held by the library's `report::validate`,
+//! and shown here to reject a report that breaks any one of them — the
+//! `mixed` preset being the checked-in `mixed.scn`, and the checked-in
+//! example specs staying parseable.
 
 mod common;
 
@@ -10,9 +11,11 @@ use common::one_shard;
 use std::sync::Arc;
 use std::time::Duration;
 use vcgp_graph::generators;
-use vcgp_stress::driver::{self, DriverConfig, StressReport};
+use vcgp_stress::dist::DistSpec;
+use vcgp_stress::driver;
 use vcgp_stress::epoch::MutationConfig;
-use vcgp_stress::mix::Mix;
+use vcgp_stress::json::Value;
+use vcgp_stress::report::{validate, StressReport};
 use vcgp_stress::scenario::{Scenario, ScenarioSpec};
 use vcgp_stress::service::ServiceConfig;
 use vcgp_stress::shard::ShardedGraphService;
@@ -119,37 +122,79 @@ fn op_streams_are_client_count_independent_and_rerunnable() {
     }
 }
 
-/// Every interval series in the report folds exactly back to its
-/// aggregate histogram, and the phase counters fold exactly to the run
-/// counters — the identities `--validate-report` enforces, checked here
-/// at the source.
+/// The report's identities hold at the source: the tree a run produces
+/// passes `validate`, and beneath what JSON can carry — counts and three
+/// quantiles per row — every phase's interval series folds back to the
+/// phase's whole latency histogram.
 #[test]
 fn interval_sums_fold_exactly_to_totals() {
     let report = run_with_clients(3);
-    let mut ops = 0;
-    let mut hash = 0;
+    validate(&report.to_value("scenario-test")).expect("a clean run's report validates");
     for p in &report.phases {
         let folded = p.intervals.folded();
         assert_eq!(folded.count(), p.latency.count(), "phase {}", p.name);
-        assert_eq!(folded.count(), p.ops, "phase {}", p.name);
         assert_eq!(folded.min(), p.latency.min(), "phase {}", p.name);
         assert_eq!(folded.max(), p.latency.max(), "phase {}", p.name);
         for q in [0.5, 0.9, 0.99] {
             assert_eq!(folded.quantile(q), p.latency.quantile(q), "phase {}", p.name);
         }
-        let (ok, errors) = p
-            .intervals
-            .slots()
-            .iter()
-            .fold((0, 0), |(o, e), s| (o + s.ok, e + s.errors));
-        assert_eq!(ok, p.ok, "phase {}", p.name);
-        assert_eq!(errors, p.errors, "phase {}", p.name);
         assert!(p.intervals.completed_intervals() >= 1, "phase {}", p.name);
-        ops += p.ops;
-        hash ^= p.answer_hash;
     }
-    assert_eq!(ops, report.ops);
-    assert_eq!(hash, report.answer_hash);
+}
+
+/// `validate` rejects, not only accepts: one clean report, one identity
+/// broken per row, and the error names the path that no longer folds.
+#[test]
+fn validate_names_the_path_of_every_broken_identity() {
+    let graph = Arc::new(generators::gnm_connected(64, 160, 5));
+    let service = ShardedGraphService::start(
+        Arc::clone(&graph),
+        ServiceConfig {
+            executors: 1,
+            replicas: 2,
+            mutations: Some(MutationConfig::default()),
+            ..ServiceConfig::default()
+        },
+        2,
+    );
+    let clean = driver::run_scenario(&service, &scenario_with_clients(2)).to_value("clean");
+    service.shutdown();
+    validate(&clean).expect("the unbroken report validates");
+
+    let bump = |v: &mut Value| *v = Value::Number(v.as_f64().expect("a number") + 1.0);
+    let other_hash = |v: &mut Value| *v = "00000000deadbeef".into();
+    let unhex = |v: &mut Value| *v = "not-a-hex-digest".into();
+    let no_busy_ns = |v: &mut Value| match v {
+        Value::Object(members) => members.retain(|(k, _)| k != "busy_ns"),
+        other => panic!("not an object: {other:?}"),
+    };
+    // With the row's own latency count moved along, so that only the sum
+    // over rows is off.
+    let more_tenant_ops = |v: &mut Value| {
+        for key in ["ops", "latency_ns.count"] {
+            bump(v.at_mut(key).unwrap());
+        }
+    };
+    type Break<'a> = &'a dyn Fn(&mut Value);
+    // (what breaks, the path to break, how, what the error must name)
+    let cases: [(&str, &str, Break, &str); 10] = [
+        ("a per-shard sum", "per_shard[1].early_drops", &bump, "per_shard[*].early_drops sum"),
+        ("a replica sum", "per_shard[0].replicas[1].completed", &bump, "per_shard[0].completed"),
+        ("a replica queue_hwm max", "per_shard[0].queue_hwm", &bump, "per_shard[0].queue_hwm"),
+        ("the phase hash XOR", "phases[1].answer_hash", &other_hash, "phases[*].answer_hash fold"),
+        ("the tenant ops sum", "tenants[0]", &more_tenant_ops, "tenants[*].ops sum"),
+        ("an interval count", "phases[0].intervals[0].count", &bump, "phases[0].intervals[0]"),
+        ("routed + scattered", "phases[1].routed", &bump, "phases[1].ops"),
+        ("a missing field", "per_shard[1].replicas[0]", &no_busy_ns, "replicas[0].busy_ns"),
+        ("a non-hex hash", "tenants[0].answer_hash", &unhex, "tenants[0].answer_hash"),
+        ("errors != 0", "errors", &bump, "errors: 1 errored"),
+    ];
+    for (what, path, break_it, needle) in cases {
+        let mut doc = clean.clone();
+        break_it(doc.at_mut(path).unwrap_or_else(|| panic!("{what}: no {path} in the report")));
+        let err = validate(&doc).expect_err(what);
+        assert!(err.contains(needle), "{what}: broke {path}, got {err:?}");
+    }
 }
 
 /// Per-replica service-time series hold the same fold identity, on the
@@ -186,36 +231,20 @@ fn replica_series_fold_on_a_replicated_service() {
     assert!(recorded > 0, "executors recorded service times");
 }
 
-/// The legacy preset entry point and the checked-in `mixed.scn` example
-/// produce the same counts and answers: the desugaring is exact.
+/// The built-in `mixed` preset *is* the checked-in `mixed.scn` example:
+/// `--mix mixed --ops 400` and the file fill in the same spec, so there is
+/// no second load model for the two to diverge through.
 #[test]
-fn preset_flags_desugar_to_the_example_scenario() {
-    let graph = Arc::new(generators::gnm_connected(64, 160, 5));
-    let mix = Mix::preset("mixed", &graph).unwrap();
-    let cfg = DriverConfig {
-        clients: 4,
-        ops_limit: Some(400),
-        duration: Duration::from_secs(30),
-        ..DriverConfig::default()
-    };
+fn the_mixed_preset_is_the_example_scenario() {
     let text = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../examples/scenarios/mixed.scn"
     ))
     .expect("checked-in example readable");
-    let scenario = ScenarioSpec::parse(&text)
-        .expect("checked-in example parses")
-        .resolve(&graph)
-        .expect("checked-in example resolves");
-
-    let service = one_shard(Arc::clone(&graph), ServiceConfig::default());
-    let legacy = driver::run(&service, &mix, &cfg);
-    let scn = driver::run_scenario(&service, &scenario);
-    service.shutdown();
-    assert_eq!(legacy.ops, scn.ops);
-    assert_eq!(legacy.ok, scn.ok);
-    assert_eq!(legacy.errors, scn.errors);
-    assert_eq!(legacy.answer_hash, scn.answer_hash);
+    let example = ScenarioSpec::parse(&text).expect("checked-in example parses");
+    let mut preset = ScenarioSpec::preset("mixed", DistSpec::Uniform, 0.0).unwrap();
+    preset.phases[0].ops = Some(400);
+    assert_eq!(preset, example);
 }
 
 /// The other checked-in example parses, round-trips through its canonical
@@ -236,31 +265,19 @@ fn checked_in_smoke_example_stays_valid() {
     assert_eq!(scenario.interval, Duration::from_millis(250));
 }
 
-/// Reports round-trip through the crate's own JSON reader with the phase
-/// and interval sections intact.
+/// Reports survive the trip through the JSON writer and reader whole: the
+/// parsed document is the tree that was rendered, phases and intervals
+/// included, and still validates.
 #[test]
 fn report_json_carries_phases_and_intervals() {
     let report = run_with_clients(2);
-    let doc = vcgp_stress::json::parse(&report.to_json("scenario-test")).expect("valid JSON");
-    let phases = match doc.get("phases") {
-        Some(vcgp_stress::json::Value::Array(rows)) => rows,
-        other => panic!("phases missing or not an array: {other:?}"),
-    };
-    assert_eq!(phases.len(), 2);
-    for (row, p) in phases.iter().zip(&report.phases) {
-        let got = row
-            .get("ops")
-            .and_then(vcgp_stress::json::Value::as_f64)
-            .expect("phase ops");
-        assert_eq!(got as u64, p.ops);
-        let intervals = match row.get("intervals") {
-            Some(vcgp_stress::json::Value::Array(rows)) => rows,
-            other => panic!("intervals missing: {other:?}"),
-        };
-        let summed: f64 = intervals
-            .iter()
-            .map(|r| r.get("count").and_then(vcgp_stress::json::Value::as_f64).unwrap())
-            .sum();
-        assert_eq!(summed as u64, p.ops);
+    let tree = report.to_value("scenario-test");
+    let doc = vcgp_stress::json::parse(&tree.render()).expect("valid JSON");
+    assert_eq!(doc, tree);
+    validate(&doc).expect("the re-read report validates");
+    for (i, p) in report.phases.iter().enumerate() {
+        assert_eq!(doc.at(&format!("phases[{i}].phase")).and_then(Value::as_str), Some(&*p.name));
+        assert_eq!(doc.at(&format!("phases[{i}].ops")).and_then(Value::as_f64), Some(p.ops as f64));
     }
+    assert!(doc.at("phases[2]").is_none(), "two phases, two rows");
 }

@@ -10,10 +10,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vcgp_core::Workload;
 use vcgp_graph::generators;
-use vcgp_stress::driver::{self, DriverConfig};
-use vcgp_stress::json;
-use vcgp_stress::mix::Mix;
+use vcgp_stress::dist::DistSpec;
+use vcgp_stress::driver;
+use vcgp_stress::report::{self, StressReport};
 use vcgp_stress::request::{QueryError, QueryKind, QueryOutput, QueryRequest};
+use vcgp_stress::scenario::{RateSpec, ScenarioSpec};
 use vcgp_stress::service::{ServiceConfig, SubmitError};
 use vcgp_stress::shard::ShardedGraphService;
 
@@ -85,16 +86,33 @@ fn workload_queries_run_end_to_end() {
     service.shutdown();
 }
 
+/// The scenario `stress --mix NAME --ops N --clients C --seed S` runs.
+fn preset(name: &str, ops: u64, clients: usize, seed: u64) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::preset(name, DistSpec::Uniform, 0.0).unwrap();
+    spec.phases[0].ops = Some(ops);
+    spec.clients = Some(clients);
+    spec.seed = Some(seed);
+    spec
+}
+
+/// Runs `spec` against `service` and shuts the service down.
+fn run_preset(service: ShardedGraphService, spec: &ScenarioSpec) -> StressReport {
+    let report = driver::run_scenario(&service, &spec.resolve(service.graph()).unwrap());
+    service.shutdown();
+    report
+}
+
 #[test]
 fn same_seed_reproduces_the_exact_operation_sequence() {
     let g = generators::gnm_connected(64, 128, 5);
-    let mix = Mix::preset("mixed", &g).unwrap();
+    let spec = preset("mixed", 500, 4, 7);
+    let mix = spec.resolve(&g).unwrap().phases.remove(0).mix;
     let first: Vec<QueryKind> = (0..500).map(|i| mix.op(42, i)).collect();
     let second: Vec<QueryKind> = (0..500).map(|i| mix.op(42, i)).collect();
     assert_eq!(first, second);
-    // A fresh Mix over the same graph replays the same sequence too — the
+    // A fresh mix over the same graph replays the same sequence too — the
     // stream depends only on (seed, index, graph shape).
-    let remade = Mix::preset("mixed", &g).unwrap();
+    let remade = spec.resolve(&g).unwrap().phases.remove(0).mix;
     let third: Vec<QueryKind> = (0..500).map(|i| remade.op(42, i)).collect();
     assert_eq!(first, third);
     assert_ne!(
@@ -240,17 +258,7 @@ fn graceful_shutdown_loses_no_accepted_request() {
 fn driver_runs_a_deterministic_bounded_load() {
     let g = generators::gnm_connected(64, 160, 9);
     let service = service_on(g, 2);
-    let mix = Mix::preset("mixed", service.graph()).unwrap();
-    let cfg = DriverConfig {
-        clients: 3,
-        duration: Duration::from_secs(60), // ops_limit ends the run
-        ops_limit: Some(80),
-        rate: None,
-        seed: 21,
-        ..DriverConfig::default()
-    };
-    let report = driver::run(&service, &mix, &cfg);
-    service.shutdown();
+    let report = run_preset(service, &preset("mixed", 80, 3, 21));
     assert_eq!(report.ops, 80);
     assert_eq!(report.ok, 80);
     assert_eq!(report.errors, 0);
@@ -258,31 +266,24 @@ fn driver_runs_a_deterministic_bounded_load() {
     assert_eq!(report.service_time.count(), 80);
     assert!(report.throughput() > 0.0);
 
-    // The emitted JSON parses with the in-tree reader and carries the gate
-    // fields verify.sh checks.
-    let doc = json::parse(&report.to_json("test")).expect("report must be valid JSON");
-    assert_eq!(doc.get("ops").and_then(json::Value::as_f64), Some(80.0));
-    assert_eq!(doc.get("errors").and_then(json::Value::as_f64), Some(0.0));
-    assert!(doc.get("latency_ns").and_then(|h| h.get("p99")).is_some());
+    // The report tree passes its own gate and carries the fields verify.sh
+    // reads.
+    let doc = report.to_value("test");
+    report::validate(&doc).expect("a clean run's report validates");
+    assert_eq!(doc.at("ops").and_then(|v| v.as_f64()), Some(80.0));
+    assert_eq!(doc.at("errors").and_then(|v| v.as_f64()), Some(0.0));
+    assert!(doc.at("latency_ns.p99").is_some());
     assert!(!report.to_markdown("test").is_empty());
 }
 
 #[test]
 fn driver_paced_run_respects_the_token_bucket() {
     let service = service_on(generators::gnm_connected(32, 64, 2), 2);
-    let mix = Mix::preset("points", service.graph()).unwrap();
-    let cfg = DriverConfig {
-        clients: 2,
-        duration: Duration::from_secs(30),
-        ops_limit: Some(50),
-        rate: Some(2000.0),
-        burst: 4,
-        seed: 3,
-        ..DriverConfig::default()
-    };
+    let mut spec = preset("points", 50, 2, 3);
+    spec.rate = Some(RateSpec::Fixed(2000.0));
+    spec.burst = Some(4);
     let t0 = Instant::now();
-    let report = driver::run(&service, &mix, &cfg);
-    service.shutdown();
+    let report = run_preset(service, &spec);
     assert_eq!(report.ops, 50);
     assert_eq!(report.errors, 0);
     // 50 ops at 2000/s with burst 4 need at least ~23 ms of schedule.
@@ -300,16 +301,7 @@ fn driver_paced_run_respects_the_token_bucket() {
 #[test]
 fn one_shard_one_replica_reports_one_routed_row() {
     let service = service_on(generators::gnm_connected(64, 160, 9), 2);
-    let mix = Mix::preset("points", service.graph()).unwrap();
-    let cfg = DriverConfig {
-        clients: 3,
-        duration: Duration::from_secs(60), // ops_limit ends the run
-        ops_limit: Some(120),
-        seed: 5,
-        ..DriverConfig::default()
-    };
-    let report = driver::run(&service, &mix, &cfg);
-    service.shutdown();
+    let report = run_preset(service, &preset("points", 120, 3, 5));
     assert_eq!((report.shards, report.replicas), (1, 1));
     assert_eq!((report.ops, report.errors), (120, 0));
     assert_eq!(report.routed, report.ops, "every lookup was owner-routed");

@@ -14,6 +14,7 @@
 //! `bench_function`, `bench_with_input`, `BenchmarkId`, `Throughput`), so
 //! benches are plain `fn main()` binaries with `harness = false`.
 
+use crate::json::escape;
 use std::fmt::Display;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -196,7 +197,7 @@ impl Harness {
     /// Renders all groups as one JSON document.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
-        let _ = write!(s, "{{\n  \"harness\": \"{}\",\n  \"groups\": [", json_escape(&self.name));
+        let _ = write!(s, "{{\n  \"harness\": \"{}\",\n  \"groups\": [", escape(&self.name));
         for (gi, g) in self.groups.iter().enumerate() {
             if gi > 0 {
                 s.push(',');
@@ -204,7 +205,7 @@ impl Harness {
             let _ = write!(
                 s,
                 "\n    {{\n      \"name\": \"{}\",\n      \"benches\": [",
-                json_escape(&g.name)
+                escape(&g.name)
             );
             for (bi, b) in g.benches.iter().enumerate() {
                 if bi > 0 {
@@ -216,7 +217,7 @@ impl Harness {
                     "\n        {{\"id\": \"{}\", \"mean_ns\": {:.1}, \"median_ns\": {:.1}, \
                      \"stddev_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}, \
                      \"samples\": {}, \"iters_per_sample\": {}",
-                    json_escape(&b.id),
+                    escape(&b.id),
                     st.mean_ns,
                     st.median_ns,
                     st.stddev_ns,
@@ -476,25 +477,6 @@ pub fn write_report(name: &str, json: &str, md: &str) -> std::io::Result<(PathBu
     Ok((json_path, md_path))
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,11 +576,6 @@ mod tests {
         g.finish();
         // 1 calibration burst + 1 discard + 3 timed.
         assert_eq!(calls.get(), 5);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

@@ -1,9 +1,15 @@
-//! A minimal JSON reader — just enough for report producers (the stress
-//! driver, the engine bench) to validate the documents they emit
-//! (well-formedness plus field lookups) without an external parser crate.
+//! A minimal JSON reader and writer — just enough for report producers
+//! (the stress driver, the engine bench) to build the documents they emit
+//! as one [`Value`] tree, render it, and query or validate it again
+//! (well-formedness, field and dotted-path lookups) without an external
+//! crate. `parse(&v.render()) == v` for every tree of finite numbers.
 //!
 //! Supports the full JSON grammar except `\u` surrogate pairs are decoded
-//! permissively (lone surrogates become U+FFFD). Numbers are read as `f64`.
+//! permissively (lone surrogates become U+FFFD). Numbers are `f64` on both
+//! sides: integers are exact up to 2⁵³, which is why 64-bit hashes travel
+//! as hex strings.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,6 +52,162 @@ impl Value {
             _ => None,
         }
     }
+
+    /// An object from `(key, value)` pairs, in the order given.
+    pub fn object<const N: usize>(members: [(&str, Value); N]) -> Value {
+        Value::Object(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// The value at a dotted path of member names and `[index]` steps, e.g.
+    /// `per_shard[0].replicas[1].queue_hwm`. `None` when a member is
+    /// missing, an index is out of range, a step is applied to the wrong
+    /// kind of value, or the path is malformed.
+    pub fn at(&self, path: &str) -> Option<&Value> {
+        parse_path(path)?.into_iter().try_fold(self, |v, step| match (step, v) {
+            (Step::Key(k), Value::Object(_)) => v.get(k),
+            (Step::Index(i), Value::Array(items)) => items.get(i),
+            _ => None,
+        })
+    }
+
+    /// [`Value::at`], mutably.
+    pub fn at_mut(&mut self, path: &str) -> Option<&mut Value> {
+        parse_path(path)?.into_iter().try_fold(self, |v, step| match (step, v) {
+            (Step::Key(k), Value::Object(members)) => {
+                members.iter_mut().find(|(name, _)| name == k).map(|(_, v)| v)
+            }
+            (Step::Index(i), Value::Array(items)) => items.get_mut(i),
+            _ => None,
+        })
+    }
+
+    /// The value as JSON text that [`parse`] reads back. The members of the
+    /// outermost object or array go one per line and everything nested
+    /// stays on its member's line, so a report is one line per field. An
+    /// integral number up to 2⁵³ is written without a fraction; a
+    /// non-finite number, which JSON cannot express, becomes `null`.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, true);
+        out
+    }
+
+    fn write(&self, out: &mut String, outermost: bool) {
+        let (first, next, last) = if outermost { ("\n  ", ",\n  ", "\n") } else { ("", ", ", "") };
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Number(n) if !n.is_finite() => out.push_str("null"),
+            Value::Number(n) if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 => {
+                let _ = write!(out, "{}", *n as i64);
+            }
+            Value::Number(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Value::String(s) => {
+                let _ = write!(out, "\"{}\"", escape(s));
+            }
+            Value::Array(items) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    out.push_str(if i == 0 { first } else { next });
+                    v.write(out, false);
+                }
+                if !items.is_empty() {
+                    out.push_str(last);
+                }
+                out.push(']');
+            }
+            Value::Object(members) => {
+                out.push('{');
+                for (i, (k, v)) in members.iter().enumerate() {
+                    out.push_str(if i == 0 { first } else { next });
+                    let _ = write!(out, "\"{}\": ", escape(k));
+                    v.write(out, false);
+                }
+                if !members.is_empty() {
+                    out.push_str(last);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+macro_rules! value_from_number {
+    ($($t:ty),+) => {$(
+        impl From<$t> for Value {
+            fn from(n: $t) -> Value {
+                Value::Number(n as f64)
+            }
+        }
+    )+};
+}
+value_from_number!(f64, u64, u32, usize);
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::String(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::String(s)
+    }
+}
+
+impl From<Vec<Value>> for Value {
+    fn from(items: Vec<Value>) -> Value {
+        Value::Array(items)
+    }
+}
+
+/// One step of a [`Value::at`] path.
+enum Step<'a> {
+    Key(&'a str),
+    Index(usize),
+}
+
+/// Splits `a.b[0][1].c` into its steps; `None` when malformed (an empty
+/// member name, an unclosed or non-numeric index, text after a `]`).
+fn parse_path(path: &str) -> Option<Vec<Step<'_>>> {
+    let mut steps = Vec::new();
+    for segment in path.split('.') {
+        let (key, mut rest) = match segment.find('[') {
+            Some(open) => segment.split_at(open),
+            None => (segment, ""),
+        };
+        if key.is_empty() {
+            return None;
+        }
+        steps.push(Step::Key(key));
+        while !rest.is_empty() {
+            let (index, tail) = rest.strip_prefix('[')?.split_once(']')?;
+            steps.push(Step::Index(index.parse().ok()?));
+            rest = tail;
+        }
+    }
+    Some(steps)
+}
+
+/// Escapes a string for embedding in a JSON string literal.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Parses a complete JSON document; trailing non-whitespace is an error.
@@ -226,6 +388,11 @@ mod tests {
         let lat = v.get("latency_ns").unwrap();
         assert_eq!(lat.get("p99").and_then(Value::as_f64), Some(9000.5));
         assert_eq!(v.get("text").and_then(Value::as_str), Some("he said \"hi\"\n"));
+    }
+
+    #[test]
+    fn escape_handles_specials() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

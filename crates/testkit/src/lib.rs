@@ -17,8 +17,9 @@
 //!   producers reuse via [`bench::write_report`].
 //! * [`hist`] — a log-bucketed (HDR-style) mergeable histogram for latency
 //!   recording, used by the `vcgp-stress` workload driver.
-//! * [`json`] — a minimal JSON reader, so bench binaries and the stress
-//!   driver can validate the reports they emit without an external parser.
+//! * [`json`] — a minimal JSON reader and writer over one `Value` tree, so
+//!   bench binaries and the stress driver can build, render, query and
+//!   validate the reports they emit without an external crate.
 //!
 //! All modules use only `std` plus `vcgp-graph`'s deterministic RNG.
 

@@ -103,6 +103,12 @@ for wl in sssp_combine wcc_combine; do
     echo "   ok: $wl W=4 mean ${m4}ns <= W=1 mean ${m1}ns x $tol"
 done
 
+# Every stress-report field below is read by path with `stress --get`, so
+# no gate depends on the order or layout the report was written in.
+get() {
+    ./target/release/stress --get "target/vcgp-bench/BENCH_stress_$1.json" "$2"
+}
+
 echo "== stress smoke (2 s paced load, gated on valid JSON and zero errors)"
 ./target/release/stress --gen gnm-connected:512:2048:7 --duration 2 --rate 500 \
     --seed 7 --mix points --name smoke --quiet
@@ -116,13 +122,12 @@ for s in 1 4; do
     ./target/release/stress --validate-report "target/vcgp-bench/BENCH_stress_shard$s.json"
 done
 counts() {
-    {
-        sed -n 's/^[[:space:]]*"\(ops\|ok\|errors\)": \([0-9]*\),*$/\1=\2/p' "$1"
-        sed -n 's/^[[:space:]]*"answer_hash": "\([0-9a-f]*\)",*$/answer_hash=\1/p' "$1"
-    } | sort
+    for key in answer_hash errors ok ops; do
+        echo "$key=$(get "$1" "$key")"
+    done
 }
-c1=$(counts target/vcgp-bench/BENCH_stress_shard1.json)
-c4=$(counts target/vcgp-bench/BENCH_stress_shard4.json)
+c1=$(counts shard1)
+c4=$(counts shard4)
 if [ "$c1" != "$c4" ]; then
     echo "error: S=4 diverged from S=1 on the same seeded mix:" >&2
     echo "--shards 1: $c1" >&2
@@ -139,18 +144,14 @@ for p in 1 2; do
     ./target/release/stress --validate-report \
         "target/vcgp-bench/BENCH_stress_cache-pass$p.json"
 done
-hash_of() {
-    sed -n 's/^[[:space:]]*"answer_hash": "\([0-9a-f]*\)",*$/\1/p' "$1"
-}
-h1=$(hash_of target/vcgp-bench/BENCH_stress_cache-pass1.json)
-h2=$(hash_of target/vcgp-bench/BENCH_stress_cache-pass2.json)
+h1=$(get cache-pass1 answer_hash)
+h2=$(get cache-pass2 answer_hash)
 if [ -z "$h1" ] || [ "$h1" != "$h2" ]; then
     echo "error: cached pass answered differently from the cold pass:" >&2
     echo "pass 1: ${h1:-missing}   pass 2: ${h2:-missing}" >&2
     exit 1
 fi
-hits=$(sed -n 's/.*"cache": {"hits": \([0-9]*\),.*/\1/p' \
-    target/vcgp-bench/BENCH_stress_cache-pass2.json)
+hits=$(get cache-pass2 cache.hits)
 if [ -z "$hits" ] || [ "$hits" -eq 0 ]; then
     echo "error: second pass over the same stream recorded no cache hits" >&2
     exit 1
@@ -164,8 +165,8 @@ echo "   metrics that pass --validate-report's count identities)"
 ./target/release/stress --gen gnm-connected:256:1024:7 --ops 400 --duration 30 \
     --seed 7 --mix mixed --shards 4 --write-ratio 0 --name mut0 --quiet
 ./target/release/stress --validate-report target/vcgp-bench/BENCH_stress_mut0.json
-h4=$(hash_of target/vcgp-bench/BENCH_stress_shard4.json)
-hm=$(hash_of target/vcgp-bench/BENCH_stress_mut0.json)
+h4=$(get shard4 answer_hash)
+hm=$(get mut0 answer_hash)
 if [ -z "$hm" ] || [ "$hm" != "$h4" ]; then
     echo "error: --write-ratio 0 diverged from the frozen run:" >&2
     echo "frozen: ${h4:-missing}   write-ratio 0: ${hm:-missing}" >&2
@@ -175,10 +176,8 @@ fi
     --seed 7 --mix mixed --shards 4 --write-ratio 0.1 --mutation-seed 11 \
     --name mut --quiet
 ./target/release/stress --validate-report target/vcgp-bench/BENCH_stress_mut.json
-swaps=$(sed -n 's/.*"epochs": {"epoch": [0-9]*, "swaps": \([0-9]*\),.*/\1/p' \
-    target/vcgp-bench/BENCH_stress_mut.json)
-applied=$(sed -n 's/.*"applied": \([0-9]*\),.*/\1/p' \
-    target/vcgp-bench/BENCH_stress_mut.json)
+swaps=$(get mut epochs.swaps)
+applied=$(get mut epochs.applied)
 if [ -z "$swaps" ] || [ "$swaps" -eq 0 ] || [ -z "$applied" ] || [ "$applied" -eq 0 ]; then
     echo "error: mixed read/write run installed no epochs" >&2
     echo "       (swaps=${swaps:-missing}, applied=${applied:-missing})" >&2
@@ -201,22 +200,21 @@ for r in 1 2; do
         --executors 1 --clients 8 --name "repl$r" --quiet
     ./target/release/stress --validate-report "target/vcgp-bench/BENCH_stress_repl$r.json"
 done
-r1=$(counts target/vcgp-bench/BENCH_stress_repl1.json)
-r2=$(counts target/vcgp-bench/BENCH_stress_repl2.json)
+r1=$(counts repl1)
+r2=$(counts repl2)
 if [ "$r1" != "$r2" ]; then
     echo "error: replicated run diverged from the single-replica run:" >&2
     echo "--replicas 1: $r1" >&2
     echo "--replicas 2: $r2" >&2
     exit 1
 fi
-# Shard-level rows are the only place "queue_hwm" follows "cache_hits", so
-# this extracts the deepest shard's high-water mark (not a replica row's).
+# The deepest shard's high-water mark (the shard row's, which is the max
+# over its replica rows).
 hot_hwm() {
-    grep -o '"cache_hits": [0-9]*, "queue_hwm": [0-9]*' "$1" |
-        awk '{ if ($NF > max) max = $NF } END { print max + 0 }'
+    for s in 0 1; do get "$1" "per_shard[$s].queue_hwm"; done | sort -n | tail -1
 }
-q1=$(hot_hwm target/vcgp-bench/BENCH_stress_repl1.json)
-q2=$(hot_hwm target/vcgp-bench/BENCH_stress_repl2.json)
+q1=$(hot_hwm repl1)
+q2=$(hot_hwm repl2)
 if [ "$q2" -ge "$q1" ]; then
     echo "error: --replicas 2 did not relieve the queues:" >&2
     echo "       queue hwm $q2 (R=2) vs $q1 (R=1) at equal offered load" >&2
@@ -232,24 +230,25 @@ echo "   fold identities, and both phases must appear in the report)"
     --scenario examples/scenarios/smoke.scn --shards 2 --replicas 2 \
     --name scn --quiet
 ./target/release/stress --validate-report target/vcgp-bench/BENCH_stress_scn.json
-nphases=$(grep -o '"phase": "[a-z]*"' target/vcgp-bench/BENCH_stress_scn.json | wc -l)
-if [ "$nphases" -ne 2 ]; then
-    echo "error: scenario report has $nphases phase rows (expected 2)" >&2
+if [ "$(get scn 'phases[0].phase')" != warmup ] || [ "$(get scn 'phases[1].phase')" != measure ] ||
+    get scn 'phases[2]' >/dev/null 2>&1; then
+    echo "error: scenario report does not have exactly the spec's two phase rows" >&2
     exit 1
 fi
 echo "   ok: both phases reported, interval sums fold to totals"
 
-echo "== scenario desugar gate (legacy preset flags and their scenario-file"
-echo "   desugaring must report identical counts and answer hashes)"
+echo "== scenario desugar gate (the built-in 'mixed' preset and the checked-in"
+echo "   mixed.scn that spells it out must report identical counts and answer"
+echo "   hashes)"
 ./target/release/stress --gen gnm-connected:256:1024:7 --ops 400 --duration 30 \
     --seed 7 --mix mixed --shards 2 --name desugar-legacy --quiet
 ./target/release/stress --gen gnm-connected:256:1024:7 --seed 7 --shards 2 \
     --scenario examples/scenarios/mixed.scn --name desugar-scn --quiet
-dl=$(counts target/vcgp-bench/BENCH_stress_desugar-legacy.json)
-ds=$(counts target/vcgp-bench/BENCH_stress_desugar-scn.json)
+dl=$(counts desugar-legacy)
+ds=$(counts desugar-scn)
 if [ "$dl" != "$ds" ]; then
-    echo "error: scenario desugaring diverged from the legacy preset flags:" >&2
-    echo "legacy:   $dl" >&2
+    echo "error: the 'mixed' preset diverged from examples/scenarios/mixed.scn:" >&2
+    echo "preset:   $dl" >&2
     echo "scenario: $ds" >&2
     exit 1
 fi
@@ -261,7 +260,7 @@ echo "   the frozen shard4 run)"
 ./target/release/stress --gen gnm-connected:256:1024:7 --ops 400 --duration 30 \
     --seed 7 --mix mixed --shards 4 --tenants 1 --name ten1 --quiet
 ./target/release/stress --validate-report target/vcgp-bench/BENCH_stress_ten1.json
-t1=$(counts target/vcgp-bench/BENCH_stress_ten1.json)
+t1=$(counts ten1)
 if [ "$t1" != "$c4" ]; then
     echo "error: --tenants 1 diverged from the frozen run on the same mix:" >&2
     echo "frozen:     $c4" >&2
@@ -280,44 +279,26 @@ for v in isolation isolation-solo; do
         --scenario "examples/scenarios/$v.scn" --name "$v" --quiet
     ./target/release/stress --validate-report "target/vcgp-bench/BENCH_stress_$v.json"
 done
-# Tenant rows are single-line objects with a fixed field order, so each row
-# (through its latency_ns fields) is extractable with one grep.
-trow() {
-    grep -o '{"tenant": '"$2"', [^}]*' "$1"
-}
-tfield() {
-    printf '%s\n' "$1" | sed -n 's/.*"'"$2"'": \([0-9]*\).*/\1/p'
-}
-thash() {
-    printf '%s\n' "$1" | sed -n 's/.*"answer_hash": "\([0-9a-f]*\)".*/\1/p'
-}
-victim=$(trow target/vcgp-bench/BENCH_stress_isolation.json 1)
-solo=$(trow target/vcgp-bench/BENCH_stress_isolation-solo.json 1)
-aggressor=$(trow target/vcgp-bench/BENCH_stress_isolation.json 0)
-if [ -z "$victim" ] || [ -z "$solo" ] || [ -z "$aggressor" ]; then
-    echo "error: isolation reports are missing tenant rows" >&2
-    exit 1
-fi
-for probe in "victim:$victim" "solo victim:$solo"; do
-    row=${probe#*:}
-    who=${probe%%:*}
-    if [ "$(tfield "$row" ops)" -ne 100 ] || [ "$(tfield "$row" rejects)" -ne 0 ] ||
-        [ "$(tfield "$row" throttled)" -ne 0 ]; then
-        echo "error: $who was not isolated: $row" >&2
+# Tenant t's row is tenants[t]: the victim is tenant 1, the aggressor 0.
+for run in isolation isolation-solo; do
+    if [ "$(get "$run" 'tenants[1].ops')" -ne 100 ] ||
+        [ "$(get "$run" 'tenants[1].rejects')" -ne 0 ] ||
+        [ "$(get "$run" 'tenants[1].throttled')" -ne 0 ]; then
+        echo "error: the victim was not isolated in $run: $(get "$run" 'tenants[1]')" >&2
         exit 1
     fi
 done
-hv=$(thash "$victim")
-hs=$(thash "$solo")
+hv=$(get isolation 'tenants[1].answer_hash')
+hs=$(get isolation-solo 'tenants[1].answer_hash')
 if [ -z "$hv" ] || [ "$hv" != "$hs" ]; then
     echo "error: victim answered differently beside the aggressor:" >&2
     echo "joint: ${hv:-missing}   solo: ${hs:-missing}" >&2
     exit 1
 fi
-agth=$(tfield "$aggressor" throttled)
+agth=$(get isolation 'tenants[0].throttled')
 if [ -z "$agth" ] || [ "$agth" -eq 0 ]; then
     echo "error: the aggressor was never throttled — the scenario did not" >&2
-    echo "       engage the admission stage: $aggressor" >&2
+    echo "       engage the admission stage: $(get isolation 'tenants[0]')" >&2
     exit 1
 fi
 echo "   ok: victim 100/100 ops, 0 rejects, hash $hv solo == joint;" \
