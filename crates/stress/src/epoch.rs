@@ -537,7 +537,7 @@ mod tests {
     }
 
     #[test]
-    fn read_only_manager_rejects_writes() {
+    fn manager_without_a_writer_rejects_writes() {
         let g = generators::gnm_connected(8, 10, 3);
         let mgr = EpochManager::new(snapshot(g, 0), None);
         assert_eq!(

@@ -11,12 +11,11 @@
 //!   answered by [`request::QueryResponse`]s carrying per-request cost
 //!   metrics;
 //! * [`service`] — the replica core every shard runs: requests that need
-//!   no executor (cache hits, a read-only service's point lookups)
-//!   answered at submit, and for the rest a bounded MPMC job queue,
-//!   OS-thread executors, post-hoc timeouts with bounded seeded-jitter
-//!   retries, contained panics, queue-full admission policies (block /
-//!   reject), deadline early drops, and graceful draining shutdown — plus
-//!   its config and counters;
+//!   no executor (cache hits, point lookups) answered at submit, and for
+//!   the rest a bounded MPMC job queue, OS-thread executors, post-hoc
+//!   timeouts with bounded seeded-jitter retries, contained panics,
+//!   queue-full admission policies (block / reject), deadline early drops,
+//!   and graceful draining shutdown — plus its config and counters;
 //! * [`shard`] + [`router`] — the one service type:
 //!   [`shard::ShardedGraphService`] loads the graph once behind an
 //!   [`std::sync::Arc`] and splits vertex ownership across `S ≥ 1`
@@ -42,9 +41,8 @@
 //!   testable because it never reads a clock;
 //! * [`qos`] — multi-tenant QoS: per-tenant lanes in front of every
 //!   replica core's queue with per-tenant token buckets, weighted-fair
-//!   (deficit-round-robin) dequeue, a priority lane for the point
-//!   lookups that queue, per-tenant queue-full policies, and per-tenant
-//!   counters that fold exactly into the run totals;
+//!   (deficit-round-robin) dequeue, per-tenant queue-full policies, and
+//!   per-tenant counters that fold exactly into the run totals;
 //! * [`scenario`] + [`dist`] + [`interval`] — the scenario engine, the one
 //!   load model: declarative load specs (ordered warmup/measure/cooldown
 //!   phases, each with its own stop criterion, rate, client count, and

@@ -10,14 +10,14 @@
 //! arrival order.
 //!
 //! The queue holds **executor-bound work only** — analytics (whole runs and
-//! scattered legs), the debug hooks, and the point lookups of a service
-//! with a live writer. Result-cache hits, requests already past their
-//! deadline and the point lookups of a read-only service are answered at
-//! submit (see [`crate::service`]) and never enter a lane: no bucket is
-//! charged for them, no lane capacity is spent on them, and no backlog of
-//! any tenant can delay them.
+//! scattered legs) and the debug hooks. Result-cache hits, requests already
+//! past their deadline and point lookups are answered at submit (see
+//! [`crate::service`]) and never enter a lane: no bucket is charged for
+//! them, no lane capacity is spent on them, and no backlog of any tenant
+//! can delay them. A tenant's `rate` / `weight` / `policy` meter its
+//! analytics everywhere and its lookups nowhere.
 //!
-//! Three mechanisms shape what is queued:
+//! Two mechanisms shape what the service queues:
 //!
 //! * **Per-tenant token buckets** — an optional service-side GCRA bucket
 //!   ([`crate::rate::TokenBucket`]) per lane. A lane whose bucket is
@@ -30,18 +30,13 @@
 //!   dequeues per round before the cursor advances, ties broken
 //!   deterministically by tenant id. Work-conserving: while any eligible
 //!   lane holds a job, *some* job is dequeued.
-//! * **A priority lane per tenant** — a point lookup that queues (the
-//!   service has a live writer) enqueues as priority and is served before
-//!   any tenant's normal (analytics) backlog, round-robin across tenants,
-//!   so it is never stuck behind scattered analytics legs.
 //!
 //! Queue-full policy is per-tenant: each lane has its own capacity (the
 //! configured per-core queue capacity), so one tenant's backlog rejects
 //! or blocks only that tenant.
 //!
 //! **Single-tenant degenerate case.** With one tenant the queue is a
-//! plain FIFO: the priority flag is ignored (everything goes to the one
-//! normal queue), DRR has a single lane, and no bucket is configured by
+//! plain FIFO: DRR has a single lane, and no bucket is configured by
 //! default — bit-identical behaviour and reports to the pre-QoS service,
 //! gated in `scripts/verify.sh`.
 //!
@@ -143,7 +138,7 @@ pub struct TenantLaneStats {
     /// Times a dequeue pass found this lane non-empty but held back by
     /// its token bucket (counted once per pass per blocked lane).
     pub throttled: u64,
-    /// High-water mark of this lane's depth (priority + normal).
+    /// High-water mark of this lane's depth.
     pub queue_hwm: u64,
 }
 
@@ -162,15 +157,14 @@ pub enum Pop<J> {
 struct Lane<J> {
     weight: u64,
     capacity: usize,
-    prio: VecDeque<J>,
-    norm: VecDeque<J>,
+    jobs: VecDeque<J>,
     bucket: Option<TokenBucket>,
     stats: TenantLaneStats,
 }
 
 impl<J> Lane<J> {
     fn len(&self) -> usize {
-        self.prio.len() + self.norm.len()
+        self.jobs.len()
     }
 
     /// Whether the lane's bucket admits service at `now_ns` (`drain`
@@ -187,8 +181,8 @@ impl<J> Lane<J> {
     }
 }
 
-/// A bounded multi-lane queue: one (priority, normal) lane pair per
-/// tenant, weighted-fair dequeue with per-lane token buckets.
+/// A bounded multi-lane queue: one FIFO lane per tenant, weighted-fair
+/// dequeue with per-lane token buckets.
 ///
 /// Not internally synchronized — the service holds it inside the queue
 /// mutex exactly where the `VecDeque` used to live.
@@ -199,8 +193,6 @@ pub struct TenantQueue<J> {
     /// Dequeues remaining in the cursor lane's current round (0 = start
     /// a fresh round at the cursor).
     credit: u64,
-    /// Round-robin position for the priority pass.
-    prio_cursor: usize,
     len: usize,
 }
 
@@ -224,14 +216,13 @@ impl<J> TenantQueue<J> {
                 Lane {
                     weight: spec.weight,
                     capacity: capacity_per_lane,
-                    prio: VecDeque::new(),
-                    norm: VecDeque::new(),
+                    jobs: VecDeque::new(),
                     bucket: spec.rate.map(|r| TokenBucket::new(r, spec.burst)),
                     stats: TenantLaneStats { tenant, ..TenantLaneStats::default() },
                 }
             })
             .collect();
-        TenantQueue { lanes, cursor: 0, credit: 0, prio_cursor: 0, len: 0 }
+        TenantQueue { lanes, cursor: 0, credit: 0, len: 0 }
     }
 
     /// Number of tenant lanes.
@@ -254,22 +245,18 @@ impl<J> TenantQueue<J> {
         self.lanes[tenant].len()
     }
 
-    /// Enqueues a job into `tenant`'s lane; returns `false` (job handed
-    /// back via the `Err`) when the lane is at capacity. `prio` routes to
-    /// the priority queue — honored only with more than one tenant, so a
-    /// single-tenant queue stays a pure FIFO.
+    /// Enqueues a job at the back of `tenant`'s lane; the job is handed
+    /// back via the `Err` when the lane is at capacity. `_prio` is ignored:
+    /// nothing that queues jumps a backlog (point lookups never queue), and
+    /// the parameter stays only because the repo benchmark's queue probe
+    /// names it in the call — ROADMAP.md item 1(c) drops it.
     #[allow(clippy::result_large_err)]
-    pub fn push(&mut self, tenant: usize, prio: bool, job: J) -> Result<(), J> {
-        let multi = self.lanes.len() > 1;
+    pub fn push(&mut self, tenant: usize, _prio: bool, job: J) -> Result<(), J> {
         let lane = &mut self.lanes[tenant];
         if lane.len() >= lane.capacity {
             return Err(job);
         }
-        if prio && multi {
-            lane.prio.push_back(job);
-        } else {
-            lane.norm.push_back(job);
-        }
+        lane.jobs.push_back(job);
         lane.stats.enqueued += 1;
         lane.stats.queue_hwm = lane.stats.queue_hwm.max(lane.len() as u64);
         self.len += 1;
@@ -283,16 +270,14 @@ impl<J> TenantQueue<J> {
     pub fn take_where(&mut self, wanted: impl Fn(&J) -> bool) -> Vec<J> {
         let mut taken = Vec::new();
         for lane in &mut self.lanes {
-            for queue in [&mut lane.prio, &mut lane.norm] {
-                if !queue.iter().any(&wanted) {
-                    continue;
-                }
-                for job in std::mem::take(queue) {
-                    if wanted(&job) {
-                        taken.push(job);
-                    } else {
-                        queue.push_back(job);
-                    }
+            if !lane.jobs.iter().any(&wanted) {
+                continue;
+            }
+            for job in std::mem::take(&mut lane.jobs) {
+                if wanted(&job) {
+                    taken.push(job);
+                } else {
+                    lane.jobs.push_back(job);
                 }
             }
         }
@@ -315,12 +300,11 @@ impl<J> TenantQueue<J> {
     /// core started). `drain` ignores token buckets — used once the
     /// service is closing so shaped lanes still empty promptly.
     ///
-    /// Schedule: a priority pass (round-robin across eligible lanes'
-    /// priority queues) first, then deficit-round-robin over the normal
-    /// queues — the cursor lane gets `weight` consecutive dequeues per
-    /// round, ties broken by ascending tenant id. Deterministic in the
-    /// arrival and timestamp sequence, and work-conserving: whenever any
-    /// eligible lane holds a job, a job is returned.
+    /// Schedule: deficit-round-robin over the eligible lanes — the cursor
+    /// lane gets `weight` consecutive dequeues per round, ties broken by
+    /// ascending tenant id. Deterministic in the arrival and timestamp
+    /// sequence, and work-conserving: whenever any eligible lane holds a
+    /// job, a job is returned.
     pub fn pop(&mut self, now_ns: u64, drain: bool) -> Pop<J> {
         if self.len == 0 {
             return Pop::Empty;
@@ -350,24 +334,11 @@ impl<J> TenantQueue<J> {
             return Pop::Throttled(min_wait.max(1));
         }
 
-        // Priority pass: first eligible lane with priority work, scanning
-        // round-robin from prio_cursor.
-        for off in 0..n {
-            let i = (self.prio_cursor + off) % n;
-            if eligible & (1 << i) != 0 && !self.lanes[i].prio.is_empty() {
-                self.lanes[i].charge(now_ns);
-                let job = self.lanes[i].prio.pop_front().unwrap();
-                self.prio_cursor = (i + 1) % n;
-                self.len -= 1;
-                return Pop::Job(i, job);
-            }
-        }
-
-        // DRR pass over normal queues, scanning from the cursor. Skipping
-        // the cursor lane (empty or throttled) forfeits its round.
+        // DRR pass, scanning from the cursor. Skipping the cursor lane
+        // (empty or throttled) forfeits its round.
         for off in 0..n {
             let i = (self.cursor + off) % n;
-            if eligible & (1 << i) == 0 || self.lanes[i].norm.is_empty() {
+            if eligible & (1 << i) == 0 {
                 if i == self.cursor {
                     self.credit = 0;
                 }
@@ -382,18 +353,17 @@ impl<J> TenantQueue<J> {
             }
             self.credit -= 1;
             self.lanes[i].charge(now_ns);
-            let job = self.lanes[i].norm.pop_front().unwrap();
+            let job = self.lanes[i].jobs.pop_front().unwrap();
             self.len -= 1;
-            if self.credit == 0 || self.lanes[i].norm.is_empty() {
+            if self.credit == 0 || self.lanes[i].jobs.is_empty() {
                 self.cursor = (i + 1) % n;
                 self.credit = 0;
             }
             return Pop::Job(i, job);
         }
 
-        // Every eligible lane had only priority work — but the priority
-        // pass consumed it above, so this is unreachable: an eligible bit
-        // implies a non-empty lane, and both queues were scanned.
+        // An eligible bit implies a non-empty lane, and every lane was
+        // scanned.
         unreachable!("eligible lane vanished between scan and dequeue");
     }
 }
@@ -421,10 +391,10 @@ mod tests {
     }
 
     #[test]
-    fn single_tenant_is_fifo_even_with_priority_flags() {
+    fn single_tenant_is_fifo() {
         let mut q = TenantQueue::new(&specs(&[1]), 8);
-        for (i, prio) in [(0u64, false), (1, true), (2, false), (3, true)] {
-            q.push(0, prio, i).unwrap();
+        for i in 0..4u64 {
+            q.push(0, false, i).unwrap();
         }
         let mut got = Vec::new();
         while let Pop::Job(t, j) = q.pop(0, false) {
@@ -438,7 +408,7 @@ mod tests {
     fn take_where_removes_the_picked_jobs_and_keeps_the_order_of_the_rest() {
         let mut q = TenantQueue::new(&specs(&[1, 1]), 8);
         for i in 0..6u64 {
-            q.push((i % 2) as usize, i == 4, i).unwrap();
+            q.push((i % 2) as usize, false, i).unwrap();
         }
         assert_eq!(q.take_where(|&j| j == 9), Vec::<u64>::new());
         let mut taken = q.take_where(|&j| j == 1 || j == 4);
@@ -480,8 +450,7 @@ mod tests {
             for i in 0..60u64 {
                 x = x.wrapping_mul(0xD129_0B26_4A9E_3C4D).rotate_left(17);
                 let tenant = (x % 3) as usize;
-                let prio = x & 8 == 0;
-                q.push(tenant, prio, i).unwrap();
+                q.push(tenant, false, i).unwrap();
             }
             q
         };
@@ -511,20 +480,6 @@ mod tests {
         assert_eq!(positions.len(), 5);
         for w in positions.windows(2) {
             assert!(w[1] - w[0] <= 101, "tenant 1 starved: gaps {positions:?}");
-        }
-    }
-
-    #[test]
-    fn priority_jobs_jump_normal_backlogs_across_tenants() {
-        let mut q = TenantQueue::new(&specs(&[1, 1]), 64);
-        for i in 0..10 {
-            q.push(0, false, i).unwrap();
-        }
-        q.push(1, true, 100).unwrap();
-        // The priority job is served first despite tenant 0's backlog.
-        match q.pop(0, false) {
-            Pop::Job(1, 100) => {}
-            other => panic!("expected tenant 1's priority job, got {other:?}"),
         }
     }
 

@@ -190,7 +190,7 @@ pub struct StressReport {
     /// stream's accounting — and `answer_hash` — is write-ratio-0
     /// identical to a frozen run).
     pub writes: u64,
-    /// Mutations refused at submission (read-only service, or closed).
+    /// Mutations refused at submission (no writer configured, or closed).
     pub write_errors: u64,
     /// Writer-side counters and freshness histograms, scoped to this run
     /// (the driver takes a writer baseline next to the query-counter
@@ -775,6 +775,12 @@ pub fn validate(doc: &Value) -> Result<(), String> {
         return Err(format!("errors: {errors} errored requests (expected 0)"));
     }
     dispatched("")?;
+    // A point lookup is owner-routed to one shard and answered there at
+    // submit; nothing scattered is one.
+    let (lookups, routed) = (num("lookups_at_submit")?, num("routed")?);
+    if lookups > routed {
+        return Err(format!("lookups_at_submit is {lookups}, more than routed {routed}"));
+    }
 
     // The result-cache section: hits + misses are all the cacheable
     // lookups, of which at most the misses were inserted.

@@ -3,11 +3,10 @@
 //! Classifies each [`QueryKind`] submitted to a [`ShardedGraphService`]:
 //!
 //! * **Point lookups** (degree / neighbors) are *owner-routed*: exactly one
-//!   shard — the one whose slice owns the vertex — sees the request. On a
-//!   read-only service the replica core the routing policy picks there
-//!   answers it inside `submit`, on the caller's thread, from the pinned
-//!   epoch's slice (see [`crate::service`]): the returned ticket is already
-//!   resolved. Under a live writer the lookup queues on that core instead.
+//!   shard — the one whose slice owns the vertex — sees the request. The
+//!   replica core the routing policy picks there answers it inside
+//!   `submit`, on the caller's thread, from the pinned epoch's slice (see
+//!   [`crate::service`]): the returned ticket is already resolved.
 //! * **Gather-mergeable analytics** (every Table 1 workload whose
 //!   [`GatherMode`] is not [`GatherMode::Whole`]) are *scattered*: the
 //!   router fans one [`QueryKind::WorkloadPartial`] leg per shard, each

@@ -13,27 +13,22 @@
 //! **Answered at submit.** A request whose answer needs no executor is
 //! answered on the submitting thread and comes back as a ready ticket — no
 //! queue lock, no channel, no thread hand-off: a request already past its
-//! deadline (an early drop), a result-cache hit, and — on a read-only
-//! service — a point lookup (degree / neighbors), which is a pure read of
-//! the request's pinned, immutable epoch snapshot. Such a request takes no
-//! queue slot and is never shed, throttled or retried; the queue and
-//! everything below governs *executor-bound* work only — analytics, the
-//! debug hooks, and the lookups of a service with a live writer.
-//!
-//! That last exception is staging, not design: a lookup under a writer
-//! ([`ServiceConfig::mutations`]) is the same pure read of its pinned epoch
-//! and still queues for an executor, on its tenant's priority lane, as
-//! every lookup used to. The read-only path moved first; ROADMAP.md has the
-//! follow-up that deletes the distinction.
+//! deadline (an early drop), a result-cache hit, and a point lookup
+//! (degree / neighbors), which is a pure read of the request's pinned,
+//! immutable epoch snapshot — whether or not a writer
+//! ([`ServiceConfig::mutations`]) is installing newer epochs meanwhile.
+//! Such a request takes no queue slot and is never shed, throttled or
+//! retried; the queue and everything below governs *executor-bound* work
+//! only — analytics and the debug hooks.
 //!
 //! The queue is bounded — what happens at capacity is the
 //! [`QueueFullPolicy`]: [`QueueFullPolicy::Block`] applies backpressure to
 //! submitters, [`QueueFullPolicy::Reject`] sheds the request immediately
 //! with [`QueryError::Rejected`]. The queue itself is the multi-tenant
 //! admission stage of [`crate::qos`] — per-tenant lanes with token
-//! buckets, weighted-fair dequeue, a priority lane for the lookups that
-//! queue, and per-tenant full policies — which degenerates to a plain FIFO
-//! under the default single-tenant [`ServiceConfig::qos`].
+//! buckets, weighted-fair dequeue and per-tenant full policies — which
+//! degenerates to a plain FIFO under the default single-tenant
+//! [`ServiceConfig::qos`].
 //!
 //! Failure handling:
 //! * attempts whose execution exceeds the request's per-attempt timeout are
@@ -760,10 +755,6 @@ pub(crate) struct Core {
     /// from its [`crate::qos::TenantSpec`] with the service-wide policy as
     /// the default — one tenant's backlog sheds only that tenant.
     policies: Box<[QueueFullPolicy]>,
-    /// No writer is configured ([`ServiceConfig::mutations`]): point lookups
-    /// are answered at submit. Under a live writer they stay executor-bound
-    /// for now — see the module docs.
-    read_only: bool,
 }
 
 impl Core {
@@ -815,18 +806,7 @@ impl Core {
                 .iter()
                 .map(|t| t.policy.unwrap_or(config.queue_policy))
                 .collect(),
-            read_only: config.mutations.is_none(),
         }
-    }
-
-    /// The tenant lane (clamped to the configured count) and priority
-    /// class of a request that queues: a point lookup — queued only under a
-    /// live writer — rides the priority lane, so with multiple tenants it is
-    /// never stuck behind an analytics backlog.
-    fn classify(&self, req: &QueryRequest) -> (usize, bool) {
-        let tenant = (req.tenant as usize).min(self.policies.len() - 1);
-        let prio = matches!(req.kind, QueryKind::Degree(_) | QueryKind::Neighbors(_));
-        (tenant, prio)
     }
 
     /// Consults the result cache for `req`; a hit is answered immediately
@@ -846,11 +826,8 @@ impl Core {
 
     /// Answers a point lookup on the submitting thread: a read of the
     /// request's pinned, immutable epoch needs no executor. `None` for
-    /// every other kind, and for every kind under a live writer.
+    /// every other kind.
     fn lookup_response(&self, req: &QueryRequest) -> Option<Ticket> {
-        if !self.read_only {
-            return None;
-        }
         let t0 = Instant::now();
         let mut response = unexecuted_response(req.id, self.backend.lookup(req)?);
         response.attempts = 1;
@@ -865,13 +842,12 @@ impl Core {
     /// Submits a request. One that needs no executor is answered here, on
     /// the submitting thread, and comes back as a ready ticket: a request
     /// whose deadline has already passed (an early drop), a result-cache
-    /// hit, a point lookup on a read-only service. None of these takes the
-    /// queue lock, costs a queue slot or is shed. Everything else is
-    /// enqueued under its tenant's [`QueueFullPolicy`]: the submitter
-    /// blocks while the tenant's lane is full (`Block`), or the request is
-    /// shed with an immediate [`QueryError::Rejected`] response (`Reject`)
-    /// — only that tenant's backlog counts against it. Errs only when
-    /// closed.
+    /// hit, a point lookup. None of these takes the queue lock, costs a
+    /// queue slot or is shed. Everything else is enqueued under its
+    /// tenant's [`QueueFullPolicy`]: the submitter blocks while the tenant's
+    /// lane is full (`Block`), or the request is shed with an immediate
+    /// [`QueryError::Rejected`] response (`Reject`) — only that tenant's
+    /// backlog counts against it. Errs only when closed.
     pub(crate) fn submit(&self, req: QueryRequest) -> Result<Ticket, SubmitError> {
         if self.shared.closed.load(Ordering::SeqCst) {
             return Err(SubmitError::Closed);
@@ -886,14 +862,15 @@ impl Core {
         if let Some(ticket) = self.cached_response(&req).or_else(|| self.lookup_response(&req)) {
             return Ok(ticket);
         }
-        let (tenant, prio) = self.classify(&req);
+        // The request's tenant lane, clamped to the configured count.
+        let tenant = (req.tenant as usize).min(self.policies.len() - 1);
         let mut state = self.shared.state.lock().unwrap();
         loop {
             if self.shared.closed.load(Ordering::SeqCst) {
                 return Err(SubmitError::Closed);
             }
             if state.queue.lane_len(tenant) < self.shared.capacity {
-                return Ok(self.enqueue(state, req, tenant, prio));
+                return Ok(self.enqueue(state, req, tenant));
             }
             match self.policies[tenant] {
                 QueueFullPolicy::Block => {
@@ -917,7 +894,6 @@ impl Core {
         mut state: std::sync::MutexGuard<'_, QueueState>,
         req: QueryRequest,
         tenant: usize,
-        prio: bool,
     ) -> Ticket {
         let (tx, rx) = mpsc::channel();
         let id = req.id;
@@ -929,7 +905,7 @@ impl Core {
         // Lane capacity was checked under this same lock.
         state
             .queue
-            .push(tenant, prio, job)
+            .push(tenant, false, job)
             .unwrap_or_else(|_| unreachable!("lane filled while the lock was held"));
         state.depth_hwm = state.depth_hwm.max(state.queue.len());
         drop(state);
@@ -1247,18 +1223,11 @@ pub(crate) fn execute_on_full_graph(
                 messages: run.stats.total_messages(),
             })
         }
-        QueryKind::Degree(v) => {
-            if (v as usize) >= graph.num_vertices() {
-                return Err(QueryError::NoSuchVertex(v));
-            }
-            Ok(QueryOutput::Degree(graph.out_degree(v)))
-        }
-        QueryKind::Neighbors(v) => {
-            if (v as usize) >= graph.num_vertices() {
-                return Err(QueryError::NoSuchVertex(v));
-            }
-            Ok(QueryOutput::Neighbors(graph.out_neighbors(v).to_vec()))
-        }
+        // Answered at submit, never queued; a misroute is an error
+        // response, not an executor unwind.
+        QueryKind::Degree(_) | QueryKind::Neighbors(_) => Err(QueryError::Unsupported(
+            "point lookup reached an executor".to_string(),
+        )),
         QueryKind::DebugSleep(d) => {
             std::thread::sleep(d);
             Ok(QueryOutput::Slept)

@@ -12,9 +12,9 @@
 //! Each shard materializes a **local subgraph**: the out-adjacency of its
 //! owned vertices over the full vertex-id space (a directed CSR slice).
 //! Owner-routed point lookups (degree / neighbors) are answered from this
-//! slice alone, never touching the full graph's CSR — and, on a read-only
-//! service, on the submitting thread, never touching a queue or an executor
-//! either. The *structural* full graph is additionally retained behind the
+//! slice alone, never touching the full graph's CSR — and on the
+//! submitting thread, never touching a queue or an executor either. The
+//! *structural* full graph is additionally retained behind the
 //! shared [`Arc`] — the single-process stand-in for the
 //! partitioned-plus-replicated storage a distributed deployment would use
 //! — because a scattered analytics answer
@@ -246,8 +246,8 @@ const FINISHED_RUNS_PER_EXECUTOR: usize = 4;
 
 /// One shard's execution backend — how a request becomes an output: the
 /// pinned epoch's local slice for point lookups (read by the submitting
-/// thread, or by an executor under a live writer), and the service-wide run
-/// table for the scattered analytics legs its executors dequeue.
+/// thread), and the service-wide run table for the scattered analytics legs
+/// its executors dequeue.
 /// Requests are served from their pinned [`EpochSnapshot`] (stamped at
 /// submission), so a request keeps serving its epoch even after the writer
 /// swaps in a newer one.
@@ -402,19 +402,15 @@ impl ShardBackend {
                 Join::Lead => Attempt::Done(self.lead(key, snap, req, engine)),
             };
         }
-        // A lookup that queued (the service has a live writer) reads the
-        // same slice the submitter would have; whole workloads (the
-        // primary-shard fall-back path) and the debug hooks run against the
-        // full graph.
-        Attempt::Done(self.lookup(req).unwrap_or_else(|| {
-            execute_on_full_graph(&snap.graph, &req.kind, req.seed, engine)
-        }))
+        // Whole workloads (the primary-shard fall-back path) and the debug
+        // hooks run against the full graph.
+        Attempt::Done(execute_on_full_graph(&snap.graph, &req.kind, req.seed, engine))
     }
 
     /// Answers a point lookup (degree / neighbors) from the request's pinned
     /// epoch; `None` for every kind that needs an executor. A pure read of
-    /// an immutable snapshot, so any thread may call it: the submitter on a
-    /// read-only service, an executor under a live writer.
+    /// an immutable snapshot, so the submitting thread makes it (see
+    /// `Core::submit`) while a writer installs newer epochs.
     pub(crate) fn lookup(&self, req: &QueryRequest) -> Option<Result<QueryOutput, QueryError>> {
         let (QueryKind::Degree(v) | QueryKind::Neighbors(v)) = req.kind else {
             return None;

@@ -175,9 +175,10 @@ fn validate_names_the_path_of_every_broken_identity() {
             bump(v.at_mut(key).unwrap());
         }
     };
+    let more_than_all_ops = |v: &mut Value| *v = Value::Number(1e15);
     type Break<'a> = &'a dyn Fn(&mut Value);
     // (what breaks, the path to break, how, what the error must name)
-    let cases: [(&str, &str, Break, &str); 10] = [
+    let cases: [(&str, &str, Break, &str); 11] = [
         ("a per-shard sum", "per_shard[1].early_drops", &bump, "per_shard[*].early_drops sum"),
         ("a replica sum", "per_shard[0].replicas[1].completed", &bump, "per_shard[0].completed"),
         ("a replica queue_hwm max", "per_shard[0].queue_hwm", &bump, "per_shard[0].queue_hwm"),
@@ -185,6 +186,7 @@ fn validate_names_the_path_of_every_broken_identity() {
         ("the tenant ops sum", "tenants[0]", &more_tenant_ops, "tenants[*].ops sum"),
         ("an interval count", "phases[0].intervals[0].count", &bump, "phases[0].intervals[0]"),
         ("routed + scattered", "phases[1].routed", &bump, "phases[1].ops"),
+        ("lookups <= routed", "lookups_at_submit", &more_than_all_ops, "more than routed"),
         ("a missing field", "per_shard[1].replicas[0]", &no_busy_ns, "replicas[0].busy_ns"),
         ("a non-hex hash", "tenants[0].answer_hash", &unhex, "tenants[0].answer_hash"),
         ("errors != 0", "errors", &bump, "errors: 1 errored"),

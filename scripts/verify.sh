@@ -160,16 +160,18 @@ echo "   ok: answers identical ($h1), pass-2 cache hits: $hits"
 
 echo "== mutation smoke (epoch writer live at --write-ratio 0 must stay"
 echo "   bit-identical to the frozen shard4 run; a mixed read/write run must"
-echo "   complete with zero errors, at least one epoch swap, and freshness"
-echo "   metrics that pass --validate-report's count identities)"
+echo "   complete with zero errors, at least one epoch swap, freshness"
+echo "   metrics that pass --validate-report's count identities, and its"
+echo "   point lookups answered at submit — a writer does not queue them)"
 ./target/release/stress --gen gnm-connected:256:1024:7 --ops 400 --duration 30 \
     --seed 7 --mix mixed --shards 4 --write-ratio 0 --name mut0 --quiet
 ./target/release/stress --validate-report target/vcgp-bench/BENCH_stress_mut0.json
 h4=$(get shard4 answer_hash)
 hm=$(get mut0 answer_hash)
-if [ -z "$hm" ] || [ "$hm" != "$h4" ]; then
+if [ -z "$hm" ] || [ "$hm" != "$h4" ] || [ "$hm" != 1c3ac02d249546ca ]; then
     echo "error: --write-ratio 0 diverged from the frozen run:" >&2
-    echo "frozen: ${h4:-missing}   write-ratio 0: ${hm:-missing}" >&2
+    echo "frozen: ${h4:-missing}   write-ratio 0: ${hm:-missing}" \
+        "  expected: 1c3ac02d249546ca" >&2
     exit 1
 fi
 ./target/release/stress --gen gnm-connected:256:1024:7 --ops 400 --duration 30 \
@@ -183,8 +185,14 @@ if [ -z "$swaps" ] || [ "$swaps" -eq 0 ] || [ -z "$applied" ] || [ "$applied" -e
     echo "       (swaps=${swaps:-missing}, applied=${applied:-missing})" >&2
     exit 1
 fi
+at_submit=$(get mut lookups_at_submit)
+if [ -z "$at_submit" ] || [ "$at_submit" -eq 0 ]; then
+    echo "error: the mixed read/write run answered no lookup at submit" >&2
+    echo "       (lookups_at_submit=${at_submit:-missing}): lookups queue under a writer again" >&2
+    exit 1
+fi
 echo "   ok: write-ratio 0 bit-identical ($hm); mixed run: $swaps swaps," \
-    "$applied mutations applied"
+    "$applied mutations applied, $at_submit lookups at submit"
 
 echo "== replica smoke (one seeded scattered-analytics stream at --replicas 1"
 echo "   and 2; answers must be bit-identical, and the replicated run's queue"
