@@ -74,6 +74,10 @@ const ANS_STREAM: u64 = 0x414E_5348; // "ANSH"
 /// index)` no matter how many clients drive it or how they interleave.
 const TENANT_STREAM: u64 = 0x544E_5354; // "TNST"
 
+/// Stream indices a client of an unpaced phase with no op cap claims from
+/// its tenant's shared counter at a time (see `client_loop`).
+const UNPACED_CLAIM: u64 = 32;
+
 /// Hashes one successful payload, mixed with the operation id so identical
 /// payloads at different stream positions stay distinguishable. XOR-folding
 /// these per-operation mixes is order-independent, so the aggregate hash is
@@ -558,6 +562,18 @@ fn client_loop(
     end: Option<Instant>,
 ) -> ClientStats {
     let mut stats = ClientStats::new(interval_ns);
+    // Under a schedule the index *is* the schedule slot, and under an op cap
+    // the indices are the work to share out: both are claimed one op at a
+    // time, so every client issues until the cap is reached. Unpaced and
+    // uncapped (a duration- or SLO-bound saturation phase), which client
+    // runs which index is immaterial and the tenant's counter is the one
+    // line every client would write per op: claim a block per touch.
+    let capped = phase.ops_limit.is_some() || ctx.ops_budget.is_some();
+    let block = match ctx.pacing {
+        Pacing::None if !capped => UNPACED_CLAIM,
+        _ => 1,
+    };
+    let mut claimed = 0..0;
     loop {
         if end.is_some_and(|e| Instant::now() >= e) {
             break;
@@ -565,7 +581,11 @@ fn client_loop(
         if slo.is_some_and(|m| m.stopped()) {
             break;
         }
-        let i = ctx.next_op.fetch_add(1, Ordering::Relaxed);
+        let i = claimed.next().unwrap_or_else(|| {
+            let first = ctx.next_op.fetch_add(block, Ordering::Relaxed);
+            claimed = first + 1..first + block;
+            first
+        });
         // Both caps are per tenant stream: `ops` in a phase caps each
         // tenant's stream at that many indices (a single-tenant run is the
         // historical global cap), and a tenant's own `ops` budget caps just

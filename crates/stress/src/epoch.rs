@@ -21,8 +21,11 @@
 //!   from-scratch rebuild when the delta is small), then **swaps
 //!   atomically** and fires the result-cache invalidation hook;
 //! * in-flight queries keep serving from their pinned epoch; new
-//!   submissions pick up the fresh one. Old snapshots die when the last
-//!   pinned request drops its `Arc`.
+//!   submissions pick up the fresh one. The serving epoch is held once per
+//!   submit stripe (an [`EpochPin`] each): a submitter pins through its own
+//!   stripe, so pinning is not a write two clients share; a swap replaces
+//!   every stripe's pin, and an old snapshot dies when the last request
+//!   pinned to it is dropped.
 //!
 //! Replicated shards change nothing about versioning: every replica core of
 //! a shard serves the same `Arc<EpochSnapshot>` and shard slice, a swap
@@ -52,9 +55,11 @@
 //! reproduces the exact write sequence regardless of client interleaving.
 
 use crate::service::SubmitError;
+use crate::stripe::{submit_stripe, SUBMIT_STRIPES};
 use std::collections::VecDeque;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vcgp_graph::rng::mix3;
@@ -95,6 +100,69 @@ pub struct EpochSnapshot {
     pub fingerprint: u64,
     /// Per-shard slices, one per shard of the service (index = shard).
     pub locals: Vec<Arc<ShardSlice>>,
+}
+
+/// A request's hold on the epoch it was submitted under: what
+/// [`EpochManager::pin`] hands out and [`QueryRequest::epoch`] carries, one
+/// per request, shared by all legs of a scatter. It dereferences to the
+/// pinned [`EpochSnapshot`].
+///
+/// The indirection exists for its **refcount**. Every stripe of the
+/// manager owns its *own* `Arc<EpochPin>` allocation per installed epoch,
+/// and a submitting thread clones (and, for a request answered at submit,
+/// drops) the one of its stripe — so the counter a client bumps twice per
+/// request is its stripe's, on a cache line no other stripe writes, while
+/// the `Arc<EpochSnapshot>` inside, shared by every stripe, is counted
+/// once per stripe per epoch instead of once per request. The snapshot is
+/// freed when the last pin on it goes: the slots' pins at the next swap,
+/// a request's when the request is answered and dropped.
+///
+/// Aligned to 128 bytes (the spatial-prefetcher pair of 64-byte lines on
+/// x86) so that the counts of two stripes' pins, allocated back to back at
+/// a swap, never share a line.
+///
+/// [`QueryRequest::epoch`]: crate::request::QueryRequest::epoch
+#[derive(Debug)]
+#[repr(align(128))]
+pub struct EpochPin {
+    snapshot: Arc<EpochSnapshot>,
+}
+
+impl EpochPin {
+    /// A fresh pin allocation on `snapshot` (one per stripe per epoch).
+    fn new(snapshot: &Arc<EpochSnapshot>) -> Arc<EpochPin> {
+        Arc::new(EpochPin {
+            snapshot: Arc::clone(snapshot),
+        })
+    }
+
+    /// The pinned snapshot, as the shared handle (clone it to keep the
+    /// epoch alive beyond the request).
+    pub fn snapshot(&self) -> &Arc<EpochSnapshot> {
+        &self.snapshot
+    }
+}
+
+impl Deref for EpochPin {
+    type Target = EpochSnapshot;
+
+    fn deref(&self) -> &EpochSnapshot {
+        &self.snapshot
+    }
+}
+
+/// One stripe of the serving epoch: the pin the submitting threads of this
+/// stripe clone. Padded like [`EpochPin`], so taking one stripe's lock
+/// writes no line another stripe's submitters read.
+#[repr(align(128))]
+struct PinSlot(Mutex<Arc<EpochPin>>);
+
+impl PinSlot {
+    fn lock(&self) -> MutexGuard<'_, Arc<EpochPin>> {
+        self.0
+            .lock()
+            .expect("no holder of a pin slot can panic: it clones or swaps a pointer")
+    }
 }
 
 /// Tuning knobs of the mutation subsystem. Present in
@@ -215,9 +283,13 @@ struct WriterProgress {
 /// thread drains. Shared between submitters (pin + accept), executors
 /// (through pinned requests), and the writer (drain + swap).
 pub struct EpochManager {
-    current: Mutex<Arc<EpochSnapshot>>,
-    /// `current.id` mirrored outside the lock, so stats never nest the
-    /// snapshot lock under the progress lock.
+    /// The serving epoch, once per submit stripe (index =
+    /// [`submit_stripe`]). Only the writer stores, every slot at each swap;
+    /// between swaps all slots pin the same snapshot.
+    slots: [PinSlot; SUBMIT_STRIPES],
+    /// The serving epoch's id mirrored outside the slots, stored after the
+    /// last slot: stats never nest a slot lock under the progress lock, and
+    /// reading `k` here means every slot already serves an epoch `≥ k`.
     epoch_id: AtomicU64,
     writable: bool,
     queue: Mutex<WriteQueue>,
@@ -243,7 +315,7 @@ impl EpochManager {
             .map(|_| Mutex::new(vec![Arc::clone(&initial)]));
         EpochManager {
             epoch_id: AtomicU64::new(initial.id),
-            current: Mutex::new(initial),
+            slots: std::array::from_fn(|_| PinSlot(Mutex::new(EpochPin::new(&initial)))),
             writable: mutations.is_some(),
             queue: Mutex::new(WriteQueue {
                 pending: VecDeque::new(),
@@ -259,9 +331,36 @@ impl EpochManager {
         }
     }
 
-    /// The snapshot new submissions should pin.
+    /// Pins the serving epoch for one request: a clone of the calling
+    /// thread's stripe's [`EpochPin`]. The lock taken and the count bumped
+    /// are that stripe's alone, so concurrent submitters on different
+    /// stripes write no common cache line.
+    ///
+    /// **Ordering.** Pins on one thread never go back an epoch. Pins on
+    /// *different* threads are not linearizable against a swap: while
+    /// `install` walks the slots, a thread on an early stripe can pin
+    /// epoch k + 1 and a thread on a late stripe pin k afterwards — even
+    /// one that learned of k + 1 from the first thread's answer (the
+    /// single mutex this replaced made every pin globally monotone). What
+    /// orders threads is [`EpochManager::epoch_id`] and
+    /// [`EpochManager::writer_stats`], both published after the last slot:
+    /// a pin taken after either shows epoch k is at k or later, on any
+    /// thread. A thread that must read no older than an epoch another
+    /// thread's answer came from waits for `epoch_id()` to reach that
+    /// epoch's id (a few stores away) before it pins.
+    pub fn pin(&self) -> Arc<EpochPin> {
+        Arc::clone(&self.slots[submit_stripe()].lock())
+    }
+
+    /// The serving snapshot, read through the calling thread's stripe like
+    /// [`EpochManager::pin`] — so what one thread reads here never runs
+    /// behind a pin it took earlier, and once a write is reported applied
+    /// ([`EpochManager::writer_stats`]) every thread reads an epoch that
+    /// has it. Clones the snapshot handle all stripes share: for
+    /// inspection, stats and the writer's rebuild base, not for the
+    /// per-request path.
     pub fn current(&self) -> Arc<EpochSnapshot> {
-        Arc::clone(&self.current.lock().unwrap())
+        Arc::clone(self.slots[submit_stripe()].lock().snapshot())
     }
 
     /// The serving epoch id (lock-free).
@@ -384,13 +483,25 @@ impl EpochManager {
         // The serving-visible pause: everything between "epoch N answers
         // submissions" and "epoch N+1 answers submissions with a cold
         // cache". The rebuild already happened, off the serving path.
+        //
+        // Order matters: every slot, then the id mirror, then (below) the
+        // writer progress. Each store is released by a lock or a `Release`
+        // store and each reader acquires the same way, so whoever observes
+        // the new id or the write counted as applied pins, on any stripe,
+        // an epoch that has it.
+        //
+        // The new pins are allocated before the window opens and the old
+        // ones freed after it closes (`pins` holds them from the swap on):
+        // inside it there is nothing but eight locked pointer swaps.
+        let mut pins: [Arc<EpochPin>; SUBMIT_STRIPES] =
+            std::array::from_fn(|_| EpochPin::new(&snap));
         let t0 = Instant::now();
-        {
-            let mut current = self.current.lock().unwrap();
-            *current = Arc::clone(&snap);
+        for (slot, pin) in self.slots.iter().zip(&mut pins) {
+            std::mem::swap(&mut *slot.lock(), pin);
         }
         self.epoch_id.store(snap.id, Ordering::Release);
         let pause = t0.elapsed();
+        drop(pins);
         let now = Instant::now();
         // Freshness lag of the new epoch: if a backlog remains, the oldest
         // still-pending accept bounds how stale serving still is; else the
@@ -516,6 +627,25 @@ mod tests {
         }
     }
 
+    /// The rebuild the writer-thread tests run: apply the batch, nothing
+    /// sharded, no cache to invalidate.
+    struct Rebuild;
+    impl EpochRebuild for Rebuild {
+        fn rebuild(&self, base: &EpochSnapshot, batch: &[Mutation]) -> (EpochSnapshot, ApplyStats) {
+            let (g, delta) = vcgp_graph::apply_batch(&base.graph, batch);
+            (snapshot(g, base.id + 1), delta.stats)
+        }
+        fn invalidate(&self) {}
+    }
+
+    /// A writable manager over a small graph, with its writer running.
+    fn manager_with_writer(cfg: &MutationConfig) -> (Arc<EpochManager>, JoinHandle<()>) {
+        let g = generators::gnm_connected(16, 30, 5);
+        let mgr = Arc::new(EpochManager::new(snapshot(g, 0), Some(cfg)));
+        let writer = spawn_writer(Arc::clone(&mgr), Box::new(Rebuild));
+        (mgr, writer)
+    }
+
     #[test]
     fn mutation_op_is_a_pure_function() {
         for i in 0..200 {
@@ -567,26 +697,11 @@ mod tests {
 
     #[test]
     fn writer_thread_installs_monotone_epochs_and_drains_on_close() {
-        struct Rebuild;
-        impl EpochRebuild for Rebuild {
-            fn rebuild(
-                &self,
-                base: &EpochSnapshot,
-                batch: &[Mutation],
-            ) -> (EpochSnapshot, ApplyStats) {
-                let (g, delta) = vcgp_graph::apply_batch(&base.graph, batch);
-                (snapshot(g, base.id + 1), delta.stats)
-            }
-            fn invalidate(&self) {}
-        }
-        let g = generators::gnm_connected(16, 30, 5);
-        let cfg = MutationConfig {
+        let (mgr, writer) = manager_with_writer(&MutationConfig {
             max_batch: 2,
             keep_history: true,
             ..MutationConfig::default()
-        };
-        let mgr = Arc::new(EpochManager::new(snapshot(g, 0), Some(&cfg)));
-        let writer = spawn_writer(Arc::clone(&mgr), Box::new(Rebuild));
+        });
         for i in 0..5 {
             mgr.accept(Mutation::AddVertex { label: i }).unwrap();
         }
@@ -615,24 +730,7 @@ mod tests {
 
     #[test]
     fn baseline_scopes_counters_and_resets_histograms() {
-        struct Rebuild;
-        impl EpochRebuild for Rebuild {
-            fn rebuild(
-                &self,
-                base: &EpochSnapshot,
-                batch: &[Mutation],
-            ) -> (EpochSnapshot, ApplyStats) {
-                let (g, delta) = vcgp_graph::apply_batch(&base.graph, batch);
-                (snapshot(g, base.id + 1), delta.stats)
-            }
-            fn invalidate(&self) {}
-        }
-        let g = generators::gnm_connected(16, 30, 5);
-        let mgr = Arc::new(EpochManager::new(
-            snapshot(g, 0),
-            Some(&MutationConfig::default()),
-        ));
-        let writer = spawn_writer(Arc::clone(&mgr), Box::new(Rebuild));
+        let (mgr, writer) = manager_with_writer(&MutationConfig::default());
         mgr.accept(Mutation::AddVertex { label: 0 }).unwrap();
         // Wait for the first run's write to be installed.
         while mgr.writer_stats().pending > 0 {
@@ -651,5 +749,117 @@ mod tests {
         let report = mgr.writer_report();
         assert_eq!(report.write_apply.count(), delta.applied + delta.noops);
         assert_eq!(report.swap_pause.count(), delta.swaps);
+    }
+
+    /// Each stripe hands out its own pin allocation — that is what keeps
+    /// two clients off one refcount line — and all of them pin the one
+    /// serving snapshot.
+    #[test]
+    fn stripes_pin_one_snapshot_through_their_own_allocations() {
+        let g = generators::gnm_connected(8, 10, 3);
+        let mgr = EpochManager::new(snapshot(g, 0), None);
+        let serving = mgr.current();
+        // More threads than stripes: some share one, none gets a pin that
+        // is not a slot's.
+        let pins: Vec<(Arc<EpochPin>, Arc<EpochPin>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2 * SUBMIT_STRIPES)
+                .map(|_| scope.spawn(|| (mgr.pin(), mgr.pin())))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let slot_pins: Vec<Arc<EpochPin>> = mgr
+            .slots
+            .iter()
+            .map(|slot| Arc::clone(&slot.lock()))
+            .collect();
+        for (i, a) in slot_pins.iter().enumerate() {
+            assert_eq!(
+                Arc::as_ptr(a) as usize % 128,
+                0,
+                "pin counts start their own line"
+            );
+            assert!(
+                slot_pins[i + 1..].iter().all(|b| !Arc::ptr_eq(a, b)),
+                "slot {i} is shared"
+            );
+        }
+        for (first, second) in &pins {
+            assert!(Arc::ptr_eq(first, second), "a thread keeps its stripe");
+            assert!(slot_pins.iter().any(|slot| Arc::ptr_eq(slot, first)));
+            assert!(Arc::ptr_eq(first.snapshot(), &serving));
+            assert_eq!(first.id, 0, "a pin dereferences to its snapshot");
+        }
+    }
+
+    /// No retention: a swap replaces every stripe's pin, so the previous
+    /// epoch lives exactly as long as the requests still pinned to it.
+    #[test]
+    fn a_swap_frees_the_previous_epoch_once_its_pins_are_dropped() {
+        let (mgr, writer) = manager_with_writer(&MutationConfig {
+            max_batch: 1,
+            ..MutationConfig::default()
+        });
+        let wait_for_epoch = |id: u64| {
+            while mgr.epoch_id() < id {
+                std::thread::yield_now();
+            }
+        };
+        mgr.accept(Mutation::AddVertex { label: 0 }).unwrap();
+        wait_for_epoch(1);
+        // Pins on epoch 1 from several stripes, one kept "in flight".
+        let in_flight = std::thread::scope(|scope| {
+            let pins: Vec<_> = (0..SUBMIT_STRIPES + 1)
+                .map(|_| scope.spawn(|| mgr.pin()))
+                .collect();
+            pins.into_iter()
+                .map(|h| h.join().unwrap())
+                .next_back()
+                .unwrap()
+        });
+        assert_eq!(in_flight.id, 1);
+        let previous = Arc::downgrade(in_flight.snapshot());
+        mgr.accept(Mutation::AddVertex { label: 1 }).unwrap();
+        mgr.close();
+        // Joined: the writer's own handle on its rebuild base is gone too.
+        writer.join().unwrap();
+        assert_eq!(mgr.epoch_id(), 2);
+        assert_eq!(
+            previous.upgrade().map(|snap| snap.id),
+            Some(1),
+            "pinned: still alive"
+        );
+        drop(in_flight);
+        assert!(
+            previous.upgrade().is_none(),
+            "no stripe, cache or thread-local kept epoch 1"
+        );
+    }
+
+    /// `install` stores every slot before the id mirror: reading `k` from
+    /// `epoch_id()` means no stripe still serves an epoch below `k`.
+    #[test]
+    fn epoch_id_never_runs_ahead_of_any_slot() {
+        let (mgr, writer) = manager_with_writer(&MutationConfig {
+            max_batch: 1,
+            ..MutationConfig::default()
+        });
+        std::thread::scope(|scope| {
+            let checker = scope.spawn(|| {
+                let mut seen = 0;
+                while seen < 200 {
+                    seen = mgr.epoch_id();
+                    for (i, slot) in mgr.slots.iter().enumerate() {
+                        let serving = slot.lock().id;
+                        assert!(serving >= seen, "slot {i} serves {serving} after id {seen}");
+                    }
+                }
+            });
+            for i in 0..200 {
+                mgr.accept(Mutation::AddVertex { label: i }).unwrap();
+            }
+            checker.join().unwrap();
+        });
+        mgr.close();
+        writer.join().unwrap();
     }
 }

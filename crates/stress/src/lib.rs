@@ -36,7 +36,9 @@
 //!   writer thread that applies seeded mutation batches off the serving
 //!   path and installs immutable epoch snapshots (monotone ids, atomic
 //!   swap, incremental shard-slice rebuild); queries pin their epoch at
-//!   submission, so reads are snapshot-isolated while the graph evolves;
+//!   submission — through the submitting thread's own stripe of the
+//!   serving epoch, so pinning is no write two clients share — and reads
+//!   are snapshot-isolated while the graph evolves;
 //! * [`rate`] — a GCRA token bucket over integer nanoseconds, exactly
 //!   testable because it never reads a clock;
 //! * [`qos`] — multi-tenant QoS: per-tenant lanes in front of every
@@ -80,11 +82,12 @@ mod runs;
 pub mod scenario;
 pub mod service;
 pub mod shard;
+mod stripe;
 
 pub use cache::{CacheKey, CacheScope, CacheStats, CachedAnswer, ResultCache};
 pub use driver::run_scenario;
 pub use epoch::{
-    mutation_op, EpochSnapshot, MutationConfig, ShardSlice, WriterReport, WriterStats,
+    mutation_op, EpochPin, EpochSnapshot, MutationConfig, ShardSlice, WriterReport, WriterStats,
 };
 pub use dist::{DistSpec, KeySampler, Zipf};
 pub use interval::{IntervalSeries, IntervalSlot};

@@ -1,6 +1,6 @@
 //! Typed requests and responses of the graph-query service.
 
-use crate::epoch::EpochSnapshot;
+use crate::epoch::EpochPin;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vcgp_core::service::Partial;
@@ -65,12 +65,16 @@ pub struct QueryRequest {
     /// Expired requests fail fast — at submission if already expired there
     /// — without consuming an execution slot.
     pub deadline: Option<Instant>,
-    /// The epoch snapshot this request is pinned to, stamped by the
-    /// service at submission (snapshot isolation: the request serves this
-    /// version of the graph even if the writer swaps in a newer epoch
-    /// mid-flight). `None` only before submission; backends fall back to
-    /// epoch 0.
-    pub epoch: Option<Arc<EpochSnapshot>>,
+    /// The epoch this request is pinned to, stamped by the service at
+    /// submission (snapshot isolation: the request serves this version of
+    /// the graph even if the writer swaps in a newer epoch mid-flight).
+    /// It is the submitting thread's stripe's [`EpochPin`]
+    /// ([`crate::epoch::EpochManager::pin`]), which dereferences to the
+    /// snapshot: holding it keeps the epoch alive, dropping the request
+    /// releases it, and the legs of a scatter clone this one pin, so all
+    /// of them serve the same version. `None` only before submission;
+    /// backends fall back to epoch 0.
+    pub epoch: Option<Arc<EpochPin>>,
     /// Tenant id for the QoS admission stage (see [`crate::qos`]): picks
     /// the lane, token bucket, and queue-full policy the request falls
     /// under. Clamped to the configured tenant count at submission;

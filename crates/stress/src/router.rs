@@ -233,11 +233,14 @@ impl ShardedGraphService {
     /// semantics of dropping any other ticket.
     ///
     /// Every submission is pinned to the currently serving epoch — **one**
-    /// snapshot across all legs of a scatter, so a swap landing mid-fan-out
+    /// pin across all legs of a scatter, so a swap landing mid-fan-out
     /// can never hand different legs different graph versions (the gather
-    /// merge would silently mix epochs otherwise).
+    /// merge would silently mix epochs otherwise). The pin is the
+    /// submitting thread's own stripe's
+    /// ([`EpochManager::pin`](crate::epoch::EpochManager::pin)): taking it
+    /// writes no cache line a client on another stripe writes.
     pub fn submit(&self, mut req: QueryRequest) -> Result<AnyTicket, SubmitError> {
-        req.epoch = Some(self.epochs.current());
+        req.epoch = Some(self.epochs.pin());
         let shard = match req.kind {
             QueryKind::Degree(v) | QueryKind::Neighbors(v) => self.owner(v),
             QueryKind::Workload(w)
@@ -265,5 +268,75 @@ impl ShardedGraphService {
             ticket,
             route: Route::Routed { shard: shard as u32, replica },
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::epoch::{EpochPin, MutationConfig};
+    use crate::service::ServiceConfig;
+    use std::sync::{Arc, Mutex};
+    use vcgp_core::Workload;
+    use vcgp_graph::{generators, Mutation};
+
+    /// The fan-out clones the request, pin included: every leg holds the
+    /// *same* `Arc<EpochPin>` — not merely pins on the same epoch — and a
+    /// swap that lands while the legs are queued changes none of them.
+    #[test]
+    fn every_leg_of_a_scatter_carries_the_one_pin_of_its_request() {
+        const SHARDS: usize = 3;
+        let graph = Arc::new(generators::gnm_connected(24, 48, 9));
+        let config = ServiceConfig {
+            executors: 1,
+            mutations: Some(MutationConfig::default()),
+            ..ServiceConfig::default()
+        };
+        let service = ShardedGraphService::start(graph, config, SHARDS);
+        // Hold every shard's only executor (debug ops spread by id), so the
+        // legs stay where they can be looked at: in the queues.
+        let sleeps: Vec<AnyTicket> = (0..SHARDS as u64)
+            .map(|id| {
+                let sleep = QueryKind::DebugSleep(Duration::from_millis(500));
+                service.submit(QueryRequest::new(id, sleep)).expect("open")
+            })
+            .collect();
+        while service.queue_depths().iter().any(|&depth| depth > 0) {
+            std::thread::yield_now();
+        }
+        let scattered = service
+            .submit(QueryRequest::new(100, QueryKind::Workload(Workload::CcHashMin)))
+            .expect("open");
+        service.submit_mutation(Mutation::AddVertex { label: 0 }).expect("writable");
+        while service.epochs.epoch_id() < 1 {
+            std::thread::yield_now();
+        }
+
+        let pins: Mutex<Vec<Arc<EpochPin>>> = Mutex::new(Vec::new());
+        for shard in &service.shards {
+            let taken = shard.replicas[0].handle().take_queued_legs(
+                |req| {
+                    assert_eq!(req.kind, QueryKind::WorkloadPartial(Workload::CcHashMin));
+                    pins.lock().unwrap().push(Arc::clone(req.epoch.as_ref().expect("stamped")));
+                    false
+                },
+                |_| None,
+            );
+            assert!(taken.is_empty(), "looked at, not taken");
+        }
+        let pins = pins.into_inner().unwrap();
+        assert_eq!(pins.len(), SHARDS, "one queued leg per shard");
+        for pin in &pins {
+            assert!(Arc::ptr_eq(pin, &pins[0]));
+            assert_eq!(pin.id, 0, "pinned before the swap");
+        }
+        assert_eq!(service.epochs.pin().id, 1, "a later submission pins the new epoch");
+        drop(pins);
+
+        assert!(scattered.wait().is_ok());
+        for sleep in sleeps {
+            assert!(sleep.wait().is_ok());
+        }
+        service.shutdown();
     }
 }

@@ -66,9 +66,10 @@ use crate::qos::{Pop, QosConfig, TenantLaneStats, TenantQueue};
 use crate::request::{QueryError, QueryKind, QueryOutput, QueryRequest, QueryResponse, Route};
 use crate::router::RoutingPolicy;
 use crate::shard::ShardBackend;
+use crate::stripe::{submit_stripe, SUBMIT_STRIPES};
 use vcgp_testkit::LogHistogram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -382,19 +383,6 @@ pub struct ShardSnapshot {
     pub replicas: Vec<ReplicaSnapshot>,
 }
 
-/// Submit-side counter stripes appended after the per-executor slots, so
-/// client threads bumping rejects/cache-hit counters do not contend with
-/// executors (or each other, up to this many concurrent submitters).
-const SUBMIT_STRIPES: usize = 8;
-
-static NEXT_SUBMIT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Each submitting thread claims one stripe on first use and keeps it.
-    static SUBMIT_STRIPE: usize =
-        NEXT_SUBMIT_STRIPE.fetch_add(1, Ordering::Relaxed) % SUBMIT_STRIPES;
-}
-
 /// One cache-line-padded stripe of the hot service counters. 128 bytes
 /// covers the spatial-prefetcher pair of 64-byte lines on x86.
 #[derive(Default)]
@@ -415,7 +403,10 @@ struct CounterSlot {
 
 /// The hot counters, striped so executor threads never share a cache line:
 /// executor `i` writes `slots[i]` exclusively, submit-side paths write one
-/// of the trailing [`SUBMIT_STRIPES`] slots, and reads sum every stripe.
+/// of the trailing [`SUBMIT_STRIPES`] slots — the submitting thread's
+/// [`submit_stripe`], so client threads bumping lookup/cache-hit/reject
+/// counters contend neither with executors nor with each other — and reads
+/// sum every stripe.
 struct Counters {
     slots: Box<[CounterSlot]>,
 }
@@ -437,7 +428,7 @@ impl Counters {
     /// The calling (submitting) thread's stripe.
     fn submit_slot(&self) -> &CounterSlot {
         let first = self.slots.len() - SUBMIT_STRIPES;
-        &self.slots[first + SUBMIT_STRIPE.with(|s| *s)]
+        &self.slots[first + submit_stripe()]
     }
 
     fn sum(&self, field: impl Fn(&CounterSlot) -> &AtomicU64) -> u64 {

@@ -298,6 +298,15 @@ impl ShardBackend {
         self.partitioner.owner(v) == self.shard
     }
 
+    /// The snapshot `req` serves: its pinned epoch, or epoch 0 for a
+    /// request nobody stamped.
+    fn pinned<'a>(&'a self, req: &'a QueryRequest) -> &'a EpochSnapshot {
+        match &req.epoch {
+            Some(pin) => pin,
+            None => &self.base,
+        }
+    }
+
     /// Takes every leg of run `key` that is still waiting in a queue
     /// somewhere in the fleet (its deadline, if any, not yet passed — a
     /// dead leg is its own executor's to drop). Such a leg would only pick
@@ -307,14 +316,14 @@ impl ShardBackend {
     fn take_queued(&self, key: RunKey) -> Vec<(usize, ParkedLeg)> {
         let now = Instant::now();
         let wanted = |req: &QueryRequest| {
-            req.epoch.as_ref().is_some_and(|snap| run_key(req, snap) == Some(key))
+            req.epoch.as_deref().is_some_and(|snap| run_key(req, snap) == Some(key))
                 && req.deadline.is_none_or(|d| now < d)
         };
         let mut legs = Vec::new();
         for (shard, cores) in self.fleet.get().into_iter().flatten().enumerate() {
             for core in cores {
                 let taken = core.take_queued_legs(wanted, |req| {
-                    req.epoch.as_ref().and_then(|snap| cache_key_on(shard, snap, req))
+                    req.epoch.as_deref().and_then(|snap| cache_key_on(shard, snap, req))
                 });
                 legs.extend(taken.into_iter().map(|leg| (shard, leg)));
             }
@@ -394,7 +403,7 @@ impl ShardBackend {
     /// One execution attempt of the request in `seat`.
     pub(crate) fn execute(&self, seat: &Seat<'_>, engine: &PregelConfig) -> Attempt {
         let req = seat.req;
-        let snap = req.epoch.as_ref().unwrap_or(&self.base);
+        let snap = self.pinned(req);
         if let Some(key) = run_key(req, snap) {
             return match self.runs.join(key, self.shard, || seat.park(self.cache_key(req))) {
                 Join::Parked => Attempt::Parked,
@@ -415,7 +424,7 @@ impl ShardBackend {
         let (QueryKind::Degree(v) | QueryKind::Neighbors(v)) = req.kind else {
             return None;
         };
-        let snap = req.epoch.as_ref().unwrap_or(&self.base);
+        let snap = self.pinned(req);
         let local = &snap.locals[self.shard].local;
         if (v as usize) >= local.num_vertices() {
             return Some(Err(QueryError::NoSuchVertex(v)));
@@ -435,7 +444,7 @@ impl ShardBackend {
     /// from the request's pinned epoch, so lookup and insert agree on the
     /// fingerprint even when a swap lands mid-request.
     pub(crate) fn cache_key(&self, req: &QueryRequest) -> Option<CacheKey> {
-        cache_key_on(self.shard, req.epoch.as_ref().unwrap_or(&self.base), req)
+        cache_key_on(self.shard, self.pinned(req), req)
     }
 }
 

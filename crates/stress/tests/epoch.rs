@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vcgp_core::service::run_workload;
 use vcgp_core::Workload;
-use vcgp_graph::{apply_batch, generators, Mutation};
+use vcgp_graph::{apply_batch, generators, Mutation, VertexId};
 use vcgp_pregel::partition::Partitioning;
 use vcgp_pregel::PregelConfig;
 use vcgp_stress::dist::DistSpec;
@@ -259,6 +259,119 @@ fn concurrent_answers_match_exactly_one_epoch() {
             frozen.contains(a),
             "answer #{i} ({a}) matches no epoch's frozen answer {frozen:?}"
         );
+    }
+    service.shutdown();
+}
+
+/// The striped pin under more submitting threads than it has stripes (8),
+/// with a live writer. Each thread's view only moves forward, and a write
+/// counted as applied is in the epoch *every* thread pins next — whichever
+/// stripe that thread reads through, whichever thread learned of the write.
+/// Every mutation adds one vertex, so "epoch has the first `k` writes" is
+/// "vertex `n + k - 1` exists", which a lookup answers from its pin.
+#[test]
+fn a_write_reported_applied_is_in_every_later_pin_on_every_thread() {
+    const N: usize = 16;
+    const WRITES: u64 = 150;
+    const READERS: u64 = 12;
+    let graph = Arc::new(generators::gnm_connected(N, 32, 1));
+    let config = config_for(
+        Partitioning::Hash,
+        Some(MutationConfig { max_batch: 4, ..MutationConfig::default() }),
+    );
+    let service = ShardedGraphService::start(Arc::clone(&graph), config, 2);
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|r| {
+                let service = &service;
+                scope.spawn(move || {
+                    let (mut last_id, mut id) = (0, r << 32);
+                    loop {
+                        let stats = service.writer_stats();
+                        let done = stats.applied + stats.noops;
+                        let snap = service.epoch();
+                        assert!(snap.id >= last_id, "reader {r}: {} after {last_id}", snap.id);
+                        last_id = snap.id;
+                        assert!(
+                            snap.graph.num_vertices() as u64 >= N as u64 + done,
+                            "reader {r}: epoch {} lacks one of {done} applied writes",
+                            snap.id
+                        );
+                        if done > 0 {
+                            let newest = (N as u64 + done - 1) as VertexId;
+                            let resp = service
+                                .submit(QueryRequest::new(id, QueryKind::Degree(newest)))
+                                .expect("open")
+                                .wait();
+                            assert_eq!(resp.result, Ok(QueryOutput::Degree(0)), "reader {r}");
+                            id += 1;
+                        }
+                        if done == WRITES {
+                            break;
+                        }
+                    }
+                })
+            })
+            .collect();
+        for i in 0..WRITES {
+            let seq = service.submit_mutation(Mutation::AddVertex { label: 0 }).expect("writable");
+            assert_eq!(seq, i + 1);
+            if i % 8 == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        for reader in readers {
+            reader.join().unwrap();
+        }
+    });
+    assert_eq!(service.epoch().graph.num_vertices() as u64, N as u64 + WRITES);
+    service.shutdown();
+}
+
+/// No retention: an epoch lives as long as a request pinned to it, and no
+/// longer — once the request is answered and the swap is through, nothing
+/// in the service (a stripe, a cache, a thread-local) still holds it.
+#[test]
+fn a_replaced_epoch_is_freed_when_its_last_request_is_answered() {
+    let graph = Arc::new(generators::gnm_connected(24, 48, 9));
+    let service = one_shard(
+        Arc::clone(&graph),
+        config_for(Partitioning::Hash, Some(MutationConfig::default())),
+    );
+    // Epoch 0 stays referenced as the backends' fallback; watch epoch 1.
+    service.submit_mutation(Mutation::AddVertex { label: 0 }).unwrap();
+    wait_for_drain(|| service.writer_stats(), 1);
+    // Lookups from a few threads: every stripe they use has handed out
+    // (and got back) pins on epoch 1.
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let service = &service;
+            scope.spawn(move || {
+                let req = QueryRequest::new(t, QueryKind::Degree(t as VertexId));
+                assert!(service.submit(req).unwrap().wait().is_ok());
+            });
+        }
+    });
+    let previous = Arc::downgrade(&service.epoch());
+    assert_eq!(previous.upgrade().map(|snap| snap.id), Some(1));
+    // One request pinned to epoch 1 stays queued behind a sleep while the
+    // writer installs epoch 2.
+    let sleep = QueryKind::DebugSleep(Duration::from_millis(150));
+    let busy = service.submit(QueryRequest::new(10, sleep)).unwrap();
+    let pinned = service
+        .submit(QueryRequest::new(11, QueryKind::Workload(Workload::CcHashMin)))
+        .unwrap();
+    service.submit_mutation(Mutation::AddVertex { label: 1 }).unwrap();
+    wait_for_drain(|| service.writer_stats(), 2);
+    assert_eq!(service.epoch().id, 2);
+    assert_eq!(previous.upgrade().map(|snap| snap.id), Some(1), "still pinned by a request");
+    assert!(busy.wait().is_ok());
+    assert!(pinned.wait().is_ok());
+    // The executor drops the request right after sending its response.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while previous.upgrade().is_some() {
+        assert!(Instant::now() < deadline, "epoch 1 outlived its last request");
+        std::thread::sleep(Duration::from_millis(1));
     }
     service.shutdown();
 }

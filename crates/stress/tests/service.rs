@@ -276,6 +276,43 @@ fn driver_runs_a_deterministic_bounded_load() {
     assert!(!report.to_markdown("test").is_empty());
 }
 
+/// An op cap is the index set `0..N` exactly, whatever the client count:
+/// the answer hash folds every op's id with its payload, so equal hashes at
+/// equal counts mean the same indices ran.
+#[test]
+fn an_op_cap_runs_exactly_its_indices_at_any_client_count() {
+    const OPS: u64 = 333;
+    let reports: Vec<StressReport> = [1, 3, 16]
+        .into_iter()
+        .map(|clients| {
+            let service = service_on(generators::gnm_connected(64, 160, 9), 2);
+            run_preset(service, &preset("points", OPS, clients, 21))
+        })
+        .collect();
+    for report in &reports {
+        assert_eq!((report.ops, report.ok), (OPS, OPS), "{} clients", report.clients);
+        assert_eq!(report.answer_hash, reports[0].answer_hash, "{} clients", report.clients);
+    }
+}
+
+/// Under an op cap every client issues until the cap is reached: indices
+/// are claimed one at a time there (block claims are for uncapped phases),
+/// so a cap smaller than a block per client still gets the concurrency it
+/// asked for. One executor, so the clients' requests wait in its queue:
+/// all eight are outstanding at once, seven queued behind the one running.
+#[test]
+fn a_small_op_cap_keeps_every_client_issuing() {
+    const CLIENTS: u64 = 8;
+    let service = one_shard(
+        Arc::new(generators::gnm_connected(1024, 4096, 9)),
+        ServiceConfig { executors: 1, cache_capacity: 0, ..ServiceConfig::default() },
+    );
+    let report = run_preset(service, &preset("analytics", 48, CLIENTS as usize, 21));
+    assert_eq!((report.ops, report.ok), (48, 48));
+    let hwm = report.per_shard[0].stats.queue_hwm;
+    assert!(hwm >= CLIENTS - 1, "queue high-water mark {hwm} with {CLIENTS} clients");
+}
+
 #[test]
 fn driver_paced_run_respects_the_token_bucket() {
     let service = service_on(generators::gnm_connected(32, 64, 2), 2);

@@ -312,4 +312,44 @@ fi
 echo "   ok: victim 100/100 ops, 0 rejects, hash $hv solo == joint;" \
     "aggressor throttled $agth times"
 
+echo "== client scaling smoke (zipfian point lookups, unpaced, at 1 and at 4"
+echo "   clients: the at-submit path has no cross-client shared write — the"
+echo "   epoch pin, the submit counters and the driver's index claims are all"
+echo "   striped — so a second core must add throughput. A shared line put"
+echo "   back on that path makes the curve flat: 0.95-1.07x before the pin was"
+echo "   striped, 1.7-1.9x after, on two cores)"
+if [ "$cores" -lt 2 ]; then
+    echo "   skipped: $cores core, nothing for a second client to run on"
+else
+    # A timing gate, so a warm-up run first (on a VM the first saturating
+    # run after the box idled can find the second core slow to arrive, x1.2)
+    # and then the median of three attempts, not the best: one lucky run
+    # cannot hide a shared line (under x1.1 every time), one slow one cannot
+    # fail striped code (x1.6-2.0).
+    scale() { # clients -> throughput_ops_s of one validated 2 s run
+        ./target/release/stress --gen gnm-connected:4096:16384:7 --mix points \
+            --zipf-s 0.99 --shards 2 --duration 2 --clients "$1" --seed 7 \
+            --name "scale$1" --quiet >/dev/null &&
+            ./target/release/stress --validate-report \
+                "target/vcgp-bench/BENCH_stress_scale$1.json" >/dev/null &&
+            get "scale$1" throughput_ops_s
+    }
+    scale 4 >/dev/null
+    ratios=""
+    for attempt in 1 2 3; do
+        t1=$(scale 1)
+        t4=$(scale 4)
+        ratio=$(awk -v t1="$t1" -v t4="$t4" 'BEGIN { printf "%.2f", (t1 > 0 ? t4 / t1 : 0) }')
+        echo "   attempt $attempt: $t1 ops/s at 1 client, $t4 ops/s at 4 (x$ratio)"
+        ratios="$ratios $ratio"
+    done
+    median=$(printf '%s\n' $ratios | sort -n | sed -n 2p)
+    if awk -v r="$median" 'BEGIN { exit !(r < 1.3) }'; then
+        echo "error: 4 clients deliver x$median the throughput of one (median of$ratios," >&2
+        echo "       gate x1.3): the clients are serialising on a shared write" >&2
+        exit 1
+    fi
+    echo "   ok: x$median (median of$ratios)"
+fi
+
 echo "tier-1 verify: OK"
