@@ -14,9 +14,13 @@
 //! others ([`PhaseBarrier::wait_leader`]). The engine uses this to fold the
 //! serial master phase into the delivery barrier, so a superstep costs two
 //! barrier crossings instead of three.
+//!
+//! A party that panics never arrives, so the barrier can be *poisoned*
+//! ([`PhaseBarrier::poison_on_unwind`]): every waiter, and every later
+//! arrival, then unwinds with [`Poisoned`] instead of waiting forever.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Spin iterations before falling back to `yield_now` (only when spinning
@@ -24,6 +28,11 @@ use std::time::Instant;
 const SPIN_LIMIT: u32 = 1 << 14;
 /// `yield_now` calls before parking on the condvar.
 const YIELD_LIMIT: u32 = 64;
+
+/// The unwind payload of a thread that left a [`PhaseBarrier`] because
+/// another party panicked. Whoever joins the parties re-raises the panic
+/// that caused it, not this.
+pub(crate) struct Poisoned;
 
 /// A reusable barrier for a fixed set of `parties` threads.
 pub(crate) struct PhaseBarrier {
@@ -41,6 +50,20 @@ pub(crate) struct PhaseBarrier {
     /// knows threads outnumber cores (spinning would burn the timeslice the
     /// straggler needs).
     spin: bool,
+    /// Set once a party panicked; never cleared.
+    poisoned: AtomicBool,
+}
+
+/// Poisons its barrier when dropped by a panicking thread; see
+/// [`PhaseBarrier::poison_on_unwind`].
+pub(crate) struct PoisonOnUnwind<'b>(&'b PhaseBarrier);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
+        }
+    }
 }
 
 impl PhaseBarrier {
@@ -52,7 +75,31 @@ impl PhaseBarrier {
             lock: Mutex::new(()),
             cv: Condvar::new(),
             spin,
+            poisoned: AtomicBool::new(false),
         }
+    }
+
+    /// A guard to hold for as long as the calling thread is a party: if the
+    /// thread unwinds, the guard poisons the barrier, so the other parties
+    /// unwind with [`Poisoned`] rather than wait for an arrival that will
+    /// never come.
+    pub(crate) fn poison_on_unwind(&self) -> PoisonOnUnwind<'_> {
+        PoisonOnUnwind(self)
+    }
+
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::Release);
+        // Notify under the lock, like the leader's generation bump: a waiter
+        // between its check and its park cannot miss the wake-up. Runs
+        // during unwinding, so it must not panic on a poisoned mutex.
+        let _g = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.cv.notify_all();
+    }
+
+    /// Leaves the barrier by unwinding with [`Poisoned`]. `resume_unwind`
+    /// skips the panic hook: the cause has already been reported.
+    fn leave_poisoned() -> ! {
+        std::panic::resume_unwind(Box::new(Poisoned))
     }
 
     /// Blocks until all parties arrive. Returns the nanoseconds this thread
@@ -64,7 +111,8 @@ impl PhaseBarrier {
     /// Blocks until all parties arrive; the *last* arriver runs `leader`
     /// before any waiter is released. Returns `Some(result)` on the leader
     /// thread and `None` on the others, plus the nanoseconds spent waiting
-    /// (the leader's closure time is not counted as waiting).
+    /// (the leader's closure time is not counted as waiting). Unwinds with
+    /// [`Poisoned`] if the barrier is, or becomes, poisoned while waiting.
     pub(crate) fn wait_leader<R>(&self, leader: impl FnOnce() -> R) -> (Option<R>, u64) {
         let gen = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
@@ -88,6 +136,9 @@ impl PhaseBarrier {
             if self.generation.load(Ordering::Acquire) != gen {
                 return (None, started.elapsed().as_nanos() as u64);
             }
+            if self.poisoned.load(Ordering::Acquire) {
+                Self::leave_poisoned();
+            }
             if tries < spin_budget {
                 std::hint::spin_loop();
             } else if tries < spin_budget + YIELD_LIMIT {
@@ -95,6 +146,10 @@ impl PhaseBarrier {
             } else {
                 let mut g = self.lock.lock().unwrap();
                 while self.generation.load(Ordering::Acquire) == gen {
+                    if self.poisoned.load(Ordering::Acquire) {
+                        drop(g);
+                        Self::leave_poisoned();
+                    }
                     g = self.cv.wait(g).unwrap();
                 }
                 return (None, started.elapsed().as_nanos() as u64);
@@ -168,6 +223,40 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn a_panicking_party_releases_the_others_with_poisoned() {
+        // Thread 0 panics between the two barriers; the others are parked
+        // at the second (or about to be) and must unwind with `Poisoned`,
+        // never hang.
+        for spin in [false, true] {
+            let barrier = PhaseBarrier::new(3, spin);
+            let outcomes: Vec<_> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..3)
+                    .map(|i| {
+                        let barrier = &barrier;
+                        s.spawn(move || {
+                            let _guard = barrier.poison_on_unwind();
+                            barrier.wait();
+                            if i == 0 {
+                                panic!("boom");
+                            }
+                            barrier.wait();
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join()).collect()
+            });
+            for (i, outcome) in outcomes.into_iter().enumerate() {
+                let payload = outcome.expect_err("every party unwinds");
+                if i == 0 {
+                    assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+                } else {
+                    assert!(payload.is::<Poisoned>(), "party {i} (spin {spin})");
+                }
+            }
+        }
     }
 
     #[test]

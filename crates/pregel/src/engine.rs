@@ -20,27 +20,36 @@
 //!   bit-identical to every other configuration; only the
 //!   `messages_combined_sender` transport observable moves (the shared
 //!   combining table folds across hosted senders).
-//! * **Threaded driver** (`T > 1`): `T` threads are spawned once per run
-//!   (not per superstep phase) and synchronize on a sense-reversing
-//!   spin-then-park `PhaseBarrier` (the private `barrier` module) — two crossings per
+//! * **Threaded driver** (`T > 1`): `T - 1` threads are spawned once per
+//!   run (not per superstep phase) and the calling thread joins them as
+//!   thread 0. They synchronize on a sense-reversing spin-then-park
+//!   `PhaseBarrier` (the private `barrier` module) — two crossings per
 //!   superstep (compute and delivery; the serial master phase runs inside
 //!   the delivery barrier's leader closure), down from three
 //!   `std::sync::Barrier` waits. Cross-worker message handoff goes through
 //!   lock-free outbox slots sequenced by those barriers instead of a
-//!   `W x W` mutex matrix.
+//!   `W x W` mutex matrix. A panic on any thread poisons the barrier, so
+//!   the others unwind instead of waiting, and the run re-raises the
+//!   original payload.
 //!
 //! The threaded driver load-balances with **deterministic work stealing**:
 //! each worker's sorted worklist is split into fixed-size chunks
-//! ([`PregelConfig::steal_chunk`]), any thread may claim a chunk via an
-//! atomic cursor, and each chunk buffers its outputs (messages, survivors,
-//! aggregator partial) privately. The last thread to finish a worker's
-//! chunks replays them *in chunk order* through the worker's master
-//! buffers — the exact push sequence single-threaded execution would have
-//! produced — so vertex values, message streams, and delivered counts are
-//! bit-identical regardless of which thread executed which chunk. (For
-//! `F64` aggregators the chunk-ordered fold grouping is deterministic but
-//! may differ from the unchunked grouping in the last ulp — the usual
-//! caveat of any parallel fold; integer/bool aggregators are exact.)
+//! ([`PregelConfig::steal_chunk`]; `0` makes the whole list one chunk no
+//! thief takes). The worker's home thread claims chunks from the front and
+//! runs them *in place*, straight into the worker's own outgoing buffers
+//! and next worklist; thieves claim from the back of the same packed
+//! `(front, back)` span, so the home thread's chunks are always a prefix.
+//! Only a stolen chunk is buffered — every send as made, survivors,
+//! aggregator partial — and whoever completes the worker's last chunk
+//! replays the stolen suffix *in chunk order* behind the prefix. The
+//! worker's buffers thus see the exact push sequence single-threaded
+//! execution produces, so vertex values, lane order, combining folds and
+//! delivered counts are bit-identical regardless of which thread executed
+//! which chunk. Each chunk's aggregator partial starts from the identity
+//! and is folded in chunk order, so `F64` aggregators are grouped by chunk
+//! size, never by schedule (and may differ from a one-chunk-per-worker run
+//! in the last ulp — the usual caveat of any parallel fold; integer and
+//! bool aggregators are exact).
 //!
 //! Superstep phases (all drivers):
 //!
@@ -72,7 +81,7 @@
 //! phase.
 
 use crate::aggregate::{AggValue, AggregatorDef};
-use crate::barrier::PhaseBarrier;
+use crate::barrier::{PhaseBarrier, Poisoned};
 use crate::metrics::{
     BufferStats, HaltReason, PerVertexStats, RunStats, SuperstepStats, WorkerStats,
 };
@@ -81,7 +90,7 @@ use crate::pool::{BufferCounters, OutboxSlot};
 use crate::program::{Combiner, Context, MasterContext, Outgoing, VertexProgram};
 use crate::state_size::StateSize;
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use vcgp_graph::{Graph, VertexId};
@@ -338,22 +347,6 @@ impl PerVertexLocal {
             recv_cur: vec![0; k],
         }
     }
-}
-
-/// Scratch slot written by one worker each superstep and read by the master
-/// phase.
-#[derive(Default)]
-struct Scratch {
-    stats: WorkerStats,
-    delivered: u64,
-    combined_sender: u64,
-    buffers: BufferCounters,
-    inbox_capacity: u64,
-    next_active: usize,
-    ran: usize,
-    quiet: usize,
-    chunks: u64,
-    chunks_stolen: u64,
 }
 
 /// Master-phase decisions shared back to all workers.
@@ -808,6 +801,10 @@ fn run_serial<P: VertexProgram>(
 // Threaded driver (T > 1)
 // ---------------------------------------------------------------------------
 
+/// What every `expect` on an engine mutex guards against: a poisoned lock
+/// means a pool thread panicked while holding it.
+const LOCK: &str = "engine mutex poisoned by a panicking pool thread";
+
 /// An `UnsafeCell` that is `Sync`. Exclusive access is enforced by the
 /// engine's phase protocol — barriers and atomic claim counters — not by
 /// the type system; every dereference site documents which protocol rule
@@ -833,11 +830,12 @@ impl<T> SyncCell<T> {
 }
 
 /// Raw element pointers into one worker's state arrays, published by the
-/// worker's home thread so chunk executors (possibly on other threads) can
-/// write provably disjoint vertices without materializing aliasing `&mut`
-/// references to whole arrays. The array pointers stay valid for the whole
-/// run — those Vecs never reallocate after construction; `run`/`run_len`
-/// are republished each superstep because the worklists ping-pong.
+/// worker's home thread so chunk executors — the home thread itself and
+/// thieves — can write provably disjoint vertices without materializing
+/// aliasing `&mut` references to whole arrays. The array pointers stay
+/// valid for the whole run — those Vecs never reallocate after
+/// construction; `run`/`run_len`/`chunk_len` are republished each
+/// superstep because the worklists ping-pong.
 struct StateView<V, M> {
     ids: *const VertexId,
     values: *mut V,
@@ -845,6 +843,9 @@ struct StateView<V, M> {
     inbox: *mut Vec<M>,
     run: *const u32,
     run_len: usize,
+    /// Worklist entries per chunk: the steal chunk, or the whole list when
+    /// stealing is off.
+    chunk_len: usize,
 }
 
 // SAFETY: the pointers target heap buffers owned by `WorkerState<V, M>`,
@@ -852,24 +853,66 @@ struct StateView<V, M> {
 // them, gated by the same phase protocol as `SyncCell`.
 unsafe impl<V: Send, M: Send> Send for StateView<V, M> {}
 
-/// One chunk's buffered outputs: its own lane set (so `Context::send` works
-/// unchanged), the survivors, the aggregator partial, and the counters.
-/// Pooled and recycled across supersteps.
-struct ChunkBuf<M> {
-    chunk: usize,
+impl<V, M> StateView<V, M> {
+    /// Worklist positions of chunk `c`.
+    fn chunk(&self, c: usize) -> std::ops::Range<usize> {
+        let lo = c * self.chunk_len;
+        lo..(lo + self.chunk_len).min(self.run_len)
+    }
+}
+
+/// What one or more chunk executions add to a worker's compute counters.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    chunks: u64,
     ran: usize,
     quiet: usize,
-    out: Outgoing<M>,
-    next: Vec<u32>,
-    agg: Vec<AggValue>,
     work: u64,
     sent: u64,
     inbox_capacity: u64,
     wall: Duration,
-    stolen: bool,
+}
+
+impl Tally {
+    fn add(&mut self, o: Tally) {
+        self.chunks += o.chunks;
+        self.ran += o.ran;
+        self.quiet += o.quiet;
+        self.work += o.work;
+        self.sent += o.sent;
+        self.inbox_capacity += o.inbox_capacity;
+        self.wall += o.wall;
+    }
+}
+
+/// A stolen chunk's buffered outputs: its own lane set (so `Context::send`
+/// works unchanged), the survivors, the aggregator partial, and the
+/// counters. Pooled and recycled across supersteps.
+struct ChunkBuf<M> {
+    chunk: usize,
+    out: Outgoing<M>,
+    next: Vec<u32>,
+    agg: Vec<AggValue>,
+    tally: Tally,
     /// Newly constructed this acquisition (an allocation event) rather than
     /// recycled from the pool.
     fresh: bool,
+}
+
+impl<M> ChunkBuf<M> {
+    fn new(w: usize, identities: &[AggValue], fresh: bool) -> Self {
+        ChunkBuf {
+            chunk: 0,
+            // No combiner: a stolen chunk buffers every send as it was made,
+            // and the merge replays them one by one through the worker's
+            // own buffers, which combine in sequential order.
+            out: Outgoing::new(w, 0, None),
+            next: Vec::new(),
+            agg: identities.to_vec(),
+            tally: Tally::default(),
+            fresh,
+        }
+    }
 }
 
 /// Everything shared between the threads of one run.
@@ -878,23 +921,22 @@ struct ParShared<'a, P: VertexProgram> {
     graph: &'a Graph,
     cfg: &'a PregelConfig,
     w: usize,
-    /// Resolved steal chunk size; 0 = stealing disabled (direct mode).
+    /// Resolved steal chunk size; 0 = stealing disabled (one chunk per
+    /// worker, run by its home thread).
     steal_chunk: usize,
     partitioner: Partitioner,
     agg_defs: &'a [AggregatorDef],
     identities: &'a [AggValue],
     workers: Vec<ParWorker<P::Value, P::Message>>,
-    /// worker -> home thread.
-    home: Vec<usize>,
     /// thread -> contiguous owned worker range.
     blocks: Vec<std::ops::Range<usize>>,
-    /// `outboxes[sender][receiver]`: written by the thread that completes
-    /// the sender's compute, read by the receiver's home thread after the
+    /// `outboxes[sender][receiver]`: written by the thread that merges the
+    /// sender's compute, read by the receiver's home thread after the
     /// compute barrier. The barrier's release/acquire edge replaces the
     /// per-slot mutex the engine used to take `W^2` times per superstep.
     outboxes: Vec<Vec<SyncCell<OutboxSlot<P::Message>>>>,
     /// Free list of chunk buffers, shared so the pool stabilizes regardless
-    /// of which thread executes which chunk.
+    /// of which thread steals which chunk.
     chunk_pool: Mutex<Vec<ChunkBuf<P::Message>>>,
     barrier: PhaseBarrier,
     agg_merged: Mutex<Vec<AggValue>>,
@@ -909,24 +951,74 @@ struct ParShared<'a, P: VertexProgram> {
 struct ParWorker<V, M> {
     state: SyncCell<WorkerState<V, M>>,
     view: SyncCell<StateView<V, M>>,
-    /// The worker's master outgoing buffers (lanes + combining tables).
+    /// The worker's own outgoing buffers (lanes + combining tables): the
+    /// home thread runs its chunks straight into them, the merge replays
+    /// the stolen ones behind.
     out: SyncCell<Outgoing<M>>,
-    /// Number of worklist chunks this superstep.
-    chunks: AtomicUsize,
-    /// Next chunk index to claim.
-    cursor: AtomicUsize,
-    /// Chunks claimed but not yet completed; the thread that decrements it
-    /// to zero merges and flushes.
+    /// The unclaimed chunks `front..back`, packed `back << 32 | front`: the
+    /// home thread claims from the front, thieves from the back, so the
+    /// home thread's chunks are always a prefix of the worklist.
+    span: AtomicU64,
+    /// Units not yet completed: one per chunk plus one for the home
+    /// thread's hand-off. Whoever brings it to zero merges and flushes.
     outstanding: AtomicUsize,
-    /// Completed chunk outputs awaiting the ordered merge.
+    /// Stolen chunk outputs awaiting the ordered merge.
     done: Mutex<Vec<ChunkBuf<M>>>,
     scratch: Mutex<Scratch>,
     agg_partial: Mutex<Vec<AggValue>>,
 }
 
-/// Spawns `t` threads over contiguous worker blocks and runs the superstep
-/// loop to completion. Returns the states (for reassembly), the halt
-/// reason, and the superstep log.
+impl<V, M> ParWorker<V, M> {
+    /// Claims the lowest unclaimed chunk (home thread) or the highest
+    /// (`thief`). Relaxed: a claim publishes nothing — the view it indexes
+    /// was published before the compute barrier.
+    fn claim(&self, thief: bool) -> Option<usize> {
+        const FRONT: u64 = 0xFFFF_FFFF;
+        let prev = self
+            .span
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                (s & FRONT < s >> 32).then(|| if thief { s - (1 << 32) } else { s + 1 })
+            })
+            .ok()?;
+        let c = if thief {
+            (prev >> 32) - 1
+        } else {
+            prev & FRONT
+        };
+        Some(c as usize)
+    }
+}
+
+/// Scratch slot written by one worker's compute and delivery each superstep
+/// and read by the master phase.
+#[derive(Default)]
+struct Scratch {
+    /// The home thread's in-place prefix plus every stolen chunk merged
+    /// behind it.
+    compute: Tally,
+    chunks_stolen: u64,
+    combined_sender: u64,
+    buffers: BufferCounters,
+    received: u64,
+    delivered: u64,
+    next_active: usize,
+}
+
+/// What every chunk of one superstep's compute phase reads.
+struct Step<'s, 'a, P: VertexProgram> {
+    sh: &'s ParShared<'a, P>,
+    superstep: u64,
+    agg_prev: &'s [AggValue],
+    globals: &'s [AggValue],
+}
+
+/// Runs the superstep loop on `t` threads over contiguous worker blocks:
+/// `t - 1` spawned, and the caller as thread 0 — its caches already hold
+/// the worker states it just built. Returns the states (for reassembly),
+/// the halt reason, and the superstep log.
+///
+/// A panic on any thread poisons the barrier, so the others unwind instead
+/// of waiting for it; the run then re-raises the original payload.
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn run_threaded<P: VertexProgram>(
     program: &P,
@@ -945,9 +1037,8 @@ fn run_threaded<P: VertexProgram>(
     let w = states.len();
     let combiner = program.combiner();
     let sender_combiner = if cfg.track_per_vertex { None } else { combiner };
-    // Per-vertex tracking already implies exact per-message accounting and
-    // is a measurement mode, not a throughput mode; keep it on the simple
-    // direct path.
+    // Per-vertex maxima are kept by the home thread only, so per-vertex
+    // tracking runs every worklist in place, unstolen.
     let steal_chunk = if cfg.track_per_vertex {
         0
     } else {
@@ -962,12 +1053,8 @@ fn run_threaded<P: VertexProgram>(
                 active: st.active.as_mut_ptr(),
                 inbox: st.inbox.as_mut_ptr(),
                 run: st.run_list.as_ptr(),
-                run_len: st.run_list.len(),
-            };
-            let chunks = if steal_chunk == 0 {
-                0
-            } else {
-                st.run_list.len().div_ceil(steal_chunk)
+                run_len: 0,
+                chunk_len: 1,
             };
             ParWorker {
                 // Moving `st` into the cell moves the Vec headers, not
@@ -975,23 +1062,19 @@ fn run_threaded<P: VertexProgram>(
                 state: SyncCell::new(st),
                 view: SyncCell::new(view),
                 out: SyncCell::new(Outgoing::new(w, graph.num_vertices(), sender_combiner)),
-                chunks: AtomicUsize::new(chunks),
-                cursor: AtomicUsize::new(0),
-                outstanding: AtomicUsize::new(chunks),
+                span: AtomicU64::new(0),
+                outstanding: AtomicUsize::new(0),
                 done: Mutex::new(Vec::new()),
                 scratch: Mutex::new(Scratch::default()),
                 agg_partial: Mutex::new(identities.to_vec()),
             }
         })
         .collect();
+    for pw in &workers {
+        publish_schedule(pw, steal_chunk);
+    }
     let blocks: Vec<std::ops::Range<usize>> =
         (0..t).map(|i| (i * w / t)..((i + 1) * w / t)).collect();
-    let mut home = vec![0usize; w];
-    for (ti, r) in blocks.iter().enumerate() {
-        for wi in r.clone() {
-            home[wi] = ti;
-        }
-    }
     let sh = ParShared::<P> {
         program,
         graph,
@@ -1002,7 +1085,6 @@ fn run_threaded<P: VertexProgram>(
         agg_defs,
         identities,
         workers,
-        home,
         blocks,
         outboxes: (0..w)
             .map(|_| (0..w).map(|_| SyncCell::new(OutboxSlot::default())).collect())
@@ -1022,47 +1104,42 @@ fn run_threaded<P: VertexProgram>(
         thread_waits: (0..t).map(|_| Mutex::new(0)).collect(),
     };
 
-    // Prefill the chunk-buffer pool with superstep 0's chunk count. Every
-    // vertex is active in superstep 0, so no later superstep can schedule
-    // more chunks than this; with the pool full up front, chunk acquisition
-    // never allocates, deterministically — the steady-state invariant can't
-    // depend on how the scheduler interleaved earlier merges and releases.
+    // Prefill the chunk-buffer pool with superstep 0's chunk count — every
+    // chunk a superstep can have, and so every chunk thieves can take.
+    // With the pool full up front, stealing never allocates a buffer,
+    // deterministically: the steady-state invariant can't depend on how
+    // the scheduler interleaved earlier merges and releases.
     if steal_chunk > 0 {
-        let total: usize = sh
+        let total: u64 = sh
             .workers
             .iter()
-            .map(|pw| pw.chunks.load(Ordering::Relaxed))
+            .map(|pw| pw.span.load(Ordering::Relaxed) >> 32)
             .sum();
-        let mut pool = sh.chunk_pool.lock().unwrap();
-        for _ in 0..total {
-            pool.push(ChunkBuf {
-                chunk: 0,
-                ran: 0,
-                quiet: 0,
-                out: Outgoing::new_hashed(w, sender_combiner),
-                next: Vec::new(),
-                agg: identities.to_vec(),
-                work: 0,
-                sent: 0,
-                inbox_capacity: 0,
-                wall: Duration::ZERO,
-                stolen: false,
-                // Startup infrastructure, like the outgoing lanes: not a
-                // per-superstep allocation event.
-                fresh: false,
-            });
-        }
+        let mut pool = sh.chunk_pool.lock().expect(LOCK);
+        // Startup infrastructure, like the outgoing lanes: not a
+        // per-superstep allocation event.
+        pool.extend((0..total).map(|_| ChunkBuf::new(w, identities, false)));
     }
 
     std::thread::scope(|scope| {
-        for t_id in 0..t {
-            let sh = &sh;
-            scope.spawn(move || par_thread(t_id, sh));
+        let sh = &sh;
+        let helpers: Vec<_> = (1..t)
+            .map(|t_id| scope.spawn(move || par_thread(t_id, sh)))
+            .collect();
+        let mine = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| par_thread(0, sh)));
+        // Every thread has finished or unwound (a panic poisons the
+        // barrier). Re-raise the panic that started it, not the `Poisoned`
+        // exits it caused on the other threads.
+        let outcomes = std::iter::once(mine).chain(helpers.into_iter().map(|h| h.join()));
+        let mut panics: Vec<_> = outcomes.filter_map(Result::err).collect();
+        if !panics.is_empty() {
+            let cause = panics.iter().position(|p| !p.is::<Poisoned>());
+            std::panic::resume_unwind(panics.swap_remove(cause.unwrap_or(0)));
         }
     });
 
-    let control = sh.control.into_inner().unwrap();
-    let log = sh.superstep_log.into_inner().unwrap();
+    let control = sh.control.into_inner().expect(LOCK);
+    let log = sh.superstep_log.into_inner().expect(LOCK);
     let states = sh
         .workers
         .into_iter()
@@ -1071,41 +1148,39 @@ fn run_threaded<P: VertexProgram>(
     (states, control.reason, log)
 }
 
-/// The per-thread superstep loop: compute (direct or stealing), compute
-/// barrier, delivery + next-superstep setup for owned workers, delivery
-/// barrier with the master phase in the leader closure.
+/// The per-thread superstep loop: compute (own workers in place, then
+/// stealing), compute barrier, delivery + next-superstep setup for owned
+/// workers, delivery barrier with the master phase in the leader closure.
 fn par_thread<P: VertexProgram>(t_id: usize, sh: &ParShared<'_, P>) {
+    let _poison = sh.barrier.poison_on_unwind();
     let my = sh.blocks[t_id].clone();
     let combiner = sh.program.combiner();
-    let sender_combiner = if sh.cfg.track_per_vertex {
-        None
-    } else {
-        combiner
-    };
     let mut delivery_scratch: Vec<(VertexId, P::Message)> = Vec::new();
+    let mut acc = sh.identities.to_vec();
+    let mut chunk_agg = sh.identities.to_vec();
     let mut superstep: u64 = 0;
     let mut wait_ns: u64 = 0;
     loop {
         // ---- Phase A: compute -------------------------------------------
-        let agg_prev = sh.agg_merged.lock().unwrap().clone();
-        let globals_snapshot = sh.globals.lock().unwrap().clone();
+        let agg_prev = sh.agg_merged.lock().expect(LOCK).clone();
+        let globals = sh.globals.lock().expect(LOCK).clone();
+        let step = Step {
+            sh,
+            superstep,
+            agg_prev: &agg_prev,
+            globals: &globals,
+        };
+        for wi in my.clone() {
+            compute_home(wi, &step, &mut acc, &mut chunk_agg);
+        }
         if sh.steal_chunk > 0 {
-            // Own workers first (cache affinity), then one sweep over the
-            // others for leftover chunks. After the sweep every cursor is
-            // exhausted, so nothing claimable remains.
-            for wi in my.clone() {
-                drain_chunks(t_id, wi, sh, superstep, &agg_prev, &globals_snapshot, sender_combiner);
-            }
+            // Then one sweep over the other workers, from the back. After
+            // it every span is empty, so nothing claimable remains.
             for off in 0..sh.w {
                 let wi = (my.end + off) % sh.w;
-                if my.contains(&wi) {
-                    continue;
+                if !my.contains(&wi) {
+                    steal_from(wi, &step);
                 }
-                drain_chunks(t_id, wi, sh, superstep, &agg_prev, &globals_snapshot, sender_combiner);
-            }
-        } else {
-            for wi in my.clone() {
-                compute_direct(wi, sh, superstep, &agg_prev, &globals_snapshot);
             }
         }
         wait_ns += sh.barrier.wait();
@@ -1150,86 +1225,182 @@ fn par_thread<P: VertexProgram>(t_id: usize, sh: &ParShared<'_, P>) {
 }
 
 /// Republishes a worker's worklist view and resets its chunk schedule.
-/// Called only while the home thread has exclusive access (startup is
-/// handled in the constructor; afterwards: end of delivery, or the
-/// reactivation window), so the next compute phase — on the far side of a
-/// barrier — sees a consistent schedule.
+/// Called only while the home thread has exclusive access (before the
+/// threads start, at the end of delivery, or in the reactivation window),
+/// so the next compute phase — on the far side of a barrier — sees a
+/// consistent schedule; the stores are Relaxed because that barrier orders
+/// them.
 fn publish_schedule<V, M>(pw: &ParWorker<V, M>, steal_chunk: usize) {
-    let run_len;
     // SAFETY: exclusive home-thread access per the contract above; readers
     // are released by a later barrier.
-    unsafe {
-        let st = &mut *pw.state.get();
+    let chunks = unsafe {
+        let st = &*pw.state.get();
         let view = &mut *pw.view.get();
         view.run = st.run_list.as_ptr();
         view.run_len = st.run_list.len();
-        run_len = view.run_len;
-    }
-    let chunks = if steal_chunk == 0 {
-        0
-    } else {
-        run_len.div_ceil(steal_chunk)
+        view.chunk_len = if steal_chunk == 0 {
+            view.run_len.max(1)
+        } else {
+            steal_chunk
+        };
+        view.run_len.div_ceil(view.chunk_len)
     };
-    pw.cursor.store(0, Ordering::Relaxed);
-    pw.outstanding.store(chunks, Ordering::Relaxed);
-    pw.chunks.store(chunks, Ordering::Release);
+    pw.span.store((chunks as u64) << 32, Ordering::Relaxed);
+    pw.outstanding.store(chunks + 1, Ordering::Relaxed);
 }
 
-/// Direct (non-stealing) compute for one worker, on whatever thread owns
-/// it this phase: the exact sequential semantics of `compute_worker`, plus
-/// the flush into the outbox row.
-fn compute_direct<P: VertexProgram>(
+/// Worker `wi`'s compute on its home thread: claims chunks from the front
+/// and runs them in place — messages straight into the worker's own
+/// outgoing buffers, survivors onto its next worklist, each chunk's
+/// aggregator partial folded into the worker's accumulator in chunk order.
+/// Then hands off: whoever completes the worker's last unit merges the
+/// stolen suffix behind this prefix.
+fn compute_home<P: VertexProgram>(
     wi: usize,
-    sh: &ParShared<'_, P>,
-    superstep: u64,
-    agg_prev: &[AggValue],
-    globals: &[AggValue],
+    step: &Step<'_, '_, P>,
+    acc: &mut [AggValue],
+    chunk_agg: &mut [AggValue],
 ) {
+    let sh = step.sh;
     let pw = &sh.workers[wi];
-    // SAFETY: compute phase with stealing disabled — only the home thread
-    // (us) touches this worker's state and outgoing buffers; receivers read
-    // the outbox row only after the compute barrier.
-    let st = unsafe { &mut *pw.state.get() };
-    let out = unsafe { &mut *pw.out.get() };
-    let t0 = Instant::now();
-    let ran = st.run_list.len();
-    let mut agg_partial = sh.identities.to_vec();
-    let (work, sent, inbox_capacity, quiet) = compute_worker(
-        sh.program,
-        sh.graph,
-        sh.cfg.seed,
-        sh.partitioner,
-        superstep,
-        st,
-        out,
-        agg_prev,
-        globals,
-        sh.agg_defs,
-        &mut agg_partial,
-    );
-    let wall = t0.elapsed();
-    let combined = out.combined;
-    let buffers = flush_out(wi, sh, out);
-    {
-        let mut sc = pw.scratch.lock().unwrap();
-        sc.stats = WorkerStats {
-            work,
-            sent,
-            received: 0,
-            wall,
-            stolen_chunks: 0,
-        };
-        sc.delivered = 0;
-        sc.combined_sender = combined;
-        sc.buffers = buffers;
-        sc.inbox_capacity = inbox_capacity;
-        sc.next_active = 0;
-        sc.ran = ran;
-        sc.quiet = quiet;
-        sc.chunks = 0;
-        sc.chunks_stolen = 0;
+    // SAFETY: compute phase. The view is written only outside it, ordered
+    // before this read by a barrier. Until the hand-off below, the outgoing
+    // buffers, `next_run` and the per-vertex maxima are touched by no
+    // thread but this one: thieves reach the worker only through the view,
+    // and only the vertices of chunks they claimed.
+    let (view, out, next, mut pv) = unsafe {
+        let st = pw.state.get();
+        (
+            &*pw.view.get(),
+            &mut *pw.out.get(),
+            &mut *std::ptr::addr_of_mut!((*st).next_run),
+            (*std::ptr::addr_of_mut!((*st).pv)).as_mut(),
+        )
+    };
+    acc.copy_from_slice(sh.identities);
+    let mut tally = Tally::default();
+    while let Some(c) = pw.claim(false) {
+        chunk_agg.copy_from_slice(sh.identities);
+        tally.add(step.run_chunk(view, c, out, next, chunk_agg, pv.as_deref_mut()));
+        fold_aggregates(sh.agg_defs, acc, chunk_agg);
     }
-    *pw.agg_partial.lock().unwrap() = agg_partial;
+    pw.agg_partial.lock().expect(LOCK).copy_from_slice(acc);
+    *pw.scratch.lock().expect(LOCK) = Scratch {
+        compute: tally,
+        ..Scratch::default()
+    };
+    let units = tally.chunks as usize + 1;
+    // AcqRel: the merger, on whichever thread, must see every write above.
+    if pw.outstanding.fetch_sub(units, Ordering::AcqRel) == units {
+        merge_worker(wi, sh);
+    }
+}
+
+/// Steals chunks of worker `wi` from the back until its span is empty. Each
+/// runs into a pooled chunk buffer; whoever completes the worker's last
+/// unit merges.
+fn steal_from<P: VertexProgram>(wi: usize, step: &Step<'_, '_, P>) {
+    let sh = step.sh;
+    let pw = &sh.workers[wi];
+    // SAFETY (shared read): the view is written only outside the compute
+    // phase, ordered before this read by a barrier.
+    let view = unsafe { &*pw.view.get() };
+    while let Some(c) = pw.claim(true) {
+        let mut buf = acquire_chunk_buf(sh);
+        buf.chunk = c;
+        buf.tally = step.run_chunk(view, c, &mut buf.out, &mut buf.next, &mut buf.agg, None);
+        pw.done.lock().expect(LOCK).push(buf);
+        // AcqRel: the merger must see this chunk's output and vertex writes.
+        if pw.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
+            merge_worker(wi, sh);
+        }
+    }
+}
+
+impl<P: VertexProgram> Step<'_, '_, P> {
+    /// Runs `compute` on chunk `c` of a worker's worklist — the pooled
+    /// driver's one vertex loop. Messages go to `out`, survivors to `next`,
+    /// aggregates to `agg`: the worker's own buffers when its home thread
+    /// runs the chunk in place, a chunk buffer's when a thief does.
+    fn run_chunk(
+        &self,
+        view: &StateView<P::Value, P::Message>,
+        c: usize,
+        out: &mut Outgoing<P::Message>,
+        next: &mut Vec<u32>,
+        agg: &mut [AggValue],
+        mut pv: Option<&mut PerVertexLocal>,
+    ) -> Tally {
+        let sh = self.sh;
+        let t0 = Instant::now();
+        let mut tally = Tally {
+            chunks: 1,
+            ..Tally::default()
+        };
+        for i in view.chunk(c) {
+            // SAFETY: `run` holds unique sorted local indices, the chunks
+            // partition it and each chunk is claimed once, so each `li`
+            // below is visited by exactly one thread this phase; the
+            // references formed from the element pointers are therefore
+            // unaliased. The arrays themselves never reallocate during a run.
+            let li = unsafe { *view.run.add(i) } as usize;
+            let id = unsafe { *view.ids.add(li) };
+            let inbox: &mut Vec<P::Message> = unsafe { &mut *view.inbox.add(li) };
+            let value: &mut P::Value = unsafe { &mut *view.values.add(li) };
+            let mut vwork = 1 + inbox.len() as u64;
+            let mut vsent = 0u64;
+            let mut halted = false;
+            {
+                let mut ctx = Context::<P> {
+                    id,
+                    superstep: self.superstep,
+                    graph: sh.graph,
+                    value,
+                    halted: &mut halted,
+                    out,
+                    partitioner: sh.partitioner,
+                    agg_prev: self.agg_prev,
+                    agg_partial: agg,
+                    agg_defs: sh.agg_defs,
+                    globals: self.globals,
+                    work: &mut vwork,
+                    sent: &mut vsent,
+                    seed: sh.cfg.seed,
+                };
+                sh.program.compute(&mut ctx, inbox);
+            }
+            // Clear instead of dropping: the inbox keeps its capacity for
+            // the next delivery phase. Vecs of zero-sized messages report
+            // usize::MAX capacity; count those as zero instead.
+            if std::mem::size_of::<P::Message>() > 0 {
+                tally.inbox_capacity += inbox.capacity() as u64;
+            }
+            inbox.clear();
+            // SAFETY: disjoint element, as above.
+            unsafe { *view.active.add(li) = !halted };
+            if !halted {
+                next.push(li as u32);
+            }
+            tally.ran += 1;
+            tally.work += vwork;
+            tally.sent += vsent;
+            tally.quiet += usize::from(vwork == 1);
+            if let Some(pv) = pv.as_deref_mut() {
+                pv.max_sent[li] = pv.max_sent[li].max(vsent);
+                pv.max_work[li] = pv.max_work[li].max(vwork);
+                pv.max_state_bytes[li] = pv.max_state_bytes[li].max(value.state_bytes() as u64);
+            }
+        }
+        tally.wall = t0.elapsed();
+        tally
+    }
+}
+
+/// Folds `partial` into `acc`, aggregator by aggregator.
+fn fold_aggregates(defs: &[AggregatorDef], acc: &mut [AggValue], partial: &[AggValue]) {
+    for ((def, a), v) in defs.iter().zip(acc).zip(partial) {
+        def.op.fold(a, *v);
+    }
 }
 
 /// Ships `out`'s nonempty lanes into worker `wi`'s outbox row and resets
@@ -1247,7 +1418,7 @@ fn flush_out<P: VertexProgram>(
             continue;
         }
         // SAFETY: compute phase — row `wi` is written only by the single
-        // thread that completed `wi`'s compute (us); receivers read their
+        // thread that merges `wi`'s compute (us); receivers read their
         // column only after the compute barrier.
         let slot = unsafe { &mut *sh.outboxes[wi][dw].get() };
         debug_assert!(slot.msgs.is_empty(), "outbox not drained");
@@ -1261,242 +1432,67 @@ fn flush_out<P: VertexProgram>(
     counters
 }
 
-/// Claims and executes chunks of worker `wi` until its cursor runs out;
-/// whoever completes the last outstanding chunk merges and flushes.
-#[allow(clippy::too_many_arguments)]
-fn drain_chunks<P: VertexProgram>(
-    t_id: usize,
-    wi: usize,
-    sh: &ParShared<'_, P>,
-    superstep: u64,
-    agg_prev: &[AggValue],
-    globals: &[AggValue],
-    sender_combiner: Option<Combiner<P::Message>>,
-) {
-    let pw = &sh.workers[wi];
-    let chunks = pw.chunks.load(Ordering::Acquire);
-    if chunks == 0 {
-        return;
-    }
-    loop {
-        let c = pw.cursor.fetch_add(1, Ordering::Relaxed);
-        if c >= chunks {
-            return;
-        }
-        let stolen = sh.home[wi] != t_id;
-        let buf = exec_chunk(c, wi, sh, superstep, agg_prev, globals, sender_combiner, stolen);
-        pw.done.lock().unwrap().push(buf);
-        // AcqRel: the completer that observes zero must see every other
-        // completer's chunk output (and their vertex writes).
-        if pw.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
-            merge_worker(wi, sh);
-        }
-    }
-}
-
-/// Executes one chunk of worker `wi`'s worklist into a private
-/// [`ChunkBuf`]. Runs on whichever thread claimed the chunk.
-#[allow(clippy::too_many_arguments)]
-fn exec_chunk<P: VertexProgram>(
-    c: usize,
-    wi: usize,
-    sh: &ParShared<'_, P>,
-    superstep: u64,
-    agg_prev: &[AggValue],
-    globals: &[AggValue],
-    sender_combiner: Option<Combiner<P::Message>>,
-    stolen: bool,
-) -> ChunkBuf<P::Message> {
-    let pw = &sh.workers[wi];
-    // SAFETY (shared read): views are written only outside the compute
-    // phase; the barriers order those writes before this read, and nothing
-    // writes them while chunks execute.
-    let view = unsafe { &*(pw.view.get() as *const StateView<P::Value, P::Message>) };
-    let lo = c * sh.steal_chunk;
-    let hi = (lo + sh.steal_chunk).min(view.run_len);
-    let mut buf = acquire_chunk_buf(sh, sender_combiner);
-    buf.chunk = c;
-    buf.stolen = stolen;
-    buf.ran = hi - lo;
-    let t0 = Instant::now();
-    let mut work_total = 0u64;
-    let mut sent_total = 0u64;
-    let mut inbox_capacity = 0u64;
-    let mut quiet = 0usize;
-    for i in lo..hi {
-        // SAFETY: `run` holds unique sorted local indices and the chunk
-        // ranges partition it, so each `li` below is visited by exactly one
-        // chunk executor this phase; the references formed from the element
-        // pointers are therefore unaliased. The arrays themselves never
-        // reallocate during a run.
-        let li = unsafe { *view.run.add(i) } as usize;
-        let id = unsafe { *view.ids.add(li) };
-        let inbox: &mut Vec<P::Message> = unsafe { &mut *view.inbox.add(li) };
-        let value: &mut P::Value = unsafe { &mut *view.values.add(li) };
-        let mut vwork = 1 + inbox.len() as u64;
-        let mut vsent = 0u64;
-        let mut halted = false;
-        {
-            let mut ctx = Context::<P> {
-                id,
-                superstep,
-                graph: sh.graph,
-                value,
-                halted: &mut halted,
-                out: &mut buf.out,
-                partitioner: sh.partitioner,
-                agg_prev,
-                agg_partial: &mut buf.agg,
-                agg_defs: sh.agg_defs,
-                globals,
-                work: &mut vwork,
-                sent: &mut vsent,
-                seed: sh.cfg.seed,
-            };
-            sh.program.compute(&mut ctx, inbox);
-        }
-        if std::mem::size_of::<P::Message>() > 0 {
-            inbox_capacity += inbox.capacity() as u64;
-        }
-        inbox.clear();
-        // SAFETY: disjoint element, as above.
-        unsafe { *view.active.add(li) = !halted };
-        if !halted {
-            buf.next.push(li as u32);
-        }
-        work_total += vwork;
-        sent_total += vsent;
-        quiet += usize::from(vwork == 1);
-    }
-    buf.quiet = quiet;
-    buf.work = work_total;
-    buf.sent = sent_total;
-    buf.inbox_capacity = inbox_capacity;
-    buf.wall = t0.elapsed();
-    buf
-}
-
 /// Pops a recycled chunk buffer from the shared pool, or builds a fresh
 /// one (counted as an allocation event by the merge).
-fn acquire_chunk_buf<P: VertexProgram>(
-    sh: &ParShared<'_, P>,
-    sender_combiner: Option<Combiner<P::Message>>,
-) -> ChunkBuf<P::Message> {
-    if let Some(mut b) = sh.chunk_pool.lock().unwrap().pop() {
-        b.fresh = false;
-        b.agg.copy_from_slice(sh.identities);
-        b
-    } else {
-        ChunkBuf {
-            chunk: 0,
-            ran: 0,
-            quiet: 0,
-            // No direct-mapped combining index here: one slot per graph
-            // vertex *per chunk buffer* would dwarf the messages. The
-            // per-lane open-addressing tables size with actual traffic.
-            out: Outgoing::new_hashed(sh.w, sender_combiner),
-            next: Vec::new(),
-            agg: sh.identities.to_vec(),
-            work: 0,
-            sent: 0,
-            inbox_capacity: 0,
-            wall: Duration::ZERO,
-            stolen: false,
-            fresh: true,
+fn acquire_chunk_buf<P: VertexProgram>(sh: &ParShared<'_, P>) -> ChunkBuf<P::Message> {
+    let recycled = sh.chunk_pool.lock().expect(LOCK).pop();
+    match recycled {
+        Some(mut b) => {
+            b.fresh = false;
+            b.agg.copy_from_slice(sh.identities);
+            b
         }
+        None => ChunkBuf::new(sh.w, sh.identities, true),
     }
 }
 
-/// Returns a drained chunk buffer to the pool.
-fn release_chunk_buf<P: VertexProgram>(sh: &ParShared<'_, P>, mut b: ChunkBuf<P::Message>) {
-    b.next.clear();
-    b.out.begin_superstep();
-    sh.chunk_pool.lock().unwrap().push(b);
-}
-
-/// Merges worker `wi`'s completed chunks — in chunk order — into its master
-/// buffers and flushes them. Runs on the single thread that completed the
-/// worker's last outstanding chunk.
+/// Merges worker `wi`'s stolen chunks — in chunk order, behind the prefix
+/// its home thread ran in place — into its outgoing buffers, next worklist,
+/// aggregator and counters, then flushes the buffers to the outbox row.
+/// Runs on the one thread that completes the worker's last unit.
 fn merge_worker<P: VertexProgram>(wi: usize, sh: &ParShared<'_, P>) {
     let pw = &sh.workers[wi];
-    let mut done = std::mem::take(&mut *pw.done.lock().unwrap());
-    done.sort_unstable_by_key(|b| b.chunk);
-    // SAFETY: every chunk executor for `wi` has finished (`outstanding`
-    // reached zero with AcqRel ordering) and exactly one thread — us — runs
-    // the merge; nothing else touches the master buffers or `next_run`
-    // until the delivery phase, on the far side of the compute barrier.
+    // SAFETY: the home thread has handed off and every thief has finished
+    // (`outstanding` reached zero with AcqRel ordering), and exactly one
+    // thread — us — runs the merge; nothing else touches the outgoing
+    // buffers or `next_run` until the delivery phase, on the far side of
+    // the compute barrier.
     let out = unsafe { &mut *pw.out.get() };
-    let next_run: &mut Vec<u32> = unsafe { &mut *std::ptr::addr_of_mut!((*pw.state.get()).next_run) };
-    let mut work = 0u64;
-    let mut sent = 0u64;
-    let mut inbox_capacity = 0u64;
-    let mut ran = 0usize;
-    let mut quiet = 0usize;
-    let mut wall = Duration::ZERO;
-    let mut stolen = 0u64;
-    let mut combined = 0u64;
+    let next_run: &mut Vec<u32> =
+        unsafe { &mut *std::ptr::addr_of_mut!((*pw.state.get()).next_run) };
+    let mut done = pw.done.lock().expect(LOCK);
+    let mut sc = pw.scratch.lock().expect(LOCK);
+    let mut acc = pw.agg_partial.lock().expect(LOCK);
     let mut counters = BufferCounters::default();
-    let chunks_total = done.len() as u64;
-    let mut agg = sh.identities.to_vec();
-    for mut b in done {
-        // Replay the chunk's sends through the master buffers in chunk
-        // order: the exact push sequence single-threaded execution would
-        // have produced, so lane order and combining folds — and everything
-        // downstream — are schedule-independent.
-        for (dw, clane) in b.out.lanes.iter_mut().enumerate() {
-            // Chunk-internal folds still count toward the receiver's
-            // algorithm-level `r_i`, exactly like sender-side folds.
-            out.lanes[dw].folded += std::mem::take(&mut clane.folded);
-            for (to, msg) in clane.buf.drain(..) {
+    done.sort_unstable_by_key(|b| b.chunk);
+    for mut b in done.drain(..) {
+        // Replay the chunk's sends one by one: behind the in-place prefix
+        // this is the push sequence sequential execution produces, so lane
+        // order and combining folds are schedule-independent.
+        for (dw, lane) in b.out.lanes.iter_mut().enumerate() {
+            for (to, msg) in lane.buf.drain(..) {
                 out.push(dw, to, msg);
             }
         }
-        combined += std::mem::take(&mut b.out.combined);
         next_run.extend_from_slice(&b.next);
-        for (idx, v) in b.agg.iter().enumerate() {
-            sh.agg_defs[idx].op.fold(&mut agg[idx], *v);
-        }
-        work += b.work;
-        sent += b.sent;
-        inbox_capacity += b.inbox_capacity;
-        ran += b.ran;
-        quiet += b.quiet;
-        wall += b.wall;
-        if b.stolen {
-            stolen += 1;
-        }
+        fold_aggregates(sh.agg_defs, &mut acc, &b.agg);
+        sc.compute.add(b.tally);
+        sc.chunks_stolen += 1;
         if b.fresh {
             counters.allocated += 1;
         } else {
             counters.recycled += 1;
         }
-        release_chunk_buf(sh, b);
+        b.next.clear();
+        b.out.begin_superstep();
+        sh.chunk_pool.lock().expect(LOCK).push(b);
     }
-    // Replay folds landed in `out.combined`; add the chunk-internal ones.
-    let combined = combined + out.combined;
+    sc.combined_sender = out.combined;
     let flush = flush_out(wi, sh, out);
-    counters.allocated += flush.allocated;
-    counters.recycled += flush.recycled;
-    {
-        let mut sc = pw.scratch.lock().unwrap();
-        sc.stats = WorkerStats {
-            work,
-            sent,
-            received: 0,
-            wall,
-            stolen_chunks: stolen,
-        };
-        sc.delivered = 0;
-        sc.combined_sender = combined;
-        sc.buffers = counters;
-        sc.inbox_capacity = inbox_capacity;
-        sc.next_active = 0;
-        sc.ran = ran;
-        sc.quiet = quiet;
-        sc.chunks = chunks_total;
-        sc.chunks_stolen = stolen;
-    }
-    *pw.agg_partial.lock().unwrap() = agg;
+    sc.buffers = BufferCounters {
+        allocated: counters.allocated + flush.allocated,
+        recycled: counters.recycled + flush.recycled,
+    };
 }
 
 /// Delivery phase for one worker, on its home thread: drain the outbox
@@ -1509,9 +1505,6 @@ fn deliver_worker<P: VertexProgram>(
     scratch: &mut Vec<(VertexId, P::Message)>,
 ) {
     let pw = &sh.workers[wi];
-    // A worker with an empty worklist had no merge this superstep, so its
-    // compute-side scratch is stale; zero it before recording delivery.
-    let no_compute = sh.steal_chunk > 0 && pw.chunks.load(Ordering::Relaxed) == 0;
     // SAFETY: delivery phase — after the compute barrier every outbox slot
     // addressed to `wi` is fully written, every chunk executor is done, and
     // only `wi`'s home thread (us) touches its state until the next compute
@@ -1545,18 +1538,8 @@ fn deliver_worker<P: VertexProgram>(
     std::mem::swap(&mut st.run_list, &mut st.next_run);
     st.next_run.clear();
     {
-        let mut sc = pw.scratch.lock().unwrap();
-        if no_compute {
-            sc.stats = WorkerStats::default();
-            sc.combined_sender = 0;
-            sc.buffers = BufferCounters::default();
-            sc.inbox_capacity = 0;
-            sc.ran = 0;
-            sc.quiet = 0;
-            sc.chunks = 0;
-            sc.chunks_stolen = 0;
-        }
-        sc.stats.received = received;
+        let mut sc = pw.scratch.lock().expect(LOCK);
+        sc.received = received;
         sc.delivered = delivered;
         sc.next_active = next_active;
     }
@@ -1580,26 +1563,30 @@ fn master_phase<P: VertexProgram>(sh: &ParShared<'_, P>, superstep: u64) {
     let mut chunks_stolen = 0u64;
     let mut buffers = BufferStats::default();
     for pw in &sh.workers {
-        let partial = std::mem::replace(
-            &mut *pw.agg_partial.lock().unwrap(),
-            sh.identities.to_vec(),
+        fold_aggregates(
+            sh.agg_defs,
+            &mut merged,
+            &pw.agg_partial.lock().expect(LOCK),
         );
-        for (idx, v) in partial.into_iter().enumerate() {
-            sh.agg_defs[idx].op.fold(&mut merged[idx], v);
-        }
-        let sc = pw.scratch.lock().unwrap();
-        workers.push(sc.stats);
+        let sc = pw.scratch.lock().expect(LOCK);
+        workers.push(WorkerStats {
+            work: sc.compute.work,
+            sent: sc.compute.sent,
+            received: sc.received,
+            wall: sc.compute.wall,
+            stolen_chunks: sc.chunks_stolen,
+        });
         active_next_total += sc.next_active;
-        ran_total += sc.ran;
-        quiet_total += sc.quiet;
-        sent += sc.stats.sent;
+        ran_total += sc.compute.ran;
+        quiet_total += sc.compute.quiet;
+        sent += sc.compute.sent;
         delivered_total += sc.delivered;
         combined_total += sc.combined_sender;
-        chunks_total += sc.chunks;
+        chunks_total += sc.compute.chunks;
         chunks_stolen += sc.chunks_stolen;
         buffers.allocated += sc.buffers.allocated;
         buffers.recycled += sc.buffers.recycled;
-        buffers.inbox_capacity += sc.inbox_capacity;
+        buffers.inbox_capacity += sc.compute.inbox_capacity;
     }
     let mut wait_total = 0u64;
     let mut wait_max = 0u64;
@@ -1757,9 +1744,11 @@ mod tests {
         let b = run(&Flood { rounds: 3 }, &g, &off);
         assert_eq!(a.0, b.0);
         assert_eq!(a.1.total_messages(), b.1.total_messages());
-        // Chunk accounting exists only on the stealing path.
-        assert!(a.1.superstep_stats[0].chunks > 0);
-        assert_eq!(b.1.superstep_stats[0].chunks, 0);
+        // Without stealing each nonempty worklist is one chunk, and only
+        // its home thread runs it.
+        assert!(a.1.superstep_stats[0].chunks > 4);
+        assert_eq!(b.1.superstep_stats[0].chunks, 4);
+        assert!(b.1.superstep_stats.iter().all(|s| s.chunks_stolen == 0));
     }
 
     /// Min-propagation with a combiner: messages to the same vertex collapse.
@@ -1888,9 +1877,13 @@ mod tests {
     #[test]
     fn threaded_stealing_steady_state_allocation_free() {
         // Same invariant on the threaded driver with aggressive chunking:
-        // lane handoff recycles through the outbox swap cycle and chunk
-        // buffers through the prefilled pool, so steady-state supersteps
-        // allocate nothing no matter how chunks were scheduled.
+        // lane handoff recycles through the outbox swap cycle and stolen
+        // chunks' buffers through the prefilled pool, so steady-state
+        // supersteps allocate nothing no matter how chunks were scheduled.
+        // Home threads run their chunks in place, without a buffer, so a
+        // superstep recycles one buffer per stolen chunk plus one per
+        // nonempty (sender, receiver) lane: at most W^2 = 9, at least one
+        // while Flood still sends.
         let g = generators::gnm_connected(64, 200, 7);
         let cfg = PregelConfig::default()
             .with_workers(3)
@@ -1900,8 +1893,10 @@ mod tests {
         assert!(stats.supersteps() >= 6);
         for (i, s) in stats.superstep_stats.iter().enumerate().skip(2) {
             assert_eq!(s.buffers.allocated, 0, "superstep {i} allocated");
+            let lanes = s.buffers.recycled - s.chunks_stolen;
+            assert!(lanes <= 9, "superstep {i} recycled {lanes} lanes");
             if i < stats.superstep_stats.len() - 1 {
-                assert!(s.buffers.recycled > 0, "superstep {i} recycled nothing");
+                assert!(lanes > 0, "superstep {i} recycled no lane");
             }
         }
     }

@@ -103,8 +103,9 @@ pub struct SuperstepStats {
     pub barrier_wait_ns: u64,
     /// The largest single-thread share of [`barrier_wait_ns`](Self::barrier_wait_ns).
     pub barrier_wait_max_ns: u64,
-    /// Worklist chunks executed this superstep (zero when the engine ran
-    /// without chunked work stealing — one thread, or stealing disabled).
+    /// Worklist chunks executed this superstep (zero when the engine ran on
+    /// one thread; with stealing disabled each nonempty worklist is one
+    /// chunk).
     pub chunks: u64,
     /// How many of those chunks ran on a thread other than their worker's
     /// home thread.

@@ -101,19 +101,6 @@ impl<M> Outgoing<M> {
         }
     }
 
-    /// Like [`Outgoing::new`], but never builds the direct-mapped combining
-    /// index: used for the work-stealing chunk buffers, where one slot per
-    /// graph vertex *per chunk* would dwarf the messages being buffered.
-    /// The per-lane open-addressing tables size with actual traffic.
-    pub(crate) fn new_hashed(num_workers: usize, combiner: Option<Combiner<M>>) -> Self {
-        Outgoing {
-            lanes: (0..num_workers).map(|_| Lane::new()).collect(),
-            direct: None,
-            combiner,
-            combined: 0,
-        }
-    }
-
     /// Buffers `msg` for vertex `to` owned by worker `owner`, folding it
     /// into an already-buffered message to the same vertex when combining.
     #[inline]

@@ -70,20 +70,13 @@ echo "== multi-worker scaling gate (combiner workloads: W=4 mean must not"
 echo "   exceed W=1 mean beyond tolerance; catches negative-scaling regressions)"
 # On a single-core box parity is the physical ceiling, so the gate checks
 # W=4 <= W=1 * tolerance rather than demanding speedup. The regression
-# class this catches ran 1.3-1.6x slower; the default tolerance leaves
-# headroom for smoke-profile noise (3 samples on a loaded box) while
-# still tripping on a real regression. With fewer than four cores W=4 runs
-# on fewer threads than workers (two, on the reference box) and pays their
-# barriers for no parallel gain: there the default only catches a collapse.
-# Override via VCGP_SCALE_TOLERANCE.
+# class this catches ran 1.3-1.6x slower; the tolerance leaves headroom
+# for smoke-profile noise (3 samples on a loaded box) while still
+# tripping on a real regression, on any core count. Override via
+# VCGP_SCALE_TOLERANCE.
 cores=$(nproc)
-if [ "$cores" -lt 4 ]; then default_tol=3; else default_tol=1.25; fi
-tol="${VCGP_SCALE_TOLERANCE:-$default_tol}"
-if [ -n "${VCGP_SCALE_TOLERANCE:-}" ]; then
-    echo "   tolerance x$tol (VCGP_SCALE_TOLERANCE; $cores cores)"
-else
-    echo "   tolerance x$tol (default for $cores cores)"
-fi
+tol="${VCGP_SCALE_TOLERANCE:-1.25}"
+echo "   tolerance x$tol ($cores cores)"
 mean_of() {
     sed -n 's|.*"id": "'"$2"'", "mean_ns": \([0-9.]*\),.*|\1|p' "$1"
 }
