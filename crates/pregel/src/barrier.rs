@@ -13,7 +13,8 @@
 //! The last thread to arrive may run a closure *before* releasing the
 //! others ([`PhaseBarrier::wait_leader`]). The engine uses this to fold the
 //! serial master phase into the delivery barrier, so a superstep costs two
-//! barrier crossings instead of three.
+//! barrier crossings instead of three. A one-party barrier, what a run on
+//! one thread gets, reduces a crossing to that closure call.
 //!
 //! A party that panics never arrives, so the barrier can be *poisoned*
 //! ([`PhaseBarrier::poison_on_unwind`]): every waiter, and every later
@@ -114,6 +115,11 @@ impl PhaseBarrier {
     /// (the leader's closure time is not counted as waiting). Unwinds with
     /// [`Poisoned`] if the barrier is, or becomes, poisoned while waiting.
     pub(crate) fn wait_leader<R>(&self, leader: impl FnOnce() -> R) -> (Option<R>, u64) {
+        if self.parties == 1 {
+            // The only party is always the last to arrive, and nobody waits
+            // to be released: no counter, no lock, no notify.
+            return (Some(leader()), 0);
+        }
         let gen = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
             let r = leader();

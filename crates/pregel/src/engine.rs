@@ -10,32 +10,23 @@
 //! more time context-switching through per-superstep barriers than
 //! computing.
 //!
-//! Two drivers implement identical semantics:
+//! **One driver** runs every `T`: `T - 1` threads are spawned once per run
+//! (none at `T = 1`) and the calling thread joins them as thread 0, each
+//! thread the home of a contiguous block of workers. They synchronize on a
+//! sense-reversing spin-then-park `PhaseBarrier` (the private `barrier`
+//! module) — two crossings per superstep (compute and delivery; the serial
+//! master phase runs inside the delivery barrier's leader closure). At
+//! `T = 1` the barrier has one party, and a crossing is a call to the
+//! leader closure. Cross-worker message handoff goes through lock-free
+//! outbox slots sequenced by those barriers instead of a `W x W` mutex
+//! matrix. A panic on any thread poisons the barrier, so the others unwind
+//! instead of waiting, and the run re-raises the original payload.
 //!
-//! * **Serial driver** (`T == 1`): all `W` workers run multiplexed on the
-//!   calling thread in ascending worker order — no threads, no barriers, no
-//!   outbox matrix, and one *shared* outgoing buffer set whose lanes hold
-//!   exactly the sender-ordered message stream the threaded delivery phase
-//!   would produce. Results, message totals, and delivered counts are
-//!   bit-identical to every other configuration; only the
-//!   `messages_combined_sender` transport observable moves (the shared
-//!   combining table folds across hosted senders).
-//! * **Threaded driver** (`T > 1`): `T - 1` threads are spawned once per
-//!   run (not per superstep phase) and the calling thread joins them as
-//!   thread 0. They synchronize on a sense-reversing spin-then-park
-//!   `PhaseBarrier` (the private `barrier` module) — two crossings per
-//!   superstep (compute and delivery; the serial master phase runs inside
-//!   the delivery barrier's leader closure), down from three
-//!   `std::sync::Barrier` waits. Cross-worker message handoff goes through
-//!   lock-free outbox slots sequenced by those barriers instead of a
-//!   `W x W` mutex matrix. A panic on any thread poisons the barrier, so
-//!   the others unwind instead of waiting, and the run re-raises the
-//!   original payload.
-//!
-//! The threaded driver load-balances with **deterministic work stealing**:
-//! each worker's sorted worklist is split into fixed-size chunks
+//! The driver load-balances with **deterministic work stealing**: each
+//! worker's sorted worklist is split into fixed-size chunks
 //! ([`PregelConfig::steal_chunk`]; `0` makes the whole list one chunk no
-//! thief takes). The worker's home thread claims chunks from the front and
+//! thief takes, and so does a run on one thread, which has no thief to
+//! take one). The worker's home thread claims chunks from the front and
 //! runs them *in place*, straight into the worker's own outgoing buffers
 //! and next worklist; thieves claim from the back of the same packed
 //! `(front, back)` span, so the home thread's chunks are always a prefix.
@@ -51,7 +42,7 @@
 //! in the last ulp — the usual caveat of any parallel fold; integer and
 //! bool aggregators are exact).
 //!
-//! Superstep phases (all drivers):
+//! Superstep phases:
 //!
 //! 1. **compute** — every worker runs `compute` on its runnable vertices
 //!    and buckets outgoing messages by destination worker, folding them per
@@ -71,14 +62,17 @@
 //! *program* lets vertices halt: [`MasterContext::reactivate_all`] puts all
 //! `n` vertices back on the worklist, so a program that calls it every
 //! superstep pays `O(n)` invocations per superstep whatever its frontier
-//! (and, threaded, a third barrier). [`SuperstepStats::quiet`] counts the
+//! (and a third barrier crossing). [`SuperstepStats::quiet`] counts the
 //! invocations that found nothing to do. The per-superstep fixed cost is
-//! `O(W)`: one log entry (per-worker stats and the aggregator values) is
-//! the only allocation of a steady-state serial superstep.
+//! `O(W^2)` — every worker looks at its row and its column of the outbox
+//! matrix — and one log entry (per-worker stats and the aggregator values)
+//! is the only allocation of a steady-state superstep.
 //!
-//! The engine never holds a lock across a barrier, and every shared mutex
-//! is either per-worker (uncontended) or touched only in the serial master
-//! phase.
+//! The engine's two mutexes, a worker's stolen-chunk list and the
+//! chunk-buffer pool, are taken only when stealing is on, and never across
+//! a barrier. Everything else a superstep shares is handed from thread to
+//! thread by the barriers and the per-worker hand-off counter, so a run on
+//! one thread takes no lock at all.
 
 use crate::aggregate::{AggValue, AggregatorDef};
 use crate::barrier::{PhaseBarrier, Poisoned};
@@ -125,11 +119,11 @@ pub struct PregelConfig {
     /// `VCGP_PARTITIONING` environment variable (`hash` / `range`)
     /// overrides the default, mirroring `VCGP_WORKERS`.
     pub partitioning: Partitioning,
-    /// Work-stealing granularity for the threaded driver, in worklist
-    /// entries per chunk; `0` disables stealing (each worker's list runs
-    /// entirely on its home thread). Ignored when one thread runs the show.
-    /// The `VCGP_STEAL_CHUNK` environment variable overrides the default
-    /// ([`DEFAULT_STEAL_CHUNK`]). Results are identical either way.
+    /// Work-stealing granularity, in worklist entries per chunk; `0`
+    /// disables stealing (each worker's list runs entirely on its home
+    /// thread). Ignored on one thread, which has no thief: every worklist
+    /// is one chunk there. Defaults to [`DEFAULT_STEAL_CHUNK`]. Results
+    /// are identical either way.
     pub steal_chunk: usize,
 }
 
@@ -141,9 +135,6 @@ const MAX_ENV_WORKERS: usize = 1024;
 /// amortizes to noise, small enough that a skewed worklist splits across
 /// threads.
 pub const DEFAULT_STEAL_CHUNK: usize = 1024;
-
-/// Upper bound accepted for `VCGP_STEAL_CHUNK`.
-const MAX_STEAL_CHUNK: usize = 1 << 30;
 
 /// The machine's core count, resolved once per process.
 fn machine_parallelism() -> usize {
@@ -176,17 +167,6 @@ impl PregelConfig {
         value
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&t| t <= MAX_ENV_WORKERS)
-            .unwrap_or(fallback)
-    }
-
-    /// Resolves the default steal-chunk size from an optional
-    /// `VCGP_STEAL_CHUNK` value. `0` is valid and disables stealing;
-    /// positive sizes up to `MAX_STEAL_CHUNK` = 2^30 win; anything else falls
-    /// back to `fallback`.
-    pub fn steal_chunk_from_env(value: Option<&str>, fallback: usize) -> usize {
-        value
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&c| c <= MAX_STEAL_CHUNK)
             .unwrap_or(fallback)
     }
 
@@ -226,9 +206,6 @@ impl Default for PregelConfig {
         let workers = PregelConfig::workers_from_env(env.as_deref(), hardware);
         let threads_env = std::env::var("VCGP_THREADS").ok();
         let threads = PregelConfig::threads_from_env(threads_env.as_deref(), 0);
-        let chunk_env = std::env::var("VCGP_STEAL_CHUNK").ok();
-        let steal_chunk =
-            PregelConfig::steal_chunk_from_env(chunk_env.as_deref(), DEFAULT_STEAL_CHUNK);
         let part_env = std::env::var("VCGP_PARTITIONING").ok();
         let partitioning =
             PregelConfig::partitioning_from_env(part_env.as_deref(), Partitioning::Hash);
@@ -239,7 +216,7 @@ impl Default for PregelConfig {
             seed: 0x5653_4750,
             track_per_vertex: false,
             partitioning,
-            steal_chunk,
+            steal_chunk: DEFAULT_STEAL_CHUNK,
         }
     }
 }
@@ -349,13 +326,6 @@ impl PerVertexLocal {
     }
 }
 
-/// Master-phase decisions shared back to all workers.
-struct Control {
-    stop: bool,
-    reason: HaltReason,
-    reactivate: bool,
-}
-
 /// Runs `program` on `graph` with explicit initial vertex values.
 ///
 /// Returns the final vertex values (indexed by vertex id) and the run's
@@ -410,29 +380,16 @@ where
         }
     }
 
-    let (states, reason, log) = if t == 1 {
-        let (reason, log) = run_serial(
-            program,
-            graph,
-            config,
-            partitioner,
-            &agg_defs,
-            &identities,
-            &mut states,
-        );
-        (states, reason, log)
-    } else {
-        run_threaded(
-            program,
-            graph,
-            config,
-            t,
-            partitioner,
-            &agg_defs,
-            &identities,
-            states,
-        )
-    };
+    let (states, reason, log) = run_pool(
+        program,
+        graph,
+        config,
+        t,
+        partitioner,
+        &agg_defs,
+        &identities,
+        states,
+    );
 
     // Reassemble results by vertex id.
     let mut out_values: Vec<Option<P::Value>> = (0..n).map(|_| None).collect();
@@ -467,98 +424,6 @@ where
         wall: started.elapsed(),
     };
     (final_values, stats)
-}
-
-/// Decides whether this superstep is the run's last, given the master
-/// hook's outcome; shared by both drivers so the halt policy cannot drift.
-fn stop_decision(
-    halt: bool,
-    reactivate: bool,
-    active_next: usize,
-    superstep: u64,
-    max_supersteps: u64,
-) -> (bool, HaltReason) {
-    if halt {
-        (true, HaltReason::MasterHalted)
-    } else if active_next == 0 && !reactivate {
-        (true, HaltReason::Converged)
-    } else if superstep + 1 >= max_supersteps {
-        (true, HaltReason::MaxSupersteps)
-    } else {
-        (false, HaltReason::Converged)
-    }
-}
-
-/// Runs the compute phase for every vertex on `st.run_list`: invokes the
-/// program, pushes messages into `out`, pushes still-active local indices
-/// into `st.next_run`. Returns `(work, sent, inbox_capacity, quiet)`.
-#[allow(clippy::too_many_arguments)]
-fn compute_worker<P: VertexProgram>(
-    program: &P,
-    graph: &Graph,
-    seed: u64,
-    partitioner: Partitioner,
-    superstep: u64,
-    st: &mut WorkerState<P::Value, P::Message>,
-    out: &mut Outgoing<P::Message>,
-    agg_prev: &[AggValue],
-    globals: &[AggValue],
-    agg_defs: &[AggregatorDef],
-    agg_partial: &mut [AggValue],
-) -> (u64, u64, u64, usize) {
-    let run_list = std::mem::take(&mut st.run_list);
-    let mut work_total = 0u64;
-    let mut sent_total = 0u64;
-    let mut inbox_capacity = 0u64;
-    let mut quiet = 0usize;
-    for &li32 in &run_list {
-        let li = li32 as usize;
-        // One unit for the invocation plus one per message processed.
-        let mut vwork = 1 + st.inbox[li].len() as u64;
-        let mut vsent = 0u64;
-        let mut halted = false;
-        {
-            let mut ctx = Context::<P> {
-                id: st.ids[li],
-                superstep,
-                graph,
-                value: &mut st.values[li],
-                halted: &mut halted,
-                out,
-                partitioner,
-                agg_prev,
-                agg_partial,
-                agg_defs,
-                globals,
-                work: &mut vwork,
-                sent: &mut vsent,
-                seed,
-            };
-            program.compute(&mut ctx, &st.inbox[li]);
-        }
-        // Clear instead of dropping: the inbox keeps its capacity for
-        // the next delivery phase. Vecs of zero-sized messages report
-        // usize::MAX capacity; count those as zero instead.
-        if std::mem::size_of::<P::Message>() > 0 {
-            inbox_capacity += st.inbox[li].capacity() as u64;
-        }
-        st.inbox[li].clear();
-        st.active[li] = !halted;
-        if !halted {
-            st.next_run.push(li32);
-        }
-        work_total += vwork;
-        sent_total += vsent;
-        quiet += usize::from(vwork == 1);
-        if let Some(pv) = st.pv.as_mut() {
-            pv.max_sent[li] = pv.max_sent[li].max(vsent);
-            pv.max_work[li] = pv.max_work[li].max(vwork);
-            pv.max_state_bytes[li] =
-                pv.max_state_bytes[li].max(st.values[li].state_bytes() as u64);
-        }
-    }
-    st.run_list = run_list;
-    (work_total, sent_total, inbox_capacity, quiet)
 }
 
 /// Drains one sender-ordered lane of `(dest, msg)` pairs addressed to `st`
@@ -635,170 +500,7 @@ fn sort_next_run<V, M>(st: &mut WorkerState<V, M>) {
 }
 
 // ---------------------------------------------------------------------------
-// Serial driver (T == 1)
-// ---------------------------------------------------------------------------
-
-/// Runs all `W` workers multiplexed on the calling thread. No barriers, no
-/// outbox matrix, no per-phase synchronization of any kind: workers compute
-/// in ascending order into one shared outgoing buffer set, whose per-
-/// receiver lanes then already hold the sender-ordered stream that the
-/// threaded delivery phase reconstructs from outbox slots. Delivery drains
-/// each lane in place, so the only recurring buffers are the `W` lanes, the
-/// per-vertex inboxes and the aggregator vectors — all recycled, so a
-/// steady-state superstep allocates nothing but its own log entry.
-fn run_serial<P: VertexProgram>(
-    program: &P,
-    graph: &Graph,
-    cfg: &PregelConfig,
-    partitioner: Partitioner,
-    agg_defs: &[AggregatorDef],
-    identities: &[AggValue],
-    states: &mut [WorkerState<P::Value, P::Message>],
-) -> (HaltReason, Vec<SuperstepStats>) {
-    let w = states.len();
-    let combiner = program.combiner();
-    // Sender-side combining folds per-message receive counts away, so it is
-    // disabled in per-vertex tracking mode; the receiver-side backstop then
-    // does all the combining, exactly as before the sender stage existed.
-    let sender_combiner = if cfg.track_per_vertex { None } else { combiner };
-    let mut out: Outgoing<P::Message> = Outgoing::new(w, graph.num_vertices(), sender_combiner);
-    let mut counters = BufferCounters::default();
-    // First use of a lane is the allocation event; afterwards the in-place
-    // drain recycles its capacity every superstep.
-    let mut lane_seen = vec![false; w];
-    // Aggregator buffers live for the whole run: `agg_merged` is what the
-    // vertices read this superstep, `merged` what they fold into (worker by
-    // worker, through `agg_partial`); the two swap after the master phase.
-    let mut agg_merged = identities.to_vec();
-    let mut merged = identities.to_vec();
-    let mut agg_partial = identities.to_vec();
-    let mut globals = program.globals();
-    let mut log: Vec<SuperstepStats> = Vec::new();
-    let mut superstep: u64 = 0;
-    loop {
-        // ---- Phase A: compute (workers in ascending order) --------------
-        // The log takes ownership of this one: its per-superstep copy.
-        let mut worker_stats = vec![WorkerStats::default(); w];
-        merged.copy_from_slice(identities);
-        let mut ran_total = 0usize;
-        let mut quiet_total = 0usize;
-        let mut sent_total = 0u64;
-        let mut inbox_capacity = 0u64;
-        for (me, st) in states.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            agg_partial.copy_from_slice(identities);
-            ran_total += st.run_list.len();
-            let (work, sent, caps, quiet) = compute_worker(
-                program,
-                graph,
-                cfg.seed,
-                partitioner,
-                superstep,
-                st,
-                &mut out,
-                &agg_merged,
-                &globals,
-                agg_defs,
-                &mut agg_partial,
-            );
-            sent_total += sent;
-            inbox_capacity += caps;
-            quiet_total += quiet;
-            worker_stats[me] = WorkerStats {
-                work,
-                sent,
-                wall: t0.elapsed(),
-                ..Default::default()
-            };
-            // Worker-ordered fold, the grouping the threaded master uses.
-            for (idx, v) in agg_partial.iter().enumerate() {
-                agg_defs[idx].op.fold(&mut merged[idx], *v);
-            }
-        }
-        let combined_sender = out.combined;
-
-        // ---- Phase B: delivery ------------------------------------------
-        let mut delivered_total = 0u64;
-        let mut active_next_total = 0usize;
-        for (me, st) in states.iter_mut().enumerate() {
-            let lane = &mut out.lanes[me];
-            let folded = std::mem::take(&mut lane.folded);
-            if !lane.buf.is_empty() {
-                counters.note(if lane_seen[me] { lane.buf.capacity() } else { 0 });
-                lane_seen[me] = true;
-            }
-            // `r_i` keeps its algorithm-level meaning: sends folded in the
-            // shared buffers still count as received here.
-            worker_stats[me].received = lane.buf.len() as u64 + folded;
-            if let Some(pv) = st.pv.as_mut() {
-                pv.recv_cur.iter_mut().for_each(|c| *c = 0);
-            }
-            delivered_total += deliver_lane(st, partitioner, combiner, &mut lane.buf);
-            if let Some(pv) = st.pv.as_mut() {
-                for li in 0..pv.recv_cur.len() {
-                    pv.max_received[li] = pv.max_received[li].max(pv.recv_cur[li]);
-                }
-            }
-            sort_next_run(st);
-            active_next_total += st.next_run.len();
-        }
-        out.begin_superstep();
-
-        // ---- Phase C: master --------------------------------------------
-        let taken = counters.take();
-        log.push(SuperstepStats {
-            workers: worker_stats,
-            active: ran_total,
-            quiet: quiet_total,
-            messages_sent: sent_total,
-            messages_delivered: delivered_total,
-            messages_combined_sender: combined_sender,
-            buffers: BufferStats {
-                allocated: taken.allocated,
-                recycled: taken.recycled,
-                inbox_capacity,
-            },
-            aggregates: merged.clone(),
-            ..Default::default()
-        });
-        let mut mc = MasterContext {
-            superstep,
-            num_vertices: graph.num_vertices(),
-            active: active_next_total,
-            aggregates: &merged,
-            globals: &mut globals,
-            halt: false,
-            reactivate_all: false,
-        };
-        program.master_compute(&mut mc);
-        let (halt, reactivate) = (mc.halt, mc.reactivate_all);
-        std::mem::swap(&mut agg_merged, &mut merged);
-        let (stop, reason) = stop_decision(
-            halt,
-            reactivate,
-            active_next_total,
-            superstep,
-            cfg.max_supersteps,
-        );
-        for st in states.iter_mut() {
-            if reactivate {
-                st.active.iter_mut().for_each(|a| *a = true);
-                st.run_list.clear();
-                st.run_list.extend(0..st.ids.len() as u32);
-            } else {
-                std::mem::swap(&mut st.run_list, &mut st.next_run);
-            }
-            st.next_run.clear();
-        }
-        if stop {
-            return (reason, log);
-        }
-        superstep += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Threaded driver (T > 1)
+// The driver
 // ---------------------------------------------------------------------------
 
 /// What every `expect` on an engine mutex guards against: a poisoned lock
@@ -813,8 +515,10 @@ const LOCK: &str = "engine mutex poisoned by a panicking pool thread";
 struct SyncCell<T>(UnsafeCell<T>);
 
 // SAFETY: the phase protocol (documented at each `get()` dereference)
-// guarantees that at most one thread holds a mutable reference at a time,
-// with barrier-ordered handoffs between phases.
+// guarantees that a mutable reference never coexists with any other
+// reference, with barrier-ordered handoffs between phases. Several threads
+// hold a shared reference at once only to read plain data that nobody
+// mutates meanwhile: a worker's `StateView` and the master state.
 unsafe impl<T: Send> Sync for SyncCell<T> {}
 
 impl<T> SyncCell<T> {
@@ -939,15 +643,27 @@ struct ParShared<'a, P: VertexProgram> {
     /// of which thread steals which chunk.
     chunk_pool: Mutex<Vec<ChunkBuf<P::Message>>>,
     barrier: PhaseBarrier,
-    agg_merged: Mutex<Vec<AggValue>>,
-    globals: Mutex<Vec<AggValue>>,
-    control: Mutex<Control>,
-    superstep_log: Mutex<Vec<SuperstepStats>>,
-    /// Per-thread barrier-wait accumulators, drained by the master phase.
-    thread_waits: Vec<Mutex<u64>>,
+    /// Written only by the master phase, inside the delivery barrier's
+    /// leader closure; read by every thread between that barrier and its
+    /// next arrival there.
+    master: SyncCell<Master>,
+    /// Each thread's barrier waits since the last master phase, which reads
+    /// them; the barriers order every access, so Relaxed suffices.
+    thread_waits: Vec<AtomicU64>,
 }
 
-/// Per-worker shared harness for the threaded driver.
+/// What the master phase writes and every thread reads once per superstep.
+struct Master {
+    /// The aggregators the vertices read next superstep.
+    aggregates: Vec<AggValue>,
+    globals: Vec<AggValue>,
+    stop: bool,
+    reason: HaltReason,
+    reactivate: bool,
+    log: Vec<SuperstepStats>,
+}
+
+/// Per-worker shared harness for the driver.
 struct ParWorker<V, M> {
     state: SyncCell<WorkerState<V, M>>,
     view: SyncCell<StateView<V, M>>,
@@ -964,8 +680,9 @@ struct ParWorker<V, M> {
     outstanding: AtomicUsize,
     /// Stolen chunk outputs awaiting the ordered merge.
     done: Mutex<Vec<ChunkBuf<M>>>,
-    scratch: Mutex<Scratch>,
-    agg_partial: Mutex<Vec<AggValue>>,
+    /// Handed along like the outgoing buffers: from the home thread's
+    /// compute to the merge, the home thread's delivery, the master phase.
+    scratch: SyncCell<Scratch>,
 }
 
 impl<V, M> ParWorker<V, M> {
@@ -989,10 +706,12 @@ impl<V, M> ParWorker<V, M> {
     }
 }
 
-/// Scratch slot written by one worker's compute and delivery each superstep
-/// and read by the master phase.
+/// Scratch slot written by one worker's compute, merge and delivery each
+/// superstep and read by the master phase.
 #[derive(Default)]
 struct Scratch {
+    /// The worker's aggregator partial, folded chunk by chunk.
+    agg: Vec<AggValue>,
     /// The home thread's in-place prefix plus every stolen chunk merged
     /// behind it.
     compute: Tally,
@@ -1013,14 +732,14 @@ struct Step<'s, 'a, P: VertexProgram> {
 }
 
 /// Runs the superstep loop on `t` threads over contiguous worker blocks:
-/// `t - 1` spawned, and the caller as thread 0 — its caches already hold
-/// the worker states it just built. Returns the states (for reassembly),
-/// the halt reason, and the superstep log.
+/// `t - 1` spawned (none at `t = 1`), and the caller as thread 0 — its
+/// caches already hold the worker states it just built. Returns the states
+/// (for reassembly), the halt reason, and the superstep log.
 ///
 /// A panic on any thread poisons the barrier, so the others unwind instead
 /// of waiting for it; the run then re-raises the original payload.
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn run_threaded<P: VertexProgram>(
+fn run_pool<P: VertexProgram>(
     program: &P,
     graph: &Graph,
     cfg: &PregelConfig,
@@ -1037,9 +756,10 @@ fn run_threaded<P: VertexProgram>(
     let w = states.len();
     let combiner = program.combiner();
     let sender_combiner = if cfg.track_per_vertex { None } else { combiner };
-    // Per-vertex maxima are kept by the home thread only, so per-vertex
-    // tracking runs every worklist in place, unstolen.
-    let steal_chunk = if cfg.track_per_vertex {
+    // One chunk per worker wherever no thief may run one: on one thread,
+    // and under per-vertex tracking, whose maxima only the home thread
+    // keeps.
+    let steal_chunk = if t == 1 || cfg.track_per_vertex {
         0
     } else {
         cfg.steal_chunk
@@ -1065,8 +785,10 @@ fn run_threaded<P: VertexProgram>(
                 span: AtomicU64::new(0),
                 outstanding: AtomicUsize::new(0),
                 done: Mutex::new(Vec::new()),
-                scratch: Mutex::new(Scratch::default()),
-                agg_partial: Mutex::new(identities.to_vec()),
+                scratch: SyncCell::new(Scratch {
+                    agg: identities.to_vec(),
+                    ..Scratch::default()
+                }),
             }
         })
         .collect();
@@ -1093,15 +815,15 @@ fn run_threaded<P: VertexProgram>(
         // Spinning at the barrier only helps when every thread can own a
         // core; otherwise it burns the timeslice the straggler needs.
         barrier: PhaseBarrier::new(t, t <= machine_parallelism()),
-        agg_merged: Mutex::new(identities.to_vec()),
-        globals: Mutex::new(program.globals()),
-        control: Mutex::new(Control {
+        master: SyncCell::new(Master {
+            aggregates: identities.to_vec(),
+            globals: program.globals(),
             stop: false,
             reason: HaltReason::Converged,
             reactivate: false,
+            log: Vec::new(),
         }),
-        superstep_log: Mutex::new(Vec::new()),
-        thread_waits: (0..t).map(|_| Mutex::new(0)).collect(),
+        thread_waits: (0..t).map(|_| AtomicU64::new(0)).collect(),
     };
 
     // Prefill the chunk-buffer pool with superstep 0's chunk count — every
@@ -1138,14 +860,13 @@ fn run_threaded<P: VertexProgram>(
         }
     });
 
-    let control = sh.control.into_inner().expect(LOCK);
-    let log = sh.superstep_log.into_inner().expect(LOCK);
+    let master = sh.master.into_inner();
     let states = sh
         .workers
         .into_iter()
         .map(|pw| pw.state.into_inner())
         .collect();
-    (states, control.reason, log)
+    (states, master.reason, master.log)
 }
 
 /// The per-thread superstep loop: compute (own workers in place, then
@@ -1162,24 +883,29 @@ fn par_thread<P: VertexProgram>(t_id: usize, sh: &ParShared<'_, P>) {
     let mut wait_ns: u64 = 0;
     loop {
         // ---- Phase A: compute -------------------------------------------
-        let agg_prev = sh.agg_merged.lock().expect(LOCK).clone();
-        let globals = sh.globals.lock().expect(LOCK).clone();
-        let step = Step {
-            sh,
-            superstep,
-            agg_prev: &agg_prev,
-            globals: &globals,
-        };
-        for wi in my.clone() {
-            compute_home(wi, &step, &mut acc, &mut chunk_agg);
-        }
-        if sh.steal_chunk > 0 {
-            // Then one sweep over the other workers, from the back. After
-            // it every span is empty, so nothing claimable remains.
-            for off in 0..sh.w {
-                let wi = (my.end + off) % sh.w;
-                if !my.contains(&wi) {
-                    steal_from(wi, &step);
+        {
+            // SAFETY (shared read): the master state's one writer runs
+            // inside the delivery barrier, which this thread reaches only
+            // after the compute phase.
+            let master = unsafe { &*sh.master.get() };
+            let step = Step {
+                sh,
+                superstep,
+                agg_prev: &master.aggregates,
+                globals: &master.globals,
+            };
+            for wi in my.clone() {
+                compute_home(wi, &step, &mut acc, &mut chunk_agg);
+            }
+            if sh.steal_chunk > 0 {
+                // Then one sweep over the other workers, from the back.
+                // After it every span is empty, so nothing claimable
+                // remains.
+                for off in 0..sh.w {
+                    let wi = (my.end + off) % sh.w;
+                    if !my.contains(&wi) {
+                        steal_from(wi, &step);
+                    }
                 }
             }
         }
@@ -1190,17 +916,19 @@ fn par_thread<P: VertexProgram>(t_id: usize, sh: &ParShared<'_, P>) {
             deliver_worker(wi, sh, combiner, &mut delivery_scratch);
         }
         // Publish this thread's barrier waits before the master (inside the
-        // next barrier) drains them; the wait at that barrier itself is
+        // next barrier) reads them; the wait at that barrier itself is
         // only known afterwards and lands in the next superstep's entry.
-        *sh.thread_waits[t_id].lock().unwrap() += wait_ns;
+        sh.thread_waits[t_id].store(wait_ns, Ordering::Relaxed);
         wait_ns = 0;
 
         // ---- Phase C: master, inside the delivery barrier ---------------
         let (_, b2_wait) = sh.barrier.wait_leader(|| master_phase(sh, superstep));
         wait_ns += b2_wait;
-        let (stop, reactivate) = {
-            let ctl = sh.control.lock().unwrap();
-            (ctl.stop, ctl.reactivate)
+        // SAFETY (shared read): the next write waits for this thread's next
+        // arrival at the delivery barrier.
+        let (stop, reactivate) = unsafe {
+            let master = &*sh.master.get();
+            (master.stop, master.reactivate)
         };
         if reactivate {
             for wi in my.clone() {
@@ -1265,16 +993,17 @@ fn compute_home<P: VertexProgram>(
     let pw = &sh.workers[wi];
     // SAFETY: compute phase. The view is written only outside it, ordered
     // before this read by a barrier. Until the hand-off below, the outgoing
-    // buffers, `next_run` and the per-vertex maxima are touched by no
-    // thread but this one: thieves reach the worker only through the view,
-    // and only the vertices of chunks they claimed.
-    let (view, out, next, mut pv) = unsafe {
+    // buffers, `next_run`, the per-vertex maxima and the scratch slot are
+    // touched by no thread but this one: thieves reach the worker only
+    // through the view, and only the vertices of chunks they claimed.
+    let (view, out, next, mut pv, sc) = unsafe {
         let st = pw.state.get();
         (
             &*pw.view.get(),
             &mut *pw.out.get(),
             &mut *std::ptr::addr_of_mut!((*st).next_run),
             (*std::ptr::addr_of_mut!((*st).pv)).as_mut(),
+            &mut *pw.scratch.get(),
         )
     };
     acc.copy_from_slice(sh.identities);
@@ -1284,11 +1013,10 @@ fn compute_home<P: VertexProgram>(
         tally.add(step.run_chunk(view, c, out, next, chunk_agg, pv.as_deref_mut()));
         fold_aggregates(sh.agg_defs, acc, chunk_agg);
     }
-    pw.agg_partial.lock().expect(LOCK).copy_from_slice(acc);
-    *pw.scratch.lock().expect(LOCK) = Scratch {
-        compute: tally,
-        ..Scratch::default()
-    };
+    // The merge and the delivery set the other fields.
+    sc.agg.copy_from_slice(acc);
+    sc.compute = tally;
+    sc.chunks_stolen = 0;
     let units = tally.chunks as usize + 1;
     // AcqRel: the merger, on whichever thread, must see every write above.
     if pw.outstanding.fetch_sub(units, Ordering::AcqRel) == units {
@@ -1347,6 +1075,7 @@ impl<P: VertexProgram> Step<'_, '_, P> {
             let id = unsafe { *view.ids.add(li) };
             let inbox: &mut Vec<P::Message> = unsafe { &mut *view.inbox.add(li) };
             let value: &mut P::Value = unsafe { &mut *view.values.add(li) };
+            // One unit for the invocation plus one per message processed.
             let mut vwork = 1 + inbox.len() as u64;
             let mut vsent = 0u64;
             let mut halted = false;
@@ -1455,37 +1184,43 @@ fn merge_worker<P: VertexProgram>(wi: usize, sh: &ParShared<'_, P>) {
     // SAFETY: the home thread has handed off and every thief has finished
     // (`outstanding` reached zero with AcqRel ordering), and exactly one
     // thread — us — runs the merge; nothing else touches the outgoing
-    // buffers or `next_run` until the delivery phase, on the far side of
-    // the compute barrier.
-    let out = unsafe { &mut *pw.out.get() };
-    let next_run: &mut Vec<u32> =
-        unsafe { &mut *std::ptr::addr_of_mut!((*pw.state.get()).next_run) };
-    let mut done = pw.done.lock().expect(LOCK);
-    let mut sc = pw.scratch.lock().expect(LOCK);
-    let mut acc = pw.agg_partial.lock().expect(LOCK);
+    // buffers, `next_run` or the scratch slot until the delivery phase, on
+    // the far side of the compute barrier.
+    let (out, next_run, sc) = unsafe {
+        (
+            &mut *pw.out.get(),
+            &mut *std::ptr::addr_of_mut!((*pw.state.get()).next_run),
+            &mut *pw.scratch.get(),
+        )
+    };
     let mut counters = BufferCounters::default();
-    done.sort_unstable_by_key(|b| b.chunk);
-    for mut b in done.drain(..) {
-        // Replay the chunk's sends one by one: behind the in-place prefix
-        // this is the push sequence sequential execution produces, so lane
-        // order and combining folds are schedule-independent.
-        for (dw, lane) in b.out.lanes.iter_mut().enumerate() {
-            for (to, msg) in lane.buf.drain(..) {
-                out.push(dw, to, msg);
+    // Without stealing no chunk is ever stolen: skip the lock.
+    if sh.steal_chunk > 0 {
+        let mut done = pw.done.lock().expect(LOCK);
+        done.sort_unstable_by_key(|b| b.chunk);
+        for mut b in done.drain(..) {
+            // Replay the chunk's sends one by one: behind the in-place
+            // prefix this is the push sequence sequential execution
+            // produces, so lane order and combining folds are
+            // schedule-independent.
+            for (dw, lane) in b.out.lanes.iter_mut().enumerate() {
+                for (to, msg) in lane.buf.drain(..) {
+                    out.push(dw, to, msg);
+                }
             }
+            next_run.extend_from_slice(&b.next);
+            fold_aggregates(sh.agg_defs, &mut sc.agg, &b.agg);
+            sc.compute.add(b.tally);
+            sc.chunks_stolen += 1;
+            if b.fresh {
+                counters.allocated += 1;
+            } else {
+                counters.recycled += 1;
+            }
+            b.next.clear();
+            b.out.begin_superstep();
+            sh.chunk_pool.lock().expect(LOCK).push(b);
         }
-        next_run.extend_from_slice(&b.next);
-        fold_aggregates(sh.agg_defs, &mut acc, &b.agg);
-        sc.compute.add(b.tally);
-        sc.chunks_stolen += 1;
-        if b.fresh {
-            counters.allocated += 1;
-        } else {
-            counters.recycled += 1;
-        }
-        b.next.clear();
-        b.out.begin_superstep();
-        sh.chunk_pool.lock().expect(LOCK).push(b);
     }
     sc.combined_sender = out.combined;
     let flush = flush_out(wi, sh, out);
@@ -1508,8 +1243,9 @@ fn deliver_worker<P: VertexProgram>(
     // SAFETY: delivery phase — after the compute barrier every outbox slot
     // addressed to `wi` is fully written, every chunk executor is done, and
     // only `wi`'s home thread (us) touches its state until the next compute
-    // phase begins at a later barrier.
-    let st = unsafe { &mut *pw.state.get() };
+    // phase, and its scratch slot until the master phase reads it inside
+    // the next barrier.
+    let (st, sc) = unsafe { (&mut *pw.state.get(), &mut *pw.scratch.get()) };
     if let Some(pv) = st.pv.as_mut() {
         pv.recv_cur.iter_mut().for_each(|c| *c = 0);
     }
@@ -1537,12 +1273,9 @@ fn deliver_worker<P: VertexProgram>(
     let next_active = st.next_run.len();
     std::mem::swap(&mut st.run_list, &mut st.next_run);
     st.next_run.clear();
-    {
-        let mut sc = pw.scratch.lock().expect(LOCK);
-        sc.received = received;
-        sc.delivered = delivered;
-        sc.next_active = next_active;
-    }
+    sc.received = received;
+    sc.delivered = delivered;
+    sc.next_active = next_active;
     publish_schedule(pw, sh.steal_chunk);
 }
 
@@ -1551,7 +1284,10 @@ fn deliver_worker<P: VertexProgram>(
 /// released): merge aggregators and statistics in worker order, run the
 /// master hook, decide whether to stop.
 fn master_phase<P: VertexProgram>(sh: &ParShared<'_, P>, superstep: u64) {
-    let mut merged = sh.identities.to_vec();
+    // SAFETY: every other thread is parked at this barrier, past its last
+    // read of the master state and its last write to a scratch slot.
+    let m = unsafe { &mut *sh.master.get() };
+    m.aggregates.copy_from_slice(sh.identities);
     let mut workers = Vec::with_capacity(sh.w);
     let mut active_next_total = 0usize;
     let mut ran_total = 0usize;
@@ -1563,12 +1299,9 @@ fn master_phase<P: VertexProgram>(sh: &ParShared<'_, P>, superstep: u64) {
     let mut chunks_stolen = 0u64;
     let mut buffers = BufferStats::default();
     for pw in &sh.workers {
-        fold_aggregates(
-            sh.agg_defs,
-            &mut merged,
-            &pw.agg_partial.lock().expect(LOCK),
-        );
-        let sc = pw.scratch.lock().expect(LOCK);
+        // SAFETY: as above.
+        let sc = unsafe { &*pw.scratch.get() };
+        fold_aggregates(sh.agg_defs, &mut m.aggregates, &sc.agg);
         workers.push(WorkerStats {
             work: sc.compute.work,
             sent: sc.compute.sent,
@@ -1591,11 +1324,11 @@ fn master_phase<P: VertexProgram>(sh: &ParShared<'_, P>, superstep: u64) {
     let mut wait_total = 0u64;
     let mut wait_max = 0u64;
     for tw in &sh.thread_waits {
-        let v = std::mem::take(&mut *tw.lock().unwrap());
+        let v = tw.load(Ordering::Relaxed);
         wait_total += v;
         wait_max = wait_max.max(v);
     }
-    sh.superstep_log.lock().unwrap().push(SuperstepStats {
+    m.log.push(SuperstepStats {
         workers,
         active: ran_total,
         quiet: quiet_total,
@@ -1603,39 +1336,33 @@ fn master_phase<P: VertexProgram>(sh: &ParShared<'_, P>, superstep: u64) {
         messages_delivered: delivered_total,
         messages_combined_sender: combined_total,
         buffers,
-        aggregates: merged.clone(),
+        aggregates: m.aggregates.clone(),
         barrier_wait_ns: wait_total,
         barrier_wait_max_ns: wait_max,
         chunks: chunks_total,
         chunks_stolen,
     });
-    let mut globals = sh.globals.lock().unwrap();
     let mut mc = MasterContext {
         superstep,
         num_vertices: sh.graph.num_vertices(),
         active: active_next_total,
-        aggregates: &merged,
-        globals: &mut globals,
+        aggregates: &m.aggregates,
+        globals: &mut m.globals,
         halt: false,
         reactivate_all: false,
     };
     sh.program.master_compute(&mut mc);
     let (halt, reactivate) = (mc.halt, mc.reactivate_all);
-    drop(globals);
-    let (stop, reason) = stop_decision(
-        halt,
-        reactivate,
-        active_next_total,
-        superstep,
-        sh.cfg.max_supersteps,
-    );
-    {
-        let mut ctl = sh.control.lock().unwrap();
-        ctl.stop = stop;
-        ctl.reason = reason;
-        ctl.reactivate = reactivate;
-    }
-    *sh.agg_merged.lock().unwrap() = merged;
+    (m.stop, m.reason) = if halt {
+        (true, HaltReason::MasterHalted)
+    } else if active_next_total == 0 && !reactivate {
+        (true, HaltReason::Converged)
+    } else if superstep + 1 >= sh.cfg.max_supersteps {
+        (true, HaltReason::MaxSupersteps)
+    } else {
+        (false, HaltReason::Converged)
+    };
+    m.reactivate = reactivate;
 }
 
 #[cfg(test)]
@@ -1697,9 +1424,9 @@ mod tests {
         let g = generators::gnm_connected(101, 300, 9);
         let base = run(&Flood { rounds: 3 }, &g, &PregelConfig::single_worker());
         for workers in [2usize, 3, 5, 8] {
-            // threads = 1 takes the serial multiplexed driver; 2 and 3 the
-            // threaded one (with a tiny steal chunk so worklists actually
-            // split); stats and values must not move.
+            // threads = 1 multiplexes every worker on the caller, one
+            // chunk each; 2 and 3 split worklists into tiny steal chunks;
+            // stats and values must not move.
             for threads in [1usize, 2, 3] {
                 let cfg = PregelConfig::default()
                     .with_workers(workers)
@@ -1740,15 +1467,22 @@ mod tests {
             .with_workers(4)
             .with_threads(2)
             .with_steal_chunk(0);
+        // One thread has no thief, whatever the steal chunk says.
+        let alone = on.clone().with_threads(1);
         let a = run(&Flood { rounds: 3 }, &g, &on);
         let b = run(&Flood { rounds: 3 }, &g, &off);
+        let c = run(&Flood { rounds: 3 }, &g, &alone);
         assert_eq!(a.0, b.0);
+        assert_eq!(a.0, c.0);
         assert_eq!(a.1.total_messages(), b.1.total_messages());
+        assert_eq!(a.1.total_messages(), c.1.total_messages());
         // Without stealing each nonempty worklist is one chunk, and only
         // its home thread runs it.
         assert!(a.1.superstep_stats[0].chunks > 4);
-        assert_eq!(b.1.superstep_stats[0].chunks, 4);
-        assert!(b.1.superstep_stats.iter().all(|s| s.chunks_stolen == 0));
+        for unstolen in [&b.1, &c.1] {
+            assert_eq!(unstolen.superstep_stats[0].chunks, 4);
+            assert!(unstolen.superstep_stats.iter().all(|s| s.chunks_stolen == 0));
+        }
     }
 
     /// Min-propagation with a combiner: messages to the same vertex collapse.
@@ -1792,39 +1526,25 @@ mod tests {
     }
 
     #[test]
-    fn sender_combining_depends_on_worker_count_when_threaded() {
+    fn sender_combining_depends_on_worker_count() {
         let g = generators::complete(6);
-        for (workers, expect_combined) in [(1usize, 24u64), (2, 18)] {
+        for (workers, threads, expect_combined) in [(1usize, 1, 24u64), (2, 1, 18), (2, 2, 18)] {
+            let at = format!("W={workers} T={threads}");
             let cfg = PregelConfig::default()
                 .with_workers(workers)
-                .with_threads(workers);
+                .with_threads(threads);
             let (values, stats) = run(&MinProp, &g, &cfg);
-            assert!(values.iter().all(|&v| v == 0), "W={workers}");
+            assert!(values.iter().all(|&v| v == 0), "{at}");
             let s0 = &stats.superstep_stats[0];
             // sent and delivered are worker-count independent by design...
-            assert_eq!(s0.messages_sent, 30, "W={workers}");
-            assert_eq!(s0.messages_delivered, 6, "W={workers}");
+            assert_eq!(s0.messages_sent, 30, "{at}");
+            assert_eq!(s0.messages_delivered, 6, "{at}");
             // ...while the sender-side fold count is a transport observable:
-            // with two *threads* each sender worker buffers separately, so a
-            // destination receives one shipped message per sender worker and
-            // only 30 - 6*2 = 18 sends fold at the sender.
-            assert_eq!(s0.messages_combined_sender, expect_combined, "W={workers}");
+            // each sender worker buffers separately, on any thread count, so
+            // a destination receives one shipped message per sender worker
+            // and at W=2 only 30 - 6*2 = 18 sends fold at the sender.
+            assert_eq!(s0.messages_combined_sender, expect_combined, "{at}");
         }
-    }
-
-    #[test]
-    fn serial_driver_shares_one_combining_table() {
-        // On one thread all workers buffer through one shared table, so the
-        // fold count matches W=1 regardless of the logical worker count —
-        // the transport observable tracks threads, not workers.
-        let g = generators::complete(6);
-        let cfg = PregelConfig::default().with_workers(2).with_threads(1);
-        let (values, stats) = run(&MinProp, &g, &cfg);
-        assert!(values.iter().all(|&v| v == 0));
-        let s0 = &stats.superstep_stats[0];
-        assert_eq!(s0.messages_sent, 30);
-        assert_eq!(s0.messages_delivered, 6);
-        assert_eq!(s0.messages_combined_sender, 24);
     }
 
     #[test]
@@ -1852,22 +1572,23 @@ mod tests {
     #[test]
     fn steady_state_supersteps_allocate_no_message_buffers() {
         let g = generators::gnm_connected(64, 200, 7);
-        for workers in [1usize, 3] {
-            let cfg = PregelConfig::default().with_workers(workers);
+        // One worker, three multiplexed on one thread, three on two.
+        for (workers, threads) in [(1usize, 1usize), (3, 1), (3, 2)] {
+            let at = format!("W={workers} T={threads}");
+            let cfg = PregelConfig::default()
+                .with_workers(workers)
+                .with_threads(threads);
             let (_, stats) = run(&Flood { rounds: 6 }, &g, &cfg);
-            assert!(stats.supersteps() >= 6, "W={workers}");
+            assert!(stats.supersteps() >= 6, "{at}");
             for (i, s) in stats.superstep_stats.iter().enumerate().skip(2) {
                 // After the two-superstep warmup the lane/outbox/scratch
                 // swap cycle is closed: nothing on the message path is
                 // allocated again.
-                assert_eq!(
-                    s.buffers.allocated, 0,
-                    "superstep {i} allocated buffers at W={workers}"
-                );
+                assert_eq!(s.buffers.allocated, 0, "superstep {i} allocated at {at}");
                 if i < stats.superstep_stats.len() - 1 {
                     assert!(
                         s.buffers.recycled > 0,
-                        "superstep {i} recycled nothing at W={workers}"
+                        "superstep {i} recycled nothing at {at}"
                     );
                 }
             }
@@ -1876,7 +1597,7 @@ mod tests {
 
     #[test]
     fn threaded_stealing_steady_state_allocation_free() {
-        // Same invariant on the threaded driver with aggressive chunking:
+        // Same invariant on two threads with aggressive chunking:
         // lane handoff recycles through the outbox swap cycle and stolen
         // chunks' buffers through the prefilled pool, so steady-state
         // supersteps allocate nothing no matter how chunks were scheduled.
@@ -1967,20 +1688,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_chunk_env_override_validates() {
-        // Valid values win; 0 is valid and disables stealing.
-        assert_eq!(PregelConfig::steal_chunk_from_env(Some("64"), 1024), 64);
-        assert_eq!(PregelConfig::steal_chunk_from_env(Some("0"), 1024), 0);
-        // Unset, unparsable, or absurd values fall back.
-        assert_eq!(PregelConfig::steal_chunk_from_env(None, 1024), 1024);
-        assert_eq!(PregelConfig::steal_chunk_from_env(Some("huge"), 1024), 1024);
-        assert_eq!(
-            PregelConfig::steal_chunk_from_env(Some("99999999999999999999"), 1024),
-            1024
-        );
-    }
-
-    #[test]
     fn resolved_threads_caps_at_workers() {
         let cfg = PregelConfig::default().with_workers(4).with_threads(9);
         assert_eq!(cfg.resolved_threads(), 4);
@@ -2055,8 +1762,7 @@ mod tests {
     #[test]
     fn master_phases_and_halt() {
         let g = generators::path(5);
-        // threads = 2 exercises the reactivation barrier of the threaded
-        // driver; threads = 1 the serial rebuild.
+        // The reactivation barrier with two parties and with one.
         for threads in [1usize, 2] {
             let cfg = PregelConfig::default().with_workers(3).with_threads(threads);
             let (values, stats) = run(&Phased, &g, &cfg);

@@ -29,8 +29,8 @@ pub struct WorkerStats {
     /// Wall-clock time of the compute phase on this worker.
     pub wall: Duration,
     /// Worklist chunks of this worker executed by a thread other than its
-    /// home thread (zero unless the engine ran multi-threaded with work
-    /// stealing enabled).
+    /// home thread (zero on one thread, which has no thief, and with work
+    /// stealing disabled).
     pub stolen_chunks: u64,
 }
 
@@ -99,13 +99,13 @@ pub struct SuperstepStats {
     /// threads, as observed since the previous master phase (a thread's
     /// wait at the delivery barrier is only known after the master phase
     /// embedded in it runs, so it lands in the next superstep's entry).
-    /// Zero when the engine ran on one thread — no barriers exist there.
+    /// Zero when the engine ran on one thread: the barrier's one party
+    /// never waits.
     pub barrier_wait_ns: u64,
     /// The largest single-thread share of [`barrier_wait_ns`](Self::barrier_wait_ns).
     pub barrier_wait_max_ns: u64,
-    /// Worklist chunks executed this superstep (zero when the engine ran on
-    /// one thread; with stealing disabled each nonempty worklist is one
-    /// chunk).
+    /// Worklist chunks executed this superstep (on one thread, and with
+    /// stealing disabled, each nonempty worklist is one chunk).
     pub chunks: u64,
     /// How many of those chunks ran on a thread other than their worker's
     /// home thread.

@@ -69,11 +69,6 @@ impl BufferCounters {
             self.allocated += 1;
         }
     }
-
-    /// Takes this superstep's counts, resetting for the next.
-    pub(crate) fn take(&mut self) -> BufferCounters {
-        std::mem::take(self)
-    }
 }
 
 /// Largest vertex count for which sender-side combining uses the
@@ -334,8 +329,5 @@ mod tests {
         c.note(8);
         assert_eq!(c.allocated, 1);
         assert_eq!(c.recycled, 2);
-        let taken = c.take();
-        assert_eq!(taken.recycled, 2);
-        assert_eq!(c.allocated + c.recycled, 0);
     }
 }

@@ -347,7 +347,7 @@ impl<'a> MasterContext<'a> {
     /// Forces every vertex active next superstep.
     ///
     /// This costs `O(n)` invocations — every vertex runs, finished or not —
-    /// and, on the threaded driver, one more barrier. Call it only at a
+    /// and one more barrier crossing. Call it only at a
     /// phase boundary whose next phase needs *halted* vertices to act
     /// without having been written to (or to carry the run through an empty
     /// phase, see [`num_active`](Self::num_active)); a vertex that knows it

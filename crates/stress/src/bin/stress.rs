@@ -156,9 +156,6 @@ fn usage() {
          VCGP_THREADS      OS threads driving those workers (0 = auto:\n                    \
          min(workers, cores)). Answers are thread-count\n                    \
          independent; only wall clock changes.\n  \
-         VCGP_STEAL_CHUNK  work-stealing chunk size in vertices (default\n                    \
-         1024; 0 disables stealing). Deterministic for any\n                    \
-         value.\n  \
          VCGP_PARTITIONING engine + shard placement strategy: hash | range\n                    \
          (default hash). Applies to both engine workers and\n                    \
          shard vertex ownership (--shards)."

@@ -67,7 +67,8 @@ fn answers_supersteps_and_messages_match_the_frozen_parent() {
             .find(|g| supported(w, g).is_ok())
             .unwrap_or_else(|| panic!("{w:?} is supported by none of the inputs"));
         for (seed, want) in SEEDS.into_iter().zip(golden) {
-            // The serial driver at W ∈ {1, 4}, the threaded one at W=4.
+            // One thread at W ∈ {1, 4}, two at W=4: the same driver with
+            // one party and with two.
             for (workers, threads) in [(1usize, 1usize), (4, 1), (4, 2)] {
                 for partitioning in [Partitioning::Hash, Partitioning::Range] {
                     let cfg = PregelConfig::default()
