@@ -90,7 +90,7 @@ fn is_tree(g: &Graph) -> bool {
 /// Checks the structural preconditions of `workload` against `graph`.
 ///
 /// The checks are deliberately at most one `O(n + m)` pass, so a service can
-/// evaluate all twenty at load time to publish its capability set.
+/// evaluate all twenty at load time ([`supported_workloads`]).
 pub fn supported(workload: Workload, graph: &Graph) -> Result<(), Unsupported> {
     let fail = |reason: &'static str| Err(Unsupported { workload, reason });
     if graph.num_vertices() < 2 {
@@ -134,89 +134,34 @@ pub fn supported_workloads(graph: &Graph) -> Vec<Workload> {
         .collect()
 }
 
-/// How a workload's scalar answer decomposes across a sharded service's
-/// vertex slices.
+/// One ownership slice's contribution to a workload's scalar answer.
 ///
-/// A sharded deployment partitions vertex *ownership*; the structural graph
-/// is replicated to every shard (the single-process stand-in for the
-/// partitioned-plus-replicated storage real vertex-centric systems use).
-/// For a scattered analytics request the deterministic algorithm runs
+/// Every answer is a reduction over per-vertex output, so it decomposes
+/// across any partition of the vertex set: a sharded deployment partitions
+/// vertex *ownership* (the structural graph is replicated to every shard,
+/// the single-process stand-in for the partitioned-plus-replicated storage
+/// real vertex-centric systems use), the deterministic algorithm runs
 /// **once** ([`run_workload_sliced`]), its per-vertex output is attributed
-/// element by element to the slice that owns the vertex, and every shard's
-/// leg answers with its own slice's contribution; the gather side folds
-/// those partials back into the global answer. The modes are exact — not
+/// element by element to the slice that owns the vertex, and the gather
+/// side folds the slices' partials back into the global answer with
+/// [`Partial::merge`] and [`Partial::finish`]. The folds are exact — not
 /// approximations — because the slices partition one output vector: a sum
 /// over the vertex set is the sum of the per-slice sums, a maximum the
-/// maximum of the per-slice maxima. (Running the algorithm once per leg
-/// instead, as [`run_workload_partial`] does for a single predicate, gives
-/// the same partials — the engine is deterministic for a fixed
-/// `(config, seed)` — at `S` times the engine work.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GatherMode {
-    /// Owned-slice partials add up to the global answer (counts: reached
-    /// vertices, component representatives, matched edges, …).
-    Sum,
-    /// Owned-slice partials are slice maxima; the global answer is their
-    /// maximum (eccentricities, color counts).
-    Max,
-    /// The partial is the owned argmax `(score, vertex)`; the gather keeps
-    /// the best score, breaking exact ties toward the higher vertex id —
-    /// the same winner as a full-vector `max_by` scan.
-    ArgMax,
-    /// Not gather-mergeable: the request must run whole on one designated
-    /// shard (the sharded service's primary-shard fall-back path). Since
-    /// BCC gained its minimum-edge-endpoint reduction, no Table 1 workload
-    /// uses this mode — it remains for the capability table and for future
-    /// workloads whose answers genuinely cannot be sliced.
-    Whole,
-}
-
-/// The gather mode of `workload` — the capability table's
-/// "gather-mergeable" bit ([`GatherMode::Whole`] means *not* mergeable).
-pub fn gather_mode(workload: Workload) -> GatherMode {
-    match workload {
-        Workload::Diameter | Workload::Apsp | Workload::Coloring => GatherMode::Max,
-        Workload::PageRank | Workload::Betweenness => GatherMode::ArgMax,
-        _ => GatherMode::Sum,
-    }
-}
-
-/// One row of the serving capability table: whether the workload runs on
-/// the resident graph at all, and how it gathers when sharded.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Capability {
-    /// The workload.
-    pub workload: Workload,
-    /// `Ok` precondition check against the resident graph.
-    pub supported: bool,
-    /// The workload's gather mode (meaningful whether or not supported).
-    pub gather: GatherMode,
-}
-
-/// The full 20-row capability table for `graph`, in Table 1 order.
-pub fn capabilities(graph: &Graph) -> Vec<Capability> {
-    Workload::ALL
-        .into_iter()
-        .map(|w| Capability {
-            workload: w,
-            supported: supported(w, graph).is_ok(),
-            gather: gather_mode(w),
-        })
-        .collect()
-}
-
-/// A shard's partial contribution to a scattered workload answer.
+/// maximum of the per-slice maxima. [`run_workload`] is the one-slice case.
 ///
-/// Variants mirror [`GatherMode`]; merging is only defined between
-/// partials of the same variant (a scattered request always produces
-/// same-variant legs, since they are slices of one run of one workload).
+/// Merging is only defined between partials of the same variant (a
+/// scattered request always produces same-variant legs, since they are
+/// slices of one run of one workload).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Partial {
-    /// A summable count.
+    /// A summable count (reached vertices, component representatives,
+    /// matched edges, …).
     Sum(u64),
-    /// A slice maximum.
+    /// A slice maximum (eccentricities, color counts).
     Max(u64),
-    /// The owned argmax; `score` is `NEG_INFINITY` for an empty slice.
+    /// The owned argmax; `score` is `NEG_INFINITY` for an empty slice. The
+    /// merge keeps the best score, breaking exact ties toward the higher
+    /// vertex id — the same winner as a full-vector `max_by` scan.
     ArgMax {
         /// Best score in the owned slice.
         score: f64,
@@ -329,20 +274,18 @@ fn ids<T>(values: &[T]) -> impl Iterator<Item = (VertexId, &T)> {
 }
 
 /// Runs `workload` **once** and reduces its per-vertex output to one
-/// [`Partial`] per ownership slice: executes the same deterministic
-/// algorithm [`run_workload`] would (same seed derivation, same superstep
-/// clamp), then attributes every output element to the slice
-/// `owner(vertex)` names.
+/// [`Partial`] per ownership slice: the seed picks the source vertex (or
+/// query pattern) of source-parameterized workloads, the superstep cap is
+/// clamped to [`SERVICE_MAX_SUPERSTEPS`], and every output element is
+/// attributed to the slice `owner(vertex)` names.
 ///
 /// `owner` maps every vertex to a slice index in `0..slices`, so the slices
 /// partition the vertex set; under that contract, merging all `slices`
-/// partials reproduces [`run_workload`]'s answer exactly. This is what a
-/// sharded service's shared run calls: one engine execution answers every
-/// shard's scattered leg.
+/// partials gives the same answer at every slice count, which is
+/// [`run_workload`]'s. This is what a sharded service's shared run calls:
+/// one engine execution answers every shard's scattered leg.
 ///
-/// Returns the failed precondition for unsupported workloads, and a
-/// not-gather-mergeable error for [`GatherMode::Whole`] workloads — those
-/// must be routed whole to a single shard instead.
+/// Returns the failed precondition for unsupported workloads.
 pub fn run_workload_sliced(
     workload: Workload,
     graph: &Graph,
@@ -352,12 +295,6 @@ pub fn run_workload_sliced(
     owner: &dyn Fn(VertexId) -> usize,
 ) -> Result<SlicedRun, Unsupported> {
     supported(workload, graph)?;
-    if gather_mode(workload) == GatherMode::Whole {
-        return Err(Unsupported {
-            workload,
-            reason: "not gather-mergeable: route the request whole to one shard",
-        });
-    }
     let cfg = config
         .clone()
         .with_max_supersteps(config.max_supersteps.min(SERVICE_MAX_SUPERSTEPS));
@@ -439,6 +376,8 @@ pub fn run_workload_sliced(
             (mates(&r.mate), r.stats)
         }
         Workload::Betweenness => {
+            // Single seeded source: full Brandes is Θ(nm) and belongs in the
+            // batch harness, not a per-request path.
             let r = vcgp_algorithms::betweenness::run(graph, Some(&[source]), &cfg);
             (by.argmaxes(&r.scores), r.stats)
         }
@@ -514,11 +453,12 @@ fn seeded_query(graph: &Graph, seed: u64) -> Graph {
     qb.build()
 }
 
-/// Runs `workload` against the resident `graph`.
+/// Runs `workload` against the resident `graph`: the one-slice case of
+/// [`run_workload_sliced`].
 ///
 /// `seed` parameterizes source-dependent workloads; `config` supplies the
 /// engine settings (its superstep cap is clamped to
-/// [`SERVICE_MAX_SUPERSTEPS`]). Returns the merged run statistics plus a
+/// [`SERVICE_MAX_SUPERSTEPS`]). Returns the run statistics plus a
 /// workload-specific scalar answer, or the failed precondition.
 pub fn run_workload(
     workload: Workload,
@@ -526,125 +466,8 @@ pub fn run_workload(
     config: &PregelConfig,
     seed: u64,
 ) -> Result<ServiceRun, Unsupported> {
-    supported(workload, graph)?;
-    let cfg = config
-        .clone()
-        .with_max_supersteps(config.max_supersteps.min(SERVICE_MAX_SUPERSTEPS));
-    let mut rng = SplitMix64::new(seed);
-    let source = rng.next_index(graph.num_vertices()) as u32;
-    let run = match workload {
-        Workload::Diameter | Workload::Apsp => {
-            let r = vcgp_algorithms::diameter::run(graph, &cfg);
-            ServiceRun { answer: u64::from(r.diameter), stats: r.stats }
-        }
-        Workload::PageRank => {
-            let r = vcgp_algorithms::pagerank::run(graph, 0.85, SERVICE_PAGERANK_ITERS, &cfg);
-            // Index of the top-ranked vertex.
-            let top = r
-                .scores
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map_or(0, |(i, _)| i);
-            ServiceRun { answer: top as u64, stats: r.stats }
-        }
-        Workload::CcHashMin => {
-            let r = vcgp_algorithms::cc_hashmin::run(graph, &cfg);
-            ServiceRun { answer: distinct(&r.components), stats: r.stats }
-        }
-        Workload::CcSv => {
-            let r = vcgp_algorithms::cc_sv::run(graph, &cfg);
-            ServiceRun { answer: distinct(&r.components), stats: r.stats }
-        }
-        Workload::Bcc => {
-            let r = vcgp_algorithms::bcc::run(graph, &cfg);
-            ServiceRun { answer: r.count as u64, stats: r.stats }
-        }
-        Workload::Wcc => {
-            let r = vcgp_algorithms::wcc::run(graph, &cfg);
-            ServiceRun { answer: distinct(&r.components), stats: r.stats }
-        }
-        Workload::Scc => {
-            let r = vcgp_algorithms::scc::run(graph, &cfg);
-            ServiceRun { answer: r.count as u64, stats: r.stats }
-        }
-        Workload::EulerTour => {
-            let r = vcgp_algorithms::euler_tour::run(graph, 0, &cfg);
-            ServiceRun { answer: r.tour.len() as u64, stats: r.stats }
-        }
-        Workload::TreeOrder => {
-            let r = vcgp_algorithms::tree_order::run(graph, 0, &cfg);
-            ServiceRun { answer: r.pre.len() as u64, stats: r.stats }
-        }
-        Workload::SpanningTree => {
-            let r = vcgp_algorithms::spanning_tree::run(graph, &cfg);
-            ServiceRun { answer: r.tree_edges.len() as u64, stats: r.stats }
-        }
-        Workload::Mst => {
-            let r = vcgp_algorithms::mst_boruvka::run(graph, &cfg);
-            ServiceRun { answer: r.edges.len() as u64, stats: r.stats }
-        }
-        Workload::Coloring => {
-            let r = vcgp_algorithms::coloring_mis::run(graph, &cfg);
-            ServiceRun { answer: r.num_colors as u64, stats: r.stats }
-        }
-        Workload::Matching => {
-            let r = vcgp_algorithms::matching_preis::run(graph, &cfg);
-            ServiceRun { answer: r.size as u64, stats: r.stats }
-        }
-        Workload::BipartiteMatching => {
-            let nl = bipartite_split(graph).expect("checked by supported()");
-            let r = vcgp_algorithms::bipartite_matching::run(graph, nl, &cfg);
-            ServiceRun { answer: r.size as u64, stats: r.stats }
-        }
-        Workload::Betweenness => {
-            // Single seeded source: full Brandes is Θ(nm) and belongs in the
-            // batch harness, not a per-request path.
-            let r = vcgp_algorithms::betweenness::run(graph, Some(&[source]), &cfg);
-            let top = r
-                .scores
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map_or(0, |(i, _)| i);
-            ServiceRun { answer: top as u64, stats: r.stats }
-        }
-        Workload::Sssp => {
-            let r = vcgp_algorithms::sssp::run(graph, source, &cfg);
-            let reached = r.dist.iter().filter(|d| d.is_finite()).count();
-            ServiceRun { answer: reached as u64, stats: r.stats }
-        }
-        Workload::GraphSim => {
-            let q = seeded_query(graph, seed);
-            let r = vcgp_algorithms::graph_simulation::run(&q, graph, &cfg);
-            ServiceRun { answer: match_count(&r.matches), stats: r.stats }
-        }
-        Workload::DualSim => {
-            let q = seeded_query(graph, seed);
-            let r = vcgp_algorithms::dual_simulation::run(&q, graph, &cfg);
-            ServiceRun { answer: match_count(&r.matches), stats: r.stats }
-        }
-        Workload::StrongSim => {
-            let q = seeded_query(graph, seed);
-            let r = vcgp_algorithms::strong_simulation::run(&q, graph, &cfg);
-            let centers = r.centers.iter().filter(|c| !c.is_empty()).count();
-            ServiceRun { answer: centers as u64, stats: r.stats }
-        }
-    };
-    Ok(run)
-}
-
-/// Number of distinct component labels.
-fn distinct(components: &[u32]) -> u64 {
-    let mut seen: Vec<u32> = components.to_vec();
-    seen.sort_unstable();
-    seen.dedup();
-    seen.len() as u64
-}
-
-/// Total match-set size across query vertices.
-fn match_count(matches: &[Vec<u32>]) -> u64 {
-    matches.iter().map(|m| m.len() as u64).sum()
+    let run = run_workload_sliced(workload, graph, config, seed, 1, &|_| 0)?;
+    Ok(ServiceRun { answer: run.partials[0].finish(), stats: run.stats })
 }
 
 #[cfg(test)]
@@ -744,15 +567,74 @@ mod tests {
         ]
     }
 
+    /// `(family, workload, answer, supersteps, total messages)` at seed 5
+    /// on [`one_graph_per_family`], frozen from the deleted whole-run
+    /// `run_workload` (one match arm per workload, reducing each full
+    /// output vector directly), so the sliced run is checked against an
+    /// oracle it does not share code with.
+    const FROZEN_WHOLE_RUNS: [(usize, Workload, u64, u64, u64); 43] = {
+        use Workload as W;
+        [
+        (0, W::Diameter, 4, 6, 2304),
+        (0, W::PageRank, 0, 11, 960),
+        (0, W::CcHashMin, 1, 4, 166),
+        (0, W::CcSv, 1, 48, 1240),
+        (0, W::Bcc, 4, 102, 2884),
+        (0, W::SpanningTree, 23, 48, 1240),
+        (0, W::Mst, 23, 27, 217),
+        (0, W::Coloring, 5, 51, 101),
+        (0, W::Matching, 9, 10, 102),
+        (0, W::Betweenness, 0, 11, 189),
+        (0, W::Sssp, 24, 7, 120),
+        (0, W::Apsp, 4, 6, 2304),
+        (1, W::Diameter, 8, 10, 760),
+        (1, W::PageRank, 4, 11, 380),
+        (1, W::CcHashMin, 1, 7, 121),
+        (1, W::CcSv, 1, 64, 1037),
+        (1, W::Bcc, 19, 117, 2160),
+        (1, W::EulerTour, 38, 2, 38),
+        (1, W::TreeOrder, 20, 43, 1066),
+        (1, W::SpanningTree, 19, 64, 1037),
+        (1, W::Coloring, 3, 33, 39),
+        (1, W::Betweenness, 4, 15, 73),
+        (1, W::Sssp, 20, 8, 38),
+        (1, W::Apsp, 8, 10, 760),
+        (2, W::Diameter, 2, 4, 480),
+        (2, W::PageRank, 9, 11, 480),
+        (2, W::CcHashMin, 1, 3, 68),
+        (2, W::CcSv, 1, 32, 396),
+        (2, W::Bcc, 1, 77, 899),
+        (2, W::SpanningTree, 9, 32, 396),
+        (2, W::Coloring, 2, 78, 48),
+        (2, W::BipartiteMatching, 4, 10, 53),
+        (2, W::Betweenness, 9, 7, 92),
+        (2, W::Sssp, 10, 4, 48),
+        (2, W::Apsp, 2, 4, 480),
+        (3, W::PageRank, 7, 11, 720),
+        (3, W::Wcc, 1, 4, 292),
+        (3, W::Scc, 3, 13, 233),
+        (3, W::Betweenness, 11, 13, 134),
+        (3, W::Sssp, 23, 7, 68),
+        (3, W::GraphSim, 14, 3, 31),
+        (3, W::DualSim, 12, 3, 60),
+        (3, W::StrongSim, 4, 5, 100),
+        ]
+    };
+
     #[test]
-    fn sliced_partials_merge_to_the_whole_answer_for_all_twenty_workloads() {
+    fn every_slice_count_merges_to_the_frozen_whole_answer_for_all_twenty_workloads() {
         let cfg = PregelConfig::single_worker();
-        let mut covered = Vec::new();
-        for g in one_graph_per_family() {
+        let graphs = one_graph_per_family();
+        let mut frozen = FROZEN_WHOLE_RUNS.iter();
+        for (family, g) in graphs.iter().enumerate() {
             let n = g.num_vertices();
-            for w in supported_workloads(&g) {
-                covered.push(w);
-                let whole = run_workload(w, &g, &cfg, 5).unwrap();
+            for w in supported_workloads(g) {
+                let &(f, fw, answer, supersteps, messages) =
+                    frozen.next().expect("a frozen row per supported workload");
+                assert_eq!((f, fw), (family, w), "frozen rows follow Table 1 order");
+                let whole = run_workload(w, g, &cfg, 5).unwrap();
+                let got = (whole.answer, whole.stats.supersteps(), whole.stats.total_messages());
+                assert_eq!(got, (answer, supersteps, messages), "{w:?} on family {family}");
                 for slices in 1..=4usize {
                     // Interleaved and blocked ownership.
                     let owners: [&dyn Fn(VertexId) -> usize; 2] = [
@@ -760,16 +642,19 @@ mod tests {
                         &|v| (v as usize * slices / n).min(slices - 1),
                     ];
                     for owner in owners {
-                        let run = run_workload_sliced(w, &g, &cfg, 5, slices, owner).unwrap();
+                        let run = run_workload_sliced(w, g, &cfg, 5, slices, owner).unwrap();
                         assert_eq!(run.partials.len(), slices);
                         let merged = run.partials.iter().copied().reduce(Partial::merge).unwrap();
-                        assert_eq!(merged.finish(), whole.answer, "{w:?} in {slices} slices");
-                        assert_eq!(run.stats.supersteps(), whole.stats.supersteps(), "{w:?}");
-                        assert_eq!(run.stats.total_messages(), whole.stats.total_messages(), "{w:?}");
+                        let got =
+                            (merged.finish(), run.stats.supersteps(), run.stats.total_messages());
+                        let what = format!("{w:?} on family {family} in {slices} slices");
+                        assert_eq!(got, (answer, supersteps, messages), "{what}");
                     }
                 }
             }
         }
+        assert!(frozen.next().is_none(), "every frozen row was checked");
+        let covered: Vec<Workload> = FROZEN_WHOLE_RUNS.iter().map(|r| r.1).collect();
         for w in Workload::ALL {
             assert!(covered.contains(&w), "{w:?} is supported by none of the inputs");
         }

@@ -9,7 +9,7 @@
 //!        [--shards N] [--replicas N] [--routing round-robin|least-loaded]
 //!        [--queue-policy block|reject]
 //!        [--cache-capacity N] [--cache-off] [--repeat N]
-//!        [--mix points|mixed|analytics|hotspot|scatter] [--seed N]
+//!        [--mix points|mixed|analytics|hotspot] [--seed N]
 //!        [--zipf-s S] [--write-ratio R] [--mutation-seed N]
 //!        [--write-buffer N] [--max-batch N]
 //!        [--timeout-ms N] [--retries N] [--name NAME] [--quiet]
@@ -125,7 +125,7 @@ fn usage() {
          process (pass 2+ replays the identical seeded stream,\n                    \
          so cache hits become observable); reports are named\n                    \
          stress_<name>-pass<i> when N > 1\n  \
-         --mix NAME        points | mixed | analytics | hotspot | scatter\n                    \
+         --mix NAME        points | mixed | analytics | hotspot\n                    \
          (default points)\n  \
          --seed N          operation-stream seed (default 7)\n  \
          --zipf-s S        draw point-lookup keys zipfian with exponent S\n                    \

@@ -1,5 +1,5 @@
-//! Per-shard result cache: fingerprinted memoization of analytics answers
-//! and scattered partials.
+//! Per-shard result cache: fingerprinted memoization of the scattered
+//! partials of analytics requests.
 //!
 //! One [`ResultCache`] exists per shard and is shared by every replica
 //! core serving that shard. [`CacheKey`] is **replica-agnostic** — it
@@ -56,17 +56,10 @@ const PROTECTED_NUM: usize = 4;
 /// See [`PROTECTED_NUM`].
 const PROTECTED_DEN: usize = 5;
 
-/// Whether a cached value is a whole answer or one shard's scattered leg.
-///
-/// The discriminant is part of the key because one shard can serve both
-/// kinds for the same `(workload, seed)` on one epoch and their payload
-/// types differ ([`CachedAnswer::Whole`] vs
-/// [`CachedAnswer::Leg`]).
+/// What a cached value answers. Every analytics request reaches a shard
+/// as a scattered leg (at one shard too), so a leg is the only scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheScope {
-    /// A whole-graph answer (direct requests and the primary-shard
-    /// fall-back path).
-    Whole,
     /// One shard's owned-slice partial of a scattered workload. The
     /// fingerprint in the key is the
     /// [`leg_fingerprint`](vcgp_core::fingerprint::leg_fingerprint) of the
@@ -79,11 +72,9 @@ pub enum CacheScope {
 pub struct CacheKey {
     /// The Table 1 workload.
     pub workload: Workload,
-    /// Whole answer vs scattered leg.
+    /// What the value answers ([`CacheScope::Leg`]).
     pub scope: CacheScope,
-    /// Graph identity: the full graph's fingerprint for
-    /// [`CacheScope::Whole`], the leg fingerprint (full ⊕ slice) for
-    /// [`CacheScope::Leg`].
+    /// Graph identity: the leg fingerprint (full ⊕ slice).
     pub fingerprint: u64,
     /// The request seed (source-parameterized workloads derive their source
     /// from it, so it is part of the answer's identity).
@@ -95,6 +86,8 @@ pub struct CacheKey {
 pub enum CachedAnswer {
     /// A whole workload answer plus its run costs (the costs are part of
     /// the response contract, so they are memoized alongside the answer).
+    /// The service itself caches only legs; this is for callers that use a
+    /// [`ResultCache`] on its own.
     Whole {
         /// The workload's scalar answer.
         answer: u64,
@@ -326,7 +319,7 @@ mod tests {
     fn key(seed: u64) -> CacheKey {
         CacheKey {
             workload: Workload::Sssp,
-            scope: CacheScope::Whole,
+            scope: CacheScope::Leg,
             fingerprint: 0xF00D,
             seed,
         }
@@ -350,15 +343,15 @@ mod tests {
     }
 
     #[test]
-    fn scope_and_fingerprint_separate_keys() {
+    fn workload_and_fingerprint_separate_keys() {
         let c = ResultCache::new(8);
-        let whole = key(7);
-        let leg = CacheKey { scope: CacheScope::Leg, ..whole };
-        let other_graph = CacheKey { fingerprint: 0xBEEF, ..whole };
-        c.insert(whole, answer(1));
-        assert_eq!(c.get(&leg), None);
+        let leg = key(7);
+        let other_workload = CacheKey { workload: Workload::PageRank, ..leg };
+        let other_graph = CacheKey { fingerprint: 0xBEEF, ..leg };
+        c.insert(leg, answer(1));
+        assert_eq!(c.get(&other_workload), None);
         assert_eq!(c.get(&other_graph), None);
-        assert_eq!(c.get(&whole), Some(answer(1)));
+        assert_eq!(c.get(&leg), Some(answer(1)));
     }
 
     #[test]

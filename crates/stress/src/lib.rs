@@ -22,14 +22,13 @@
 //!   shards (one shard is just `S = 1`), each running `R ≥ 1` replica
 //!   cores over the same slice (placement via the engine's partitioner,
 //!   so `VCGP_PARTITIONING` applies) and the router owner-routes point
-//!   lookups, scatters
-//!   gather-mergeable analytics with typed partial merges — the legs of a
-//!   request sharing one engine run through the service-wide run table —
-//!   falls back to a primary shard for the rest, and picks replicas by a
-//!   pluggable policy (seeded round-robin or least-loaded queue depth);
+//!   lookups, scatters analytics at every shard count with typed partial
+//!   merges — the legs of a request sharing one engine run through the
+//!   service-wide run table — and picks replicas by a pluggable policy
+//!   (seeded round-robin or least-loaded queue depth);
 //! * [`cache`] — the per-core result cache: a capacity-bounded, segmented
-//!   LRU memoizing `(workload, graph fingerprint, seed) → answer` for whole
-//!   analytics answers *and* scattered per-shard partials, with
+//!   LRU memoizing `(workload, leg fingerprint, seed) → partial` for the
+//!   scattered per-shard legs of analytics requests, with
 //!   deterministic (wall-clock-free) eviction and invalidation hooks for
 //!   graph swaps / re-shards;
 //! * [`epoch`] — live mutations: a bounded write buffer drained by a

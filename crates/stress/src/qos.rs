@@ -9,8 +9,8 @@
 //! per-tenant *lanes*, and the executor dequeues by policy instead of
 //! arrival order.
 //!
-//! The queue holds **executor-bound work only** — analytics (whole runs and
-//! scattered legs) and the debug hooks. Result-cache hits, requests already
+//! The queue holds **executor-bound work only** — analytics (scattered
+//! legs) and the debug hooks. Result-cache hits, requests already
 //! past their deadline and point lookups are answered at submit (see
 //! [`crate::service`]) and never enter a lane: no bucket is charged for
 //! them, no lane capacity is spent on them, and no backlog of any tenant

@@ -145,12 +145,12 @@ pub struct StressReport {
     pub timeouts: u64,
     /// Retry attempts beyond each operation's first.
     pub retries: u64,
-    /// Operations dispatched to a single shard: owner-routed lookups,
-    /// whole runs on the primary shard (every analytics op at one shard),
-    /// and debug hooks. `routed + scattered == ops` — the identity
+    /// Operations dispatched to a single shard: owner-routed lookups and
+    /// debug hooks. `routed + scattered == ops` — the identity
     /// [`validate`] enforces for the run and for every phase.
     pub routed: u64,
-    /// Operations scattered to every shard and gather-merged.
+    /// Operations scattered to every shard and gather-merged: every
+    /// analytics op, at one shard too.
     pub scattered: u64,
     /// Requests shed at submission under the reject queue policy (from the
     /// service's counters).
@@ -160,8 +160,8 @@ pub struct StressReport {
     /// from `timeouts`).
     pub early_drops: u64,
     /// Engine executions completed for workload requests, summed across
-    /// shards (this run only): whole runs plus led shared runs — one per
-    /// scattered request, not one per leg.
+    /// shards (this run only): led shared runs — one per scattered
+    /// request, not one per leg.
     pub engine_runs: u64,
     /// Scattered legs answered from a run another leg led, summed across
     /// shards (this run only). Every leg is a cache hit, a led engine run,
@@ -819,12 +819,11 @@ pub fn validate(doc: &Value) -> Result<(), String> {
         return Err(format!("replicas is {replicas} (expected >= 1)"));
     }
     same("per_shard's row count", rows("per_shard")? as f64, "shards", shards)?;
-    // Shared runs: on a sharded service every scattered operation puts one
+    // Shared runs: at every shard count each scattered operation puts one
     // leg on every shard, and a leg is answered by exactly one of a cache
     // hit, an engine run it led, or a run another leg led. (Only without
-    // retries: a retried leg leads more than once. At one shard nothing
-    // scatters and whole answers share the counters.)
-    let legs_fold = shards > 1.0 && num("retries")? == 0.0;
+    // retries: a retried leg leads more than once.)
+    let legs_fold = num("retries")? == 0.0;
     let mut shard_sums = [0.0; 6];
     for i in 0..shards as usize {
         let shard = format!("per_shard[{i}]");

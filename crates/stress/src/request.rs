@@ -13,10 +13,10 @@ pub enum QueryKind {
     /// Run one Table 1 workload end to end on the resident graph.
     Workload(Workload),
     /// One scattered leg of a workload: compute the executing shard's
-    /// owned-slice partial. Produced by the shard router when it fans an
-    /// analytics request out; submitted directly it runs on the primary
-    /// shard and answers that shard's partial (the whole-graph partial at
-    /// one shard, which owns every vertex).
+    /// owned-slice partial. Internal: only the shard router makes legs, when
+    /// it fans a [`QueryKind::Workload`] out to every shard; submitted
+    /// directly it is refused with
+    /// [`SubmitError::InternalLeg`](crate::service::SubmitError::InternalLeg).
     WorkloadPartial(Workload),
     /// Out-degree of a vertex (point lookup).
     Degree(VertexId),

@@ -7,24 +7,20 @@
 //!   replica core the routing policy picks there answers it inside
 //!   `submit`, on the caller's thread, from the pinned epoch's slice (see
 //!   [`crate::service`]): the returned ticket is already resolved.
-//! * **Gather-mergeable analytics** (every Table 1 workload whose
-//!   [`GatherMode`] is not [`GatherMode::Whole`]) are *scattered*: the
-//!   router fans one [`QueryKind::WorkloadPartial`] leg per shard, each
-//!   leg answers with the deterministic run's output reduced over its
-//!   shard's owned slice, and the gather step merges the typed
-//!   [`Partial`]s (sum / max / arg-max per workload) back into the exact
-//!   whole-graph answer. The legs of one request — and of concurrent
-//!   requests for the same `(epoch, workload, seed)` — share **one**
-//!   engine run through the service-wide run table (see [`crate::shard`]):
-//!   the first leg dequeued leads it, the others park on it (freeing
-//!   their executors) or pick their slice up after it finished. The router
-//!   does not know which leg led: it sees `S` ordinary leg responses.
-//! * Every Table 1 workload now has a mergeable gather (BCC gained a
-//!   minimum-edge-endpoint block reduction), so the *whole-run* fall-back
-//!   to the designated primary shard remains only for externally
-//!   submitted [`QueryKind::WorkloadPartial`] requests and any future
-//!   [`GatherMode::Whole`] workload — the documented path that keeps
-//!   every workload servable under sharding.
+//! * **Analytics** (every Table 1 workload, at every shard count, one shard
+//!   included) are *scattered*: the router fans one
+//!   [`QueryKind::WorkloadPartial`] leg per shard, each leg answers with
+//!   the deterministic run's output reduced over its shard's owned slice,
+//!   and the gather step merges the typed [`Partial`]s (sum / max /
+//!   arg-max per workload) back into the exact whole-graph answer. The
+//!   legs of one request — and of concurrent requests for the same
+//!   `(epoch, workload, seed)` — share **one** engine run through the
+//!   service-wide run table (see [`crate::shard`]): the first leg dequeued
+//!   leads it, the others park on it (freeing their executors) or pick
+//!   their slice up after it finished. The router does not know which leg
+//!   led: it sees `S` ordinary leg responses. Legs are internal: a
+//!   [`QueryKind::WorkloadPartial`] submitted from outside is refused with
+//!   [`SubmitError::InternalLeg`].
 //! * **Debug hooks** are spread round-robin by request id.
 //!
 //! The response carries the decision ([`Route`]) plus, for scattered
@@ -36,8 +32,8 @@
 //! **Replica routing.** When a shard runs more than one replica core
 //! ([`crate::service::ServiceConfig::replicas`]), every dispatch that
 //! lands on a shard — owner-routed lookups (answered at submit, the pick
-//! decides whose counters book the answer), each scattered leg, the
-//! primary-shard whole run, and the debug spread — additionally picks a
+//! decides whose counters book the answer), each scattered leg, and the
+//! debug spread — additionally picks a
 //! replica by the service's [`RoutingPolicy`]: `round-robin` walks the
 //! shard's replicas from a seeded offset, `least-loaded` picks the replica
 //! with the smallest queue-depth gauge (ties broken by the lowest replica
@@ -50,7 +46,7 @@ use crate::request::{
 use crate::service::{SubmitError, Ticket};
 use crate::shard::ShardedGraphService;
 use std::time::{Duration, Instant};
-use vcgp_core::service::{gather_mode, GatherMode, Partial};
+use vcgp_core::service::Partial;
 
 /// How the router picks a replica core within a shard. Irrelevant (and
 /// unobservable beyond [`Route::Routed`]'s replica field) when every shard
@@ -92,8 +88,8 @@ impl RoutingPolicy {
 
 /// A pending response from either a single queue or a scattered fan-out.
 pub enum AnyTicket {
-    /// One underlying ticket — every owner-routed lookup, primary-shard
-    /// whole run and debug hook; the route is patched into the response.
+    /// One underlying ticket — every owner-routed lookup and debug hook;
+    /// the route is patched into the response.
     Single {
         /// The queue ticket.
         ticket: Ticket,
@@ -222,12 +218,12 @@ fn merge_legs(responses: &[QueryResponse]) -> Result<QueryOutput, QueryError> {
 
 impl ShardedGraphService {
     /// Routes and submits one request. Point lookups go to the owning
-    /// shard; gather-mergeable workloads (all of Table 1) scatter to
-    /// every shard; [`GatherMode::Whole`] workloads and externally
-    /// submitted partials run on the primary shard; debug hooks spread by
+    /// shard; workloads scatter to every shard; debug hooks spread by
     /// request id.
     ///
-    /// Fails with [`SubmitError::Closed`] once the service is closed. When
+    /// Fails with [`SubmitError::InternalLeg`] for a
+    /// [`QueryKind::WorkloadPartial`] (legs are the router's own), and with
+    /// [`SubmitError::Closed`] once the service is closed. When
     /// a scatter fails midway, legs already accepted still execute but
     /// their responses are abandoned (dropped tickets), matching the
     /// semantics of dropping any other ticket.
@@ -243,9 +239,7 @@ impl ShardedGraphService {
         req.epoch = Some(self.epochs.pin());
         let shard = match req.kind {
             QueryKind::Degree(v) | QueryKind::Neighbors(v) => self.owner(v),
-            QueryKind::Workload(w)
-                if self.shards.len() > 1 && gather_mode(w) != GatherMode::Whole =>
-            {
+            QueryKind::Workload(w) => {
                 let id = req.id;
                 let legs = self
                     .shards
@@ -258,7 +252,7 @@ impl ShardedGraphService {
                     .collect::<Result<Vec<_>, _>>()?;
                 return Ok(AnyTicket::Scattered(GatherTicket { id, legs }));
             }
-            QueryKind::Workload(_) | QueryKind::WorkloadPartial(_) => self.primary,
+            QueryKind::WorkloadPartial(_) => return Err(SubmitError::InternalLeg),
             QueryKind::DebugSleep(_) | QueryKind::DebugPanic => {
                 (req.id % self.shards.len() as u64) as usize
             }

@@ -58,10 +58,9 @@
 //! unless explicit counts are given.
 //!
 //! `KIND` is `point` (degree / neighbor lookups), `analytics` (the
-//! serving-suitable workload pool), `scatter` (gather-mergeable workloads
-//! only), a specific workload name (`pagerank`, `sssp`, …), or `mutate`
-//! (one mutation from the seeded mutation stream). `DIST` and `span=` are
-//! only valid on `point` ops: `DIST` is a [`DistSpec`] token (`uniform`,
+//! serving-suitable workload pool), a specific workload name (`pagerank`,
+//! `sssp`, …), or `mutate` (one mutation from the seeded mutation stream).
+//! `DIST` and `span=` are only valid on `point` ops: `DIST` is a [`DistSpec`] token (`uniform`,
 //! `sequential`, `gaussian[:MEAN:STD]`, `zipfian:S`; default `uniform`)
 //! and `SPAN` is `full`, a fraction like `1/8`, or an absolute id count
 //! (default `full`).
@@ -107,13 +106,11 @@ const SERVING_WORKLOADS: [Workload; 10] = [
 ];
 
 /// The serving-suitable workload pool on `graph`: the subset of
-/// [`SERVING_WORKLOADS`] the graph supports, optionally restricted to
-/// gather-mergeable workloads (those a sharded service can scatter).
-fn serving_pool(graph: &Graph, scatter_only: bool) -> Vec<Workload> {
+/// [`SERVING_WORKLOADS`] the graph supports.
+fn serving_pool(graph: &Graph) -> Vec<Workload> {
     SERVING_WORKLOADS
         .into_iter()
         .filter(|&w| service::supported(w, graph).is_ok())
-        .filter(|&w| !scatter_only || service::gather_mode(w) != service::GatherMode::Whole)
         .collect()
 }
 
@@ -123,18 +120,16 @@ fn serving_pool(graph: &Graph, scatter_only: bool) -> Vec<Workload> {
 ///
 /// * `points` — point lookups (degree / neighbor reads) only;
 /// * `mixed` — 80 % point lookups, 20 % analytics workloads;
-/// * `analytics` — analytics workloads only;
+/// * `analytics` — analytics workloads only: every operation fans out to
+///   all shards;
 /// * `hotspot` — point lookups over the lowest `max(1, n/8)` vertex ids: a
 ///   contiguous hot set, so under range shard placement every request
-///   lands on one shard while hash placement spreads it;
-/// * `scatter` — analytics restricted to gather-mergeable workloads: every
-///   operation fans out to all shards.
-pub const PRESETS: [(&str, &str); 5] = [
+///   lands on one shard while hash placement spreads it.
+pub const PRESETS: [(&str, &str); 4] = [
     ("points", "op point 100 uniform span=full"),
     ("mixed", "op point 80 uniform span=full\nop analytics 20"),
     ("analytics", "op analytics 100"),
     ("hotspot", "op point 100 uniform span=1/8"),
-    ("scatter", "op scatter 100"),
 ];
 
 /// Parses a value — of a directive in a spec file, or of the matching
@@ -214,9 +209,6 @@ pub enum OpClass {
     Point,
     /// One workload drawn uniformly from the serving-suitable pool.
     Analytics,
-    /// Like `analytics`, restricted to gather-mergeable workloads (every
-    /// draw scatters on a sharded service).
-    Scatter,
     /// One specific workload.
     Workload(Workload),
     /// One mutation from the seeded mutation stream.
@@ -228,7 +220,6 @@ impl OpClass {
         match self {
             OpClass::Point => "point".to_string(),
             OpClass::Analytics => "analytics".to_string(),
-            OpClass::Scatter => "scatter".to_string(),
             OpClass::Workload(w) => format!("{w:?}").to_ascii_lowercase(),
             OpClass::Mutate => "mutate".to_string(),
         }
@@ -506,7 +497,7 @@ impl ScenarioSpec {
     /// fires for fewer than one word in 10¹¹, sees the scale).
     pub fn preset(name: &str, keys: DistSpec, write_ratio: f64) -> Result<ScenarioSpec, String> {
         let (_, lines) = PRESETS.iter().find(|(n, _)| *n == name).ok_or_else(|| {
-            format!("unknown mix '{name}' (expected points, mixed, analytics, hotspot, or scatter)")
+            format!("unknown mix '{name}' (expected points, mixed, analytics, or hotspot)")
         })?;
         if !(0.0..=1.0).contains(&write_ratio) {
             return Err(format!("write ratio must be within 0.0..=1.0, got {write_ratio}"));
@@ -914,12 +905,11 @@ fn parse_op(tokens: &[&str]) -> Result<OpSpec, String> {
     let kind = match tokens[0] {
         "point" => OpClass::Point,
         "analytics" => OpClass::Analytics,
-        "scatter" => OpClass::Scatter,
         "mutate" => OpClass::Mutate,
         name => OpClass::Workload(parse_workload(name).ok_or_else(|| {
             format!(
-                "unknown op kind {name:?} (expected point, analytics, scatter, mutate, \
-                 or a workload name)"
+                "unknown op kind {name:?} (expected point, analytics, mutate, or a \
+                 workload name)"
             )
         })?),
     };
@@ -1115,20 +1105,10 @@ impl PhaseMix {
             let action = match op.kind {
                 OpClass::Point => MixAction::Point(op.dist.sampler(op.span.resolve(n))),
                 OpClass::Analytics => {
-                    let pool = serving_pool(graph, false);
+                    let pool = serving_pool(graph);
                     if pool.is_empty() {
                         return Err(
                             "'analytics' op: this graph supports no serving workloads".to_string()
-                        );
-                    }
-                    MixAction::Pool(pool)
-                }
-                OpClass::Scatter => {
-                    let pool = serving_pool(graph, true);
-                    if pool.is_empty() {
-                        return Err(
-                            "'scatter' op: this graph supports no gather-mergeable workloads"
-                                .to_string(),
                         );
                     }
                     MixAction::Pool(pool)
@@ -1420,8 +1400,6 @@ phase ramped
         d4 d41 d45 d55 n47 d23 d41 d59 \
         SpanningTree n51 d40 Sssp n45 CcSv d33 n39 \
         Coloring n39 n39 d52 d1 CcSv CcSv d47";
-    /// Also `scatter`'s: no serving workload is `GatherMode::Whole`, so the
-    /// two pools coincide.
     const ANALYTICS: &str = "\
         CcHashMin PageRank CcSv PageRank CcHashMin PageRank Sssp PageRank \
         PageRank SpanningTree CcSv PageRank CcHashMin Coloring SpanningTree PageRank \
@@ -1467,7 +1445,6 @@ phase ramped
             ("mixed", DistSpec::Uniform, MIXED),
             ("analytics", DistSpec::Uniform, ANALYTICS),
             ("hotspot", DistSpec::Uniform, HOTSPOT),
-            ("scatter", DistSpec::Uniform, ANALYTICS),
             ("hotspot", DistSpec::Zipfian(1.2), HOTSPOT_ZIPF_1_2),
         ] {
             assert_eq!(stream(&preset_ops(name, keys, 0.0), 0..64), frozen, "{name} {keys:?}");

@@ -74,7 +74,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vcgp_graph::rng::mix3;
-use vcgp_graph::{Graph, SplitMix64};
+use vcgp_graph::SplitMix64;
 use vcgp_pregel::PregelConfig;
 
 /// What a submission does when the replica core's queue is at capacity.
@@ -182,6 +182,10 @@ pub enum SubmitError {
     /// A mutation was submitted to a service started without a
     /// [`MutationConfig`] — the graph is frozen.
     ReadOnly,
+    /// A [`QueryKind::WorkloadPartial`] was submitted: partials are the
+    /// legs the router fans a [`QueryKind::Workload`] out into, not
+    /// requests of their own.
+    InternalLeg,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -190,6 +194,9 @@ impl std::fmt::Display for SubmitError {
             SubmitError::Closed => write!(f, "service closed"),
             SubmitError::ReadOnly => {
                 write!(f, "service is read-only (no mutation stream configured)")
+            }
+            SubmitError::InternalLeg => {
+                write!(f, "workload partials are internal scatter legs; submit the workload")
             }
         }
     }
@@ -225,7 +232,7 @@ pub struct ServiceStats {
     /// at submit add nothing here.
     pub busy_ns: u64,
     /// Engine executions this core's executors completed for workload
-    /// requests: whole runs plus the shared runs they *led* (every attempt
+    /// requests: the shared runs they *led* (every attempt
     /// counts, so a retried request adds one per attempt). With the
     /// service-wide run table a scattered request costs one of these, not
     /// one per shard.
@@ -654,13 +661,10 @@ impl ParkedLeg {
     }
 }
 
-/// The memoizable payload of an output, if any (point-lookup and debug
-/// payloads are never cached).
+/// The memoizable payload of an output, if any (only scattered legs reach
+/// an executor and are cached; point-lookup and debug payloads never are).
 fn cacheable_output(output: &QueryOutput) -> Option<CachedAnswer> {
     match *output {
-        QueryOutput::Workload { answer, supersteps, messages } => {
-            Some(CachedAnswer::Whole { answer, supersteps, messages })
-        }
         QueryOutput::WorkloadPartial { partial, supersteps, messages } => {
             Some(CachedAnswer::Leg { partial, supersteps, messages })
         }
@@ -1185,45 +1189,25 @@ fn backoff_with_jitter(config: &ServiceConfig, req_id: u64, attempt: u32) -> Dur
     Duration::from_nanos(ns / 2 + rng.next_below(ns / 2))
 }
 
-/// Executes one request kind against the full resident graph: the
-/// primary-shard whole-run path and the debug hooks.
-pub(crate) fn execute_on_full_graph(
-    graph: &Graph,
-    kind: &QueryKind,
-    seed: u64,
-    engine: &PregelConfig,
-) -> Result<QueryOutput, QueryError> {
+/// Executes a debug hook — the one request kind an executor runs outside
+/// the shared-run table.
+pub(crate) fn execute_debug_hook(kind: &QueryKind) -> Result<QueryOutput, QueryError> {
     match *kind {
-        QueryKind::Workload(w) => {
-            let run = vcgp_core::service::run_workload(w, graph, engine, seed)
-                .map_err(|e| QueryError::Unsupported(e.to_string()))?;
-            Ok(QueryOutput::Workload {
-                answer: run.answer,
-                supersteps: run.stats.supersteps(),
-                messages: run.stats.total_messages(),
-            })
-        }
-        QueryKind::WorkloadPartial(w) => {
-            // Over the whole vertex set the "partial" is the global
-            // reduction.
-            let run = vcgp_core::service::run_workload_partial(w, graph, engine, seed, &|_| true)
-                .map_err(|e| QueryError::Unsupported(e.to_string()))?;
-            Ok(QueryOutput::WorkloadPartial {
-                partial: run.partial,
-                supersteps: run.stats.supersteps(),
-                messages: run.stats.total_messages(),
-            })
-        }
-        // Answered at submit, never queued; a misroute is an error
-        // response, not an executor unwind.
-        QueryKind::Degree(_) | QueryKind::Neighbors(_) => Err(QueryError::Unsupported(
-            "point lookup reached an executor".to_string(),
-        )),
         QueryKind::DebugSleep(d) => {
             std::thread::sleep(d);
             Ok(QueryOutput::Slept)
         }
         QueryKind::DebugPanic => panic!("debug panic requested"),
+        // Lookups are answered at submit and workloads reach executors only
+        // as scattered legs; a misroute is an error response, not an
+        // executor unwind.
+        QueryKind::Degree(_)
+        | QueryKind::Neighbors(_)
+        | QueryKind::Workload(_)
+        | QueryKind::WorkloadPartial(_) => Err(QueryError::Unsupported(format!(
+            "{} reached an executor outside a shared run",
+            kind.label()
+        ))),
     }
 }
 

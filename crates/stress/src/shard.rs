@@ -19,7 +19,7 @@
 //! partitioned-plus-replicated storage a distributed deployment would use
 //! — because a scattered analytics answer
 //! is a reduction of the full deterministic algorithm's per-vertex output
-//! over each shard's owned slice (see [`vcgp_core::service::GatherMode`]
+//! over each shard's owned slice (see [`vcgp_core::service::Partial`]
 //! for why that is what makes a scatter/gather merge *exactly* equal to
 //! the whole-graph answer).
 //!
@@ -79,7 +79,7 @@ use crate::request::{QueryError, QueryKind, QueryOutput, QueryRequest};
 use crate::router::RoutingPolicy;
 use crate::runs::{Join, RunKey, RunTable, SlicedAnswer};
 use crate::service::{
-    execute_on_full_graph, overlay_cache, panic_message, service_cache, Attempt,
+    execute_debug_hook, overlay_cache, panic_message, service_cache, Attempt,
     CacheInvalidator, Core, CoreHandle, ParkedLeg, ReplicaSeries, ReplicaSnapshot, Seat,
     ServiceConfig, ServiceStats, ShardSnapshot, SubmitError, Ticket,
 };
@@ -280,17 +280,15 @@ fn run_key(req: &QueryRequest, snap: &EpochSnapshot) -> Option<RunKey> {
     }
 }
 
-/// A request's identity in shard `shard`'s result cache: whole answers by
-/// the pinned epoch's graph fingerprint, scattered legs by the shard's leg
-/// fingerprint in that epoch. `None` for everything that must not be
-/// memoized (point lookups, debug hooks).
+/// A request's identity in shard `shard`'s result cache: a scattered leg
+/// by the shard's leg fingerprint in the pinned epoch. `None` for
+/// everything that must not be memoized (point lookups, debug hooks).
 fn cache_key_on(shard: usize, snap: &EpochSnapshot, req: &QueryRequest) -> Option<CacheKey> {
-    let (workload, scope, fingerprint) = match req.kind {
-        QueryKind::Workload(w) => (w, CacheScope::Whole, snap.fingerprint),
-        QueryKind::WorkloadPartial(w) => (w, CacheScope::Leg, snap.locals[shard].leg_fp),
-        _ => return None,
+    let QueryKind::WorkloadPartial(workload) = req.kind else {
+        return None;
     };
-    Some(CacheKey { workload, scope, fingerprint, seed: req.seed })
+    let fingerprint = snap.locals[shard].leg_fp;
+    Some(CacheKey { workload, scope: CacheScope::Leg, fingerprint, seed: req.seed })
 }
 
 impl ShardBackend {
@@ -411,9 +409,7 @@ impl ShardBackend {
                 Join::Lead => Attempt::Done(self.lead(key, snap, req, engine)),
             };
         }
-        // Whole workloads (the primary-shard fall-back path) and the debug
-        // hooks run against the full graph.
-        Attempt::Done(execute_on_full_graph(&snap.graph, &req.kind, req.seed, engine))
+        Attempt::Done(execute_debug_hook(&req.kind))
     }
 
     /// Answers a point lookup (degree / neighbors) from the request's pinned
@@ -533,11 +529,6 @@ pub struct ShardedGraphService {
     pub(crate) graph: Arc<Graph>,
     pub(crate) partitioner: Partitioner,
     pub(crate) shards: Vec<Shard>,
-    /// Shard that runs [`GatherMode::Whole`](vcgp_core::service::GatherMode)
-    /// workloads and externally submitted partials whole — the documented
-    /// fall-back that keeps every workload servable (no Table 1 workload
-    /// needs it anymore now that BCC gathers).
-    pub(crate) primary: usize,
     /// How the router picks a replica within a shard.
     pub(crate) routing: RoutingPolicy,
     pub(crate) epochs: Arc<EpochManager>,
@@ -635,7 +626,6 @@ impl ShardedGraphService {
             graph,
             partitioner,
             shards,
-            primary: 0,
             routing: config.routing,
             epochs,
             writer,

@@ -8,9 +8,9 @@ mod common;
 use common::one_shard;
 use std::sync::Arc;
 use std::time::Duration;
-use vcgp_core::service::{gather_mode, run_workload, GatherMode};
+use vcgp_core::service::{run_workload, supported_workloads};
 use vcgp_core::Workload;
-use vcgp_graph::{generators, Graph};
+use vcgp_graph::generators;
 use vcgp_pregel::partition::Partitioning;
 use vcgp_pregel::PregelConfig;
 use vcgp_stress::request::{QueryKind, QueryOutput, QueryRequest};
@@ -30,20 +30,10 @@ fn config_for(strategy: Partitioning, cache_capacity: usize) -> ServiceConfig {
     }
 }
 
-/// Every Table 1 workload this graph supports that is gather-mergeable
-/// (scatters when sharded), i.e. everything the cache memoizes as legs.
-fn mergeable_workloads(graph: &Graph) -> Vec<Workload> {
-    Workload::ALL
-        .into_iter()
-        .filter(|&w| vcgp_core::service::supported(w, graph).is_ok())
-        .filter(|&w| gather_mode(w) != GatherMode::Whole)
-        .collect()
-}
-
 vcgp_props! {
     #![cases(6)]
 
-    // The acceptance property: for every gather-mergeable workload, both
+    // The acceptance property: for every supported workload, both
     // partitioning strategies, and S ∈ {1, 2, 4}, submitting the same
     // request twice yields the cold `run_workload` answer both times —
     // bit-identical answer AND superstep count — and the second submission
@@ -62,8 +52,8 @@ vcgp_props! {
         } else {
             generators::labeled_digraph(n, m, 3, graph_seed)
         });
-        let workloads = mergeable_workloads(&graph);
-        prop_assert!(!workloads.is_empty(), "graph supports no mergeable workloads");
+        let workloads = supported_workloads(&graph);
+        prop_assert!(!workloads.is_empty(), "graph supports no workloads");
 
         for strategy in [Partitioning::Hash, Partitioning::Range] {
             let config = config_for(strategy, 256);
@@ -105,8 +95,7 @@ vcgp_props! {
                             }
                         }
                     }
-                    // The replay hit on every shard leg it scattered to
-                    // (or on the whole answer when S = 1).
+                    // The replay hit on every shard leg it scattered to.
                     let hits = service.stats().cache_hits - cold_hits;
                     prop_assert!(
                         hits >= 1,

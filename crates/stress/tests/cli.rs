@@ -53,7 +53,7 @@ fn out_of_range_load_flags_fail_cleanly() {
         (
             "--mix",
             "nope",
-            "unknown mix 'nope' (expected points, mixed, analytics, hotspot, or scatter)",
+            "unknown mix 'nope' (expected points, mixed, analytics, or hotspot)",
         ),
     ] {
         refused(&[flag, value, "--gen", "tree:8:1", "--ops", "1", "--quiet"], message);

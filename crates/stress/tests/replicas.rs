@@ -300,15 +300,14 @@ fn shared_cache_hits_across_replicas() {
         |id: u64| QueryRequest::new(id, QueryKind::Workload(Workload::CcHashMin)).with_seed(42);
     let first = service.submit(req(1)).unwrap().wait();
     let second = service.submit(req(2)).unwrap().wait();
-    assert_ne!(
-        routed_replica(first.route),
-        routed_replica(second.route),
-        "round-robin must alternate replicas for the hit to cross cores"
-    );
     assert_eq!(first.result, second.result, "the cached answer is the computed answer");
     let stats = service.stats();
     assert_eq!(stats.cache_hits, 1, "the second replica served the first's insertion");
     assert_eq!(stats.cache_misses, 1);
+    // The leg's route names no replica; the rows show who answered.
+    let answered: Vec<u64> =
+        service.shard_snapshots()[0].replicas.iter().map(|r| r.stats.completed).collect();
+    assert_eq!(answered, [1, 1], "round-robin must alternate replicas for the hit to cross cores");
     service.shutdown();
 }
 

@@ -1,22 +1,22 @@
 //! Integration + property tests for the sharded service: scatter/gather
 //! equivalence with the whole-graph oracle, shared engine runs (one per
 //! scattered request, failures delivered to every attached leg), owner
-//! routing, the primary-shard fall-back, admission control, and deadline
-//! early drops.
+//! routing, refused direct legs, admission control, and deadline early
+//! drops.
 
 mod common;
 
 use common::one_shard;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vcgp_core::service::{gather_mode, run_workload, GatherMode};
+use vcgp_core::service::{run_workload, supported_workloads};
 use vcgp_core::Workload;
-use vcgp_graph::{generators, Graph, Mutation, VertexId};
+use vcgp_graph::{generators, Mutation, VertexId};
 use vcgp_pregel::partition::Partitioning;
 use vcgp_pregel::PregelConfig;
 use vcgp_stress::request::{QueryError, QueryKind, QueryOutput, QueryRequest, Route};
 use vcgp_stress::epoch::MutationConfig;
-use vcgp_stress::service::{QueueFullPolicy, ServiceConfig, ServiceStats};
+use vcgp_stress::service::{QueueFullPolicy, ServiceConfig, ServiceStats, SubmitError};
 use vcgp_stress::shard::ShardedGraphService;
 use vcgp_testkit::prop::Source;
 use vcgp_testkit::{prop_assert, vcgp_props};
@@ -31,20 +31,10 @@ fn config_for(strategy: Partitioning) -> ServiceConfig {
     }
 }
 
-/// Every Table 1 workload that this graph supports and that is
-/// gather-mergeable (scatters instead of falling back to the primary).
-fn mergeable_workloads(graph: &Graph) -> Vec<Workload> {
-    Workload::ALL
-        .into_iter()
-        .filter(|&w| vcgp_core::service::supported(w, graph).is_ok())
-        .filter(|&w| gather_mode(w) != GatherMode::Whole)
-        .collect()
-}
-
 vcgp_props! {
     #![cases(8)]
 
-    // The acceptance property: for every gather-mergeable workload, both
+    // The acceptance property: for every supported workload, both
     // partitioning strategies, and S ∈ {1, 2, 4}, the sharded service's
     // scatter/gather answer (and superstep count) is identical to running
     // the workload unsharded with the same engine config and seed.
@@ -61,8 +51,8 @@ vcgp_props! {
         } else {
             generators::labeled_digraph(n, m, 3, graph_seed)
         });
-        let workloads = mergeable_workloads(&graph);
-        prop_assert!(!workloads.is_empty(), "graph supports no mergeable workloads");
+        let workloads = supported_workloads(&graph);
+        prop_assert!(!workloads.is_empty(), "graph supports no workloads");
 
         for strategy in [Partitioning::Hash, Partitioning::Range] {
             let config = config_for(strategy);
@@ -102,13 +92,11 @@ vcgp_props! {
                             );
                         }
                     }
-                    if shards > 1 {
-                        prop_assert!(
-                            resp.route == Route::Scattered { shards: shards as u32 },
-                            "{w:?} should scatter, got {:?}",
-                            resp.route
-                        );
-                    }
+                    prop_assert!(
+                        resp.route == Route::Scattered { shards: shards as u32 },
+                        "{w:?} should scatter, got {:?}",
+                        resp.route
+                    );
                 }
                 let stats = service.shutdown();
                 prop_assert!(
@@ -156,7 +144,7 @@ fn cold_scattered_requests_cost_one_engine_run_each() {
         QueryRequest::new(i, QueryKind::Workload(w)).with_seed(1000 + i)
     };
     for strategy in [Partitioning::Hash, Partitioning::Range] {
-        for shards in [2usize, 4] {
+        for shards in [1usize, 2, 4] {
             for replicas in [1usize, 2] {
                 let config = ServiceConfig { replicas, ..config_for(strategy) };
                 let engine = config.engine.clone();
@@ -451,9 +439,8 @@ fn point_lookups_are_owner_routed_and_exact() {
 fn bcc_scatters_and_merges_exactly() {
     // BCC gather support: each shard counts the blocks whose minimum-id
     // edge endpoint it owns, and the Sum merge reproduces the whole-graph
-    // block count — no primary fall-back, every shard does work.
+    // block count — every shard does work.
     let graph = Arc::new(generators::gnm_connected(24, 60, 9));
-    assert_eq!(gather_mode(Workload::Bcc), GatherMode::Sum);
     for strategy in [Partitioning::Hash, Partitioning::Range] {
         let config = config_for(strategy);
         let expected = run_workload(Workload::Bcc, &graph, &config.engine, 42).unwrap();
@@ -654,4 +641,63 @@ fn gather_wait_measures_the_straggler_even_when_it_is_leg_zero() {
     );
     assert!(resp.queue_wait >= hold / 2, "the straggler's wait was queueing");
     service.shutdown();
+}
+
+/// Legs are the router's own: a directly submitted
+/// [`QueryKind::WorkloadPartial`] is refused at submit at every shard
+/// count, so it can neither pass one shard's slice off as the answer nor
+/// leave a run-table entry no other leg claims, and the service runs
+/// nothing for it.
+#[test]
+fn a_directly_submitted_leg_is_refused_at_every_shard_count() {
+    let graph = Arc::new(generators::gnm_connected(64, 128, 3));
+    for shards in [1usize, 2, 4] {
+        let service =
+            ShardedGraphService::start(Arc::clone(&graph), config_for(Partitioning::Hash), shards);
+        let leg = QueryRequest::new(1, QueryKind::WorkloadPartial(Workload::Sssp)).with_seed(9);
+        let refused = service.submit(leg);
+        assert!(matches!(refused, Err(SubmitError::InternalLeg)), "S={shards}");
+        let stats = service.stats();
+        assert_eq!((stats.engine_runs, stats.completed, stats.failed), (0, 0, 0), "S={shards}");
+        // The whole request still costs one run, shared by all its legs.
+        let whole = QueryRequest::new(2, QueryKind::Workload(Workload::Sssp)).with_seed(9);
+        let resp = service.submit(whole).unwrap().wait();
+        assert_eq!(workload_answer(&resp.result), 64, "S={shards}: every vertex reached");
+        assert_eq!(resp.route, Route::Scattered { shards: shards as u32 });
+        let stats = service.shutdown();
+        assert_eq!((stats.engine_runs, stats.coalesced_legs), (1, shards as u64 - 1));
+    }
+}
+
+/// At one shard, as at any other count, duplicate cold requests queued
+/// behind other work share one engine run: the first one dequeued leads
+/// it and answers the others straight out of the queue.
+#[test]
+fn duplicate_queued_cold_requests_cost_one_engine_run_at_one_shard() {
+    const DUPLICATES: u64 = 3;
+    let graph = Arc::new(generators::gnm_connected(32, 80, 5));
+    let config = ServiceConfig { executors: 1, ..config_for(Partitioning::Hash) };
+    let expected = run_workload(Workload::CcHashMin, &graph, &config.engine, 1).unwrap();
+    let service = one_shard(Arc::clone(&graph), config);
+    let hold = Duration::from_millis(200);
+    let busy = service.submit(QueryRequest::new(0, QueryKind::DebugSleep(hold))).unwrap();
+    while service.queue_depths() != vec![0] {
+        std::thread::yield_now();
+    }
+    let tickets: Vec<_> = (1..=DUPLICATES)
+        .map(|id| {
+            let req = QueryRequest::new(id, QueryKind::Workload(Workload::CcHashMin)).with_seed(1);
+            service.submit(req).unwrap()
+        })
+        .collect();
+    assert_eq!(service.queue_depths(), vec![DUPLICATES as usize], "queued behind the sleep");
+    for ticket in tickets {
+        let resp = ticket.wait();
+        assert_eq!(workload_answer(&resp.result), expected.answer);
+        assert_eq!(resp.route, Route::Scattered { shards: 1 });
+    }
+    assert!(busy.wait().is_ok());
+    let stats = service.shutdown();
+    assert_eq!((stats.engine_runs, stats.coalesced_legs), (1, DUPLICATES - 1));
+    assert_eq!((stats.completed, stats.cache_hits), (DUPLICATES + 1, 0));
 }

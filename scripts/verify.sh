@@ -196,7 +196,7 @@ echo "   *lookup* shard no longer queues at all: lookups are answered at submit)
 # split that backlog.
 for r in 1 2; do
     ./target/release/stress --gen gnm-connected:512:2048:7 \
-        --ops 600 --duration 30 --seed 7 --mix scatter \
+        --ops 600 --duration 30 --seed 7 --mix analytics \
         --shards 2 --replicas "$r" --routing least-loaded \
         --executors 1 --clients 8 --name "repl$r" --quiet
     ./target/release/stress --validate-report "target/vcgp-bench/BENCH_stress_repl$r.json"
