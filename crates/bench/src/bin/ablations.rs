@@ -20,7 +20,6 @@ fn main() {
     cost_model_sensitivity();
     combiner_effect();
     worker_scaling();
-    gas_vs_bsp();
     partitioning_balance();
     finish_serially();
 }
@@ -214,47 +213,3 @@ fn worker_scaling() {
     );
 }
 
-/// Synchronous Pregel PageRank vs. residual-push GAS PageRank: the
-/// adaptive-activation benefit of the post-Pregel models the paper's
-/// introduction surveys (GraphLab / PowerGraph).
-fn gas_vs_bsp() {
-    println!("== Ablation 4: synchronous Pregel vs. adaptive GAS (PageRank) ==\n");
-    println!(
-        "{:>8} | {:>12} | {:>12} | {:>12} | {:>12}",
-        "n", "bsp (K=30)", "gas @1e-3", "gas @1e-5", "gas @1e-7"
-    );
-    let cfg = PregelConfig::default().with_workers(4);
-    for scale in [10u32, 12, 14] {
-        let n = 1usize << scale;
-        let g = {
-            // Directed symmetric R-MAT for realistic skew.
-            let und = generators::rmat(scale, 8 * n, 11);
-            let mut b = vcgp_graph::GraphBuilder::directed(und.num_vertices());
-            for (u, v, _) in und.edges() {
-                b.add_edge(u, v);
-                b.add_edge(v, u);
-            }
-            b.build()
-        };
-        let bsp = vcgp_algorithms::pagerank::run(&g, 0.85, 30, &cfg);
-        let gas_at = |tol: f64| {
-            let (_, stats) = vcgp_pregel::gas::run_pagerank_gas(&g, 0.85, tol, &cfg);
-            stats.total_messages()
-        };
-        println!(
-            "{:>8} | {:>12} | {:>12} | {:>12} | {:>12}",
-            g.num_vertices(),
-            bsp.stats.total_messages(),
-            gas_at(1e-3),
-            gas_at(1e-5),
-            gas_at(1e-7),
-        );
-    }
-    println!(
-        "\nsynchronous BSP spends K·m messages for a fixed K regardless of\n\
-         convergence; residual-push GAS spends messages proportional to the\n\
-         accuracy it buys — matching BSP-30's budget at the loose tolerance\n\
-         and scaling smoothly as the tolerance tightens, with converged\n\
-         vertices dropping out instead of re-broadcasting every round."
-    );
-}

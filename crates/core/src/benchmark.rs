@@ -68,14 +68,9 @@ pub fn run_row(workload: Workload, scale: Scale, config: &PregelConfig) -> RowRe
     analyze_with_bppa(workload, measurements, bppa_measurements)
 }
 
-/// Derives verdicts from an existing sweep (exposed for tests and the
-/// harness binaries).
-pub fn analyze(workload: Workload, measurements: Vec<Measurement>) -> RowResult {
-    analyze_with_bppa(workload, measurements, None)
-}
-
-/// [`analyze`] with an optional separate sweep for the BPPA verdict.
-pub fn analyze_with_bppa(
+/// Derives verdicts from an existing sweep, with an optional separate
+/// sweep for the BPPA verdict.
+fn analyze_with_bppa(
     workload: Workload,
     measurements: Vec<Measurement>,
     bppa_measurements: Option<Vec<Measurement>>,

@@ -114,21 +114,6 @@ pub fn kary_tree(n: usize, k: usize) -> Graph {
     b.build()
 }
 
-/// Caterpillar tree: a spine path of length `n / 2` with alternating legs —
-/// a tree with Θ(n) diameter, adversarial for tree workloads that depend on
-/// height (e.g. the BCC pipeline's subtree aggregation).
-pub fn caterpillar(n: usize) -> Graph {
-    let mut b = GraphBuilder::new(n);
-    let spine = n.div_ceil(2);
-    for v in 1..spine {
-        b.add_edge((v - 1) as VertexId, v as VertexId);
-    }
-    for v in spine..n {
-        b.add_edge((v - spine) as VertexId, v as VertexId);
-    }
-    b.build()
-}
-
 /// Simple undirected `G(n, m)`: `m` distinct edges chosen uniformly among
 /// all pairs, no self-loops. Not necessarily connected.
 pub fn gnm(n: usize, m: usize, seed: u64) -> Graph {
@@ -180,34 +165,6 @@ pub fn gnm_connected(n: usize, m: usize, seed: u64) -> Graph {
         let key = if u < v { (u, v) } else { (v, u) };
         if seen.insert(key) {
             b.add_edge(key.0, key.1);
-        }
-    }
-    b.build()
-}
-
-/// Erdős–Rényi `G(n, p)` by geometric skipping (Batagelj-Brandes), O(n + m).
-pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
-    assert!((0.0..=1.0).contains(&p), "gnp probability out of range");
-    let mut b = GraphBuilder::new(n);
-    if p <= 0.0 || n < 2 {
-        return b.build();
-    }
-    if p >= 1.0 {
-        return complete(n);
-    }
-    let mut rng = SplitMix64::new(seed ^ 0x676E_705F_7365_6564);
-    let log_q = (1.0 - p).ln();
-    let (mut v, mut w): (i64, i64) = (1, -1);
-    let n = n as i64;
-    while v < n {
-        let r = rng.next_f64().max(f64::MIN_POSITIVE);
-        w += 1 + (r.ln() / log_q).floor() as i64;
-        while w >= v && v < n {
-            w -= v;
-            v += 1;
-        }
-        if v < n {
-            b.add_edge(w as VertexId, v as VertexId);
         }
     }
     b.build()
@@ -498,13 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn caterpillar_is_connected_tree() {
-        let g = caterpillar(11);
-        assert_eq!(g.num_edges(), 10);
-        assert_eq!(connected_components(&g).1, 1);
-    }
-
-    #[test]
     fn gnm_exact_edge_count_simple() {
         let g = gnm(50, 120, 7);
         assert_eq!(g.num_edges(), 120);
@@ -540,25 +490,6 @@ mod tests {
         let single = gnm_connected(1, 0, 1);
         assert_eq!(single.num_vertices(), 1);
         assert_eq!(single.num_edges(), 0);
-    }
-
-    #[test]
-    fn gnp_extremes() {
-        assert_eq!(gnp(10, 0.0, 1).num_edges(), 0);
-        assert_eq!(gnp(5, 1.0, 1).num_edges(), 10);
-    }
-
-    #[test]
-    fn gnp_density_close_to_p() {
-        let n = 200;
-        let p = 0.1;
-        let g = gnp(n, p, 3);
-        let expected = p * (n * (n - 1) / 2) as f64;
-        let got = g.num_edges() as f64;
-        assert!(
-            (got - expected).abs() < expected * 0.15,
-            "got {got}, expected about {expected}"
-        );
     }
 
     #[test]

@@ -76,12 +76,6 @@ impl SplitMix64 {
             slice.swap(i, j);
         }
     }
-
-    /// Forks an independent generator; the fork and the parent produce
-    /// unrelated streams.
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64() ^ 0xA5A5_5A5A_DEAD_BEEF)
-    }
 }
 
 /// Stateless 64-bit mix of up to three values, used when a deterministic
@@ -173,14 +167,5 @@ mod tests {
         assert_eq!(mix3(1, 2, 3), mix3(1, 2, 3));
         assert_ne!(mix3(1, 2, 3), mix3(1, 2, 4));
         assert_ne!(mix3(1, 2, 3), mix3(2, 1, 3));
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = SplitMix64::new(5);
-        let mut child = parent.fork();
-        let p: Vec<u64> = (0..8).map(|_| parent.next_u64()).collect();
-        let c: Vec<u64> = (0..8).map(|_| child.next_u64()).collect();
-        assert_ne!(p, c);
     }
 }

@@ -3,8 +3,8 @@
 //! Vertices are partitioned over `W` logical workers (the partitioning and
 //! determinism domain: per-worker worklists, message lanes, and statistics
 //! are all defined in terms of `W`). *Execution* happens on `T` OS threads,
-//! a separate knob: `T = min(W, machine cores)` by default, overridable via
-//! [`PregelConfig::num_threads`] / `VCGP_THREADS`. Decoupling the two is
+//! a separate setting: `T = min(W, machine cores)` by default, set in code
+//! through [`PregelConfig::num_threads`]. Decoupling the two is
 //! what fixed the negative multi-worker scaling this module used to show —
 //! on a machine with fewer cores than workers, oversubscribed threads spent
 //! more time context-switching through per-superstep barriers than
@@ -94,15 +94,13 @@ use vcgp_graph::{Graph, VertexId};
 pub struct PregelConfig {
     /// Number of logical workers `p` (the processor count of the BSP cost
     /// model): the partitioning, worklist, and statistics domain. Defaults
-    /// to the machine parallelism, capped at 8; the `VCGP_WORKERS`
-    /// environment variable overrides the default (so service deployments
-    /// can use every core without code changes).
+    /// to the machine parallelism, capped at 8; set it in code with
+    /// [`PregelConfig::with_workers`].
     pub num_workers: usize,
     /// Number of OS threads executing those workers. `0` (the default)
     /// resolves to `min(num_workers, machine cores)` — workers beyond the
     /// core count are multiplexed instead of oversubscribing the scheduler,
     /// which is what used to make W=4 *slower* than W=1 on small machines.
-    /// The `VCGP_THREADS` environment variable overrides the default.
     /// Results are identical for every thread count.
     pub num_threads: usize,
     /// Hard cap on supersteps (a safety net; converging algorithms never
@@ -115,9 +113,8 @@ pub struct PregelConfig {
     /// *sender-side* combining (per-message receive counts must stay
     /// exact) as well as work stealing; off by default.
     pub track_per_vertex: bool,
-    /// Vertex-to-worker assignment strategy. Defaults to hash; the
-    /// `VCGP_PARTITIONING` environment variable (`hash` / `range`)
-    /// overrides the default, mirroring `VCGP_WORKERS`.
+    /// Vertex-to-worker assignment strategy. Defaults to hash; set it in
+    /// code with [`PregelConfig::with_partitioning`].
     pub partitioning: Partitioning,
     /// Work-stealing granularity, in worklist entries per chunk; `0`
     /// disables stealing (each worker's list runs entirely on its home
@@ -126,10 +123,6 @@ pub struct PregelConfig {
     /// are identical either way.
     pub steal_chunk: usize,
 }
-
-/// Hard sanity cap on `VCGP_WORKERS` / `VCGP_THREADS`: more than this is
-/// never a deliberate configuration on current hardware.
-const MAX_ENV_WORKERS: usize = 1024;
 
 /// Default work-stealing chunk size: big enough that claim/merge overhead
 /// amortizes to noise, small enough that a skewed worklist splits across
@@ -146,45 +139,21 @@ fn machine_parallelism() -> usize {
     })
 }
 
-impl PregelConfig {
-    /// Resolves the default worker count from an optional `VCGP_WORKERS`
-    /// value: a valid positive integer (at most `MAX_ENV_WORKERS` = 1024)
-    /// wins; anything else — unset, unparsable, zero, absurd — falls back to
-    /// `fallback`. Split out (and public) so the validation is testable
-    /// without mutating process-global environment state.
-    pub fn workers_from_env(value: Option<&str>, fallback: usize) -> usize {
-        value
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&w| (1..=MAX_ENV_WORKERS).contains(&w))
-            .unwrap_or(fallback)
-    }
-
-    /// Resolves the default thread count from an optional `VCGP_THREADS`
-    /// value. `0` is *valid* here and means "auto" (`min(workers, cores)`);
-    /// positive integers up to `MAX_ENV_WORKERS` = 1024 pin the count;
-    /// anything else falls back to `fallback`.
-    pub fn threads_from_env(value: Option<&str>, fallback: usize) -> usize {
-        value
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t <= MAX_ENV_WORKERS)
-            .unwrap_or(fallback)
-    }
-
-    /// Resolves the default partitioning from an optional
-    /// `VCGP_PARTITIONING` value: `"hash"` or `"range"` (case-insensitive,
-    /// surrounding whitespace ignored) wins; anything else — unset, empty,
-    /// misspelled — falls back to `fallback`. Split out (and public) for
-    /// the same reason as [`PregelConfig::workers_from_env`]: service
-    /// deployments switch strategies without code changes, and the
-    /// validation is testable without mutating process-global state.
-    pub fn partitioning_from_env(value: Option<&str>, fallback: Partitioning) -> Partitioning {
-        match value.map(str::trim) {
-            Some(v) if v.eq_ignore_ascii_case("hash") => Partitioning::Hash,
-            Some(v) if v.eq_ignore_ascii_case("range") => Partitioning::Range,
-            _ => fallback,
+impl Default for PregelConfig {
+    fn default() -> Self {
+        PregelConfig {
+            num_workers: machine_parallelism().min(8),
+            num_threads: 0,
+            max_supersteps: 1_000_000,
+            seed: 0x5653_4750,
+            track_per_vertex: false,
+            partitioning: Partitioning::Hash,
+            steal_chunk: DEFAULT_STEAL_CHUNK,
         }
     }
+}
 
+impl PregelConfig {
     /// The OS thread count this configuration actually runs with: the
     /// explicit `num_threads` if set, else the machine's core count, never
     /// more than the worker count and never less than one.
@@ -197,31 +166,7 @@ impl PregelConfig {
         };
         t.min(w).max(1)
     }
-}
 
-impl Default for PregelConfig {
-    fn default() -> Self {
-        let hardware = machine_parallelism().min(8);
-        let env = std::env::var("VCGP_WORKERS").ok();
-        let workers = PregelConfig::workers_from_env(env.as_deref(), hardware);
-        let threads_env = std::env::var("VCGP_THREADS").ok();
-        let threads = PregelConfig::threads_from_env(threads_env.as_deref(), 0);
-        let part_env = std::env::var("VCGP_PARTITIONING").ok();
-        let partitioning =
-            PregelConfig::partitioning_from_env(part_env.as_deref(), Partitioning::Hash);
-        PregelConfig {
-            num_workers: workers,
-            num_threads: threads,
-            max_supersteps: 1_000_000,
-            seed: 0x5653_4750,
-            track_per_vertex: false,
-            partitioning,
-            steal_chunk: DEFAULT_STEAL_CHUNK,
-        }
-    }
-}
-
-impl PregelConfig {
     /// A single-worker configuration (serial BSP; useful for debugging and
     /// microbenchmarks).
     pub fn single_worker() -> Self {
@@ -1644,50 +1589,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioning_env_override_validates() {
-        use crate::partition::Partitioning;
-        // Valid values win over the fallback, case-insensitively.
-        assert_eq!(
-            PregelConfig::partitioning_from_env(Some("range"), Partitioning::Hash),
-            Partitioning::Range
-        );
-        assert_eq!(
-            PregelConfig::partitioning_from_env(Some(" Hash "), Partitioning::Range),
-            Partitioning::Hash
-        );
-        assert_eq!(
-            PregelConfig::partitioning_from_env(Some("RANGE"), Partitioning::Hash),
-            Partitioning::Range
-        );
-        // Unset, empty, or misspelled values fall back.
-        assert_eq!(
-            PregelConfig::partitioning_from_env(None, Partitioning::Hash),
-            Partitioning::Hash
-        );
-        assert_eq!(
-            PregelConfig::partitioning_from_env(Some(""), Partitioning::Range),
-            Partitioning::Range
-        );
-        assert_eq!(
-            PregelConfig::partitioning_from_env(Some("round-robin"), Partitioning::Hash),
-            Partitioning::Hash
-        );
-    }
-
-    #[test]
-    fn threads_env_override_validates() {
-        // Valid values win over the fallback; 0 is valid and means "auto".
-        assert_eq!(PregelConfig::threads_from_env(Some("2"), 0), 2);
-        assert_eq!(PregelConfig::threads_from_env(Some("0"), 3), 0);
-        assert_eq!(PregelConfig::threads_from_env(Some(" 8 "), 0), 8);
-        // Unset, unparsable, or absurd values fall back.
-        assert_eq!(PregelConfig::threads_from_env(None, 0), 0);
-        assert_eq!(PregelConfig::threads_from_env(Some("auto"), 0), 0);
-        assert_eq!(PregelConfig::threads_from_env(Some("-1"), 0), 0);
-        assert_eq!(PregelConfig::threads_from_env(Some("4096"), 0), 0);
-    }
-
-    #[test]
     fn resolved_threads_caps_at_workers() {
         let cfg = PregelConfig::default().with_workers(4).with_threads(9);
         assert_eq!(cfg.resolved_threads(), 4);
@@ -1915,21 +1816,6 @@ mod tests {
         assert_eq!(a.0, b.0, "results must not depend on partitioning");
         assert_eq!(a.1.total_messages(), b.1.total_messages());
         assert_eq!(a.1.supersteps(), b.1.supersteps());
-    }
-
-    #[test]
-    fn workers_env_override_validates() {
-        // Valid values win over the fallback.
-        assert_eq!(PregelConfig::workers_from_env(Some("3"), 8), 3);
-        assert_eq!(PregelConfig::workers_from_env(Some(" 16 "), 8), 16);
-        assert_eq!(PregelConfig::workers_from_env(Some("1"), 8), 1);
-        // Unset, unparsable, zero, or absurd values fall back.
-        assert_eq!(PregelConfig::workers_from_env(None, 8), 8);
-        assert_eq!(PregelConfig::workers_from_env(Some(""), 8), 8);
-        assert_eq!(PregelConfig::workers_from_env(Some("lots"), 8), 8);
-        assert_eq!(PregelConfig::workers_from_env(Some("0"), 8), 8);
-        assert_eq!(PregelConfig::workers_from_env(Some("-2"), 8), 8);
-        assert_eq!(PregelConfig::workers_from_env(Some("1000000"), 8), 8);
     }
 
     #[test]

@@ -54,7 +54,6 @@
 pub mod aggregate;
 pub(crate) mod barrier;
 pub mod engine;
-pub mod gas;
 pub mod metrics;
 pub mod partition;
 pub(crate) mod pool;
@@ -63,7 +62,6 @@ pub mod state_size;
 
 pub use aggregate::{AggOp, AggTypeMismatch, AggValue, AggregatorDef};
 pub use engine::{run, run_with_values, PregelConfig};
-pub use gas::{run_gas, GasInfo, GasProgram, GatherValue};
 pub use metrics::{HaltReason, PerVertexStats, RunStats, SuperstepStats, WorkerStats};
 pub use partition::{Partitioner, Partitioning};
 pub use program::{Combiner, Context, MasterContext, VertexProgram};

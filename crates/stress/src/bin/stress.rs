@@ -148,17 +148,7 @@ fn usage() {
          --get FILE PATH   print one field of a report by dotted path, e.g.\n                    \
          per_shard[0].replicas[1].queue_hwm (key order in\n                    \
          the file is unspecified); exit 1 if it is absent\n  \
-         --quiet           one-line summary instead of the full table\n\n\
-         ENVIRONMENT:\n  \
-         VCGP_WORKERS      engine logical worker count for analytics runs\n                    \
-         (positive integer, capped at 1024; default: CPU count).\n                    \
-         Answers are identical for any worker count.\n  \
-         VCGP_THREADS      OS threads driving those workers (0 = auto:\n                    \
-         min(workers, cores)). Answers are thread-count\n                    \
-         independent; only wall clock changes.\n  \
-         VCGP_PARTITIONING engine + shard placement strategy: hash | range\n                    \
-         (default hash). Applies to both engine workers and\n                    \
-         shard vertex ownership (--shards)."
+         --quiet           one-line summary instead of the full table"
     );
 }
 

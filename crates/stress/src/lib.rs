@@ -20,10 +20,10 @@
 //!   [`shard::ShardedGraphService`] loads the graph once behind an
 //!   [`std::sync::Arc`] and splits vertex ownership across `S ≥ 1`
 //!   shards (one shard is just `S = 1`), each running `R ≥ 1` replica
-//!   cores over the same slice (placement via the engine's partitioner,
-//!   so `VCGP_PARTITIONING` applies) and the router owner-routes point
-//!   lookups, scatters analytics at every shard count with typed partial
-//!   merges — the legs of a request sharing one engine run through the
+//!   cores over the same slice (placement via the engine's partitioner)
+//!   and the router owner-routes point lookups, scatters analytics at
+//!   every shard count with typed partial merges — the legs of a request
+//!   sharing one engine run through the
 //!   service-wide run table — and picks replicas by a pluggable policy
 //!   (seeded round-robin or least-loaded queue depth);
 //! * [`cache`] — the per-core result cache: a capacity-bounded, segmented

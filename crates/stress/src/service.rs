@@ -128,8 +128,7 @@ pub struct ServiceConfig {
     /// Engine configuration for workload execution. Defaults to a single
     /// worker per executor — concurrency comes from running many requests
     /// at once, not from parallelizing each one. Its `partitioning` field
-    /// doubles as the shard-placement strategy of the service, so
-    /// the `VCGP_PARTITIONING` override applies to both.
+    /// doubles as the shard-placement strategy of the service.
     pub engine: PregelConfig,
     /// Live-mutation settings. `None` (the default) keeps the service
     /// read-only:

@@ -5,9 +5,9 @@
 //! time; one shard is just `S = 1`, the same code path as any other count.
 //! Vertex *ownership* is assigned by the same
 //! [`vcgp_pregel::partition::Partitioner`] the engine uses for workers, so
-//! the hash/range strategies — and the `VCGP_PARTITIONING` override, which
-//! [`crate::service::ServiceConfig::default`] picks up through
-//! `PregelConfig::default` — apply to shard placement too.
+//! the hash/range strategies of
+//! [`ServiceConfig::engine`](crate::service::ServiceConfig::engine) apply
+//! to shard placement too.
 //!
 //! Each shard materializes a **local subgraph**: the out-adjacency of its
 //! owned vertices over the full vertex-id space (a directed CSR slice).

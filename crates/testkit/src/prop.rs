@@ -61,12 +61,6 @@ impl Config {
         self
     }
 
-    /// Sets the base seed.
-    pub fn with_base_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
-        self
-    }
-
     /// Replays a single case seed (as printed by a failure report).
     pub fn with_replay_seed(mut self, seed: u64) -> Self {
         self.replay_seed = Some(seed);

@@ -35,6 +35,12 @@ echo "   ok: all dependencies are in-tree path dependencies"
 echo "== cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
+echo "== table1 at full scale (exits 1 unless all 20 rows reproduce the"
+echo "   paper's verdicts; full table in target/vcgp-bench/table1.md)"
+mkdir -p target/vcgp-bench
+./target/release/table1 > target/vcgp-bench/table1.md
+tail -n 1 target/vcgp-bench/table1.md
+
 echo "== cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 

@@ -156,6 +156,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .map(|v| parse::<usize>(v, "--workers"))
         .transpose()?
         .unwrap_or(4);
+    if workers == 0 {
+        eprintln!("error: --workers must be at least 1");
+        exit(2);
+    }
     let source: u32 = flag_value(args, "--source")
         .map(|v| parse(v, "--source"))
         .transpose()?

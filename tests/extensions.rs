@@ -1,37 +1,9 @@
-//! Integration tests for the extensions beyond Table 1: the GAS layer,
-//! partitioning strategies, the finish-serially optimization, and the
+//! Integration tests for the extensions beyond Table 1: partitioning
+//! strategies, the finish-serially optimization, and the
 //! §3.8 demonstrators — all cross-validated against the core stack.
 
 use vcgp::graph::generators;
-use vcgp::pregel::{gas, Partitioning, PregelConfig};
-
-#[test]
-fn gas_sssp_matches_pregel_sssp() {
-    let g = generators::with_random_weights(
-        &generators::gnm_connected(150, 450, 7),
-        0.1,
-        2.0,
-        7,
-        false,
-    );
-    let cfg = PregelConfig::default().with_workers(3);
-    let pregel = vcgp::algorithms::sssp::run(&g, 0, &cfg);
-    let (states, _) = gas::run_gas(gas::SsspGas { source: 0 }, &g, &cfg);
-    for (a, b) in pregel.dist.iter().zip(&states) {
-        assert!((a - b.0).abs() < 1e-9 || (a.is_infinite() && b.0.is_infinite()));
-    }
-}
-
-#[test]
-fn gas_pagerank_tracks_bsp_pagerank() {
-    let g = generators::digraph_gnm(120, 600, 9);
-    let cfg = PregelConfig::default().with_workers(3);
-    let bsp = vcgp::algorithms::pagerank::run(&g, 0.85, 80, &cfg);
-    let (gas_scores, _) = gas::run_pagerank_gas(&g, 0.85, 1e-9, &cfg);
-    for (a, b) in bsp.scores.iter().zip(&gas_scores) {
-        assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-    }
-}
+use vcgp::pregel::{Partitioning, PregelConfig};
 
 #[test]
 fn all_partitionings_agree_across_algorithms() {
