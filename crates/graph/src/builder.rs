@@ -87,11 +87,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// A builder pre-loaded with `g`'s edges, labels, and directedness, so
     /// a mutation batch can be replayed through a from-scratch rebuild.
     /// This is the *oracle* path for [`crate::mutation::apply_batch`]'s
@@ -379,15 +374,6 @@ mod tests {
         let g = b.build();
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.neighbors(0), &[1, 1]);
-    }
-
-    #[test]
-    fn builder_edge_count() {
-        let mut b = GraphBuilder::new(3);
-        assert_eq!(b.edge_count(), 0);
-        b.add_edge(0, 1);
-        b.add_edge(1, 2);
-        assert_eq!(b.edge_count(), 2);
     }
 
     #[test]
