@@ -181,7 +181,11 @@ pub struct BetweennessResult {
 
 /// Runs BSP Brandes from every vertex in `sources` (or all vertices when
 /// `None`), summing dependencies.
-pub fn run(graph: &Graph, sources: Option<&[VertexId]>, config: &PregelConfig) -> BetweennessResult {
+pub fn run(
+    graph: &Graph,
+    sources: Option<&[VertexId]>,
+    config: &PregelConfig,
+) -> BetweennessResult {
     let n = graph.num_vertices();
     let all: Vec<VertexId>;
     let sources = match sources {

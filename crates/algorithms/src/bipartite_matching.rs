@@ -93,8 +93,7 @@ impl VertexProgram for BipartiteMatching {
                     // arrival order (and therefore of the worker count).
                     requesters.sort_unstable();
                     if !requesters.is_empty() {
-                        let pick = requesters
-                            [ctx.rng().next_index(requesters.len())];
+                        let pick = requesters[ctx.rng().next_index(requesters.len())];
                         ctx.send(pick, Msg::Grant(me));
                         ctx.aggregate(0, AggValue::Bool(true));
                     }
@@ -166,7 +165,10 @@ pub struct BipartiteResult {
 
 /// Runs the four-phase matching; vertices `0..nl` are the left side.
 pub fn run(graph: &Graph, nl: usize, config: &PregelConfig) -> BipartiteResult {
-    assert!(!graph.is_directed(), "bipartite matching runs on undirected graphs");
+    assert!(
+        !graph.is_directed(),
+        "bipartite matching runs on undirected graphs"
+    );
     assert!(nl <= graph.num_vertices());
     debug_assert!(
         graph
@@ -241,7 +243,11 @@ mod tests {
     fn parallel_matches_serial() {
         let g = generators::bipartite(35, 35, 160, 9);
         let a = run(&g, 35, &PregelConfig::single_worker().with_seed(3));
-        let b = run(&g, 35, &PregelConfig::default().with_workers(4).with_seed(3));
+        let b = run(
+            &g,
+            35,
+            &PregelConfig::default().with_workers(4).with_seed(3),
+        );
         assert_eq!(a.mate, b.mate);
     }
 }

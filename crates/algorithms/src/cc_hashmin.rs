@@ -6,9 +6,9 @@
 //! each superstep is `O(d(v))` per vertex — but not BPPA, because the
 //! superstep count is the diameter, not `O(log n)`.
 
-use vcgp_pregel::{Context, PregelConfig, RunStats, VertexProgram};
-use vcgp_graph::VertexId;
 use vcgp_graph::Graph;
+use vcgp_graph::VertexId;
+use vcgp_pregel::{Context, PregelConfig, RunStats, VertexProgram};
 
 /// Result of Hash-Min.
 #[derive(Debug, Clone)]

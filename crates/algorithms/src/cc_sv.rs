@@ -265,8 +265,7 @@ impl VertexProgram for ShiloachVishkin {
 
     fn master_compute(&self, master: &mut MasterContext<'_>) {
         let phase = master.global(0).as_i64();
-        let round_changed =
-            master.global(1).as_bool() || master.read_aggregate(0).as_bool();
+        let round_changed = master.global(1).as_bool() || master.read_aggregate(0).as_bool();
         master.set_global(1, AggValue::Bool(round_changed));
         if phase == phase::SHORT_APPLY {
             if !round_changed {

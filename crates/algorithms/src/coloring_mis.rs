@@ -69,8 +69,7 @@ impl LubyColoring {
             phase::TENTATIVE => {
                 if ctx.superstep() == 0 {
                     // Adopt the static adjacency as the live adjacency.
-                    let neighbors: HashSet<u32> =
-                        ctx.out_neighbors().iter().copied().collect();
+                    let neighbors: HashSet<u32> = ctx.out_neighbors().iter().copied().collect();
                     ctx.charge(neighbors.len() as u64);
                     ctx.value_mut().alive = neighbors;
                 }

@@ -10,8 +10,9 @@
 
 use std::collections::HashMap;
 use vcgp_graph::Graph;
-use vcgp_pregel::{AggOp, AggValue, AggregatorDef, Context, PregelConfig, RunStats, StateSize,
-    VertexProgram};
+use vcgp_pregel::{
+    AggOp, AggValue, AggregatorDef, Context, PregelConfig, RunStats, StateSize, VertexProgram,
+};
 
 /// Per-vertex state: the history of seen originators with their hop
 /// distances, and the eccentricity observed so far.
@@ -92,7 +93,10 @@ pub struct DiameterResult {
 /// originator (i.e. the graph is disconnected).
 pub fn run(graph: &Graph, config: &PregelConfig) -> DiameterResult {
     assert!(!graph.is_directed(), "row 1/17 run on undirected graphs");
-    assert!(graph.num_vertices() > 0, "diameter of empty graph undefined");
+    assert!(
+        graph.num_vertices() > 0,
+        "diameter of empty graph undefined"
+    );
     let (values, stats) = vcgp_pregel::run(&Eccentricity, graph, config);
     let n = graph.num_vertices();
     let mut eccentricities = Vec::with_capacity(n);
@@ -166,7 +170,10 @@ mod tests {
         let small = run(&generators::cycle(32), &PregelConfig::single_worker());
         let large = run(&generators::cycle(64), &PregelConfig::single_worker());
         let ratio = large.stats.total_messages() as f64 / small.stats.total_messages() as f64;
-        assert!((3.5..4.6).contains(&ratio), "expected ~4x (mn), got {ratio}");
+        assert!(
+            (3.5..4.6).contains(&ratio),
+            "expected ~4x (mn), got {ratio}"
+        );
     }
 
     #[test]

@@ -157,7 +157,10 @@ impl VertexProgram for DualSim<'_> {
 
 /// Runs dual simulation of `query` over `data`.
 pub fn run(query: &Graph, data: &Graph, config: &PregelConfig) -> SimulationResult {
-    assert!(query.is_directed() && data.is_directed(), "simulation runs on digraphs");
+    assert!(
+        query.is_directed() && data.is_directed(),
+        "simulation runs on digraphs"
+    );
     let program = DualSim { query };
     let (values, stats) = vcgp_pregel::run(&program, data, config);
     crate::graph_simulation::finalize(
@@ -171,7 +174,10 @@ pub fn run(query: &Graph, data: &Graph, config: &PregelConfig) -> SimulationResu
 /// simulation pipeline needs candidate rows even when some query vertex is
 /// globally unmatched.
 pub fn run_raw(query: &Graph, data: &Graph, config: &PregelConfig) -> SimulationResult {
-    assert!(query.is_directed() && data.is_directed(), "simulation runs on digraphs");
+    assert!(
+        query.is_directed() && data.is_directed(),
+        "simulation runs on digraphs"
+    );
     let program = DualSim { query };
     let (values, stats) = vcgp_pregel::run(&program, data, config);
     let matches: Vec<Vec<VertexId>> = values.into_iter().map(|s| s.match_set).collect();

@@ -26,7 +26,9 @@ impl StateSize for SimState {
         std::mem::size_of::<Self>()
             + self.match_set.len() * 4
             + self
-                .children.values().map(|v| 8 + v.len() * 4)
+                .children
+                .values()
+                .map(|v| 8 + v.len() * 4)
                 .sum::<usize>()
     }
 }
@@ -147,7 +149,10 @@ pub(crate) fn finalize(
 
 /// Runs graph simulation of `query` (labeled digraph) over `data`.
 pub fn run(query: &Graph, data: &Graph, config: &PregelConfig) -> SimulationResult {
-    assert!(query.is_directed() && data.is_directed(), "simulation runs on digraphs");
+    assert!(
+        query.is_directed() && data.is_directed(),
+        "simulation runs on digraphs"
+    );
     let program = GraphSim { query };
     let (values, stats) = vcgp_pregel::run(&program, data, config);
     finalize(

@@ -269,6 +269,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "injective")]
     fn non_injective_pred_rejected() {
-        run(&[INVALID_VERTEX, 0, 0], &[1, 1, 1], &PregelConfig::single_worker());
+        run(
+            &[INVALID_VERTEX, 0, 0],
+            &[1, 1, 1],
+            &PregelConfig::single_worker(),
+        );
     }
 }

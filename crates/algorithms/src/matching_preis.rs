@@ -105,8 +105,7 @@ impl VertexProgram for LocallyDominant {
                 if mutual {
                     ctx.value_mut().mate = candidate;
                     let me = ctx.id();
-                    let alive: Vec<u32> =
-                        ctx.value().alive.iter().map(|&(u, _)| u).collect();
+                    let alive: Vec<u32> = ctx.value().alive.iter().map(|&(u, _)| u).collect();
                     for u in alive {
                         ctx.send(u, Msg::Matched(me));
                     }

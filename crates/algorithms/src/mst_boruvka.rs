@@ -91,15 +91,9 @@ enum Msg {
     Ask(VertexId),
     /// Pointer-jump answer: the receiver's pointer and whether the sender
     /// of the answer is a resolved supervertex.
-    Answer {
-        ptr: VertexId,
-        is_super: bool,
-    },
+    Answer { ptr: VertexId, is_super: bool },
     /// Relabeling announcement: `from`'s supervertex is `sv`.
-    Label {
-        from: VertexId,
-        sv: VertexId,
-    },
+    Label { from: VertexId, sv: VertexId },
     /// Edges shipped to the supervertex.
     Ship(Vec<CEdge>),
 }
@@ -198,8 +192,7 @@ impl VertexProgram for Boruvka {
                 ctx.vote_to_halt();
                 let sv = ctx.value().supervertex;
                 debug_assert!(ctx.value().resolved);
-                let mut targets: Vec<VertexId> =
-                    ctx.value().edges.iter().map(|e| e.to).collect();
+                let mut targets: Vec<VertexId> = ctx.value().edges.iter().map(|e| e.to).collect();
                 targets.sort_unstable();
                 targets.dedup();
                 ctx.charge(targets.len() as u64);
@@ -350,10 +343,8 @@ pub fn run(graph: &Graph, config: &PregelConfig) -> MstResult {
         })
         .collect();
     let (values, stats) = vcgp_pregel::run_with_values(&Boruvka, graph, init, config);
-    let mut edges: Vec<(VertexId, VertexId, f64)> = values
-        .into_iter()
-        .flat_map(|s| s.picked)
-        .collect();
+    let mut edges: Vec<(VertexId, VertexId, f64)> =
+        values.into_iter().flat_map(|s| s.picked).collect();
     edges.sort_by_key(|a| (a.0, a.1));
     edges.dedup_by_key(|e| (e.0, e.1));
     let total_weight = edges.iter().map(|e| e.2).sum();

@@ -137,9 +137,7 @@ impl BallSim<'_> {
             return Vec::new();
         }
         let mine = local_of[&me];
-        (0..nq as u32)
-            .filter(|&q| sim[q as usize][mine])
-            .collect()
+        (0..nq as u32).filter(|&q| sim[q as usize][mine]).collect()
     }
 }
 
@@ -196,10 +194,7 @@ impl VertexProgram for BallSim<'_> {
                     .iter()
                     .map(|id| ctx.value().cards[id].clone())
                     .collect();
-                let batch_cost: u64 = batch
-                    .iter()
-                    .map(|c| 1 + c.succs.len() as u64)
-                    .sum();
+                let batch_cost: u64 = batch.iter().map(|c| 1 + c.succs.len() as u64).sum();
                 let (out, inn) = (ctx.out_neighbors(), ctx.in_neighbors());
                 for &v in out.iter().chain(inn) {
                     ctx.charge(batch_cost);
@@ -238,7 +233,10 @@ pub struct StrongSimulationResult {
 
 /// Runs strong simulation of `query` over `data`.
 pub fn run(query: &Graph, data: &Graph, config: &PregelConfig) -> StrongSimulationResult {
-    assert!(query.is_directed() && data.is_directed(), "simulation runs on digraphs");
+    assert!(
+        query.is_directed() && data.is_directed(),
+        "simulation runs on digraphs"
+    );
     let radius = vcgp_graph::properties::exact_diameter(&query.to_undirected())
         .expect("query pattern must be connected");
     // Stage 1: global dual simulation (raw fixpoint).

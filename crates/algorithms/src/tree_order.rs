@@ -155,8 +155,7 @@ pub fn run(graph: &Graph, root: VertexId, config: &PregelConfig) -> TreeOrderRes
             parent[v as usize] = u;
             let back = arc_id[&(v, u)] as usize;
             post[v as usize] = post_rank.sums[back] as u32 - 1;
-            nd[v as usize] =
-                (positions.sums[back] - positions.sums[a]).div_ceil(2) as u32;
+            nd[v as usize] = (positions.sums[back] - positions.sums[a]).div_ceil(2) as u32;
         }
     }
     TreeOrderResult {

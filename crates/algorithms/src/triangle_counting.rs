@@ -95,10 +95,7 @@ impl VertexProgram for Triangles {
                 ctx.value_mut().triangles += found;
             }
             _ => {
-                let credits = messages
-                    .iter()
-                    .filter(|m| matches!(m, Msg::Credit))
-                    .count() as u64;
+                let credits = messages.iter().filter(|m| matches!(m, Msg::Credit)).count() as u64;
                 ctx.value_mut().triangles += credits;
             }
         }
@@ -121,7 +118,10 @@ pub struct TriangleResult {
 
 /// Runs vertex-centric triangle counting on an undirected simple graph.
 pub fn run(graph: &Graph, config: &PregelConfig) -> TriangleResult {
-    assert!(!graph.is_directed(), "triangle counting runs on undirected graphs");
+    assert!(
+        !graph.is_directed(),
+        "triangle counting runs on undirected graphs"
+    );
     let (values, stats) = vcgp_pregel::run(&Triangles, graph, config);
     let per_vertex: Vec<u64> = values.into_iter().map(|s| s.triangles).collect();
     let total = per_vertex.iter().sum::<u64>() / 3;

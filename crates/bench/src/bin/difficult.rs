@@ -60,7 +60,9 @@ fn neighborhood_analytics() {
         "{:>8} | {:>9} | {:>12} | {:>12} | {:>14} | {:>10}",
         "n", "triangles", "vc messages", "seq work", "max msgs/vertex", "max degree"
     );
-    let cfg = PregelConfig::default().with_workers(4).with_per_vertex_tracking();
+    let cfg = PregelConfig::default()
+        .with_workers(4)
+        .with_per_vertex_tracking();
     for scale in [9u32, 10, 11] {
         let n = 1usize << scale;
         let g = generators::rmat(scale, 8 * n, 3);

@@ -51,7 +51,10 @@ fn fig1() {
     );
     println!("\nsuperstep | messages sent | active vertices");
     for (s, stats) in r.stats.superstep_stats.iter().enumerate() {
-        println!("{s:>9} | {:>13} | {:>15}", stats.messages_sent, stats.active);
+        println!(
+            "{s:>9} | {:>13} | {:>15}",
+            stats.messages_sent, stats.active
+        );
     }
     println!("\nvertex 0's history set (originator -> first-arrival hop):");
     let mut entries: Vec<(u32, u32)> = r.distances[0].iter().map(|(&k, &v)| (k, v)).collect();
@@ -69,7 +72,16 @@ fn fig2() {
     println!("== Figure 2: S-V forest structure (stars at convergence) ==\n");
     let mut b = GraphBuilder::new(10);
     // Two components: {0..5} and {6..9}.
-    for (u, v) in [(5, 3), (3, 1), (1, 0), (0, 4), (4, 2), (8, 7), (7, 6), (6, 9)] {
+    for (u, v) in [
+        (5, 3),
+        (3, 1),
+        (1, 0),
+        (0, 4),
+        (4, 2),
+        (8, 7),
+        (7, 6),
+        (6, 9),
+    ] {
         b.add_edge(u, v);
     }
     let g = b.build();
@@ -93,7 +105,10 @@ fn fig2() {
 /// grow logarithmically on paths.
 fn fig3() {
     println!("== Figure 3: S-V hooking/shortcutting — O(log n) rounds ==\n");
-    println!("{:>8} | {:>10} | {:>6} | log2(n)", "n (path)", "supersteps", "rounds");
+    println!(
+        "{:>8} | {:>10} | {:>6} | log2(n)",
+        "n (path)", "supersteps", "rounds"
+    );
     for exp in [6u32, 8, 10, 12] {
         let n = 1usize << exp;
         let g = generators::path(n);
@@ -118,8 +133,15 @@ fn fig4() {
     let tree = b.build();
     let cfg = PregelConfig::single_worker();
     let tour = euler_tour::run(&tree, 0, &cfg);
-    println!("Euler tour from vertex 0 (2(n-1) = {} arcs):", tour.tour.len());
-    let arcs: Vec<String> = tour.tour.iter().map(|(u, v)| format!("({u},{v})")).collect();
+    println!(
+        "Euler tour from vertex 0 (2(n-1) = {} arcs):",
+        tour.tour.len()
+    );
+    let arcs: Vec<String> = tour
+        .tour
+        .iter()
+        .map(|(u, v)| format!("({u},{v})"))
+        .collect();
     println!("  {}\n", arcs.join(" -> "));
 
     let orders = tree_order::run(&tree, 0, &cfg);
@@ -147,7 +169,10 @@ fn fig4() {
         "\nlist ranking (pred = {preds:?}, val = 1): sums = {:?}",
         r.sums
     );
-    println!("supersteps: {} (2 per doubling round)\n", r.stats.supersteps());
+    println!(
+        "supersteps: {} (2 per doubling round)\n",
+        r.stats.supersteps()
+    );
 }
 
 /// Figure 5: the conjoined tree of min-edge picking in Borůvka's MST.

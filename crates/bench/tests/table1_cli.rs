@@ -18,6 +18,10 @@ fn bad_flag_values_are_usage_errors() {
             .expect("the table1 binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
-        assert_eq!(stderr.trim_end(), format!("error: {message}"), "{flag} {value}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: {message}"),
+            "{flag} {value}"
+        );
     }
 }

@@ -55,10 +55,8 @@ impl RowResult {
 /// declares a separate BPPA-adversarial family) and derives its verdicts.
 pub fn run_row(workload: Workload, scale: Scale, config: &PregelConfig) -> RowResult {
     let sizes = workload.sizes(scale);
-    let measurements: Vec<Measurement> = sizes
-        .iter()
-        .map(|&s| workload.measure(s, config))
-        .collect();
+    let measurements: Vec<Measurement> =
+        sizes.iter().map(|&s| workload.measure(s, config)).collect();
     let bppa_measurements = workload.bppa_sizes(scale).map(|sizes| {
         sizes
             .iter()
@@ -78,8 +76,10 @@ fn analyze_with_bppa(
     assert!(measurements.len() >= 2, "verdicts need a sweep");
     let vc_series: Vec<(GraphParams, f64)> =
         measurements.iter().map(|m| (m.params, m.tpp)).collect();
-    let seq_series: Vec<(GraphParams, f64)> =
-        measurements.iter().map(|m| (m.params, m.seq_work)).collect();
+    let seq_series: Vec<(GraphParams, f64)> = measurements
+        .iter()
+        .map(|m| (m.params, m.seq_work))
+        .collect();
     let vc_fit = fit(&vc_series, &workload.vc_candidates());
     let seq_fit = fit(&seq_series, &workload.seq_candidates());
 
@@ -166,7 +166,10 @@ mod tests {
         let r = run_row(Workload::PageRank, Scale::Full, &quick_cfg());
         assert!(!r.more_work.yes);
         assert!(r.bppa.storage.satisfied && r.bppa.messages.satisfied);
-        assert!(!r.bppa.supersteps.satisfied, "overridden by the paper's K argument");
+        assert!(
+            !r.bppa.supersteps.satisfied,
+            "overridden by the paper's K argument"
+        );
         assert!(r.bppa_note.is_some());
         assert!(r.matches_paper());
     }

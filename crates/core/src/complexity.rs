@@ -176,8 +176,7 @@ pub fn fit(series: &[(GraphParams, f64)], candidates: &[ComplexityClass]) -> Fit
         let max = ratios.iter().copied().fold(f64::MIN, f64::max);
         let min = ratios.iter().copied().fold(f64::MAX, f64::min);
         let spread = if min > 0.0 { max / min } else { f64::INFINITY };
-        let log_mean =
-            ratios.iter().map(|r| r.max(1e-300).ln()).sum::<f64>() / ratios.len() as f64;
+        let log_mean = ratios.iter().map(|r| r.max(1e-300).ln()).sum::<f64>() / ratios.len() as f64;
         let candidate = Fit {
             class,
             constant: log_mean.exp(),
@@ -222,14 +221,18 @@ mod tests {
     fn fit_recovers_generating_class() {
         // Synthesize measurements that are exactly 3·mδ and check the
         // fitter picks MDelta over the alternatives.
-        let series: Vec<(GraphParams, f64)> = [(256usize, 512usize, 40u32), (512, 1024, 80),
-            (1024, 2048, 160), (2048, 4096, 320)]
-            .into_iter()
-            .map(|(n, m, d)| {
-                let p = params(n, m, d);
-                (p, 3.0 * ComplexityClass::MDelta.eval(&p))
-            })
-            .collect();
+        let series: Vec<(GraphParams, f64)> = [
+            (256usize, 512usize, 40u32),
+            (512, 1024, 80),
+            (1024, 2048, 160),
+            (2048, 4096, 320),
+        ]
+        .into_iter()
+        .map(|(n, m, d)| {
+            let p = params(n, m, d);
+            (p, 3.0 * ComplexityClass::MDelta.eval(&p))
+        })
+        .collect();
         let fit = fit(
             &series,
             &[

@@ -100,7 +100,10 @@ mod tests {
         for &(u, v) in edges.iter().rev() {
             rev.add_edge(u, v);
         }
-        assert_eq!(graph_fingerprint(&fwd.build()), graph_fingerprint(&rev.build()));
+        assert_eq!(
+            graph_fingerprint(&fwd.build()),
+            graph_fingerprint(&rev.build())
+        );
     }
 
     #[test]

@@ -108,9 +108,8 @@ pub fn render_row_detail(r: &RowResult) -> String {
 
 /// Renders a CSV of all sweep measurements (one line per row × size).
 pub fn render_csv(rows: &[RowResult]) -> String {
-    let mut out = String::from(
-        "row,workload,n,m,delta,k,nq,mq,supersteps,messages,tpp,seq_work,ratio\n",
-    );
+    let mut out =
+        String::from("row,workload,n,m,delta,k,nq,mq,supersteps,messages,tpp,seq_work,ratio\n");
     for r in rows {
         for m in &r.measurements {
             writeln!(

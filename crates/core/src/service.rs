@@ -38,7 +38,11 @@ pub struct Unsupported {
 
 impl std::fmt::Display for Unsupported {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:?} unsupported on this graph: {}", self.workload, self.reason)
+        write!(
+            f,
+            "{:?} unsupported on this graph: {}",
+            self.workload, self.reason
+        )
     }
 }
 
@@ -97,27 +101,24 @@ pub fn supported(workload: Workload, graph: &Graph) -> Result<(), Unsupported> {
         return fail("graph has fewer than two vertices");
     }
     match workload {
-        Workload::Wcc | Workload::Scc if !graph.is_directed() => {
-            fail("requires a directed graph")
-        }
-        Workload::GraphSim | Workload::DualSim | Workload::StrongSim
-            if !graph.is_directed() =>
-        {
+        Workload::Wcc | Workload::Scc if !graph.is_directed() => fail("requires a directed graph"),
+        Workload::GraphSim | Workload::DualSim | Workload::StrongSim if !graph.is_directed() => {
             fail("simulation requires a directed data graph")
         }
-        Workload::Mst | Workload::Matching if !graph.is_weighted() => {
-            fail("requires edge weights")
-        }
+        Workload::Mst | Workload::Matching if !graph.is_weighted() => fail("requires edge weights"),
         Workload::EulerTour | Workload::TreeOrder if !is_tree(graph) => {
             fail("requires an undirected tree")
         }
-        Workload::BipartiteMatching
-            if graph.is_directed() || bipartite_split(graph).is_none() =>
-        {
+        Workload::BipartiteMatching if graph.is_directed() || bipartite_split(graph).is_none() => {
             fail("requires a layered bipartite graph")
         }
-        Workload::Diameter | Workload::Apsp | Workload::Bcc | Workload::SpanningTree
-        | Workload::CcHashMin | Workload::CcSv | Workload::Coloring
+        Workload::Diameter
+        | Workload::Apsp
+        | Workload::Bcc
+        | Workload::SpanningTree
+        | Workload::CcHashMin
+        | Workload::CcSv
+        | Workload::Coloring
             if graph.is_directed() =>
         {
             fail("requires an undirected graph")
@@ -181,16 +182,28 @@ impl Partial {
             (Partial::Sum(a), Partial::Sum(b)) => Partial::Sum(a + b),
             (Partial::Max(a), Partial::Max(b)) => Partial::Max(a.max(b)),
             (
-                Partial::ArgMax { score: sa, vertex: va },
-                Partial::ArgMax { score: sb, vertex: vb },
+                Partial::ArgMax {
+                    score: sa,
+                    vertex: va,
+                },
+                Partial::ArgMax {
+                    score: sb,
+                    vertex: vb,
+                },
             ) => {
                 // Higher score wins; an exact tie goes to the higher vertex
                 // id, matching the last-maximum convention of the
                 // single-instance `max_by` scan over ascending ids.
                 if sb > sa || (sb == sa && vb > va) {
-                    Partial::ArgMax { score: sb, vertex: vb }
+                    Partial::ArgMax {
+                        score: sb,
+                        vertex: vb,
+                    }
                 } else {
-                    Partial::ArgMax { score: sa, vertex: va }
+                    Partial::ArgMax {
+                        score: sa,
+                        vertex: va,
+                    }
                 }
             }
             (a, b) => panic!("cannot merge mismatched partials {a:?} and {b:?}"),
@@ -258,10 +271,19 @@ impl Slicer<'_> {
 
     /// Each slice's owned argmax of `scores` (indexed by vertex).
     fn argmaxes(&self, scores: &[f64]) -> Vec<Partial> {
-        let mut acc = vec![Partial::ArgMax { score: f64::NEG_INFINITY, vertex: 0 }; self.slices];
+        let mut acc = vec![
+            Partial::ArgMax {
+                score: f64::NEG_INFINITY,
+                vertex: 0
+            };
+            self.slices
+        ];
         for (v, &score) in ids(scores) {
             if let Some(a) = acc.get_mut((self.owner)(v)) {
-                *a = a.merge(Partial::ArgMax { score, vertex: u64::from(v) });
+                *a = a.merge(Partial::ArgMax {
+                    score,
+                    vertex: u64::from(v),
+                });
             }
         }
         acc
@@ -310,14 +332,21 @@ pub fn run_workload_sliced(
     // Count matched edges at their lower endpoint so each edge is owned by
     // exactly one slice.
     let mates = |mate: &[VertexId]| {
-        by.counts(ids(mate).filter(|&(v, &m)| m != INVALID_VERTEX && v < m).map(|(v, _)| v))
+        by.counts(
+            ids(mate)
+                .filter(|&(v, &m)| m != INVALID_VERTEX && v < m)
+                .map(|(v, _)| v),
+        )
     };
     // Match pairs `(q, v)` are attributed to the data vertex `v`'s owner.
     let matched = |matches: &[Vec<u32>]| by.counts(matches.iter().flatten().copied());
     let (partials, stats) = match workload {
         Workload::Diameter | Workload::Apsp => {
             let r = vcgp_algorithms::diameter::run(graph, &cfg);
-            (by.maxes(ids(&r.eccentricities).map(|(v, &e)| (v, u64::from(e)))), r.stats)
+            (
+                by.maxes(ids(&r.eccentricities).map(|(v, &e)| (v, u64::from(e)))),
+                r.stats,
+            )
         }
         Workload::PageRank => {
             let r = vcgp_algorithms::pagerank::run(graph, 0.85, SERVICE_PAGERANK_ITERS, &cfg);
@@ -364,7 +393,10 @@ pub fn run_workload_sliced(
             // `num_colors` = max color + 1 and MIS rounds never skip a
             // color, so slice maxima of `color + 1` merge exactly.
             let r = vcgp_algorithms::coloring_mis::run(graph, &cfg);
-            (by.maxes(ids(&r.colors).map(|(v, &c)| (v, u64::from(c) + 1))), r.stats)
+            (
+                by.maxes(ids(&r.colors).map(|(v, &c)| (v, u64::from(c) + 1))),
+                r.stats,
+            )
         }
         Workload::Matching => {
             let r = vcgp_algorithms::matching_preis::run(graph, &cfg);
@@ -383,7 +415,10 @@ pub fn run_workload_sliced(
         }
         Workload::Sssp => {
             let r = vcgp_algorithms::sssp::run(graph, source, &cfg);
-            (by.counts(ids(&r.dist).filter(|(_, d)| d.is_finite()).map(|(v, _)| v)), r.stats)
+            (
+                by.counts(ids(&r.dist).filter(|(_, d)| d.is_finite()).map(|(v, _)| v)),
+                r.stats,
+            )
         }
         Workload::GraphSim => {
             let q = seeded_query(graph, seed);
@@ -398,7 +433,14 @@ pub fn run_workload_sliced(
         Workload::StrongSim => {
             let q = seeded_query(graph, seed);
             let r = vcgp_algorithms::strong_simulation::run(&q, graph, &cfg);
-            (by.counts(ids(&r.centers).filter(|(_, c)| !c.is_empty()).map(|(w, _)| w)), r.stats)
+            (
+                by.counts(
+                    ids(&r.centers)
+                        .filter(|(_, c)| !c.is_empty())
+                        .map(|(w, _)| w),
+                ),
+                r.stats,
+            )
         }
         Workload::Bcc => {
             // Blocks carry no per-vertex representative, but they do have a
@@ -413,7 +455,10 @@ pub fn run_workload_sliced(
                     *slot = lo;
                 }
             }
-            (by.counts(rep.into_iter().filter(|&v| v != INVALID_VERTEX)), r.stats)
+            (
+                by.counts(rep.into_iter().filter(|&v| v != INVALID_VERTEX)),
+                r.stats,
+            )
         }
     };
     Ok(SlicedRun { stats, partials })
@@ -436,7 +481,10 @@ pub fn run_workload_partial(
     owns: &dyn Fn(VertexId) -> bool,
 ) -> Result<PartialRun, Unsupported> {
     let run = run_workload_sliced(workload, graph, config, seed, 2, &|v| usize::from(!owns(v)))?;
-    Ok(PartialRun { stats: run.stats, partial: run.partials[0] })
+    Ok(PartialRun {
+        stats: run.stats,
+        partial: run.partials[0],
+    })
 }
 
 /// A deterministic 2-cycle query pattern over the label of a seeded data
@@ -467,7 +515,10 @@ pub fn run_workload(
     seed: u64,
 ) -> Result<ServiceRun, Unsupported> {
     let run = run_workload_sliced(workload, graph, config, seed, 1, &|_| 0)?;
-    Ok(ServiceRun { answer: run.partials[0].finish(), stats: run.stats })
+    Ok(ServiceRun {
+        answer: run.partials[0].finish(),
+        stats: run.stats,
+    })
 }
 
 #[cfg(test)]
@@ -493,7 +544,12 @@ mod tests {
             assert!(!caps.contains(&w), "{w:?} should be unsupported");
             assert!(supported(w, &g).is_err());
         }
-        for w in [Workload::Diameter, Workload::PageRank, Workload::CcHashMin, Workload::Sssp] {
+        for w in [
+            Workload::Diameter,
+            Workload::PageRank,
+            Workload::CcHashMin,
+            Workload::Sssp,
+        ] {
             assert!(caps.contains(&w), "{w:?} should be supported");
         }
     }
@@ -508,8 +564,13 @@ mod tests {
         assert!(supported(Workload::BipartiteMatching, &bip).is_ok());
         assert_eq!(bipartite_split(&bip), Some(8));
 
-        let weighted =
-            generators::with_random_weights(&generators::gnm_connected(24, 48, 3), 0.0, 1.0, 3, true);
+        let weighted = generators::with_random_weights(
+            &generators::gnm_connected(24, 48, 3),
+            0.0,
+            1.0,
+            3,
+            true,
+        );
         assert!(supported(Workload::Mst, &weighted).is_ok());
         assert!(supported(Workload::Matching, &weighted).is_ok());
 
@@ -560,7 +621,13 @@ mod tests {
     /// workload is supported somewhere.
     fn one_graph_per_family() -> Vec<Graph> {
         vec![
-            generators::with_random_weights(&generators::gnm_connected(24, 48, 3), 0.0, 1.0, 3, true),
+            generators::with_random_weights(
+                &generators::gnm_connected(24, 48, 3),
+                0.0,
+                1.0,
+                3,
+                true,
+            ),
             generators::random_tree(20, 9),
             generators::complete_bipartite(6, 4),
             generators::labeled_digraph(24, 72, 3, 11),
@@ -575,49 +642,49 @@ mod tests {
     const FROZEN_WHOLE_RUNS: [(usize, Workload, u64, u64, u64); 43] = {
         use Workload as W;
         [
-        (0, W::Diameter, 4, 6, 2304),
-        (0, W::PageRank, 0, 11, 960),
-        (0, W::CcHashMin, 1, 4, 166),
-        (0, W::CcSv, 1, 48, 1240),
-        (0, W::Bcc, 4, 102, 2884),
-        (0, W::SpanningTree, 23, 48, 1240),
-        (0, W::Mst, 23, 27, 217),
-        (0, W::Coloring, 5, 51, 101),
-        (0, W::Matching, 9, 10, 102),
-        (0, W::Betweenness, 0, 11, 189),
-        (0, W::Sssp, 24, 7, 120),
-        (0, W::Apsp, 4, 6, 2304),
-        (1, W::Diameter, 8, 10, 760),
-        (1, W::PageRank, 4, 11, 380),
-        (1, W::CcHashMin, 1, 7, 121),
-        (1, W::CcSv, 1, 64, 1037),
-        (1, W::Bcc, 19, 117, 2160),
-        (1, W::EulerTour, 38, 2, 38),
-        (1, W::TreeOrder, 20, 43, 1066),
-        (1, W::SpanningTree, 19, 64, 1037),
-        (1, W::Coloring, 3, 33, 39),
-        (1, W::Betweenness, 4, 15, 73),
-        (1, W::Sssp, 20, 8, 38),
-        (1, W::Apsp, 8, 10, 760),
-        (2, W::Diameter, 2, 4, 480),
-        (2, W::PageRank, 9, 11, 480),
-        (2, W::CcHashMin, 1, 3, 68),
-        (2, W::CcSv, 1, 32, 396),
-        (2, W::Bcc, 1, 77, 899),
-        (2, W::SpanningTree, 9, 32, 396),
-        (2, W::Coloring, 2, 78, 48),
-        (2, W::BipartiteMatching, 4, 10, 53),
-        (2, W::Betweenness, 9, 7, 92),
-        (2, W::Sssp, 10, 4, 48),
-        (2, W::Apsp, 2, 4, 480),
-        (3, W::PageRank, 7, 11, 720),
-        (3, W::Wcc, 1, 4, 292),
-        (3, W::Scc, 3, 13, 233),
-        (3, W::Betweenness, 11, 13, 134),
-        (3, W::Sssp, 23, 7, 68),
-        (3, W::GraphSim, 14, 3, 31),
-        (3, W::DualSim, 12, 3, 60),
-        (3, W::StrongSim, 4, 5, 100),
+            (0, W::Diameter, 4, 6, 2304),
+            (0, W::PageRank, 0, 11, 960),
+            (0, W::CcHashMin, 1, 4, 166),
+            (0, W::CcSv, 1, 48, 1240),
+            (0, W::Bcc, 4, 102, 2884),
+            (0, W::SpanningTree, 23, 48, 1240),
+            (0, W::Mst, 23, 27, 217),
+            (0, W::Coloring, 5, 51, 101),
+            (0, W::Matching, 9, 10, 102),
+            (0, W::Betweenness, 0, 11, 189),
+            (0, W::Sssp, 24, 7, 120),
+            (0, W::Apsp, 4, 6, 2304),
+            (1, W::Diameter, 8, 10, 760),
+            (1, W::PageRank, 4, 11, 380),
+            (1, W::CcHashMin, 1, 7, 121),
+            (1, W::CcSv, 1, 64, 1037),
+            (1, W::Bcc, 19, 117, 2160),
+            (1, W::EulerTour, 38, 2, 38),
+            (1, W::TreeOrder, 20, 43, 1066),
+            (1, W::SpanningTree, 19, 64, 1037),
+            (1, W::Coloring, 3, 33, 39),
+            (1, W::Betweenness, 4, 15, 73),
+            (1, W::Sssp, 20, 8, 38),
+            (1, W::Apsp, 8, 10, 760),
+            (2, W::Diameter, 2, 4, 480),
+            (2, W::PageRank, 9, 11, 480),
+            (2, W::CcHashMin, 1, 3, 68),
+            (2, W::CcSv, 1, 32, 396),
+            (2, W::Bcc, 1, 77, 899),
+            (2, W::SpanningTree, 9, 32, 396),
+            (2, W::Coloring, 2, 78, 48),
+            (2, W::BipartiteMatching, 4, 10, 53),
+            (2, W::Betweenness, 9, 7, 92),
+            (2, W::Sssp, 10, 4, 48),
+            (2, W::Apsp, 2, 4, 480),
+            (3, W::PageRank, 7, 11, 720),
+            (3, W::Wcc, 1, 4, 292),
+            (3, W::Scc, 3, 13, 233),
+            (3, W::Betweenness, 11, 13, 134),
+            (3, W::Sssp, 23, 7, 68),
+            (3, W::GraphSim, 14, 3, 31),
+            (3, W::DualSim, 12, 3, 60),
+            (3, W::StrongSim, 4, 5, 100),
         ]
     };
 
@@ -633,20 +700,31 @@ mod tests {
                     frozen.next().expect("a frozen row per supported workload");
                 assert_eq!((f, fw), (family, w), "frozen rows follow Table 1 order");
                 let whole = run_workload(w, g, &cfg, 5).unwrap();
-                let got = (whole.answer, whole.stats.supersteps(), whole.stats.total_messages());
-                assert_eq!(got, (answer, supersteps, messages), "{w:?} on family {family}");
+                let got = (
+                    whole.answer,
+                    whole.stats.supersteps(),
+                    whole.stats.total_messages(),
+                );
+                assert_eq!(
+                    got,
+                    (answer, supersteps, messages),
+                    "{w:?} on family {family}"
+                );
                 for slices in 1..=4usize {
                     // Interleaved and blocked ownership.
-                    let owners: [&dyn Fn(VertexId) -> usize; 2] = [
-                        &|v| v as usize % slices,
-                        &|v| (v as usize * slices / n).min(slices - 1),
-                    ];
+                    let owners: [&dyn Fn(VertexId) -> usize; 2] =
+                        [&|v| v as usize % slices, &|v| {
+                            (v as usize * slices / n).min(slices - 1)
+                        }];
                     for owner in owners {
                         let run = run_workload_sliced(w, g, &cfg, 5, slices, owner).unwrap();
                         assert_eq!(run.partials.len(), slices);
                         let merged = run.partials.iter().copied().reduce(Partial::merge).unwrap();
-                        let got =
-                            (merged.finish(), run.stats.supersteps(), run.stats.total_messages());
+                        let got = (
+                            merged.finish(),
+                            run.stats.supersteps(),
+                            run.stats.total_messages(),
+                        );
                         let what = format!("{w:?} on family {family} in {slices} slices");
                         assert_eq!(got, (answer, supersteps, messages), "{what}");
                     }
@@ -656,7 +734,10 @@ mod tests {
         assert!(frozen.next().is_none(), "every frozen row was checked");
         let covered: Vec<Workload> = FROZEN_WHOLE_RUNS.iter().map(|r| r.1).collect();
         for w in Workload::ALL {
-            assert!(covered.contains(&w), "{w:?} is supported by none of the inputs");
+            assert!(
+                covered.contains(&w),
+                "{w:?} is supported by none of the inputs"
+            );
         }
     }
 
@@ -670,7 +751,8 @@ mod tests {
             for w in supported_workloads(&g) {
                 let sliced = run_workload_sliced(w, &g, &cfg, 5, 3, &|v| v as usize % 3).unwrap();
                 for s in 0..3 {
-                    let leg = run_workload_partial(w, &g, &cfg, 5, &|v| v as usize % 3 == s).unwrap();
+                    let leg =
+                        run_workload_partial(w, &g, &cfg, 5, &|v| v as usize % 3 == s).unwrap();
                     assert_eq!(leg.partial, sliced.partials[s], "{w:?} shard {s}");
                     assert_eq!(leg.stats.supersteps(), sliced.stats.supersteps(), "{w:?}");
                 }
@@ -683,7 +765,8 @@ mod tests {
         let g = generators::gnm_connected(24, 48, 3);
         let cfg = PregelConfig::single_worker();
         // Odd vertices map past the last slice: only the even ones count.
-        let run = run_workload_sliced(Workload::Sssp, &g, &cfg, 1, 1, &|v| (v % 2) as usize).unwrap();
+        let run =
+            run_workload_sliced(Workload::Sssp, &g, &cfg, 1, 1, &|v| (v % 2) as usize).unwrap();
         assert_eq!(run.partials, vec![Partial::Sum(12)]);
     }
 

@@ -178,7 +178,10 @@ impl Workload {
             Workload::Diameter | Workload::Apsp => "O(mn)",
             Workload::PageRank => "O(mK)",
             Workload::CcHashMin => "O(mδ)",
-            Workload::CcSv | Workload::Bcc | Workload::Wcc | Workload::Scc
+            Workload::CcSv
+            | Workload::Bcc
+            | Workload::Wcc
+            | Workload::Scc
             | Workload::SpanningTree => "O((m+n) log n)",
             Workload::EulerTour => "O(n)",
             Workload::TreeOrder => "O(n log n)",
@@ -197,8 +200,13 @@ impl Workload {
         match self {
             Workload::Diameter | Workload::Apsp | Workload::Betweenness => "O(mn)",
             Workload::PageRank => "O(mK)",
-            Workload::CcHashMin | Workload::CcSv | Workload::Bcc | Workload::Wcc
-            | Workload::Scc | Workload::SpanningTree | Workload::BipartiteMatching => "O(m+n)",
+            Workload::CcHashMin
+            | Workload::CcSv
+            | Workload::Bcc
+            | Workload::Wcc
+            | Workload::Scc
+            | Workload::SpanningTree
+            | Workload::BipartiteMatching => "O(m+n)",
             Workload::EulerTour | Workload::TreeOrder => "O(n)",
             Workload::Mst => "O(m α(m,n))",
             Workload::Coloring => "O(Km)",
@@ -297,8 +305,9 @@ impl Workload {
         let full: &[usize] = match self {
             Workload::Diameter => &[144, 256, 576, 1024],
             Workload::PageRank => &[512, 1024, 2048, 4096],
-            Workload::CcHashMin | Workload::CcSv | Workload::Wcc
-            | Workload::SpanningTree => &[512, 1024, 2048, 4096],
+            Workload::CcHashMin | Workload::CcSv | Workload::Wcc | Workload::SpanningTree => {
+                &[512, 1024, 2048, 4096]
+            }
             Workload::Sssp => &[24, 48, 96, 192],
             Workload::Bcc => &[128, 256, 512, 1024],
             Workload::Scc => &[128, 256, 512, 1024],
@@ -315,7 +324,11 @@ impl Workload {
         };
         match scale {
             Scale::Full => full.to_vec(),
-            Scale::Quick => full.iter().take(2).map(|&s| s.div_euclid(2).max(8)).collect(),
+            Scale::Quick => full
+                .iter()
+                .take(2)
+                .map(|&s| s.div_euclid(2).max(8))
+                .collect(),
         }
     }
 

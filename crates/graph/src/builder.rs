@@ -407,13 +407,25 @@ mod tests {
         ];
         let mut once = GraphBuilder::from_graph(&base);
         let s1 = once.apply(&batch);
-        assert_eq!(s1, ApplyStats { applied: 2, noops: 0 });
+        assert_eq!(
+            s1,
+            ApplyStats {
+                applied: 2,
+                noops: 0
+            }
+        );
         let g_once = once.build();
         // The same batch again: every mutation degenerates to a no-op and
         // the built graph is unchanged.
         let mut twice = GraphBuilder::from_graph(&g_once);
         let s2 = twice.apply(&batch);
-        assert_eq!(s2, ApplyStats { applied: 0, noops: 2 });
+        assert_eq!(
+            s2,
+            ApplyStats {
+                applied: 0,
+                noops: 2
+            }
+        );
         assert_eq!(twice.build(), g_once);
     }
 
@@ -428,7 +440,13 @@ mod tests {
             Mutation::DeleteEdge { u: 0, v: 9 },
             Mutation::DeleteEdgeAt { u: 2, rank: 0 },
         ]);
-        assert_eq!(stats, ApplyStats { applied: 0, noops: 3 });
+        assert_eq!(
+            stats,
+            ApplyStats {
+                applied: 0,
+                noops: 3
+            }
+        );
         assert_eq!(builder.build(), base);
     }
 
@@ -444,7 +462,13 @@ mod tests {
             Mutation::InsertEdge { u: 0, v: 7, w: 1.0 }, // out of range
             Mutation::InsertEdge { u: 1, v: 2, w: 1.0 }, // fine
         ]);
-        assert_eq!(stats, ApplyStats { applied: 1, noops: 3 });
+        assert_eq!(
+            stats,
+            ApplyStats {
+                applied: 1,
+                noops: 3
+            }
+        );
         let g = builder.build();
         assert_eq!(g.num_edges(), 2);
         assert!(g.has_edge(1, 2));

@@ -303,7 +303,9 @@ pub fn labeled_digraph(n: usize, m: usize, num_labels: u32, seed: u64) -> Graph 
     assert!(num_labels >= 1);
     let g = digraph_gnm(n, m, seed);
     let mut rng = SplitMix64::new(seed ^ 0x6C61_6265_6C73_0000);
-    let labels: Vec<u32> = (0..n).map(|_| rng.next_below(num_labels as u64) as u32).collect();
+    let labels: Vec<u32> = (0..n)
+        .map(|_| rng.next_below(num_labels as u64) as u32)
+        .collect();
     relabel(&g, labels)
 }
 
@@ -335,7 +337,9 @@ pub fn query_pattern(nq: usize, mq_extra: usize, num_labels: u32, seed: u64) -> 
             added += 1;
         }
     }
-    let labels: Vec<u32> = (0..nq).map(|_| rng.next_below(num_labels as u64) as u32).collect();
+    let labels: Vec<u32> = (0..nq)
+        .map(|_| rng.next_below(num_labels as u64) as u32)
+        .collect();
     let g = b.dedup().build();
     relabel(&g, labels)
 }

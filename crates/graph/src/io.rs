@@ -50,13 +50,15 @@ pub fn read_edge_list<R: BufRead>(reader: R, directed: bool) -> Result<Graph, Pa
         if trimmed.is_empty() {
             continue;
         }
-        if let Some(rest) = trimmed.strip_prefix('#').or_else(|| trimmed.strip_prefix('%')) {
+        if let Some(rest) = trimmed
+            .strip_prefix('#')
+            .or_else(|| trimmed.strip_prefix('%'))
+        {
             let rest = rest.trim();
             if let Some(spec) = rest.strip_prefix("vertices:") {
                 declared_n = spec.trim().parse().ok();
             } else if let Some(spec) = rest.strip_prefix("labels:") {
-                let parsed: Result<Vec<u32>, _> =
-                    spec.split_whitespace().map(str::parse).collect();
+                let parsed: Result<Vec<u32>, _> = spec.split_whitespace().map(str::parse).collect();
                 match parsed {
                     Ok(ls) => labels = Some(ls),
                     Err(_) => {

@@ -406,7 +406,14 @@ pub fn apply_batch(graph: &Graph, batch: &[Mutation]) -> (Graph, ApplyDelta) {
     let (offsets, targets, weights) =
         splice_csr(n, base_n, &g.offsets, &g.targets, &g.weights, &fwd);
     let (rev_offsets, rev_targets, rev_weights) = if directed {
-        splice_csr(n, base_n, &g.rev_offsets, &g.rev_targets, &g.rev_weights, &rev)
+        splice_csr(
+            n,
+            base_n,
+            &g.rev_offsets,
+            &g.rev_targets,
+            &g.rev_weights,
+            &rev,
+        )
     } else {
         (Vec::new(), Vec::new(), Vec::new())
     };
@@ -615,12 +622,24 @@ mod tests {
         let g = path4();
         let batch = [Mutation::InsertEdge { u: 0, v: 3, w: 1.0 }];
         let (g1, d1) = apply_batch(&g, &batch);
-        assert_eq!(d1.stats, ApplyStats { applied: 1, noops: 0 });
+        assert_eq!(
+            d1.stats,
+            ApplyStats {
+                applied: 1,
+                noops: 0
+            }
+        );
         assert!(g1.has_edge(0, 3) && g1.has_edge(3, 0));
         assert_eq!(g1.num_edges(), 4);
         // Re-applying the same batch is a pure no-op: same graph, no drift.
         let (g2, d2) = apply_batch(&g1, &batch);
-        assert_eq!(d2.stats, ApplyStats { applied: 0, noops: 1 });
+        assert_eq!(
+            d2.stats,
+            ApplyStats {
+                applied: 0,
+                noops: 1
+            }
+        );
         assert_eq!(g2, g1);
         assert!(d2.touched.is_empty());
     }
@@ -635,7 +654,13 @@ mod tests {
             Mutation::DeleteEdge { u: 1, v: 0 },  // just deleted (mirror)
         ];
         let (g1, d) = apply_batch(&g, &batch);
-        assert_eq!(d.stats, ApplyStats { applied: 1, noops: 3 });
+        assert_eq!(
+            d.stats,
+            ApplyStats {
+                applied: 1,
+                noops: 3
+            }
+        );
         assert!(!g1.has_edge(0, 1) && !g1.has_edge(1, 0));
         assert_eq!(g1.num_edges(), 2);
     }
@@ -652,7 +677,13 @@ mod tests {
                 Mutation::InsertEdge { u: 9, v: 0, w: 1.0 }, // out of range
             ],
         );
-        assert_eq!(d.stats, ApplyStats { applied: 0, noops: 4 });
+        assert_eq!(
+            d.stats,
+            ApplyStats {
+                applied: 0,
+                noops: 4
+            }
+        );
         assert_eq!(g1, g);
     }
 
@@ -664,10 +695,20 @@ mod tests {
             &g,
             &[
                 Mutation::Reweight { u: 0, v: 1, w: 5.0 },
-                Mutation::ReweightAt { u: 1, rank: 0, w: 5.0 },
+                Mutation::ReweightAt {
+                    u: 1,
+                    rank: 0,
+                    w: 5.0,
+                },
             ],
         );
-        assert_eq!(d.stats, ApplyStats { applied: 0, noops: 2 });
+        assert_eq!(
+            d.stats,
+            ApplyStats {
+                applied: 0,
+                noops: 2
+            }
+        );
         assert_eq!(g1, g);
         assert!(!g1.is_weighted());
         // An explicit weighted insert opens the gate within the same batch.
@@ -678,7 +719,13 @@ mod tests {
                 Mutation::Reweight { u: 0, v: 1, w: 5.0 },
             ],
         );
-        assert_eq!(d2.stats, ApplyStats { applied: 2, noops: 0 });
+        assert_eq!(
+            d2.stats,
+            ApplyStats {
+                applied: 2,
+                noops: 0
+            }
+        );
         assert!(g2.is_weighted());
         assert_eq!(g2.edge_weight(0, 1), Some(5.0));
         assert_eq!(g2.edge_weight(1, 0), Some(5.0));
@@ -695,7 +742,13 @@ mod tests {
         // Isolated vertex: positional delete is a no-op.
         let (g2, _) = apply_batch(&g1, &[Mutation::RemoveVertex { v: 3 }]);
         let (_, d2) = apply_batch(&g2, &[Mutation::DeleteEdgeAt { u: 3, rank: 0 }]);
-        assert_eq!(d2.stats, ApplyStats { applied: 0, noops: 1 });
+        assert_eq!(
+            d2.stats,
+            ApplyStats {
+                applied: 0,
+                noops: 1
+            }
+        );
     }
 
     #[test]
@@ -738,7 +791,13 @@ mod tests {
         assert_eq!(g1.num_edges(), 1);
         // Detaching an already-isolated vertex is a no-op.
         let (g2, d2) = apply_batch(&g1, &[Mutation::RemoveVertex { v: 1 }]);
-        assert_eq!(d2.stats, ApplyStats { applied: 0, noops: 1 });
+        assert_eq!(
+            d2.stats,
+            ApplyStats {
+                applied: 0,
+                noops: 1
+            }
+        );
         assert_eq!(g2, g1);
     }
 
@@ -781,10 +840,19 @@ mod tests {
                 match rng.next_below(7) {
                     0 => Mutation::InsertEdge { u, v, w },
                     1 => Mutation::DeleteEdge { u, v },
-                    2 => Mutation::DeleteEdgeAt { u, rank: rng.next_below(16) as u32 },
+                    2 => Mutation::DeleteEdgeAt {
+                        u,
+                        rank: rng.next_below(16) as u32,
+                    },
                     3 => Mutation::Reweight { u, v, w },
-                    4 => Mutation::ReweightAt { u, rank: rng.next_below(16) as u32, w },
-                    5 => Mutation::AddVertex { label: rng.next_below(8) as u32 },
+                    4 => Mutation::ReweightAt {
+                        u,
+                        rank: rng.next_below(16) as u32,
+                        w,
+                    },
+                    5 => Mutation::AddVertex {
+                        label: rng.next_below(8) as u32,
+                    },
                     _ => Mutation::RemoveVertex { v },
                 }
             })

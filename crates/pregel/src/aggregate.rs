@@ -44,7 +44,10 @@ impl AggValue {
     pub fn try_as_i64(self) -> Result<i64, AggTypeMismatch> {
         match self {
             AggValue::I64(v) => Ok(v),
-            got => Err(AggTypeMismatch { expected: "I64", got }),
+            got => Err(AggTypeMismatch {
+                expected: "I64",
+                got,
+            }),
         }
     }
 
@@ -52,7 +55,10 @@ impl AggValue {
     pub fn try_as_f64(self) -> Result<f64, AggTypeMismatch> {
         match self {
             AggValue::F64(v) => Ok(v),
-            got => Err(AggTypeMismatch { expected: "F64", got }),
+            got => Err(AggTypeMismatch {
+                expected: "F64",
+                got,
+            }),
         }
     }
 
@@ -60,7 +66,10 @@ impl AggValue {
     pub fn try_as_bool(self) -> Result<bool, AggTypeMismatch> {
         match self {
             AggValue::Bool(v) => Ok(v),
-            got => Err(AggTypeMismatch { expected: "Bool", got }),
+            got => Err(AggTypeMismatch {
+                expected: "Bool",
+                got,
+            }),
         }
     }
 
@@ -245,12 +254,16 @@ mod tests {
     fn try_fold_reports_the_offending_operand() {
         // Wrong value operand: the accumulator is fine.
         let mut acc = AggOp::SumI64.identity();
-        let err = AggOp::SumI64.try_fold(&mut acc, AggValue::F64(1.0)).unwrap_err();
+        let err = AggOp::SumI64
+            .try_fold(&mut acc, AggValue::F64(1.0))
+            .unwrap_err();
         assert_eq!(err.expected, "I64");
         assert_eq!(err.got, AggValue::F64(1.0));
         // Wrong accumulator: reported even when the value matches.
         let mut acc = AggValue::Bool(true);
-        let err = AggOp::MinF64.try_fold(&mut acc, AggValue::F64(0.5)).unwrap_err();
+        let err = AggOp::MinF64
+            .try_fold(&mut acc, AggValue::F64(0.5))
+            .unwrap_err();
         assert_eq!(err.expected, "F64");
         assert_eq!(err.got, AggValue::Bool(true));
         // The accumulator is untouched by a failed fold.

@@ -754,7 +754,11 @@ fn run_pool<P: VertexProgram>(
         workers,
         blocks,
         outboxes: (0..w)
-            .map(|_| (0..w).map(|_| SyncCell::new(OutboxSlot::default())).collect())
+            .map(|_| {
+                (0..w)
+                    .map(|_| SyncCell::new(OutboxSlot::default()))
+                    .collect()
+            })
             .collect(),
         chunk_pool: Mutex::new(Vec::new()),
         // Spinning at the barrier only helps when every thread can own a
@@ -1385,17 +1389,15 @@ mod tests {
                     "message totals differ at W={workers} T={threads}"
                 );
                 assert_eq!(base.1.supersteps(), other.1.supersteps());
-                for (a, b) in base
-                    .1
-                    .superstep_stats
-                    .iter()
-                    .zip(&other.1.superstep_stats)
-                {
+                for (a, b) in base.1.superstep_stats.iter().zip(&other.1.superstep_stats) {
                     assert_eq!(
                         a.messages_delivered, b.messages_delivered,
                         "delivered differ at W={workers} T={threads}"
                     );
-                    assert_eq!(a.active, b.active, "active differ at W={workers} T={threads}");
+                    assert_eq!(
+                        a.active, b.active,
+                        "active differ at W={workers} T={threads}"
+                    );
                 }
             }
         }
@@ -1426,7 +1428,10 @@ mod tests {
         assert!(a.1.superstep_stats[0].chunks > 4);
         for unstolen in [&b.1, &c.1] {
             assert_eq!(unstolen.superstep_stats[0].chunks, 4);
-            assert!(unstolen.superstep_stats.iter().all(|s| s.chunks_stolen == 0));
+            assert!(unstolen
+                .superstep_stats
+                .iter()
+                .all(|s| s.chunks_stolen == 0));
         }
     }
 
@@ -1464,9 +1469,9 @@ mod tests {
         let s0 = &stats.superstep_stats[0];
         assert_eq!(s0.messages_sent, 30); // 6 vertices x 5 neighbors
         assert_eq!(s0.messages_delivered, 6); // combined to one per vertex
-        // With one worker every send after the first per destination folds
-        // at the sender: 30 sends - 6 destinations = 24 folds, leaving the
-        // receiver backstop nothing to do.
+                                              // With one worker every send after the first per destination folds
+                                              // at the sender: 30 sends - 6 destinations = 24 folds, leaving the
+                                              // receiver backstop nothing to do.
         assert_eq!(s0.messages_combined_sender, 24);
     }
 
@@ -1665,7 +1670,9 @@ mod tests {
         let g = generators::path(5);
         // The reactivation barrier with two parties and with one.
         for threads in [1usize, 2] {
-            let cfg = PregelConfig::default().with_workers(3).with_threads(threads);
+            let cfg = PregelConfig::default()
+                .with_workers(3)
+                .with_threads(threads);
             let (values, stats) = run(&Phased, &g, &cfg);
             assert_eq!(stats.halt_reason, HaltReason::MasterHalted, "T={threads}");
             assert_eq!(stats.supersteps(), 3, "T={threads}");
@@ -1752,7 +1759,9 @@ mod tests {
         // threads = 2 also exercises the empty-worklist worker path: in
         // superstep 1 only vertex 2's worker has anything to run.
         for threads in [1usize, 2] {
-            let cfg = PregelConfig::default().with_workers(2).with_threads(threads);
+            let cfg = PregelConfig::default()
+                .with_workers(2)
+                .with_threads(threads);
             let (values, stats) = run(&LateSend, &g, &cfg);
             assert_eq!(values[2], 99, "T={threads}");
             assert_eq!(stats.supersteps(), 2, "T={threads}");
@@ -1862,7 +1871,9 @@ mod tests {
     fn empty_graph_runs() {
         let g = vcgp_graph::GraphBuilder::new(0).build();
         for threads in [1usize, 2] {
-            let cfg = PregelConfig::default().with_workers(2).with_threads(threads);
+            let cfg = PregelConfig::default()
+                .with_workers(2)
+                .with_threads(threads);
             let (values, stats) = run(&Noop, &g, &cfg);
             assert!(values.is_empty(), "T={threads}");
             assert_eq!(stats.supersteps(), 1, "T={threads}");

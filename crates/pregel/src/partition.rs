@@ -74,7 +74,10 @@ impl Partitioner {
     /// Resolves `strategy` for a graph of `n` vertices on `w` workers.
     pub fn new(strategy: Partitioning, n: usize, w: usize) -> Self {
         assert!(w >= 1);
-        assert!(w <= u32::MAX as usize, "worker count exceeds reciprocal range");
+        assert!(
+            w <= u32::MAX as usize,
+            "worker count exceeds reciprocal range"
+        );
         let block = n.div_ceil(w).max(1);
         Partitioner {
             strategy,
@@ -84,7 +87,11 @@ impl Partitioner {
             } else {
                 u32::MAX
             },
-            magic: if w.is_power_of_two() { 0 } else { reciprocal(w) },
+            magic: if w.is_power_of_two() {
+                0
+            } else {
+                reciprocal(w)
+            },
             block,
             block_shift: if block.is_power_of_two() {
                 block.trailing_zeros()

@@ -50,9 +50,9 @@ impl_pod_state_size!(
 impl<T: StateSize> StateSize for Option<T> {
     fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self
-                .as_ref()
-                .map_or(0, |v| v.state_bytes().saturating_sub(std::mem::size_of::<T>()))
+            + self.as_ref().map_or(0, |v| {
+                v.state_bytes().saturating_sub(std::mem::size_of::<T>())
+            })
     }
 }
 
@@ -170,10 +170,7 @@ mod tests {
         let some: Option<Vec<u32>> = Some(vec![1, 2]);
         assert!(some.state_bytes() > None::<Vec<u32>>.state_bytes());
         let t = (1u32, vec![1u8, 2u8]);
-        assert_eq!(
-            t.state_bytes(),
-            4 + std::mem::size_of::<Vec<u8>>() + 2
-        );
+        assert_eq!(t.state_bytes(), 4 + std::mem::size_of::<Vec<u8>>() + 2);
     }
 
     #[test]

@@ -114,7 +114,10 @@ pub struct SpanningTreeResult {
 /// Spanning forest of an undirected graph by BFS, rooted at the smallest
 /// vertex of each component. Row 10 baseline.
 pub fn spanning_tree(g: &Graph) -> SpanningTreeResult {
-    assert!(!g.is_directed(), "spanning_tree requires an undirected graph");
+    assert!(
+        !g.is_directed(),
+        "spanning_tree requires an undirected graph"
+    );
     let n = g.num_vertices();
     let mut parent = vec![INVALID_VERTEX; n];
     let mut seen = vec![false; n];

@@ -20,10 +20,10 @@ pub mod diameter;
 pub mod matching;
 pub mod mst;
 pub mod pagerank;
+pub mod reachability;
 pub mod scc;
 pub mod simulation;
 pub mod sssp;
-pub mod reachability;
 pub mod tree;
 pub mod triangles;
 pub mod work;

@@ -210,11 +210,23 @@ mod tests {
     fn validators_reject_bad_matchings() {
         let g = generators::path(4);
         // Asymmetric.
-        assert!(!is_valid_matching(&g, &[1, INVALID_VERTEX, INVALID_VERTEX, INVALID_VERTEX]));
+        assert!(!is_valid_matching(
+            &g,
+            &[1, INVALID_VERTEX, INVALID_VERTEX, INVALID_VERTEX]
+        ));
         // Non-edge.
-        assert!(!is_valid_matching(&g, &[2, INVALID_VERTEX, 0, INVALID_VERTEX]));
+        assert!(!is_valid_matching(
+            &g,
+            &[2, INVALID_VERTEX, 0, INVALID_VERTEX]
+        ));
         // Valid but not maximal (edge 2-3 free).
-        assert!(is_valid_matching(&g, &[1, 0, INVALID_VERTEX, INVALID_VERTEX]));
-        assert!(!is_maximal_matching(&g, &[1, 0, INVALID_VERTEX, INVALID_VERTEX]));
+        assert!(is_valid_matching(
+            &g,
+            &[1, 0, INVALID_VERTEX, INVALID_VERTEX]
+        ));
+        assert!(!is_maximal_matching(
+            &g,
+            &[1, 0, INVALID_VERTEX, INVALID_VERTEX]
+        ));
     }
 }

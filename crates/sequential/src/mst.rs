@@ -138,7 +138,13 @@ mod tests {
     use vcgp_graph::{generators, GraphBuilder};
 
     fn weighted(n: usize, m: usize, seed: u64) -> Graph {
-        generators::with_random_weights(&generators::gnm_connected(n, m, seed), 0.0, 1.0, seed, true)
+        generators::with_random_weights(
+            &generators::gnm_connected(n, m, seed),
+            0.0,
+            1.0,
+            seed,
+            true,
+        )
     }
 
     #[test]
@@ -153,10 +159,7 @@ mod tests {
         let g = b.build();
         let r = mst_kruskal(&g);
         assert_eq!(r.total_weight, 6.0);
-        assert_eq!(
-            r.edges,
-            vec![(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]
-        );
+        assert_eq!(r.edges, vec![(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]);
     }
 
     #[test]

@@ -24,7 +24,10 @@ pub struct ReachabilityResult {
 /// Bidirectional BFS on an undirected graph, stopping at the first meeting
 /// point.
 pub fn st_reachability(g: &Graph, s: VertexId, t: VertexId) -> ReachabilityResult {
-    assert!(!g.is_directed(), "bidirectional BFS shown for undirected graphs");
+    assert!(
+        !g.is_directed(),
+        "bidirectional BFS shown for undirected graphs"
+    );
     let n = g.num_vertices();
     let mut work = Work::new();
     if s == t {
@@ -65,9 +68,7 @@ pub fn st_reachability(g: &Graph, s: VertexId, t: VertexId) -> ReachabilityResul
                     // Frontiers met.
                     return ReachabilityResult {
                         reachable: true,
-                        distance: Some(
-                            dist[u as usize][side] + 1 + dist[v as usize][1 - side],
-                        ),
+                        distance: Some(dist[u as usize][side] + 1 + dist[v as usize][1 - side]),
                         visited,
                         work: work.count(),
                     };

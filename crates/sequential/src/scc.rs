@@ -154,8 +154,7 @@ mod tests {
             let ru = reach(u);
             for v in 0..30u32 {
                 let same = r.components[u as usize] == r.components[v as usize];
-                let mutual = ru[v as usize] != u32::MAX
-                    && reach(v)[u as usize] != u32::MAX;
+                let mutual = ru[v as usize] != u32::MAX && reach(v)[u as usize] != u32::MAX;
                 assert_eq!(same, mutual, "vertices {u},{v}");
             }
         }

@@ -33,7 +33,10 @@ pub struct SimulationResult {
 /// simulation (`dual = true`), using HHK-style successor/predecessor
 /// counters for the efficient `O((m + n)(m_q + n_q))` bound.
 fn simulation_fixpoint(query: &Graph, data: &Graph, dual: bool, work: &mut Work) -> Vec<Vec<bool>> {
-    assert!(query.is_directed() && data.is_directed(), "simulation runs on digraphs");
+    assert!(
+        query.is_directed() && data.is_directed(),
+        "simulation runs on digraphs"
+    );
     let nq = query.num_vertices();
     let n = data.num_vertices();
     // sim[q][u]: u currently a candidate match of q.
@@ -193,8 +196,7 @@ pub struct StrongSimulationResult {
 /// undirected distance, per Ma et al.).
 pub fn query_radius(query: &Graph) -> u32 {
     let und = query.to_undirected();
-    vcgp_graph::properties::exact_diameter(&und)
-        .expect("query pattern must be connected")
+    vcgp_graph::properties::exact_diameter(&und).expect("query pattern must be connected")
 }
 
 /// Strong simulation (Ma et al.). Row 20 baseline.
@@ -206,9 +208,7 @@ pub fn strong_simulation(query: &Graph, data: &Graph) -> StrongSimulationResult 
     // match-graph pruning).
     let global = simulation_fixpoint(query, data, true, &mut work);
     let mut centers: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    let candidate: Vec<bool> = (0..n)
-        .map(|u| global.iter().any(|row| row[u]))
-        .collect();
+    let candidate: Vec<bool> = (0..n).map(|u| global.iter().any(|row| row[u])).collect();
     let und = data.to_undirected();
     for w in 0..n as VertexId {
         work.charge(1);
@@ -300,7 +300,7 @@ mod tests {
         assert!(r.exists);
         assert_eq!(r.matches[0], vec![0]); // A with a B child
         assert_eq!(r.matches[2], Vec::<u32>::new()); // A without children
-        // Graph simulation has no parent condition: both Bs match.
+                                                     // Graph simulation has no parent condition: both Bs match.
         assert_eq!(r.matches[1], vec![1]);
         assert_eq!(r.matches[3], vec![1]);
     }
@@ -383,9 +383,9 @@ mod tests {
         for qv in q.vertices() {
             for u in d.vertices() {
                 let sat = q.label(qv) == d.label(u)
-                    && q.out_neighbors(qv).iter().all(|&q2| {
-                        d.out_neighbors(u).iter().any(|&u2| matched(q2, u2))
-                    });
+                    && q.out_neighbors(qv)
+                        .iter()
+                        .all(|&q2| d.out_neighbors(u).iter().any(|&u2| matched(q2, u2)));
                 assert_eq!(
                     matched(qv, u),
                     sat,

@@ -93,11 +93,7 @@ pub fn tree_order(g: &Graph, root: VertexId) -> TreeOrderResult {
     if n == 1 {
         pre[root as usize] = 0;
         post[root as usize] = 0;
-        return TreeOrderResult {
-            pre,
-            post,
-            work: 1,
-        };
+        return TreeOrderResult { pre, post, work: 1 };
     }
     let pos = position_maps(g, &mut work);
     let mut pre_t = 0u32;

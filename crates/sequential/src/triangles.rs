@@ -24,7 +24,10 @@ pub struct TriangleResult {
 /// Forward-edge triangle counting: orient each edge toward the higher
 /// `(degree, id)` endpoint and intersect forward adjacencies.
 pub fn triangles(g: &Graph) -> TriangleResult {
-    assert!(!g.is_directed(), "triangle counting runs on undirected graphs");
+    assert!(
+        !g.is_directed(),
+        "triangle counting runs on undirected graphs"
+    );
     let n = g.num_vertices();
     let mut work = Work::new();
     let rank = |v: VertexId| (g.out_degree(v), v);

@@ -251,14 +251,25 @@ impl ResultCache {
             // Refresh in place: same segment, new recency stamp. (The
             // deterministic engine recomputes identical values, so this is
             // a recency touch, not a data change.)
-            let seg = if slot.protected { &mut inner.protected } else { &mut inner.probation };
+            let seg = if slot.protected {
+                &mut inner.protected
+            } else {
+                &mut inner.probation
+            };
             seg.remove(&slot.tick);
             seg.insert(tick, key);
             slot.tick = tick;
             slot.value = value;
             return;
         }
-        inner.map.insert(key, Slot { value, tick, protected: false });
+        inner.map.insert(
+            key,
+            Slot {
+                value,
+                tick,
+                protected: false,
+            },
+        );
         inner.probation.insert(tick, key);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         if inner.map.len() > self.capacity {
@@ -326,7 +337,11 @@ mod tests {
     }
 
     fn answer(x: u64) -> CachedAnswer {
-        CachedAnswer::Whole { answer: x, supersteps: 3, messages: 17 }
+        CachedAnswer::Whole {
+            answer: x,
+            supersteps: 3,
+            messages: 17,
+        }
     }
 
     #[test]
@@ -346,8 +361,14 @@ mod tests {
     fn workload_and_fingerprint_separate_keys() {
         let c = ResultCache::new(8);
         let leg = key(7);
-        let other_workload = CacheKey { workload: Workload::PageRank, ..leg };
-        let other_graph = CacheKey { fingerprint: 0xBEEF, ..leg };
+        let other_workload = CacheKey {
+            workload: Workload::PageRank,
+            ..leg
+        };
+        let other_graph = CacheKey {
+            fingerprint: 0xBEEF,
+            ..leg
+        };
         c.insert(leg, answer(1));
         assert_eq!(c.get(&other_workload), None);
         assert_eq!(c.get(&other_graph), None);
@@ -386,8 +407,16 @@ mod tests {
         for i in 0..6 {
             c.insert(key(i), answer(i));
         }
-        assert_eq!(c.get(&key(100)), Some(answer(100)), "protected survived the scan");
-        assert_eq!(c.get(&key(101)), Some(answer(101)), "protected survived the scan");
+        assert_eq!(
+            c.get(&key(100)),
+            Some(answer(100)),
+            "protected survived the scan"
+        );
+        assert_eq!(
+            c.get(&key(101)),
+            Some(answer(101)),
+            "protected survived the scan"
+        );
         assert!(c.len() <= 4);
     }
 
@@ -405,7 +434,11 @@ mod tests {
             let st = c.stats();
             (resident, st.hits, st.misses, st.insertions, st.evictions)
         };
-        assert_eq!(run(), run(), "same sequence, same trace — no wall clock involved");
+        assert_eq!(
+            run(),
+            run(),
+            "same sequence, same trace — no wall clock involved"
+        );
     }
 
     #[test]

@@ -253,7 +253,13 @@ mod tests {
 
     #[test]
     fn parse_round_trips_every_kind() {
-        for token in ["uniform", "sequential", "gaussian", "gaussian:0.25:0.1", "zipfian:1.2"] {
+        for token in [
+            "uniform",
+            "sequential",
+            "gaussian",
+            "gaussian:0.25:0.1",
+            "zipfian:1.2",
+        ] {
             let spec = DistSpec::parse(token).unwrap();
             assert_eq!(DistSpec::parse(&spec.to_text()).unwrap(), spec, "{token}");
         }
@@ -271,7 +277,10 @@ mod tests {
             "zipfian:0",
             "zipfian:nan",
         ] {
-            assert!(DistSpec::parse(token).is_err(), "{token} should be rejected");
+            assert!(
+                DistSpec::parse(token).is_err(),
+                "{token} should be rejected"
+            );
         }
     }
 
@@ -320,7 +329,10 @@ mod tests {
             .map(|i| draw(&low, span, 5, i))
             .filter(|&v| v < 200)
             .count();
-        assert!(near_low > 1800, "only {near_low}/2000 near the shifted mean");
+        assert!(
+            near_low > 1800,
+            "only {near_low}/2000 near the shifted mean"
+        );
     }
 
     #[test]
@@ -335,6 +347,9 @@ mod tests {
         // Uniform would land ~200 draws in the lowest decile.
         let (mild, sharp) = (low(1.0), low(2.0));
         assert!(mild > 600, "zipfian low-id mass {mild}/2000 not skewed");
-        assert!(sharp > mild, "zipf(2) low-id mass {sharp} not above zipf(1) {mild}");
+        assert!(
+            sharp > mild,
+            "zipf(2) low-id mass {sharp} not above zipf(1) {mild}"
+        );
     }
 }

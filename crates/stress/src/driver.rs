@@ -54,10 +54,10 @@ use crate::request::{QueryError, QueryOutput, QueryRequest, Route};
 use crate::scenario::{Phase, RateSpec, Scenario, SloStop};
 use crate::service::{ReplicaSnapshot, ShardSnapshot, SubmitError};
 use crate::shard::ShardedGraphService;
-use vcgp_core::service::Partial;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+use vcgp_core::service::Partial;
 use vcgp_graph::rng::mix3;
 use vcgp_testkit::LogHistogram;
 
@@ -93,11 +93,9 @@ fn output_hash(id: u64, out: &QueryOutput) -> u64 {
         QueryOutput::Degree(d) => mix3(5, *d as u64, 0),
         // Neighbor lists are order-significant (CSR order), so chain rather
         // than fold commutatively.
-        QueryOutput::Neighbors(ns) => ns
-            .iter()
-            .fold(mix3(6, ns.len() as u64, 0), |acc, &v| {
-                mix3(acc, u64::from(v), 0)
-            }),
+        QueryOutput::Neighbors(ns) => ns.iter().fold(mix3(6, ns.len() as u64, 0), |acc, &v| {
+            mix3(acc, u64::from(v), 0)
+        }),
         QueryOutput::Slept => mix3(7, 0, 0),
     };
     mix3(id, payload, ANS_STREAM)
@@ -174,7 +172,10 @@ enum Pacing {
     None,
     /// Token bucket at a fixed rate, shared by the tenant's clients; the
     /// intended schedule is `i · step` for coordinated-omission correction.
-    Fixed { bucket: Mutex<TokenBucket>, step_ns: u64 },
+    Fixed {
+        bucket: Mutex<TokenBucket>,
+        step_ns: u64,
+    },
     /// Linear ramp `a → a + k·t` over the phase duration: operation `i`'s
     /// intended time solves `a·t + k·t²/2 = i` (the schedule with exactly
     /// `i` arrivals by time `t`), pure in elapsed time — no bucket state,
@@ -334,7 +335,11 @@ pub fn run_scenario(target: &ShardedGraphService, scenario: &Scenario) -> Stress
                             .duration
                             .expect("resolve validated: ramps have a duration")
                             .as_secs_f64();
-                        Pacing::Ramp { a, k: (b - a) / d, dur_s: d }
+                        Pacing::Ramp {
+                            a,
+                            k: (b - a) / d,
+                            dur_s: d,
+                        }
                     }
                     None => Pacing::None,
                 },
@@ -700,11 +705,15 @@ fn client_loop(
         // The same sample, bucketed by when it completed within the phase —
         // slot sums fold exactly back to the latency histogram.
         let at_ns = done.saturating_duration_since(start).as_nanos() as u64;
-        stats.intervals.record(at_ns, latency_ns, resp.result.is_ok());
+        stats
+            .intervals
+            .record(at_ns, latency_ns, resp.result.is_ok());
         if let Some(m) = slo {
             m.record(at_ns, latency_ns, resp.result.is_ok());
         }
-        stats.service_time.record(resp.service_time.as_nanos() as u64);
+        stats
+            .service_time
+            .record(resp.service_time.as_nanos() as u64);
         match &resp.result {
             Ok(out) => {
                 stats.ok += 1;

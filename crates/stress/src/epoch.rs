@@ -510,9 +510,9 @@ impl EpochManager {
             let queue = self.queue.lock().unwrap();
             match queue.pending.front() {
                 Some(w) => now.saturating_duration_since(w.accepted_at),
-                None => batch
-                    .last()
-                    .map_or(Duration::ZERO, |w| now.saturating_duration_since(w.accepted_at)),
+                None => batch.last().map_or(Duration::ZERO, |w| {
+                    now.saturating_duration_since(w.accepted_at)
+                }),
             }
         };
         {
@@ -738,7 +738,10 @@ mod tests {
         }
         let base = mgr.writer_baseline();
         assert_eq!(base.accepted, 1);
-        assert!(mgr.writer_report().write_apply.is_empty(), "baseline resets");
+        assert!(
+            mgr.writer_report().write_apply.is_empty(),
+            "baseline resets"
+        );
         mgr.accept(Mutation::AddVertex { label: 1 }).unwrap();
         mgr.accept(Mutation::AddVertex { label: 2 }).unwrap();
         mgr.close();

@@ -50,7 +50,10 @@ impl IntervalSeries {
     /// Panics when `interval_ns` is zero.
     pub fn new(interval_ns: u64) -> IntervalSeries {
         assert!(interval_ns > 0, "interval width must be positive");
-        IntervalSeries { interval_ns, slots: Vec::new() }
+        IntervalSeries {
+            interval_ns,
+            slots: Vec::new(),
+        }
     }
 
     /// The interval width in nanoseconds.
@@ -82,7 +85,8 @@ impl IntervalSeries {
             "cannot merge series with different interval widths"
         );
         if other.slots.len() > self.slots.len() {
-            self.slots.resize_with(other.slots.len(), IntervalSlot::default);
+            self.slots
+                .resize_with(other.slots.len(), IntervalSlot::default);
         }
         for (mine, theirs) in self.slots.iter_mut().zip(&other.slots) {
             mine.ok += theirs.ok;
@@ -146,7 +150,10 @@ mod tests {
         assert!(s.slots()[2].is_empty());
         assert_eq!(s.slots()[5].ok, 1);
         assert_eq!(s.completed_intervals(), 3);
-        assert_eq!(s.nonempty().map(|(i, _)| i).collect::<Vec<_>>(), vec![0, 1, 5]);
+        assert_eq!(
+            s.nonempty().map(|(i, _)| i).collect::<Vec<_>>(),
+            vec![0, 1, 5]
+        );
     }
 
     #[test]
@@ -187,7 +194,11 @@ mod tests {
         for i in 0..300u64 {
             let (at, v, ok) = (i * 31, i * 11 % 997, i % 5 != 0);
             whole.record(at, v, ok);
-            if i % 2 == 0 { a.record(at, v, ok) } else { b.record(at, v, ok) }
+            if i % 2 == 0 {
+                a.record(at, v, ok)
+            } else {
+                b.record(at, v, ok)
+            }
         }
         a.merge(&b);
         assert_eq!(a.slots().len(), whole.slots().len());

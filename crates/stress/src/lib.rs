@@ -84,21 +84,21 @@ pub mod shard;
 mod stripe;
 
 pub use cache::{CacheKey, CacheScope, CacheStats, CachedAnswer, ResultCache};
+pub use dist::{DistSpec, KeySampler, Zipf};
 pub use driver::run_scenario;
 pub use epoch::{
     mutation_op, EpochPin, EpochSnapshot, MutationConfig, ShardSlice, WriterReport, WriterStats,
 };
-pub use dist::{DistSpec, KeySampler, Zipf};
 pub use interval::{IntervalSeries, IntervalSlot};
 pub use qos::{Pop, QosConfig, TenantLaneStats, TenantQueue, TenantSpec};
 pub use rate::TokenBucket;
 pub use report::{PhaseReport, StressReport, TenantReport};
+pub use request::{QueryError, QueryKind, QueryOutput, QueryRequest, QueryResponse, Route};
+pub use router::{AnyTicket, GatherTicket, RoutingPolicy};
 pub use scenario::{
     OpClass, OpSpec, Phase, PhaseMix, PhaseSpec, RateSpec, Scenario, ScenarioSpec, SloStop,
     SpanSpec,
 };
-pub use request::{QueryError, QueryKind, QueryOutput, QueryRequest, QueryResponse, Route};
-pub use router::{AnyTicket, GatherTicket, RoutingPolicy};
 pub use service::{
     QueueFullPolicy, ReplicaSeries, ReplicaSnapshot, ServiceConfig, ServiceStats, ShardSnapshot,
     SubmitError, Ticket,

@@ -109,7 +109,9 @@ pub struct QosConfig {
 
 impl Default for QosConfig {
     fn default() -> Self {
-        QosConfig { tenants: vec![TenantSpec::default()] }
+        QosConfig {
+            tenants: vec![TenantSpec::default()],
+        }
     }
 }
 
@@ -119,8 +121,13 @@ impl QosConfig {
     /// # Panics
     /// Panics unless `1 <= n <= 64`.
     pub fn uniform(n: usize) -> Self {
-        assert!((1..=MAX_TENANTS).contains(&n), "tenants must be 1..={MAX_TENANTS}");
-        QosConfig { tenants: vec![TenantSpec::default(); n] }
+        assert!(
+            (1..=MAX_TENANTS).contains(&n),
+            "tenants must be 1..={MAX_TENANTS}"
+        );
+        QosConfig {
+            tenants: vec![TenantSpec::default(); n],
+        }
     }
 }
 
@@ -218,11 +225,19 @@ impl<J> TenantQueue<J> {
                     capacity: capacity_per_lane,
                     jobs: VecDeque::new(),
                     bucket: spec.rate.map(|r| TokenBucket::new(r, spec.burst)),
-                    stats: TenantLaneStats { tenant, ..TenantLaneStats::default() },
+                    stats: TenantLaneStats {
+                        tenant,
+                        ..TenantLaneStats::default()
+                    },
                 }
             })
             .collect();
-        TenantQueue { lanes, cursor: 0, credit: 0, len: 0 }
+        TenantQueue {
+            lanes,
+            cursor: 0,
+            credit: 0,
+            len: 0,
+        }
     }
 
     /// Number of tenant lanes.
@@ -375,7 +390,10 @@ mod tests {
     fn specs(weights: &[u64]) -> Vec<TenantSpec> {
         weights
             .iter()
-            .map(|&weight| TenantSpec { weight, ..TenantSpec::default() })
+            .map(|&weight| TenantSpec {
+                weight,
+                ..TenantSpec::default()
+            })
             .collect()
     }
 
@@ -436,10 +454,7 @@ mod tests {
             q.push(1, false, 100 + i).unwrap();
         }
         let order = drain_order(&mut q);
-        assert_eq!(
-            order,
-            vec![0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1]
-        );
+        assert_eq!(order, vec![0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1]);
     }
 
     #[test]

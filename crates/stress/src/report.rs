@@ -226,7 +226,6 @@ pub struct StressReport {
     pub replica_series: Vec<Vec<ReplicaSeries>>,
 }
 
-
 /// A float rounded to `places` decimals, so a report reads `1234.6`, not
 /// sixteen digits of it.
 fn fixed(v: f64, places: i32) -> Value {
@@ -452,9 +451,15 @@ impl StressReport {
             self.interval_ns / 1_000_000
         ));
         out.push_str("| metric | value |\n|---|---|\n");
-        out.push_str(&format!("| elapsed | {:.2} s |\n", self.elapsed.as_secs_f64()));
+        out.push_str(&format!(
+            "| elapsed | {:.2} s |\n",
+            self.elapsed.as_secs_f64()
+        ));
         out.push_str(&format!("| operations | {} |\n", self.ops));
-        out.push_str(&format!("| ok / errors | {} / {} |\n", self.ok, self.errors));
+        out.push_str(&format!(
+            "| ok / errors | {} / {} |\n",
+            self.ok, self.errors
+        ));
         out.push_str(&format!(
             "| unsupported / timeouts | {} / {} |\n",
             self.unsupported, self.timeouts
@@ -472,7 +477,10 @@ impl StressReport {
             "| engine runs / coalesced legs | {} / {} |\n",
             self.engine_runs, self.coalesced_legs
         ));
-        out.push_str(&format!("| lookups at submit | {} |\n", self.lookups_at_submit));
+        out.push_str(&format!(
+            "| lookups at submit | {} |\n",
+            self.lookups_at_submit
+        ));
         out.push_str(&format!(
             "| writes / write errors | {} / {} |\n",
             self.writes, self.write_errors
@@ -495,8 +503,13 @@ impl StressReport {
         ));
         out.push_str(&format!("| cache resident | {} B |\n", self.cache_bytes));
         out.push_str(&format!("| answer hash | `{:016x}` |\n", self.answer_hash));
-        out.push_str(&format!("| throughput | {:.1} ops/s |\n\n", self.throughput()));
-        out.push_str("| histogram (ms) | p50 | p90 | p99 | p99.9 | max |\n|---|---|---|---|---|---|\n");
+        out.push_str(&format!(
+            "| throughput | {:.1} ops/s |\n\n",
+            self.throughput()
+        ));
+        out.push_str(
+            "| histogram (ms) | p50 | p90 | p99 | p99.9 | max |\n|---|---|---|---|---|---|\n",
+        );
         for (label, h) in [
             ("latency", &self.latency),
             ("service", &self.service_time),
@@ -593,10 +606,7 @@ impl StressReport {
             );
             for (si, s) in self.per_shard.iter().enumerate() {
                 for (ri, r) in s.replicas.iter().enumerate() {
-                    let series = self
-                        .replica_series
-                        .get(si)
-                        .and_then(|shard| shard.get(ri));
+                    let series = self.replica_series.get(si).and_then(|shard| shard.get(ri));
                     let (p50, p99) = series.map_or((0, 0), |rs| {
                         (rs.service.quantile(0.50), rs.service.quantile(0.99))
                     });
@@ -652,8 +662,14 @@ const RUN_FIELDS: [&str; 23] = [
 
 /// The per-shard counters whose sum over shards is the run-level figure of
 /// the same name (`cache_hits` sums to `cache.hits`).
-const SHARD_SUMS: [&str; 6] =
-    ["rejects", "early_drops", "engine_runs", "coalesced_legs", "lookups_at_submit", "cache_hits"];
+const SHARD_SUMS: [&str; 6] = [
+    "rejects",
+    "early_drops",
+    "engine_runs",
+    "coalesced_legs",
+    "lookups_at_submit",
+    "cache_hits",
+];
 
 /// Checks a report tree — [`StressReport::to_value`]'s, or one parsed back
 /// from a `BENCH_stress_*.json` file — and enforces the CI gate: every
@@ -712,7 +728,12 @@ pub fn validate(doc: &Value) -> Result<(), String> {
                 num(&format!("{row}.ok"))?,
                 num(&format!("{row}.errors"))?,
             ];
-            same(&format!("{row}.count"), cols[0], "its ok + errors", cols[1] + cols[2])?;
+            same(
+                &format!("{row}.count"),
+                cols[0],
+                "its ok + errors",
+                cols[1] + cols[2],
+            )?;
             for (sum, col) in sums.iter_mut().zip(cols) {
                 *sum += col;
             }
@@ -724,7 +745,12 @@ pub fn validate(doc: &Value) -> Result<(), String> {
     // the run, `phases[i].` for a phase.
     let dispatched = |of: &str| -> Result<(), String> {
         let legs = num(&format!("{of}routed"))? + num(&format!("{of}scattered"))?;
-        same(&format!("{of}ops"), num(&format!("{of}ops"))?, "its routed + scattered", legs)
+        same(
+            &format!("{of}ops"),
+            num(&format!("{of}ops"))?,
+            "its routed + scattered",
+            legs,
+        )
     };
     // A table whose rows fold exactly into the run: each of `keys` sums to
     // the run's figure, the rows' answer hashes XOR to the run's, and each
@@ -779,7 +805,9 @@ pub fn validate(doc: &Value) -> Result<(), String> {
     // submit; nothing scattered is one.
     let (lookups, routed) = (num("lookups_at_submit")?, num("routed")?);
     if lookups > routed {
-        return Err(format!("lookups_at_submit is {lookups}, more than routed {routed}"));
+        return Err(format!(
+            "lookups_at_submit is {lookups}, more than routed {routed}"
+        ));
     }
 
     // The result-cache section: hits + misses are all the cacheable
@@ -789,7 +817,9 @@ pub fn validate(doc: &Value) -> Result<(), String> {
     }
     let (misses, insertions) = (num("cache.misses")?, num("cache.insertions")?);
     if insertions > misses {
-        return Err(format!("cache.insertions is {insertions}, more than cache.misses {misses}"));
+        return Err(format!(
+            "cache.insertions is {insertions}, more than cache.misses {misses}"
+        ));
     }
 
     // The freshness section, with the count identities the epoch subsystem
@@ -818,7 +848,12 @@ pub fn validate(doc: &Value) -> Result<(), String> {
     if replicas < 1.0 {
         return Err(format!("replicas is {replicas} (expected >= 1)"));
     }
-    same("per_shard's row count", rows("per_shard")? as f64, "shards", shards)?;
+    same(
+        "per_shard's row count",
+        rows("per_shard")? as f64,
+        "shards",
+        shards,
+    )?;
     // Shared runs: at every shard count each scattered operation puts one
     // leg on every shard, and a leg is answered by exactly one of a cache
     // hit, an engine run it led, or a run another leg led. (Only without
@@ -835,7 +870,12 @@ pub fn validate(doc: &Value) -> Result<(), String> {
             *sum += field(key)?;
         }
         let table = format!("{shard}.replicas");
-        same(&format!("{table}'s row count"), rows(&table)? as f64, "replicas", replicas)?;
+        same(
+            &format!("{table}'s row count"),
+            rows(&table)? as f64,
+            "replicas",
+            replicas,
+        )?;
         let (mut completed, mut lookups, mut hwm, mut executed) = (0.0, 0.0, 0.0f64, 0.0);
         for r in 0..replicas as usize {
             let row = format!("{table}[{r}]");
@@ -849,18 +889,33 @@ pub fn validate(doc: &Value) -> Result<(), String> {
             // histogram: same recorder, one call per execution.
             let service = hist(&format!("{row}.service_ns"))?;
             let [logged, ..] = intervals(&format!("{row}.intervals"))?;
-            same(&format!("{row}.service_ns.count"), service, "its intervals' count sum", logged)?;
+            same(
+                &format!("{row}.service_ns.count"),
+                service,
+                "its intervals' count sum",
+                logged,
+            )?;
             executed += service;
         }
         let service = hist(&format!("{shard}.service_ns"))?;
         for (key, got, what, want) in [
             ("service_ns.count", service, "sum", executed),
             ("completed", field("completed")?, "sum", completed),
-            ("lookups_at_submit", field("lookups_at_submit")?, "sum", lookups),
+            (
+                "lookups_at_submit",
+                field("lookups_at_submit")?,
+                "sum",
+                lookups,
+            ),
             // Independent queues: the shard's high-water mark is the deepest.
             ("queue_hwm", field("queue_hwm")?, "max", hwm),
         ] {
-            same(&format!("{shard}.{key}"), got, &format!("the {table}[*].{key} {what}"), want)?;
+            same(
+                &format!("{shard}.{key}"),
+                got,
+                &format!("the {table}[*].{key} {what}"),
+                want,
+            )?;
         }
         // Every answer has exactly one source: an executor (or the leader of
         // a shared run) books it on a service log, the submitting thread
@@ -883,7 +938,11 @@ pub fn validate(doc: &Value) -> Result<(), String> {
         }
     }
     for (sum, key) in shard_sums.into_iter().zip(SHARD_SUMS) {
-        let run = if key == "cache_hits" { "cache.hits" } else { key };
+        let run = if key == "cache_hits" {
+            "cache.hits"
+        } else {
+            key
+        };
         same(run, num(run)?, &format!("the per_shard[*].{key} sum"), sum)?;
     }
 
@@ -894,7 +953,14 @@ pub fn validate(doc: &Value) -> Result<(), String> {
     for p in 0..rows("phases")? {
         let phase = format!("phases[{p}]");
         text(&format!("{phase}.phase"))?;
-        for key in ["clients", "start_s", "elapsed_s", "unsupported", "timeouts", "retries"] {
+        for key in [
+            "clients",
+            "start_s",
+            "elapsed_s",
+            "unsupported",
+            "timeouts",
+            "retries",
+        ] {
             num(&format!("{phase}.{key}"))?;
         }
         num(&format!("{phase}.write_errors"))?;
@@ -906,7 +972,12 @@ pub fn validate(doc: &Value) -> Result<(), String> {
         let columns = [("ops", "count"), ("ok", "ok"), ("errors", "errors")];
         for (sum, (key, column)) in logged.into_iter().zip(columns) {
             let path = format!("{phase}.{key}");
-            same(&path, num(&path)?, &format!("the {phase}.intervals[*].{column} sum"), sum)?;
+            same(
+                &path,
+                num(&path)?,
+                &format!("the {phase}.intervals[*].{column} sum"),
+                sum,
+            )?;
         }
     }
 
@@ -914,7 +985,14 @@ pub fn validate(doc: &Value) -> Result<(), String> {
     // run counters.
     folds("tenants", ["ops", "ok", "errors", "rejects"])?;
     for t in 0..rows("tenants")? {
-        for key in ["tenant", "weight", "rate_ops_s", "clients", "throttled", "queue_hwm"] {
+        for key in [
+            "tenant",
+            "weight",
+            "rate_ops_s",
+            "clients",
+            "throttled",
+            "queue_hwm",
+        ] {
             num(&format!("tenants[{t}].{key}"))?;
         }
     }

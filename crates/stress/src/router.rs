@@ -40,9 +40,7 @@
 //! id). Replicas serve the same epoch-pinned snapshot and share the
 //! shard's result cache, so the pick affects latency only, never answers.
 
-use crate::request::{
-    QueryError, QueryKind, QueryOutput, QueryRequest, QueryResponse, Route,
-};
+use crate::request::{QueryError, QueryKind, QueryOutput, QueryRequest, QueryResponse, Route};
 use crate::service::{SubmitError, Ticket};
 use crate::shard::ShardedGraphService;
 use std::time::{Duration, Instant};
@@ -260,7 +258,10 @@ impl ShardedGraphService {
         let (ticket, replica) = self.shards[shard].submit(self.routing, req)?;
         Ok(AnyTicket::Single {
             ticket,
-            route: Route::Routed { shard: shard as u32, replica },
+            route: Route::Routed {
+                shard: shard as u32,
+                replica,
+            },
         })
     }
 }
@@ -299,9 +300,14 @@ mod tests {
             std::thread::yield_now();
         }
         let scattered = service
-            .submit(QueryRequest::new(100, QueryKind::Workload(Workload::CcHashMin)))
+            .submit(QueryRequest::new(
+                100,
+                QueryKind::Workload(Workload::CcHashMin),
+            ))
             .expect("open");
-        service.submit_mutation(Mutation::AddVertex { label: 0 }).expect("writable");
+        service
+            .submit_mutation(Mutation::AddVertex { label: 0 })
+            .expect("writable");
         while service.epochs.epoch_id() < 1 {
             std::thread::yield_now();
         }
@@ -311,7 +317,9 @@ mod tests {
             let taken = shard.replicas[0].handle().take_queued_legs(
                 |req| {
                     assert_eq!(req.kind, QueryKind::WorkloadPartial(Workload::CcHashMin));
-                    pins.lock().unwrap().push(Arc::clone(req.epoch.as_ref().expect("stamped")));
+                    pins.lock()
+                        .unwrap()
+                        .push(Arc::clone(req.epoch.as_ref().expect("stamped")));
                     false
                 },
                 |_| None,
@@ -324,7 +332,11 @@ mod tests {
             assert!(Arc::ptr_eq(pin, &pins[0]));
             assert_eq!(pin.id, 0, "pinned before the swap");
         }
-        assert_eq!(service.epochs.pin().id, 1, "a later submission pins the new epoch");
+        assert_eq!(
+            service.epochs.pin().id,
+            1,
+            "a later submission pins the new epoch"
+        );
         drop(pins);
 
         assert!(scattered.wait().is_ok());

@@ -179,11 +179,20 @@ impl<W> RunTable<W> {
             unreachable!("finish() is called once, by the leader of a running entry");
         };
         let mut taken = vec![false; self.shards];
-        for shard in served.into_iter().chain(parked.iter().map(|&(shard, _)| shard)) {
+        for shard in served
+            .into_iter()
+            .chain(parked.iter().map(|&(shard, _)| shard))
+        {
             taken[shard] = true;
         }
         if !taken.iter().all(|&t| t) {
-            inner.entries.insert(key, Entry::Finished { answer: Arc::clone(answer), taken });
+            inner.entries.insert(
+                key,
+                Entry::Finished {
+                    answer: Arc::clone(answer),
+                    taken,
+                },
+            );
             inner.finished.push_back(key);
             if inner.finished.len() > self.max_finished {
                 let oldest = inner.finished.pop_front().expect("non-empty");
@@ -215,7 +224,11 @@ mod tests {
     use super::*;
 
     fn key(seed: u64) -> RunKey {
-        RunKey { fingerprint: 1, workload: Workload::Sssp, seed }
+        RunKey {
+            fingerprint: 1,
+            workload: Workload::Sssp,
+            seed,
+        }
     }
 
     fn answer(shards: usize) -> Arc<SlicedAnswer> {
@@ -245,7 +258,10 @@ mod tests {
         assert!(table.finish(key(3), [0, 1, 2], &answer(3)).is_empty());
         // Every shard is accounted for: nothing is kept.
         assert_eq!(table.len(), 1, "only key 2's running entry remains");
-        assert!(matches!(table.join(key(1), 0, never), Join::Lead), "a fresh run");
+        assert!(
+            matches!(table.join(key(1), 0, never), Join::Lead),
+            "a fresh run"
+        );
     }
 
     #[test]
@@ -271,7 +287,10 @@ mod tests {
         assert!(matches!(table.join(key(1), 1, || 7), Join::Parked));
         assert_eq!(table.abandon(key(1)), vec![(1, 7)]);
         assert_eq!(table.len(), 0);
-        assert!(matches!(table.join(key(1), 1, never), Join::Lead), "retry leads afresh");
+        assert!(
+            matches!(table.join(key(1), 1, never), Join::Lead),
+            "retry leads afresh"
+        );
     }
 
     #[test]

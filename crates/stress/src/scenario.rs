@@ -244,8 +244,12 @@ impl SpanSpec {
             return Ok(SpanSpec::Full);
         }
         if let Some((num, den)) = token.split_once('/') {
-            let num: u64 = num.parse().map_err(|_| format!("invalid span fraction {token:?}"))?;
-            let den: u64 = den.parse().map_err(|_| format!("invalid span fraction {token:?}"))?;
+            let num: u64 = num
+                .parse()
+                .map_err(|_| format!("invalid span fraction {token:?}"))?;
+            let den: u64 = den
+                .parse()
+                .map_err(|_| format!("invalid span fraction {token:?}"))?;
             if num == 0 || den == 0 {
                 return Err(format!("span fraction must be positive, got {token:?}"));
             }
@@ -272,9 +276,7 @@ impl SpanSpec {
     pub fn resolve(self, n: usize) -> usize {
         match self {
             SpanSpec::Full => n.max(1),
-            SpanSpec::Fraction(num, den) => {
-                ((n as u64).saturating_mul(num) / den).max(1) as usize
-            }
+            SpanSpec::Fraction(num, den) => ((n as u64).saturating_mul(num) / den).max(1) as usize,
             SpanSpec::Absolute(a) => a.clamp(1, n.max(1)),
         }
     }
@@ -296,9 +298,10 @@ impl RateSpec {
     /// Parses `R` or `A..B` (all values positive and finite).
     pub fn parse(s: &str) -> Result<RateSpec, String> {
         match s.split_once("..") {
-            Some((a, b)) => {
-                Ok(RateSpec::Ramp(parse_positive(a, "rate")?, parse_positive(b, "rate")?))
-            }
+            Some((a, b)) => Ok(RateSpec::Ramp(
+                parse_positive(a, "rate")?,
+                parse_positive(b, "rate")?,
+            )),
             None => Ok(RateSpec::Fixed(parse_positive(s, "rate")?)),
         }
     }
@@ -343,9 +346,7 @@ impl SloStop {
     /// Parses the tokens after `stop`: `pQQ < BOUND_MS over WINDOW_MS`.
     fn parse(tokens: &[&str]) -> Result<SloStop, String> {
         if tokens.len() != 5 || tokens[3] != "over" {
-            return Err(
-                "'stop' syntax: stop pQQ < BOUND_MS over WINDOW_MS (or >)".to_string()
-            );
+            return Err("'stop' syntax: stop pQQ < BOUND_MS over WINDOW_MS (or >)".to_string());
         }
         let pm = match tokens[0] {
             "p50" => 500,
@@ -365,7 +366,12 @@ impl SloStop {
         };
         let bound_ms = parse_positive(tokens[2], "stop bound")?;
         let window_ms = parse_count(tokens[4], "stop window")?;
-        Ok(SloStop { pm, above, bound_ms, window_ms })
+        Ok(SloStop {
+            pm,
+            above,
+            bound_ms,
+            window_ms,
+        })
     }
 
     /// The quantile as a fraction (0.99 for p99).
@@ -500,7 +506,9 @@ impl ScenarioSpec {
             format!("unknown mix '{name}' (expected points, mixed, analytics, or hotspot)")
         })?;
         if !(0.0..=1.0).contains(&write_ratio) {
-            return Err(format!("write ratio must be within 0.0..=1.0, got {write_ratio}"));
+            return Err(format!(
+                "write ratio must be within 0.0..=1.0, got {write_ratio}"
+            ));
         }
         let write_ppm = (write_ratio * 1e6) as u64;
         let mut ops_mix = Vec::new();
@@ -527,7 +535,11 @@ impl ScenarioSpec {
         }
         Ok(ScenarioSpec {
             name: name.to_string(),
-            phases: vec![PhaseSpec { name: "main".to_string(), ops_mix, ..PhaseSpec::default() }],
+            phases: vec![PhaseSpec {
+                name: "main".to_string(),
+                ops_mix,
+                ..PhaseSpec::default()
+            }],
             ..ScenarioSpec::default()
         })
     }
@@ -617,7 +629,7 @@ impl ScenarioSpec {
                 "tenant" => {
                     if in_phase {
                         return Err(err(
-                            "'tenant' is scenario-global (set it before any phase)".to_string(),
+                            "'tenant' is scenario-global (set it before any phase)".to_string()
                         ));
                     }
                     let (idx, t) = parse_tenant(&tokens[1..]).map_err(&err)?;
@@ -776,7 +788,11 @@ impl ScenarioSpec {
             .iter()
             .enumerate()
             .map(|(i, p)| {
-                let ops = if p.ops_mix.is_empty() { &self.default_ops } else { &p.ops_mix };
+                let ops = if p.ops_mix.is_empty() {
+                    &self.default_ops
+                } else {
+                    &p.ops_mix
+                };
                 let mix = PhaseMix::from_specs(ops, graph)
                     .map_err(|e| format!("phase {:?}: {e}", p.name))?;
                 let rate = p.rate.or(self.rate);
@@ -1090,7 +1106,11 @@ impl PhaseMix {
             .map(|o| o.weight)
             .sum();
         let total = total_all - mutate;
-        let write_ppm = if mutate == 0 { 0 } else { mutate * 1_000_000 / total_all };
+        let write_ppm = if mutate == 0 {
+            0
+        } else {
+            mutate * 1_000_000 / total_all
+        };
         if total == 0 && write_ppm < 1_000_000 {
             return Err("op mix has no read operations".to_string());
         }
@@ -1122,7 +1142,11 @@ impl PhaseMix {
             };
             entries.push(MixEntry { cum, action });
         }
-        Ok(PhaseMix { total, write_ppm, entries })
+        Ok(PhaseMix {
+            total,
+            write_ppm,
+            entries,
+        })
     }
 
     /// Probability a stream index is a write, in parts per million.
@@ -1135,8 +1159,7 @@ impl PhaseMix {
     /// from the op RNG, so the read stream under `write_ppm = 0` is
     /// bit-identical to a mix with no write path at all.
     pub fn is_write(&self, mutation_seed: u64, index: u64) -> bool {
-        self.write_ppm > 0
-            && mix3(mutation_seed, index, WRITE_STREAM) % 1_000_000 < self.write_ppm
+        self.write_ppm > 0 && mix3(mutation_seed, index, WRITE_STREAM) % 1_000_000 < self.write_ppm
     }
 
     /// The read operation at `index` in the stream seeded by `seed` — a
@@ -1157,9 +1180,7 @@ impl PhaseMix {
                             QueryKind::Neighbors(v)
                         }
                     }
-                    MixAction::Pool(pool) => {
-                        QueryKind::Workload(pool[rng.next_index(pool.len())])
-                    }
+                    MixAction::Pool(pool) => QueryKind::Workload(pool[rng.next_index(pool.len())]),
                     MixAction::Fixed(w) => QueryKind::Workload(*w),
                 };
             }
@@ -1215,7 +1236,10 @@ phase measure
         assert!(spec.phases[0].ops_mix.is_empty());
         assert_eq!(spec.phases[1].ops, Some(400));
         assert_eq!(spec.phases[1].ops_mix.len(), 3);
-        assert_eq!(spec.phases[1].ops_mix[1].kind, OpClass::Workload(Workload::Sssp));
+        assert_eq!(
+            spec.phases[1].ops_mix[1].kind,
+            OpClass::Workload(Workload::Sssp)
+        );
         assert_eq!(spec.phases[1].ops_mix[2].kind, OpClass::Mutate);
     }
 
@@ -1229,11 +1253,19 @@ phase measure
     #[test]
     fn malformed_specs_fail_with_line_numbers() {
         for (text, line, needle) in [
-            ("interval 5\nphase p\n ops 1\n op point 1\n", 0, "missing 'scenario"),
+            (
+                "interval 5\nphase p\n ops 1\n op point 1\n",
+                0,
+                "missing 'scenario",
+            ),
             ("scenario s\nbogus 1\n", 2, "unknown keyword"),
             ("scenario s\nphase p\nduration 0\n", 3, "positive"),
             ("scenario s\nop point 0\n", 2, "weight"),
-            ("scenario s\nop mutate 5 uniform\nphase p\nops 1\n", 2, "no distribution"),
+            (
+                "scenario s\nop mutate 5 uniform\nphase p\nops 1\n",
+                2,
+                "no distribution",
+            ),
             ("scenario s\nop point 1 zipfian:0\n", 2, "zipfian"),
             ("scenario s\nop nosuch 1\n", 2, "unknown op kind"),
             ("scenario s\nseed 1\nseed 2\n", 3, "duplicate"),
@@ -1246,11 +1278,27 @@ phase measure
             ("scenario s\ntenant 0 rate -3\n", 2, "rate"),
             ("scenario s\ntenant 0 policy maybe\n", 2, "policy"),
             ("scenario s\nphase p\ntenants 2\n", 3, "before any phase"),
-            ("scenario s\nphase p\nops 1\nop point 1\nstop p98 < 5 over 1000\n", 5, "p50"),
-            ("scenario s\nphase p\nops 1\nop point 1\nstop p99 < 5 above 1000\n", 5, "over"),
+            (
+                "scenario s\nphase p\nops 1\nop point 1\nstop p98 < 5 over 1000\n",
+                5,
+                "p50",
+            ),
+            (
+                "scenario s\nphase p\nops 1\nop point 1\nstop p99 < 5 above 1000\n",
+                5,
+                "over",
+            ),
             ("scenario s\nstop p99 < 5 over 1000\n", 2, "phase"),
-            ("scenario s\nphase p\nops 1\nop point 1\nrate 5..\n", 5, "rate"),
-            ("scenario s\nphase p\nops 1\nop point 1\nrate 0..9\n", 5, "rate"),
+            (
+                "scenario s\nphase p\nops 1\nop point 1\nrate 5..\n",
+                5,
+                "rate",
+            ),
+            (
+                "scenario s\nphase p\nops 1\nop point 1\nrate 0..9\n",
+                5,
+                "rate",
+            ),
         ] {
             let e = ScenarioSpec::parse(text).unwrap_err();
             if line > 0 {
@@ -1332,7 +1380,10 @@ phase ramped
                 "zero",
             ),
             // A ramp needs a duration to be linear in elapsed time.
-            ("scenario s\nphase p\nops 5\nrate 10..90\nop point 1\n", "duration"),
+            (
+                "scenario s\nphase p\nops 5\nrate 10..90\nop point 1\n",
+                "duration",
+            ),
         ] {
             let e = ScenarioSpec::parse(text).unwrap().resolve(&g).unwrap_err();
             assert!(e.contains(needle), "{text:?} -> {e}");
@@ -1447,7 +1498,11 @@ phase ramped
             ("hotspot", DistSpec::Uniform, HOTSPOT),
             ("hotspot", DistSpec::Zipfian(1.2), HOTSPOT_ZIPF_1_2),
         ] {
-            assert_eq!(stream(&preset_ops(name, keys, 0.0), 0..64), frozen, "{name} {keys:?}");
+            assert_eq!(
+                stream(&preset_ops(name, keys, 0.0), 0..64),
+                frozen,
+                "{name} {keys:?}"
+            );
         }
     }
 
@@ -1481,7 +1536,10 @@ phase ramped
         // Ratio 1 leaves no read weight: every index is a write.
         let all = preset_ops("mixed", DistSpec::Uniform, 1.0);
         assert_eq!(all.len(), 1);
-        assert_eq!(PhaseMix::from_specs(&all, &g).unwrap().write_ppm(), 1_000_000);
+        assert_eq!(
+            PhaseMix::from_specs(&all, &g).unwrap().write_ppm(),
+            1_000_000
+        );
     }
 
     #[test]

@@ -67,7 +67,6 @@ use crate::request::{QueryError, QueryKind, QueryOutput, QueryRequest, QueryResp
 use crate::router::RoutingPolicy;
 use crate::shard::ShardBackend;
 use crate::stripe::{submit_stripe, SUBMIT_STRIPES};
-use vcgp_testkit::LogHistogram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -76,6 +75,7 @@ use std::time::{Duration, Instant};
 use vcgp_graph::rng::mix3;
 use vcgp_graph::SplitMix64;
 use vcgp_pregel::PregelConfig;
+use vcgp_testkit::LogHistogram;
 
 /// What a submission does when the replica core's queue is at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,7 +95,9 @@ impl QueueFullPolicy {
         match s.trim().to_ascii_lowercase().as_str() {
             "block" => Ok(QueueFullPolicy::Block),
             "reject" => Ok(QueueFullPolicy::Reject),
-            other => Err(format!("unknown queue policy {other:?} (expected block or reject)")),
+            other => Err(format!(
+                "unknown queue policy {other:?} (expected block or reject)"
+            )),
         }
     }
 }
@@ -195,7 +197,10 @@ impl std::fmt::Display for SubmitError {
                 write!(f, "service is read-only (no mutation stream configured)")
             }
             SubmitError::InternalLeg => {
-                write!(f, "workload partials are internal scatter legs; submit the workload")
+                write!(
+                    f,
+                    "workload partials are internal scatter legs; submit the workload"
+                )
             }
         }
     }
@@ -485,7 +490,8 @@ impl Shared {
     /// Inserts a freshly computed workload answer into the result cache
     /// (a no-op for uncacheable outputs, or with caching disabled).
     fn memoize(&self, key: Option<CacheKey>, output: &QueryOutput) {
-        if let (Some(cache), Some(key), Some(value)) = (&self.cache, key, cacheable_output(output)) {
+        if let (Some(cache), Some(key), Some(value)) = (&self.cache, key, cacheable_output(output))
+        {
             cache.insert(key, value);
         }
     }
@@ -495,10 +501,11 @@ impl Shared {
     /// ticket; that is fine).
     fn answer(&self, executor: usize, tx: &mpsc::Sender<QueryResponse>, response: QueryResponse) {
         let ok = response.result.is_ok();
-        self.logs[executor]
-            .lock()
-            .unwrap()
-            .record(response.completed_at, response.service_time, ok);
+        self.logs[executor].lock().unwrap().record(
+            response.completed_at,
+            response.service_time,
+            ok,
+        );
         let slot = self.counters.executor_slot(executor);
         let counter = if ok { &slot.completed } else { &slot.failed };
         counter.fetch_add(1, Ordering::Relaxed);
@@ -664,9 +671,15 @@ impl ParkedLeg {
 /// an executor and are cached; point-lookup and debug payloads never are).
 fn cacheable_output(output: &QueryOutput) -> Option<CachedAnswer> {
     match *output {
-        QueryOutput::WorkloadPartial { partial, supersteps, messages } => {
-            Some(CachedAnswer::Leg { partial, supersteps, messages })
-        }
+        QueryOutput::WorkloadPartial {
+            partial,
+            supersteps,
+            messages,
+        } => Some(CachedAnswer::Leg {
+            partial,
+            supersteps,
+            messages,
+        }),
         _ => None,
     }
 }
@@ -675,12 +688,24 @@ fn cacheable_output(output: &QueryOutput) -> Option<CachedAnswer> {
 /// from.
 fn cached_output(value: CachedAnswer) -> QueryOutput {
     match value {
-        CachedAnswer::Whole { answer, supersteps, messages } => {
-            QueryOutput::Workload { answer, supersteps, messages }
-        }
-        CachedAnswer::Leg { partial, supersteps, messages } => {
-            QueryOutput::WorkloadPartial { partial, supersteps, messages }
-        }
+        CachedAnswer::Whole {
+            answer,
+            supersteps,
+            messages,
+        } => QueryOutput::Workload {
+            answer,
+            supersteps,
+            messages,
+        },
+        CachedAnswer::Leg {
+            partial,
+            supersteps,
+            messages,
+        } => QueryOutput::WorkloadPartial {
+            partial,
+            supersteps,
+            messages,
+        },
     }
 }
 
@@ -702,7 +727,10 @@ enum Reply {
 
 impl Ticket {
     fn ready(response: QueryResponse) -> Ticket {
-        Ticket { id: response.id, reply: Reply::Ready(response) }
+        Ticket {
+            id: response.id,
+            reply: Reply::Ready(response),
+        }
     }
 
     /// The submitted request's id.
@@ -763,7 +791,10 @@ impl Core {
         cache: Option<Arc<ResultCache>>,
     ) -> Core {
         assert!(config.executors >= 1, "need at least one executor");
-        assert!(config.queue_capacity >= 1, "queue capacity must be positive");
+        assert!(
+            config.queue_capacity >= 1,
+            "queue capacity must be positive"
+        );
         assert!(config.max_attempts >= 1, "need at least one attempt");
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
@@ -777,7 +808,9 @@ impl Core {
             origin: Instant::now(),
             counters: Counters::new(config.executors),
             cache,
-            logs: (0..config.executors).map(|_| Mutex::new(ServiceLog::new())).collect(),
+            logs: (0..config.executors)
+                .map(|_| Mutex::new(ServiceLog::new()))
+                .collect(),
         });
         let workers = (0..config.executors)
             .map(|i| {
@@ -815,7 +848,10 @@ impl Core {
             .submit_slot()
             .completed
             .fetch_add(1, Ordering::Relaxed);
-        Some(Ticket::ready(unexecuted_response(req.id, Ok(cached_output(value)))))
+        Some(Ticket::ready(unexecuted_response(
+            req.id,
+            Ok(cached_output(value)),
+        )))
     }
 
     /// Answers a point lookup on the submitting thread: a read of the
@@ -828,7 +864,11 @@ impl Core {
         response.service_time = response.completed_at.duration_since(t0);
         let slot = self.shared.counters.submit_slot();
         slot.lookups_at_submit.fetch_add(1, Ordering::Relaxed);
-        let counter = if response.is_ok() { &slot.completed } else { &slot.failed };
+        let counter = if response.is_ok() {
+            &slot.completed
+        } else {
+            &slot.failed
+        };
         counter.fetch_add(1, Ordering::Relaxed);
         Some(Ticket::ready(response))
     }
@@ -853,7 +893,10 @@ impl Core {
             let dropped = unexecuted_response(req.id, Err(QueryError::DeadlineExceeded));
             return Ok(Ticket::ready(dropped));
         }
-        if let Some(ticket) = self.cached_response(&req).or_else(|| self.lookup_response(&req)) {
+        if let Some(ticket) = self
+            .cached_response(&req)
+            .or_else(|| self.lookup_response(&req))
+        {
             return Ok(ticket);
         }
         // The request's tenant lane, clamped to the configured count.
@@ -904,7 +947,10 @@ impl Core {
         state.depth_hwm = state.depth_hwm.max(state.queue.len());
         drop(state);
         self.shared.not_empty.notify_one();
-        Ticket { id, reply: Reply::Pending(rx) }
+        Ticket {
+            id,
+            reply: Reply::Pending(rx),
+        }
     }
 
     pub(crate) fn close(&self) {
@@ -1138,7 +1184,11 @@ fn serve(
             // attempt blew its timeout — the value is correct and
             // deterministic, so a later identical request (or this one's
             // retry path, via a fresh submit) gets it for free.
-            let counter = if ran { &slot.engine_runs } else { &slot.coalesced_legs };
+            let counter = if ran {
+                &slot.engine_runs
+            } else {
+                &slot.coalesced_legs
+            };
             counter.fetch_add(1, Ordering::Relaxed);
             shared.memoize(backend.cache_key(req), &output);
         }

@@ -79,19 +79,20 @@ use crate::request::{QueryError, QueryKind, QueryOutput, QueryRequest};
 use crate::router::RoutingPolicy;
 use crate::runs::{Join, RunKey, RunTable, SlicedAnswer};
 use crate::service::{
-    execute_debug_hook, overlay_cache, panic_message, service_cache, Attempt,
-    CacheInvalidator, Core, CoreHandle, ParkedLeg, ReplicaSeries, ReplicaSnapshot, Seat,
-    ServiceConfig, ServiceStats, ShardSnapshot, SubmitError, Ticket,
+    execute_debug_hook, overlay_cache, panic_message, service_cache, Attempt, CacheInvalidator,
+    Core, CoreHandle, ParkedLeg, ReplicaSeries, ReplicaSnapshot, Seat, ServiceConfig, ServiceStats,
+    ShardSnapshot, SubmitError, Ticket,
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 use std::thread::JoinHandle;
+use std::time::Instant;
 use vcgp_core::fingerprint::{graph_fingerprint, leg_fingerprint};
 use vcgp_graph::rng::mix3;
-use vcgp_graph::{apply_batch, splice_slice, ApplyDelta, ApplyStats, Graph, GraphBuilder, Mutation,
-    VertexId};
+use vcgp_graph::{
+    apply_batch, splice_slice, ApplyDelta, ApplyStats, Graph, GraphBuilder, Mutation, VertexId,
+};
 use vcgp_pregel::partition::Partitioner;
 use vcgp_pregel::PregelConfig;
 
@@ -146,7 +147,10 @@ fn build_shard_slice(
         }
     }
     ShardSlice {
-        leg_fp: leg_fingerprint(whole_fp, mix3(graph_fingerprint(&local), owned_hash, SLICE_STREAM)),
+        leg_fp: leg_fingerprint(
+            whole_fp,
+            mix3(graph_fingerprint(&local), owned_hash, SLICE_STREAM),
+        ),
         local,
         owned,
         owned_hash,
@@ -183,7 +187,10 @@ fn rebuild_slice(
         splice_slice(&old.local, full, &delta.touched, &owns)
     };
     ShardSlice {
-        leg_fp: leg_fingerprint(whole_fp, mix3(graph_fingerprint(&local), owned_hash, SLICE_STREAM)),
+        leg_fp: leg_fingerprint(
+            whole_fp,
+            mix3(graph_fingerprint(&local), owned_hash, SLICE_STREAM),
+        ),
         local,
         owned,
         owned_hash,
@@ -273,9 +280,11 @@ pub(crate) struct ShardBackend {
 /// scattered leg at all.
 fn run_key(req: &QueryRequest, snap: &EpochSnapshot) -> Option<RunKey> {
     match req.kind {
-        QueryKind::WorkloadPartial(workload) => {
-            Some(RunKey { fingerprint: snap.fingerprint, workload, seed: req.seed })
-        }
+        QueryKind::WorkloadPartial(workload) => Some(RunKey {
+            fingerprint: snap.fingerprint,
+            workload,
+            seed: req.seed,
+        }),
         _ => None,
     }
 }
@@ -288,7 +297,12 @@ fn cache_key_on(shard: usize, snap: &EpochSnapshot, req: &QueryRequest) -> Optio
         return None;
     };
     let fingerprint = snap.locals[shard].leg_fp;
-    Some(CacheKey { workload, scope: CacheScope::Leg, fingerprint, seed: req.seed })
+    Some(CacheKey {
+        workload,
+        scope: CacheScope::Leg,
+        fingerprint,
+        seed: req.seed,
+    })
 }
 
 impl ShardBackend {
@@ -314,14 +328,18 @@ impl ShardBackend {
     fn take_queued(&self, key: RunKey) -> Vec<(usize, ParkedLeg)> {
         let now = Instant::now();
         let wanted = |req: &QueryRequest| {
-            req.epoch.as_deref().is_some_and(|snap| run_key(req, snap) == Some(key))
+            req.epoch
+                .as_deref()
+                .is_some_and(|snap| run_key(req, snap) == Some(key))
                 && req.deadline.is_none_or(|d| now < d)
         };
         let mut legs = Vec::new();
         for (shard, cores) in self.fleet.get().into_iter().flatten().enumerate() {
             for core in cores {
                 let taken = core.take_queued_legs(wanted, |req| {
-                    req.epoch.as_deref().and_then(|snap| cache_key_on(shard, snap, req))
+                    req.epoch
+                        .as_deref()
+                        .and_then(|snap| cache_key_on(shard, snap, req))
                 });
                 legs.extend(taken.into_iter().map(|leg| (shard, leg)));
             }
@@ -403,7 +421,10 @@ impl ShardBackend {
         let req = seat.req;
         let snap = self.pinned(req);
         if let Some(key) = run_key(req, snap) {
-            return match self.runs.join(key, self.shard, || seat.park(self.cache_key(req))) {
+            return match self
+                .runs
+                .join(key, self.shard, || seat.park(self.cache_key(req)))
+            {
                 Join::Parked => Attempt::Parked,
                 Join::Finished(answer) => Attempt::Shared(answer.leg(self.shard)),
                 Join::Lead => Attempt::Done(self.lead(key, snap, req, engine)),
@@ -510,14 +531,22 @@ impl Shard {
             .replicas
             .iter()
             .enumerate()
-            .map(|(r, core)| ReplicaSnapshot { replica: r, stats: core.stats() })
+            .map(|(r, core)| ReplicaSnapshot {
+                replica: r,
+                stats: core.stats(),
+            })
             .collect();
         let mut stats = ServiceStats::default();
         for rs in &replicas {
             stats.absorb(&rs.stats);
         }
         overlay_cache(&mut stats, self.cache.as_deref());
-        ShardSnapshot { shard, owned, stats, replicas }
+        ShardSnapshot {
+            shard,
+            owned,
+            stats,
+            replicas,
+        }
     }
 }
 
@@ -543,7 +572,11 @@ impl ShardedGraphService {
     /// [`ServiceConfig::replicas`] replica cores (queue + executor
     /// pool, sized per `config`) per shard, plus the epoch writer thread
     /// when [`ServiceConfig::mutations`] is set.
-    pub fn start(graph: Arc<Graph>, config: ServiceConfig, num_shards: usize) -> ShardedGraphService {
+    pub fn start(
+        graph: Arc<Graph>,
+        config: ServiceConfig,
+        num_shards: usize,
+    ) -> ShardedGraphService {
         assert!(num_shards >= 1, "need at least one shard");
         assert!(config.replicas >= 1, "need at least one replica per shard");
         let n = graph.num_vertices();
@@ -784,7 +817,11 @@ impl ShardedGraphService {
     /// Pending requests per replica queue of one shard (the gauge the
     /// least-loaded policy reads).
     pub fn replica_queue_depths(&self, shard: usize) -> Vec<usize> {
-        self.shards[shard].replicas.iter().map(Core::queue_depth).collect()
+        self.shards[shard]
+            .replicas
+            .iter()
+            .map(Core::queue_depth)
+            .collect()
     }
 
     /// Resets the service-time recorders of every replica core of every
@@ -894,8 +931,9 @@ mod tests {
         for strategy in [Partitioning::Hash, Partitioning::Range] {
             let p = Partitioner::new(strategy, old_n, 3);
             let whole0 = graph_fingerprint(&g);
-            let slices: Vec<ShardSlice> =
-                (0..3).map(|s| build_shard_slice(&g, &p, s, whole0)).collect();
+            let slices: Vec<ShardSlice> = (0..3)
+                .map(|s| build_shard_slice(&g, &p, s, whole0))
+                .collect();
             let batch: Vec<Mutation> = (0..16).map(|i| mutation_op(13, i, old_n)).collect();
             let (new_full, delta) = apply_batch(&g, &batch);
             let new_full = Arc::new(new_full);
@@ -906,7 +944,10 @@ mod tests {
                 assert_eq!(inc.local, scratch.local, "strategy {strategy:?} shard {s}");
                 assert_eq!(inc.owned, scratch.owned, "strategy {strategy:?} shard {s}");
                 assert_eq!(inc.owned_hash, scratch.owned_hash);
-                assert_eq!(inc.leg_fp, scratch.leg_fp, "strategy {strategy:?} shard {s}");
+                assert_eq!(
+                    inc.leg_fp, scratch.leg_fp,
+                    "strategy {strategy:?} shard {s}"
+                );
             }
         }
     }

@@ -55,18 +55,37 @@ fn lookup_is_answered_while_the_only_executor_sleeps_and_its_lane_is_full() {
             let on = format!("{label}, {policy:?}");
             let service = one_shard(Arc::clone(&graph), config);
             let busy = service.submit(sleep_request(1, 300)).unwrap();
-            poll_until("the executor never dequeued", || service.queue_depths() == [0]);
+            poll_until("the executor never dequeued", || {
+                service.queue_depths() == [0]
+            });
             let queued = service.submit(sleep_request(2, 1)).unwrap();
-            assert_eq!(service.stats().queue_hwm, 1, "{on}: the lane is at capacity");
+            assert_eq!(
+                service.stats().queue_hwm,
+                1,
+                "{on}: the lane is at capacity"
+            );
 
             // Under `Block` an enqueue would park this thread until the
             // sleeper is done, under `Reject` it would be shed: a lookup
             // does neither, because it is never enqueued.
-            let degree = service.submit(QueryRequest::new(3, QueryKind::Degree(2))).unwrap().wait();
-            let neighbors =
-                service.submit(QueryRequest::new(4, QueryKind::Neighbors(2))).unwrap().wait();
-            assert_eq!(service.qos_stats()[0].enqueued, 2, "{on}: only the sleeps ever queued");
-            assert_eq!(degree.result, Ok(QueryOutput::Degree(graph.out_degree(2))), "{on}");
+            let degree = service
+                .submit(QueryRequest::new(3, QueryKind::Degree(2)))
+                .unwrap()
+                .wait();
+            let neighbors = service
+                .submit(QueryRequest::new(4, QueryKind::Neighbors(2)))
+                .unwrap()
+                .wait();
+            assert_eq!(
+                service.qos_stats()[0].enqueued,
+                2,
+                "{on}: only the sleeps ever queued"
+            );
+            assert_eq!(
+                degree.result,
+                Ok(QueryOutput::Degree(graph.out_degree(2))),
+                "{on}"
+            );
             assert_eq!(
                 neighbors.result,
                 Ok(QueryOutput::Neighbors(graph.out_neighbors(2).to_vec())),
@@ -75,7 +94,14 @@ fn lookup_is_answered_while_the_only_executor_sleeps_and_its_lane_is_full() {
             for resp in [&degree, &neighbors] {
                 assert_eq!(resp.attempts, 1, "{on}");
                 assert_eq!(resp.queue_wait, Duration::ZERO, "{on}");
-                assert_eq!(resp.route, Route::Routed { shard: 0, replica: 0 }, "{on}");
+                assert_eq!(
+                    resp.route,
+                    Route::Routed {
+                        shard: 0,
+                        replica: 0
+                    },
+                    "{on}"
+                );
             }
 
             assert!(busy.wait().is_ok(), "{on}");
@@ -83,7 +109,11 @@ fn lookup_is_answered_while_the_only_executor_sleeps_and_its_lane_is_full() {
             let stats = service.shutdown();
             assert_eq!(stats.rejected, 0, "{on}: a lookup is never shed");
             assert_eq!(stats.queue_hwm, 1, "{on}: a lookup takes no queue slot");
-            assert_eq!((stats.lookups_at_submit, stats.completed, stats.failed), (2, 4, 0), "{on}");
+            assert_eq!(
+                (stats.lookups_at_submit, stats.completed, stats.failed),
+                (2, 4, 0),
+                "{on}"
+            );
         }
     }
 }
@@ -92,16 +122,24 @@ fn lookup_is_answered_while_the_only_executor_sleeps_and_its_lane_is_full() {
 fn lookup_of_a_tenant_with_an_exhausted_bucket_is_answered_immediately() {
     let graph = Arc::new(generators::gnm_connected(8, 10, 1));
     // One token per 100 s: once spent, the bucket stays empty for the test.
-    let throttled_tenant = TenantSpec { rate: Some(0.01), ..TenantSpec::default() };
+    let throttled_tenant = TenantSpec {
+        rate: Some(0.01),
+        ..TenantSpec::default()
+    };
     let config = ServiceConfig {
         executors: 1,
-        qos: QosConfig { tenants: vec![throttled_tenant, TenantSpec::default()] },
+        qos: QosConfig {
+            tenants: vec![throttled_tenant, TenantSpec::default()],
+        },
         ..ServiceConfig::default()
     };
     for (on, config) in without_and_with_a_writer(config) {
         let service = one_shard(Arc::clone(&graph), config);
         // One dequeue spends tenant 0's only token.
-        assert!(service.submit(sleep_request(1, 0)).unwrap().wait().is_ok(), "{on}");
+        assert!(
+            service.submit(sleep_request(1, 0)).unwrap().wait().is_ok(),
+            "{on}"
+        );
         for id in 2..10 {
             let resp = service
                 .submit(QueryRequest::new(id, QueryKind::Degree(id as VertexId % 8)))
@@ -110,7 +148,10 @@ fn lookup_of_a_tenant_with_an_exhausted_bucket_is_answered_immediately() {
             assert!(resp.is_ok(), "{on}");
         }
         let lane = service.qos_stats()[0];
-        assert_eq!(lane.throttled, 0, "{on}: the bucket shapes executor-bound work only");
+        assert_eq!(
+            lane.throttled, 0,
+            "{on}: the bucket shapes executor-bound work only"
+        );
         assert_eq!(lane.enqueued, 1, "{on}: only the sleep was ever queued");
         // The bucket really is empty: the tenant's next executor-bound
         // request is held in its lane (until shutdown drains it).
@@ -118,9 +159,16 @@ fn lookup_of_a_tenant_with_an_exhausted_bucket_is_answered_immediately() {
         poll_until("the empty bucket never throttled the lane", || {
             service.qos_stats()[0].throttled >= 1
         });
-        assert_eq!(service.queue_depths(), [1], "{on}: the sleep is still queued");
+        assert_eq!(
+            service.queue_depths(),
+            [1],
+            "{on}: the sleep is still queued"
+        );
         let stats = service.shutdown();
-        assert!(held.wait().is_ok(), "{on}: a closing service drains throttled lanes");
+        assert!(
+            held.wait().is_ok(),
+            "{on}: a closing service drains throttled lanes"
+        );
         assert_eq!((stats.lookups_at_submit, stats.completed), (8, 10), "{on}");
     }
 }
@@ -130,11 +178,18 @@ fn lookup_errors_are_decided_at_submit_too() {
     let graph = Arc::new(generators::gnm_connected(8, 10, 1));
     for (on, config) in without_and_with_a_writer(ServiceConfig::default()) {
         let service = ShardedGraphService::start(Arc::clone(&graph), config, 2);
-        let resp = service.submit(QueryRequest::new(1, QueryKind::Neighbors(8))).unwrap().wait();
+        let resp = service
+            .submit(QueryRequest::new(1, QueryKind::Neighbors(8)))
+            .unwrap()
+            .wait();
         assert_eq!(resp.result, Err(QueryError::NoSuchVertex(8)), "{on}");
         assert_eq!(resp.attempts, 1, "{on}");
         let stats = service.stats();
-        assert_eq!((stats.failed, stats.completed, stats.lookups_at_submit), (1, 0, 1), "{on}");
+        assert_eq!(
+            (stats.failed, stats.completed, stats.lookups_at_submit),
+            (1, 0, 1),
+            "{on}"
+        );
 
         service.close();
         assert!(
@@ -172,7 +227,11 @@ fn lookups_under_a_live_writer_answer_from_their_pinned_epoch() {
     let muts: Vec<Mutation> = (0..48u32)
         .map(|i| match i % 3 {
             0 => Mutation::DeleteEdgeAt { u: i % N, rank: i },
-            1 => Mutation::InsertEdge { u: i % N, v: (i + 7) % N, w: 1.0 },
+            1 => Mutation::InsertEdge {
+                u: i % N,
+                v: (i + 7) % N,
+                w: 1.0,
+            },
             _ => Mutation::RemoveVertex { v: (i * 3) % N },
         })
         .collect();
@@ -207,7 +266,10 @@ fn lookups_under_a_live_writer_answer_from_their_pinned_epoch() {
             std::thread::sleep(Duration::from_millis(1));
         }
         writing.store(false, Ordering::SeqCst);
-        readers.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        readers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
     });
     let stats = service.stats();
     assert_eq!(stats.completed, seen.len() as u64);
@@ -215,11 +277,17 @@ fn lookups_under_a_live_writer_answer_from_their_pinned_epoch() {
     assert_eq!(stats.queue_hwm, 0);
 
     let history = service.epoch_history().expect("keep_history was set");
-    assert!(history.len() >= 2, "the writer installed at least one new epoch");
+    assert!(
+        history.len() >= 2,
+        "the writer installed at least one new epoch"
+    );
     for (before, after, v, neighbors) in &seen {
         let pinned = (*before..=*after)
             .any(|e| history[e as usize].graph.out_neighbors(*v) == neighbors.as_slice());
-        assert!(pinned, "neighbors of {v} match no epoch in {before}..={after}: {neighbors:?}");
+        assert!(
+            pinned,
+            "neighbors of {v} match no epoch in {before}..={after}: {neighbors:?}"
+        );
     }
     service.shutdown();
 }

@@ -113,9 +113,8 @@ fn single_instance_replay_hits_without_executing() {
     let graph = Arc::new(generators::gnm_connected(32, 80, 3));
     let config = config_for(Partitioning::Hash, 64);
     let service = one_shard(Arc::clone(&graph), config);
-    let req = |id: u64| {
-        QueryRequest::new(id, QueryKind::Workload(Workload::CcHashMin)).with_seed(42)
-    };
+    let req =
+        |id: u64| QueryRequest::new(id, QueryKind::Workload(Workload::CcHashMin)).with_seed(42);
     let cold = service.submit(req(1)).unwrap().wait();
     let warm = service.submit(req(2)).unwrap().wait();
     assert_eq!(cold.result, warm.result, "memoized answer differs");
@@ -152,8 +151,7 @@ fn distinct_seeds_are_distinct_entries() {
 fn eviction_respects_the_configured_capacity() {
     let graph = Arc::new(generators::gnm_connected(24, 60, 5));
     let capacity = 2usize;
-    let service =
-        one_shard(Arc::clone(&graph), config_for(Partitioning::Hash, capacity));
+    let service = one_shard(Arc::clone(&graph), config_for(Partitioning::Hash, capacity));
     // Five distinct keys (same workload, distinct seeds) through a
     // two-entry cache: every one misses, every one is inserted, and the
     // overflow is evicted deterministically.
@@ -178,9 +176,7 @@ fn eviction_respects_the_configured_capacity() {
 fn invalidate_empties_the_cache_and_restores_misses() {
     let graph = Arc::new(generators::gnm_connected(32, 80, 3));
     let service = one_shard(Arc::clone(&graph), config_for(Partitioning::Hash, 64));
-    let req = |id: u64| {
-        QueryRequest::new(id, QueryKind::Workload(Workload::PageRank)).with_seed(9)
-    };
+    let req = |id: u64| QueryRequest::new(id, QueryKind::Workload(Workload::PageRank)).with_seed(9);
     assert!(service.submit(req(1)).unwrap().wait().is_ok());
     assert!(service.submit(req(2)).unwrap().wait().is_ok());
     assert_eq!(service.stats().cache_hits, 1);
@@ -189,11 +185,18 @@ fn invalidate_empties_the_cache_and_restores_misses() {
     // The graph-swap / re-shard hook: after invalidation the same request
     // misses (and recomputes) again.
     service.invalidate_cache();
-    assert_eq!(service.stats().cache_bytes, 0, "nothing resident after invalidation");
+    assert_eq!(
+        service.stats().cache_bytes,
+        0,
+        "nothing resident after invalidation"
+    );
     assert!(service.submit(req(3)).unwrap().wait().is_ok());
     let stats = service.shutdown();
     assert_eq!(stats.cache_hits, 1, "no new hits after invalidation");
-    assert_eq!(stats.cache_misses, 2, "the post-invalidation request missed");
+    assert_eq!(
+        stats.cache_misses, 2,
+        "the post-invalidation request missed"
+    );
 }
 
 #[test]
@@ -217,9 +220,8 @@ fn sharded_invalidate_clears_every_shard() {
 fn cache_off_never_hits() {
     let graph = Arc::new(generators::gnm_connected(32, 80, 3));
     let service = one_shard(Arc::clone(&graph), config_for(Partitioning::Hash, 0));
-    let req = |id: u64| {
-        QueryRequest::new(id, QueryKind::Workload(Workload::CcHashMin)).with_seed(42)
-    };
+    let req =
+        |id: u64| QueryRequest::new(id, QueryKind::Workload(Workload::CcHashMin)).with_seed(42);
     let a = service.submit(req(1)).unwrap().wait();
     let b = service.submit(req(2)).unwrap().wait();
     assert_eq!(a.result, b.result, "determinism does not need the cache");

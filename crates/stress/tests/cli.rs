@@ -10,7 +10,10 @@ fn stress(args: &[&str]) -> (Option<i32>, String) {
         .args(args)
         .output()
         .expect("the stress binary runs");
-    (out.status.code(), String::from_utf8_lossy(&out.stderr).trim_end().to_string())
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).trim_end().to_string(),
+    )
 }
 
 /// Asserts `stress ARGS` exits 2 with exactly `error: MESSAGE` on stderr.
@@ -24,7 +27,14 @@ fn refused(args: &[&str], message: &str) {
 /// usage exit code — never a panic from the service or the driver.
 #[test]
 fn zero_valued_count_flags_fail_cleanly() {
-    for flag in ["--shards", "--replicas", "--executors", "--clients", "--queue", "--retries"] {
+    for flag in [
+        "--shards",
+        "--replicas",
+        "--executors",
+        "--clients",
+        "--queue",
+        "--retries",
+    ] {
         refused(
             &[flag, "0", "--gen", "tree:8:1", "--ops", "1", "--quiet"],
             &format!("{flag} must be at least 1"),
@@ -39,8 +49,16 @@ fn zero_valued_count_flags_fail_cleanly() {
 #[test]
 fn out_of_range_load_flags_fail_cleanly() {
     for (flag, value, message) in [
-        ("--duration", "-1", "--duration must be positive and finite, got -1"),
-        ("--duration", "NaN", "--duration must be positive and finite, got NaN"),
+        (
+            "--duration",
+            "-1",
+            "--duration must be positive and finite, got -1",
+        ),
+        (
+            "--duration",
+            "NaN",
+            "--duration must be positive and finite, got NaN",
+        ),
         ("--rate", "0", "rate must be positive and finite, got 0"),
         ("--rate", "-5", "rate must be positive and finite, got -5"),
         ("--timeout-ms", "0", "--timeout-ms must be at least 1"),
@@ -48,15 +66,26 @@ fn out_of_range_load_flags_fail_cleanly() {
         ("--ops", "0", "--ops must be at least 1"),
         ("--burst", "0", "--burst must be at least 1"),
         ("--tenants", "65", "--tenants must be 1..=64, got 65"),
-        ("--zipf-s", "0", "zipfian exponent must be positive and finite, got 0"),
-        ("--write-ratio", "1.5", "write ratio must be within 0.0..=1.0, got 1.5"),
+        (
+            "--zipf-s",
+            "0",
+            "zipfian exponent must be positive and finite, got 0",
+        ),
+        (
+            "--write-ratio",
+            "1.5",
+            "write ratio must be within 0.0..=1.0, got 1.5",
+        ),
         (
             "--mix",
             "nope",
             "unknown mix 'nope' (expected points, mixed, analytics, or hotspot)",
         ),
     ] {
-        refused(&[flag, value, "--gen", "tree:8:1", "--ops", "1", "--quiet"], message);
+        refused(
+            &[flag, value, "--gen", "tree:8:1", "--ops", "1", "--quiet"],
+            message,
+        );
     }
 }
 
@@ -68,17 +97,26 @@ fn bad_generator_specs_fail_cleanly() {
     for (spec, problem) in [
         ("gnm-connected:0:0:1", connected),
         ("gnm-connected:4:2:1", connected),
-        ("gnm-connected:4:100:1", "m = 100, but n admits 6 distinct edges"),
+        (
+            "gnm-connected:4:100:1",
+            "m = 100, but n admits 6 distinct edges",
+        ),
         ("digraph:3:7:1", "m = 7, but n admits 6 distinct edges"),
         ("labeled:8:16:0:1", "labels must be at least 1"),
         ("labeled:8:16", "missing labels"),
         ("tree:x:1", "invalid n value \"x\""),
         ("nope:1", "unknown generator \"nope\""),
     ] {
-        refused(&["--gen", spec, "--ops", "1", "--quiet"], &format!("--gen {spec}: {problem}"));
+        refused(
+            &["--gen", spec, "--ops", "1", "--quiet"],
+            &format!("--gen {spec}: {problem}"),
+        );
     }
     for spec in ["tree:0:1", "bipartite:0:0"] {
-        refused(&["--gen", spec, "--ops", "1", "--quiet"], "the graph has no vertices");
+        refused(
+            &["--gen", spec, "--ops", "1", "--quiet"],
+            "the graph has no vertices",
+        );
     }
 }
 
@@ -97,7 +135,10 @@ fn get_reads_one_field_by_path() {
             .args(["--get", file, path])
             .output()
             .expect("the stress binary runs");
-        (out.status.code(), String::from_utf8_lossy(&out.stdout).trim_end().to_string())
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).trim_end().to_string(),
+        )
     };
     assert_eq!(get("ops"), (Some(0), "400".to_string()));
     assert_eq!(get("answer_hash"), (Some(0), "00ff".to_string()));
@@ -106,6 +147,9 @@ fn get_reads_one_field_by_path() {
     assert_eq!(get("rows[2]"), (Some(1), String::new()));
     let (_, stderr) = stress(&["--get", file, "rows[2]"]);
     assert_eq!(stderr, format!("error: {file}: no value at \"rows[2]\""));
-    refused(&["--get", file], "--get takes a report FILE and a PATH into it");
+    refused(
+        &["--get", file],
+        "--get takes a report FILE and a PATH into it",
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -110,8 +110,7 @@ fn query_pinned_at_submission_ignores_concurrent_swaps() {
             // Queued behind the sleeps on every shard, pinned to epoch 0.
             let pinned = service
                 .submit(
-                    QueryRequest::new(100, QueryKind::Workload(Workload::CcHashMin))
-                        .with_seed(7),
+                    QueryRequest::new(100, QueryKind::Workload(Workload::CcHashMin)).with_seed(7),
                 )
                 .expect("open");
             // Swap while the pinned query is still waiting for an executor.
@@ -131,8 +130,7 @@ fn query_pinned_at_submission_ignores_concurrent_swaps() {
             }
             let fresh = service
                 .submit(
-                    QueryRequest::new(101, QueryKind::Workload(Workload::CcHashMin))
-                        .with_seed(7),
+                    QueryRequest::new(101, QueryKind::Workload(Workload::CcHashMin)).with_seed(7),
                 )
                 .expect("open");
             assert_eq!(
@@ -170,7 +168,10 @@ fn swap_invalidates_the_result_cache() {
     // Invalidation fires right after the swap installs; give it a moment.
     let deadline = Instant::now() + Duration::from_secs(5);
     while service.stats().cache_bytes > 0 {
-        assert!(Instant::now() < deadline, "swap never invalidated the cache");
+        assert!(
+            Instant::now() < deadline,
+            "swap never invalidated the cache"
+        );
         std::thread::sleep(Duration::from_millis(2));
     }
 
@@ -200,7 +201,11 @@ fn concurrent_answers_match_exactly_one_epoch() {
     let muts: Vec<Mutation> = (0..16u32)
         .map(|i| match i % 4 {
             0 => Mutation::DeleteEdgeAt { u: i, rank: i },
-            1 => Mutation::InsertEdge { u: i, v: (i + 7) % 20, w: 1.0 },
+            1 => Mutation::InsertEdge {
+                u: i,
+                v: (i + 7) % 20,
+                w: 1.0,
+            },
             2 => Mutation::RemoveVertex { v: (i * 3) % 20 },
             _ => Mutation::AddVertex { label: i },
         })
@@ -236,12 +241,18 @@ fn concurrent_answers_match_exactly_one_epoch() {
             })
             .collect();
         writer.join().unwrap();
-        readers.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        readers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
     });
     wait_for_drain(|| service.writer_stats(), muts.len() as u64);
 
     let history = service.epoch_history().expect("keep_history was set");
-    assert!(history.len() >= 2, "writer installed at least one new epoch");
+    assert!(
+        history.len() >= 2,
+        "writer installed at least one new epoch"
+    );
     // Monotone, gap-free epoch ids.
     for (i, snap) in history.iter().enumerate() {
         assert_eq!(snap.id, i as u64);
@@ -277,7 +288,10 @@ fn a_write_reported_applied_is_in_every_later_pin_on_every_thread() {
     let graph = Arc::new(generators::gnm_connected(N, 32, 1));
     let config = config_for(
         Partitioning::Hash,
-        Some(MutationConfig { max_batch: 4, ..MutationConfig::default() }),
+        Some(MutationConfig {
+            max_batch: 4,
+            ..MutationConfig::default()
+        }),
     );
     let service = ShardedGraphService::start(Arc::clone(&graph), config, 2);
     std::thread::scope(|scope| {
@@ -290,7 +304,11 @@ fn a_write_reported_applied_is_in_every_later_pin_on_every_thread() {
                         let stats = service.writer_stats();
                         let done = stats.applied + stats.noops;
                         let snap = service.epoch();
-                        assert!(snap.id >= last_id, "reader {r}: {} after {last_id}", snap.id);
+                        assert!(
+                            snap.id >= last_id,
+                            "reader {r}: {} after {last_id}",
+                            snap.id
+                        );
                         last_id = snap.id;
                         assert!(
                             snap.graph.num_vertices() as u64 >= N as u64 + done,
@@ -314,7 +332,9 @@ fn a_write_reported_applied_is_in_every_later_pin_on_every_thread() {
             })
             .collect();
         for i in 0..WRITES {
-            let seq = service.submit_mutation(Mutation::AddVertex { label: 0 }).expect("writable");
+            let seq = service
+                .submit_mutation(Mutation::AddVertex { label: 0 })
+                .expect("writable");
             assert_eq!(seq, i + 1);
             if i % 8 == 0 {
                 std::thread::sleep(Duration::from_millis(1));
@@ -324,7 +344,10 @@ fn a_write_reported_applied_is_in_every_later_pin_on_every_thread() {
             reader.join().unwrap();
         }
     });
-    assert_eq!(service.epoch().graph.num_vertices() as u64, N as u64 + WRITES);
+    assert_eq!(
+        service.epoch().graph.num_vertices() as u64,
+        N as u64 + WRITES
+    );
     service.shutdown();
 }
 
@@ -339,7 +362,9 @@ fn a_replaced_epoch_is_freed_when_its_last_request_is_answered() {
         config_for(Partitioning::Hash, Some(MutationConfig::default())),
     );
     // Epoch 0 stays referenced as the backends' fallback; watch epoch 1.
-    service.submit_mutation(Mutation::AddVertex { label: 0 }).unwrap();
+    service
+        .submit_mutation(Mutation::AddVertex { label: 0 })
+        .unwrap();
     wait_for_drain(|| service.writer_stats(), 1);
     // Lookups from a few threads: every stripe they use has handed out
     // (and got back) pins on epoch 1.
@@ -359,18 +384,30 @@ fn a_replaced_epoch_is_freed_when_its_last_request_is_answered() {
     let sleep = QueryKind::DebugSleep(Duration::from_millis(150));
     let busy = service.submit(QueryRequest::new(10, sleep)).unwrap();
     let pinned = service
-        .submit(QueryRequest::new(11, QueryKind::Workload(Workload::CcHashMin)))
+        .submit(QueryRequest::new(
+            11,
+            QueryKind::Workload(Workload::CcHashMin),
+        ))
         .unwrap();
-    service.submit_mutation(Mutation::AddVertex { label: 1 }).unwrap();
+    service
+        .submit_mutation(Mutation::AddVertex { label: 1 })
+        .unwrap();
     wait_for_drain(|| service.writer_stats(), 2);
     assert_eq!(service.epoch().id, 2);
-    assert_eq!(previous.upgrade().map(|snap| snap.id), Some(1), "still pinned by a request");
+    assert_eq!(
+        previous.upgrade().map(|snap| snap.id),
+        Some(1),
+        "still pinned by a request"
+    );
     assert!(busy.wait().is_ok());
     assert!(pinned.wait().is_ok());
     // The executor drops the request right after sending its response.
     let deadline = Instant::now() + Duration::from_secs(10);
     while previous.upgrade().is_some() {
-        assert!(Instant::now() < deadline, "epoch 1 outlived its last request");
+        assert!(
+            Instant::now() < deadline,
+            "epoch 1 outlived its last request"
+        );
         std::thread::sleep(Duration::from_millis(1));
     }
     service.shutdown();
@@ -394,7 +431,10 @@ fn repeat_runs_scope_writer_deltas() {
     let pass1 = driver::run_scenario(&service, &scenario);
     let pass2 = driver::run_scenario(&service, &scenario);
     for (pass, report) in [(1, &pass1), (2, &pass2)] {
-        assert!(report.writes > 0, "pass {pass}: the seeded mix wrote nothing");
+        assert!(
+            report.writes > 0,
+            "pass {pass}: the seeded mix wrote nothing"
+        );
         assert_eq!(report.write_errors, 0, "pass {pass}: writes were refused");
         assert_eq!(
             report.epochs.stats.accepted, report.writes,
@@ -420,12 +460,14 @@ fn write_ratio_zero_is_bit_identical_to_read_only() {
         Arc::clone(&graph),
         config_for(Partitioning::Hash, Some(MutationConfig::default())),
     );
-    let read_only =
-        one_shard(Arc::clone(&graph), config_for(Partitioning::Hash, None));
+    let read_only = one_shard(Arc::clone(&graph), config_for(Partitioning::Hash, None));
     let a = driver::run_scenario(&with_writer, &scenario);
     let b = driver::run_scenario(&read_only, &scenario);
     assert_eq!(a.ops, b.ops);
-    assert_eq!(a.answer_hash, b.answer_hash, "write path perturbed the reads");
+    assert_eq!(
+        a.answer_hash, b.answer_hash,
+        "write path perturbed the reads"
+    );
     assert_eq!(a.writes, 0);
     assert_eq!(a.epochs.stats.swaps, 0, "no mutations, no swaps");
     with_writer.shutdown();
@@ -436,8 +478,7 @@ fn write_ratio_zero_is_bit_identical_to_read_only() {
 #[test]
 fn read_only_service_refuses_mutations() {
     let graph = Arc::new(generators::gnm_connected(16, 32, 1));
-    let service =
-        one_shard(Arc::clone(&graph), config_for(Partitioning::Hash, None));
+    let service = one_shard(Arc::clone(&graph), config_for(Partitioning::Hash, None));
     match service.submit_mutation(Mutation::AddVertex { label: 0 }) {
         Err(SubmitError::ReadOnly) => {}
         other => panic!("expected ReadOnly, got {other:?}"),

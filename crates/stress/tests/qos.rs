@@ -122,14 +122,22 @@ fn tenant_backlog_rejects_only_that_tenant() {
     );
     let sleep = |ms| QueryKind::DebugSleep(Duration::from_millis(ms));
     // Occupy the executor (job leaves the queue), then fill tenant 0's lane.
-    let busy = service.submit(QueryRequest::new(1, sleep(300)).with_tenant(0)).unwrap();
+    let busy = service
+        .submit(QueryRequest::new(1, sleep(300)).with_tenant(0))
+        .unwrap();
     std::thread::sleep(Duration::from_millis(100));
-    let queued = service.submit(QueryRequest::new(2, sleep(1)).with_tenant(0)).unwrap();
+    let queued = service
+        .submit(QueryRequest::new(2, sleep(1)).with_tenant(0))
+        .unwrap();
     // Tenant 0's lane is at capacity: its next submission is shed ...
-    let shed = service.submit(QueryRequest::new(3, sleep(1)).with_tenant(0)).unwrap();
+    let shed = service
+        .submit(QueryRequest::new(3, sleep(1)).with_tenant(0))
+        .unwrap();
     assert_eq!(shed.wait().result, Err(QueryError::Rejected));
     // ... while tenant 1's lane (same core, own capacity) still accepts.
-    let other = service.submit(QueryRequest::new(4, sleep(1)).with_tenant(1)).unwrap();
+    let other = service
+        .submit(QueryRequest::new(4, sleep(1)).with_tenant(1))
+        .unwrap();
     assert!(busy.wait().is_ok());
     assert!(queued.wait().is_ok());
     assert!(other.wait().is_ok());

@@ -145,7 +145,11 @@ fn replicated_answers_under_writer_match_exactly_one_epoch() {
     let muts: Vec<Mutation> = (0..12u32)
         .map(|i| match i % 4 {
             0 => Mutation::DeleteEdgeAt { u: i, rank: i },
-            1 => Mutation::InsertEdge { u: i, v: (i + 7) % 20, w: 1.0 },
+            1 => Mutation::InsertEdge {
+                u: i,
+                v: (i + 7) % 20,
+                w: 1.0,
+            },
             2 => Mutation::RemoveVertex { v: (i * 3) % 20 },
             _ => Mutation::AddVertex { label: i },
         })
@@ -184,7 +188,10 @@ fn replicated_answers_under_writer_match_exactly_one_epoch() {
             })
             .collect();
         writer.join().unwrap();
-        readers.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        readers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
     });
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -197,7 +204,10 @@ fn replicated_answers_under_writer_match_exactly_one_epoch() {
     }
 
     let history = service.epoch_history().expect("keep_history was set");
-    assert!(history.len() >= 2, "writer installed at least one new epoch");
+    assert!(
+        history.len() >= 2,
+        "writer installed at least one new epoch"
+    );
     let frozen: Vec<u64> = history
         .iter()
         .map(|snap| {
@@ -237,11 +247,19 @@ fn round_robin_walks_replicas_in_order() {
         picks.push(routed_replica(resp.route));
     }
     for pair in picks.windows(2) {
-        assert_eq!(pair[1], (pair[0] + 1) % 3, "round-robin skipped a replica: {picks:?}");
+        assert_eq!(
+            pair[1],
+            (pair[0] + 1) % 3,
+            "round-robin skipped a replica: {picks:?}"
+        );
     }
     let snaps = service.shard_snapshots();
     for row in &snaps[0].replicas {
-        assert_eq!(row.stats.completed, 3, "replica {} share of 9 lookups", row.replica);
+        assert_eq!(
+            row.stats.completed, 3,
+            "replica {} share of 9 lookups",
+            row.replica
+        );
     }
     service.shutdown();
 }
@@ -262,24 +280,42 @@ fn least_loaded_breaks_ties_low_and_splits_backlog() {
             .submit(QueryRequest::new(i, QueryKind::Degree(0)))
             .unwrap()
             .wait();
-        assert_eq!(routed_replica(resp.route), 0, "idle ties break to the lowest id");
+        assert_eq!(
+            routed_replica(resp.route),
+            0,
+            "idle ties break to the lowest id"
+        );
     }
     // Occupy replica 0's single executor, let it dequeue, then queue one
     // more sleep behind it: replica 0 now has depth 1, replica 1 depth 0.
     let busy = service
-        .submit(QueryRequest::new(100, QueryKind::DebugSleep(Duration::from_millis(300))))
+        .submit(QueryRequest::new(
+            100,
+            QueryKind::DebugSleep(Duration::from_millis(300)),
+        ))
         .unwrap();
     std::thread::sleep(Duration::from_millis(100));
     let queued = service
-        .submit(QueryRequest::new(101, QueryKind::DebugSleep(Duration::from_millis(1))))
+        .submit(QueryRequest::new(
+            101,
+            QueryKind::DebugSleep(Duration::from_millis(1)),
+        ))
         .unwrap();
-    assert_eq!(service.replica_queue_depths(0), vec![1, 0], "backlog sits on replica 0");
+    assert_eq!(
+        service.replica_queue_depths(0),
+        vec![1, 0],
+        "backlog sits on replica 0"
+    );
     // The next pick must spill to the idle replica.
     let spilled = service
         .submit(QueryRequest::new(102, QueryKind::Degree(0)))
         .unwrap()
         .wait();
-    assert_eq!(routed_replica(spilled.route), 1, "least-loaded spilled past the backlog");
+    assert_eq!(
+        routed_replica(spilled.route),
+        1,
+        "least-loaded spilled past the backlog"
+    );
     assert!(busy.wait().is_ok());
     assert!(queued.wait().is_ok());
     service.shutdown();
@@ -300,14 +336,27 @@ fn shared_cache_hits_across_replicas() {
         |id: u64| QueryRequest::new(id, QueryKind::Workload(Workload::CcHashMin)).with_seed(42);
     let first = service.submit(req(1)).unwrap().wait();
     let second = service.submit(req(2)).unwrap().wait();
-    assert_eq!(first.result, second.result, "the cached answer is the computed answer");
+    assert_eq!(
+        first.result, second.result,
+        "the cached answer is the computed answer"
+    );
     let stats = service.stats();
-    assert_eq!(stats.cache_hits, 1, "the second replica served the first's insertion");
+    assert_eq!(
+        stats.cache_hits, 1,
+        "the second replica served the first's insertion"
+    );
     assert_eq!(stats.cache_misses, 1);
     // The leg's route names no replica; the rows show who answered.
-    let answered: Vec<u64> =
-        service.shard_snapshots()[0].replicas.iter().map(|r| r.stats.completed).collect();
-    assert_eq!(answered, [1, 1], "round-robin must alternate replicas for the hit to cross cores");
+    let answered: Vec<u64> = service.shard_snapshots()[0]
+        .replicas
+        .iter()
+        .map(|r| r.stats.completed)
+        .collect();
+    assert_eq!(
+        answered,
+        [1, 1],
+        "round-robin must alternate replicas for the hit to cross cores"
+    );
     service.shutdown();
 }
 
@@ -344,7 +393,11 @@ fn replica_rows_fold_into_shard_snapshot() {
         );
         assert_eq!(
             snap.stats.queue_hwm,
-            snap.replicas.iter().map(|r| r.stats.queue_hwm).max().unwrap(),
+            snap.replicas
+                .iter()
+                .map(|r| r.stats.queue_hwm)
+                .max()
+                .unwrap(),
             "shard {} queue_hwm is the replica max",
             snap.shard
         );

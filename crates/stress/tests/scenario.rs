@@ -136,7 +136,12 @@ fn interval_sums_fold_exactly_to_totals() {
         assert_eq!(folded.min(), p.latency.min(), "phase {}", p.name);
         assert_eq!(folded.max(), p.latency.max(), "phase {}", p.name);
         for q in [0.5, 0.9, 0.99] {
-            assert_eq!(folded.quantile(q), p.latency.quantile(q), "phase {}", p.name);
+            assert_eq!(
+                folded.quantile(q),
+                p.latency.quantile(q),
+                "phase {}",
+                p.name
+            );
         }
         assert!(p.intervals.completed_intervals() >= 1, "phase {}", p.name);
     }
@@ -179,21 +184,74 @@ fn validate_names_the_path_of_every_broken_identity() {
     type Break<'a> = &'a dyn Fn(&mut Value);
     // (what breaks, the path to break, how, what the error must name)
     let cases: [(&str, &str, Break, &str); 11] = [
-        ("a per-shard sum", "per_shard[1].early_drops", &bump, "per_shard[*].early_drops sum"),
-        ("a replica sum", "per_shard[0].replicas[1].completed", &bump, "per_shard[0].completed"),
-        ("a replica queue_hwm max", "per_shard[0].queue_hwm", &bump, "per_shard[0].queue_hwm"),
-        ("the phase hash XOR", "phases[1].answer_hash", &other_hash, "phases[*].answer_hash fold"),
-        ("the tenant ops sum", "tenants[0]", &more_tenant_ops, "tenants[*].ops sum"),
-        ("an interval count", "phases[0].intervals[0].count", &bump, "phases[0].intervals[0]"),
-        ("routed + scattered", "phases[1].routed", &bump, "phases[1].ops"),
-        ("lookups <= routed", "lookups_at_submit", &more_than_all_ops, "more than routed"),
-        ("a missing field", "per_shard[1].replicas[0]", &no_busy_ns, "replicas[0].busy_ns"),
-        ("a non-hex hash", "tenants[0].answer_hash", &unhex, "tenants[0].answer_hash"),
+        (
+            "a per-shard sum",
+            "per_shard[1].early_drops",
+            &bump,
+            "per_shard[*].early_drops sum",
+        ),
+        (
+            "a replica sum",
+            "per_shard[0].replicas[1].completed",
+            &bump,
+            "per_shard[0].completed",
+        ),
+        (
+            "a replica queue_hwm max",
+            "per_shard[0].queue_hwm",
+            &bump,
+            "per_shard[0].queue_hwm",
+        ),
+        (
+            "the phase hash XOR",
+            "phases[1].answer_hash",
+            &other_hash,
+            "phases[*].answer_hash fold",
+        ),
+        (
+            "the tenant ops sum",
+            "tenants[0]",
+            &more_tenant_ops,
+            "tenants[*].ops sum",
+        ),
+        (
+            "an interval count",
+            "phases[0].intervals[0].count",
+            &bump,
+            "phases[0].intervals[0]",
+        ),
+        (
+            "routed + scattered",
+            "phases[1].routed",
+            &bump,
+            "phases[1].ops",
+        ),
+        (
+            "lookups <= routed",
+            "lookups_at_submit",
+            &more_than_all_ops,
+            "more than routed",
+        ),
+        (
+            "a missing field",
+            "per_shard[1].replicas[0]",
+            &no_busy_ns,
+            "replicas[0].busy_ns",
+        ),
+        (
+            "a non-hex hash",
+            "tenants[0].answer_hash",
+            &unhex,
+            "tenants[0].answer_hash",
+        ),
         ("errors != 0", "errors", &bump, "errors: 1 errored"),
     ];
     for (what, path, break_it, needle) in cases {
         let mut doc = clean.clone();
-        break_it(doc.at_mut(path).unwrap_or_else(|| panic!("{what}: no {path} in the report")));
+        break_it(
+            doc.at_mut(path)
+                .unwrap_or_else(|| panic!("{what}: no {path} in the report")),
+        );
         let err = validate(&doc).expect_err(what);
         assert!(err.contains(needle), "{what}: broke {path}, got {err:?}");
     }
@@ -278,8 +336,15 @@ fn report_json_carries_phases_and_intervals() {
     assert_eq!(doc, tree);
     validate(&doc).expect("the re-read report validates");
     for (i, p) in report.phases.iter().enumerate() {
-        assert_eq!(doc.at(&format!("phases[{i}].phase")).and_then(Value::as_str), Some(&*p.name));
-        assert_eq!(doc.at(&format!("phases[{i}].ops")).and_then(Value::as_f64), Some(p.ops as f64));
+        assert_eq!(
+            doc.at(&format!("phases[{i}].phase"))
+                .and_then(Value::as_str),
+            Some(&*p.name)
+        );
+        assert_eq!(
+            doc.at(&format!("phases[{i}].ops")).and_then(Value::as_f64),
+            Some(p.ops as f64)
+        );
     }
     assert!(doc.at("phases[2]").is_none(), "two phases, two rows");
 }

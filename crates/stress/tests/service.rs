@@ -42,7 +42,10 @@ fn point_lookups_match_the_graph() {
             .wait();
         assert_eq!(deg.result, Ok(QueryOutput::Degree(expected[v as usize].0)));
         let nbrs = service
-            .submit(QueryRequest::new(u64::from(v) * 2 + 1, QueryKind::Neighbors(v)))
+            .submit(QueryRequest::new(
+                u64::from(v) * 2 + 1,
+                QueryKind::Neighbors(v),
+            ))
             .unwrap()
             .wait();
         assert_eq!(
@@ -64,7 +67,10 @@ fn point_lookups_match_the_graph() {
 fn workload_queries_run_end_to_end() {
     let service = service_on(generators::gnm_connected(40, 80, 3), 1);
     let resp = service
-        .submit(QueryRequest::new(1, QueryKind::Workload(Workload::CcHashMin)))
+        .submit(QueryRequest::new(
+            1,
+            QueryKind::Workload(Workload::CcHashMin),
+        ))
         .unwrap()
         .wait();
     match resp.result {
@@ -215,7 +221,10 @@ fn expired_deadlines_fail_fast() {
         .with_deadline(Instant::now() - Duration::from_millis(1));
     let resp = service.submit(req).unwrap().wait();
     assert_eq!(resp.result, Err(QueryError::DeadlineExceeded));
-    assert_eq!(resp.attempts, 0, "expired requests must not consume an attempt");
+    assert_eq!(
+        resp.attempts, 0,
+        "expired requests must not consume an attempt"
+    );
     service.shutdown();
 }
 
@@ -290,8 +299,17 @@ fn an_op_cap_runs_exactly_its_indices_at_any_client_count() {
         })
         .collect();
     for report in &reports {
-        assert_eq!((report.ops, report.ok), (OPS, OPS), "{} clients", report.clients);
-        assert_eq!(report.answer_hash, reports[0].answer_hash, "{} clients", report.clients);
+        assert_eq!(
+            (report.ops, report.ok),
+            (OPS, OPS),
+            "{} clients",
+            report.clients
+        );
+        assert_eq!(
+            report.answer_hash, reports[0].answer_hash,
+            "{} clients",
+            report.clients
+        );
     }
 }
 
@@ -305,12 +323,19 @@ fn a_small_op_cap_keeps_every_client_issuing() {
     const CLIENTS: u64 = 8;
     let service = one_shard(
         Arc::new(generators::gnm_connected(1024, 4096, 9)),
-        ServiceConfig { executors: 1, cache_capacity: 0, ..ServiceConfig::default() },
+        ServiceConfig {
+            executors: 1,
+            cache_capacity: 0,
+            ..ServiceConfig::default()
+        },
     );
     let report = run_preset(service, &preset("analytics", 48, CLIENTS as usize, 21));
     assert_eq!((report.ops, report.ok), (48, 48));
     let hwm = report.per_shard[0].stats.queue_hwm;
-    assert!(hwm >= CLIENTS - 1, "queue high-water mark {hwm} with {CLIENTS} clients");
+    assert!(
+        hwm >= CLIENTS - 1,
+        "queue high-water mark {hwm} with {CLIENTS} clients"
+    );
 }
 
 #[test]
@@ -352,7 +377,10 @@ fn one_shard_one_replica_reports_one_routed_row() {
     assert_eq!(shard.replicas.len(), 1, "one replica row");
     assert_eq!(shard.replicas[0].replica, 0);
     assert_eq!(shard.replicas[0].stats.completed, shard.stats.completed);
-    assert_eq!(shard.stats.completed, report.ops, "the row folds to the run total");
+    assert_eq!(
+        shard.stats.completed, report.ops,
+        "the row folds to the run total"
+    );
     assert_eq!(report.replica_series.len(), 1);
     assert_eq!(report.replica_series[0].len(), 1);
     // The replica's service log holds executor runs only; a point lookup is

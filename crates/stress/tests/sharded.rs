@@ -14,8 +14,8 @@ use vcgp_core::Workload;
 use vcgp_graph::{generators, Mutation, VertexId};
 use vcgp_pregel::partition::Partitioning;
 use vcgp_pregel::PregelConfig;
-use vcgp_stress::request::{QueryError, QueryKind, QueryOutput, QueryRequest, Route};
 use vcgp_stress::epoch::MutationConfig;
+use vcgp_stress::request::{QueryError, QueryKind, QueryOutput, QueryRequest, Route};
 use vcgp_stress::service::{QueueFullPolicy, ServiceConfig, ServiceStats, SubmitError};
 use vcgp_stress::shard::ShardedGraphService;
 use vcgp_testkit::prop::Source;
@@ -146,16 +146,27 @@ fn cold_scattered_requests_cost_one_engine_run_each() {
     for strategy in [Partitioning::Hash, Partitioning::Range] {
         for shards in [1usize, 2, 4] {
             for replicas in [1usize, 2] {
-                let config = ServiceConfig { replicas, ..config_for(strategy) };
+                let config = ServiceConfig {
+                    replicas,
+                    ..config_for(strategy)
+                };
                 let engine = config.engine.clone();
                 let what = format!("{strategy:?} S={shards} R={replicas}");
                 let service = ShardedGraphService::start(Arc::clone(&graph), config, shards);
                 let check = |i: u64| {
                     let req = request(i);
-                    let QueryKind::Workload(w) = req.kind else { unreachable!() };
+                    let QueryKind::Workload(w) = req.kind else {
+                        unreachable!()
+                    };
                     let expected = run_workload(w, &graph, &engine, req.seed).unwrap();
                     let resp = service.submit(req).unwrap().wait();
-                    assert_eq!(resp.route, Route::Scattered { shards: shards as u32 }, "{what}");
+                    assert_eq!(
+                        resp.route,
+                        Route::Scattered {
+                            shards: shards as u32
+                        },
+                        "{what}"
+                    );
                     assert_eq!(
                         resp.result,
                         Ok(QueryOutput::Workload {
@@ -178,7 +189,11 @@ fn cold_scattered_requests_cost_one_engine_run_each() {
                 assert_eq!(cold.engine_runs, N, "{what}: one run per request");
                 assert_eq!(cold.coalesced_legs, legs - N, "{what}");
                 assert_eq!((cold.completed, cold.failed), (legs, 0), "{what}");
-                assert_eq!((cold.cache_hits, cold.cache_insertions), (0, legs), "{what}");
+                assert_eq!(
+                    (cold.cache_hits, cold.cache_insertions),
+                    (0, legs),
+                    "{what}"
+                );
                 // Hot pass: every leg is in its own shard's cache, under the
                 // key it always had; the engine is not consulted.
                 (0..N).for_each(&check);
@@ -221,7 +236,11 @@ fn duplicate_keys_under_live_mutations_match_exactly_one_epoch() {
     let muts: Vec<Mutation> = (0..16u32)
         .map(|i| match i % 4 {
             0 => Mutation::DeleteEdgeAt { u: i, rank: i },
-            1 => Mutation::InsertEdge { u: i, v: (i + 7) % 20, w: 1.0 },
+            1 => Mutation::InsertEdge {
+                u: i,
+                v: (i + 7) % 20,
+                w: 1.0,
+            },
             2 => Mutation::RemoveVertex { v: (i * 3) % 20 },
             _ => Mutation::AddVertex { label: i },
         })
@@ -253,11 +272,17 @@ fn duplicate_keys_under_live_mutations_match_exactly_one_epoch() {
             })
             .collect();
         writer.join().unwrap();
-        readers.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        readers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
     });
 
     let history = service.epoch_history().expect("keep_history was set");
-    assert!(history.len() >= 2, "the writer installed at least one new epoch");
+    assert!(
+        history.len() >= 2,
+        "the writer installed at least one new epoch"
+    );
     for (k, &(w, seed)) in keys.iter().enumerate() {
         let frozen: Vec<u64> = history
             .iter()
@@ -275,8 +300,15 @@ fn duplicate_keys_under_live_mutations_match_exactly_one_epoch() {
     let legs = CLIENTS * PER_CLIENT * SHARDS as u64;
     let stats = service.stats();
     assert_eq!((stats.completed, stats.failed), (legs, 0));
-    assert_eq!(stats.engine_runs + stats.coalesced_legs + stats.cache_hits, legs);
-    assert!(stats.engine_runs < legs / 2, "{} runs for {legs} legs", stats.engine_runs);
+    assert_eq!(
+        stats.engine_runs + stats.coalesced_legs + stats.cache_hits,
+        legs
+    );
+    assert!(
+        stats.engine_runs < legs / 2,
+        "{} runs for {legs} legs",
+        stats.engine_runs
+    );
     let snaps = service.shard_snapshots();
     type Field = fn(&ServiceStats) -> u64;
     let fields: [(&str, Field); 3] = [
@@ -303,7 +335,11 @@ fn duplicate_keys_under_live_mutations_match_exactly_one_epoch() {
     // installing the last swaps, and each one empties the caches.)
     let end = service.shutdown();
     for (name, field) in fields {
-        assert_eq!(field(&end), field(&stats), "{name}: booked after the last answer");
+        assert_eq!(
+            field(&end),
+            field(&stats),
+            "{name}: booked after the last answer"
+        );
     }
 }
 
@@ -316,32 +352,58 @@ fn a_panicking_leader_fails_its_attached_legs_and_leaves_nothing_behind() {
     // Large enough that the run outlasts the other executors' wake-ups by
     // orders of magnitude: they park on it before it panics.
     let graph = Arc::new(generators::gnm_connected(3000, 12_000, 3));
-    let config = ServiceConfig { executors: 1, ..config_for(Partitioning::Hash) };
+    let config = ServiceConfig {
+        executors: 1,
+        ..config_for(Partitioning::Hash)
+    };
     let expected = run_workload(Workload::CcSv, &graph, &config.engine, 9).unwrap();
     let service = ShardedGraphService::start(Arc::clone(&graph), config, SHARDS);
     let request = |id| QueryRequest::new(id, QueryKind::Workload(Workload::CcSv)).with_seed(9);
 
     service.debug_panic_next_run();
     let resp = service.submit(request(1)).unwrap().wait();
-    assert_eq!(resp.route, Route::Scattered { shards: SHARDS as u32 });
+    assert_eq!(
+        resp.route,
+        Route::Scattered {
+            shards: SHARDS as u32
+        }
+    );
     assert!(
         matches!(&resp.result, Err(QueryError::Panicked(m)) if m.contains("shared run")),
         "unexpected: {:?}",
         resp.result
     );
     let failed = service.stats();
-    assert_eq!(failed.panics, SHARDS as u64, "every attached leg counts its own panic");
+    assert_eq!(
+        failed.panics, SHARDS as u64,
+        "every attached leg counts its own panic"
+    );
     assert_eq!((failed.completed, failed.failed), (0, SHARDS as u64));
-    assert_eq!((failed.engine_runs, failed.coalesced_legs, failed.cache_insertions), (0, 0, 0));
+    assert_eq!(
+        (
+            failed.engine_runs,
+            failed.coalesced_legs,
+            failed.cache_insertions
+        ),
+        (0, 0, 0)
+    );
     for s in service.shard_snapshots() {
-        assert_eq!((s.stats.panics, s.stats.failed), (1, 1), "shard {}", s.shard);
+        assert_eq!(
+            (s.stats.panics, s.stats.failed),
+            (1, 1),
+            "shard {}",
+            s.shard
+        );
     }
 
     let resp = service.submit(request(2)).unwrap().wait();
     assert_eq!(workload_answer(&resp.result), expected.answer);
     let stats = service.shutdown();
     assert_eq!(stats.panics, SHARDS as u64, "no new panic");
-    assert_eq!((stats.engine_runs, stats.coalesced_legs), (1, SHARDS as u64 - 1));
+    assert_eq!(
+        (stats.engine_runs, stats.coalesced_legs),
+        (1, SHARDS as u64 - 1)
+    );
     assert_eq!(stats.completed, SHARDS as u64);
 }
 
@@ -363,10 +425,16 @@ fn a_timed_out_or_unsupported_leader_fails_its_attached_legs_alike() {
     let request = |id| QueryRequest::new(id, QueryKind::Workload(Workload::CcSv)).with_seed(9);
 
     // No run finishes in zero time.
-    let resp = service.submit(request(1).with_timeout(Duration::ZERO)).unwrap().wait();
+    let resp = service
+        .submit(request(1).with_timeout(Duration::ZERO))
+        .unwrap()
+        .wait();
     assert_eq!(resp.result, Err(QueryError::Timeout { attempts: 1 }));
     let timed_out = service.stats();
-    assert_eq!(timed_out.timeouts, SHARDS as u64, "the leader's and the parked leg's");
+    assert_eq!(
+        timed_out.timeouts, SHARDS as u64,
+        "the leader's and the parked leg's"
+    );
     assert_eq!((timed_out.completed, timed_out.failed), (0, SHARDS as u64));
     assert_eq!(timed_out.engine_runs, 1, "the run did complete, too late");
 
@@ -375,7 +443,11 @@ fn a_timed_out_or_unsupported_leader_fails_its_attached_legs_alike() {
         .submit(QueryRequest::new(2, QueryKind::Workload(Workload::Mst)))
         .unwrap()
         .wait();
-    assert!(matches!(resp.result, Err(QueryError::Unsupported(_))), "{:?}", resp.result);
+    assert!(
+        matches!(resp.result, Err(QueryError::Unsupported(_))),
+        "{:?}",
+        resp.result
+    );
 
     // The timed-out leader memoized its own leg (the value was right, only
     // late); the other shard leads a fresh run.
@@ -383,7 +455,11 @@ fn a_timed_out_or_unsupported_leader_fails_its_attached_legs_alike() {
     assert_eq!(workload_answer(&resp.result), expected.answer);
     let stats = service.shutdown();
     assert_eq!((stats.engine_runs, stats.cache_hits), (2, 1));
-    assert_eq!(stats.failed, 2 * SHARDS as u64, "two failed requests, every leg of each");
+    assert_eq!(
+        stats.failed,
+        2 * SHARDS as u64,
+        "two failed requests, every leg of each"
+    );
     assert_eq!(stats.completed, SHARDS as u64);
 }
 
@@ -399,7 +475,10 @@ fn point_lookups_are_owner_routed_and_exact() {
                 .wait();
             assert_eq!(
                 deg.route,
-                Route::Routed { shard: service.owner(v) as u32, replica: 0 },
+                Route::Routed {
+                    shard: service.owner(v) as u32,
+                    replica: 0
+                },
                 "v={v} routed to its owner"
             );
             assert_eq!(
@@ -408,7 +487,10 @@ fn point_lookups_are_owner_routed_and_exact() {
                 "v={v} degree from the shard slice"
             );
             let nbrs = service
-                .submit(QueryRequest::new(1000 + u64::from(v), QueryKind::Neighbors(v)))
+                .submit(QueryRequest::new(
+                    1000 + u64::from(v),
+                    QueryKind::Neighbors(v),
+                ))
                 .unwrap()
                 .wait();
             assert_eq!(
@@ -478,15 +560,24 @@ fn reject_policy_sheds_when_queue_is_full() {
     );
     // Occupy the executor, give it time to dequeue, then fill the queue.
     let busy = service
-        .submit(QueryRequest::new(1, QueryKind::DebugSleep(Duration::from_millis(300))))
+        .submit(QueryRequest::new(
+            1,
+            QueryKind::DebugSleep(Duration::from_millis(300)),
+        ))
         .unwrap();
     std::thread::sleep(Duration::from_millis(100));
     let queued = service
-        .submit(QueryRequest::new(2, QueryKind::DebugSleep(Duration::from_millis(1))))
+        .submit(QueryRequest::new(
+            2,
+            QueryKind::DebugSleep(Duration::from_millis(1)),
+        ))
         .unwrap();
     // Queue is now at capacity: the reject policy sheds instead of blocking.
     let shed = service
-        .submit(QueryRequest::new(3, QueryKind::DebugSleep(Duration::from_millis(1))))
+        .submit(QueryRequest::new(
+            3,
+            QueryKind::DebugSleep(Duration::from_millis(1)),
+        ))
         .unwrap();
     let resp = shed.wait();
     assert_eq!(resp.result, Err(QueryError::Rejected));
@@ -512,9 +603,7 @@ fn expired_deadline_is_dropped_at_dequeue_without_running() {
     // A deadline of "now" is already expired by the time an executor
     // dequeues the request.
     let resp = service
-        .submit(
-            QueryRequest::new(1, QueryKind::Degree(0)).with_deadline(Instant::now()),
-        )
+        .submit(QueryRequest::new(1, QueryKind::Degree(0)).with_deadline(Instant::now()))
         .unwrap()
         .wait();
     assert_eq!(resp.result, Err(QueryError::DeadlineExceeded));
@@ -540,7 +629,10 @@ fn queue_high_water_mark_tracks_depth() {
     let tickets: Vec<_> = (0..5)
         .map(|i| {
             service
-                .submit(QueryRequest::new(i, QueryKind::DebugSleep(Duration::from_millis(50))))
+                .submit(QueryRequest::new(
+                    i,
+                    QueryKind::DebugSleep(Duration::from_millis(50)),
+                ))
                 .unwrap()
         })
         .collect();
@@ -549,7 +641,11 @@ fn queue_high_water_mark_tracks_depth() {
     }
     let stats = service.shutdown();
     // The executor held one job while at least some of the rest queued.
-    assert!(stats.queue_hwm >= 2, "hwm {} should reflect queueing", stats.queue_hwm);
+    assert!(
+        stats.queue_hwm >= 2,
+        "hwm {} should reflect queueing",
+        stats.queue_hwm
+    );
     assert!(stats.queue_hwm <= 5);
 }
 
@@ -566,7 +662,10 @@ fn sharded_stats_fold_across_shards() {
     }
     let folded = service.stats();
     let snaps = service.shard_snapshots();
-    assert_eq!(folded.completed, snaps.iter().map(|s| s.stats.completed).sum::<u64>());
+    assert_eq!(
+        folded.completed,
+        snaps.iter().map(|s| s.stats.completed).sum::<u64>()
+    );
     assert_eq!(folded.completed, 8);
     assert_eq!(
         snaps.iter().map(|s| s.owned).sum::<usize>(),
@@ -583,26 +682,44 @@ fn sharded_stats_fold_across_shards() {
 #[test]
 fn a_leader_answers_the_legs_still_queued_behind_other_work() {
     let graph = Arc::new(generators::gnm_connected(32, 80, 5));
-    let config = ServiceConfig { executors: 1, ..config_for(Partitioning::Hash) };
+    let config = ServiceConfig {
+        executors: 1,
+        ..config_for(Partitioning::Hash)
+    };
     let expected = run_workload(Workload::CcHashMin, &graph, &config.engine, 1).unwrap();
     let service = ShardedGraphService::start(Arc::clone(&graph), config, 2);
     // Debug hooks spread by request id: id 0 holds shard 0's only executor.
     let hold = Duration::from_millis(400);
-    let busy = service.submit(QueryRequest::new(0, QueryKind::DebugSleep(hold))).unwrap();
+    let busy = service
+        .submit(QueryRequest::new(0, QueryKind::DebugSleep(hold)))
+        .unwrap();
     std::thread::sleep(Duration::from_millis(20));
     let sent = Instant::now();
     let resp = service
-        .submit(QueryRequest::new(1, QueryKind::Workload(Workload::CcHashMin)))
+        .submit(QueryRequest::new(
+            1,
+            QueryKind::Workload(Workload::CcHashMin),
+        ))
         .unwrap()
         .wait();
     let took = sent.elapsed();
     assert_eq!(workload_answer(&resp.result), expected.answer);
     // Shard 1 led the run; shard 0's leg never reached its executor.
-    assert!(took < hold / 2, "the request waited {took:?} behind a {hold:?} sleep");
+    assert!(
+        took < hold / 2,
+        "the request waited {took:?} behind a {hold:?} sleep"
+    );
     assert!(resp.queue_wait < hold / 2 && resp.gather_wait < hold / 2);
     let stats = service.stats();
-    assert_eq!((stats.engine_runs, stats.coalesced_legs, stats.completed), (1, 1, 2));
-    assert_eq!(service.queue_depths(), vec![0, 0], "the leg left shard 0's queue");
+    assert_eq!(
+        (stats.engine_runs, stats.coalesced_legs, stats.completed),
+        (1, 1, 2)
+    );
+    assert_eq!(
+        service.queue_depths(),
+        vec![0, 0],
+        "the leg left shard 0's queue"
+    );
     // ... and was memoized there under its own key all the same.
     let again = service
         .submit(QueryRequest::new(2, QueryKind::Workload(Workload::CcHashMin)).with_seed(1))
@@ -622,24 +739,36 @@ fn a_leader_answers_the_legs_still_queued_behind_other_work() {
 #[test]
 fn gather_wait_measures_the_straggler_even_when_it_is_leg_zero() {
     let graph = Arc::new(generators::gnm_connected(32, 80, 5));
-    let config = ServiceConfig { executors: 1, ..config_for(Partitioning::Hash) };
+    let config = ServiceConfig {
+        executors: 1,
+        ..config_for(Partitioning::Hash)
+    };
     let service = ShardedGraphService::start(Arc::clone(&graph), config, 2);
     let hold = Duration::from_millis(200);
-    let busy = service.submit(QueryRequest::new(0, QueryKind::DebugSleep(hold))).unwrap();
+    let busy = service
+        .submit(QueryRequest::new(0, QueryKind::DebugSleep(hold)))
+        .unwrap();
     std::thread::sleep(Duration::from_millis(20));
     // The unweighted graph has no MST.
     let resp = service
         .submit(QueryRequest::new(1, QueryKind::Workload(Workload::Mst)))
         .unwrap()
         .wait();
-    assert!(matches!(resp.result, Err(QueryError::Unsupported(_))), "{:?}", resp.result);
+    assert!(
+        matches!(resp.result, Err(QueryError::Unsupported(_))),
+        "{:?}",
+        resp.result
+    );
     assert!(busy.wait().is_ok());
     assert!(
         resp.gather_wait >= hold / 2,
         "gather_wait {:?} misses the {hold:?} straggler",
         resp.gather_wait
     );
-    assert!(resp.queue_wait >= hold / 2, "the straggler's wait was queueing");
+    assert!(
+        resp.queue_wait >= hold / 2,
+        "the straggler's wait was queueing"
+    );
     service.shutdown();
 }
 
@@ -656,16 +785,35 @@ fn a_directly_submitted_leg_is_refused_at_every_shard_count() {
             ShardedGraphService::start(Arc::clone(&graph), config_for(Partitioning::Hash), shards);
         let leg = QueryRequest::new(1, QueryKind::WorkloadPartial(Workload::Sssp)).with_seed(9);
         let refused = service.submit(leg);
-        assert!(matches!(refused, Err(SubmitError::InternalLeg)), "S={shards}");
+        assert!(
+            matches!(refused, Err(SubmitError::InternalLeg)),
+            "S={shards}"
+        );
         let stats = service.stats();
-        assert_eq!((stats.engine_runs, stats.completed, stats.failed), (0, 0, 0), "S={shards}");
+        assert_eq!(
+            (stats.engine_runs, stats.completed, stats.failed),
+            (0, 0, 0),
+            "S={shards}"
+        );
         // The whole request still costs one run, shared by all its legs.
         let whole = QueryRequest::new(2, QueryKind::Workload(Workload::Sssp)).with_seed(9);
         let resp = service.submit(whole).unwrap().wait();
-        assert_eq!(workload_answer(&resp.result), 64, "S={shards}: every vertex reached");
-        assert_eq!(resp.route, Route::Scattered { shards: shards as u32 });
+        assert_eq!(
+            workload_answer(&resp.result),
+            64,
+            "S={shards}: every vertex reached"
+        );
+        assert_eq!(
+            resp.route,
+            Route::Scattered {
+                shards: shards as u32
+            }
+        );
         let stats = service.shutdown();
-        assert_eq!((stats.engine_runs, stats.coalesced_legs), (1, shards as u64 - 1));
+        assert_eq!(
+            (stats.engine_runs, stats.coalesced_legs),
+            (1, shards as u64 - 1)
+        );
     }
 }
 
@@ -676,11 +824,16 @@ fn a_directly_submitted_leg_is_refused_at_every_shard_count() {
 fn duplicate_queued_cold_requests_cost_one_engine_run_at_one_shard() {
     const DUPLICATES: u64 = 3;
     let graph = Arc::new(generators::gnm_connected(32, 80, 5));
-    let config = ServiceConfig { executors: 1, ..config_for(Partitioning::Hash) };
+    let config = ServiceConfig {
+        executors: 1,
+        ..config_for(Partitioning::Hash)
+    };
     let expected = run_workload(Workload::CcHashMin, &graph, &config.engine, 1).unwrap();
     let service = one_shard(Arc::clone(&graph), config);
     let hold = Duration::from_millis(200);
-    let busy = service.submit(QueryRequest::new(0, QueryKind::DebugSleep(hold))).unwrap();
+    let busy = service
+        .submit(QueryRequest::new(0, QueryKind::DebugSleep(hold)))
+        .unwrap();
     while service.queue_depths() != vec![0] {
         std::thread::yield_now();
     }
@@ -690,7 +843,11 @@ fn duplicate_queued_cold_requests_cost_one_engine_run_at_one_shard() {
             service.submit(req).unwrap()
         })
         .collect();
-    assert_eq!(service.queue_depths(), vec![DUPLICATES as usize], "queued behind the sleep");
+    assert_eq!(
+        service.queue_depths(),
+        vec![DUPLICATES as usize],
+        "queued behind the sleep"
+    );
     for ticket in tickets {
         let resp = ticket.wait();
         assert_eq!(workload_answer(&resp.result), expected.answer);
@@ -698,6 +855,9 @@ fn duplicate_queued_cold_requests_cost_one_engine_run_at_one_shard() {
     }
     assert!(busy.wait().is_ok());
     let stats = service.shutdown();
-    assert_eq!((stats.engine_runs, stats.coalesced_legs), (1, DUPLICATES - 1));
+    assert_eq!(
+        (stats.engine_runs, stats.coalesced_legs),
+        (1, DUPLICATES - 1)
+    );
     assert_eq!((stats.completed, stats.cache_hits), (DUPLICATES + 1, 0));
 }

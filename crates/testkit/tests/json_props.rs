@@ -12,8 +12,9 @@ const EXACT: f64 = 9_007_199_254_740_992.0;
 
 /// Characters a string draw picks from: every escape the writer knows, a
 /// control character it must `\u`-escape, and multi-byte text.
-const ALPHABET: [char; 12] =
-    ['a', 'Z', '0', ' ', '"', '\\', '\n', '\t', '\r', '\u{1}', 'é', '∑'];
+const ALPHABET: [char; 12] = [
+    'a', 'Z', '0', ' ', '"', '\\', '\n', '\t', '\r', '\u{1}', 'é', '∑',
+];
 
 /// Arbitrary JSON trees of finite numbers. Low draws give the small cases
 /// (`null`, empty containers, short strings), so the shrinker walks a
@@ -22,7 +23,9 @@ const ALPHABET: [char; 12] =
 struct Tree;
 
 fn string(src: &mut Source) -> String {
-    (0..src.next_below(6)).map(|_| ALPHABET[src.next_below(12) as usize]).collect()
+    (0..src.next_below(6))
+        .map(|_| ALPHABET[src.next_below(12) as usize])
+        .collect()
 }
 
 fn tree(src: &mut Source, depth: u32) -> Value {
@@ -40,9 +43,15 @@ fn tree(src: &mut Source, depth: u32) -> Value {
             let n = f64::from_bits(src.next_u64());
             Value::Number(if n.is_finite() { n } else { 0.5 })
         }
-        5 => Value::Array((0..src.next_below(4)).map(|_| tree(src, depth - 1)).collect()),
+        5 => Value::Array(
+            (0..src.next_below(4))
+                .map(|_| tree(src, depth - 1))
+                .collect(),
+        ),
         _ => Value::Object(
-            (0..src.next_below(4)).map(|_| (string(src), tree(src, depth - 1))).collect(),
+            (0..src.next_below(4))
+                .map(|_| (string(src), tree(src, depth - 1)))
+                .collect(),
         ),
     }
 }
@@ -88,7 +97,10 @@ fn empty_containers_and_the_one_line_per_member_layout() {
     assert_eq!(Value::object([]).render(), "{}");
     let doc = Value::object([
         ("name", "a\"b".into()),
-        ("rows", vec![Value::object([("i", 1u64.into())]), Value::Array(vec![])].into()),
+        (
+            "rows",
+            vec![Value::object([("i", 1u64.into())]), Value::Array(vec![])].into(),
+        ),
         ("none", Value::object([])),
     ]);
     assert_eq!(
@@ -131,6 +143,9 @@ fn at_walks_members_and_indices_and_misses_with_none() {
     }
     let mut doc = doc;
     *doc.at_mut("per_shard[0].replicas[0].queue_hwm").unwrap() = 5u64.into();
-    assert_eq!(doc.at("per_shard[0].replicas[0].queue_hwm"), Some(&Value::Number(5.0)));
+    assert_eq!(
+        doc.at("per_shard[0].replicas[0].queue_hwm"),
+        Some(&Value::Number(5.0))
+    );
     assert!(doc.at_mut("per_shard[3]").is_none());
 }

@@ -25,8 +25,16 @@ fn main() {
         workload.name(),
         workload.paper_vc(),
         workload.paper_seq(),
-        if workload.expected_more_work() { "Yes" } else { "No" },
-        if workload.expected_bppa() { "Yes" } else { "No" },
+        if workload.expected_more_work() {
+            "Yes"
+        } else {
+            "No"
+        },
+        if workload.expected_bppa() {
+            "Yes"
+        } else {
+            "No"
+        },
     );
 
     let config = PregelConfig::default().with_workers(4);

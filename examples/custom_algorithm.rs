@@ -6,8 +6,7 @@
 //! Run with: `cargo run --release --example custom_algorithm`
 
 use vcgp::pregel::{
-    AggOp, AggValue, AggregatorDef, Context, MasterContext, PregelConfig, StateSize,
-    VertexProgram,
+    AggOp, AggValue, AggregatorDef, Context, MasterContext, PregelConfig, StateSize, VertexProgram,
 };
 
 /// Per-vertex state: the current community label.
@@ -41,9 +40,7 @@ impl VertexProgram for LabelPropagation {
                 *counts.entry(l).or_insert(0usize) += 1;
             }
             ctx.charge(messages.len() as u64);
-            if let Some((&label, _)) = counts
-                .iter()
-                .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
+            if let Some((&label, _)) = counts.iter().max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
             {
                 if label != ctx.value().0 {
                     *ctx.value_mut() = Label(label);

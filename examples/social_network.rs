@@ -41,7 +41,10 @@ fn main() {
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("\ntop influencers (pagerank):");
     for (v, score) in ranked.iter().take(5) {
-        println!("  vertex {v:>5}: score {score:.6}, degree {}", graph.out_degree(*v as u32));
+        println!(
+            "  vertex {v:>5}: score {score:.6}, degree {}",
+            graph.out_degree(*v as u32)
+        );
     }
 
     // Brokers: betweenness from a deterministic source sample (exact

@@ -12,7 +12,11 @@ fn main() {
     // A "directory tree": 50k nodes, random recursive attachment.
     let tree = generators::random_tree(50_000, 99);
     let config = PregelConfig::default().with_workers(4);
-    println!("tree: n = {}, edges = {}", tree.num_vertices(), tree.num_edges());
+    println!(
+        "tree: n = {}, edges = {}",
+        tree.num_vertices(),
+        tree.num_edges()
+    );
 
     // Row 8: the Euler tour — two supersteps, O(d(v)) everything.
     let tour = euler_tour::run(&tree, 0, &config);

@@ -156,7 +156,8 @@ fn coloring_valid_mis_peeling() {
 #[test]
 fn matchings_valid_and_maximal() {
     for seed in 0..3 {
-        let g = generators::with_random_weights(&generators::gnm(70, 160, seed), 0.0, 1.0, seed, true);
+        let g =
+            generators::with_random_weights(&generators::gnm(70, 160, seed), 0.0, 1.0, seed, true);
         let greedy = seq::matching::mwm_greedy(&g);
         for cfg in configs() {
             let r = vc::matching_preis::run(&g, &cfg);

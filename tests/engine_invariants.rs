@@ -96,7 +96,10 @@ fn per_vertex_totals_are_consistent_with_worker_totals() {
         .unwrap_or(0);
     for v in g.vertices() {
         assert!(pv.max_sent[v as usize] <= max_superstep_sent);
-        assert!(pv.max_work[v as usize] >= 1, "every vertex ran at least once");
+        assert!(
+            pv.max_work[v as usize] >= 1,
+            "every vertex ran at least once"
+        );
     }
 }
 

@@ -75,8 +75,7 @@ fn answers_supersteps_and_messages_match_the_frozen_parent() {
                         .with_workers(workers)
                         .with_threads(threads)
                         .with_partitioning(partitioning);
-                    let at =
-                        format!("{w:?} seed {seed} W={workers} T={threads} {partitioning:?}");
+                    let at = format!("{w:?} seed {seed} W={workers} T={threads} {partitioning:?}");
                     let (answer, stats) = run(w, g, &cfg, seed);
                     let (want_answer, supersteps, messages, parent_invocations) = want;
                     assert_eq!(answer, want_answer, "answer of {at}");

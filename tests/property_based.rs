@@ -54,7 +54,11 @@ impl VertexProgram for MinLabel {
     fn compute(&self, ctx: &mut Context<'_, Self>, msgs: &[u32]) {
         ctx.value_mut().1 = ctx.read_aggregate(0).as_i64();
         let current = ctx.value().0;
-        let best = msgs.iter().copied().min().map_or(current, |m| m.min(current));
+        let best = msgs
+            .iter()
+            .copied()
+            .min()
+            .map_or(current, |m| m.min(current));
         if ctx.superstep() == 0 || best < current {
             ctx.value_mut().0 = best;
             ctx.aggregate(0, AggValue::I64(1));
