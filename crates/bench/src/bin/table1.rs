@@ -9,7 +9,7 @@
 //! reproduce the paper's verdicts. Quick-scale sweeps are too short for
 //! the complexity fits, so `--quick` always exits 0.
 
-use vcgp_bench::Stopwatch;
+use std::time::Instant;
 use vcgp_core::{benchmark, report, Scale, Workload};
 use vcgp_pregel::PregelConfig;
 
@@ -42,7 +42,7 @@ fn main() {
                 continue;
             }
         }
-        let watch = Stopwatch::start();
+        let started = Instant::now();
         let row = benchmark::run_row(w, scale, &config);
         // Largest sweep point: where a program that runs vertices it need
         // not shows.
@@ -51,7 +51,7 @@ fn main() {
             "row {:>2} {:<44} {:>6.1}s  invocations {:>9}  quiet {:>5.1}%  more-work {} (paper {})  bppa {} (paper {}){}",
             w.row(),
             w.name(),
-            watch.secs(),
+            started.elapsed().as_secs_f64(),
             last.invocations,
             last.quiet_percent(),
             if row.more_work.yes { "Yes" } else { "No " },

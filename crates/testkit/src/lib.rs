@@ -1,4 +1,4 @@
-//! `vcgp-testkit` — in-tree property testing and bench timing.
+//! `vcgp-testkit` — in-tree property testing, latency histograms and JSON.
 //!
 //! The workspace has a zero-external-dependency policy: benchmark inputs and
 //! test streams must be reproducible across platforms and toolchains, and the
@@ -11,19 +11,15 @@
 //!   tuples, integer ranges, [`prop::any_u64`]), a configurable case count,
 //!   greedy input shrinking on failure, and the [`vcgp_props!`] macro whose
 //!   failure reports include a seed that replays the counterexample.
-//! * [`mod@bench`] — a criterion-style timing harness: warmup, fixed-iteration
-//!   sampling, mean/median/stddev, throughput labels, and JSON + markdown
-//!   emitters (`BENCH_<name>.json` / `BENCH_<name>.md`) that other report
-//!   producers reuse via [`bench::write_report`].
 //! * [`hist`] — a log-bucketed (HDR-style) mergeable histogram for latency
 //!   recording, used by the `vcgp-stress` workload driver.
 //! * [`json`] — a minimal JSON reader and writer over one `Value` tree, so
-//!   bench binaries and the stress driver can build, render, query and
+//!   the stress driver and the repo benchmark can build, render, query and
 //!   validate the reports they emit without an external crate.
+
 //!
 //! All modules use only `std` plus `vcgp-graph`'s deterministic RNG.
 
-pub mod bench;
 pub mod hist;
 pub mod json;
 pub mod prop;
