@@ -16,7 +16,6 @@
 //! realized by keeping the live adjacency inside the vertex value, as
 //! Giraph implementations do.
 
-use std::collections::HashSet;
 use vcgp_graph::Graph;
 use vcgp_pregel::{
     AggOp, AggValue, AggregatorDef, Context, MasterContext, PregelConfig, RunStats, StateSize,
@@ -33,8 +32,9 @@ mod phase {
 /// Per-vertex coloring state.
 #[derive(Debug, Clone, Default)]
 pub struct ColorState {
-    /// Uncolored neighbors (the live adjacency of the mutated graph).
-    alive: HashSet<u32>,
+    /// Uncolored neighbors (the live adjacency of the mutated graph),
+    /// sorted and distinct.
+    alive: Vec<u32>,
     /// Assigned color (`u32::MAX` while uncolored).
     pub color: u32,
     /// Eligible to join the MIS of the current color phase.
@@ -62,14 +62,26 @@ enum Msg {
 struct LubyColoring;
 
 impl LubyColoring {
+    /// Sends `msg` to every live neighbor, in id order.
+    fn send_to_alive(ctx: &mut Context<'_, Self>, msg: Msg) {
+        // Taken out for the sends and put back: no copy of the set.
+        let alive = std::mem::take(&mut ctx.value_mut().alive);
+        for &u in &alive {
+            ctx.send(u, msg);
+        }
+        ctx.value_mut().alive = alive;
+    }
+
     /// One Luby phase for an uncolored vertex.
     fn step(ctx: &mut Context<'_, Self>, messages: &[Msg]) {
         let current_color = ctx.global(1).as_i64() as u32;
         match ctx.global(0).as_i64() {
             phase::TENTATIVE => {
                 if ctx.superstep() == 0 {
-                    // Adopt the static adjacency as the live adjacency.
-                    let neighbors: HashSet<u32> = ctx.out_neighbors().iter().copied().collect();
+                    // Adopt the static adjacency (sorted by id) as the live
+                    // adjacency, parallel edges once.
+                    let mut neighbors = ctx.out_neighbors().to_vec();
+                    neighbors.dedup();
                     ctx.charge(neighbors.len() as u64);
                     ctx.value_mut().alive = neighbors;
                 }
@@ -92,11 +104,7 @@ impl LubyColoring {
                 let tentative = ctx.rng().next_bool(1.0 / (2.0 * d as f64));
                 ctx.value_mut().tentative = tentative;
                 if tentative {
-                    let me = ctx.id();
-                    let alive: Vec<u32> = ctx.value().alive.iter().copied().collect();
-                    for u in alive {
-                        ctx.send(u, Msg::Tentative(me));
-                    }
+                    Self::send_to_alive(ctx, Msg::Tentative(ctx.id()));
                 }
             }
             phase::RESOLVE => {
@@ -116,17 +124,17 @@ impl LubyColoring {
                     // Smallest tentative id in the neighborhood: join.
                     ctx.value_mut().color = current_color;
                     ctx.aggregate(1, AggValue::I64(1));
-                    let alive: Vec<u32> = ctx.value().alive.iter().copied().collect();
-                    for u in alive {
-                        ctx.send(u, Msg::InMis(me));
-                    }
+                    Self::send_to_alive(ctx, Msg::InMis(me));
                 }
             }
             phase::REMOVE => {
                 let mut removed_any = false;
                 for m in messages {
                     if let Msg::InMis(u) = m {
-                        ctx.value_mut().alive.remove(u);
+                        let alive = &mut ctx.value_mut().alive;
+                        if let Ok(i) = alive.binary_search(u) {
+                            alive.remove(i);
+                        }
                         removed_any = true;
                     }
                 }
@@ -219,7 +227,7 @@ pub fn run(graph: &Graph, config: &PregelConfig) -> ColoringResult {
     let init: Vec<ColorState> = graph
         .vertices()
         .map(|_| ColorState {
-            alive: HashSet::new(),
+            alive: Vec::new(),
             color: u32::MAX,
             eligible: true,
             tentative: false,

@@ -19,8 +19,13 @@
 //! `T = 1` the barrier has one party, and a crossing is a call to the
 //! leader closure. Cross-worker message handoff goes through lock-free
 //! outbox slots sequenced by those barriers instead of a `W x W` mutex
-//! matrix. A panic on any thread poisons the barrier, so the others unwind
-//! instead of waiting, and the run re-raises the original payload.
+//! matrix; each slot is drained where it lies, so a lane alternates
+//! between two buffers (the private `pool` module). A worker's mail to
+//! itself never enters an outbox: its delivery drains its own lane in
+//! place, at its own position in sender order, so at `W = 1` every message
+//! lives in one buffer. A panic on any thread poisons the barrier, so the
+//! others unwind instead of waiting, and the run re-raises the original
+//! payload.
 //!
 //! The driver load-balances with **deterministic work stealing**: each
 //! worker's sorted worklist is split into fixed-size chunks
@@ -583,6 +588,8 @@ struct ParShared<'a, P: VertexProgram> {
     /// sender's compute, read by the receiver's home thread after the
     /// compute barrier. The barrier's release/acquire edge replaces the
     /// per-slot mutex the engine used to take `W^2` times per superstep.
+    /// The diagonal stays empty: a worker's mail to itself never leaves its
+    /// own lane.
     outboxes: Vec<Vec<SyncCell<OutboxSlot<P::Message>>>>,
     /// Free list of chunk buffers, shared so the pool stabilizes regardless
     /// of which thread steals which chunk.
@@ -614,7 +621,8 @@ struct ParWorker<V, M> {
     view: SyncCell<StateView<V, M>>,
     /// The worker's own outgoing buffers (lanes + combining tables): the
     /// home thread runs its chunks straight into them, the merge replays
-    /// the stolen ones behind.
+    /// the stolen ones behind, and the home thread's delivery drains the
+    /// lane addressed to the worker itself.
     out: SyncCell<Outgoing<M>>,
     /// The unclaimed chunks `front..back`, packed `back << 32 | front`: the
     /// home thread claims from the front, thieves from the back, so the
@@ -825,7 +833,6 @@ fn par_thread<P: VertexProgram>(t_id: usize, sh: &ParShared<'_, P>) {
     let _poison = sh.barrier.poison_on_unwind();
     let my = sh.blocks[t_id].clone();
     let combiner = sh.program.combiner();
-    let mut delivery_scratch: Vec<(VertexId, P::Message)> = Vec::new();
     let mut acc = sh.identities.to_vec();
     let mut chunk_agg = sh.identities.to_vec();
     let mut superstep: u64 = 0;
@@ -862,7 +869,7 @@ fn par_thread<P: VertexProgram>(t_id: usize, sh: &ParShared<'_, P>) {
 
         // ---- Phase B: delivery + next-superstep setup (owned workers) ---
         for wi in my.clone() {
-            deliver_worker(wi, sh, combiner, &mut delivery_scratch);
+            deliver_worker(wi, sh, combiner);
         }
         // Publish this thread's barrier waits before the master (inside the
         // next barrier) reads them; the wait at that barrier itself is
@@ -1084,6 +1091,10 @@ fn fold_aggregates(defs: &[AggregatorDef], acc: &mut [AggValue], partial: &[AggV
 /// Ships `out`'s nonempty lanes into worker `wi`'s outbox row and resets
 /// the combining tables for the next superstep. Returns this flush's
 /// buffer-recycling events.
+///
+/// The lane to `wi` itself is not shipped: it stays where it is, and
+/// `wi`'s delivery drains it in place at sender position `wi`. Its buffer
+/// never changes hands, so it counts as recycled whenever it carries mail.
 fn flush_out<P: VertexProgram>(
     wi: usize,
     sh: &ParShared<'_, P>,
@@ -1093,6 +1104,10 @@ fn flush_out<P: VertexProgram>(
     for (dw, lane) in out.lanes.iter_mut().enumerate() {
         if lane.buf.is_empty() {
             debug_assert_eq!(lane.folded, 0, "folds without buffered messages");
+            continue;
+        }
+        if dw == wi {
+            counters.note(lane.buf.capacity());
             continue;
         }
         // SAFETY: compute phase — row `wi` is written only by the single
@@ -1180,38 +1195,48 @@ fn merge_worker<P: VertexProgram>(wi: usize, sh: &ParShared<'_, P>) {
 }
 
 /// Delivery phase for one worker, on its home thread: drain the outbox
-/// column in sender order, finalize the next worklist, republish the chunk
-/// schedule.
+/// column in sender order — the worker's own lane in place at its own
+/// position — finalize the next worklist, republish the chunk schedule.
 fn deliver_worker<P: VertexProgram>(
     wi: usize,
     sh: &ParShared<'_, P>,
     combiner: Option<Combiner<P::Message>>,
-    scratch: &mut Vec<(VertexId, P::Message)>,
 ) {
     let pw = &sh.workers[wi];
     // SAFETY: delivery phase — after the compute barrier every outbox slot
     // addressed to `wi` is fully written, every chunk executor is done, and
-    // only `wi`'s home thread (us) touches its state until the next compute
-    // phase, and its scratch slot until the master phase reads it inside
-    // the next barrier.
-    let (st, sc) = unsafe { (&mut *pw.state.get(), &mut *pw.scratch.get()) };
+    // only `wi`'s home thread (us) touches its state and its outgoing
+    // buffers until the next compute phase, and its scratch slot until the
+    // master phase reads it inside the next barrier.
+    let (st, out, sc) = unsafe {
+        (
+            &mut *pw.state.get(),
+            &mut *pw.out.get(),
+            &mut *pw.scratch.get(),
+        )
+    };
     if let Some(pv) = st.pv.as_mut() {
         pv.recv_cur.iter_mut().for_each(|c| *c = 0);
     }
     let mut received = 0u64;
     let mut delivered = 0u64;
     for sender in 0..sh.w {
-        // Swap the lane out (and an empty, capacity-carrying buffer in,
-        // for the sender's next flush) instead of taking and dropping.
-        // SAFETY: column `wi` is read only by us this phase; the sender's
-        // write happened before the compute barrier.
-        let slot = unsafe { &mut *sh.outboxes[sender][wi].get() };
-        std::mem::swap(&mut slot.msgs, scratch);
-        let folded = std::mem::take(&mut slot.folded);
+        // Drain where the messages lie, so the emptied buffer keeps its
+        // capacity there: the outbox slot's for the sender's next flush to
+        // swap against, the own lane's for the next compute to fill.
+        let (msgs, folded) = if sender == wi {
+            let lane = &mut out.lanes[wi];
+            (&mut lane.buf, &mut lane.folded)
+        } else {
+            // SAFETY: column `wi` is read only by us this phase; the
+            // sender's write happened before the compute barrier.
+            let slot = unsafe { &mut *sh.outboxes[sender][wi].get() };
+            (&mut slot.msgs, &mut slot.folded)
+        };
         // `r_i` keeps its algorithm-level meaning: sends folded at the
         // sender still count as received here.
-        received += scratch.len() as u64 + folded;
-        delivered += deliver_lane(st, sh.partitioner, combiner, scratch);
+        received += msgs.len() as u64 + std::mem::take(folded);
+        delivered += deliver_lane(st, sh.partitioner, combiner, msgs);
     }
     if let Some(pv) = st.pv.as_mut() {
         for li in 0..pv.recv_cur.len() {
@@ -1530,10 +1555,9 @@ mod tests {
                 .with_threads(threads);
             let (_, stats) = run(&Flood { rounds: 6 }, &g, &cfg);
             assert!(stats.supersteps() >= 6, "{at}");
-            for (i, s) in stats.superstep_stats.iter().enumerate().skip(2) {
-                // After the two-superstep warmup the lane/outbox/scratch
-                // swap cycle is closed: nothing on the message path is
-                // allocated again.
+            for (i, s) in stats.superstep_stats.iter().enumerate().skip(1) {
+                // After the first superstep the lane/outbox swap cycle is
+                // closed: nothing on the message path is allocated again.
                 assert_eq!(s.buffers.allocated, 0, "superstep {i} allocated at {at}");
                 if i < stats.superstep_stats.len() - 1 {
                     assert!(
@@ -1562,7 +1586,7 @@ mod tests {
             .with_steal_chunk(4);
         let (_, stats) = run(&Flood { rounds: 6 }, &g, &cfg);
         assert!(stats.supersteps() >= 6);
-        for (i, s) in stats.superstep_stats.iter().enumerate().skip(2) {
+        for (i, s) in stats.superstep_stats.iter().enumerate().skip(1) {
             assert_eq!(s.buffers.allocated, 0, "superstep {i} allocated");
             let lanes = s.buffers.recycled - s.chunks_stolen;
             assert!(lanes <= 9, "superstep {i} recycled {lanes} lanes");

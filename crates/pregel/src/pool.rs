@@ -8,17 +8,22 @@
 //! outbox slot, circulated by `mem::swap`:
 //!
 //! 1. the sender swaps its full lane into the outbox slot and keeps the
-//!    empty (but capacity-carrying) vector the receiver parked there;
-//! 2. the receiver swaps the full lane out into a per-worker scratch
-//!    vector, drains it, and leaves its previous scratch — again empty but
-//!    with capacity — parked in the slot for the sender's next flush;
-//! 3. inboxes are `clear()`ed after `compute` instead of being dropped, so
+//!    empty (but capacity-carrying) vector the receiver left there;
+//! 2. the receiver drains the slot in place, so the emptied vector keeps
+//!    its capacity where it is, for the sender's next flush — each lane
+//!    alternates between two buffers;
+//! 3. a worker's lane to itself is never shipped: the worker's delivery
+//!    drains it in place, at its own position in sender order, and the
+//!    one buffer is refilled next superstep (at one worker, every message
+//!    lives in that one buffer);
+//! 4. inboxes are `clear()`ed after `compute` instead of being dropped, so
 //!    their capacity survives into the next delivery phase.
 //!
-//! After a two-superstep warmup the cycle is closed: no message-path buffer
+//! After the first superstep the cycle is closed: no message-path buffer
 //! is allocated again. [`BufferCounters`] observes the invariant (and the
 //! warmup) and is surfaced per superstep as
-//! [`crate::metrics::BufferStats`].
+//! [`crate::metrics::BufferStats`]; the own lane counts as recycled
+//! whenever it carries mail.
 //!
 //! The sender-side combining index maps a destination vertex to its
 //! position in the sender's lane, generation-stamped so clearing between

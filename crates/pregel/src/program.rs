@@ -121,12 +121,28 @@ impl<M> Outgoing<M> {
         lane.buf.push((to, msg));
     }
 
+    /// Buffers one copy of `msg` for every vertex of `targets`: the lanes,
+    /// order and folds of a [`push`](Self::push) per target, in order. With
+    /// one lane and no combiner that is a single `extend`.
+    pub(crate) fn push_all(&mut self, partitioner: Partitioner, targets: &[VertexId], msg: &M)
+    where
+        M: Clone,
+    {
+        if let ([lane], None) = (self.lanes.as_mut_slice(), self.combiner) {
+            lane.buf.extend(targets.iter().map(|&to| (to, msg.clone())));
+        } else {
+            for &to in targets {
+                self.push(partitioner.owner(to), to, msg.clone());
+            }
+        }
+    }
+
     /// Resets per-superstep state after a flush: combining indexes become
     /// logically empty, the fold counter restarts. Lane buffers are managed
-    /// by the flush itself (they are swapped with parked outbox vectors).
+    /// by the flush and the delivery (the worker's lane to itself is still
+    /// full here; its receiver drains it in place).
     pub(crate) fn begin_superstep(&mut self) {
         for lane in &mut self.lanes {
-            debug_assert!(lane.buf.is_empty() && lane.folded == 0, "lane not flushed");
             lane.table.advance();
         }
         if let Some(t) = &mut self.direct {
@@ -217,21 +233,29 @@ impl<'a, P: VertexProgram + ?Sized> Context<'a, P> {
         *self.work += 1;
     }
 
-    /// Sends a copy of `msg` along every out-edge.
+    /// Sends a copy of `msg` along every out-edge: the same messages, in
+    /// the same order and with the same charges, as a [`send`](Self::send)
+    /// per out-neighbor.
     pub fn send_to_all_out_neighbors(&mut self, msg: P::Message) {
         let neighbors = self.graph.out_neighbors(self.id);
-        for &v in neighbors {
-            self.send(v, msg.clone());
-        }
+        self.send_to_each(neighbors, &msg);
     }
 
     /// Sends a copy of `msg` to every in-neighbor (the "parents" of a
-    /// digraph vertex — used by the simulation workloads).
+    /// digraph vertex — used by the simulation workloads), as a
+    /// [`send`](Self::send) per in-neighbor would.
     pub fn send_to_all_in_neighbors(&mut self, msg: P::Message) {
         let neighbors = self.graph.in_neighbors(self.id);
-        for &v in neighbors {
-            self.send(v, msg.clone());
-        }
+        self.send_to_each(neighbors, &msg);
+    }
+
+    /// One whole-adjacency send: buffered in one call, charged one work
+    /// unit and one sent-message unit per target.
+    fn send_to_each(&mut self, targets: &[VertexId], msg: &P::Message) {
+        self.out.push_all(self.partitioner, targets, msg);
+        let k = targets.len() as u64;
+        *self.sent += k;
+        *self.work += k;
     }
 
     /// Votes to halt. The vertex will not run next superstep unless a

@@ -168,15 +168,25 @@ fn print_stats(stats: &RunStats) {
     );
 }
 
+/// The flags of `vcgp run` that take a value.
+const RUN_VALUE_FLAGS: [&str; 3] = ["--workers", "--source", "--target"];
+
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let algorithm = args.first().ok_or("run needs an algorithm")?.as_str();
+    // The algorithm and the file are the arguments that are neither a flag
+    // nor a flag's value, wherever the flags stand.
+    let mut positional = args.iter().enumerate().filter(|&(i, a)| {
+        let is_value = i > 0 && RUN_VALUE_FLAGS.contains(&args[i - 1].as_str());
+        !is_value && a != "--directed" && !RUN_VALUE_FLAGS.contains(&a.as_str())
+    });
+    let mut next = || positional.next().map(|(_, a)| a.as_str());
+    let algorithm = next().ok_or("run needs an algorithm")?;
     let needs_digraph = match algorithm {
         "wcc" | "scc" | "pagerank" => true,
         "cc" | "sv" | "sssp" | "diameter" | "mst" | "coloring" | "matching" | "bc"
         | "triangles" | "reach" => false,
         other => return Err(format!("unknown algorithm {other:?}")),
     };
-    let path = args.get(1).ok_or("run needs a file")?.as_str();
+    let path = next().ok_or("run needs a file")?;
     let directed_flag = args.iter().any(|a| a == "--directed");
     let workers = flag_value(args, "--workers")?
         .map(|v| parse::<usize>(v, "--workers"))

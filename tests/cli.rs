@@ -23,6 +23,7 @@ fn zero_workers_is_a_usage_error() {
 
 /// One row per class of failure: a malformed command line exits 2, a file
 /// that cannot be opened or created exits 1, each with a one-line error.
+/// One row runs: flags may stand before the file.
 #[test]
 fn each_failure_class_has_its_exit_code_and_message() {
     let dir = env!("CARGO_TARGET_TMPDIR");
@@ -51,6 +52,7 @@ fn each_failure_class_has_its_exit_code_and_message() {
         ("gen path 4", 2, "gen needs -o <file>"),
         ("run cc MISSING", 1, "cannot open "),
         ("gen path 4 -o MISSING", 1, "cannot create "),
+        ("run cc --workers 2 GRAPH", 0, ""),
     ] {
         let args: Vec<&str> = line
             .split(' ')
@@ -65,6 +67,10 @@ fn each_failure_class_has_its_exit_code_and_message() {
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert_eq!(run.status.code(), Some(code), "{line}: {stderr}");
         let stderr = stderr.trim_end();
+        if code == 0 {
+            assert_eq!(stderr, "", "{line}");
+            continue;
+        }
         assert!(
             !stderr.contains('\n'),
             "{line}: more than one line: {stderr}"
