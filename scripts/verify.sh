@@ -113,7 +113,8 @@ fi
 echo "   ok: shard1/shard4 agree ($(echo $c1 | tr '\n' ' '))"
 
 echo "== cache smoke (same seeded mix twice against ONE service process; the"
-echo "   passes must answer bit-identically and pass 2 must hit the cache)"
+echo "   passes must answer bit-identically, and pass 2 must hit every entry"
+echo "   pass 1 inserted and miss none: the logical clock fixes the trace)"
 ./target/release/stress --gen gnm-connected:256:1024:7 --ops 300 --duration 30 \
     --seed 7 --mix mixed --shards 2 --repeat 2 --name cache --quiet
 for p in 1 2; do
@@ -127,12 +128,18 @@ if [ -z "$h1" ] || [ "$h1" != "$h2" ]; then
     echo "pass 1: ${h1:-missing}   pass 2: ${h2:-missing}" >&2
     exit 1
 fi
+inserted=$(get cache-pass1 cache.insertions)
 hits=$(get cache-pass2 cache.hits)
-if [ -z "$hits" ] || [ "$hits" -eq 0 ]; then
-    echo "error: second pass over the same stream recorded no cache hits" >&2
+misses=$(get cache-pass2 cache.misses)
+if [ -z "$inserted" ] || [ "$inserted" -eq 0 ] || [ "$hits" != "$inserted" ] \
+    || [ "$misses" != 0 ]; then
+    echo "error: pass 2 must hit exactly the pass-1 insertions and miss none:" >&2
+    echo "pass-1 insertions ${inserted:-missing}, pass-2 hits ${hits:-missing}," \
+        "pass-2 misses ${misses:-missing}" >&2
     exit 1
 fi
-echo "   ok: answers identical ($h1), pass-2 cache hits: $hits"
+echo "   ok: answers identical ($h1), pass-1 insertions $inserted," \
+    "pass-2 hits $hits, misses $misses"
 
 echo "== mutation smoke (epoch writer live at --write-ratio 0 must stay"
 echo "   bit-identical to the frozen shard4 run; a mixed read/write run must"
