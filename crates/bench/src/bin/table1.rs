@@ -3,7 +3,8 @@
 //! product and the sequential operation count, fit complexity classes, and
 //! print the verdict table plus per-row detail and a CSV dump.
 //!
-//! Usage: `table1 [--quick] [--workers N] [--row K]`
+//! Usage: `table1 [--quick] [--workers N] [--row K]`; any other argument
+//! is refused with exit code 2.
 //!
 //! At full scale the exit code is a gate: 1 when any row it ran does not
 //! reproduce the paper's verdicts. Quick-scale sweeps are too short for
@@ -15,6 +16,16 @@ use vcgp_pregel::PregelConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--quick" => {}
+            "--workers" | "--row" => {
+                rest.next();
+            }
+            _ => usage_error(&format!("unknown flag {arg}")),
+        }
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::Quick } else { Scale::Full };
     let workers = match arg_value(&args, "--workers").map(str::parse::<usize>) {

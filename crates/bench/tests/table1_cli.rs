@@ -25,3 +25,17 @@ fn bad_flag_values_are_usage_errors() {
         );
     }
 }
+
+/// An argument `table1` does not know is refused before any row runs,
+/// instead of being ignored.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+        .args(["--quick", "--row", "1", "--bogus"])
+        .output()
+        .expect("the table1 binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.trim_end(), "error: unknown flag --bogus");
+    assert!(out.stdout.is_empty(), "no row ran");
+}

@@ -12,7 +12,7 @@
 //!        [--mix points|mixed|analytics|hotspot] [--seed N]
 //!        [--zipf-s S] [--write-ratio R] [--mutation-seed N]
 //!        [--write-buffer N] [--max-batch N]
-//!        [--timeout-ms N] [--retries N] [--name NAME] [--quiet]
+//!        [--timeout-ms N] [--name NAME] [--quiet]
 //! stress --validate-report FILE
 //! stress --get FILE PATH
 //! ```
@@ -24,7 +24,8 @@
 //! Every run is a scenario: `--scenario FILE` loads one, and without it
 //! `--mix` / `--zipf-s` / `--write-ratio` / `--duration` / `--ops` fill in
 //! a one-phase spec from the built-in preset table. Flag values pass the
-//! range checks the spec parser applies to the matching directives.
+//! range checks the spec parser applies to the matching directives, and an
+//! argument that is no flag of this binary is refused (exit 2).
 //!
 //! Reports are written as `BENCH_stress_<name>.json` / `.md` into
 //! `$VCGP_BENCH_DIR`, or `target/vcgp-bench` under the workspace root.
@@ -59,7 +60,9 @@ fn main() {
     }
     // A report that fails its gate, or lacks the path asked for, exits 1;
     // a malformed command line, graph or load spec exits 2.
-    let (code, outcome) = if let Some(path) = flag_value(&args, "--validate-report") {
+    let (code, outcome) = if let Err(msg) = check_flags(&args) {
+        (2, Err(msg))
+    } else if let Some(path) = flag_value(&args, "--validate-report") {
         (1, validate_report(path))
     } else if let Some(i) = args.iter().position(|a| a == "--get") {
         match (args.get(i + 1), args.get(i + 2)) {
@@ -120,8 +123,8 @@ fn usage() {
          for any replica count; only tail latency changes\n  \
          --routing P       replica pick within a shard: round-robin\n                    \
          (seeded, deterministic sequence) | least-loaded\n                    \
-         (smallest queue depth, ties to the lowest replica\n                    \
-         id). Default round-robin\n  \
+         (fewest jobs queued or in service, ties to the\n                    \
+         lowest replica id). Default round-robin\n  \
          --queue-policy P  block (backpressure) | reject (shed) when full\n  \
          --cache-capacity N  result-cache entries per shard core (default 256)\n  \
          --cache-off       disable the result cache (same as capacity 0)\n  \
@@ -146,14 +149,66 @@ fn usage() {
          --write-buffer N  bounded write-buffer capacity (default 1024;\n                    \
          accepts block when full)\n  \
          --max-batch N     max mutations applied per epoch swap (default 64)\n  \
-         --timeout-ms N    per-attempt timeout (default 5000)\n  \
-         --retries N       max attempts per request (default 3)\n  \
+         --timeout-ms N    per-request timeout (default 5000); a request\n                    \
+         runs once, and one that runs longer fails\n  \
          --name NAME       report name: BENCH_stress_<name>.* (default run)\n  \
          --get FILE PATH   print one field of a report by dotted path, e.g.\n                    \
          per_shard[0].replicas[1].queue_hwm (key order in\n                    \
          the file is unspecified); exit 1 if it is absent\n  \
          --quiet           one-line summary instead of the full table"
     );
+}
+
+/// Flags that take a value (`--get` takes two: a FILE and a PATH).
+const VALUE_FLAGS: [&str; 28] = [
+    "--validate-report",
+    "--gen",
+    "--graph",
+    "--scenario",
+    "--interval-ms",
+    "--duration",
+    "--ops",
+    "--rate",
+    "--burst",
+    "--clients",
+    "--tenants",
+    "--executors",
+    "--queue",
+    "--shards",
+    "--replicas",
+    "--routing",
+    "--queue-policy",
+    "--cache-capacity",
+    "--repeat",
+    "--mix",
+    "--seed",
+    "--zipf-s",
+    "--write-ratio",
+    "--mutation-seed",
+    "--write-buffer",
+    "--max-batch",
+    "--timeout-ms",
+    "--name",
+];
+
+/// Flags that stand alone.
+const SWITCHES: [&str; 3] = ["--directed", "--cache-off", "--quiet"];
+
+/// Refuses the first argument that is no flag of this binary (a flag's
+/// values are skipped over), so a misspelt flag is an error, not a run
+/// with the default it meant to change.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let values = match arg.as_str() {
+            "--get" => 2,
+            flag if VALUE_FLAGS.contains(&flag) => 1,
+            flag if SWITCHES.contains(&flag) => 0,
+            _ => return Err(format!("unknown flag {arg}")),
+        };
+        rest.by_ref().take(values).for_each(drop);
+    }
+    Ok(())
 }
 
 fn flag_value<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
@@ -347,7 +402,6 @@ fn run(args: &[String]) -> Result<(), String> {
             .map(QueueFullPolicy::parse)
             .transpose()?
             .unwrap_or_default(),
-        max_attempts: flag_or(args, "--retries", 3u32, parse_count)?,
         seed: flag_or(args, "--seed", 7u64, parse_value)?,
         cache_capacity,
         mutations,

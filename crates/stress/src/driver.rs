@@ -190,7 +190,6 @@ struct ClientStats {
     unsupported: u64,
     timeouts: u64,
     rejects: u64,
-    retries: u64,
     routed: u64,
     scattered: u64,
     writes: u64,
@@ -214,7 +213,6 @@ impl ClientStats {
             unsupported: 0,
             timeouts: 0,
             rejects: 0,
-            retries: 0,
             routed: 0,
             scattered: 0,
             writes: 0,
@@ -235,7 +233,6 @@ impl ClientStats {
         self.unsupported += other.unsupported;
         self.timeouts += other.timeouts;
         self.rejects += other.rejects;
-        self.retries += other.retries;
         self.routed += other.routed;
         self.scattered += other.scattered;
         self.writes += other.writes;
@@ -396,7 +393,6 @@ pub fn run_scenario(target: &ShardedGraphService, scenario: &Scenario) -> Stress
             errors: total.errors,
             unsupported: total.unsupported,
             timeouts: total.timeouts,
-            retries: total.retries,
             routed: total.routed,
             scattered: total.scattered,
             writes: total.writes,
@@ -419,7 +415,6 @@ pub fn run_scenario(target: &ShardedGraphService, scenario: &Scenario) -> Stress
         total.errors += p.errors;
         total.unsupported += p.unsupported;
         total.timeouts += p.timeouts;
-        total.retries += p.retries;
         total.routed += p.routed;
         total.scattered += p.scattered;
         total.writes += p.writes;
@@ -500,7 +495,6 @@ pub fn run_scenario(target: &ShardedGraphService, scenario: &Scenario) -> Stress
         errors: total.errors,
         unsupported: total.unsupported,
         timeouts: total.timeouts,
-        retries: total.retries,
         routed: total.routed,
         scattered: total.scattered,
         rejects,
@@ -691,7 +685,6 @@ fn client_loop(
         let resp = ticket.wait();
         let done = Instant::now();
         stats.ops += 1;
-        stats.retries += u64::from(resp.retries());
         match resp.route {
             Route::Direct => {}
             Route::Routed { .. } => stats.routed += 1,
@@ -723,7 +716,7 @@ fn client_loop(
                 stats.errors += 1;
                 match e {
                     QueryError::Unsupported(_) => stats.unsupported += 1,
-                    QueryError::Timeout { .. } => stats.timeouts += 1,
+                    QueryError::Timeout => stats.timeouts += 1,
                     QueryError::Rejected => stats.rejects += 1,
                     _ => {}
                 }

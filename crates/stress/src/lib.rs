@@ -7,13 +7,13 @@
 //! engine look like as a resident service under concurrent, heavy traffic?
 //!
 //! * [`request`] — typed [`request::QueryRequest`]s (any Table 1 workload,
-//!   plus point lookups) with per-attempt timeouts and absolute deadlines,
+//!   plus point lookups) with timeouts and absolute deadlines,
 //!   answered by [`request::QueryResponse`]s carrying per-request cost
 //!   metrics;
 //! * [`service`] — the replica core every shard runs: requests that need
 //!   no executor (cache hits, point lookups) answered at submit, and for
-//!   the rest a bounded MPMC job queue, OS-thread executors, post-hoc
-//!   timeouts with bounded seeded-jitter retries, contained panics,
+//!   the rest a bounded MPMC job queue, OS-thread executors that run
+//!   each request once, post-hoc timeouts, contained panics,
 //!   queue-full admission policies (block / reject), deadline early drops,
 //!   and graceful draining shutdown — plus its config and counters;
 //! * [`shard`] + [`router`] — the one service type:
@@ -25,7 +25,7 @@
 //!   every shard count with typed partial merges — the legs of a request
 //!   sharing one engine run through the
 //!   service-wide run table — and picks replicas by a pluggable policy
-//!   (seeded round-robin or least-loaded queue depth);
+//!   (seeded round-robin, or least-loaded by queued plus in-service jobs);
 //! * [`cache`] — the per-core result cache: a capacity-bounded, segmented
 //!   LRU memoizing `(workload, leg fingerprint, seed) → partial` for the
 //!   scattered per-shard legs of analytics requests, with

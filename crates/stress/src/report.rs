@@ -45,10 +45,9 @@ pub struct PhaseReport {
     pub errors: u64,
     /// Errors that were precondition rejections (subset of `errors`).
     pub unsupported: u64,
-    /// Operations that exhausted their attempts (subset of `errors`).
+    /// Operations whose execution exceeded their timeout (subset of
+    /// `errors`).
     pub timeouts: u64,
-    /// Retry attempts beyond each operation's first.
-    pub retries: u64,
     /// Operations owner-routed to a single shard.
     pub routed: u64,
     /// Operations scattered to every shard and gather-merged.
@@ -141,10 +140,9 @@ pub struct StressReport {
     pub errors: u64,
     /// Errors that were precondition rejections (subset of `errors`).
     pub unsupported: u64,
-    /// Operations that exhausted their attempts (subset of `errors`).
+    /// Operations whose execution exceeded their timeout (subset of
+    /// `errors`).
     pub timeouts: u64,
-    /// Retry attempts beyond each operation's first.
-    pub retries: u64,
     /// Operations dispatched to a single shard: owner-routed lookups and
     /// debug hooks. `routed + scattered == ops` — the identity
     /// [`validate`] enforces for the run and for every phase.
@@ -208,7 +206,7 @@ pub struct StressReport {
     /// End-to-end latency in nanoseconds; coordinated-omission-corrected
     /// (measured from the intended schedule) when a rate is set.
     pub latency: LogHistogram,
-    /// Pure execution time in nanoseconds (excludes queueing and backoff).
+    /// Pure execution time in nanoseconds (excludes queueing).
     pub service_time: LogHistogram,
     /// Gather straggler penalty in nanoseconds, recorded per scattered
     /// operation (empty when nothing scattered).
@@ -337,7 +335,6 @@ impl StressReport {
                 ("errors", p.errors.into()),
                 ("unsupported", p.unsupported.into()),
                 ("timeouts", p.timeouts.into()),
-                ("retries", p.retries.into()),
                 ("routed", p.routed.into()),
                 ("scattered", p.scattered.into()),
                 ("writes", p.writes.into()),
@@ -383,7 +380,6 @@ impl StressReport {
             ("errors", self.errors.into()),
             ("unsupported", self.unsupported.into()),
             ("timeouts", self.timeouts.into()),
-            ("retries", self.retries.into()),
             ("routed", self.routed.into()),
             ("scattered", self.scattered.into()),
             ("rejects", self.rejects.into()),
@@ -464,7 +460,6 @@ impl StressReport {
             "| unsupported / timeouts | {} / {} |\n",
             self.unsupported, self.timeouts
         ));
-        out.push_str(&format!("| retries | {} |\n", self.retries));
         out.push_str(&format!(
             "| routed / scattered | {} / {} |\n",
             self.routed, self.scattered
@@ -634,7 +629,7 @@ const HIST_FIELDS: [&str; 8] = ["count", "min", "mean", "p50", "p90", "p99", "p9
 
 /// The run-level numeric fields (`rate` is absent here: it is `null` when
 /// unthrottled).
-const RUN_FIELDS: [&str; 23] = [
+const RUN_FIELDS: [&str; 22] = [
     "seed",
     "clients",
     "burst",
@@ -647,7 +642,6 @@ const RUN_FIELDS: [&str; 23] = [
     "errors",
     "unsupported",
     "timeouts",
-    "retries",
     "routed",
     "scattered",
     "rejects",
@@ -856,9 +850,8 @@ pub fn validate(doc: &Value) -> Result<(), String> {
     )?;
     // Shared runs: at every shard count each scattered operation puts one
     // leg on every shard, and a leg is answered by exactly one of a cache
-    // hit, an engine run it led, or a run another leg led. (Only without
-    // retries: a retried leg leads more than once.)
-    let legs_fold = num("retries")? == 0.0;
+    // hit, an engine run it led, or a run another leg led — late or not,
+    // since a request is executed once.
     let mut shard_sums = [0.0; 6];
     for i in 0..shards as usize {
         let shard = format!("per_shard[{i}]");
@@ -928,14 +921,12 @@ pub fn validate(doc: &Value) -> Result<(), String> {
             "its service_ns.count + cache_hits + rejects + lookups_at_submit",
             service + field("cache_hits")? + field("rejects")? + lookups,
         )?;
-        if legs_fold {
-            same(
-                &format!("{shard}.engine_runs + coalesced_legs + cache_hits"),
-                field("engine_runs")? + field("coalesced_legs")? + field("cache_hits")?,
-                "scattered",
-                num("scattered")?,
-            )?;
-        }
+        same(
+            &format!("{shard}.engine_runs + coalesced_legs + cache_hits"),
+            field("engine_runs")? + field("coalesced_legs")? + field("cache_hits")?,
+            "scattered",
+            num("scattered")?,
+        )?;
     }
     for (sum, key) in shard_sums.into_iter().zip(SHARD_SUMS) {
         let run = if key == "cache_hits" {
@@ -953,14 +944,7 @@ pub fn validate(doc: &Value) -> Result<(), String> {
     for p in 0..rows("phases")? {
         let phase = format!("phases[{p}]");
         text(&format!("{phase}.phase"))?;
-        for key in [
-            "clients",
-            "start_s",
-            "elapsed_s",
-            "unsupported",
-            "timeouts",
-            "retries",
-        ] {
+        for key in ["clients", "start_s", "elapsed_s", "unsupported", "timeouts"] {
             num(&format!("{phase}.{key}"))?;
         }
         num(&format!("{phase}.write_errors"))?;

@@ -23,7 +23,7 @@ pub enum QueryKind {
     /// Out-neighbor list of a vertex (point lookup).
     Neighbors(VertexId),
     /// Test hook: hold an executor for the given duration, then succeed.
-    /// Lets tests drive the timeout/retry path deterministically without
+    /// Lets tests drive the timeout path deterministically without
     /// depending on a workload being slow on the test machine.
     DebugSleep(Duration),
     /// Test hook: panic inside the executor. Lets tests verify panic
@@ -49,21 +49,20 @@ impl QueryKind {
 /// One unit of work submitted to the service.
 #[derive(Debug, Clone)]
 pub struct QueryRequest {
-    /// Caller-chosen identifier, echoed in the response. Also salts the
-    /// retry-jitter stream, so give each request a distinct id.
+    /// Caller-chosen identifier, echoed in the response.
     pub id: u64,
     /// The computation to run.
     pub kind: QueryKind,
     /// Seed for source-parameterized workloads (forwarded to
     /// [`vcgp_core::service::run_workload`]).
     pub seed: u64,
-    /// Per-attempt latency budget. An attempt whose execution exceeds this
-    /// counts as timed out and is retried (the engine cannot be interrupted
-    /// mid-superstep, so the check is post-hoc).
+    /// Latency budget of the request's one execution. A request whose
+    /// execution exceeds it fails with [`QueryError::Timeout`] (the engine
+    /// cannot be interrupted mid-superstep, so the check is post-hoc).
     pub timeout: Duration,
-    /// Optional absolute deadline for the whole request, retries included.
-    /// Expired requests fail fast — at submission if already expired there
-    /// — without consuming an execution slot.
+    /// Optional absolute deadline for the whole request. Expired requests
+    /// fail fast — at submission, or at dequeue — without consuming an
+    /// execution slot.
     pub deadline: Option<Instant>,
     /// The epoch this request is pinned to, stamped by the service at
     /// submission (snapshot isolation: the request serves this version of
@@ -83,8 +82,8 @@ pub struct QueryRequest {
 }
 
 impl QueryRequest {
-    /// A request with the given id and kind and no deadline; the per-attempt
-    /// timeout defaults to five seconds.
+    /// A request with the given id and kind and no deadline; the timeout
+    /// defaults to five seconds.
     pub fn new(id: u64, kind: QueryKind) -> Self {
         QueryRequest {
             id,
@@ -97,7 +96,7 @@ impl QueryRequest {
         }
     }
 
-    /// Sets the per-attempt timeout.
+    /// Sets the timeout.
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
         self
@@ -156,16 +155,14 @@ pub enum QueryOutput {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
     /// The workload's preconditions do not hold on the resident graph.
-    /// Never retried — the graph will not change.
     Unsupported(String),
-    /// A vertex id outside the graph. Never retried.
+    /// A vertex id outside the graph.
     NoSuchVertex(VertexId),
-    /// Every attempt exceeded the per-attempt timeout.
-    Timeout {
-        /// Attempts consumed (equals the configured maximum).
-        attempts: u32,
-    },
-    /// The absolute deadline passed before an attempt could succeed.
+    /// The execution exceeded the request's timeout. A request runs once:
+    /// every engine run is deterministic, so a second one would compute the
+    /// same answer again — which a late workload leg has memoized anyway.
+    Timeout,
+    /// The absolute deadline passed before the request could run.
     DeadlineExceeded,
     /// The queue was full and the service's admission policy is
     /// [`QueueFullPolicy::Reject`](crate::service::QueueFullPolicy::Reject):
@@ -183,9 +180,7 @@ impl std::fmt::Display for QueryError {
         match self {
             QueryError::Unsupported(m) => write!(f, "unsupported: {m}"),
             QueryError::NoSuchVertex(v) => write!(f, "no such vertex: {v}"),
-            QueryError::Timeout { attempts } => {
-                write!(f, "timed out after {attempts} attempts")
-            }
+            QueryError::Timeout => write!(f, "timed out"),
             QueryError::DeadlineExceeded => write!(f, "deadline exceeded"),
             QueryError::Rejected => write!(f, "rejected: queue full"),
             QueryError::Panicked(m) => write!(f, "execution panicked: {m}"),
@@ -231,22 +226,23 @@ pub struct QueryResponse {
     pub id: u64,
     /// The payload or the failure.
     pub result: Result<QueryOutput, QueryError>,
-    /// Execution attempts consumed (0 when the request never ran, e.g.
-    /// cache hit, expired deadline or shutdown; 1 for a point lookup
-    /// answered at submit). For scattered requests, the maximum across
-    /// legs.
+    /// 1 when the request was executed — by an executor, by the shared run
+    /// that answered its leg, or as a point lookup at submit — and 0 when
+    /// it never was (cache hit, expired deadline, reject, shutdown). For
+    /// scattered requests, the maximum across legs.
     pub attempts: u32,
-    /// Time spent waiting in the service queue before the first attempt
-    /// (maximum across legs when scattered; zero for a request answered at
-    /// submit, which never queues).
+    /// Time spent waiting in the service queue before execution (maximum
+    /// across legs when scattered; zero for a request answered at submit,
+    /// which never queues).
     pub queue_wait: Duration,
-    /// Total execution time across all attempts (excludes queueing and
-    /// backoff) — for a point lookup answered at submit, the read itself
-    /// as timed on the submitting thread. For scattered requests, the *sum*
-    /// across legs — the aggregate compute the request burned on the fleet.
+    /// Execution time (excludes queueing) — for a point lookup answered at
+    /// submit, the read itself as timed on the submitting thread. For
+    /// scattered requests, the *sum* across legs — the aggregate compute
+    /// the request burned on the fleet.
     pub service_time: Duration,
-    /// Total time spent backing off between attempts (summed across legs
-    /// when scattered).
+    /// Always zero: a request is executed at most once and never backs
+    /// off. Kept only because the repo benchmark reads it
+    /// (`benchmark/src/load.rs`, span `stress.backoff`).
     pub backoff: Duration,
     /// How the request was dispatched.
     pub route: Route,
@@ -268,10 +264,5 @@ impl QueryResponse {
     /// True when the request produced a payload.
     pub fn is_ok(&self) -> bool {
         self.result.is_ok()
-    }
-
-    /// Retries beyond the first attempt.
-    pub fn retries(&self) -> u32 {
-        self.attempts.saturating_sub(1)
     }
 }

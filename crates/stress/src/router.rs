@@ -36,8 +36,8 @@
 //! debug spread — additionally picks a
 //! replica by the service's [`RoutingPolicy`]: `round-robin` walks the
 //! shard's replicas from a seeded offset, `least-loaded` picks the replica
-//! with the smallest queue-depth gauge (ties broken by the lowest replica
-//! id). Replicas serve the same epoch-pinned snapshot and share the
+//! with the fewest jobs queued or in service (ties broken by the lowest
+//! replica id). Replicas serve the same epoch-pinned snapshot and share the
 //! shard's result cache, so the pick affects latency only, never answers.
 
 use crate::request::{QueryError, QueryKind, QueryOutput, QueryRequest, QueryResponse, Route};
@@ -56,9 +56,10 @@ pub enum RoutingPolicy {
     /// run, oblivious to load.
     #[default]
     RoundRobin,
-    /// Pick the replica with the smallest instantaneous queue depth, ties
-    /// broken by the lowest replica id — the load-aware policy that steers
-    /// new work away from a replica stuck behind a slow request.
+    /// Pick the replica with the fewest jobs queued or in service (a job
+    /// counts from dequeue until its executor has answered or parked it),
+    /// ties broken by the lowest replica id — the load-aware policy that
+    /// steers new work away from a replica stuck behind a slow request.
     LeastLoaded,
 }
 
@@ -130,9 +131,9 @@ impl GatherTicket {
     /// Collects every leg and merges them into one response.
     ///
     /// Cost metrics aggregate across legs: `attempts` and `queue_wait` take
-    /// the maximum (the binding constraint), `service_time` and `backoff`
-    /// sum (aggregate fleet compute burned — with shared runs, one leg's
-    /// engine run plus the other legs' answer time), and `gather_wait` is
+    /// the maximum (the binding constraint), `service_time` sums (aggregate
+    /// fleet compute burned — with shared runs, one leg's engine run plus
+    /// the other legs' answer time), and `gather_wait` is
     /// the time between the first and the last leg *completing* — the
     /// straggler penalty of the fan-out, whichever leg the straggler is.
     ///
@@ -153,12 +154,10 @@ impl GatherTicket {
         let mut attempts = 0u32;
         let mut queue_wait = Duration::ZERO;
         let mut service_time = Duration::ZERO;
-        let mut backoff = Duration::ZERO;
         for r in &responses {
             attempts = attempts.max(r.attempts);
             queue_wait = queue_wait.max(r.queue_wait);
             service_time += r.service_time;
-            backoff += r.backoff;
         }
 
         let result = merge_legs(&responses);
@@ -168,7 +167,7 @@ impl GatherTicket {
             attempts,
             queue_wait,
             service_time,
-            backoff,
+            backoff: Duration::ZERO,
             route: Route::Scattered { shards },
             gather_wait,
             completed_at,

@@ -289,7 +289,7 @@ mod tests {
         assert_eq!(table.len(), 0);
         assert!(
             matches!(table.join(key(1), 1, never), Join::Lead),
-            "retry leads afresh"
+            "the next leg of the key leads afresh"
         );
     }
 

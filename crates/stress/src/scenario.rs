@@ -19,7 +19,7 @@
 //! interval MS              # interval-log width (default 1000)
 //! seed N                   # op-stream seed (default 7)
 //! mutation-seed N          # write-stream seed (default 11)
-//! timeout-ms N             # per-attempt timeout (default 5000)
+//! timeout-ms N             # per-request timeout (default 5000)
 //! rate R | rate A..B       # global defaults a phase may override:
 //! clients N                #   target ops/s (or a linear ramp), client
 //! burst N                  #   threads, burst
@@ -461,7 +461,7 @@ pub struct ScenarioSpec {
     pub seed: Option<u64>,
     /// Mutation-stream base seed.
     pub mutation_seed: Option<u64>,
-    /// Per-attempt timeout in milliseconds.
+    /// Per-request timeout in milliseconds.
     pub timeout_ms: Option<u64>,
     /// Global target rate (ops/s), fixed or ramp.
     pub rate: Option<RateSpec>,
@@ -1015,7 +1015,7 @@ pub struct Scenario {
     pub interval: Duration,
     /// Base op-stream seed (reported; phases carry their own).
     pub seed: u64,
-    /// Per-attempt timeout stamped on every request.
+    /// Timeout stamped on every request.
     pub timeout: Duration,
     /// Per-tenant QoS specs (index = tenant id). Always at least one entry;
     /// a single default entry means "no multi-tenancy" and the driver and

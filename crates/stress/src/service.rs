@@ -17,9 +17,9 @@
 //! (degree / neighbors), which is a pure read of the request's pinned,
 //! immutable epoch snapshot — whether or not a writer
 //! ([`ServiceConfig::mutations`]) is installing newer epochs meanwhile.
-//! Such a request takes no queue slot and is never shed, throttled or
-//! retried; the queue and everything below governs *executor-bound* work
-//! only — analytics and the debug hooks.
+//! Such a request takes no queue slot and is never shed or throttled;
+//! the queue and everything below governs *executor-bound* work only —
+//! analytics and the debug hooks.
 //!
 //! The queue is bounded — what happens at capacity is the
 //! [`QueueFullPolicy`]: [`QueueFullPolicy::Block`] applies backpressure to
@@ -31,16 +31,17 @@
 //! [`ServiceConfig::qos`].
 //!
 //! Failure handling:
-//! * attempts whose execution exceeds the request's per-attempt timeout are
-//!   retried with exponential backoff plus deterministic jitter (seeded via
-//!   the workspace `SplitMix64`), up to a configured attempt cap — the
-//!   Pregel engine cannot be interrupted mid-superstep, so the timeout is
-//!   enforced post-hoc;
+//! * every request is executed at most once. One whose execution exceeds
+//!   its timeout fails with [`QueryError::Timeout`] — the Pregel engine
+//!   cannot be interrupted mid-superstep, so the check is post-hoc, and a
+//!   re-run would only repeat a deterministic computation. A late
+//!   workload leg still memoizes its partial, so an identical request
+//!   submitted afterwards is a cache hit; a shared run that is late fails
+//!   every leg attached to it the same way (see [`crate::shard`]);
 //! * panics inside a workload are caught per request: the executor survives
 //!   and the caller gets [`QueryError::Panicked`] — as does every scattered
 //!   leg parked on the run that panicked (see [`crate::shard`]; the same
-//!   holds for a shared run that is unsupported or outlives its leader's
-//!   timeout);
+//!   holds for a shared run of an unsupported workload);
 //! * requests whose absolute deadline has already passed — at submission,
 //!   or by the time an executor dequeues them — are answered
 //!   [`QueryError::DeadlineExceeded`] without running (an *early drop*,
@@ -68,12 +69,10 @@ use crate::router::RoutingPolicy;
 use crate::shard::ShardBackend;
 use crate::stripe::{submit_stripe, SUBMIT_STRIPES};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vcgp_graph::rng::mix3;
-use vcgp_graph::SplitMix64;
 use vcgp_pregel::PregelConfig;
 use vcgp_testkit::LogHistogram;
 
@@ -112,15 +111,8 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// What to do when the queue is full.
     pub queue_policy: QueueFullPolicy,
-    /// Maximum execution attempts per request (1 = no retries).
-    pub max_attempts: u32,
-    /// Backoff before retry `k` (1-based) is
-    /// `min(backoff_base · 2^(k-1), backoff_cap)`, halved and then extended
-    /// by deterministic jitter up to the same amount.
-    pub backoff_base: Duration,
-    /// Upper bound on a single backoff pause.
-    pub backoff_cap: Duration,
-    /// Seed of the retry-jitter stream (mixed with request id and attempt).
+    /// Seed of each shard's round-robin replica cursor (mixed with the
+    /// shard index), so the dispatch sequence is reproducible.
     pub seed: u64,
     /// Result-cache capacity in entries, per shard.
     /// Zero disables caching entirely. Entries are scalar-sized, so the
@@ -161,9 +153,6 @@ impl Default for ServiceConfig {
                 .unwrap_or(2),
             queue_capacity: 128,
             queue_policy: QueueFullPolicy::Block,
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(500),
             seed: 0x5354_5253, // "STRS"
             cache_capacity: 256,
             engine: PregelConfig::single_worker(),
@@ -216,9 +205,11 @@ pub struct ServiceStats {
     pub completed: u64,
     /// Requests answered with an error (includes rejects and early drops).
     pub failed: u64,
-    /// Execution attempts beyond each request's first.
+    /// Always zero: a request is executed at most once. Kept only because
+    /// the repo benchmark reads it (`benchmark/src/serving.rs`, metric
+    /// `stress.service.retries`).
     pub retries: u64,
-    /// Attempts that exceeded their per-attempt timeout.
+    /// Requests (or scattered legs) whose execution exceeded their timeout.
     pub timeouts: u64,
     /// Panics contained by executors.
     pub panics: u64,
@@ -226,24 +217,24 @@ pub struct ServiceStats {
     pub rejected: u64,
     /// Requests whose deadline had already expired at submission or at
     /// dequeue, answered without running (distinct from `timeouts`, which
-    /// count attempts that ran too long).
+    /// count executions that ran too long).
     pub early_drops: u64,
     /// High-water mark of the queue depth (pending requests) since start —
     /// the occupancy gauge behind the stress report's per-shard column.
     pub queue_hwm: u64,
-    /// Nanoseconds executors spent inside attempts (queueing and backoff
+    /// Nanoseconds executors spent executing requests (queueing
     /// excluded), summed across the core's executor threads. Answers given
     /// at submit add nothing here.
     pub busy_ns: u64,
     /// Engine executions this core's executors completed for workload
-    /// requests: the shared runs they *led* (every attempt
-    /// counts, so a retried request adds one per attempt). With the
+    /// requests: the shared runs they *led*, late ones included. With the
     /// service-wide run table a scattered request costs one of these, not
     /// one per shard.
     pub engine_runs: u64,
     /// Scattered legs answered from a run another leg led: parked on a
-    /// running entry, or taken from a finished one (see [`crate::shard`]).
-    /// Every successfully answered leg is exactly one of a cache hit, an
+    /// running entry, taken from a finished one, or taken out of a queue by
+    /// the run's leader (see [`crate::shard`]). Every leg a finished run
+    /// answered — in time or late — is exactly one of a cache hit, an
     /// engine run it led, or a coalesced leg.
     pub coalesced_legs: u64,
     /// Point lookups (degree / neighbors) answered on the submitting thread
@@ -271,7 +262,6 @@ impl ServiceStats {
     pub fn absorb(&mut self, other: &ServiceStats) {
         self.completed += other.completed;
         self.failed += other.failed;
-        self.retries += other.retries;
         self.timeouts += other.timeouts;
         self.panics += other.panics;
         self.rejected += other.rejected;
@@ -296,7 +286,7 @@ impl ServiceStats {
         ServiceStats {
             completed: self.completed - earlier.completed,
             failed: self.failed - earlier.failed,
-            retries: self.retries - earlier.retries,
+            retries: 0,
             timeouts: self.timeouts - earlier.timeouts,
             panics: self.panics - earlier.panics,
             rejected: self.rejected - earlier.rejected,
@@ -401,7 +391,6 @@ pub struct ShardSnapshot {
 struct CounterSlot {
     completed: AtomicU64,
     failed: AtomicU64,
-    retries: AtomicU64,
     timeouts: AtomicU64,
     panics: AtomicU64,
     rejected: AtomicU64,
@@ -477,6 +466,10 @@ struct Shared {
     /// [`TenantQueue::pop`] is a pure state machine over these.
     origin: Instant,
     counters: Counters,
+    /// Jobs an executor has dequeued and not yet answered or parked.
+    /// Raised under `state`'s lock at dequeue, so a reader holding that
+    /// lock never misses a job between the queue and its executor.
+    in_service: AtomicUsize,
     /// The core's result cache; `None` when caching is disabled. Shared
     /// (`Arc`) across every replica core of a shard, so keys stay
     /// replica-agnostic and a hit on any replica serves the shard.
@@ -496,6 +489,24 @@ impl Shared {
         }
     }
 
+    /// Books one leg's partial of a finished shared run on `slot`: counted
+    /// under `source` (the runs a leg led, or the legs it answered besides)
+    /// and memoized under `key` whether or not the run was `late` — the
+    /// value is deterministic and correct, so an identical later request is
+    /// a cache hit — then timed against the request.
+    fn settle(
+        &self,
+        slot: &CounterSlot,
+        source: &AtomicU64,
+        key: Option<CacheKey>,
+        output: QueryOutput,
+        late: bool,
+    ) -> Result<QueryOutput, QueryError> {
+        source.fetch_add(1, Ordering::Relaxed);
+        self.memoize(key, &output);
+        in_time(slot, Ok(output), late)
+    }
+
     /// Books a finished request on executor `executor`'s service log and
     /// counter stripe, then answers the caller (who may have dropped its
     /// ticket; that is fine).
@@ -513,10 +524,14 @@ impl Shared {
     }
 }
 
-/// What one execution attempt made of a request.
-pub(crate) enum Attempt {
-    /// The backend computed the result itself.
+/// What executing a request made of it.
+pub(crate) enum Outcome {
+    /// A debug hook's result, or the failure of a shared run this leg led.
     Done(Result<QueryOutput, QueryError>),
+    /// This leg led a shared run and gets its partial of it; `late` when
+    /// the run outlived the request's timeout, which every leg attached to
+    /// the run was told alike.
+    Led { output: QueryOutput, late: bool },
     /// A scattered leg answered from a shared run that had already
     /// finished (see [`crate::runs`]).
     Shared(QueryOutput),
@@ -526,18 +541,14 @@ pub(crate) enum Attempt {
     Parked,
 }
 
-/// One dequeued job as its executor lends it to the backend for an attempt:
-/// the request, plus what [`Seat::park`] needs to let another thread answer
-/// it.
+/// One dequeued job as its executor lends it to the backend: the request,
+/// plus what [`Seat::park`] needs to let another thread answer it.
 pub(crate) struct Seat<'a> {
     pub(crate) req: &'a QueryRequest,
     tx: &'a mpsc::Sender<QueryResponse>,
     core: &'a Arc<Shared>,
     executor: usize,
     queue_wait: Duration,
-    attempts: u32,
-    service_time: Duration,
-    backoff: Duration,
 }
 
 impl Seat<'_> {
@@ -552,9 +563,6 @@ impl Seat<'_> {
             executor: self.executor,
             cache_key,
             queue_wait: self.queue_wait,
-            attempts: self.attempts,
-            service_time: self.service_time,
-            backoff: self.backoff,
         }
     }
 }
@@ -595,18 +603,15 @@ impl CoreHandle {
                 // on the first one's stripe and log.
                 executor: 0,
                 queue_wait: now.duration_since(job.enqueued_at),
-                attempts: 0,
-                service_time: Duration::ZERO,
-                backoff: Duration::ZERO,
             })
             .collect()
     }
 }
 
 /// A scattered leg waiting on another leg's engine run: its reply channel,
-/// its core (counters, service log, result cache) and what it had consumed
-/// when it parked — everything its executor would have needed to answer it,
-/// so the leader can do so from its own thread.
+/// its core (counters, service log, result cache) and how long it queued —
+/// everything its executor would have needed to answer it, so the leader
+/// can do so from its own thread.
 pub(crate) struct ParkedLeg {
     id: u64,
     tx: mpsc::Sender<QueryResponse>,
@@ -616,37 +621,38 @@ pub(crate) struct ParkedLeg {
     executor: usize,
     cache_key: Option<CacheKey>,
     queue_wait: Duration,
-    attempts: u32,
-    service_time: Duration,
-    backoff: Duration,
 }
 
 impl ParkedLeg {
-    /// Answers the leg from the leader's thread, exactly as its own
-    /// executor would have: memoizes a result under the leg's key, counts
-    /// a failure under its class, books the response on the leg's core and
-    /// sends it. The leg's service time is the time spent here — it ran no
-    /// engine.
-    pub(crate) fn complete(self, mut result: Result<QueryOutput, QueryError>) {
+    /// Answers the leg with its partial of the finished run, from the
+    /// leader's thread, exactly as its own executor would have: counted as
+    /// a coalesced leg and memoized under the leg's key, then sent — as
+    /// [`QueryError::Timeout`] when the run was `late`.
+    pub(crate) fn complete(self, output: QueryOutput, late: bool) {
         let t0 = Instant::now();
         let slot = self.core.counters.executor_slot(self.executor);
-        match &mut result {
-            Ok(output) => {
-                slot.coalesced_legs.fetch_add(1, Ordering::Relaxed);
-                self.core.memoize(self.cache_key, output);
-            }
-            Err(QueryError::Panicked(_)) => {
-                slot.panics.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(QueryError::Timeout { attempts }) => {
-                // The run timed out for every leg on it; how many attempts
-                // that exhausted is the leg's own count.
-                *attempts = self.attempts;
-                slot.timeouts.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {}
+        let result = self
+            .core
+            .settle(slot, &slot.coalesced_legs, self.cache_key, output, late);
+        self.respond(t0, result);
+    }
+
+    /// Fails the leg with its run's failure, counted under its class.
+    pub(crate) fn fail(self, error: QueryError) {
+        let t0 = Instant::now();
+        if let QueryError::Panicked(_) = error {
+            let slot = self.core.counters.executor_slot(self.executor);
+            slot.panics.fetch_add(1, Ordering::Relaxed);
         }
-        let service_time = self.service_time + t0.elapsed();
+        self.respond(t0, Err(error));
+    }
+
+    /// Books the response on the leg's core and sends it. The leg's
+    /// service time is the time spent answering it since `t0` — it ran no
+    /// engine.
+    fn respond(self, t0: Instant, result: Result<QueryOutput, QueryError>) {
+        let service_time = t0.elapsed();
+        let slot = self.core.counters.executor_slot(self.executor);
         slot.busy_ns
             .fetch_add(service_time.as_nanos() as u64, Ordering::Relaxed);
         self.core.answer(
@@ -655,15 +661,31 @@ impl ParkedLeg {
             QueryResponse {
                 id: self.id,
                 result,
-                attempts: self.attempts,
+                attempts: 1,
                 queue_wait: self.queue_wait,
                 service_time,
-                backoff: self.backoff,
+                backoff: Duration::ZERO,
                 route: Route::Direct,
                 gather_wait: Duration::ZERO,
                 completed_at: Instant::now(),
             },
         );
+    }
+}
+
+/// `result`, unless it is an output that came `late`: that is a
+/// [`QueryError::Timeout`], counted once on `slot`.
+fn in_time(
+    slot: &CounterSlot,
+    result: Result<QueryOutput, QueryError>,
+    late: bool,
+) -> Result<QueryOutput, QueryError> {
+    match result {
+        Ok(_) if late => {
+            slot.timeouts.fetch_add(1, Ordering::Relaxed);
+            Err(QueryError::Timeout)
+        }
+        other => other,
     }
 }
 
@@ -795,7 +817,6 @@ impl Core {
             config.queue_capacity >= 1,
             "queue capacity must be positive"
         );
-        assert!(config.max_attempts >= 1, "need at least one attempt");
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 queue: TenantQueue::new(&config.qos.tenants, config.queue_capacity),
@@ -807,6 +828,7 @@ impl Core {
             capacity: config.queue_capacity,
             origin: Instant::now(),
             counters: Counters::new(config.executors),
+            in_service: AtomicUsize::new(0),
             cache,
             logs: (0..config.executors)
                 .map(|_| Mutex::new(ServiceLog::new()))
@@ -980,7 +1002,6 @@ impl Core {
         ServiceStats {
             completed: c.sum(|s| &s.completed),
             failed: c.sum(|s| &s.failed),
-            retries: c.sum(|s| &s.retries),
             timeouts: c.sum(|s| &s.timeouts),
             panics: c.sum(|s| &s.panics),
             rejected: c.sum(|s| &s.rejected),
@@ -1001,6 +1022,14 @@ impl Core {
 
     pub(crate) fn queue_depth(&self) -> usize {
         self.shared.state.lock().unwrap().queue.len()
+    }
+
+    /// Jobs queued plus jobs in service: what least-loaded routing
+    /// compares, so a replica whose executors are all busy does not tie
+    /// with an idle one.
+    pub(crate) fn load(&self) -> usize {
+        let state = self.shared.state.lock().unwrap();
+        state.queue.len() + self.shared.in_service.load(Ordering::Relaxed)
     }
 
     /// Per-tenant lane counters (enqueued/rejected/throttled/hwm), tenant
@@ -1097,7 +1126,10 @@ fn executor_loop(
                 let drain = shared.closed.load(Ordering::SeqCst);
                 let now_ns = shared.origin.elapsed().as_nanos() as u64;
                 match state.queue.pop(now_ns, drain) {
-                    Pop::Job(_, job) => break job,
+                    Pop::Job(_, job) => {
+                        shared.in_service.fetch_add(1, Ordering::Relaxed);
+                        break job;
+                    }
                     Pop::Throttled(wait_ns) => {
                         // Every queued lane is bucket-throttled: sleep
                         // until the earliest becomes conforming (a push
@@ -1121,12 +1153,13 @@ fn executor_loop(
         if let Some(response) = serve(backend, shared, config, &job, index) {
             shared.answer(index, &job.tx, response);
         }
+        shared.in_service.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// Runs one request to completion: attempt, post-hoc timeout check, backoff,
-/// retry, deadline enforcement. `None` when an attempt parked the request
-/// on a shared run — its leader answers it, this executor is done with it.
+/// Runs one request once: deadline check at dequeue, execution, post-hoc
+/// timeout check. `None` when the request parked on a shared run — its
+/// leader answers it, this executor is done with it.
 fn serve(
     backend: &ShardBackend,
     shared: &Arc<Shared>,
@@ -1138,104 +1171,61 @@ fn serve(
     let slot = shared.counters.executor_slot(executor);
     let started = Instant::now();
     let queue_wait = started.duration_since(job.enqueued_at);
-    let mut service_time = Duration::ZERO;
-    let mut backoff_total = Duration::ZERO;
-    let mut attempts = 0u32;
-    let result = loop {
-        if req.deadline.is_some_and(|d| Instant::now() >= d) {
-            if attempts == 0 {
-                // Dead on arrival: dropped without consuming an execution
-                // slot — counted apart from timeouts, which ran and lost.
-                slot.early_drops.fetch_add(1, Ordering::Relaxed);
-            }
-            break Err(QueryError::DeadlineExceeded);
+    if req.deadline.is_some_and(|d| started >= d) {
+        // Dead on arrival: dropped without consuming an execution slot —
+        // counted apart from timeouts, which ran and lost.
+        slot.early_drops.fetch_add(1, Ordering::Relaxed);
+        let mut dropped = unexecuted_response(req.id, Err(QueryError::DeadlineExceeded));
+        dropped.queue_wait = queue_wait;
+        return Some(dropped);
+    }
+    let seat = Seat {
+        req,
+        tx: &job.tx,
+        core: shared,
+        executor,
+        queue_wait,
+    };
+    let outcome = catch_unwind(AssertUnwindSafe(|| backend.execute(&seat, &config.engine)));
+    let service_time = started.elapsed();
+    let late = service_time > req.timeout;
+    let result = match outcome {
+        Err(payload) => {
+            slot.panics.fetch_add(1, Ordering::Relaxed);
+            Err(QueryError::Panicked(panic_message(&*payload)))
         }
-        attempts += 1;
-        if attempts > 1 {
-            slot.retries.fetch_add(1, Ordering::Relaxed);
-        }
-        let seat = Seat {
-            req,
-            tx: &job.tx,
-            core: shared,
-            executor,
-            queue_wait,
-            attempts,
-            service_time,
-            backoff: backoff_total,
-        };
-        let t0 = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| backend.execute(&seat, &config.engine)));
-        let elapsed = t0.elapsed();
-        service_time += elapsed;
-        let (output, ran) = match outcome {
-            Err(payload) => {
-                slot.panics.fetch_add(1, Ordering::Relaxed);
-                break Err(QueryError::Panicked(panic_message(&*payload)));
-            }
-            Ok(Attempt::Parked) => return None,
-            Ok(Attempt::Done(Err(e))) => break Err(e), // permanent: retrying cannot help
-            Ok(Attempt::Done(Ok(output))) => (output, true),
-            Ok(Attempt::Shared(output)) => (output, false),
-        };
-        if cacheable_output(&output).is_some() {
-            // A workload answer: this executor ran the engine for it, or
-            // took it from a run another leg led. Memoize it even when the
-            // attempt blew its timeout — the value is correct and
-            // deterministic, so a later identical request (or this one's
-            // retry path, via a fresh submit) gets it for free.
-            let counter = if ran {
-                &slot.engine_runs
-            } else {
-                &slot.coalesced_legs
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            shared.memoize(backend.cache_key(req), &output);
-        }
-        if elapsed <= req.timeout {
-            break Ok(output);
-        }
-        slot.timeouts.fetch_add(1, Ordering::Relaxed);
-        if attempts >= config.max_attempts {
-            break Err(QueryError::Timeout { attempts });
-        }
-        let pause = backoff_with_jitter(config, req.id, attempts);
-        let pause = match req.deadline {
-            Some(d) => pause.min(d.saturating_duration_since(Instant::now())),
-            None => pause,
-        };
-        backoff_total += pause;
-        std::thread::sleep(pause);
+        Ok(Outcome::Parked) => return None,
+        Ok(Outcome::Done(result)) => in_time(slot, result, late),
+        // The leader's verdict, not this clock's: it told every leg
+        // attached to the run the same.
+        Ok(Outcome::Led { output, late }) => shared.settle(
+            slot,
+            &slot.engine_runs,
+            backend.cache_key(req),
+            output,
+            late,
+        ),
+        Ok(Outcome::Shared(output)) => shared.settle(
+            slot,
+            &slot.coalesced_legs,
+            backend.cache_key(req),
+            output,
+            late,
+        ),
     };
     slot.busy_ns
         .fetch_add(service_time.as_nanos() as u64, Ordering::Relaxed);
     Some(QueryResponse {
         id: req.id,
         result,
-        attempts,
+        attempts: 1,
         queue_wait,
         service_time,
-        backoff: backoff_total,
+        backoff: Duration::ZERO,
         route: Route::Direct,
         gather_wait: Duration::ZERO,
         completed_at: Instant::now(),
     })
-}
-
-/// Backoff before retry `attempt + 1`: exponential in the attempt number,
-/// capped, then jittered deterministically into `[base/2, base)` so
-/// simultaneous retries de-synchronize but a fixed seed reproduces exactly.
-fn backoff_with_jitter(config: &ServiceConfig, req_id: u64, attempt: u32) -> Duration {
-    let exp = config
-        .backoff_base
-        .saturating_mul(1u32 << (attempt - 1).min(16))
-        .min(config.backoff_cap);
-    let ns = exp.as_nanos() as u64;
-    if ns < 2 {
-        return exp;
-    }
-    let mut rng = SplitMix64::new(mix3(config.seed, req_id, u64::from(attempt)));
-    Duration::from_nanos(ns / 2 + rng.next_below(ns / 2))
 }
 
 /// Executes a debug hook — the one request kind an executor runs outside

@@ -40,10 +40,14 @@
 //! never waits for a busy executor just to be handed a finished slice. A
 //! leg that arrives later still takes its partial from the *finished*
 //! entry, which is dropped once all `S` shards were served. A run that
-//! fails —
-//! panic, unsupported workload, or one that outlives its leader's timeout
-//! — fails every parked leg with the same class of error, each counted
-//! once on its own core, and leaves no entry behind. Answers, routes,
+//! outlives its leader's timeout is answered the same way, except that
+//! every leg it answers — the leader's, the parked and the queued ones —
+//! memoizes its partial and then fails as a timeout, counted once on its
+//! own core: an identical request submitted afterwards is a cache hit on
+//! every shard, and no leg runs the engine again. A run that fails —
+//! panic or unsupported workload — fails every parked leg with the same
+//! class of error, each counted once on its own core, and leaves no entry
+//! behind. Answers, routes,
 //! epoch pinning and cache identities are what they were when every leg
 //! ran for itself; [`ServiceStats::engine_runs`] and
 //! [`ServiceStats::coalesced_legs`] count the difference.
@@ -79,9 +83,9 @@ use crate::request::{QueryError, QueryKind, QueryOutput, QueryRequest};
 use crate::router::RoutingPolicy;
 use crate::runs::{Join, RunKey, RunTable, SlicedAnswer};
 use crate::service::{
-    execute_debug_hook, overlay_cache, panic_message, service_cache, Attempt, CacheInvalidator,
-    Core, CoreHandle, ParkedLeg, ReplicaSeries, ReplicaSnapshot, Seat, ServiceConfig, ServiceStats,
-    ShardSnapshot, SubmitError, Ticket,
+    execute_debug_hook, overlay_cache, panic_message, service_cache, CacheInvalidator, Core,
+    CoreHandle, Outcome, ParkedLeg, ReplicaSeries, ReplicaSnapshot, Seat, ServiceConfig,
+    ServiceStats, ShardSnapshot, SubmitError, Ticket,
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -350,20 +354,21 @@ impl ShardBackend {
     /// Leads the shared run of `key`: one engine execution on the pinned
     /// epoch's full graph, sliced by shard ownership, answers this leg,
     /// every leg parked on the entry meanwhile, and every leg of the run
-    /// still queued when it ends. A failed run — panic,
-    /// unsupported workload, or one that outlived this leg's timeout — is
+    /// still queued when it ends. A run that outlived this leg's timeout
+    /// answers them all alike: each memoizes its partial and fails as a
+    /// timeout. A failed run — panic or unsupported workload — is
     /// delivered to the parked legs as the same class of failure and leaves
-    /// no entry behind, so a retry starts afresh.
+    /// no entry behind.
     fn lead(
         &self,
         key: RunKey,
         snap: &EpochSnapshot,
         req: &QueryRequest,
         engine: &PregelConfig,
-    ) -> Result<QueryOutput, QueryError> {
+    ) -> Outcome {
         let fail = |error: &QueryError| {
             for (_, leg) in self.runs.abandon(key) {
-                leg.complete(Err(error.clone()));
+                leg.fail(error.clone());
             }
         };
         let t0 = Instant::now();
@@ -386,7 +391,7 @@ impl ShardBackend {
             Ok(Err(unsupported)) => {
                 let error = QueryError::Unsupported(unsupported.to_string());
                 fail(&error);
-                return Err(error);
+                return Outcome::Done(Err(error));
             }
             Err(payload) => {
                 fail(&QueryError::Panicked(panic_message(&*payload)));
@@ -399,25 +404,21 @@ impl ShardBackend {
             supersteps: run.stats.supersteps(),
             messages: run.stats.total_messages(),
         });
-        if t0.elapsed() > req.timeout {
-            // The executor is about to judge this attempt timed out (its
-            // clock started before ours); the legs that waited on it waited
-            // as long (each reports its own attempt count). The leader
-            // keeps its value — memoized, then retried.
-            fail(&QueryError::Timeout { attempts: 0 });
-        } else {
-            let queued = self.take_queued(key);
-            let served = queued.iter().map(|&(shard, _)| shard).chain([self.shard]);
-            let parked = self.runs.finish(key, served, &answer);
-            for (shard, leg) in parked.into_iter().chain(queued) {
-                leg.complete(Ok(answer.leg(shard)));
-            }
+        let late = t0.elapsed() > req.timeout;
+        let queued = self.take_queued(key);
+        let served = queued.iter().map(|&(shard, _)| shard).chain([self.shard]);
+        let parked = self.runs.finish(key, served, &answer);
+        for (shard, leg) in parked.into_iter().chain(queued) {
+            leg.complete(answer.leg(shard), late);
         }
-        Ok(answer.leg(self.shard))
+        Outcome::Led {
+            output: answer.leg(self.shard),
+            late,
+        }
     }
 
-    /// One execution attempt of the request in `seat`.
-    pub(crate) fn execute(&self, seat: &Seat<'_>, engine: &PregelConfig) -> Attempt {
+    /// Executes the request in `seat`.
+    pub(crate) fn execute(&self, seat: &Seat<'_>, engine: &PregelConfig) -> Outcome {
         let req = seat.req;
         let snap = self.pinned(req);
         if let Some(key) = run_key(req, snap) {
@@ -425,12 +426,12 @@ impl ShardBackend {
                 .runs
                 .join(key, self.shard, || seat.park(self.cache_key(req)))
             {
-                Join::Parked => Attempt::Parked,
-                Join::Finished(answer) => Attempt::Shared(answer.leg(self.shard)),
-                Join::Lead => Attempt::Done(self.lead(key, snap, req, engine)),
+                Join::Parked => Outcome::Parked,
+                Join::Finished(answer) => Outcome::Shared(answer.leg(self.shard)),
+                Join::Lead => self.lead(key, snap, req, engine),
             };
         }
-        Attempt::Done(execute_debug_hook(&req.kind))
+        Outcome::Done(execute_debug_hook(&req.kind))
     }
 
     /// Answers a point lookup (degree / neighbors) from the request's pinned
@@ -489,12 +490,12 @@ impl Shard {
             }
             RoutingPolicy::LeastLoaded => {
                 let mut best = 0usize;
-                let mut best_depth = usize::MAX;
+                let mut best_load = usize::MAX;
                 for (r, core) in self.replicas.iter().enumerate() {
-                    let depth = core.queue_depth();
-                    if depth < best_depth {
+                    let load = core.load();
+                    if load < best_load {
                         best = r;
-                        best_depth = depth;
+                        best_load = load;
                     }
                 }
                 best
@@ -814,8 +815,8 @@ impl ShardedGraphService {
             .collect()
     }
 
-    /// Pending requests per replica queue of one shard (the gauge the
-    /// least-loaded policy reads).
+    /// Pending requests per replica queue of one shard (jobs in service
+    /// excluded; the least-loaded policy adds those).
     pub fn replica_queue_depths(&self, shard: usize) -> Vec<usize> {
         self.shards[shard]
             .replicas

@@ -33,11 +33,23 @@ fn zero_valued_count_flags_fail_cleanly() {
         "--executors",
         "--clients",
         "--queue",
-        "--retries",
     ] {
         refused(
             &[flag, "0", "--gen", "tree:8:1", "--ops", "1", "--quiet"],
             &format!("{flag} must be at least 1"),
+        );
+    }
+}
+
+/// An argument the binary does not know is refused before anything runs,
+/// instead of running with the default it meant to change — `--retries`
+/// included, whose retry loop is gone.
+#[test]
+fn unknown_flags_are_refused() {
+    for flag in ["--bogus-flag", "--retries"] {
+        refused(
+            &["--gen", "tree:8:1", "--ops", "5", flag, "3", "--quiet"],
+            &format!("unknown flag {flag}"),
         );
     }
 }

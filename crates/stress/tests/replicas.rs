@@ -2,8 +2,9 @@
 //! answer identity for any replica count under both routing policies
 //! (including cached hits and scattered analytics legs), exactly-one-epoch
 //! answers under a concurrent mutation writer, seeded round-robin dispatch
-//! order, least-loaded backlog splitting, the replica-agnostic shared
-//! cache, and the fold of per-replica rows into the shard snapshot.
+//! order, least-loaded picks by queued plus in-service jobs, the
+//! replica-agnostic shared cache, and the fold of per-replica rows into the
+//! shard snapshot.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -264,17 +265,27 @@ fn round_robin_walks_replicas_in_order() {
     service.shutdown();
 }
 
-/// Least-loaded routing: with every queue empty the tie-break picks the
-/// lowest replica id, and once replica 0 has a backlog the next request
-/// spills to replica 1.
+/// Least-loaded routing counts the jobs a replica has queued *and* in
+/// service: with every replica idle the tie-break picks the lowest replica
+/// id; a replica whose only executor is busy loses to an idle one even
+/// with its queue empty; and once both are busy, a backlog on replica 0
+/// sends the next request to replica 1.
 #[test]
 fn least_loaded_breaks_ties_low_and_splits_backlog() {
     let graph = Arc::new(generators::gnm_connected(16, 32, 5));
     let mut config = config_for(Partitioning::Hash, 2, RoutingPolicy::LeastLoaded);
     config.executors = 1;
     let service = ShardedGraphService::start(Arc::clone(&graph), config, 1);
-    // Sequential submit-and-wait: queues are empty at every pick, so the
-    // tie-break sends everything to replica 0.
+    let sleep = |id, ms| {
+        service
+            .submit(QueryRequest::new(
+                id,
+                QueryKind::DebugSleep(Duration::from_millis(ms)),
+            ))
+            .unwrap()
+    };
+    // Sequential submit-and-wait: every replica is idle at every pick, so
+    // the tie-break sends everything to replica 0.
     for i in 0..4u64 {
         let resp = service
             .submit(QueryRequest::new(i, QueryKind::Degree(0)))
@@ -286,29 +297,40 @@ fn least_loaded_breaks_ties_low_and_splits_backlog() {
             "idle ties break to the lowest id"
         );
     }
-    // Occupy replica 0's single executor, let it dequeue, then queue one
-    // more sleep behind it: replica 0 now has depth 1, replica 1 depth 0.
-    let busy = service
-        .submit(QueryRequest::new(
-            100,
-            QueryKind::DebugSleep(Duration::from_millis(300)),
-        ))
-        .unwrap();
+    // Occupy replica 0's single executor and let it dequeue: its queue is
+    // empty, but it carries one job in service.
+    let busy = sleep(100, 600);
     std::thread::sleep(Duration::from_millis(100));
-    let queued = service
-        .submit(QueryRequest::new(
-            101,
-            QueryKind::DebugSleep(Duration::from_millis(1)),
-        ))
-        .unwrap();
+    assert_eq!(
+        service.replica_queue_depths(0),
+        vec![0, 0],
+        "a job in service is not queued"
+    );
+    // The next scattered leg goes to the idle replica.
+    let leg = service
+        .submit(QueryRequest::new(101, QueryKind::Workload(Workload::CcSv)))
+        .unwrap()
+        .wait();
+    assert!(leg.result.is_ok(), "{:?}", leg.result);
+    let runs: Vec<u64> = service.shard_snapshots()[0]
+        .replicas
+        .iter()
+        .map(|r| r.stats.engine_runs)
+        .collect();
+    assert_eq!(runs, vec![0, 1], "the leg ran on the idle replica 1");
+    // Busy against idle again: the next sleep goes to replica 1 too.
+    let second = sleep(102, 400);
+    std::thread::sleep(Duration::from_millis(100));
+    // Both busy: the tie queues this one behind replica 0's running job.
+    let queued = sleep(103, 1);
     assert_eq!(
         service.replica_queue_depths(0),
         vec![1, 0],
         "backlog sits on replica 0"
     );
-    // The next pick must spill to the idle replica.
+    // The next pick must spill past the backlog.
     let spilled = service
-        .submit(QueryRequest::new(102, QueryKind::Degree(0)))
+        .submit(QueryRequest::new(104, QueryKind::Degree(0)))
         .unwrap()
         .wait();
     assert_eq!(
@@ -316,8 +338,11 @@ fn least_loaded_breaks_ties_low_and_splits_backlog() {
         1,
         "least-loaded spilled past the backlog"
     );
-    assert!(busy.wait().is_ok());
-    assert!(queued.wait().is_ok());
+    for (ticket, replica) in [(busy, 0), (second, 1), (queued, 0)] {
+        let resp = ticket.wait();
+        assert!(resp.is_ok());
+        assert_eq!(routed_replica(resp.route), replica, "request {}", resp.id);
+    }
     service.shutdown();
 }
 

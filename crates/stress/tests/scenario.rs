@@ -285,7 +285,7 @@ fn replica_series_fold_on_a_replicated_service() {
         }
     }
     // Executions, not ops: cache hits never reach an executor while
-    // scattered analytics and retries reach several, so only nonemptiness
+    // scattered analytics reach several, so only nonemptiness
     // is a stable cross-check here — the exact identity is per replica
     // (series vs histogram), asserted above.
     assert!(recorded > 0, "executors recorded service times");

@@ -1,6 +1,6 @@
 //! Integration tests of the graph-query service and the load driver:
 //! correctness of point lookups and workload answers, seeded
-//! reproducibility, the timeout/retry/backoff path, panic containment,
+//! reproducibility, the one-execution timeout path, panic containment,
 //! deadlines, and graceful draining shutdown.
 
 mod common;
@@ -82,13 +82,13 @@ fn workload_queries_run_end_to_end() {
         }
         other => panic!("unexpected result: {other:?}"),
     }
-    // A workload whose precondition fails is rejected, not retried.
+    // A workload whose precondition fails is rejected.
     let resp = service
         .submit(QueryRequest::new(2, QueryKind::Workload(Workload::Wcc)))
         .unwrap()
         .wait();
     assert!(matches!(resp.result, Err(QueryError::Unsupported(_))));
-    assert_eq!(resp.attempts, 1, "precondition failures must not retry");
+    assert_eq!(resp.attempts, 1, "the refusal came from one execution");
     service.shutdown();
 }
 
@@ -128,67 +128,44 @@ fn same_seed_reproduces_the_exact_operation_sequence() {
     );
 }
 
+/// A request runs once: one that outlives its timeout fails after that one
+/// execution, backs off nowhere, and frees its executor at once for the
+/// request queued behind it.
 #[test]
-fn slow_requests_retry_with_backoff_then_time_out() {
+fn a_slow_request_times_out_once_and_frees_its_executor() {
     let service = one_shard(
         Arc::new(generators::path(4)),
         ServiceConfig {
             executors: 1,
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(4),
-            backoff_cap: Duration::from_millis(20),
             ..ServiceConfig::default()
         },
     );
-    let slow = QueryRequest::new(7, QueryKind::DebugSleep(Duration::from_millis(12)))
+    let slow = QueryRequest::new(7, QueryKind::DebugSleep(Duration::from_millis(40)))
         .with_timeout(Duration::from_millis(1));
-    let t0 = Instant::now();
-    let resp = service.submit(slow).unwrap().wait();
-    let wall = t0.elapsed();
-    assert_eq!(resp.result, Err(QueryError::Timeout { attempts: 3 }));
-    assert_eq!(resp.attempts, 3, "attempts must be bounded by max_attempts");
-    assert_eq!(resp.retries(), 2);
+    let slow = service.submit(slow).unwrap();
+    let behind = service
+        .submit(QueryRequest::new(8, QueryKind::DebugSleep(Duration::ZERO)))
+        .unwrap();
+    let slow = slow.wait();
+    assert_eq!(slow.result, Err(QueryError::Timeout));
+    assert_eq!(slow.attempts, 1);
+    assert_eq!(slow.backoff, Duration::ZERO);
     assert!(
-        resp.service_time >= Duration::from_millis(36),
-        "three attempts of >=12ms each, got {:?}",
-        resp.service_time
+        slow.service_time >= Duration::from_millis(40),
+        "one execution of >=40ms, got {:?}",
+        slow.service_time
     );
+    let behind = behind.wait();
+    assert_eq!(behind.result, Ok(QueryOutput::Slept));
     assert!(
-        resp.backoff >= Duration::from_millis(4),
-        "exponential backoff must actually pause, got {:?}",
-        resp.backoff
+        behind.queue_wait < 2 * slow.service_time,
+        "the request behind waited out one execution, not several: {:?} vs {:?}",
+        behind.queue_wait,
+        slow.service_time
     );
-    assert!(wall >= resp.service_time + resp.backoff);
     let stats = service.shutdown();
-    assert_eq!(stats.timeouts, 3);
-    assert_eq!(stats.retries, 2);
-    assert_eq!(stats.failed, 1);
-}
-
-#[test]
-fn retry_jitter_is_deterministic_per_request() {
-    // Two services with the same seed give the identical backoff schedule
-    // for the same request id; a different service seed changes it.
-    let run_with = |seed: u64| -> Duration {
-        let service = one_shard(
-            Arc::new(generators::path(4)),
-            ServiceConfig {
-                executors: 1,
-                max_attempts: 4,
-                backoff_base: Duration::from_millis(3),
-                backoff_cap: Duration::from_millis(50),
-                seed,
-                ..ServiceConfig::default()
-            },
-        );
-        let req = QueryRequest::new(99, QueryKind::DebugSleep(Duration::from_millis(2)))
-            .with_timeout(Duration::ZERO);
-        let resp = service.submit(req).unwrap().wait();
-        service.shutdown();
-        resp.backoff
-    };
-    assert_eq!(run_with(1), run_with(1));
-    assert_ne!(run_with(1), run_with(2));
+    assert_eq!((stats.timeouts, stats.retries), (1, 0));
+    assert_eq!((stats.completed, stats.failed), (1, 1));
 }
 
 #[test]

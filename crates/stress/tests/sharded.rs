@@ -417,7 +417,6 @@ fn a_timed_out_or_unsupported_leader_fails_its_attached_legs_alike() {
     let graph = Arc::new(generators::gnm_connected(3000, 12_000, 3));
     let config = ServiceConfig {
         executors: 1,
-        max_attempts: 1,
         ..config_for(Partitioning::Hash)
     };
     let expected = run_workload(Workload::CcSv, &graph, &config.engine, 9).unwrap();
@@ -429,7 +428,7 @@ fn a_timed_out_or_unsupported_leader_fails_its_attached_legs_alike() {
         .submit(request(1).with_timeout(Duration::ZERO))
         .unwrap()
         .wait();
-    assert_eq!(resp.result, Err(QueryError::Timeout { attempts: 1 }));
+    assert_eq!(resp.result, Err(QueryError::Timeout));
     let timed_out = service.stats();
     assert_eq!(
         timed_out.timeouts, SHARDS as u64,
@@ -449,18 +448,58 @@ fn a_timed_out_or_unsupported_leader_fails_its_attached_legs_alike() {
         resp.result
     );
 
-    // The timed-out leader memoized its own leg (the value was right, only
-    // late); the other shard leads a fresh run.
+    // The timed-out run left every leg's partial memoized (the values were
+    // right, only late): no shard runs the engine again.
     let resp = service.submit(request(3)).unwrap().wait();
     assert_eq!(workload_answer(&resp.result), expected.answer);
     let stats = service.shutdown();
-    assert_eq!((stats.engine_runs, stats.cache_hits), (2, 1));
+    assert_eq!((stats.engine_runs, stats.cache_hits), (1, SHARDS as u64));
     assert_eq!(
         stats.failed,
         2 * SHARDS as u64,
         "two failed requests, every leg of each"
     );
     assert_eq!(stats.completed, SHARDS as u64);
+}
+
+/// A request is executed once. A run that outlives its timeout costs one
+/// engine run, times out every leg attached to it and backs off nowhere;
+/// the identical request without a timeout is then a cache hit on every
+/// shard, because every leg memoized its partial, late or not.
+#[test]
+fn a_timed_out_request_costs_one_engine_run_and_its_resubmit_is_a_hit() {
+    let graph = Arc::new(generators::gnm_connected(3000, 12_000, 3));
+    for shards in [1usize, 2] {
+        let config = ServiceConfig {
+            executors: 1,
+            ..ServiceConfig::default()
+        };
+        let expected = run_workload(Workload::CcSv, &graph, &config.engine, 9).unwrap();
+        let service = ShardedGraphService::start(Arc::clone(&graph), config, shards);
+        let request = |id| QueryRequest::new(id, QueryKind::Workload(Workload::CcSv)).with_seed(9);
+
+        let resp = service
+            .submit(request(1).with_timeout(Duration::ZERO))
+            .unwrap()
+            .wait();
+        assert_eq!(resp.result, Err(QueryError::Timeout), "S={shards}");
+        assert_eq!(resp.backoff, Duration::ZERO, "S={shards}");
+        let stats = service.stats();
+        assert_eq!(
+            (stats.engine_runs, stats.timeouts, stats.retries),
+            (1, shards as u64, 0),
+            "S={shards}: one run, every leg timed out once"
+        );
+
+        let resp = service.submit(request(2)).unwrap().wait();
+        assert_eq!(workload_answer(&resp.result), expected.answer, "S={shards}");
+        let stats = service.shutdown();
+        assert_eq!(
+            (stats.engine_runs, stats.cache_hits),
+            (1, shards as u64),
+            "S={shards}: the resubmit is answered from the cache"
+        );
+    }
 }
 
 #[test]
