@@ -159,40 +159,13 @@ fn usage() {
     );
 }
 
-/// Flags that take a value (`--get` takes two: a FILE and a PATH).
-const VALUE_FLAGS: [&str; 28] = [
-    "--validate-report",
-    "--gen",
-    "--graph",
-    "--scenario",
-    "--interval-ms",
-    "--duration",
-    "--ops",
-    "--rate",
-    "--burst",
-    "--clients",
-    "--tenants",
-    "--executors",
-    "--queue",
-    "--shards",
-    "--replicas",
-    "--routing",
-    "--queue-policy",
-    "--cache-capacity",
-    "--repeat",
-    "--mix",
-    "--seed",
-    "--zipf-s",
-    "--write-ratio",
-    "--mutation-seed",
-    "--write-buffer",
-    "--max-batch",
-    "--timeout-ms",
-    "--name",
-];
-
-/// Flags that stand alone.
-const SWITCHES: [&str; 3] = ["--directed", "--cache-off", "--quiet"];
+/// Flags that take a value (`--get` takes two: a FILE and a PATH), and
+/// flags that stand alone.
+const VALUE_FLAGS: &str = "--gen --graph --scenario --interval-ms --duration --ops --rate \
+    --burst --clients --tenants --executors --queue --shards --replicas --routing \
+    --queue-policy --cache-capacity --repeat --mix --seed --zipf-s --write-ratio \
+    --mutation-seed --write-buffer --max-batch --timeout-ms --name --validate-report";
+const SWITCHES: &str = "--directed --cache-off --quiet";
 
 /// Refuses the first argument that is no flag of this binary (a flag's
 /// values are skipped over), so a misspelt flag is an error, not a run
@@ -202,8 +175,8 @@ fn check_flags(args: &[String]) -> Result<(), String> {
     while let Some(arg) = rest.next() {
         let values = match arg.as_str() {
             "--get" => 2,
-            flag if VALUE_FLAGS.contains(&flag) => 1,
-            flag if SWITCHES.contains(&flag) => 0,
+            flag if VALUE_FLAGS.split_whitespace().any(|f| f == flag) => 1,
+            flag if SWITCHES.split_whitespace().any(|f| f == flag) => 0,
             _ => return Err(format!("unknown flag {arg}")),
         };
         rest.by_ref().take(values).for_each(drop);

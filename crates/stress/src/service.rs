@@ -468,7 +468,8 @@ struct Shared {
     counters: Counters,
     /// Jobs an executor has dequeued and not yet answered or parked.
     /// Raised under `state`'s lock at dequeue, so a reader holding that
-    /// lock never misses a job between the queue and its executor.
+    /// lock never misses a job between the queue and its executor; lowered
+    /// just before the answer is sent.
     in_service: AtomicUsize,
     /// The core's result cache; `None` when caching is disabled. Shared
     /// (`Arc`) across every replica core of a shard, so keys stay
@@ -624,35 +625,28 @@ pub(crate) struct ParkedLeg {
 }
 
 impl ParkedLeg {
-    /// Answers the leg with its partial of the finished run, from the
-    /// leader's thread, exactly as its own executor would have: counted as
-    /// a coalesced leg and memoized under the leg's key, then sent — as
-    /// [`QueryError::Timeout`] when the run was `late`.
-    pub(crate) fn complete(self, output: QueryOutput, late: bool) {
+    /// Answers the leg from the leader's thread, exactly as its own
+    /// executor would have. A partial of the finished run is counted as a
+    /// coalesced leg, memoized under the leg's key, and sent as
+    /// [`QueryError::Timeout`] when the run was `late`; a failure is
+    /// counted under its class. The leg's service time is the time spent
+    /// here — it ran no engine.
+    pub(crate) fn complete(self, result: Result<QueryOutput, QueryError>, late: bool) {
         let t0 = Instant::now();
         let slot = self.core.counters.executor_slot(self.executor);
-        let result = self
-            .core
-            .settle(slot, &slot.coalesced_legs, self.cache_key, output, late);
-        self.respond(t0, result);
-    }
-
-    /// Fails the leg with its run's failure, counted under its class.
-    pub(crate) fn fail(self, error: QueryError) {
-        let t0 = Instant::now();
-        if let QueryError::Panicked(_) = error {
-            let slot = self.core.counters.executor_slot(self.executor);
-            slot.panics.fetch_add(1, Ordering::Relaxed);
-        }
-        self.respond(t0, Err(error));
-    }
-
-    /// Books the response on the leg's core and sends it. The leg's
-    /// service time is the time spent answering it since `t0` — it ran no
-    /// engine.
-    fn respond(self, t0: Instant, result: Result<QueryOutput, QueryError>) {
+        let result = match result {
+            Ok(output) => {
+                self.core
+                    .settle(slot, &slot.coalesced_legs, self.cache_key, output, late)
+            }
+            Err(error) => {
+                if let QueryError::Panicked(_) = error {
+                    slot.panics.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(error)
+            }
+        };
         let service_time = t0.elapsed();
-        let slot = self.core.counters.executor_slot(self.executor);
         slot.busy_ns
             .fetch_add(service_time.as_nanos() as u64, Ordering::Relaxed);
         self.core.answer(
@@ -1150,10 +1144,13 @@ fn executor_loop(
             }
         };
         shared.not_full.notify_all();
-        if let Some(response) = serve(backend, shared, config, &job, index) {
+        let response = serve(backend, shared, config, &job, index);
+        // Out of service before the caller can see the answer, so its next
+        // request finds this executor free.
+        shared.in_service.fetch_sub(1, Ordering::Relaxed);
+        if let Some(response) = response {
             shared.answer(index, &job.tx, response);
         }
-        shared.in_service.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

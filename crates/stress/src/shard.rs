@@ -47,10 +47,9 @@
 //! every shard, and no leg runs the engine again. A run that fails —
 //! panic or unsupported workload — fails every parked leg with the same
 //! class of error, each counted once on its own core, and leaves no entry
-//! behind. Answers, routes,
-//! epoch pinning and cache identities are what they were when every leg
-//! ran for itself; [`ServiceStats::engine_runs`] and
-//! [`ServiceStats::coalesced_legs`] count the difference.
+//! behind. Answers, routes, epoch pinning and cache identities are what
+//! they were when every leg ran for itself; [`ServiceStats::engine_runs`]
+//! and [`ServiceStats::coalesced_legs`] count the difference.
 //!
 //! Under live mutations the slices are **per-epoch**: every
 //! [`EpochSnapshot`] carries one [`ShardSlice`] per shard, and the epoch
@@ -368,7 +367,7 @@ impl ShardBackend {
     ) -> Outcome {
         let fail = |error: &QueryError| {
             for (_, leg) in self.runs.abandon(key) {
-                leg.fail(error.clone());
+                leg.complete(Err(error.clone()), false);
             }
         };
         let t0 = Instant::now();
@@ -409,7 +408,7 @@ impl ShardBackend {
         let served = queued.iter().map(|&(shard, _)| shard).chain([self.shard]);
         let parked = self.runs.finish(key, served, &answer);
         for (shard, leg) in parked.into_iter().chain(queued) {
-            leg.complete(answer.leg(shard), late);
+            leg.complete(Ok(answer.leg(shard)), late);
         }
         Outcome::Led {
             output: answer.leg(self.shard),
@@ -488,18 +487,10 @@ impl Shard {
             RoutingPolicy::RoundRobin => {
                 (self.next_rr.fetch_add(1, Ordering::Relaxed) % self.replicas.len() as u64) as usize
             }
-            RoutingPolicy::LeastLoaded => {
-                let mut best = 0usize;
-                let mut best_load = usize::MAX;
-                for (r, core) in self.replicas.iter().enumerate() {
-                    let load = core.load();
-                    if load < best_load {
-                        best = r;
-                        best_load = load;
-                    }
-                }
-                best
-            }
+            // The first replica of the least load: ties go to the lowest id.
+            RoutingPolicy::LeastLoaded => (0..self.replicas.len())
+                .min_by_key(|&r| self.replicas[r].load())
+                .unwrap_or(0),
         }
     }
 

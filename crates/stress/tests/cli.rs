@@ -42,8 +42,8 @@ fn zero_valued_count_flags_fail_cleanly() {
 }
 
 /// An argument the binary does not know is refused before anything runs,
-/// instead of running with the default it meant to change — `--retries`
-/// included, whose retry loop is gone.
+/// instead of running with the default it meant to change (`--retries`
+/// is no flag: a request is executed once).
 #[test]
 fn unknown_flags_are_refused() {
     for flag in ["--bogus-flag", "--retries"] {
