@@ -634,18 +634,13 @@ impl ParkedLeg {
     pub(crate) fn complete(self, result: Result<QueryOutput, QueryError>, late: bool) {
         let t0 = Instant::now();
         let slot = self.core.counters.executor_slot(self.executor);
-        let result = match result {
-            Ok(output) => {
-                self.core
-                    .settle(slot, &slot.coalesced_legs, self.cache_key, output, late)
-            }
-            Err(error) => {
-                if let QueryError::Panicked(_) = error {
-                    slot.panics.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(error)
-            }
-        };
+        if let Err(QueryError::Panicked(_)) = result {
+            slot.panics.fetch_add(1, Ordering::Relaxed);
+        }
+        let result = result.and_then(|output| {
+            self.core
+                .settle(slot, &slot.coalesced_legs, self.cache_key, output, late)
+        });
         let service_time = t0.elapsed();
         slot.busy_ns
             .fetch_add(service_time.as_nanos() as u64, Ordering::Relaxed);
@@ -1186,6 +1181,7 @@ fn serve(
     let outcome = catch_unwind(AssertUnwindSafe(|| backend.execute(&seat, &config.engine)));
     let service_time = started.elapsed();
     let late = service_time > req.timeout;
+    let key = backend.cache_key(req);
     let result = match outcome {
         Err(payload) => {
             slot.panics.fetch_add(1, Ordering::Relaxed);
@@ -1195,20 +1191,10 @@ fn serve(
         Ok(Outcome::Done(result)) => in_time(slot, result, late),
         // The leader's verdict, not this clock's: it told every leg
         // attached to the run the same.
-        Ok(Outcome::Led { output, late }) => shared.settle(
-            slot,
-            &slot.engine_runs,
-            backend.cache_key(req),
-            output,
-            late,
-        ),
-        Ok(Outcome::Shared(output)) => shared.settle(
-            slot,
-            &slot.coalesced_legs,
-            backend.cache_key(req),
-            output,
-            late,
-        ),
+        Ok(Outcome::Led { output, late }) => {
+            shared.settle(slot, &slot.engine_runs, key, output, late)
+        }
+        Ok(Outcome::Shared(output)) => shared.settle(slot, &slot.coalesced_legs, key, output, late),
     };
     slot.busy_ns
         .fetch_add(service_time.as_nanos() as u64, Ordering::Relaxed);

@@ -183,7 +183,13 @@ fn validate_names_the_path_of_every_broken_identity() {
     let more_than_all_ops = |v: &mut Value| *v = Value::Number(1e15);
     type Break<'a> = &'a dyn Fn(&mut Value);
     // (what breaks, the path to break, how, what the error must name)
-    let cases: [(&str, &str, Break, &str); 11] = [
+    let cases: [(&str, &str, Break, &str); 12] = [
+        (
+            "a shard's leg sources",
+            "per_shard[1].coalesced_legs",
+            &bump,
+            "per_shard[1].engine_runs + coalesced_legs + cache_hits",
+        ),
         (
             "a per-shard sum",
             "per_shard[1].early_drops",
