@@ -31,13 +31,11 @@
 //! [`ServiceConfig::qos`].
 //!
 //! Failure handling:
-//! * every request is executed at most once. One whose execution exceeds
-//!   its timeout fails with [`QueryError::Timeout`] — the Pregel engine
-//!   cannot be interrupted mid-superstep, so the check is post-hoc, and a
-//!   re-run would only repeat a deterministic computation. A late
-//!   workload leg still memoizes its partial, so an identical request
-//!   submitted afterwards is a cache hit; a shared run that is late fails
-//!   every leg attached to it the same way (see [`crate::shard`]);
+//! * every request is executed at most once: one whose execution exceeds
+//!   its timeout fails with [`QueryError::Timeout`] (checked post-hoc: the
+//!   engine cannot be interrupted mid-superstep). A late workload leg
+//!   still memoizes its partial, so the identical request again is a cache
+//!   hit; [`crate::shard`] says how a late shared run answers its legs;
 //! * panics inside a workload are caught per request: the executor survives
 //!   and the caller gets [`QueryError::Panicked`] — as does every scattered
 //!   leg parked on the run that panicked (see [`crate::shard`]; the same
@@ -491,10 +489,8 @@ impl Shared {
     }
 
     /// Books one leg's partial of a finished shared run on `slot`: counted
-    /// under `source` (the runs a leg led, or the legs it answered besides)
-    /// and memoized under `key` whether or not the run was `late` — the
-    /// value is deterministic and correct, so an identical later request is
-    /// a cache hit — then timed against the request.
+    /// under `source`, memoized under `key` even when `late` (the value is
+    /// right, only late), then timed against the request.
     fn settle(
         &self,
         slot: &CounterSlot,
@@ -530,8 +526,8 @@ pub(crate) enum Outcome {
     /// A debug hook's result, or the failure of a shared run this leg led.
     Done(Result<QueryOutput, QueryError>),
     /// This leg led a shared run and gets its partial of it; `late` when
-    /// the run outlived the request's timeout, which every leg attached to
-    /// the run was told alike.
+    /// the run outlived the request's timeout, as every leg of the request
+    /// attached to the run was told.
     Led { output: QueryOutput, late: bool },
     /// A scattered leg answered from a shared run that had already
     /// finished (see [`crate::runs`]).
@@ -564,6 +560,7 @@ impl Seat<'_> {
             executor: self.executor,
             cache_key,
             queue_wait: self.queue_wait,
+            timeout: self.req.timeout,
         }
     }
 }
@@ -604,6 +601,7 @@ impl CoreHandle {
                 // on the first one's stripe and log.
                 executor: 0,
                 queue_wait: now.duration_since(job.enqueued_at),
+                timeout: job.req.timeout,
             })
             .collect()
     }
@@ -622,16 +620,20 @@ pub(crate) struct ParkedLeg {
     executor: usize,
     cache_key: Option<CacheKey>,
     queue_wait: Duration,
+    /// The leg's own request's timeout: a leg of another request for the
+    /// same run is judged by its own budget, not the leader's.
+    timeout: Duration,
 }
 
 impl ParkedLeg {
     /// Answers the leg from the leader's thread, exactly as its own
     /// executor would have. A partial of the finished run is counted as a
     /// coalesced leg, memoized under the leg's key, and sent as
-    /// [`QueryError::Timeout`] when the run was `late`; a failure is
-    /// counted under its class. The leg's service time is the time spent
-    /// here — it ran no engine.
-    pub(crate) fn complete(self, result: Result<QueryOutput, QueryError>, late: bool) {
+    /// [`QueryError::Timeout`] when the run, which took `ran`, outlived
+    /// the leg's timeout; a failure is counted under its class. The leg's
+    /// service time is the time spent here — it ran no engine.
+    pub(crate) fn complete(self, result: Result<QueryOutput, QueryError>, ran: Duration) {
+        let late = ran > self.timeout;
         let t0 = Instant::now();
         let slot = self.core.counters.executor_slot(self.executor);
         if let Err(QueryError::Panicked(_)) = result {
@@ -1189,8 +1191,8 @@ fn serve(
         }
         Ok(Outcome::Parked) => return None,
         Ok(Outcome::Done(result)) => in_time(slot, result, late),
-        // The leader's verdict, not this clock's: it told every leg
-        // attached to the run the same.
+        // The leader's verdict, not this clock's: every leg of this request
+        // attached to the run got the same one.
         Ok(Outcome::Led { output, late }) => {
             shared.settle(slot, &slot.engine_runs, key, output, late)
         }

@@ -41,10 +41,11 @@
 //! leg that arrives later still takes its partial from the *finished*
 //! entry, which is dropped once all `S` shards were served. A run that
 //! outlives its leader's timeout is answered the same way, except that
-//! every leg it answers — the leader's, the parked and the queued ones —
-//! memoizes its partial and then fails as a timeout, counted once on its
-//! own core: an identical request submitted afterwards is a cache hit on
-//! every shard, and no leg runs the engine again. A run that fails —
+//! every leg of the leader's request — its own, the parked and the queued
+//! ones — memoizes its partial and then fails as a timeout, counted once
+//! on its own core: an identical request submitted afterwards is a cache
+//! hit on every shard, and no leg runs the engine again. (A leg of another
+//! request for the same run is judged by its own request's timeout.) A run that fails —
 //! panic or unsupported workload — fails every parked leg with the same
 //! class of error, each counted once on its own core, and leaves no entry
 //! behind. Answers, routes, epoch pinning and cache identities are what
@@ -90,7 +91,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use vcgp_core::fingerprint::{graph_fingerprint, leg_fingerprint};
 use vcgp_graph::rng::mix3;
 use vcgp_graph::{
@@ -353,9 +354,10 @@ impl ShardBackend {
     /// Leads the shared run of `key`: one engine execution on the pinned
     /// epoch's full graph, sliced by shard ownership, answers this leg,
     /// every leg parked on the entry meanwhile, and every leg of the run
-    /// still queued when it ends. A run that outlived this leg's timeout
-    /// answers them all alike: each memoizes its partial and fails as a
-    /// timeout. A failed run — panic or unsupported workload — is
+    /// still queued when it ends. Each memoizes its partial, and one whose
+    /// request's timeout the run outlived — every leg of this request, when
+    /// it outlived this leg's — fails as a timeout. A failed run — panic
+    /// or unsupported workload — is
     /// delivered to the parked legs as the same class of failure and leaves
     /// no entry behind.
     fn lead(
@@ -367,7 +369,7 @@ impl ShardBackend {
     ) -> Outcome {
         let fail = |error: &QueryError| {
             for (_, leg) in self.runs.abandon(key) {
-                leg.complete(Err(error.clone()), false);
+                leg.complete(Err(error.clone()), Duration::ZERO);
             }
         };
         let t0 = Instant::now();
@@ -403,16 +405,16 @@ impl ShardBackend {
             supersteps: run.stats.supersteps(),
             messages: run.stats.total_messages(),
         });
-        let late = t0.elapsed() > req.timeout;
+        let ran = t0.elapsed();
         let queued = self.take_queued(key);
         let served = queued.iter().map(|&(shard, _)| shard).chain([self.shard]);
         let parked = self.runs.finish(key, served, &answer);
         for (shard, leg) in parked.into_iter().chain(queued) {
-            leg.complete(Ok(answer.leg(shard)), late);
+            leg.complete(Ok(answer.leg(shard)), ran);
         }
         Outcome::Led {
             output: answer.leg(self.shard),
-            late,
+            late: ran > req.timeout,
         }
     }
 

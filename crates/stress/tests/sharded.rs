@@ -463,9 +463,10 @@ fn a_timed_out_or_unsupported_leader_fails_its_attached_legs_alike() {
 }
 
 /// A request is executed once. A run that outlives its timeout costs one
-/// engine run, times out every leg attached to it and backs off nowhere;
-/// the identical request without a timeout is then a cache hit on every
-/// shard, because every leg memoized its partial, late or not.
+/// engine run, times out every leg of that request and backs off nowhere,
+/// while another request for the same run, queued or parked on it, is
+/// judged by its own timeout; the identical request is then a cache hit on
+/// every shard, because every leg memoized its partial, late or not.
 #[test]
 fn a_timed_out_request_costs_one_engine_run_and_its_resubmit_is_a_hit() {
     let graph = Arc::new(generators::gnm_connected(3000, 12_000, 3));
@@ -478,20 +479,21 @@ fn a_timed_out_request_costs_one_engine_run_and_its_resubmit_is_a_hit() {
         let service = ShardedGraphService::start(Arc::clone(&graph), config, shards);
         let request = |id| QueryRequest::new(id, QueryKind::Workload(Workload::CcSv)).with_seed(9);
 
-        let resp = service
-            .submit(request(1).with_timeout(Duration::ZERO))
-            .unwrap()
-            .wait();
+        let late = service.submit(request(1).with_timeout(Duration::ZERO));
+        let patient = service.submit(request(2)).unwrap();
+        let resp = late.unwrap().wait();
         assert_eq!(resp.result, Err(QueryError::Timeout), "S={shards}");
         assert_eq!(resp.backoff, Duration::ZERO, "S={shards}");
+        let answer = workload_answer(&patient.wait().result);
+        assert_eq!(answer, expected.answer, "S={shards}: the 5 s request");
         let stats = service.stats();
         assert_eq!(
             (stats.engine_runs, stats.timeouts, stats.retries),
             (1, shards as u64, 0),
-            "S={shards}: one run, every leg timed out once"
+            "S={shards}: one run, every leg of the late request timed out once"
         );
 
-        let resp = service.submit(request(2)).unwrap().wait();
+        let resp = service.submit(request(3)).unwrap().wait();
         assert_eq!(workload_answer(&resp.result), expected.answer, "S={shards}");
         let stats = service.shutdown();
         assert_eq!(
