@@ -126,7 +126,8 @@ fn usage() {
          (fewest jobs queued or in service, ties to the\n                    \
          lowest replica id). Default round-robin\n  \
          --queue-policy P  block (backpressure) | reject (shed) when full\n  \
-         --cache-capacity N  result-cache entries per shard core (default 256)\n  \
+         --cache-capacity N  result-cache entries per shard, shared by its\n                    \
+         replica cores (default 256)\n  \
          --cache-off       disable the result cache (same as capacity 0)\n  \
          --repeat N        run the mix N times against the SAME service\n                    \
          process (pass 2+ replays the identical seeded stream,\n                    \
