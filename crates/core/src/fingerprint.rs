@@ -14,8 +14,8 @@
 //!   [`mix3`] / SplitMix64 mixing — no `std::hash::Hasher` whose output can
 //!   change between toolchain releases. A fingerprint persisted in a report
 //!   stays comparable forever.
-//! * **Cheap.** One `O(n + m)` pass, intended to run once at graph load
-//!   (and once per shard slice), never per request.
+//! * **Cheap.** One `O(n + m)` pass, intended to run once per graph
+//!   version (at load and at each epoch swap), never per request.
 //!
 //! This is a cache key, not a cryptographic commitment: collisions are
 //! possible in principle (it is 64 bits) but need adversarial construction;
@@ -60,21 +60,6 @@ pub fn graph_fingerprint(graph: &Graph) -> u64 {
         | (graph.num_edges() as u64 & 0xFFFF_FFFF)
         | u64::from(graph.is_directed()) << 63;
     mix3(acc, shape, SHAPE_STREAM)
-}
-
-/// The fingerprint of one shard's *leg* of a scattered workload: the full
-/// graph's fingerprint mixed with the shard slice's.
-///
-/// A scattered partial depends on both the full structural graph (the
-/// deterministic algorithm runs on it) and the shard's owned slice (the
-/// reduction domain), so neither fingerprint alone identifies the answer.
-/// The slice — the owned out-adjacency over the full vertex-id space —
-/// pins down the ownership predicate exactly: any re-shard (different `S`,
-/// strategy, or placement) changes the slice and therefore the leg
-/// fingerprint, which is what makes cached partials safe across
-/// re-sharding without explicit versioning.
-pub fn leg_fingerprint(full: u64, slice: u64) -> u64 {
-    mix3(full, slice, 0x4647_5052_4C45_4721) // "FGPRLEG!"
 }
 
 #[cfg(test)]
@@ -127,15 +112,5 @@ mod tests {
         let plain = generators::digraph_gnm(40, 100, 6);
         let labeled = generators::labeled_digraph(40, 100, 3, 6);
         assert_ne!(graph_fingerprint(&plain), graph_fingerprint(&labeled));
-    }
-
-    #[test]
-    fn leg_fingerprint_separates_full_and_slice() {
-        let full = 0xAAAA_BBBB_CCCC_DDDD;
-        let s1 = 0x1111_2222_3333_4444;
-        let s2 = 0x5555_6666_7777_8888;
-        assert_ne!(leg_fingerprint(full, s1), leg_fingerprint(full, s2));
-        assert_ne!(leg_fingerprint(full, s1), full);
-        assert_ne!(leg_fingerprint(full, s1), leg_fingerprint(s1, full));
     }
 }

@@ -29,6 +29,6 @@ pub use benchmark::{run_row, run_table1, RowResult, Verdict};
 pub use bppa::{BppaReport, PropertyVerdict};
 pub use complexity::{ComplexityClass, Fit, GraphParams};
 pub use cost::BspCostModel;
-pub use fingerprint::{graph_fingerprint, leg_fingerprint};
+pub use fingerprint::graph_fingerprint;
 pub use service::{run_workload, supported, supported_workloads, ServiceRun, Unsupported};
 pub use workload::{Measurement, Scale, Workload};

@@ -1,22 +1,22 @@
-//! Per-shard result cache: fingerprinted memoization of the scattered
-//! partials of analytics requests.
+//! The service's result cache: fingerprinted memoization of whole
+//! analytics answers.
 //!
-//! One [`ResultCache`] exists per shard and is shared by every replica
-//! core serving that shard. [`CacheKey`] is **replica-agnostic** — it
-//! captures `(workload, fingerprint, seed, scope)` and nothing about which
-//! replica computed or looked up the entry — so an answer inserted via one
-//! replica is a hit no matter where the routing policy sends the repeat,
-//! and the hit/miss counters count each shard-level lookup exactly once.
+//! One [`ResultCache`] exists per service. The router probes it **once per
+//! analytics request**, on the submitting thread, before any leg is
+//! fanned out; a hit is the whole answer and enqueues nothing. The leader
+//! of the request's shared engine run (see [`crate::shard`]) fills it
+//! **once**, with the gathered answer, before it answers any leg. The
+//! [`CacheKey`] is `(workload, full epoch fingerprint, seed)` under
+//! [`CacheScope::Whole`], so it names no shard and no replica: an answer
+//! computed through any core serves every later request for the key, and
+//! the hit/miss counters count each request exactly once.
 //!
-//! Every serving-path answer is a pure function of
-//! `(workload, graph, seed)` (see [`vcgp_core::service::run_workload`]) and
-//! a scattered leg's partial additionally of the shard's owned slice — both
-//! captured by a [`CacheKey`] built on the stable
-//! [`vcgp_core::fingerprint::graph_fingerprint`]. Repeated analytics
-//! queries in a stress mix therefore never need to re-run the Pregel
-//! engine: every replica core consults its shard's [`ResultCache`] at submit
-//! time and answers hits without enqueueing, and executors insert every
-//! freshly computed answer on the way out.
+//! Every serving-path answer is a pure function of `(workload, graph,
+//! seed)` (see [`vcgp_core::service::run_workload`]), and the scattered
+//! legs of one request gather to exactly that answer at every shard count
+//! (see [`vcgp_core::service::Partial`]), so the key needs no shard
+//! identity. Repeated analytics queries in a stress mix therefore never
+//! re-run the Pregel engine.
 //!
 //! **Eviction is a segmented LRU** (probation + protected), strictly
 //! capacity-bounded in entries — the memory-efficiency posture iPregel
@@ -50,16 +50,15 @@
 //! Invalidation: [`ResultCache::invalidate_all`] drops every entry while
 //! keeping the monotone counters. The serving layer calls it through
 //! [`crate::shard::ShardedGraphService::invalidate_cache`], and the epoch
-//! writer (see [`crate::epoch`]) now fires it after every snapshot swap.
+//! writer (see [`crate::epoch`]) fires it after every snapshot swap.
 //! Correctness never depended on it: cache keys derive from the request's
-//! *pinned epoch* fingerprint (whole-graph and per-leg), so entries from
-//! an older epoch can never be confused for current ones — the hook
-//! reclaims their memory so dead fingerprints don't pin capacity.
+//! *pinned epoch* fingerprint, so entries from an older epoch can never be
+//! confused for current ones — the hook reclaims their memory so dead
+//! fingerprints don't pin capacity.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
-use vcgp_core::service::Partial;
 use vcgp_core::Workload;
 
 /// Protected-segment share of capacity: `PROTECTED_NUM / PROTECTED_DEN`
@@ -69,14 +68,17 @@ const PROTECTED_NUM: usize = 4;
 /// See [`PROTECTED_NUM`].
 const PROTECTED_DEN: usize = 5;
 
-/// What a cached value answers. Every analytics request reaches a shard
-/// as a scattered leg (at one shard too), so a leg is the only scope.
+/// What a cached value answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheScope {
-    /// One shard's owned-slice partial of a scattered workload. The
-    /// fingerprint in the key is the
-    /// [`leg_fingerprint`](vcgp_core::fingerprint::leg_fingerprint) of the
-    /// full graph and the shard slice.
+    /// A whole workload answer, as the router returns it — the only scope
+    /// the service keys with. The fingerprint in the key is the full
+    /// graph's [`graph_fingerprint`](vcgp_core::fingerprint::graph_fingerprint)
+    /// in the request's pinned epoch.
+    Whole,
+    /// One shard's slice of a scattered answer. The service does not
+    /// cache per leg; the variant is kept only because the repo
+    /// benchmark's cache probe (`benchmark/src/probes.rs`) keys with it.
     Leg,
 }
 
@@ -85,9 +87,9 @@ pub enum CacheScope {
 pub struct CacheKey {
     /// The Table 1 workload.
     pub workload: Workload,
-    /// What the value answers ([`CacheScope::Leg`]).
+    /// What the value answers ([`CacheScope::Whole`] in the service).
     pub scope: CacheScope,
-    /// Graph identity: the leg fingerprint (full ⊕ slice).
+    /// Graph identity: the full graph's fingerprint in the pinned epoch.
     pub fingerprint: u64,
     /// The request seed (source-parameterized workloads derive their source
     /// from it, so it is part of the answer's identity).
@@ -98,24 +100,14 @@ pub struct CacheKey {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CachedAnswer {
     /// A whole workload answer plus its run costs (the costs are part of
-    /// the response contract, so they are memoized alongside the answer).
-    /// The service itself caches only legs; this is for callers that use a
-    /// [`ResultCache`] on its own.
+    /// the response contract, so they are memoized alongside the answer):
+    /// field for field the gathered [`crate::request::QueryOutput::Workload`].
     Whole {
         /// The workload's scalar answer.
         answer: u64,
         /// Supersteps of the (memoized) run.
         supersteps: u64,
-        /// Messages of the (memoized) run.
-        messages: u64,
-    },
-    /// One shard's owned-slice partial plus its run costs.
-    Leg {
-        /// The owned-slice partial.
-        partial: Partial,
-        /// Supersteps of the (memoized) run.
-        supersteps: u64,
-        /// Messages of the (memoized) run.
+        /// Messages of the (memoized) run, as the gather sums them.
         messages: u64,
     },
 }
@@ -479,7 +471,7 @@ mod tests {
     fn key(seed: u64) -> CacheKey {
         CacheKey {
             workload: Workload::Sssp,
-            scope: CacheScope::Leg,
+            scope: CacheScope::Whole,
             fingerprint: 0xF00D,
             seed,
         }

@@ -26,8 +26,9 @@
 //! **Sharding visibility.** Clients count routed-vs-scattered dispatches
 //! from each response's [`Route`] and record the gather straggler penalty
 //! of scattered operations; at the end of the run the target's per-shard
-//! snapshots contribute occupancy (queue high-water marks), rejects, early
-//! drops, and result-cache hit counts to the report — plus one row per
+//! snapshots contribute occupancy (queue high-water marks), rejects and
+//! early drops to the report, the service's one result cache its run-level
+//! `cache` section — plus one row per
 //! replica core (completed, queue high-water mark, executor busy time, and
 //! the measured service-time histogram with its interval series), so a
 //! replicated hot shard's load split is visible directly.
@@ -35,7 +36,8 @@
 //! **Run scoping.** Service counters are monotone for the process, but one
 //! process can host several driver runs (the bin's `--repeat`, the cache
 //! warm/hot comparison in `scripts/verify.sh`). The driver snapshots the
-//! per-shard counters before spawning clients and reports the *delta*, and
+//! per-shard and cache counters before spawning clients and reports the
+//! *delta*, and
 //! resets the service-time recorders at the run origin, so every report
 //! describes exactly its own run; gauges (queue high-water mark, cache
 //! resident bytes) keep their end-of-run values.
@@ -258,6 +260,7 @@ pub fn run_scenario(target: &ShardedGraphService, scenario: &Scenario) -> Stress
     // merge but cannot subtract), scoping them to this run too; the
     // service-log reset scopes the per-replica series the same way.
     let baseline = target.shard_snapshots();
+    let cache_baseline = target.stats();
     let writer_baseline = target.writer_baseline();
     let qos_baseline = target.qos_stats();
     // Mutation stream span: the initial vertex-id space (every vertex is
@@ -446,6 +449,8 @@ pub fn run_scenario(target: &ShardedGraphService, scenario: &Scenario) -> Stress
                 .collect(),
         })
         .collect();
+    // The cache counters are the service's, in no shard row.
+    let cache = target.stats().delta_since(&cache_baseline);
     let rejects = per_shard.iter().map(|s| s.stats.rejected).sum();
     let early_drops = per_shard.iter().map(|s| s.stats.early_drops).sum();
     // Writer counters scoped to this run; the histograms were reset at the
@@ -506,11 +511,11 @@ pub fn run_scenario(target: &ShardedGraphService, scenario: &Scenario) -> Stress
         engine_runs: per_shard.iter().map(|s| s.stats.engine_runs).sum(),
         coalesced_legs: per_shard.iter().map(|s| s.stats.coalesced_legs).sum(),
         lookups_at_submit: per_shard.iter().map(|s| s.stats.lookups_at_submit).sum(),
-        cache_hits: per_shard.iter().map(|s| s.stats.cache_hits).sum(),
-        cache_misses: per_shard.iter().map(|s| s.stats.cache_misses).sum(),
-        cache_insertions: per_shard.iter().map(|s| s.stats.cache_insertions).sum(),
-        cache_evictions: per_shard.iter().map(|s| s.stats.cache_evictions).sum(),
-        cache_bytes: per_shard.iter().map(|s| s.stats.cache_bytes).sum(),
+        cache_hits: cache.cache_hits,
+        cache_misses: cache.cache_misses,
+        cache_insertions: cache.cache_insertions,
+        cache_evictions: cache.cache_evictions,
+        cache_bytes: cache.cache_bytes,
         answer_hash: total.answer_hash,
         latency: total.latency,
         service_time: total.service_time,

@@ -31,11 +31,12 @@
 //! a shard serves the same `Arc<EpochSnapshot>` and shard slice, a swap
 //! installs the new snapshot once per *shard* (replicas observe it through
 //! the shared pointer, never one replica at a time), and the invalidation
-//! hook fires once per shard cache — replicas share that cache, so there is
-//! no per-replica staleness window for the routing policy to expose.
+//! hook clears the service's one result cache once — no shard or replica
+//! has a cache of its own, so there is no per-replica staleness window for
+//! the routing policy to expose.
 //!
 //! Cache correctness is belt *and* suspenders: every epoch recomputes the
-//! order-independent graph/leg fingerprints, so a stale entry can never
+//! order-independent graph fingerprint, so a stale entry can never
 //! alias a new epoch's answer even without invalidation — the invalidation
 //! at swap (the hook `cache.rs` reserved for exactly this) just stops dead
 //! entries from pinning capacity.
@@ -69,22 +70,15 @@ use vcgp_testkit::LogHistogram;
 /// Domain separator for the mutation stream.
 pub const MUT_STREAM: u64 = 0x4D55_5453; // "MUTS"
 
-/// One shard's slice of an epoch: the local subgraph plus the cache
-/// identity derived from it. Immutable once built, shared via [`Arc`].
+/// One shard's slice of an epoch: the local subgraph the shard answers
+/// point lookups from. Immutable once built, shared via [`Arc`].
 #[derive(Debug)]
 pub struct ShardSlice {
     /// The shard-local directed CSR slice (owned out-adjacency over the
     /// full vertex-id space).
     pub local: Graph,
-    /// Cache fingerprint of this shard's scattered legs on this epoch:
-    /// whole-graph fingerprint ⊕ slice fingerprint ⊕ owned-id-set hash.
-    pub leg_fp: u64,
     /// Vertices this shard owns in this epoch.
     pub owned: usize,
-    /// Order-independent hash of the owned id set (folded into `leg_fp`;
-    /// kept so the next epoch can extend it incrementally when the id
-    /// space grows).
-    pub owned_hash: u64,
 }
 
 /// One immutable version of the resident graph. Queries pin the snapshot
@@ -95,8 +89,8 @@ pub struct EpochSnapshot {
     pub id: u64,
     /// The full structural graph of this epoch.
     pub graph: Arc<Graph>,
-    /// Order-independent structural fingerprint of `graph` (the whole-
-    /// answer cache identity of this epoch).
+    /// Order-independent structural fingerprint of `graph`: the epoch's
+    /// part of every run and result-cache key.
     pub fingerprint: u64,
     /// Per-shard slices, one per shard of the service (index = shard).
     pub locals: Vec<Arc<ShardSlice>>,
@@ -542,7 +536,7 @@ pub(crate) trait EpochRebuild: Send + 'static {
     /// Builds epoch `base.id + 1` (graph, fingerprints, shard slices) from
     /// `base` with `batch` applied. Runs off the serving path.
     fn rebuild(&self, base: &EpochSnapshot, batch: &[Mutation]) -> (EpochSnapshot, ApplyStats);
-    /// Fires the result-cache invalidation on every core, after the swap.
+    /// Clears the service's result cache, after the swap.
     fn invalidate(&self);
 }
 

@@ -26,11 +26,11 @@
 //!   sharing one engine run through the
 //!   service-wide run table — and picks replicas by a pluggable policy
 //!   (seeded round-robin, or least-loaded by queued plus in-service jobs);
-//! * [`cache`] — the per-core result cache: a capacity-bounded, segmented
-//!   LRU memoizing `(workload, leg fingerprint, seed) → partial` for the
-//!   scattered per-shard legs of analytics requests, with
-//!   deterministic (wall-clock-free) eviction and invalidation hooks for
-//!   graph swaps / re-shards;
+//! * [`cache`] — the service's one result cache: a capacity-bounded,
+//!   segmented LRU memoizing `(workload, epoch fingerprint, seed) → whole
+//!   answer`, probed once per analytics request by the router and filled
+//!   once per engine run by its leader, with deterministic
+//!   (wall-clock-free) eviction and an invalidation hook for graph swaps;
 //! * [`epoch`] — live mutations: a bounded write buffer drained by a
 //!   writer thread that applies seeded mutation batches off the serving
 //!   path and installs immutable epoch snapshots (monotone ids, atomic

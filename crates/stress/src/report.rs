@@ -162,26 +162,26 @@ pub struct StressReport {
     /// request, not one per leg.
     pub engine_runs: u64,
     /// Scattered legs answered from a run another leg led, summed across
-    /// shards (this run only). Every leg is a cache hit, a led engine run,
-    /// or one of these — the identity [`validate`] enforces.
+    /// shards (this run only). Every leg is a led engine run or one of
+    /// these — the identity [`validate`] enforces per shard.
     pub coalesced_legs: u64,
     /// Point lookups answered on the submitting thread, summed across
     /// shards (this run only): they count in `completed` but never queue
     /// and appear in no replica's `service_ns`.
     pub lookups_at_submit: u64,
-    /// Result-cache lookups answered without running the engine, summed
-    /// across shards (this run only).
+    /// Scattered operations the service's result cache answered, without
+    /// a leg (this run only).
     pub cache_hits: u64,
-    /// Result-cache misses on cacheable requests, summed across shards
-    /// (this run only).
+    /// Scattered operations the cache probe did not answer (this run
+    /// only); each put one leg on every shard.
     pub cache_misses: u64,
-    /// Result-cache insertions, summed across shards (this run only).
-    pub cache_insertions: u64,
-    /// Result-cache evictions at capacity, summed across shards (this run
+    /// Result-cache insertions, one per engine run at most (this run
     /// only).
+    pub cache_insertions: u64,
+    /// Result-cache evictions at capacity (this run only).
     pub cache_evictions: u64,
-    /// Bytes resident across every shard's result cache at the end of the
-    /// run (a gauge — not scoped to the run).
+    /// Bytes resident in the result cache at the end of the run (a gauge —
+    /// not scoped to the run).
     pub cache_bytes: u64,
     /// Mutations accepted into the write buffer by this run's clients
     /// (write operations are counted here, never in `ops`, so the read
@@ -316,7 +316,6 @@ impl StressReport {
                 ("engine_runs", s.stats.engine_runs.into()),
                 ("coalesced_legs", s.stats.coalesced_legs.into()),
                 ("lookups_at_submit", s.stats.lookups_at_submit.into()),
-                ("cache_hits", s.stats.cache_hits.into()),
                 ("queue_hwm", s.stats.queue_hwm.into()),
                 ("busy_ns", s.stats.busy_ns.into()),
                 ("service_ns", hist_value(&shard_service)),
@@ -574,12 +573,12 @@ impl StressReport {
         if !self.per_shard.is_empty() {
             out.push_str(
                 "\n| shard | owned | completed | failed | rejects | early drops | engine runs | \
-                 coalesced legs | cache hits | queue hwm | busy ms | lookups at submit |\n\
-                 |---|---|---|---|---|---|---|---|---|---|---|---|\n",
+                 coalesced legs | queue hwm | busy ms | lookups at submit |\n\
+                 |---|---|---|---|---|---|---|---|---|---|---|\n",
             );
             for s in &self.per_shard {
                 out.push_str(&format!(
-                    "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.3} | {} |\n",
+                    "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.3} | {} |\n",
                     s.shard,
                     s.owned,
                     s.stats.completed,
@@ -588,7 +587,6 @@ impl StressReport {
                     s.stats.early_drops,
                     s.stats.engine_runs,
                     s.stats.coalesced_legs,
-                    s.stats.cache_hits,
                     s.stats.queue_hwm,
                     ms(s.stats.busy_ns),
                     s.stats.lookups_at_submit
@@ -655,20 +653,20 @@ const RUN_FIELDS: [&str; 22] = [
 ];
 
 /// The per-shard counters whose sum over shards is the run-level figure of
-/// the same name (`cache_hits` sums to `cache.hits`).
-const SHARD_SUMS: [&str; 6] = [
+/// the same name.
+const SHARD_SUMS: [&str; 5] = [
     "rejects",
     "early_drops",
     "engine_runs",
     "coalesced_legs",
     "lookups_at_submit",
-    "cache_hits",
 ];
 
 /// Checks a report tree — [`StressReport::to_value`]'s, or one parsed back
 /// from a `BENCH_stress_*.json` file — and enforces the CI gate: every
-/// field present and of its type, at least one operation completed, zero
-/// errors, and every fold identity exact. This is the only list of the
+/// field present and of its type, at least one operation completed, every
+/// fold identity exact, and — checked last, so a report with errors is
+/// still checked for its folds — zero errors. This is the only list of the
 /// report's identities; an error names the path it is about.
 pub fn validate(doc: &Value) -> Result<(), String> {
     let num = |path: &str| -> Result<f64, String> {
@@ -790,10 +788,6 @@ pub fn validate(doc: &Value) -> Result<(), String> {
     if num("ops")? < 1.0 {
         return Err("ops: no operations completed".to_string());
     }
-    let errors = num("errors")?;
-    if errors != 0.0 {
-        return Err(format!("errors: {errors} errored requests (expected 0)"));
-    }
     dispatched("")?;
     // A point lookup is owner-routed to one shard and answered there at
     // submit; nothing scattered is one.
@@ -804,12 +798,24 @@ pub fn validate(doc: &Value) -> Result<(), String> {
         ));
     }
 
-    // The result-cache section: hits + misses are all the cacheable
-    // lookups, of which at most the misses were inserted.
-    for key in ["hits", "evictions", "resident_bytes"] {
+    // The result-cache section: the router probes the one cache once per
+    // scattered operation, so hits + misses are the scattered ops — unless
+    // the cache is off, when it counts nothing at all — and at most the
+    // misses were inserted (one insertion per engine run).
+    for key in ["evictions", "resident_bytes"] {
         num(&format!("cache.{key}"))?;
     }
-    let (misses, insertions) = (num("cache.misses")?, num("cache.insertions")?);
+    let (hits, misses) = (num("cache.hits")?, num("cache.misses")?);
+    let insertions = num("cache.insertions")?;
+    let scattered = num("scattered")?;
+    if hits + misses + insertions > 0.0 {
+        same(
+            "scattered",
+            scattered,
+            "cache.hits + cache.misses",
+            hits + misses,
+        )?;
+    }
     if insertions > misses {
         return Err(format!(
             "cache.insertions is {insertions}, more than cache.misses {misses}"
@@ -848,11 +854,13 @@ pub fn validate(doc: &Value) -> Result<(), String> {
         "shards",
         shards,
     )?;
-    // Shared runs: at every shard count each scattered operation puts one
-    // leg on every shard, and a leg is answered by exactly one of a cache
-    // hit, an engine run it led, or a run another leg led — late or not,
-    // since a request is executed once.
-    let mut shard_sums = [0.0; 6];
+    // Shared runs: at every shard count each scattered operation the cache
+    // did not answer puts one leg on every shard, and a leg is shed at
+    // submit or answered by exactly one of an engine run it led or a run
+    // another leg led — late or not, since a request is executed once. (The
+    // driver issues no debug hooks, so every reject is a leg's.)
+    let legs = scattered - hits;
+    let mut shard_sums = [0.0; 5];
     for i in 0..shards as usize {
         let shard = format!("per_shard[{i}]");
         let field = |key: &str| num(&format!("{shard}.{key}"));
@@ -910,31 +918,26 @@ pub fn validate(doc: &Value) -> Result<(), String> {
                 want,
             )?;
         }
-        // Every answer has exactly one source: an executor (or the leader of
-        // a shared run) books it on a service log, the submitting thread
-        // books a cache hit, a reject or a point lookup. (A request submitted
-        // past its deadline is dropped by the submitter too, on no log — the
-        // driver sets no deadlines.)
+        // Every answer a shard gives has exactly one source: an executor
+        // (or the leader of a shared run) books it on a service log, the
+        // submitting thread books a reject or a point lookup. (A request
+        // submitted past its deadline is dropped by the submitter too, on
+        // no log — the driver sets no deadlines.)
         same(
             &format!("{shard}.completed + failed"),
             completed + field("failed")?,
-            "its service_ns.count + cache_hits + rejects + lookups_at_submit",
-            service + field("cache_hits")? + field("rejects")? + lookups,
+            "its service_ns.count + rejects + lookups_at_submit",
+            service + field("rejects")? + lookups,
         )?;
         same(
-            &format!("{shard}.engine_runs + coalesced_legs + cache_hits"),
-            field("engine_runs")? + field("coalesced_legs")? + field("cache_hits")?,
-            "scattered",
-            num("scattered")?,
+            &format!("{shard}.engine_runs + coalesced_legs + rejects"),
+            field("engine_runs")? + field("coalesced_legs")? + field("rejects")?,
+            "the legs it received (scattered - cache.hits)",
+            legs,
         )?;
     }
     for (sum, key) in shard_sums.into_iter().zip(SHARD_SUMS) {
-        let run = if key == "cache_hits" {
-            "cache.hits"
-        } else {
-            key
-        };
-        same(run, num(run)?, &format!("the per_shard[*].{key} sum"), sum)?;
+        same(key, num(key)?, &format!("the per_shard[*].{key} sum"), sum)?;
     }
 
     // The phase table: the run counters are its exact fold, and each
@@ -979,6 +982,10 @@ pub fn validate(doc: &Value) -> Result<(), String> {
         ] {
             num(&format!("tenants[{t}].{key}"))?;
         }
+    }
+    let errors = num("errors")?;
+    if errors != 0.0 {
+        return Err(format!("errors: {errors} errored requests (expected 0)"));
     }
     Ok(())
 }

@@ -8,7 +8,12 @@
 //!   `submit`, on the caller's thread, from the pinned epoch's slice (see
 //!   [`crate::service`]): the returned ticket is already resolved.
 //! * **Analytics** (every Table 1 workload, at every shard count, one shard
-//!   included) are *scattered*: the router fans one
+//!   included) first probe the service's one result cache, keyed by
+//!   `(workload, full fingerprint of the pinned epoch, seed)` — **one
+//!   probe per request**, on the submitting thread. A hit is the whole
+//!   answer: it comes back as a ready ticket routed
+//!   [`Route::Scattered`] over all `S` shards and reaches no shard — no
+//!   leg, no queue, no executor. A miss is *scattered*: the router fans one
 //!   [`QueryKind::WorkloadPartial`] leg per shard, each leg answers with
 //!   the deterministic run's output reduced over its shard's owned slice,
 //!   and the gather step merges the typed [`Partial`]s (sum / max /
@@ -18,7 +23,9 @@
 //!   service-wide run table (see [`crate::shard`]): the first leg dequeued
 //!   leads it, the others park on it (freeing their executors) or pick
 //!   their slice up after it finished. The router does not know which leg
-//!   led: it sees `S` ordinary leg responses. Legs are internal: a
+//!   led: it sees `S` ordinary leg responses. The leader memoizes the
+//!   whole answer before it answers any leg, so the next identical
+//!   request is a hit. Legs are internal: a
 //!   [`QueryKind::WorkloadPartial`] submitted from outside is refused with
 //!   [`SubmitError::InternalLeg`].
 //! * **Debug hooks** are spread round-robin by request id.
@@ -37,14 +44,17 @@
 //! replica by the service's [`RoutingPolicy`]: `round-robin` walks the
 //! shard's replicas from a seeded offset, `least-loaded` picks the replica
 //! with the fewest jobs queued or in service (ties broken by the lowest
-//! replica id). Replicas serve the same epoch-pinned snapshot and share the
-//! shard's result cache, so the pick affects latency only, never answers.
+//! replica id). Replicas serve the same epoch-pinned snapshot, so the pick
+//! affects latency only, never answers.
 
+use crate::cache::CachedAnswer;
 use crate::request::{QueryError, QueryKind, QueryOutput, QueryRequest, QueryResponse, Route};
-use crate::service::{SubmitError, Ticket};
+use crate::runs::RunKey;
+use crate::service::{unexecuted_response, SubmitError, Ticket};
 use crate::shard::ShardedGraphService;
 use std::time::{Duration, Instant};
 use vcgp_core::service::Partial;
+use vcgp_core::Workload;
 
 /// How the router picks a replica core within a shard. Irrelevant (and
 /// unobservable beyond [`Route::Routed`]'s replica field) when every shard
@@ -87,8 +97,9 @@ impl RoutingPolicy {
 
 /// A pending response from either a single queue or a scattered fan-out.
 pub enum AnyTicket {
-    /// One underlying ticket — every owner-routed lookup and debug hook;
-    /// the route is patched into the response.
+    /// One underlying ticket — every owner-routed lookup and debug hook,
+    /// and every analytics request the result cache answered; the route
+    /// is patched into the response.
     Single {
         /// The queue ticket.
         ticket: Ticket,
@@ -214,9 +225,50 @@ fn merge_legs(responses: &[QueryResponse]) -> Result<QueryOutput, QueryError> {
 }
 
 impl ShardedGraphService {
+    /// Answers an analytics request from the result cache: the one probe
+    /// of the request, made after the epoch pin. It keeps the order of
+    /// checks a core makes at submit: a closed service refuses, a request
+    /// already past its deadline is not probed (its legs are dropped at
+    /// their cores, as early drops), and only then does the cache answer.
+    /// `None` is a miss, or a request the cache must not answer.
+    fn cached(
+        &self,
+        req: &QueryRequest,
+        workload: Workload,
+    ) -> Result<Option<Ticket>, SubmitError> {
+        if self.is_closed() {
+            return Err(SubmitError::Closed);
+        }
+        let Some(cache) = &self.cache else {
+            return Ok(None);
+        };
+        if req.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Ok(None);
+        }
+        let key = RunKey {
+            fingerprint: req.epoch.as_ref().expect("pinned at submit").fingerprint,
+            workload,
+            seed: req.seed,
+        };
+        let Some(CachedAnswer::Whole {
+            answer,
+            supersteps,
+            messages,
+        }) = cache.get(&key.cache_key())
+        else {
+            return Ok(None);
+        };
+        let output = QueryOutput::Workload {
+            answer,
+            supersteps,
+            messages,
+        };
+        Ok(Some(Ticket::ready(unexecuted_response(req.id, Ok(output)))))
+    }
+
     /// Routes and submits one request. Point lookups go to the owning
-    /// shard; workloads scatter to every shard; debug hooks spread by
-    /// request id.
+    /// shard; a workload is answered from the result cache or scattered
+    /// to every shard; debug hooks spread by request id.
     ///
     /// Fails with [`SubmitError::InternalLeg`] for a
     /// [`QueryKind::WorkloadPartial`] (legs are the router's own), and with
@@ -237,6 +289,14 @@ impl ShardedGraphService {
         let shard = match req.kind {
             QueryKind::Degree(v) | QueryKind::Neighbors(v) => self.owner(v),
             QueryKind::Workload(w) => {
+                if let Some(ticket) = self.cached(&req, w)? {
+                    return Ok(AnyTicket::Single {
+                        ticket,
+                        route: Route::Scattered {
+                            shards: self.shards.len() as u32,
+                        },
+                    });
+                }
                 let id = req.id;
                 let legs = self
                     .shards
@@ -271,7 +331,6 @@ mod tests {
     use crate::epoch::{EpochPin, MutationConfig};
     use crate::service::ServiceConfig;
     use std::sync::{Arc, Mutex};
-    use vcgp_core::Workload;
     use vcgp_graph::{generators, Mutation};
 
     /// The fan-out clones the request, pin included: every leg holds the
@@ -313,16 +372,13 @@ mod tests {
 
         let pins: Mutex<Vec<Arc<EpochPin>>> = Mutex::new(Vec::new());
         for shard in &service.shards {
-            let taken = shard.replicas[0].handle().take_queued_legs(
-                |req| {
-                    assert_eq!(req.kind, QueryKind::WorkloadPartial(Workload::CcHashMin));
-                    pins.lock()
-                        .unwrap()
-                        .push(Arc::clone(req.epoch.as_ref().expect("stamped")));
-                    false
-                },
-                |_| None,
-            );
+            let taken = shard.replicas[0].handle().take_queued_legs(|req| {
+                assert_eq!(req.kind, QueryKind::WorkloadPartial(Workload::CcHashMin));
+                pins.lock()
+                    .unwrap()
+                    .push(Arc::clone(req.epoch.as_ref().expect("stamped")));
+                false
+            });
             assert!(taken.is_empty(), "looked at, not taken");
         }
         let pins = pins.into_inner().unwrap();

@@ -7,14 +7,15 @@
 //! by the shard count for nothing, so the legs of a sharded service meet
 //! here instead. The table is keyed by *what the engine would compute* —
 //! `(epoch fingerprint, workload, seed)`, see [`RunKey`] — and is shared by
-//! every shard's backend the way a shard's replicas share one result cache.
+//! every shard's backend, as the service's one result cache is.
 //!
 //! A leg that an executor dequeues [`join`](RunTable::join)s its key and is
 //! told which of three things it is:
 //!
 //! * the **leader** ([`Join::Lead`]) — the first leg of the key. Its
 //!   executor runs the engine once, reduces the output to all `S` partials
-//!   in one pass ([`vcgp_core::service::run_workload_sliced`]) and
+//!   in one pass ([`vcgp_core::service::run_workload_sliced`]), memoizes
+//!   the gathered answer under [`RunKey::cache_key`] and
 //!   [`finish`](RunTable::finish)es the entry (or
 //!   [`abandon`](RunTable::abandon)s it when the run failed);
 //! * **parked** ([`Join::Parked`]) — the key is running. What it takes to
@@ -41,6 +42,7 @@
 //! bounded by a small FIFO: evicting one early only costs the straggler a
 //! run of its own, never a wrong answer.
 
+use crate::cache::{CacheKey, CacheScope, CachedAnswer};
 use crate::request::QueryOutput;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -57,6 +59,19 @@ pub(crate) struct RunKey {
     pub(crate) workload: Workload,
     /// The request seed (source vertex / query pattern derive from it).
     pub(crate) seed: u64,
+}
+
+impl RunKey {
+    /// The run's whole answer's identity in the service's result cache:
+    /// the run computes exactly what a request for the key gathers to.
+    pub(crate) fn cache_key(self) -> CacheKey {
+        CacheKey {
+            workload: self.workload,
+            scope: CacheScope::Whole,
+            fingerprint: self.fingerprint,
+            seed: self.seed,
+        }
+    }
 }
 
 /// What one shared run computed: every shard's partial plus the run's
@@ -78,6 +93,23 @@ impl SlicedAnswer {
             partial: self.partials[shard],
             supersteps: self.supersteps,
             messages: self.messages,
+        }
+    }
+
+    /// The whole answer the router gathers from every shard's
+    /// [`leg`](SlicedAnswer::leg), field for field: the partials folded in
+    /// shard order, the run's supersteps, and its messages once per leg.
+    pub(crate) fn whole(&self) -> CachedAnswer {
+        let partial = self
+            .partials
+            .iter()
+            .copied()
+            .reduce(Partial::merge)
+            .expect("a run has one partial per shard");
+        CachedAnswer::Whole {
+            answer: partial.finish(),
+            supersteps: self.supersteps,
+            messages: self.messages * self.partials.len() as u64,
         }
     }
 }

@@ -13,10 +13,11 @@
 //! **Answered at submit.** A request whose answer needs no executor is
 //! answered on the submitting thread and comes back as a ready ticket — no
 //! queue lock, no channel, no thread hand-off: a request already past its
-//! deadline (an early drop), a result-cache hit, and a point lookup
-//! (degree / neighbors), which is a pure read of the request's pinned,
-//! immutable epoch snapshot — whether or not a writer
-//! ([`ServiceConfig::mutations`]) is installing newer epochs meanwhile.
+//! deadline (an early drop), a point lookup (degree / neighbors), which is
+//! a pure read of the request's pinned, immutable epoch snapshot — whether
+//! or not a writer ([`ServiceConfig::mutations`]) is installing newer
+//! epochs meanwhile — and, one layer up in the router, a result-cache hit
+//! (see [`crate::router`]), which reaches no core at all.
 //! Such a request takes no queue slot and is never shed or throttled;
 //! the queue and everything below governs *executor-bound* work only —
 //! analytics and the debug hooks.
@@ -33,8 +34,8 @@
 //! Failure handling:
 //! * every request is executed at most once: one whose execution exceeds
 //!   its timeout fails with [`QueryError::Timeout`] (checked post-hoc: the
-//!   engine cannot be interrupted mid-superstep). A late workload leg
-//!   still memoizes its partial, so the identical request again is a cache
+//!   engine cannot be interrupted mid-superstep). A late shared run still
+//!   memoizes its whole answer, so the identical request again is a cache
 //!   hit; [`crate::shard`] says how a late shared run answers its legs;
 //! * panics inside a workload are caught per request: the executor survives
 //!   and the caller gets [`QueryError::Panicked`] — as does every scattered
@@ -48,17 +49,11 @@
 //!   stops admissions, then executors drain everything already accepted,
 //!   so no accepted request loses its response.
 //!
-//! Result caching: each shard shares one [`ResultCache`] across its
-//! replica cores (unless [`ServiceConfig::cache_capacity`] is zero).
-//! Submission consults it *before* enqueueing — a hit is answered
-//! immediately from the memoized `(workload, graph fingerprint, seed)`
-//! entry without consuming a queue slot or an executor — and executors
-//! insert every freshly computed workload answer (whole or scattered leg,
-//! whichever leg's run computed it) on completion. Keys carry no replica
-//! identity, so an answer computed on any replica serves every replica of
-//! the shard.
+//! Result caching is the service's, not a core's: the router probes the
+//! one [`crate::cache::ResultCache`] per request before any leg reaches a
+//! core, and the leader of a shared run fills it (see [`crate::shard`]).
+//! A core's counters therefore never include a cache hit.
 
-use crate::cache::{CacheKey, CachedAnswer, ResultCache};
 use crate::epoch::MutationConfig;
 use crate::interval::IntervalSeries;
 use crate::qos::{Pop, QosConfig, TenantLaneStats, TenantQueue};
@@ -112,7 +107,8 @@ pub struct ServiceConfig {
     /// Seed of each shard's round-robin replica cursor (mixed with the
     /// shard index), so the dispatch sequence is reproducible.
     pub seed: u64,
-    /// Result-cache capacity in entries, per shard.
+    /// Result-cache capacity in entries, for the whole service (one entry
+    /// per cached analytics answer, at any shard or replica count).
     /// Zero disables caching entirely. Entries are scalar-sized, so the
     /// resident bound is a few hundred bytes per entry (see
     /// [`crate::cache::CacheStats::resident_bytes`]).
@@ -199,7 +195,9 @@ impl std::error::Error for SubmitError {}
 /// [`ShardedGraphService::stats`](crate::shard::ShardedGraphService::stats)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Requests answered successfully.
+    /// Requests answered successfully by a core: point lookups, scattered
+    /// legs and debug hooks. A result-cache hit is answered by the router
+    /// and counted in `cache_hits` only.
     pub completed: u64,
     /// Requests answered with an error (includes rejects and early drops).
     pub failed: u64,
@@ -232,31 +230,32 @@ pub struct ServiceStats {
     /// Scattered legs answered from a run another leg led: parked on a
     /// running entry, taken from a finished one, or taken out of a queue by
     /// the run's leader (see [`crate::shard`]). Every leg a finished run
-    /// answered — in time or late — is exactly one of a cache hit, an
-    /// engine run it led, or a coalesced leg.
+    /// answered — in time or late — is exactly one of an engine run it led
+    /// or a coalesced leg.
     pub coalesced_legs: u64,
     /// Point lookups (degree / neighbors) answered on the submitting thread
     /// from the request's pinned epoch: counted in `completed` / `failed`
     /// like any answer, but never queued and in no executor's service log.
     pub lookups_at_submit: u64,
-    /// Result-cache lookups answered without running the engine.
+    /// Analytics requests the router answered from the service's result
+    /// cache, without a leg. The cache fields are the service's: they are
+    /// zero in every shard and replica row.
     pub cache_hits: u64,
-    /// Result-cache lookups that found nothing (cacheable requests only).
+    /// Analytics requests the cache probe did not answer (each then
+    /// scatters one leg to every shard).
     pub cache_misses: u64,
     /// Entries inserted into the result cache.
     pub cache_insertions: u64,
     /// Entries evicted from the result cache at capacity.
     pub cache_evictions: u64,
     /// Bytes currently resident in the result cache (a gauge, not a
-    /// monotone counter; summed across cores by [`ServiceStats::absorb`]
-    /// into the fleet-resident total).
+    /// monotone counter).
     pub cache_bytes: u64,
 }
 
 impl ServiceStats {
     /// Folds another core's counters into this one (high-water marks take
-    /// the maximum, everything else — including the resident-bytes gauge,
-    /// which sums to the fleet total — adds).
+    /// the maximum, everything else adds).
     pub fn absorb(&mut self, other: &ServiceStats) {
         self.completed += other.completed;
         self.failed += other.failed;
@@ -356,9 +355,8 @@ impl ServiceLog {
 }
 
 /// One replica core's identity and counters within a shard. The cache
-/// fields of `stats` are always zero here: the result cache is shared by
-/// every replica of a shard (a hit on any replica serves the shard), so
-/// its counters appear once at the shard level, never per replica.
+/// fields of `stats` are always zero here: the result cache is the
+/// service's, probed by the router before any core sees the request.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicaSnapshot {
     /// Replica index within the shard.
@@ -369,7 +367,7 @@ pub struct ReplicaSnapshot {
 
 /// One shard's identity and counters, as reported to the stress driver.
 /// `stats` folds every replica core (sums; queue high-water marks take the
-/// maximum) plus the shard-shared result cache's counters.
+/// maximum); its cache fields are zero, as in every replica row.
 #[derive(Debug, Clone)]
 pub struct ShardSnapshot {
     /// Shard index.
@@ -402,7 +400,7 @@ struct CounterSlot {
 /// The hot counters, striped so executor threads never share a cache line:
 /// executor `i` writes `slots[i]` exclusively, submit-side paths write one
 /// of the trailing [`SUBMIT_STRIPES`] slots — the submitting thread's
-/// [`submit_stripe`], so client threads bumping lookup/cache-hit/reject
+/// [`submit_stripe`], so client threads bumping lookup/early-drop/reject
 /// counters contend neither with executors nor with each other — and reads
 /// sum every stripe.
 struct Counters {
@@ -469,41 +467,25 @@ struct Shared {
     /// lock never misses a job between the queue and its executor; lowered
     /// just before the answer is sent.
     in_service: AtomicUsize,
-    /// The core's result cache; `None` when caching is disabled. Shared
-    /// (`Arc`) across every replica core of a shard, so keys stay
-    /// replica-agnostic and a hit on any replica serves the shard.
-    cache: Option<Arc<ResultCache>>,
     /// One service-time recorder per executor thread (executor `i` locks
     /// only `logs[i]`).
     logs: Box<[Mutex<ServiceLog>]>,
 }
 
+/// Books one leg's partial of a finished shared run on `slot`: counted
+/// under `source` even when `late` (the run's leader memoized the whole
+/// answer either way), then timed against the request.
+fn settle(
+    slot: &CounterSlot,
+    source: &AtomicU64,
+    output: QueryOutput,
+    late: bool,
+) -> Result<QueryOutput, QueryError> {
+    source.fetch_add(1, Ordering::Relaxed);
+    in_time(slot, Ok(output), late)
+}
+
 impl Shared {
-    /// Inserts a freshly computed workload answer into the result cache
-    /// (a no-op for uncacheable outputs, or with caching disabled).
-    fn memoize(&self, key: Option<CacheKey>, output: &QueryOutput) {
-        if let (Some(cache), Some(key), Some(value)) = (&self.cache, key, cacheable_output(output))
-        {
-            cache.insert(key, value);
-        }
-    }
-
-    /// Books one leg's partial of a finished shared run on `slot`: counted
-    /// under `source`, memoized under `key` even when `late` (the value is
-    /// right, only late), then timed against the request.
-    fn settle(
-        &self,
-        slot: &CounterSlot,
-        source: &AtomicU64,
-        key: Option<CacheKey>,
-        output: QueryOutput,
-        late: bool,
-    ) -> Result<QueryOutput, QueryError> {
-        source.fetch_add(1, Ordering::Relaxed);
-        self.memoize(key, &output);
-        in_time(slot, Ok(output), late)
-    }
-
     /// Books a finished request on executor `executor`'s service log and
     /// counter stripe, then answers the caller (who may have dropped its
     /// ticket; that is fine).
@@ -550,15 +532,13 @@ pub(crate) struct Seat<'a> {
 
 impl Seat<'_> {
     /// Detaches the job from its executor: the record a shared run's
-    /// leader answers the leg from. `cache_key` is the leg's identity in
-    /// its own shard's result cache.
-    pub(crate) fn park(&self, cache_key: Option<CacheKey>) -> ParkedLeg {
+    /// leader answers the leg from.
+    pub(crate) fn park(&self) -> ParkedLeg {
         ParkedLeg {
             id: self.req.id,
             tx: self.tx.clone(),
             core: Arc::clone(self.core),
             executor: self.executor,
-            cache_key,
             queue_wait: self.queue_wait,
             timeout: self.req.timeout,
         }
@@ -572,14 +552,12 @@ pub(crate) struct CoreHandle(Arc<Shared>);
 
 impl CoreHandle {
     /// Takes the queued jobs `wanted` picks out of the core's queue and
-    /// hands each back as a [`ParkedLeg`] for the caller to answer;
-    /// `cache_key` is each leg's identity in this core's result cache.
+    /// hands each back as a [`ParkedLeg`] for the caller to answer.
     /// The queue lock decides between this and the core's own executors:
     /// a job is popped by one of them or taken here, never both.
     pub(crate) fn take_queued_legs(
         &self,
         wanted: impl Fn(&QueryRequest) -> bool,
-        cache_key: impl Fn(&QueryRequest) -> Option<CacheKey>,
     ) -> Vec<ParkedLeg> {
         let taken = {
             let mut state = self.0.state.lock().unwrap();
@@ -594,7 +572,6 @@ impl CoreHandle {
             .into_iter()
             .map(|job| ParkedLeg {
                 id: job.req.id,
-                cache_key: cache_key(&job.req),
                 tx: job.tx,
                 core: Arc::clone(&self.0),
                 // No executor of the core ever held the job; it is booked
@@ -608,7 +585,7 @@ impl CoreHandle {
 }
 
 /// A scattered leg waiting on another leg's engine run: its reply channel,
-/// its core (counters, service log, result cache) and how long it queued —
+/// its core (counters, service log) and how long it queued —
 /// everything its executor would have needed to answer it, so the leader
 /// can do so from its own thread.
 pub(crate) struct ParkedLeg {
@@ -618,7 +595,6 @@ pub(crate) struct ParkedLeg {
     /// The executor that parked the leg; its counter stripe and service
     /// log book the answer.
     executor: usize,
-    cache_key: Option<CacheKey>,
     queue_wait: Duration,
     /// The leg's own request's timeout: a leg of another request for the
     /// same run is judged by its own budget, not the leader's.
@@ -628,7 +604,7 @@ pub(crate) struct ParkedLeg {
 impl ParkedLeg {
     /// Answers the leg from the leader's thread, exactly as its own
     /// executor would have. A partial of the finished run is counted as a
-    /// coalesced leg, memoized under the leg's key, and sent as
+    /// coalesced leg and sent as
     /// [`QueryError::Timeout`] when the run, which took `ran`, outlived
     /// the leg's timeout; a failure is counted under its class. The leg's
     /// service time is the time spent here — it ran no engine.
@@ -639,10 +615,7 @@ impl ParkedLeg {
         if let Err(QueryError::Panicked(_)) = result {
             slot.panics.fetch_add(1, Ordering::Relaxed);
         }
-        let result = result.and_then(|output| {
-            self.core
-                .settle(slot, &slot.coalesced_legs, self.cache_key, output, late)
-        });
+        let result = result.and_then(|output| settle(slot, &slot.coalesced_legs, output, late));
         let service_time = t0.elapsed();
         slot.busy_ns
             .fetch_add(service_time.as_nanos() as u64, Ordering::Relaxed);
@@ -680,48 +653,6 @@ fn in_time(
     }
 }
 
-/// The memoizable payload of an output, if any (only scattered legs reach
-/// an executor and are cached; point-lookup and debug payloads never are).
-fn cacheable_output(output: &QueryOutput) -> Option<CachedAnswer> {
-    match *output {
-        QueryOutput::WorkloadPartial {
-            partial,
-            supersteps,
-            messages,
-        } => Some(CachedAnswer::Leg {
-            partial,
-            supersteps,
-            messages,
-        }),
-        _ => None,
-    }
-}
-
-/// Rehydrates a memoized answer into the response payload it was cached
-/// from.
-fn cached_output(value: CachedAnswer) -> QueryOutput {
-    match value {
-        CachedAnswer::Whole {
-            answer,
-            supersteps,
-            messages,
-        } => QueryOutput::Workload {
-            answer,
-            supersteps,
-            messages,
-        },
-        CachedAnswer::Leg {
-            partial,
-            supersteps,
-            messages,
-        } => QueryOutput::WorkloadPartial {
-            partial,
-            supersteps,
-            messages,
-        },
-    }
-}
-
 /// A response, pending or already there. Dropping a pending ticket abandons
 /// the response (the executor's send is simply discarded); the request
 /// still runs.
@@ -739,7 +670,8 @@ enum Reply {
 }
 
 impl Ticket {
-    fn ready(response: QueryResponse) -> Ticket {
+    /// A ticket that already holds its response.
+    pub(crate) fn ready(response: QueryResponse) -> Ticket {
         Ticket {
             id: response.id,
             reply: Reply::Ready(response),
@@ -766,7 +698,10 @@ impl Ticket {
 }
 
 /// A zero-cost response, completed now, for a request no executor ran.
-fn unexecuted_response(id: u64, result: Result<QueryOutput, QueryError>) -> QueryResponse {
+pub(crate) fn unexecuted_response(
+    id: u64,
+    result: Result<QueryOutput, QueryError>,
+) -> QueryResponse {
     QueryResponse {
         id,
         result,
@@ -793,15 +728,11 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    /// Spawns the executor pool over `backend`. `cache` is the result
-    /// cache this core consults and fills — pass the *same* [`Arc`] to
-    /// every replica core of a shard so the cache is shard-scoped (build
-    /// it with [`service_cache`]).
+    /// Spawns the executor pool over `backend`.
     pub(crate) fn start(
         backend: Arc<ShardBackend>,
         config: &ServiceConfig,
         thread_label: &str,
-        cache: Option<Arc<ResultCache>>,
     ) -> Core {
         assert!(config.executors >= 1, "need at least one executor");
         assert!(
@@ -820,7 +751,6 @@ impl Core {
             origin: Instant::now(),
             counters: Counters::new(config.executors),
             in_service: AtomicUsize::new(0),
-            cache,
             logs: (0..config.executors)
                 .map(|_| Mutex::new(ServiceLog::new()))
                 .collect(),
@@ -849,24 +779,6 @@ impl Core {
         }
     }
 
-    /// Consults the result cache for `req`; a hit is answered immediately
-    /// (counted as completed) without touching the queue. `None` means the
-    /// request must execute: uncacheable kind, caching disabled, or a miss.
-    fn cached_response(&self, req: &QueryRequest) -> Option<Ticket> {
-        let cache = self.shared.cache.as_ref()?;
-        let key = self.backend.cache_key(req)?;
-        let value = cache.get(&key)?;
-        self.shared
-            .counters
-            .submit_slot()
-            .completed
-            .fetch_add(1, Ordering::Relaxed);
-        Some(Ticket::ready(unexecuted_response(
-            req.id,
-            Ok(cached_output(value)),
-        )))
-    }
-
     /// Answers a point lookup on the submitting thread: a read of the
     /// request's pinned, immutable epoch needs no executor. `None` for
     /// every other kind.
@@ -888,8 +800,8 @@ impl Core {
 
     /// Submits a request. One that needs no executor is answered here, on
     /// the submitting thread, and comes back as a ready ticket: a request
-    /// whose deadline has already passed (an early drop), a result-cache
-    /// hit, a point lookup. None of these takes the queue lock, costs a
+    /// whose deadline has already passed (an early drop) or a point
+    /// lookup. Neither takes the queue lock, costs a
     /// queue slot or is shed. Everything else is enqueued under its
     /// tenant's [`QueueFullPolicy`]: the submitter blocks while the tenant's
     /// lane is full (`Block`), or the request is shed with an immediate
@@ -906,10 +818,7 @@ impl Core {
             let dropped = unexecuted_response(req.id, Err(QueryError::DeadlineExceeded));
             return Ok(Ticket::ready(dropped));
         }
-        if let Some(ticket) = self
-            .cached_response(&req)
-            .or_else(|| self.lookup_response(&req))
-        {
+        if let Some(ticket) = self.lookup_response(&req) {
             return Ok(ticket);
         }
         // The request's tenant lane, clamped to the configured count.
@@ -966,6 +875,11 @@ impl Core {
         }
     }
 
+    /// Whether [`Core::close`] has run: admissions are refused.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.shared.closed.load(Ordering::SeqCst)
+    }
+
     pub(crate) fn close(&self) {
         let state = self.shared.state.lock().unwrap();
         self.shared.closed.store(true, Ordering::SeqCst);
@@ -983,10 +897,8 @@ impl Core {
     }
 
     /// The core's counters, summed across stripes. The cache fields are
-    /// always zero here: the result cache is shared across a shard's
-    /// replicas, so its counters are overlaid once per shard with
-    /// [`overlay_cache`] — never per core, which would multiply them by
-    /// the replica count.
+    /// always zero here: the result cache is the service's (see
+    /// [`ShardedGraphService::stats`](crate::shard::ShardedGraphService::stats)).
     pub(crate) fn stats(&self) -> ServiceStats {
         let c = &self.shared.counters;
         let hwm = self.shared.state.lock().unwrap().depth_hwm;
@@ -1056,42 +968,6 @@ impl Core {
             out.intervals.merge(&log.series);
         }
         out
-    }
-}
-
-/// Builds the result cache a [`Core`] (or a shard's set of replica cores)
-/// will share; `None` when `cache_capacity` is zero.
-pub(crate) fn service_cache(config: &ServiceConfig) -> Option<Arc<ResultCache>> {
-    (config.cache_capacity > 0).then(|| Arc::new(ResultCache::new(config.cache_capacity)))
-}
-
-/// Copies a shared cache's counters into `stats`'s cache fields (see
-/// [`Core::stats`] for why they live apart from the core counters).
-pub(crate) fn overlay_cache(stats: &mut ServiceStats, cache: Option<&ResultCache>) {
-    let c = cache.map(ResultCache::stats).unwrap_or_default();
-    stats.cache_hits = c.hits;
-    stats.cache_misses = c.misses;
-    stats.cache_insertions = c.insertions;
-    stats.cache_evictions = c.evictions;
-    stats.cache_bytes = c.resident_bytes;
-}
-
-/// An owned handle to one result cache's invalidation hook, so the epoch
-/// writer thread can fire it at each swap without holding a reference to
-/// any core. One per shard — the cache is shared by the shard's replicas.
-pub(crate) struct CacheInvalidator {
-    cache: Option<Arc<ResultCache>>,
-}
-
-impl CacheInvalidator {
-    pub(crate) fn new(cache: Option<Arc<ResultCache>>) -> CacheInvalidator {
-        CacheInvalidator { cache }
-    }
-
-    pub(crate) fn invalidate(&self) {
-        if let Some(cache) = &self.cache {
-            cache.invalidate_all();
-        }
     }
 }
 
@@ -1183,7 +1059,6 @@ fn serve(
     let outcome = catch_unwind(AssertUnwindSafe(|| backend.execute(&seat, &config.engine)));
     let service_time = started.elapsed();
     let late = service_time > req.timeout;
-    let key = backend.cache_key(req);
     let result = match outcome {
         Err(payload) => {
             slot.panics.fetch_add(1, Ordering::Relaxed);
@@ -1193,10 +1068,8 @@ fn serve(
         Ok(Outcome::Done(result)) => in_time(slot, result, late),
         // The leader's verdict, not this clock's: every leg of this request
         // attached to the run got the same one.
-        Ok(Outcome::Led { output, late }) => {
-            shared.settle(slot, &slot.engine_runs, key, output, late)
-        }
-        Ok(Outcome::Shared(output)) => shared.settle(slot, &slot.coalesced_legs, key, output, late),
+        Ok(Outcome::Led { output, late }) => settle(slot, &slot.engine_runs, output, late),
+        Ok(Outcome::Shared(output)) => settle(slot, &slot.coalesced_legs, output, late),
     };
     slot.busy_ns
         .fetch_add(service_time.as_nanos() as u64, Ordering::Relaxed);

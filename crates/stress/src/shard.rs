@@ -32,33 +32,36 @@
 //! ([`vcgp_core::service::run_workload_sliced`]). A leg dequeued while its
 //! key is running is *parked*: its reply channel, timings and core move
 //! into the table entry and its executor returns to its queue at once —
-//! it never blocks on another shard. When the run ends the leader answers
-//! every parked leg on that leg's own core (its `completed` counter, its
-//! service log, its shard's result cache under its own leg key) — and,
-//! the same way, every leg of the run that is still *queued* on some core
+//! it never blocks on another shard. When the run ends the leader first
+//! folds the `S` partials into the whole answer and inserts it into the
+//! service's one result cache — once per run, under the request's
+//! `(workload, full epoch fingerprint, seed)`. Then it answers every
+//! parked leg on that leg's own core (its `completed` counter, its service
+//! log) and, the same way, every leg of the run still *queued* on some core
 //! behind other work, which it takes out of that queue: a finished request
 //! never waits for a busy executor just to be handed a finished slice. A
 //! leg that arrives later still takes its partial from the *finished*
 //! entry, which is dropped once all `S` shards were served. A run that
 //! outlives its leader's timeout is answered the same way, except that
 //! every leg of the leader's request — its own, the parked and the queued
-//! ones — memoizes its partial and then fails as a timeout, counted once
-//! on its own core: an identical request submitted afterwards is a cache
-//! hit on every shard, and no leg runs the engine again. (A leg of another
-//! request for the same run is judged by its own request's timeout.) A run that fails —
-//! panic or unsupported workload — fails every parked leg with the same
-//! class of error, each counted once on its own core, and leaves no entry
-//! behind. Answers, routes, epoch pinning and cache identities are what
-//! they were when every leg ran for itself; [`ServiceStats::engine_runs`]
-//! and [`ServiceStats::coalesced_legs`] count the difference.
+//! ones — fails as a timeout, counted once on its own core. The whole
+//! answer was memoized all the same, so an identical request submitted
+//! afterwards is a cache hit at the router and no leg runs the engine
+//! again. (A leg of another request for the same run is judged by its own
+//! request's timeout.) A run that fails — panic or unsupported workload —
+//! fails every parked leg with the same class of error, each counted once
+//! on its own core, memoizes nothing and leaves no entry behind. Answers,
+//! routes and epoch pinning are what they were when every leg ran for
+//! itself; [`ServiceStats::engine_runs`] and
+//! [`ServiceStats::coalesced_legs`] count the difference.
 //!
 //! Under live mutations the slices are **per-epoch**: every
 //! [`EpochSnapshot`] carries one [`ShardSlice`] per shard, and the epoch
 //! writer rebuilds them *incrementally* — [`vcgp_graph::splice_slice`]
 //! patches only the touched rows of the previous epoch's slice (falling
-//! back to a from-scratch rebuild when the delta is large), and the
-//! owned-id-set hash is extended rather than recomputed when the id space
-//! grows. Ownership itself is **frozen at start**: the partitioner is
+//! back to a from-scratch rebuild when the delta is large), and the owned
+//! count is extended rather than recounted when the id space grows.
+//! Ownership itself is **frozen at start**: the partitioner is
 //! total over the whole `u32` id space, so vertices added later still get
 //! a deterministic owner and the routing of pinned in-flight requests is
 //! never invalidated (vertex removal detaches but never shrinks the id
@@ -68,14 +71,15 @@
 //! executor pool, striped counters, queue-depth high-water mark) over the
 //! *same* epoch-pinned snapshot and shard slice — replicating a hot shard
 //! costs queue/executor state, not graph copies. The router picks a
-//! replica per dispatch via the configured [`RoutingPolicy`]; all
-//! replicas of a shard share one result cache (keys are
-//! replica-agnostic), epoch swaps fan the invalidation out once per shard,
-//! and teardown drains then joins every replica core. Per-shard *and*
+//! replica per dispatch via the configured [`RoutingPolicy`], and
+//! teardown drains then joins every replica core. The result cache is not
+//! a shard's or a replica's: the service holds exactly one, the router
+//! probes it once per analytics request, the run leaders fill it, and an
+//! epoch swap clears it once. Per-shard *and*
 //! per-replica occupancy is observable
 //! ([`ShardedGraphService::shard_snapshots`]).
 
-use crate::cache::{CacheKey, CacheScope, ResultCache};
+use crate::cache::ResultCache;
 use crate::epoch::{
     spawn_writer, EpochManager, EpochRebuild, EpochSnapshot, ShardSlice, WriterReport, WriterStats,
 };
@@ -83,16 +87,15 @@ use crate::request::{QueryError, QueryKind, QueryOutput, QueryRequest};
 use crate::router::RoutingPolicy;
 use crate::runs::{Join, RunKey, RunTable, SlicedAnswer};
 use crate::service::{
-    execute_debug_hook, overlay_cache, panic_message, service_cache, CacheInvalidator, Core,
-    CoreHandle, Outcome, ParkedLeg, ReplicaSeries, ReplicaSnapshot, Seat, ServiceConfig,
-    ServiceStats, ShardSnapshot, SubmitError, Ticket,
+    execute_debug_hook, panic_message, Core, CoreHandle, Outcome, ParkedLeg, ReplicaSeries,
+    ReplicaSnapshot, Seat, ServiceConfig, ServiceStats, ShardSnapshot, SubmitError, Ticket,
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vcgp_core::fingerprint::{graph_fingerprint, leg_fingerprint};
+use vcgp_core::fingerprint::graph_fingerprint;
 use vcgp_graph::rng::mix3;
 use vcgp_graph::{
     apply_batch, splice_slice, ApplyDelta, ApplyStats, Graph, GraphBuilder, Mutation, VertexId,
@@ -100,24 +103,20 @@ use vcgp_graph::{
 use vcgp_pregel::partition::Partitioner;
 use vcgp_pregel::PregelConfig;
 
-/// Domain separator of the owned-id-set hash.
-const OWNS_STREAM: u64 = 0x4F57_4E53; // "OWNS"
-
-/// Domain separator folding the slice fingerprint into the leg identity.
-const SLICE_STREAM: u64 = 0x534C_4943; // "SLIC"
-
 /// Domain separator seeding each shard's round-robin replica cursor.
 const RR_STREAM: u64 = 0x5252_4F54; // "RROT"
 
-/// Builds shard `shard`'s local subgraph: a directed graph over the full
-/// vertex-id space containing exactly the out-arcs of owned vertices (with
-/// weights and labels preserved), so owned point lookups answer identically
-/// to the full graph.
-fn build_local_slice(full: &Graph, partitioner: &Partitioner, shard: usize) -> Graph {
+/// Builds shard `shard`'s [`ShardSlice`] from scratch: a directed graph
+/// over the full vertex-id space containing exactly the out-arcs of owned
+/// vertices (with weights and labels preserved), so owned point lookups
+/// answer identically to the full graph, plus the owned count.
+fn build_shard_slice(full: &Graph, partitioner: &Partitioner, shard: usize) -> ShardSlice {
     let n = full.num_vertices();
     let mut b = GraphBuilder::directed(n);
+    let mut owned = 0;
     for v in 0..n as VertexId {
         if partitioner.owner(v) == shard {
+            owned += 1;
             for (t, w) in full.out_edges(v) {
                 b.add_weighted_edge(v, t, w);
             }
@@ -126,78 +125,36 @@ fn build_local_slice(full: &Graph, partitioner: &Partitioner, shard: usize) -> G
     if let Some(labels) = full.labels() {
         b.set_labels(labels.to_vec());
     }
-    b.build()
-}
-
-/// Builds one shard's [`ShardSlice`] from scratch: the local subgraph plus
-/// the owned-id-set hash and the leg cache fingerprint derived from it.
-fn build_shard_slice(
-    full: &Graph,
-    partitioner: &Partitioner,
-    shard: usize,
-    whole_fp: u64,
-) -> ShardSlice {
-    let local = build_local_slice(full, partitioner, shard);
-    // The slice fingerprint alone misses owned vertices with no out-arcs
-    // (sinks leave no trace in the slice), so fold in an order-independent
-    // hash of the owned id set — the leg identity then changes under *any*
-    // ownership change.
-    let mut owned = 0usize;
-    let mut owned_hash = 0u64;
-    for v in 0..full.num_vertices() as VertexId {
-        if partitioner.owner(v) == shard {
-            owned += 1;
-            owned_hash = owned_hash.wrapping_add(mix3(u64::from(v), OWNS_STREAM, 0));
-        }
-    }
     ShardSlice {
-        leg_fp: leg_fingerprint(
-            whole_fp,
-            mix3(graph_fingerprint(&local), owned_hash, SLICE_STREAM),
-        ),
-        local,
+        local: b.build(),
         owned,
-        owned_hash,
     }
 }
 
-/// Rebuilds one shard's slice for the next epoch, incrementally: extend
-/// the owned id set over any vertices the batch added (ownership of
-/// existing ids is frozen), splice only the touched rows of the previous
-/// slice, and refresh the leg fingerprint. Falls back to a from-scratch
-/// rebuild when the delta covers more than a quarter of the graph — at
-/// that point the splice's row bookkeeping costs more than it saves.
+/// Rebuilds one shard's slice for the next epoch, incrementally: count the
+/// owned vertices among any the batch added (ownership of existing ids is
+/// frozen) and splice only the touched rows of the previous slice. Falls
+/// back to a from-scratch rebuild when the delta covers more than a
+/// quarter of the graph — at that point the splice's row bookkeeping costs
+/// more than it saves.
 fn rebuild_slice(
     old: &ShardSlice,
     full: &Arc<Graph>,
-    whole_fp: u64,
     delta: &ApplyDelta,
     partitioner: &Partitioner,
     shard: usize,
     old_n: usize,
 ) -> ShardSlice {
-    let owns = |v: VertexId| partitioner.owner(v) == shard;
-    let mut owned = old.owned;
-    let mut owned_hash = old.owned_hash;
-    for v in old_n..delta.new_n {
-        if owns(v as VertexId) {
-            owned += 1;
-            owned_hash = owned_hash.wrapping_add(mix3(v as u64, OWNS_STREAM, 0));
-        }
+    if delta.touched.len() * 4 > full.num_vertices() {
+        return build_shard_slice(full, partitioner, shard);
     }
-    let local = if delta.touched.len() * 4 > full.num_vertices() {
-        build_local_slice(full, partitioner, shard)
-    } else {
-        splice_slice(&old.local, full, &delta.touched, &owns)
-    };
+    let owns = |v: VertexId| partitioner.owner(v) == shard;
     ShardSlice {
-        leg_fp: leg_fingerprint(
-            whole_fp,
-            mix3(graph_fingerprint(&local), owned_hash, SLICE_STREAM),
-        ),
-        local,
-        owned,
-        owned_hash,
+        local: splice_slice(&old.local, full, &delta.touched, &owns),
+        owned: old.owned
+            + (old_n..delta.new_n)
+                .filter(|&v| owns(v as VertexId))
+                .count(),
     }
 }
 
@@ -206,7 +163,8 @@ fn rebuild_slice(
 /// slice incrementally from the previous epoch's.
 struct ShardedRebuild {
     partitioner: Partitioner,
-    invalidators: Vec<CacheInvalidator>,
+    /// The service's result cache, cleared at every swap.
+    cache: Option<Arc<ResultCache>>,
 }
 
 impl EpochRebuild for ShardedRebuild {
@@ -223,7 +181,6 @@ impl EpochRebuild for ShardedRebuild {
                 Arc::new(rebuild_slice(
                     old,
                     &graph,
-                    whole_fp,
                     &delta,
                     &self.partitioner,
                     s,
@@ -243,8 +200,8 @@ impl EpochRebuild for ShardedRebuild {
     }
 
     fn invalidate(&self) {
-        for inv in &self.invalidators {
-            inv.invalidate();
+        if let Some(cache) = &self.cache {
+            cache.invalidate_all();
         }
     }
 }
@@ -276,6 +233,9 @@ pub(crate) struct ShardBackend {
     /// set once they all run: a leader answers the legs of its run that
     /// are still queued anywhere.
     fleet: Arc<OnceLock<Vec<Vec<CoreHandle>>>>,
+    /// The service's result cache, which the leader of a run fills with
+    /// the whole answer; `None` when caching is disabled.
+    cache: Option<Arc<ResultCache>>,
     /// Test hook (see [`ShardedGraphService::debug_panic_next_run`]).
     panic_next_run: Arc<AtomicBool>,
 }
@@ -291,22 +251,6 @@ fn run_key(req: &QueryRequest, snap: &EpochSnapshot) -> Option<RunKey> {
         }),
         _ => None,
     }
-}
-
-/// A request's identity in shard `shard`'s result cache: a scattered leg
-/// by the shard's leg fingerprint in the pinned epoch. `None` for
-/// everything that must not be memoized (point lookups, debug hooks).
-fn cache_key_on(shard: usize, snap: &EpochSnapshot, req: &QueryRequest) -> Option<CacheKey> {
-    let QueryKind::WorkloadPartial(workload) = req.kind else {
-        return None;
-    };
-    let fingerprint = snap.locals[shard].leg_fp;
-    Some(CacheKey {
-        workload,
-        scope: CacheScope::Leg,
-        fingerprint,
-        seed: req.seed,
-    })
 }
 
 impl ShardBackend {
@@ -340,11 +284,7 @@ impl ShardBackend {
         let mut legs = Vec::new();
         for (shard, cores) in self.fleet.get().into_iter().flatten().enumerate() {
             for core in cores {
-                let taken = core.take_queued_legs(wanted, |req| {
-                    req.epoch
-                        .as_deref()
-                        .and_then(|snap| cache_key_on(shard, snap, req))
-                });
+                let taken = core.take_queued_legs(wanted);
                 legs.extend(taken.into_iter().map(|leg| (shard, leg)));
             }
         }
@@ -352,14 +292,15 @@ impl ShardBackend {
     }
 
     /// Leads the shared run of `key`: one engine execution on the pinned
-    /// epoch's full graph, sliced by shard ownership, answers this leg,
-    /// every leg parked on the entry meanwhile, and every leg of the run
-    /// still queued when it ends. Each memoizes its partial, and one whose
-    /// request's timeout the run outlived — every leg of this request, when
-    /// it outlived this leg's — fails as a timeout. A failed run — panic
-    /// or unsupported workload — is
-    /// delivered to the parked legs as the same class of failure and leaves
-    /// no entry behind.
+    /// epoch's full graph, sliced by shard ownership. Its whole answer goes
+    /// into the service's result cache before any leg is answered — late
+    /// or not, so the identical request again is a hit — and then it
+    /// answers this leg, every leg parked on the entry meanwhile, and every
+    /// leg of the run still queued when it ends. A leg whose request's
+    /// timeout the run outlived — every leg of this request, when it
+    /// outlived this leg's — fails as a timeout. A failed run — panic or
+    /// unsupported workload — is delivered to the parked legs as the same
+    /// class of failure, memoizes nothing and leaves no entry behind.
     fn lead(
         &self,
         key: RunKey,
@@ -406,6 +347,9 @@ impl ShardBackend {
             messages: run.stats.total_messages(),
         });
         let ran = t0.elapsed();
+        if let Some(cache) = &self.cache {
+            cache.insert(key.cache_key(), answer.whole());
+        }
         let queued = self.take_queued(key);
         let served = queued.iter().map(|&(shard, _)| shard).chain([self.shard]);
         let parked = self.runs.finish(key, served, &answer);
@@ -423,10 +367,7 @@ impl ShardBackend {
         let req = seat.req;
         let snap = self.pinned(req);
         if let Some(key) = run_key(req, snap) {
-            return match self
-                .runs
-                .join(key, self.shard, || seat.park(self.cache_key(req)))
-            {
+            return match self.runs.join(key, self.shard, || seat.park()) {
                 Join::Parked => Outcome::Parked,
                 Join::Finished(answer) => Outcome::Shared(answer.leg(self.shard)),
                 Join::Lead => self.lead(key, snap, req, engine),
@@ -458,22 +399,12 @@ impl ShardBackend {
             _ => QueryOutput::Neighbors(graph.out_neighbors(v).to_vec()),
         }))
     }
-
-    /// The result-cache identity of the request on this shard, derived
-    /// from the request's pinned epoch, so lookup and insert agree on the
-    /// fingerprint even when a swap lands mid-request.
-    pub(crate) fn cache_key(&self, req: &QueryRequest) -> Option<CacheKey> {
-        cache_key_on(self.shard, self.pinned(req), req)
-    }
 }
 
-/// One shard: `R ≥ 1` replica cores over the same slice, the shard-shared
-/// result cache, and the round-robin replica cursor.
+/// One shard: `R ≥ 1` replica cores over the same slice and the
+/// round-robin replica cursor.
 pub(crate) struct Shard {
     pub(crate) replicas: Vec<Core>,
-    /// The result cache shared by every replica core (counters overlaid
-    /// once per shard in [`Shard::snapshot`]).
-    cache: Option<Arc<ResultCache>>,
     /// Round-robin cursor, seeded per shard so the dispatch sequence is
     /// deterministic for a fixed [`ServiceConfig::seed`].
     next_rr: AtomicU64,
@@ -497,8 +428,7 @@ impl Shard {
     }
 
     /// Picks a replica and submits, returning the ticket plus the pick
-    /// (echoed in [`crate::request::Route::Routed`]). A shared-cache hit
-    /// answers from whichever replica was picked without queueing.
+    /// (echoed in [`crate::request::Route::Routed`]).
     pub(crate) fn submit(
         &self,
         policy: RoutingPolicy,
@@ -506,17 +436,6 @@ impl Shard {
     ) -> Result<(Ticket, u32), SubmitError> {
         let replica = self.pick(policy);
         Ok((self.replicas[replica].submit(req)?, replica as u32))
-    }
-
-    /// Counters folded across replicas (sums; queue high-water marks take
-    /// the maximum) with the shard cache's counters overlaid once.
-    fn folded_stats(&self) -> ServiceStats {
-        let mut stats = ServiceStats::default();
-        for core in &self.replicas {
-            stats.absorb(&core.stats());
-        }
-        overlay_cache(&mut stats, self.cache.as_deref());
-        stats
     }
 
     /// The shard's report row: folded counters plus one row per replica.
@@ -534,7 +453,6 @@ impl Shard {
         for rs in &replicas {
             stats.absorb(&rs.stats);
         }
-        overlay_cache(&mut stats, self.cache.as_deref());
         ShardSnapshot {
             shard,
             owned,
@@ -554,6 +472,9 @@ pub struct ShardedGraphService {
     pub(crate) shards: Vec<Shard>,
     /// How the router picks a replica within a shard.
     pub(crate) routing: RoutingPolicy,
+    /// The one result cache, probed by the router once per analytics
+    /// request; `None` when caching is disabled.
+    pub(crate) cache: Option<Arc<ResultCache>>,
     pub(crate) epochs: Arc<EpochManager>,
     /// The epoch writer thread; `None` when the service is read-only.
     writer: Option<JoinHandle<()>>,
@@ -575,15 +496,14 @@ impl ShardedGraphService {
         assert!(config.replicas >= 1, "need at least one replica per shard");
         let n = graph.num_vertices();
         let partitioner = Partitioner::new(config.engine.partitioning, n, num_shards);
-        let whole_fp = graph_fingerprint(&graph);
         let locals: Vec<Arc<ShardSlice>> = (0..num_shards)
-            .map(|s| Arc::new(build_shard_slice(&graph, &partitioner, s, whole_fp)))
+            .map(|s| Arc::new(build_shard_slice(&graph, &partitioner, s)))
             .collect();
         let epochs = Arc::new(EpochManager::new(
             EpochSnapshot {
                 id: 0,
                 graph: Arc::clone(&graph),
-                fingerprint: whole_fp,
+                fingerprint: graph_fingerprint(&graph),
                 locals,
             },
             config.mutations.as_ref(),
@@ -597,6 +517,8 @@ impl ShardedGraphService {
         ));
         let fleet = Arc::new(OnceLock::new());
         let panic_next_run = Arc::new(AtomicBool::new(false));
+        let cache =
+            (config.cache_capacity > 0).then(|| Arc::new(ResultCache::new(config.cache_capacity)));
         let shards: Vec<Shard> = (0..num_shards)
             .map(|s| {
                 let backend = Arc::new(ShardBackend {
@@ -606,25 +528,14 @@ impl ShardedGraphService {
                     base: Arc::clone(&base),
                     runs: Arc::clone(&runs),
                     fleet: Arc::clone(&fleet),
+                    cache: cache.clone(),
                     panic_next_run: Arc::clone(&panic_next_run),
                 });
-                // ONE cache per shard, shared by every replica core: keys
-                // carry no replica identity, so an answer computed on any
-                // replica serves the whole shard.
-                let cache = service_cache(&config);
                 let replicas = (0..config.replicas)
-                    .map(|r| {
-                        Core::start(
-                            Arc::clone(&backend),
-                            &config,
-                            &format!("shard{s}r{r}"),
-                            cache.clone(),
-                        )
-                    })
+                    .map(|r| Core::start(Arc::clone(&backend), &config, &format!("shard{s}r{r}")))
                     .collect();
                 Shard {
                     replicas,
-                    cache,
                     next_rr: AtomicU64::new(mix3(config.seed, s as u64, RR_STREAM)),
                 }
             })
@@ -635,17 +546,11 @@ impl ShardedGraphService {
             .collect();
         assert!(fleet.set(handles).is_ok(), "the fleet is published once");
         let writer = config.mutations.is_some().then(|| {
-            // One invalidator per shard (not per replica): the cache is
-            // shard-scoped, so each swap clears it exactly once.
-            let invalidators = shards
-                .iter()
-                .map(|sh| CacheInvalidator::new(sh.cache.clone()))
-                .collect();
             spawn_writer(
                 Arc::clone(&epochs),
                 Box::new(ShardedRebuild {
                     partitioner,
-                    invalidators,
+                    cache: cache.clone(),
                 }),
             )
         });
@@ -654,6 +559,7 @@ impl ShardedGraphService {
             partitioner,
             shards,
             routing: config.routing,
+            cache,
             epochs,
             writer,
             panic_next_run,
@@ -742,25 +648,38 @@ impl ShardedGraphService {
     }
 
     /// Counters folded across every shard and replica (high-water marks
-    /// take the max; each shard's cache counts once).
+    /// take the max), with the service's result-cache counters — which no
+    /// shard or replica row carries.
     pub fn stats(&self) -> ServiceStats {
         let mut total = ServiceStats::default();
-        for sh in &self.shards {
-            total.absorb(&sh.folded_stats());
+        for core in self.shards.iter().flat_map(|sh| &sh.replicas) {
+            total.absorb(&core.stats());
         }
+        let c = self
+            .cache
+            .as_deref()
+            .map(ResultCache::stats)
+            .unwrap_or_default();
+        total.cache_hits = c.hits;
+        total.cache_misses = c.misses;
+        total.cache_insertions = c.insertions;
+        total.cache_evictions = c.evictions;
+        total.cache_bytes = c.resident_bytes;
         total
     }
 
-    /// Drops every shard's result-cache entries (each shard's replicas
-    /// share one cache, so this clears S caches). Fired by the epoch
-    /// writer at every swap; also callable directly (a no-op when caching
-    /// is disabled).
+    /// Drops every result-cache entry. Fired by the epoch writer at every
+    /// swap; also callable directly (a no-op when caching is disabled).
     pub fn invalidate_cache(&self) {
-        for sh in &self.shards {
-            if let Some(cache) = &sh.cache {
-                cache.invalidate_all();
-            }
+        if let Some(cache) = &self.cache {
+            cache.invalidate_all();
         }
+    }
+
+    /// Whether [`ShardedGraphService::close`] has begun: it closes every
+    /// core, the first one first.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.shards[0].replicas[0].is_closed()
     }
 
     /// Stops admissions (requests and mutations) on every replica of every
@@ -887,7 +806,7 @@ mod tests {
         for strategy in [Partitioning::Hash, Partitioning::Range] {
             let p = Partitioner::new(strategy, g.num_vertices(), 3);
             for s in 0..3 {
-                let local = build_local_slice(&g, &p, s);
+                let local = build_shard_slice(&g, &p, s).local;
                 assert_eq!(local.num_vertices(), g.num_vertices());
                 for v in 0..g.num_vertices() as VertexId {
                     if p.owner(v) == s {
@@ -924,24 +843,15 @@ mod tests {
         let old_n = g.num_vertices();
         for strategy in [Partitioning::Hash, Partitioning::Range] {
             let p = Partitioner::new(strategy, old_n, 3);
-            let whole0 = graph_fingerprint(&g);
-            let slices: Vec<ShardSlice> = (0..3)
-                .map(|s| build_shard_slice(&g, &p, s, whole0))
-                .collect();
+            let slices: Vec<ShardSlice> = (0..3).map(|s| build_shard_slice(&g, &p, s)).collect();
             let batch: Vec<Mutation> = (0..16).map(|i| mutation_op(13, i, old_n)).collect();
             let (new_full, delta) = apply_batch(&g, &batch);
             let new_full = Arc::new(new_full);
-            let whole1 = graph_fingerprint(&new_full);
             for (s, old_slice) in slices.iter().enumerate() {
-                let inc = rebuild_slice(old_slice, &new_full, whole1, &delta, &p, s, old_n);
-                let scratch = build_shard_slice(&new_full, &p, s, whole1);
+                let inc = rebuild_slice(old_slice, &new_full, &delta, &p, s, old_n);
+                let scratch = build_shard_slice(&new_full, &p, s);
                 assert_eq!(inc.local, scratch.local, "strategy {strategy:?} shard {s}");
                 assert_eq!(inc.owned, scratch.owned, "strategy {strategy:?} shard {s}");
-                assert_eq!(inc.owned_hash, scratch.owned_hash);
-                assert_eq!(
-                    inc.leg_fp, scratch.leg_fp,
-                    "strategy {strategy:?} shard {s}"
-                );
             }
         }
     }

@@ -1,20 +1,20 @@
 //! Integration + property tests for the result cache: memoized answers are
-//! bit-identical to cold computation (the ISSUE's acceptance property),
-//! replays actually hit, eviction respects the configured capacity, and
+//! bit-identical to cold computation, a replay is one hit at the router
+//! that reaches no shard, eviction respects the configured capacity, and
 //! invalidation restores miss behavior.
 
 mod common;
 
 use common::one_shard;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use vcgp_core::service::{run_workload, supported_workloads};
 use vcgp_core::Workload;
 use vcgp_graph::generators;
 use vcgp_pregel::partition::Partitioning;
 use vcgp_pregel::PregelConfig;
-use vcgp_stress::request::{QueryKind, QueryOutput, QueryRequest};
-use vcgp_stress::service::ServiceConfig;
+use vcgp_stress::request::{QueryError, QueryKind, QueryOutput, QueryRequest};
+use vcgp_stress::service::{ServiceConfig, SubmitError};
 use vcgp_stress::shard::ShardedGraphService;
 use vcgp_testkit::prop::Source;
 use vcgp_testkit::{prop_assert, vcgp_props};
@@ -30,8 +30,83 @@ fn config_for(strategy: Partitioning, cache_capacity: usize) -> ServiceConfig {
     }
 }
 
+/// The benchmark's analytics pool.
+const POOL: [Workload; 6] = [
+    Workload::CcHashMin,
+    Workload::CcSv,
+    Workload::SpanningTree,
+    Workload::Sssp,
+    Workload::PageRank,
+    Workload::Coloring,
+];
+
 vcgp_props! {
     #![cases(6)]
+
+    // A router hit is the cold miss's response, field for field — answer,
+    // supersteps and the gathered messages — at every shard count and
+    // placement, and it costs the shards nothing: no leg is enqueued
+    // (`queue_hwm`), no engine runs (`engine_runs`) and no core answers
+    // (per-shard `completed`).
+    fn a_router_hit_is_the_cold_miss_and_touches_no_shard(
+        graph_seed in 0u64..1_000,
+        req_seed in 0u64..1_000_000,
+    ) {
+        let mut src = Source::new(graph_seed ^ 0x524F_5554); // "ROUT"
+        let n = 12 + src.next_below(29) as usize;
+        let m = n + src.next_below(2 * n as u64) as usize;
+        let graph = Arc::new(generators::gnm_connected(n, m, graph_seed));
+        for strategy in [Partitioning::Hash, Partitioning::Range] {
+            for shards in [1usize, 2, 4] {
+                let service = ShardedGraphService::start(
+                    Arc::clone(&graph),
+                    config_for(strategy, 256),
+                    shards,
+                );
+                for (i, &w) in POOL.iter().enumerate() {
+                    let what = format!("{w:?} S={shards} {strategy:?}");
+                    let req = |round: u64| {
+                        QueryRequest::new(2 * i as u64 + round, QueryKind::Workload(w))
+                            .with_seed(req_seed)
+                    };
+                    let cold = service.submit(req(0)).expect("open").wait();
+                    prop_assert!(cold.attempts >= 1, "{what}: the cold request ran");
+                    let before = (service.stats(), service.shard_snapshots());
+                    let hot = service.submit(req(1)).expect("open").wait();
+                    let after = (service.stats(), service.shard_snapshots());
+                    prop_assert!(
+                        cold.is_ok() && hot.result == cold.result,
+                        "{what}: hit {:?} != miss {:?}",
+                        hot.result,
+                        cold.result
+                    );
+                    prop_assert!(
+                        hot.route == cold.route && hot.attempts == 0,
+                        "{what}: hit routed {:?} after {} attempts",
+                        hot.route,
+                        hot.attempts
+                    );
+                    prop_assert!(
+                        after.0.cache_hits == before.0.cache_hits + 1,
+                        "{what}: the replay was not one hit"
+                    );
+                    prop_assert!(
+                        (after.0.queue_hwm, after.0.engine_runs)
+                            == (before.0.queue_hwm, before.0.engine_runs),
+                        "{what}: the hit queued or ran something"
+                    );
+                    for (a, b) in after.1.iter().zip(&before.1) {
+                        prop_assert!(
+                            a.stats.completed == b.stats.completed,
+                            "{what}: shard {} answered the hit",
+                            a.shard
+                        );
+                    }
+                }
+                service.shutdown();
+            }
+        }
+    }
 
     // The acceptance property: for every supported workload, both
     // partitioning strategies, and S ∈ {1, 2, 4}, submitting the same
@@ -95,11 +170,11 @@ vcgp_props! {
                             }
                         }
                     }
-                    // The replay hit on every shard leg it scattered to.
+                    // The replay is one probe, answered at the router.
                     let hits = service.stats().cache_hits - cold_hits;
                     prop_assert!(
-                        hits >= 1,
-                        "{w:?} S={shards} {strategy:?}: replay did not hit the cache"
+                        hits == 1,
+                        "{w:?} S={shards} {strategy:?}: replay hit {hits} times, not once"
                     );
                 }
                 service.shutdown();
@@ -200,7 +275,7 @@ fn invalidate_empties_the_cache_and_restores_misses() {
 }
 
 #[test]
-fn sharded_invalidate_clears_every_shard() {
+fn sharded_invalidate_clears_the_service_cache() {
     let graph = Arc::new(generators::gnm_connected(40, 100, 7));
     let service =
         ShardedGraphService::start(Arc::clone(&graph), config_for(Partitioning::Hash, 64), 4);
@@ -209,11 +284,38 @@ fn sharded_invalidate_clears_every_shard() {
         .unwrap()
         .wait();
     assert!(resp.is_ok());
-    assert!(service.stats().cache_bytes > 0, "legs cached on the shards");
+    assert!(
+        service.stats().cache_bytes > 0,
+        "the whole answer is cached"
+    );
     service.invalidate_cache();
     assert_eq!(service.stats().cache_bytes, 0);
     let stats = service.shutdown();
     assert_eq!(stats.cache_hits, 0);
+}
+
+/// A cached answer keeps the checks a core makes at submit in their order:
+/// a closed service refuses, a request already past its deadline is
+/// dropped at its shards without a probe, and only then does the cache
+/// answer.
+#[test]
+fn a_hit_is_refused_when_closed_and_not_probed_past_its_deadline() {
+    let graph = Arc::new(generators::gnm_connected(40, 100, 7));
+    let service =
+        ShardedGraphService::start(Arc::clone(&graph), config_for(Partitioning::Hash, 64), 2);
+    let req = |id: u64| QueryRequest::new(id, QueryKind::Workload(Workload::CcSv)).with_seed(3);
+    assert!(service.submit(req(1)).unwrap().wait().is_ok());
+    let late = service
+        .submit(req(2).with_deadline(Instant::now()))
+        .unwrap()
+        .wait();
+    assert_eq!(late.result, Err(QueryError::DeadlineExceeded));
+    let stats = service.stats();
+    assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1), "no probe");
+    assert_eq!(stats.early_drops, 2, "one early drop per shard");
+    service.close();
+    assert!(matches!(service.submit(req(3)), Err(SubmitError::Closed)));
+    assert_eq!(service.shutdown().cache_hits, 0);
 }
 
 #[test]

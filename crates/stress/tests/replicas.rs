@@ -318,9 +318,9 @@ fn least_loaded_breaks_ties_low_and_splits_backlog() {
     service.shutdown();
 }
 
-/// Cache keys are replica-agnostic: an answer computed (and inserted) via
-/// one replica is a hit when the router sends the identical request to a
-/// different replica of the same shard.
+/// The cache is the service's, not a replica's: an answer computed (and
+/// inserted) through one replica is a hit for the identical request, which
+/// the router answers before it picks any replica.
 #[test]
 fn shared_cache_hits_across_replicas() {
     let graph = Arc::new(generators::gnm_connected(24, 60, 9));
@@ -338,10 +338,7 @@ fn shared_cache_hits_across_replicas() {
         "the cached answer is the computed answer"
     );
     let stats = service.stats();
-    assert_eq!(
-        stats.cache_hits, 1,
-        "the second replica served the first's insertion"
-    );
+    assert_eq!(stats.cache_hits, 1, "the replay hit the first's insertion");
     assert_eq!(stats.cache_misses, 1);
     // The leg's route names no replica; the rows show who answered.
     let answered: Vec<u64> = service.shard_snapshots()[0]
@@ -350,9 +347,9 @@ fn shared_cache_hits_across_replicas() {
         .map(|r| r.stats.completed)
         .collect();
     assert_eq!(
-        answered,
-        [1, 1],
-        "round-robin must alternate replicas for the hit to cross cores"
+        answered.iter().sum::<u64>(),
+        1,
+        "one replica answered the miss's leg, none the hit: {answered:?}"
     );
     service.shutdown();
 }

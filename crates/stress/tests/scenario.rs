@@ -188,7 +188,13 @@ fn validate_names_the_path_of_every_broken_identity() {
             "a shard's leg sources",
             "per_shard[1].coalesced_legs",
             &bump,
-            "per_shard[1].engine_runs + coalesced_legs + cache_hits",
+            "per_shard[1].engine_runs + coalesced_legs + rejects",
+        ),
+        (
+            "one cache probe per scattered op",
+            "cache.misses",
+            &bump,
+            "cache.hits + cache.misses",
         ),
         (
             "a per-shard sum",
@@ -250,7 +256,6 @@ fn validate_names_the_path_of_every_broken_identity() {
             &unhex,
             "tenants[0].answer_hash",
         ),
-        ("errors != 0", "errors", &bump, "errors: 1 errored"),
     ];
     for (what, path, break_it, needle) in cases {
         let mut doc = clean.clone();
@@ -260,6 +265,38 @@ fn validate_names_the_path_of_every_broken_identity() {
         );
         let err = validate(&doc).expect_err(what);
         assert!(err.contains(needle), "{what}: broke {path}, got {err:?}");
+    }
+
+    // A report with an error is refused for it, but only after every
+    // identity was checked: a broken fold still names its own path.
+    let mut failed = clean.clone();
+    one_ok_became_an_error(&mut failed);
+    let err = validate(&failed).expect_err("a report with an error");
+    assert!(err.contains("errors: 1 errored"), "got {err:?}");
+    bump(failed.at_mut("per_shard[1].coalesced_legs").unwrap());
+    let err = validate(&failed).expect_err("errors and a broken identity");
+    assert!(
+        err.contains("per_shard[1].engine_runs + coalesced_legs + rejects"),
+        "got {err:?}"
+    );
+}
+
+/// Turns one successful operation of `report` into an errored one, in
+/// every row that counts it, so that every fold still holds.
+fn one_ok_became_an_error(report: &mut Value) {
+    let rows = match report.at("phases[0].intervals") {
+        Some(Value::Array(rows)) => rows.len(),
+        other => panic!("no phases[0].intervals: {other:?}"),
+    };
+    let slot = (0..rows)
+        .map(|i| format!("phases[0].intervals[{i}]"))
+        .find(|row| report.at(&format!("{row}.ok")).and_then(Value::as_f64) > Some(0.0))
+        .expect("phase 0 completed an operation");
+    for row in ["", "phases[0].", &format!("{slot}."), "tenants[0]."] {
+        for (key, by) in [("ok", -1.0), ("errors", 1.0)] {
+            let v = report.at_mut(&format!("{row}{key}")).unwrap();
+            *v = Value::Number(v.as_f64().unwrap() + by);
+        }
     }
 }
 

@@ -126,7 +126,7 @@ fn workload_answer(result: &Result<QueryOutput, QueryError>) -> u64 {
 /// The tentpole's count: N cold scattered requests cost N engine runs, not
 /// S·N, at every shard count, replica count and placement — with every
 /// answer, superstep count and message count what the per-leg runs
-/// gathered to — and each leg is still memoized under its own shard's key.
+/// gathered to — and each request's whole answer is memoized once.
 #[test]
 fn cold_scattered_requests_cost_one_engine_run_each() {
     const N: u64 = 24;
@@ -190,17 +190,17 @@ fn cold_scattered_requests_cost_one_engine_run_each() {
                 assert_eq!(cold.coalesced_legs, legs - N, "{what}");
                 assert_eq!((cold.completed, cold.failed), (legs, 0), "{what}");
                 assert_eq!(
-                    (cold.cache_hits, cold.cache_insertions),
-                    (0, legs),
-                    "{what}"
+                    (cold.cache_hits, cold.cache_misses, cold.cache_insertions),
+                    (0, N, N),
+                    "{what}: one probe and one insertion per request"
                 );
-                // Hot pass: every leg is in its own shard's cache, under the
-                // key it always had; the engine is not consulted.
+                // Hot pass: every request's whole answer is in the cache;
+                // the router answers it and no shard sees a leg.
                 (0..N).for_each(&check);
                 let hot = service.shutdown();
                 assert_eq!(hot.engine_runs, N, "{what}: the hot pass ran nothing");
-                assert_eq!(hot.cache_hits, legs, "{what}");
-                assert_eq!(hot.completed, 2 * legs, "{what}");
+                assert_eq!((hot.cache_hits, hot.cache_misses), (N, N), "{what}");
+                assert_eq!(hot.completed, legs, "{what}: no core answered a hit");
             }
         }
     }
@@ -295,15 +295,14 @@ fn duplicate_keys_under_live_mutations_match_exactly_one_epoch() {
             );
         }
     }
-    // Every leg was answered exactly once, by exactly one of the three
+    // Every request was probed once; every miss put one leg on every
+    // shard, each answered exactly once, by exactly one of the two
     // sources, and the per-shard rows fold to the service totals.
-    let legs = CLIENTS * PER_CLIENT * SHARDS as u64;
     let stats = service.stats();
+    assert_eq!(stats.cache_hits + stats.cache_misses, CLIENTS * PER_CLIENT);
+    let legs = stats.cache_misses * SHARDS as u64;
     assert_eq!((stats.completed, stats.failed), (legs, 0));
-    assert_eq!(
-        stats.engine_runs + stats.coalesced_legs + stats.cache_hits,
-        legs
-    );
+    assert_eq!(stats.engine_runs + stats.coalesced_legs, legs);
     assert!(
         stats.engine_runs < legs / 2,
         "{} runs for {legs} legs",
@@ -448,25 +447,25 @@ fn a_timed_out_or_unsupported_leader_fails_its_attached_legs_alike() {
         resp.result
     );
 
-    // The timed-out run left every leg's partial memoized (the values were
-    // right, only late): no shard runs the engine again.
+    // The timed-out run left its whole answer memoized (the value was
+    // right, only late): the router answers, no shard runs the engine.
     let resp = service.submit(request(3)).unwrap().wait();
     assert_eq!(workload_answer(&resp.result), expected.answer);
     let stats = service.shutdown();
-    assert_eq!((stats.engine_runs, stats.cache_hits), (1, SHARDS as u64));
+    assert_eq!((stats.engine_runs, stats.cache_hits), (1, 1));
     assert_eq!(
         stats.failed,
         2 * SHARDS as u64,
         "two failed requests, every leg of each"
     );
-    assert_eq!(stats.completed, SHARDS as u64);
+    assert_eq!(stats.completed, 0, "the hit reached no core");
 }
 
 /// A request is executed once. A run that outlives its timeout costs one
 /// engine run, times out every leg of that request and backs off nowhere,
 /// while another request for the same run, queued or parked on it, is
-/// judged by its own timeout; the identical request is then a cache hit on
-/// every shard, because every leg memoized its partial, late or not.
+/// judged by its own timeout; the identical request is then one cache hit,
+/// because the run's leader memoized the whole answer, late or not.
 #[test]
 fn a_timed_out_request_costs_one_engine_run_and_its_resubmit_is_a_hit() {
     let graph = Arc::new(generators::gnm_connected(3000, 12_000, 3));
@@ -498,7 +497,7 @@ fn a_timed_out_request_costs_one_engine_run_and_its_resubmit_is_a_hit() {
         let stats = service.shutdown();
         assert_eq!(
             (stats.engine_runs, stats.cache_hits),
-            (1, shards as u64),
+            (1, 1),
             "S={shards}: the resubmit is answered from the cache"
         );
     }
@@ -761,7 +760,7 @@ fn a_leader_answers_the_legs_still_queued_behind_other_work() {
         vec![0, 0],
         "the leg left shard 0's queue"
     );
-    // ... and was memoized there under its own key all the same.
+    // ... and the whole answer was memoized all the same.
     let again = service
         .submit(QueryRequest::new(2, QueryKind::Workload(Workload::CcHashMin)).with_seed(1))
         .unwrap()
@@ -769,7 +768,7 @@ fn a_leader_answers_the_legs_still_queued_behind_other_work() {
     assert_eq!(workload_answer(&again.result), expected.answer);
     assert!(busy.wait().is_ok());
     let stats = service.shutdown();
-    assert_eq!((stats.engine_runs, stats.cache_hits), (1, 2));
+    assert_eq!((stats.engine_runs, stats.cache_hits), (1, 1));
 }
 
 /// `gather_wait` is last leg completion − first leg completion, whichever
